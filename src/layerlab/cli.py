@@ -20,9 +20,8 @@ output shape (--json/--csv are shorthands) and --output PATH redirects it
 for identical inputs: no timestamps ever appear in them, and the human
 report gains one only with --timestamp.  A --config FILE of `key = value`
 lines (# comments allowed) supplies defaults that explicit flags
-override.  LAYERLAB_THREADS caps the thread count used for sweeps and
-verification grids (default serial).  Exit status: 0 success, 2 usage or
-validation error or a verification mismatch, 3 numerical failure.
+override.  Exit status: 0 success, 2 usage or validation error or a
+verification mismatch, 3 numerical failure.
 
 Field CSV artifacts use the fixed header R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz
 with rows Z-fastest and values printed to 17 significant digits, so
@@ -36,9 +35,7 @@ import datetime
 import importlib.resources
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -121,26 +118,6 @@ def _render_rows(keys, rows, args) -> str:
                  else ("" if r[k] is None else str(r[k])) for k in keys)
         for r in rows)
     return head + "\n" + body + "\n"
-
-
-def _threads() -> int:
-    raw = os.environ.get("LAYERLAB_THREADS", "")
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError(f"LAYERLAB_THREADS must be >= 1, got {raw!r}")
-    return n
-
-
-def _pmap(fn, items):
-    """Ordered map over items, threaded when LAYERLAB_THREADS allows."""
-    items = list(items)
-    n = min(_threads(), max(len(items), 1))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _reference_tables() -> dict:
@@ -309,7 +286,7 @@ def _cmd_sphere_force(args) -> int:
                 "psi": mid.psi, "psi_surface": surf.psi,
                 "psi_i": ext.psi_i, "psi_c": ext.psi_c, "force": mid.F}
 
-    rows = _pmap(one, _xi_list(args))
+    rows = [one(xi) for xi in _xi_list(args)]
     keys = ["xi", "chi", "nu", "zeta_bar", "zeta_tilde", "psi",
             "psi_surface", "psi_i", "psi_c", "force"]
     if len(rows) == 1:
@@ -445,15 +422,8 @@ def _cmd_verify_table4(args) -> int:
     data = _reference_tables()["table4"]
     xis, chis = data["xi"], data["chi"]
 
-    def one(pair):
-        j, i = pair
-        sol = solve_sphere(xis[i], chis[j])
-        return sphere_force(sol, trace="midplane").psi
-
-    flat = _pmap(one, [(j, i) for j in range(len(chis))
-                       for i in range(len(xis))])
-    psi_comp = [[flat[j * len(xis) + i] for i in range(len(xis))]
-                for j in range(len(chis))]
+    psi_comp = [[sphere_force(solve_sphere(xi, chi), trace="midplane").psi
+                 for xi in xis] for chi in chis]
     computed = {
         "psi": psi_comp,
         "psi_i": [psi_extremes(xi, 1.0).psi_i for xi in xis],

@@ -9,8 +9,8 @@ Gauss continued fraction for x < 15 and from the ratio of the asymptotic
 series above that (where the continued fraction would need O(x) terms).
 
 The BVP solver ships two independent discretizations ("primary": degree-6
-Chebyshev panels collocated at Gauss points; "alt": degree-4 panels at
-Chebyshev points with a denser mesh).  Callers that must guard against
+Chebyshev panels collocated at Gauss points; "alt": degree-5 panels at
+Chebyshev points on a doubled mesh).  Callers that must guard against
 discretization bugs solve with both and compare.
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate as _sp_integrate
 from scipy import optimize as _sp_optimize
-from scipy import special as _sp_special
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -37,7 +36,6 @@ __all__ = [
     "QuadratureLimit",
     "BesselRatioEval",
     "bessel_ratio",
-    "bessel_j0",
     "QuadratureResult",
     "integrate",
     "find_root",
@@ -202,13 +200,6 @@ def bessel_ratio(x: float) -> BesselRatioEval:
     return BesselRatioEval(x, t, i0e, i1e)
 
 
-def bessel_j0(x: float):
-    """Bessel function of the first kind J_0.  Thin wrapper over the
-    library routine (machine accurate); used for the imaginary-argument
-    identity J_0(ix) = I_0(x) in tests and exposed for completeness."""
-    return _sp_special.j0(x)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -339,12 +330,22 @@ def _default_edges(lo: float, hi: float, n_main: int) -> np.ndarray:
     return np.concatenate([np.asarray(graded[:-1]), main])
 
 
+def _coef_on(fn, rr):
+    """fn evaluated elementwise on the node array rr, as float of rr's
+    shape (a callable returning a constant is broadcast)."""
+    return np.broadcast_to(np.asarray(fn(rr), dtype=float), rr.shape)
+
+
 def _assemble_and_solve(p, q, f, edges, deg, kind,
                         left_row, right_row):
     """Build and solve the sparse collocation system.
 
     left_row/right_row: (coef_on_A, coef_on_Aprime, rhs) at the first/last
     mesh point, already reduced to first-order form.
+
+    Rows are ordered: collocation rows panel by panel, then the C0/C1
+    continuity pair at each interior edge, then the left and right
+    boundary rows.  All panels are assembled in one batched pass.
     """
     npan = len(edges) - 1
     ncoef = deg + 1
@@ -353,67 +354,59 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
     e_val_l, e_val_r, e_der_l, e_der_r = ends
     mcol = len(tpts)
 
-    rows, cols, vals, rhs_list = [], [], [], []
-    nrow = 0
-
     halves = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
 
-    for i in range(npan):
-        h = halves[i]
-        rr = mids[i] + h * tpts
-        pi = np.asarray(p(rr), dtype=float)
-        qi = np.asarray(q(rr), dtype=float)
-        fi = np.asarray(f(rr), dtype=float)
-        block = v2 / (h * h) + pi[:, None] * v1 / h + qi[:, None] * v0
-        scale = np.max(np.abs(block), axis=1)
-        scale[scale == 0.0] = 1.0
-        block /= scale[:, None]
-        base = i * ncoef
-        for k in range(mcol):
-            rows.extend([nrow] * ncoef)
-            cols.extend(range(base, base + ncoef))
-            vals.extend(block[k])
-            rhs_list.append(fi[k] / scale[k])
-            nrow += 1
+    # collocation blocks, (npan, mcol, ncoef), each row scaled by its max
+    h = halves[:, None, None]
+    rr = mids[:, None] + halves[:, None] * tpts
+    pv = _coef_on(p, rr)[:, :, None]
+    qv = _coef_on(q, rr)[:, :, None]
+    fv = _coef_on(f, rr)
+    block = v2 / (h * h) + pv * v1 / h + qv * v0
+    scale = np.max(np.abs(block), axis=2)
+    scale[scale == 0.0] = 1.0
+    block /= scale[:, :, None]
+    ncol_rows = npan * mcol
+    col_rows = np.repeat(np.arange(ncol_rows), ncoef)
+    col_cols = np.broadcast_to(
+        (np.arange(npan) * ncoef)[:, None, None] + np.arange(ncoef),
+        block.shape).ravel()
 
-    # C0/C1 continuity between panels
-    for i in range(npan - 1):
-        bl = i * ncoef
-        br = (i + 1) * ncoef
-        rows.extend([nrow] * (2 * ncoef))
-        cols.extend(list(range(bl, bl + ncoef)) + list(range(br, br + ncoef)))
-        vals.extend(list(e_val_r) + list(-e_val_l))
-        rhs_list.append(0.0)
-        nrow += 1
-        rows.extend([nrow] * (2 * ncoef))
-        cols.extend(list(range(bl, bl + ncoef)) + list(range(br, br + ncoef)))
-        vals.extend(list(e_der_r / halves[i]) + list(-e_der_l / halves[i + 1]))
-        rhs_list.append(0.0)
-        nrow += 1
+    # C0/C1 continuity between panels i and i+1: one row pair per interior
+    # edge, each spanning the 2*ncoef coefficients of both panels
+    ncont = npan - 1
+    cont_rows = np.repeat(ncol_rows + np.arange(2 * ncont), 2 * ncoef)
+    cont_cols = np.broadcast_to(
+        (np.arange(ncont) * ncoef)[:, None, None] + np.arange(2 * ncoef),
+        (ncont, 2, 2 * ncoef)).ravel()
+    cont_vals = np.empty((ncont, 2, 2 * ncoef))
+    cont_vals[:, 0, :ncoef] = e_val_r
+    cont_vals[:, 0, ncoef:] = -e_val_l
+    cont_vals[:, 1, :ncoef] = e_der_r / halves[:-1, None]
+    cont_vals[:, 1, ncoef:] = -e_der_l / halves[1:, None]
 
     # boundary rows
     ca, cb, rhsv = left_row
-    row = ca * e_val_l + cb * e_der_l / halves[0]
-    sc = max(np.max(np.abs(row)), 1e-300)
-    rows.extend([nrow] * ncoef)
-    cols.extend(range(ncoef))
-    vals.extend(row / sc)
-    rhs_list.append(rhsv / sc)
-    nrow += 1
+    row_l = ca * e_val_l + cb * e_der_l / halves[0]
+    sc_l = max(np.max(np.abs(row_l)), 1e-300)
+    ca, cb, rhsv_r = right_row
+    row_r = ca * e_val_r + cb * e_der_r / halves[-1]
+    sc_r = max(np.max(np.abs(row_r)), 1e-300)
+    nb = ndof - 2
+    bnd_rows = np.repeat([nb, nb + 1], ncoef)
+    bnd_cols = np.concatenate([np.arange(ncoef),
+                               (npan - 1) * ncoef + np.arange(ncoef)])
 
-    ca, cb, rhsv = right_row
-    row = ca * e_val_r + cb * e_der_r / halves[-1]
-    sc = max(np.max(np.abs(row)), 1e-300)
-    base = (npan - 1) * ncoef
-    rows.extend([nrow] * ncoef)
-    cols.extend(range(base, base + ncoef))
-    vals.extend(row / sc)
-    rhs_list.append(rhsv / sc)
-    nrow += 1
+    rows = np.concatenate([col_rows, cont_rows, bnd_rows])
+    cols = np.concatenate([col_cols, cont_cols, bnd_cols])
+    vals = np.concatenate([block.ravel(), cont_vals.ravel(),
+                           row_l / sc_l, row_r / sc_r])
+    rhs = np.concatenate([(fv / scale).ravel(), np.zeros(2 * ncont),
+                          [rhsv / sc_l, rhsv_r / sc_r]])
 
     mat = csc_matrix((vals, (rows, cols)), shape=(ndof, ndof))
-    sol = spsolve(mat, np.asarray(rhs_list))
+    sol = spsolve(mat, rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("singular system in BVP collocation solve")
     return sol.reshape(npan, ncoef)
@@ -423,6 +416,11 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
                      coeff_derivs=None, mesh=None, method: str = "primary",
                      max_refine: int = 3) -> RadialSolution:
     """Solve A'' + p(R) A' + q(R) A = f(R) on `domain` = (r_lo, r_hi).
+
+    p, q, f (and coeff_derivs): callables evaluated elementwise on float
+    arrays of any shape (the solver passes 2-D node arrays, one row per
+    panel) and on scalars at the interval ends.  A callable may return a
+    plain constant; it is broadcast to the shape of its argument.
 
     left:
         ("regular",)    regular singular point at R = 0 (p ~ c/R there;
@@ -477,7 +475,7 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
         # lower order, different node family, doubled mesh: an independent
         # discretization of the same BVP for oracle comparisons
         deg, kind = 5, "chebyshev"
-        edges = _split_panels(edges)
+        edges = _refine_midpoints(edges)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -535,38 +533,27 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
 
 
 def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
+    """Halve every panel (doubling the mesh), preserving the grading."""
     mids = 0.5 * (edges[:-1] + edges[1:])
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _split_panels(edges: np.ndarray) -> np.ndarray:
-    """Halve every panel (doubling the mesh), preserving the grading."""
-    return _refine_midpoints(edges)
-
-
 def _residual_check(p, q, f, edges, coefs, deg):
     """Sup ODE residual on a grid ~10x finer than the collocation spacing,
-    plus the residual scale max(sup|f|, sup|q*A|)."""
-    npan = len(edges) - 1
+    plus the residual scale max(sup|f|, sup|q*A|).  All panels are
+    evaluated at once on an (npan, nt) grid by Clenshaw recurrence."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
-    res_sup = 0.0
-    scale = 0.0
-    dco = _cheb.chebder(coefs.T, 1, axis=0)
-    d2co = _cheb.chebder(coefs.T, 2, axis=0)
-    for i in range(npan):
-        a, b = edges[i], edges[i + 1]
-        h = 0.5 * (b - a)
-        rr = 0.5 * (a + b) + h * tt
-        av = _cheb.chebval(tt, coefs[i])
-        a1 = _cheb.chebval(tt, dco[:, i]) / h
-        a2 = _cheb.chebval(tt, d2co[:, i]) / (h * h)
-        pv = np.asarray(p(rr), dtype=float)
-        qv = np.asarray(q(rr), dtype=float)
-        fv = np.asarray(f(rr), dtype=float)
-        res = a2 + pv * a1 + qv * av - fv
-        res_sup = max(res_sup, float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(fv))),
-                    float(np.max(np.abs(qv * av))))
+    h = 0.5 * np.diff(edges)[:, None]
+    rr = 0.5 * (edges[:-1] + edges[1:])[:, None] + h * tt
+    av = _cheb.chebval(tt, coefs.T)
+    a1 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 1, axis=0)) / h
+    a2 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 2, axis=0)) / (h * h)
+    pv = _coef_on(p, rr)
+    qv = _coef_on(q, rr)
+    fv = _coef_on(f, rr)
+    res = a2 + pv * a1 + qv * av - fv
+    res_sup = float(np.max(np.abs(res)))
+    scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
     if scale == 0.0:
         scale = 1.0
     return res_sup, scale

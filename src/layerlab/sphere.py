@@ -460,9 +460,14 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     c9 = 9.0 - 2.0 * sol.chi * sol.chi
 
     def integrand(r):
+        # scalar r for the adaptive quadrature, an array for the probe
         a0, a1, a2, _ = sol.A.eval(r)
         g = 1.0 + 0.5 * r * r
-        L = a2 + (a1 / r if r > 0.0 else a2)
+        if np.ndim(r) == 0:
+            L = a2 + (a1 / r if r > 0.0 else a2)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                L = a2 + np.where(r > 0.0, a1 / r, a2)
         if trace == "midplane":
             core = -c9 * (L * g * g + 2.0 * g * r * a1)
         else:
@@ -472,7 +477,7 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     # scale-aware tolerance: psi itself is O(1/xi), so a relative target
     # needs an absolute floor proportional to a cheap magnitude estimate
     probe = np.linspace(0.0, sol.geo.r_edge, 257)
-    rough = float(np.trapezoid([integrand(r) for r in probe], probe))
+    rough = float(np.trapezoid(integrand(probe), probe))
     tol = 1e-11 * max(1.0, abs(rough))
     psi = integrate(integrand, 0.0, sol.geo.r_edge, tol=tol).value
     cfg = sol.cfg

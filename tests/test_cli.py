@@ -281,12 +281,17 @@ def test_sweep_validation(capsys):
     assert rc == 2 and "error" in err.lower()
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("LAYERLAB_THREADS", "1")
-    rc, out, _ = run(capsys, "sphere-force", "--chi", "1",
-                     "--sweep-xi", "1e-4", "1e-2", "4", "--json")
-    assert rc == 0
-    d = json.loads(out)
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    # sweeps run serially; the former LAYERLAB_THREADS knob changes nothing
+    argv = ("sphere-force", "--chi", "1", "--sweep-xi", "1e-4", "1e-2", "4",
+            "--json")
+    monkeypatch.delenv("LAYERLAB_THREADS", raising=False)
+    rc, plain, _ = run(capsys, *argv)
+    monkeypatch.setenv("LAYERLAB_THREADS", "2")
+    rc2, threaded, _ = run(capsys, *argv)
+    assert rc == 0 and rc2 == 0
+    assert threaded == plain
+    d = json.loads(plain)
     assert isinstance(d, list) and len(d) == 4
 
 

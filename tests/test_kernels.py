@@ -5,16 +5,23 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebval
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 from layerlab.kernels import (
     NoSignChange,
     QuadratureLimit,
     ToleranceNotMet,
+    _assemble_and_solve,
+    _design_matrices,
+    _residual_check,
     bessel_ratio,
     find_root,
     integrate,
     solve_linear_bvp,
 )
+from layerlab.sphere import _ode_coefficients, _sphere_edges
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,20 @@ def test_bvp_modified_bessel_solution():
     assert abs(float(sol.eval(1e-6)[0]) - 0.963289107729) < 1e-8
 
 
+def test_bvp_plain_float_coefficients():
+    # coefficients that return a constant instead of an array of the
+    # argument's shape give the same solution as the vectorized ones
+    args = ((0.0, 5.0), ("regular",), (1.0, 0.0, 0.0, 0.0))
+    ref = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
+                           *args, tol=1e-11)
+    sol = solve_linear_bvp(lambda r: 1.0 / r, lambda r: -1.0,
+                           lambda r: -1.0, *args, tol=1e-11)
+    assert sol.meta["panels"] == ref.meta["panels"]
+    rr = np.linspace(1e-6, 5.0, 101)
+    for got, want in zip(sol.eval(rr)[:3], ref.eval(rr)[:3]):
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+
+
 def test_bvp_dirichlet_left_variant():
     # A'' = 2 on [1, 2] with A(1) = 0, A(2) = 1 -> A = R^2 - (2/3)(R-1) - 1
     sol = solve_linear_bvp(_const(0.0), _const(0.0), _const(2.0),
@@ -196,3 +217,83 @@ def test_bvp_dual_method_agreement():
 def test_tolerance_not_met_carries_diagnostics():
     err = ToleranceNotMet("bad", best=1.0, residual=2.0, scale=3.0)
     assert err.best == 1.0 and err.residual == 2.0 and err.scale == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Batched collocation kernel against its per-panel loop form
+# ---------------------------------------------------------------------------
+
+def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
+    """Per-panel assembly and solve, emitting triplets row by row."""
+    tpts, v0, v1, v2, (el, er, dl, dr) = _design_matrices(deg, kind)
+    npan, nc = len(edges) - 1, deg + 1
+    halves = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(span, row, b):
+        rows.extend([len(rhs)] * len(span))
+        cols.extend(span)
+        vals.extend(row)
+        rhs.append(b)
+
+    for i in range(npan):
+        h = halves[i]
+        rr = mids[i] + h * tpts
+        block = v2 / (h * h) + p(rr)[:, None] * v1 / h + q(rr)[:, None] * v0
+        scale = np.max(np.abs(block), axis=1)
+        scale[scale == 0.0] = 1.0
+        block /= scale[:, None]
+        for k in range(len(tpts)):
+            add(range(i * nc, (i + 1) * nc), block[k], f(rr)[k] / scale[k])
+    for i in range(npan - 1):
+        span = range(i * nc, (i + 2) * nc)
+        add(span, list(er) + list(-el), 0.0)
+        add(span, list(dr / halves[i]) + list(-dl / halves[i + 1]), 0.0)
+    for (ca, cb, b), ev, ed, h, base in (
+            (left_row, el, dl, halves[0], 0),
+            (right_row, er, dr, halves[-1], (npan - 1) * nc)):
+        row = ca * ev + cb * ed / h
+        sc = max(np.max(np.abs(row)), 1e-300)
+        add(range(base, base + nc), row / sc, b / sc)
+    n = npan * nc
+    mat = csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return spsolve(mat, np.asarray(rhs)).reshape(npan, nc)
+
+
+def _loop_residual(p, q, f, edges, coefs, deg):
+    """Per-panel residual sup and scale, one Clenshaw call per panel."""
+    tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
+    dco = chebder(coefs.T, 1, axis=0)
+    d2co = chebder(coefs.T, 2, axis=0)
+    res_sup = scale = 0.0
+    for i in range(len(edges) - 1):
+        a, b = edges[i], edges[i + 1]
+        h = 0.5 * (b - a)
+        rr = 0.5 * (a + b) + h * tt
+        av = chebval(tt, coefs[i])
+        a1 = chebval(tt, dco[:, i]) / h
+        a2 = chebval(tt, d2co[:, i]) / (h * h)
+        res = a2 + p(rr) * a1 + q(rr) * av - f(rr)
+        res_sup = max(res_sup, float(np.max(np.abs(res))))
+        scale = max(scale, float(np.max(np.abs(f(rr)))),
+                    float(np.max(np.abs(q(rr) * av))))
+    return res_sup, scale
+
+
+@pytest.mark.parametrize("method", [(6, "gauss"), (5, "chebyshev")])
+@pytest.mark.parametrize("problem", ["bessel", "sphere"])
+def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
+    deg, kind = method
+    if problem == "bessel":
+        p, q, f = lambda r: 1.0 / r, _const(-1.0), _const(-1.0)
+        edges = np.linspace(1e-6, 5.0, 13)
+    else:
+        p, q, f = _ode_coefficients(1e-2, 1.0)[:3]
+        edges = _sphere_edges(1e-2, 1.0, 24)
+    rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
+    want = _loop_solve(p, q, f, edges, deg, kind, *rows)
+    got = _assemble_and_solve(p, q, f, edges, deg, kind, *rows)
+    assert np.array_equal(got, want)
+    assert _residual_check(p, q, f, edges, got, deg) == \
+        _loop_residual(p, q, f, edges, want, deg)

@@ -196,6 +196,21 @@ def test_force_regression_values():
     assert abs(got / 2.469e4 - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("xi, chi, psi, panels, residual_sup", [
+    (1e-3, 1e-3, 250.4687523693668, 1096, 2.4106272533686024e-12),
+    (1e-2, 1.0, 3.369833210963936, 274, 2.236200113969744e-11),
+    (1e-5, 1.0, 10.188935818678516, 1886, 1.9539925233402755e-14),
+    (1e-2, 0.0, 25.499807766243727, 1096, 2.412237076754309e-12),
+])
+def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
+    # full-precision pins of the force factor, the accepted mesh and its
+    # residual: solver speedups must leave all three where they are
+    sol = solve_sphere(xi, chi)
+    assert abs(sphere_force(sol).psi / psi - 1.0) <= 1e-12
+    assert sol.A.meta["panels"] == panels
+    assert abs(sol.A.meta["residual_sup"] / residual_sup - 1.0) <= 1e-12
+
+
 def test_surface_trace_exceeds_midplane_at_order_one_chi():
     sol = solve_sphere(1e-2, 1.0)
     psi_mid = sphere_force(sol).psi
