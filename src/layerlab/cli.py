@@ -60,6 +60,13 @@ def _g17(x) -> str:
     return "%.17g" % float(x)
 
 
+def _cell(v) -> str:
+    """One CSV cell: floats to 17 significant digits, None empty."""
+    if isinstance(v, float):
+        return _g17(v)
+    return "" if v is None else str(v)
+
+
 def _human_value(v) -> str:
     if v is None:
         return "n/a"
@@ -90,9 +97,7 @@ def _render(pairs, args, extra_human_lines=()) -> str:
         return json.dumps(obj, sort_keys=True) + "\n"
     if fmt == "csv":
         head = ",".join(k for k, _ in pairs)
-        row = ",".join(
-            _g17(v) if isinstance(v, float) else ("" if v is None else str(v))
-            for _, v in pairs)
+        row = ",".join(_cell(v) for _, v in pairs)
         return head + "\n" + row + "\n"
     lines = []
     if args.timestamp:
@@ -113,11 +118,17 @@ def _render_rows(keys, rows, args) -> str:
         return json.dumps(out, sort_keys=True) + "\n"
     # csv for sweeps regardless of human/csv: one line per row
     head = ",".join(keys)
-    body = "\n".join(
-        ",".join(_g17(r[k]) if isinstance(r[k], float)
-                 else ("" if r[k] is None else str(r[k])) for k in keys)
-        for r in rows)
+    body = "\n".join(",".join(_cell(r[k]) for k in keys) for r in rows)
     return head + "\n" + body + "\n"
+
+
+def _emit(keys, rows, args) -> None:
+    """Write one row as a report, several as a sweep."""
+    if len(rows) == 1:
+        text = _render([(k, rows[0][k]) for k in keys], args)
+    else:
+        text = _render_rows(keys, rows, args)
+    _write_out(text, args.output)
 
 
 def _reference_tables() -> dict:
@@ -221,10 +232,7 @@ def _cmd_plate_force(args) -> int:
                      "zeta": fam.zeta, "force_factor": g,
                      "force": sol_force})
     keys = ["xi", "chi", "nu", "zeta", "force_factor", "force"]
-    if len(rows) == 1:
-        _write_out(_render([(k, rows[0][k]) for k in keys], args), args.output)
-    else:
-        _write_out(_render_rows(keys, rows, args), args.output)
+    _emit(keys, rows, args)
     return 0
 
 
@@ -240,10 +248,7 @@ def _cmd_plate_modulus(args) -> int:
                      "e_hat_l": mod.e_hat_l})
     keys = ["xi", "chi", "nu", "zeta", "e_hat", "e_hat_i", "e_hat_c",
             "e_hat_l"]
-    if len(rows) == 1:
-        _write_out(_render([(k, rows[0][k]) for k in keys], args), args.output)
-    else:
-        _write_out(_render_rows(keys, rows, args), args.output)
+    _emit(keys, rows, args)
     return 0
 
 
@@ -264,10 +269,7 @@ def _cmd_compare_plate(args) -> int:
                      "magnitude_ratio": ratio})
     keys = ["xi", "chi", "nu", "e_hat", "e_hat_l", "diff_rel",
             "small_chi_estimate", "magnitude_ratio"]
-    if len(rows) == 1:
-        _write_out(_render([(k, rows[0][k]) for k in keys], args), args.output)
-    else:
-        _write_out(_render_rows(keys, rows, args), args.output)
+    _emit(keys, rows, args)
     return 0
 
 
@@ -289,10 +291,7 @@ def _cmd_sphere_force(args) -> int:
     rows = [one(xi) for xi in _xi_list(args)]
     keys = ["xi", "chi", "nu", "zeta_bar", "zeta_tilde", "psi",
             "psi_surface", "psi_i", "psi_c", "force"]
-    if len(rows) == 1:
-        _write_out(_render([(k, rows[0][k]) for k in keys], args), args.output)
-    else:
-        _write_out(_render_rows(keys, rows, args), args.output)
+    _emit(keys, rows, args)
     return 0
 
 
@@ -331,53 +330,47 @@ def _cmd_regime_transitions(args) -> int:
 # field emission
 # ---------------------------------------------------------------------------
 
-def _field_csv(blocks) -> str:
-    """blocks: iterable of (R value, Z array, FieldSample with array data)."""
+def _field_csv(fs) -> str:
+    """fs: FieldSample on an (nr, nz) grid, emitted row-major (Z fastest),
+    one R line at a time."""
+    names = _FIELD_HEADER.split(",")
+    table = np.stack([getattr(fs, name) for name in names], axis=-1)
+    fmt = ",".join(["%.17g"] * len(names))
     lines = [_FIELD_HEADER]
-    for r_val, z_arr, fs in blocks:
-        ur, uz = np.atleast_1d(fs.u_r), np.atleast_1d(fs.u_z)
-        srr, stt = np.atleast_1d(fs.s_rr), np.atleast_1d(fs.s_tt)
-        szz, srz = np.atleast_1d(fs.s_zz), np.atleast_1d(fs.s_rz)
-        for j, z_val in enumerate(np.atleast_1d(z_arr)):
-            lines.append(",".join(_g17(v) for v in
-                                  (r_val, z_val, ur[j], uz[j], srr[j],
-                                   stt[j], szz[j], srz[j])))
+    for r_line in table:
+        lines.extend(fmt % tuple(row) for row in r_line.tolist())
     return "\n".join(lines) + "\n"
 
 
-def _cmd_plate_field(args) -> int:
-    chi = _material(args)
+def _check_grid(args) -> None:
     if args.xi is None:
         raise ValueError("--xi is required")
     if args.nr < 2 or args.nz < 2:
         raise ValueError("--nr and --nz must be >= 2")
+
+
+def _cmd_plate_field(args) -> int:
+    chi = _material(args)
+    _check_grid(args)
     sol = solve_plate(args.xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
-    r_grid = np.linspace(0.0, 1.0, args.nr)
-    z_grid = np.linspace(-1.0, 1.0, args.nz)
-    blocks = []
-    for r_val in r_grid:
-        fs = field(sol, np.full_like(z_grid, r_val), z_grid)
-        blocks.append((r_val, z_grid, fs))
-    _write_out(_field_csv(blocks), args.output)
+    r_grid, z_grid = np.meshgrid(np.linspace(0.0, 1.0, args.nr),
+                                 np.linspace(-1.0, 1.0, args.nz),
+                                 indexing="ij")
+    _write_out(_field_csv(field(sol, r_grid, z_grid)), args.output)
     return 0
 
 
 def _cmd_sphere_field(args) -> int:
     chi = _material(args)
-    if args.xi is None:
-        raise ValueError("--xi is required")
-    if args.nr < 2 or args.nz < 2:
-        raise ValueError("--nr and --nz must be >= 2")
+    _check_grid(args)
     sol = solve_sphere(args.xi, chi, tol=args.tol, mu=args.mu, a=args.a,
                        U=args.U)
-    r_grid = np.linspace(0.0, sol.geo.r_edge, args.nr)
-    blocks = []
-    for r_val in r_grid:
-        g = 1.0 + 0.5 * r_val * r_val
-        z_grid = np.linspace(-g, g, args.nz)
-        fs = sphere_field(sol, np.full_like(z_grid, r_val), z_grid)
-        blocks.append((r_val, z_grid, fs))
-    _write_out(_field_csv(blocks), args.output)
+    r_vals = np.linspace(0.0, sol.geo.r_edge, args.nr)
+    # Z spans the local gap g(R) = 1 + R^2/2 on every R line
+    z_grid = np.array([np.linspace(-g, g, args.nz)
+                       for g in 1.0 + 0.5 * r_vals * r_vals])
+    r_grid = np.broadcast_to(r_vals[:, None], z_grid.shape)
+    _write_out(_field_csv(sphere_field(sol, r_grid, z_grid)), args.output)
     return 0
 
 

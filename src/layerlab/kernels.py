@@ -3,10 +3,10 @@ collocation solver for radial ODEs with a regular singular point at the
 origin, adaptive quadrature, and bracketed root finding.
 
 Overflow policy: modified Bessel functions are only ever exposed in scaled
-form (e^{-x} I_0, e^{-x} I_1) or as the ratio t = I_1/I_0, so no quantity
-here overflows for any argument the solvers produce.  t comes from the
-Gauss continued fraction for x < 15 and from the ratio of the asymptotic
-series above that (where the continued fraction would need O(x) terms).
+form (e^{-x} I_0, e^{-x} I_1, from scipy.special.i0e/i1e) or as the ratio
+t = I_1/I_0 of the two, so no quantity here overflows for any argument
+the solvers produce.  The one difference that cancels, x - 2t ~ x^3/8 as
+x -> 0, has its own series form (x_minus_2t).
 
 The BVP solver ships two independent discretizations ("primary": degree-6
 Chebyshev panels collocated at Gauss points; "alt": degree-5 panels at
@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate as _sp_integrate
 from scipy import optimize as _sp_optimize
+from scipy import special as _sp_special
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -36,11 +37,13 @@ __all__ = [
     "QuadratureLimit",
     "BesselRatioEval",
     "bessel_ratio",
+    "x_minus_2t",
     "QuadratureResult",
     "integrate",
     "find_root",
     "RadialSolution",
     "solve_linear_bvp",
+    "solve_dual_bvp",
 ]
 
 
@@ -100,104 +103,46 @@ class BesselRatioEval:
     scaled_i1: float
 
 
-def _ratio_continued_fraction(x: float, tol: float = 1e-15) -> float:
-    """I_1(x)/I_0(x) by the Gauss continued fraction
-
-        t = 1/(2/x + 1/(4/x + 1/(6/x + ...)))
-
-    evaluated with the modified Lentz algorithm.  Convergence needs roughly
-    0.7*x + 40 terms, so the iteration cap scales with x.
-    """
-    tiny = 1e-30
-    fval = tiny  # b0 = 0
-    c = fval
-    d = 0.0
-    kmax = int(3 * x) + 60
-    for k in range(1, kmax + 1):
-        b = 2.0 * k / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        fval *= delta
-        if abs(delta - 1.0) < tol:
-            return fval
-    raise ToleranceNotMet(
-        f"Bessel-ratio continued fraction did not converge for x = {x}",
-        best=fval,
-    )
-
-
-def _scaled_i0_i1_series(x: float) -> tuple[float, float]:
-    """e^{-x} I_0 and e^{-x} I_1 by the defining power series (x < 15, so
-    the unscaled sums stay far below overflow)."""
-    x2q = 0.25 * x * x
-    # I0 = sum (x^2/4)^m / (m!)^2 ; I1 = (x/2) sum (x^2/4)^m / (m!(m+1)!)
-    term0 = 1.0
-    term1 = 1.0
-    s0 = term0
-    s1 = term1
-    for m in range(1, 80):
-        term0 *= x2q / (m * m)
-        term1 *= x2q / (m * (m + 1))
-        s0 += term0
-        s1 += term1
-        if term0 < 1e-18 * s0 and term1 < 1e-18 * s1:
-            break
-    e = math.exp(-x)
-    return e * s0, e * 0.5 * x * s1
-
-
-def _scaled_i_asymptotic(x: float, mu: float) -> float:
-    """Large-x expansion of e^{-x} I_nu(x), mu = 4 nu^2:
-
-        e^{-x} I_nu(x) ~ (2 pi x)^{-1/2} * sum_k T_k,
-        T_0 = 1,  T_k = T_{k-1} * ((2k-1)^2 - mu) / (8 k x).
-
-    Truncated at the smallest term (or below 1e-17); good to ~1e-14 for
-    x >= 15.
-    """
-    t = 1.0
-    s = t
-    prev = abs(t)
-    for k in range(1, 40):
-        t *= ((2.0 * k - 1.0) ** 2 - mu) / (8.0 * k * x)
-        if abs(t) >= prev:
-            break
-        s += t
-        prev = abs(t)
-        if abs(t) < 1e-17 * abs(s):
-            break
-    return s / math.sqrt(2.0 * math.pi * x)
-
-
 def bessel_ratio(x: float) -> BesselRatioEval:
-    """Evaluate t = I_1/I_0 and the scaled pair e^{-x}(I_0, I_1).
-
-    Below x = 15 the scaled pair comes from the power series and t from the
-    Gauss continued fraction; at and above 15 both come from the asymptotic
-    series (the continued fraction needs ~0.7x terms, which is wasteful for
-    the x ~ 1e5 arguments thin-layer edges produce, while the asymptotic
-    ratio is ~1e-14 accurate there).
+    """Evaluate t = I_1/I_0 and the scaled pair e^{-x}(I_0, I_1) with
+    scipy.special.i0e/i1e.
 
     Requires x >= 0.  t(0) = 0; t increases strictly toward 1.
     """
     if x < 0.0:
         raise ValueError(f"bessel_ratio requires x >= 0, got {x}")
-    if x == 0.0:
-        return BesselRatioEval(0.0, 0.0, 1.0, 0.0)
-    if x < 15.0:
-        t = _ratio_continued_fraction(x)
-        i0e, i1e = _scaled_i0_i1_series(x)
-    else:
-        i0e = _scaled_i_asymptotic(x, 0.0)
-        i1e = _scaled_i_asymptotic(x, 4.0)
-        t = i1e / i0e
-    return BesselRatioEval(x, t, i0e, i1e)
+    i0e = float(_sp_special.i0e(x))
+    i1e = float(_sp_special.i1e(x))
+    return BesselRatioEval(x, i1e / i0e, i0e, i1e)
+
+
+def _p_cancel_free(x: float) -> float:
+    """P(x) = x I_0(x) - 2 I_1(x) by its power series
+
+        P = sum_{m>=1} m x^{2m+1} / (4^m (m!)^2 (m+1)) = x^3/8 + x^5/96 + ...
+
+    Every coefficient is positive, so the ~x^2/8 relative cancellation of
+    the defining difference at small x never appears."""
+    term = x ** 3 / 8.0
+    s = term
+    x2 = x * x
+    for m in range(1, 60):
+        term *= x2 / (4.0 * m * (m + 2.0))
+        s += term
+        if term < 1e-17 * s:
+            break
+    return s
+
+
+def x_minus_2t(ev: BesselRatioEval) -> float:
+    """x - 2 I_1(x)/I_0(x) for the evaluation ev at x, without
+    cancellation: P(x)/I_0(x) from the positive series P below x = 2
+    (where x - 2t ~ x^3/8 would cancel), x - 2t at and above 2 (where the
+    difference is at least 0.6 and benign)."""
+    x = ev.x
+    if x < 2.0:
+        return _p_cancel_free(x) / (math.exp(x) * ev.scaled_i0)
+    return x - 2.0 * ev.t
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +475,34 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
                                 regular, lo)
     return RadialSolution(r_lo=0.0 if regular else r_lo, r_hi=r_hi,
                           eval=evaluator, meta=meta)
+
+
+def solve_dual_bvp(p, q, f, domain, left, right, tol, where, *,
+                   coeff_derivs=None, mesh=None) -> tuple[RadialSolution, float]:
+    """Solve one BVP with both discretizations and cross-check them.
+
+    Returns the primary solution, with meta["dual_sup_rel"] set, and the
+    sup-norm disagreement of A between the two on 1501 even points,
+    relative to sup|A|.  A disagreement above 1e-8 raises ToleranceNotMet;
+    `where` names the problem in that message.
+    """
+    kw = dict(coeff_derivs=coeff_derivs, mesh=mesh)
+    primary = solve_linear_bvp(p, q, f, domain, left, right, tol=tol,
+                               method="primary", **kw)
+    alt = solve_linear_bvp(p, q, f, domain, left, right, tol=tol,
+                           method="alt", **kw)
+    grid = np.linspace(domain[0], domain[1], 1501)
+    a_p = primary.eval(grid)[0]
+    a_a = alt.eval(grid)[0]
+    scale = float(np.max(np.abs(a_p)))
+    dual_rel = float(np.max(np.abs(a_p - a_a))) / scale
+    if dual_rel > 1e-8:
+        raise ToleranceNotMet(
+            f"independent discretizations disagree {where}: sup rel "
+            f"{dual_rel:.3e} > 1e-08",
+            best=dual_rel, residual=dual_rel * scale, scale=scale)
+    primary.meta["dual_sup_rel"] = dual_rel
+    return primary, dual_rel
 
 
 def _refine_midpoints(edges: np.ndarray) -> np.ndarray:

@@ -25,8 +25,7 @@ Below chi = 1e-10 the incompressible-limit family A = (1 - R^2)/(8 xi^2)
 takes over (the 1/chi^2 factors above are indeterminate there although the
 combined fields stay finite).
 
-Fields, with B(R) = chi^2 A - 1/2 evaluated as the pure product
--c_b I_0-ratio / 2 (never by subtraction):
+Fields, with B(R) = chi^2 A - 1/2:
 
     u_r = (3 - chi^2) xi U A'(R) (1 - Z^2)
     u_z = U [Z + B(R) Z (Z^2 - 1)]
@@ -50,8 +49,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import special as _sp_special
 
-from .kernels import BesselRatioEval, NumericsError, RadialSolution, bessel_ratio
+from .kernels import (BesselRatioEval, NumericsError, RadialSolution,
+                      bessel_ratio, x_minus_2t)
 from .materials import CHI_MAX, LayerConfig, MaterialParams, resolve_chi
 
 __all__ = [
@@ -135,24 +136,33 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
 # Radial potential
 # ---------------------------------------------------------------------------
 
-def _w_series(x: float) -> float:
+def _w_series(x):
     """e^{-x} (I_1 - I_0/x + 2 I_1/x^2) for small x, where the direct form
     cancels catastrophically: the expansion is x(3/8 + 5x^2/96 + 7x^4/3072
     + ...), good to ~1e-14 relative below x = 0.02."""
     x2 = x * x
-    return math.exp(-x) * x * (0.375 + x2 * (5.0 / 96.0 + x2 * (7.0 / 3072.0)))
+    return np.exp(-x) * x * (0.375 + x2 * (5.0 / 96.0 + x2 * (7.0 / 3072.0)))
 
 
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
-    eval(R) -> (A, A', A'', A''') for scalar or array R, all assembled
-    from ratios against I_0(chi/xi) so arbitrarily large chi/xi cannot
-    overflow.  chi below 1e-10 switches to the incompressible family
-    A = (1 - R^2)/(8 xi^2).  The factor (3 - chi^2) in c_b vanishes only
-    at chi = sqrt(3) ~ 1.732, outside the admissible [0, 3/2] (the range
-    check rejects it), so it is not special-cased.  A cheap residual
-    self-check at R = 0.5 and R = 1 guards the assembled evaluator.
+    eval(R) -> (A, A', A'', A''') for scalar or array R, evaluated in one
+    array pass from scaled Bessel values (scipy.special.i0e/i1e) and
+    ratios against I_0(chi/xi), so arbitrarily large chi/xi cannot
+    overflow.  A is assembled as
+
+        2 chi^2 A = (1 - c_b) + c_b (1 - I_0(kappa R)/I_0(kappa)),
+
+    each bracket divided by 2 chi^2 in closed form: the first through the
+    cancellation-free x - 2t at kappa, the second through its power series
+    in kappa below kappa = 2.  Neither subtracts terms of size 1/chi^2, so
+    A keeps full accuracy as chi/xi -> 0, down to chi = 1e-10, below which
+    the incompressible family A = (1 - R^2)/(8 xi^2) takes over.  The
+    factor (3 - chi^2) in c_b vanishes only at chi = sqrt(3) ~ 1.732,
+    outside the admissible [0, 3/2] (the range check rejects it), so it is
+    not special-cased.  A cheap residual self-check at R = 0.5 and R = 1
+    guards the assembled evaluator.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
@@ -183,41 +193,46 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     dt = 3.0 - 2.0 * xi * chi * edge.t          # (3 I_0 - 2 xi chi I_1)/I_0
     c_b = 3.0 * (3.0 - 2.0 * c2) / ((3.0 - c2) * dt)
     ck = -0.5 * c_b / c2                        # C I_0(kappa) in A = 1/(2chi^2) + C I_0(kappa R)
+    # A(1) = (1 - c_b)/(2 chi^2), divided through in closed form
+    a_edge = ((3.0 * x_minus_2t(edge) + 2.0 * c2 * edge.t)
+              / (2.0 * kappa * (3.0 - c2) * dt))
+    # below kappa = 2, (1 - I_0(kappa R)/I_0(kappa))/(2 chi^2) =
+    # sum_{m>=1} (kappa^2/4)^(m-1) (1 - R^2m)/(m!)^2 / (8 xi^2 I_0(kappa));
+    # the coefficients stop once they fall below 1e-17 (<= 12 of them)
+    if kappa < 2.0:
+        coefs = [1.0]
+        while coefs[-1] >= 1e-17:
+            coefs.append(coefs[-1] * 0.25 * kappa * kappa / (len(coefs) + 1) ** 2)
+        series_den = 8.0 * xi * xi * math.exp(kappa) * edge.scaled_i0
 
     def evaluator(r):
-        r_arr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(r_arr).ravel().astype(float)
-        n = flat.size
-        av = np.empty(n)
-        a1 = np.empty(n)
-        a2 = np.empty(n)
-        a3 = np.empty(n)
-        for i in range(n):
-            x = kappa * float(flat[i])
-            if x == 0.0:
-                si0, si1, si1x = 1.0, 0.0, 0.5
-            else:
-                ev = bessel_ratio(x)
-                si0, si1 = ev.scaled_i0, ev.scaled_i1
-                si1x = si1 / x
-            base = math.exp(x - kappa) / edge.scaled_i0
-            ratio0 = base * si0                 # I_0(kappa R)/I_0(kappa)
-            ratio1 = base * si1
-            ratio1x = base * si1x               # I_1(kappa R)/(kappa R I_0(kappa))
-            b = -0.5 * c_b * ratio0             # chi^2 A - 1/2, pure product
-            av[i] = (0.5 + b) / c2
-            a1[i] = ck * kappa * ratio1
-            a2[i] = ck * kappa * kappa * (ratio0 - ratio1x)
-            if x < 0.02:
-                w = _w_series(x)
-            else:
-                w = si1 - si0 / x + 2.0 * si1x / x
-            a3[i] = ck * kappa ** 3 * base * w
-        if np.ndim(r_arr) == 0:
-            return float(av[0]), float(a1[0]), float(a2[0]), float(a3[0])
-        shape = np.atleast_1d(r_arr).shape
-        return (av.reshape(shape), a1.reshape(shape),
-                a2.reshape(shape), a3.reshape(shape))
+        rr = np.asarray(r, dtype=float)
+        x = kappa * rr
+        si0 = _sp_special.i0e(x)
+        si1 = _sp_special.i1e(x)
+        pos = x > 0.0
+        sx = np.where(pos, x, 1.0)
+        si1x = np.where(pos, si1 / sx, 0.5)     # e^{-x} I_1(x)/x
+        base = np.exp(x - kappa) / edge.scaled_i0
+        ratio0 = base * si0                     # I_0(kappa R)/I_0(kappa)
+        ratio1 = base * si1
+        ratio1x = base * si1x                   # I_1(kappa R)/(kappa R I_0(kappa))
+        if kappa < 2.0:
+            r2, r2m, s = rr * rr, 1.0, 0.0
+            for c in coefs:
+                r2m = r2m * r2
+                s = s + c * (1.0 - r2m)
+            one_minus = s / series_den
+        else:
+            one_minus = (1.0 - ratio0) / (2.0 * c2)
+        av = a_edge + c_b * one_minus
+        a1 = ck * kappa * ratio1
+        a2 = ck * kappa * kappa * (ratio0 - ratio1x)
+        w = np.where(x < 0.02, _w_series(x), si1 - si0 / sx + 2.0 * si1x / sx)
+        a3 = ck * kappa ** 3 * base * w
+        if rr.ndim == 0:
+            return float(av), float(a1), float(a2), float(a3)
+        return av, a1, a2, a3
 
     meta = {"method": "closed-form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
@@ -334,37 +349,30 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 # Force and apparent moduli
 # ---------------------------------------------------------------------------
 
-def _p_cancel_free(x: float) -> float:
-    """P(x) = x I_0(x) - 2 I_1(x) by its power series
-
-        P = sum_{m>=1} m x^{2m+1} / (4^m (m!)^2 (m+1)) = x^3/8 + x^5/96 + ...
-
-    Every coefficient is positive, so the ~x^2/8 relative cancellation of
-    the defining difference at small x never appears.  Used for x < 2."""
-    term = x ** 3 / 8.0
-    s = term
-    x2 = x * x
-    for m in range(1, 60):
-        term *= x2 / (4.0 * m * (m + 2.0))
-        s += term
-        if term < 1e-17 * s:
-            break
-    return s
+def _g(xi: float, chi: float, ev: BesselRatioEval, d: float) -> float:
+    """G from the edge evaluation ev at x = chi/xi and d = x - 2t."""
+    c2 = chi * chi
+    three = 3.0 - c2
+    t = ev.t
+    num = 3.0 * three * d + 2.0 * c2 * c2 * t
+    den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
+    return 8.0 * num / den
 
 
 def force_factor(xi: float, chi: float) -> float:
     """Dimensionless factor G(chi, xi) in F = (3 pi mu a U / 8 xi^3) G.
 
     G -> 1 as chi -> 0 (incompressible) and G -> 8 xi^2/chi^2 as
-    chi/xi -> infinity (uniaxial straining).  With x = chi/xi:
+    chi/xi -> infinity (uniaxial straining).  With x = chi/xi and
+    t = I_1/I_0 (x):
 
-        G = 8 [3 (3 - chi^2) P(x) + 2 chi^4 I_1] /
-            [x^3 (3 - chi^2) (3 I_0 - 2 xi chi I_1)],
+        G = 8 [3 (3 - chi^2) (x - 2t) + 2 chi^4 t] /
+            [x^3 (3 - chi^2) (3 - 2 xi chi t)],
 
-    from the series P for x < 2 and the same expression divided through by
-    I_0 (so only t = I_1/I_0 appears) for x >= 2.  Both forms are sums of
-    positive terms up to the single benign difference x - 2t ~ 0.6 at
-    x = 2, so G is cancellation-free over the whole parameter range.
+    the closed form in I_0, I_1 divided through by I_0, which is exact
+    algebra for every x.  x - 2t comes from kernels.x_minus_2t, free of
+    its ~x^2/8 relative cancellation at small x; every other term is
+    positive, so G is cancellation-free over the whole parameter range.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
@@ -372,20 +380,8 @@ def force_factor(xi: float, chi: float) -> float:
         raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
     if chi < CHI_INCOMPRESSIBLE:
         return 1.0
-    c2 = chi * chi
-    three = 3.0 - c2
-    x = chi / xi
-    ev = bessel_ratio(x)
-    if x < 2.0:
-        i0 = math.exp(x) * ev.scaled_i0
-        i1 = math.exp(x) * ev.scaled_i1
-        num = 3.0 * three * _p_cancel_free(x) + 2.0 * c2 * c2 * i1
-        den = x ** 3 * three * (3.0 * i0 - 2.0 * xi * chi * i1)
-    else:
-        t = ev.t
-        num = 3.0 * three * (x - 2.0 * t) + 2.0 * c2 * c2 * t
-        den = x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
-    return 8.0 * num / den
+    ev = bessel_ratio(chi / xi)
+    return _g(xi, chi, ev, x_minus_2t(ev))
 
 
 def force(sol: PlateSolution) -> float:
@@ -422,10 +418,10 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
         e_hat_i = 1/(8 xi^2)                        (chi -> 0)
         e_hat_c = 3 (3 - chi^2)/(chi^2 (9 - 4 chi^2))  (chi/xi -> inf;
                   equals (lambda + 2 mu)/E)
-        e_hat_l = (3-chi^2) [9 P + 2 chi^2 (9-4chi^2) I_1] /
-                  [xi^2 x^3 (9-4chi^2) (3 I_0 - 2 xi chi I_1)]
+        e_hat_l = (3-chi^2) [9 (x - 2t) + 2 chi^2 (9-4chi^2) t] /
+                  [xi^2 x^3 (9-4chi^2) (3 - 2 xi chi t)]
 
-    (x = chi/xi; ratio form used for x >= 2).  chi = 0 returns the
+    (x = chi/xi, t = I_1/I_0 (x), as in force_factor).  chi = 0 returns the
     incompressible limit with e_hat_c = +inf; chi = 3/2 is rejected
     because E = 0 there makes every E-normalized modulus singular.
     """
@@ -443,18 +439,11 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
     three = 3.0 - c2
     nine4 = 9.0 - 4.0 * c2
     e_c = 3.0 * three / (c2 * nine4)
-    e_hat = 3.0 * three * force_factor(xi, chi) / (8.0 * xi * xi * nine4)
-    x = chi / xi
-    ev = bessel_ratio(x)
-    if x < 2.0:
-        i0 = math.exp(x) * ev.scaled_i0
-        i1 = math.exp(x) * ev.scaled_i1
-        num = 9.0 * _p_cancel_free(x) + 2.0 * c2 * nine4 * i1
-        den = x ** 3 * nine4 * (3.0 * i0 - 2.0 * xi * chi * i1)
-    else:
-        t = ev.t
-        num = 9.0 * (x - 2.0 * t) + 2.0 * c2 * nine4 * t
-        den = x ** 3 * nine4 * (3.0 - 2.0 * xi * chi * t)
+    ev = bessel_ratio(chi / xi)
+    d = x_minus_2t(ev)
+    e_hat = 3.0 * three * _g(xi, chi, ev, d) / (8.0 * xi * xi * nine4)
+    num = 9.0 * d + 2.0 * c2 * nine4 * ev.t
+    den = ev.x ** 3 * nine4 * (3.0 - 2.0 * xi * chi * ev.t)
     e_l = three * num / (xi * xi * den)
     return ApparentModuli(e_hat, e_i, e_c, e_l)
 

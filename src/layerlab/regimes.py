@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .kernels import bessel_ratio, find_root
+from .kernels import bessel_ratio, find_root, x_minus_2t
 from .materials import ZetaFamily, nu_from_chi, resolve_chi, zeta_family
 
 __all__ = [
@@ -61,11 +61,8 @@ _TIE_EPS = 1e-12
 
 
 def _one_minus_2t_over_y(y: float) -> float:
-    """1 - 2 t(y)/y without cancellation; series (y**2/8)(1 - y**2/6)
-    below y = 0.01, direct Bessel ratio above."""
-    if y < 1e-2:
-        return 0.125 * y * y * (1.0 - y * y / 6.0)
-    return 1.0 - 2.0 * bessel_ratio(y).t / y
+    """1 - 2 t(y)/y without cancellation, as (y - 2t)/y."""
+    return x_minus_2t(bessel_ratio(y)) / y
 
 
 def plate_ratio_compressible(zeta: float) -> float:

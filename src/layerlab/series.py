@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import NumericsError, RadialSolution, ToleranceNotMet, solve_linear_bvp
+from .kernels import NumericsError, RadialSolution, solve_dual_bvp
 from .sphere import XI_MAX_SPHERE, _edge_closure, _ode_coefficients, _sphere_edges
 
 __all__ = [
@@ -242,22 +242,10 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     re = 1.0 / math.sqrt(xi)
     right = _edge_closure(xi, chi_eq)
     edges = _sphere_edges(xi, chi_eq, 96)
-    kw = dict(coeff_derivs=(dp, dq, df), mesh=edges)
-    primary = solve_linear_bvp(p, q, f, (0.0, re), ("regular",), right,
-                               tol=tol, method="primary", **kw)
-    alt = solve_linear_bvp(p, q, f, (0.0, re), ("regular",), right,
-                           tol=tol, method="alt", **kw)
-    grid = np.linspace(0.0, re, 1501)
-    a_p = primary.eval(grid)[0]
-    a_a = alt.eval(grid)[0]
-    scale = float(np.max(np.abs(a_p)))
-    dual_rel = float(np.max(np.abs(a_p - a_a))) / scale
-    if dual_rel > 1e-8:
-        raise ToleranceNotMet(
-            f"independent discretizations disagree on Theta: {dual_rel:.3e}",
-            best=dual_rel, residual=dual_rel * scale, scale=scale)
-    primary.meta["dual_sup_rel"] = dual_rel
-    return ThetaSolution(xi=xi, U=U, Theta=primary)
+    theta, _ = solve_dual_bvp(p, q, f, (0.0, re), ("regular",), right, tol,
+                              f"on Theta at xi = {xi:g}",
+                              coeff_derivs=(dp, dq, df), mesh=edges)
+    return ThetaSolution(xi=xi, U=U, Theta=theta)
 
 
 class ResidualNorms(NamedTuple):

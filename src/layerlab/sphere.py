@@ -83,8 +83,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import (_FROBENIUS_EPS, RadialSolution, ToleranceNotMet,
-                      integrate, solve_linear_bvp)
+from .kernels import (_FROBENIUS_EPS, RadialSolution, integrate,
+                      solve_dual_bvp)
 from .materials import LayerConfig, MaterialParams, resolve_chi
 from .plate import CHI_INCOMPRESSIBLE, FieldSample
 
@@ -225,23 +225,9 @@ def _solve_radial(xi: float, chi: float, tol: float,
     re = 1.0 / math.sqrt(xi)
     right = _edge_closure(xi, chi)
     edges = _sphere_edges(xi, chi, 96 if mesh is None else int(mesh))
-    kw = dict(coeff_derivs=(dp, dq, df), mesh=edges)
-    primary = solve_linear_bvp(p, q, f, (0.0, re), ("regular",), right,
-                               tol=tol, method="primary", **kw)
-    alt = solve_linear_bvp(p, q, f, (0.0, re), ("regular",), right,
-                           tol=tol, method="alt", **kw)
-    grid = np.linspace(0.0, re, 1501)
-    a_p = primary.eval(grid)[0]
-    a_a = alt.eval(grid)[0]
-    scale = float(np.max(np.abs(a_p)))
-    dual_rel = float(np.max(np.abs(a_p - a_a))) / scale
-    if dual_rel > 1e-8:
-        raise ToleranceNotMet(
-            f"independent discretizations disagree: sup rel {dual_rel:.3e} "
-            f"> 1e-08 at (xi, chi) = ({xi:g}, {chi:g})",
-            best=dual_rel, residual=dual_rel * scale, scale=scale)
-    primary.meta["dual_sup_rel"] = dual_rel
-    return primary, dual_rel
+    return solve_dual_bvp(p, q, f, (0.0, re), ("regular",), right, tol,
+                          f"at (xi, chi) = ({xi:g}, {chi:g})",
+                          coeff_derivs=(dp, dq, df), mesh=edges)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from layerlab.kernels import (
     bessel_ratio,
     find_root,
     integrate,
+    solve_dual_bvp,
     solve_linear_bvp,
+    x_minus_2t,
 )
 from layerlab.sphere import _ode_coefficients, _sphere_edges
 
@@ -56,6 +58,19 @@ def test_bessel_ratio_limits():
     # t -> 1 from below for large x
     t_big = bessel_ratio(1e8).t
     assert 0.999999 < t_big < 1.0
+
+
+def test_x_minus_2t_against_mpmath():
+    # x - 2 I1(x)/I0(x) ~ x^3/8 at small x: the series branch below x = 2
+    # and the direct difference at and above it, both to full precision
+    mpmath.mp.dps = 40
+    for x in [1e-8, 1e-5, 1e-3, 0.05, 0.3, 1.0, 1.5, 1.999, 2.0, 2.001,
+              3.0, 15.0, 100.0, 1e4]:
+        xm = mpmath.mpf(x)
+        want = xm - 2 * mpmath.besseli(1, xm) / mpmath.besseli(0, xm)
+        got = x_minus_2t(bessel_ratio(x))
+        assert abs(got - want) < 1e-14 * abs(want), x
+    assert x_minus_2t(bessel_ratio(0.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +227,17 @@ def test_bvp_dual_method_agreement():
     a2 = s2.eval(rr)[0]
     sup = float(np.max(np.abs(a1)))
     assert float(np.max(np.abs(a1 - a2))) < 1e-9 * sup
+
+
+def test_solve_dual_bvp_returns_cross_checked_primary():
+    args = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
+            (0.0, 5.0), ("regular",), (1.0, 0.0, 0.0, 0.0))
+    sol, dual_rel = solve_dual_bvp(*args, 1e-11, "on the test problem")
+    ref = solve_linear_bvp(*args, tol=1e-11, method="primary")
+    assert sol.meta["method"] == "primary"
+    assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
+    rr = np.linspace(0.0, 5.0, 101)
+    assert np.array_equal(sol.eval(rr)[0], ref.eval(rr)[0])
 
 
 def test_tolerance_not_met_carries_diagnostics():

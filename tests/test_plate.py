@@ -56,17 +56,17 @@ def test_profile_against_mpmath_bessel():
 
 def test_profile_continuity_at_small_chi():
     # the chi -> 0 branch and the Bessel branch agree through the switch.
-    # The profile bracket 1 - c_b I0(kappa R)/I0(kappa) shrinks like
-    # (chi/xi)^2, so evaluating it in doubles leaves ~1e-16 (xi/chi)^2
-    # relative noise on A near the switch; the force path is assembled
-    # cancellation-free and stays exact (checked separately below)
+    # Near it the Bessel branch differs from the incompressible family
+    # only by the genuine O(kappa^2) material dependence (A is assembled
+    # without subtracting terms of size 1/chi^2), so these bounds hold
+    # with a wide margin; the force path is checked separately below
     xi = 1e-3
     rr = np.linspace(0.0, 1.0, 41)
     a0 = radial_profile(xi, 0.0).eval(rr)[0]
     a1 = radial_profile(xi, 1e-9).eval(rr)[0]
     sup = float(np.max(np.abs(a0)))
     assert float(np.max(np.abs(a0 - a1))) < 5e-3 * sup
-    # further from the switch the noise shrinks quadratically ...
+    # further from the switch ...
     a2 = radial_profile(xi, 1e-7).eval(rr)[0]
     assert float(np.max(np.abs(a0 - a2))) < 1e-6 * sup
     # ... until the genuine O(kappa^2) material dependence takes over
@@ -74,6 +74,71 @@ def test_profile_continuity_at_small_chi():
     assert float(np.max(np.abs(a0 - a3))) < 0.5 * (1e-5 / xi) ** 2 * sup
     # force-side continuity across the branch switch is tight
     assert abs(force_factor(xi, 1e-9) - force_factor(xi, 0.0)) < 1e-10
+
+
+def _profile_mp(xi, chi, rr):
+    """(A, A', A'', A''') of the Bessel closed form at the radii rr from
+    50-digit mpmath, as a (4, len(rr)) float array."""
+    mpmath.mp.dps = 50
+    xi, chi = mpmath.mpf(xi), mpmath.mpf(chi)
+    kappa = chi / xi
+    i0k = mpmath.besseli(0, kappa)
+    t = mpmath.besseli(1, kappa) / i0k
+    c_b = 3 * (3 - 2 * chi**2) / ((3 - chi**2) * (3 - 2 * xi * chi * t))
+    ck = -c_b / (2 * chi**2 * i0k)
+    out = []
+    for r in rr:
+        x = kappa * mpmath.mpf(r)
+        i0, i1 = mpmath.besseli(0, x), mpmath.besseli(1, x)
+        i1x = i1 / x if x else mpmath.mpf(0.5)
+        w = i1 - i0 / x + 2 * i1 / x**2 if x else mpmath.mpf(0)
+        out.append([(1 - c_b * i0 / i0k) / (2 * chi**2), ck * kappa * i1,
+                    ck * kappa**2 * (i0 - i1x), ck * kappa**3 * w])
+    return np.array(out, dtype=float).T
+
+
+def test_profile_small_chi_over_xi_against_mpmath():
+    # as chi/xi -> 0 the bracket 1 - c_b I0(kappa R)/I0(kappa) shrinks
+    # like kappa^2; A must still hold full accuracy there
+    rr = np.linspace(0.0, 1.0, 41)
+    for xi, chi in [(0.1, 1e-9), (0.1, 1e-7), (1e-3, 1e-5)]:
+        want = _profile_mp(xi, chi, rr)[0]
+        got = radial_profile(xi, chi).eval(rr)[0]
+        sup = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) < 1e-13 * sup, (xi, chi)
+
+
+def test_profile_derivatives_against_mpmath():
+    # (A, A', A'', A''') across the kappa R = 0.02 switch of the A'''
+    # series and the kappa = 2 switch of the A series, and in a thin
+    # compressible edge layer
+    for xi, chi in [(0.1, 0.19), (0.1, 0.21), (1e-2, 0.7), (1e-3, 1.4)]:
+        kappa = chi / xi
+        rr = np.concatenate((np.linspace(0.0, 1.0, 21),
+                             [0.0199 / kappa, 0.0201 / kappa, 0.5 / kappa,
+                              1.0 - 1.0 / kappa]))
+        want = _profile_mp(xi, chi, rr)
+        got = radial_profile(xi, chi).eval(rr)
+        for k in range(4):
+            sup = float(np.max(np.abs(want[k])))
+            err = float(np.max(np.abs(got[k] - want[k])))
+            assert err < 1e-12 * sup, (xi, chi, k, err / sup)
+
+
+def test_profile_array_eval_matches_scalar_calls():
+    # one array pass gives the same doubles as point-by-point calls, and
+    # keeps the shape of its input
+    rng = np.random.default_rng(5)
+    for xi, chi in [(1e-3, 1e-5), (0.05, 0.05), (1e-2, 0.7), (1e-4, 1.4)]:
+        prof = radial_profile(xi, chi)
+        rr = np.concatenate(([0.0, 1.0, 0.02 * xi / chi],
+                             rng.uniform(0.0, 1.0, 197))).reshape(20, 10)
+        got = prof.eval(rr)
+        for k in range(4):
+            assert got[k].shape == rr.shape
+            scalar = [prof.eval(float(r))[k] for r in rr.ravel()]
+            assert all(isinstance(v, float) for v in scalar)
+            assert np.array_equal(got[k].ravel(), scalar), (xi, chi, k)
 
 
 # ---------------------------------------------------------------------------

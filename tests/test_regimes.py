@@ -14,6 +14,7 @@ from layerlab.regimes import (
     plate_ratio_incompressible,
     plate_transitions,
 )
+from layerlab.regimes import _one_minus_2t_over_y
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +30,17 @@ def test_ratio_compressible_reference_point():
     got = plate_ratio_compressible(1.0)
     assert abs(got - want) < 1e-10 * want
     assert abs(got - 9.3266) < 1e-3
+
+
+def test_one_minus_2t_over_y_against_mpmath():
+    # 1 - 2 t(y)/y ~ y^2/8 on both sides of y = 0.01, where a truncated
+    # series once met the direct difference
+    mpmath.mp.dps = 40
+    for y in (0.005, 0.00999, 0.01, 0.02, 0.05):
+        ym = mpmath.mpf(y)
+        want = 1 - 2 * mpmath.besseli(1, ym) / (mpmath.besseli(0, ym) * ym)
+        got = _one_minus_2t_over_y(y)
+        assert abs(got - want) < 1e-14 * want, y
 
 
 def test_ratio_limits_are_one():
