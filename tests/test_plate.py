@@ -134,11 +134,11 @@ def test_profile_array_eval_matches_scalar_calls():
         rr = np.concatenate(([0.0, 1.0, 0.02 * xi / chi],
                              rng.uniform(0.0, 1.0, 197))).reshape(20, 10)
         got = prof.eval(rr)
+        scalar = [prof.eval(float(r)) for r in rr.ravel()]
+        assert all(isinstance(v, float) for vals in scalar for v in vals)
         for k in range(4):
             assert got[k].shape == rr.shape
-            scalar = [prof.eval(float(r))[k] for r in rr.ravel()]
-            assert all(isinstance(v, float) for v in scalar)
-            assert np.array_equal(got[k].ravel(), scalar), (xi, chi, k)
+            assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), (xi, chi, k)
 
 
 # ---------------------------------------------------------------------------
