@@ -136,12 +136,19 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
 # Radial potential
 # ---------------------------------------------------------------------------
 
+# Below x = _W_SWITCH the direct e^{-x} (I_1 - I_0/x + 2 I_1/x^2) cancels
+# like 1/x^2; its series there is e^{-x} sum_k c_k x^(2k+1), with
+# c_k = (2k+3)(k+1) / ((k+2) 4^(k+1) ((k+1)!)^2) = 3/8, 5/96, 7/3072, ...
+# and eleven terms reach 1e-17 relative
+_W_SWITCH = 1.0
+_W_COEFS = [(2 * k + 3) * (k + 1)
+            / ((k + 2) * 4.0 ** (k + 1) * math.factorial(k + 1) ** 2)
+            for k in range(11)]
+
+
 def _w_series(x):
-    """e^{-x} (I_1 - I_0/x + 2 I_1/x^2) for small x, where the direct form
-    cancels catastrophically: the expansion is x(3/8 + 5x^2/96 + 7x^4/3072
-    + ...), good to ~1e-14 relative below x = 0.02."""
-    x2 = x * x
-    return np.exp(-x) * x * (0.375 + x2 * (5.0 / 96.0 + x2 * (7.0 / 3072.0)))
+    """e^{-x} (I_1 - I_0/x + 2 I_1/x^2) for x < _W_SWITCH."""
+    return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
 def radial_profile(xi: float, chi: float) -> RadialSolution:
@@ -228,7 +235,12 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
-        w = np.where(x < 0.02, _w_series(x), si1 - si0 / sx + 2.0 * si1x / sx)
+        w = si1 - si0 / sx + 2.0 * si1x / sx
+        small = x < _W_SWITCH
+        if rr.ndim:
+            w[small] = _w_series(x[small])
+        elif small:
+            w = _w_series(x)
         a3 = ck * kappa ** 3 * base * w
         if rr.ndim == 0:
             return float(av), float(a1), float(a2), float(a3)
@@ -299,29 +311,25 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     Not valid within O(xi) of the bonded-edge corner (R, Z) = (1, +-1),
     where the underlying expansion omits a boundary-layer corrector.
     """
-    Rb, Zb = np.broadcast_arrays(np.asarray(R, dtype=float),
-                                 np.asarray(Z, dtype=float))
-    if np.any(Rb < 0.0) or np.any(Rb > 1.0):
+    Rr = np.asarray(R, dtype=float)
+    Zb = np.asarray(Z, dtype=float)
+    if np.any(Rr < 0.0) or np.any(Rr > 1.0):
         raise ValueError("R out of range [0, 1]")
     if np.any(np.abs(Zb) > 1.0):
         raise ValueError("|Z| out of range [0, 1]")
-    scalar = np.ndim(Rb) == 0
-    shape = Rb.shape
 
-    r_unique, inverse = np.unique(np.atleast_1d(Rb).ravel(),
-                                  return_inverse=True)
+    # R-only factors on R's own shape, Z-only ones on Z's; the products
+    # broadcast, in the same order of operations as on the full grid
+    r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
     av, a1, a2, _ = sol.radial.eval(r_unique)
-    av = np.atleast_1d(av)
-    a1 = np.atleast_1d(a1)
-    a2 = np.atleast_1d(a2)
     # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
     safe_r = np.where(r_unique > 0.0, r_unique, 1.0)
     a1r = np.where(r_unique > 0.0, a1 / safe_r, a2)
 
-    A = av[inverse].reshape(shape)
-    A1 = a1[inverse].reshape(shape)
-    A2 = a2[inverse].reshape(shape)
-    A1R = a1r[inverse].reshape(shape)
+    A = av[inverse].reshape(Rr.shape)
+    A1 = a1[inverse].reshape(Rr.shape)
+    A2 = a2[inverse].reshape(Rr.shape)
+    A1R = a1r[inverse].reshape(Rr.shape)
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
@@ -339,10 +347,10 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
                       - 2.0 * (3.0 - c2) * xi * xi * A1R * zm)
     s_rz = (mu * U / a) * A1 * (c2 * Zb * Zb + c2 - 6.0) * Zb
 
-    if scalar:
-        return FieldSample(float(Rb), float(Zb), float(u_r), float(u_z),
-                           float(s_rr), float(s_tt), float(s_zz), float(s_rz))
-    return FieldSample(Rb, Zb, u_r, u_z, s_rr, s_tt, s_zz, s_rz)
+    vals = (u_r, u_z, s_rr, s_tt, s_zz, s_rz)
+    if np.ndim(u_r) == 0:
+        return FieldSample(float(Rr), float(Zb), *map(float, vals))
+    return FieldSample(*np.broadcast_arrays(Rr, Zb), *vals)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ the asymptotic stress field does not conserve at this order (a few
 percent at moderate chi); the midplane trace is the headline number and
 the surface trace stays available through ``trace="surface"``.
 
+Both integrals use fixed Gauss-Legendre rules on the solver's panels,
+with the axis prepended (the first panel, [0, 1e-6], holds the Frobenius
+quadratic).  A is a polynomial of degree <= 6 on each panel, so ``A1`` is
+one of degree <= 9 and 6 points integrate it exactly; the force
+integrand holds ``A''`` and ``A'/R`` from the ODE, smooth but not
+polynomial, and gets 12 interior points, so ``A'/R`` never meets R = 0.
+
 Closed-form anchors used by the tests: for ``chi = 0`` the profile is
 ``A = 1/(2 s**2) - xi**2 / (2 (1 + 2 xi)**2)`` with ``s = R**2 + 2``
 (so ``A' = -2 R / s**3`` and ``A(R_e) = 0``), and the extreme-regime
@@ -83,8 +90,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import (_FROBENIUS_EPS, RadialSolution, integrate,
-                      solve_dual_bvp)
+from .kernels import _FROBENIUS_EPS, RadialSolution, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
 from .plate import CHI_INCOMPRESSIBLE, FieldSample
 
@@ -102,6 +108,9 @@ __all__ = [
 ]
 
 XI_MAX_SPHERE = 0.1
+
+_GL_POTENTIAL = np.polynomial.legendre.leggauss(6)
+_GL_FORCE = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -280,18 +289,25 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     return SphereSolution(cfg=cfg, geo=geo, mat=mat, A=radial, beta=beta)
 
 
-def _profile_terms(sol: SphereSolution, r: np.ndarray):
+def _distinct_radii(sol: SphereSolution, R):
+    """R as a float array checked against [0, 1/sqrt(xi)], its distinct
+    values, and a map taking arrays over those back to R's own shape."""
+    Rr = np.asarray(R, dtype=float)
+    if np.any(Rr < 0.0) or np.any(Rr > sol.geo.r_edge * (1.0 + 1e-12)):
+        raise ValueError("R outside [0, 1/sqrt(xi)]")
+    runiq, inv = np.unique(Rr.ravel(), return_inverse=True)
+    return Rr, runiq, lambda arr: arr[inv].reshape(Rr.shape)
+
+
+def _profile_terms(sol: SphereSolution, rr: np.ndarray):
     """Evaluate A..A''' on the unique radii and form the derived bundles
-    (g, L, V, L', V') used by both the field and force assemblies.
+    (g, L, V, L', V') used by the field assembly.
 
     ``A'/R`` and ``(A'' - A'/R)/R`` are evaluated with their finite axis
     limits (A''(0) and A'''(0)); away from the axis the second form
     avoids the 1/R**2 blow-up of rounding noise in L'.
     """
-    a0, a1, a2, a3 = sol.A.eval(r)
-    a0, a1, a2, a3 = (np.atleast_1d(np.asarray(v, dtype=float))
-                      for v in (a0, a1, a2, a3))
-    rr = np.atleast_1d(r)
+    a0, a1, a2, a3 = sol.A.eval(rr)
     with np.errstate(divide="ignore", invalid="ignore"):
         a1_over_r = np.where(rr > 0.0, a1 / np.where(rr > 0.0, rr, 1.0), a2)
         lp_core = np.where(rr > 0.0,
@@ -311,32 +327,26 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
 
     R and Z broadcast together; requires ``0 <= R <= 1/sqrt(xi)`` and
     ``|Z| <= gap(R)``.  Stresses scale with ``mu U / (a xi)`` except the
-    shear, which carries ``mu U / (a xi**1.5)``.
+    shear, which carries ``mu U / (a xi**1.5)``.  The profile is evaluated
+    once per distinct R, so a column R against a Z grid costs its R lines.
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi = cfg.xi
-    Rb, Zb = np.broadcast_arrays(np.asarray(R, dtype=float),
-                                 np.asarray(Z, dtype=float))
-    scalar = Rb.ndim == 0
-    Rb = np.atleast_1d(Rb).astype(float)
-    Zb = np.atleast_1d(Zb).astype(float)
-    if np.any(Rb < 0.0) or np.any(Rb > sol.geo.r_edge * (1.0 + 1e-12)):
-        raise ValueError("R outside [0, 1/sqrt(xi)]")
-    gb = 1.0 + 0.5 * Rb * Rb
-    if np.any(np.abs(Zb) > gb * (1.0 + 1e-12) + 1e-9):
+    Rr, runiq, take = _distinct_radii(sol, R)
+    Zb = np.asarray(Z, dtype=float)
+    if np.any(np.abs(Zb) > (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
         raise ValueError("Z outside the layer |Z| <= gap(R)")
 
-    runiq, inv = np.unique(Rb, return_inverse=True)
+    # R-only bundles stay on R's own shape; the Z arithmetic broadcasts
     (a0u, a1u, a2u, _a3u, a1ru, gu, Lu, Vu, Lpu, Vpu) = \
         _profile_terms(sol, runiq)
-    take = lambda arr: arr[inv].reshape(Rb.shape)
     a0, a1, a2 = take(a0u), take(a1u), take(a2u)
     a1r, g, L, V = take(a1ru), take(gu), take(Lu), take(Vu)
     Lp, Vp = take(Lpu), take(Vpu)
 
     U, mu, a = cfg.U, cfg.mu, cfg.a
     zm = Zb * Zb - g * g
-    edge_term = 2.0 * g * Rb * a1
+    edge_term = 2.0 * g * Rr * a1
 
     u_r = -(3.0 - c2) * (U / math.sqrt(xi)) * a1 * zm
     u_z = U * ((V + 2.0 * c2 * a0 / xi) * Zb + L * Zb ** 3)
@@ -350,69 +360,56 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     s_rz = (mu * U / (a * xi ** 1.5)) * (
         (4.0 * c2 - 6.0) * a1 * Zb + xi * (Vp * Zb + Lp * Zb ** 3))
 
-    if scalar:
-        return FieldSample(R=float(Rb[0]), Z=float(Zb[0]),
-                           u_r=float(u_r[0]), u_z=float(u_z[0]),
-                           s_rr=float(s_rr[0]), s_tt=float(s_tt[0]),
-                           s_zz=float(s_zz[0]), s_rz=float(s_rz[0]))
-    return FieldSample(R=Rb, Z=Zb, u_r=u_r, u_z=u_z,
-                       s_rr=s_rr, s_tt=s_tt, s_zz=s_zz, s_rz=s_rz)
+    vals = (u_r, u_z, s_rr, s_tt, s_zz, s_rz)
+    if not u_r.shape:
+        return FieldSample(float(Rr), float(Zb), *map(float, vals))
+    return FieldSample(np.broadcast_to(Rr, u_r.shape).copy(),
+                       np.broadcast_to(Zb, u_r.shape).copy(), *vals)
 
 
-def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray,
-                       tol: float) -> np.ndarray:
-    """integral of A1 = -3 g**2 A' from 0 to each radius, accumulated
-    panel by panel on the solver mesh so no segment is integrated twice."""
+def _gauss(fn, lo: np.ndarray, hi: np.ndarray, rule) -> np.ndarray:
+    """Integral of fn over each [lo_i, hi_i] by the Gauss-Legendre rule
+    (nodes, weights) on [-1, 1], with one call of fn on every node."""
+    t, w = rule
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * t
+    return half * (fn(nodes.ravel()).reshape(nodes.shape) @ w)
+
+
+def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:
+    """integral of A1 = -3 g**2 A' from 0 to each radius: the cumulative
+    sum of the whole panels below it plus the partial panel up to it, all
+    by the (exact) 6-point rule in one evaluation."""
 
     def a1_fn(r):
-        gr = 1.0 + 0.5 * r * r
-        return -3.0 * gr * gr * sol.A.eval(r)[1]
+        g = 1.0 + 0.5 * r * r
+        return -3.0 * g * g * sol.A.eval(r)[1]
 
-    edges = sol.A.meta.get("edges")
-    if edges is None:
-        edges = np.linspace(sol.A.r_lo, sol.A.r_hi, 97)
-    edges = np.concatenate(([0.0], edges[edges > 0.0]))
-    out = np.empty_like(radii, dtype=float)
-    order = np.argsort(radii)
-    cum = 0.0
-    idx = 0  # next mesh edge to fold into cum
-    pos = 0.0
-    for j in order:
-        r = radii[j]
-        while idx + 1 < len(edges) and edges[idx + 1] <= r:
-            cum += integrate(a1_fn, edges[idx], edges[idx + 1], tol=tol).value
-            pos = edges[idx + 1]
-            idx += 1
-        out[j] = cum + (integrate(a1_fn, pos, r, tol=tol).value
-                        if r > pos else 0.0)
-        # keep cum anchored at a mesh edge; the tail [pos, r] is re-done
-        # per radius (radii rarely share a panel, and segments are short)
-    return out
+    edges = np.concatenate(([0.0], sol.A.meta["edges"]))
+    npan = len(edges) - 1
+    k = np.searchsorted(edges, radii, side="right") - 1
+    parts = _gauss(a1_fn, np.concatenate((edges[:-1], edges[k])),
+                   np.concatenate((edges[1:], radii)), _GL_POTENTIAL)
+    cum = np.concatenate(([0.0], np.cumsum(parts[:npan])))
+    return cum[k] + parts[npan:]
 
 
 def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     """Odd-in-Z potential ``Phi = xi a**2 U [(int_0^R A1) Z + A Z**3]``
-    and its first and second derivatives in the scaled coordinates."""
+    and its first and second derivatives in the scaled coordinates.  The
+    integral of A1 is exact on the solver's polynomial panels (6-point
+    Gauss-Legendre per panel)."""
     cfg = sol.cfg
     xi = cfg.xi
-    Rb, Zb = np.broadcast_arrays(np.asarray(R, dtype=float),
-                                 np.asarray(Z, dtype=float))
-    scalar = Rb.ndim == 0
-    Rb = np.atleast_1d(Rb).astype(float)
-    Zb = np.atleast_1d(Zb).astype(float)
-    if np.any(Rb < 0.0) or np.any(Rb > sol.geo.r_edge * (1.0 + 1e-12)):
-        raise ValueError("R outside [0, 1/sqrt(xi)]")
+    Rr, runiq, take = _distinct_radii(sol, R)
+    Zb = np.asarray(Z, dtype=float)
 
-    runiq, inv = np.unique(Rb, return_inverse=True)
-    a0u, a1u, a2u, _ = (np.atleast_1d(np.asarray(v, dtype=float))
-                        for v in sol.A.eval(runiq))
+    a0u, a1u, a2u, _ = sol.A.eval(runiq)
     gu = 1.0 + 0.5 * runiq * runiq
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * runiq * a1u
-    qtol = min(1e-12, sol.A.meta.get("tol", 1e-10))
-    Iau = _a1_antiderivative(sol, np.atleast_1d(runiq), qtol)
+    Iau = _a1_antiderivative(sol, runiq)
 
-    take = lambda arr: arr[inv].reshape(Rb.shape)
     a0, a1 = take(a0u), take(a1u)
     A1, A1p, Ia = take(A1u), take(A1pu), take(Iau)
 
@@ -425,11 +422,11 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     phi_rz = s0 * (A1 + 3.0 * a1 * z2)
     phi_zz = s0 * 6.0 * a0 * Zb
 
-    if scalar:
-        vals = [float(v[0]) for v in
-                (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz)]
-        return PotentialSample(float(Rb[0]), float(Zb[0]), *vals)
-    return PotentialSample(Rb, Zb, phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz)
+    vals = (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz)
+    if not phi.shape:
+        return PotentialSample(float(Rr), float(Zb), *map(float, vals))
+    return PotentialSample(np.broadcast_to(Rr, phi.shape).copy(),
+                           np.broadcast_to(Zb, phi.shape).copy(), *vals)
 
 
 def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
@@ -438,7 +435,9 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     ``trace="midplane"`` integrates the normal stress along Z = 0 (the
     headline value); ``trace="surface"`` integrates it along the bonded
     surface Z = gap(R).  The two agree in the extreme regimes and differ
-    by a few percent in between.
+    by a few percent in between.  The integral is a 12-point
+    Gauss-Legendre rule on every solver panel, all nodes in one
+    evaluation of the profile.
     """
     if trace not in ("midplane", "surface"):
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
@@ -446,26 +445,17 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     c9 = 9.0 - 2.0 * sol.chi * sol.chi
 
     def integrand(r):
-        # scalar r for the adaptive quadrature, an array for the probe
         a0, a1, a2, _ = sol.A.eval(r)
         g = 1.0 + 0.5 * r * r
-        if np.ndim(r) == 0:
-            L = a2 + (a1 / r if r > 0.0 else a2)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = a2 + np.where(r > 0.0, a1 / r, a2)
+        L = a2 + a1 / r
         if trace == "midplane":
             core = -c9 * (L * g * g + 2.0 * g * r * a1)
         else:
             core = -2.0 * c9 * g * r * a1
         return (r / 3.0) * (core + 6.0 * a0 / xi)
 
-    # scale-aware tolerance: psi itself is O(1/xi), so a relative target
-    # needs an absolute floor proportional to a cheap magnitude estimate
-    probe = np.linspace(0.0, sol.geo.r_edge, 257)
-    rough = float(np.trapezoid(integrand(probe), probe))
-    tol = 1e-11 * max(1.0, abs(rough))
-    psi = integrate(integrand, 0.0, sol.geo.r_edge, tol=tol).value
+    edges = np.concatenate(([0.0], sol.A.meta["edges"]))
+    psi = float(np.sum(_gauss(integrand, edges[:-1], edges[1:], _GL_FORCE)))
     cfg = sol.cfg
     return SphereForce(F=6.0 * math.pi * cfg.a * cfg.mu * cfg.U * psi,
                        psi=psi)

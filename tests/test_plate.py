@@ -109,13 +109,14 @@ def test_profile_small_chi_over_xi_against_mpmath():
 
 
 def test_profile_derivatives_against_mpmath():
-    # (A, A', A'', A''') across the kappa R = 0.02 switch of the A'''
-    # series and the kappa = 2 switch of the A series, and in a thin
-    # compressible edge layer
+    # (A, A', A'', A''') across the kappa R = 1 switch of the A'''
+    # series (and the former one at kappa R = 0.02), the kappa = 2 switch
+    # of the A series, and in a thin compressible edge layer
     for xi, chi in [(0.1, 0.19), (0.1, 0.21), (1e-2, 0.7), (1e-3, 1.4)]:
         kappa = chi / xi
         rr = np.concatenate((np.linspace(0.0, 1.0, 21),
                              [0.0199 / kappa, 0.0201 / kappa, 0.5 / kappa,
+                              0.999 / kappa, 1.001 / kappa,
                               1.0 - 1.0 / kappa]))
         want = _profile_mp(xi, chi, rr)
         got = radial_profile(xi, chi).eval(rr)
@@ -125,14 +126,29 @@ def test_profile_derivatives_against_mpmath():
             assert err < 1e-12 * sup, (xi, chi, k, err / sup)
 
 
+def test_profile_third_derivative_full_accuracy():
+    # the direct e^{-x}(I1 - I0/x + 2 I1/x^2) cancels like 1/x^2, so A'''
+    # takes the series up to x = kappa R = 1; dense radii over
+    # x = 0.005-1, where the direct form lost up to 4.3e-14 of sup|A'''|
+    for xi, chi in [(0.05, 0.05), (0.1, 0.15)]:
+        kappa = chi / xi
+        rr = np.concatenate((np.linspace(0.0, 1.0, 201),
+                             np.geomspace(0.005, 1.0, 60) / kappa))
+        rr = rr[rr <= 1.0]
+        want = _profile_mp(xi, chi, rr)[3]
+        got = radial_profile(xi, chi).eval(rr)[3]
+        sup = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * sup, (xi, chi)
+
+
 def test_profile_array_eval_matches_scalar_calls():
     # one array pass gives the same doubles as point-by-point calls, and
     # keeps the shape of its input
     rng = np.random.default_rng(5)
     for xi, chi in [(1e-3, 1e-5), (0.05, 0.05), (1e-2, 0.7), (1e-4, 1.4)]:
         prof = radial_profile(xi, chi)
-        rr = np.concatenate(([0.0, 1.0, 0.02 * xi / chi],
-                             rng.uniform(0.0, 1.0, 197))).reshape(20, 10)
+        rr = np.concatenate(([0.0, 1.0, 0.02 * xi / chi, xi / chi],
+                             rng.uniform(0.0, 1.0, 196))).reshape(20, 10)
         got = prof.eval(rr)
         scalar = [prof.eval(float(r)) for r in rr.ravel()]
         assert all(isinstance(v, float) for vals in scalar for v in vals)
@@ -170,6 +186,22 @@ def test_field_symmetry_in_z():
     assert np.allclose(up.u_z, -dn.u_z, rtol=0, atol=1e-15)
     assert np.allclose(up.s_zz, dn.s_zz, rtol=0, atol=1e-9)
     assert np.allclose(up.s_rz, -dn.s_rz, rtol=0, atol=1e-9)
+
+
+def test_field_column_r_matches_full_grid():
+    # R-only factors on R's shape and Z-only ones on Z's give the same
+    # doubles as the fully broadcast grid
+    rr = np.linspace(0.0, 1.0, 37)
+    zz = np.linspace(-1.0, 1.0, 9)
+    r_grid, z_grid = np.meshgrid(rr, zz, indexing="ij")
+    for xi, chi in [(1e-3, 1e-5), (0.05, 0.05), (1e-2, 0.7), (0.1, 0.0)]:
+        sol = solve_plate(xi, chi=chi)
+        full = field(sol, r_grid, z_grid)
+        for r_arg, z_arg in [(rr[:, None], z_grid), (rr[:, None], zz[None, :])]:
+            got = field(sol, r_arg, z_arg)
+            for name in ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz"):
+                a, b = getattr(got, name), getattr(full, name)
+                assert a.shape == r_grid.shape and np.array_equal(a, b), (xi, chi, name)
 
 
 def test_field_validation():

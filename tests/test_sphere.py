@@ -211,6 +211,99 @@ def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
     assert abs(sol.A.meta["residual_sup"] / residual_sup - 1.0) <= 1e-12
 
 
+TABLE_CELLS = [(xi, chi) for xi in (1e-5, 1e-4, 1e-3, 1e-2)
+               for chi in (1e-3, 1e-2, 0.1, 1.0)]
+
+
+def _force_integrand(sol, trace):
+    """(R/3) sigma_zz along the chosen trace, written out apart from the
+    library; scalar or array R > 0 (quadrature nodes are interior)."""
+    c9 = 9.0 - 2.0 * sol.chi ** 2
+
+    def fn(r):
+        a0, a1, a2, _ = sol.A.eval(r)
+        g = 1.0 + 0.5 * r * r
+        if trace == "midplane":
+            core = -c9 * ((a2 + a1 / r) * g * g + 2.0 * g * r * a1)
+        else:
+            core = -2.0 * c9 * g * r * a1
+        return (r / 3.0) * (core + 6.0 * a0 / sol.xi)
+
+    return fn
+
+
+def _panel_gauss(fn, edges, n):
+    """n-point Gauss-Legendre on every panel between consecutive edges."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * t
+    return float(np.sum(half * w * fn(nodes.ravel()).reshape(nodes.shape)))
+
+
+def test_force_matches_adaptive_quadrature():
+    # the fixed panel rule against adaptive Gauss-Kronrod of the same
+    # integrand over the whole radius, on every table cell and both traces
+    for xi, chi in TABLE_CELLS:
+        sol = solve_sphere(xi, chi)
+        for trace in ("midplane", "surface"):
+            psi = sphere_force(sol, trace=trace).psi
+            ref = integrate(_force_integrand(sol, trace), 0.0,
+                            sol.geo.r_edge, tol=1e-12 * abs(psi)).value
+            assert abs(psi / ref - 1.0) <= 1e-12, (xi, chi, trace)
+
+
+def test_force_converged_on_coarse_mesh():
+    # on a coarse user mesh the 12-point rule already equals 24 points
+    # per panel: the rule, not the mesh, sets no part of the answer
+    sol = solve_sphere(1e-5, 1.0, mesh=24)
+    edges = np.concatenate(([0.0], sol.A.meta["edges"]))
+    for trace in ("midplane", "surface"):
+        fine = _panel_gauss(_force_integrand(sol, trace), edges, 24)
+        assert abs(sphere_force(sol, trace=trace).psi / fine - 1.0) <= 1e-14, trace
+
+
+def test_potential_matches_adaptive_quadrature():
+    # integral of A1 = -3 g^2 A' from 0, against adaptive quadrature panel
+    # by panel, at the axis, the rim, radii exactly on panel edges and
+    # radii inside panels
+    rng = np.random.default_rng(11)
+    for xi, chi in [(1e-2, 1.0), (1e-1, 1.4)]:
+        sol = solve_sphere(xi, chi)
+        edges = np.concatenate(([0.0], sol.A.meta["edges"]))
+
+        def a1(r):
+            g = 1.0 + 0.5 * r * r
+            return -3.0 * g * g * sol.A.eval(r)[1]
+
+        cum = np.cumsum([0.0] + [integrate(a1, lo, hi, tol=1e-15).value
+                                 for lo, hi in zip(edges[:-1], edges[1:])])
+        on = [0, 1, 2, 7, len(edges) // 2, len(edges) - 2, len(edges) - 1]
+        inside = rng.uniform(0.0, sol.geo.r_edge, 8)
+        k = np.searchsorted(edges, inside, side="right") - 1
+        want = np.concatenate((cum[on], [
+            cum[j] + integrate(a1, edges[j], r, tol=1e-15).value
+            for j, r in zip(k, inside)]))
+        radii = np.concatenate((edges[on], inside))
+        assert radii[0] == 0.0 and radii[len(on) - 1] == sol.geo.r_edge
+        got = sphere_potential(sol, radii, 0.0).phi_z / xi
+        sup = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * sup, (xi, chi)
+
+
+def test_field_column_r_matches_full_grid():
+    # a column R against a Z grid gives the same doubles as the fully
+    # broadcast R grid
+    for xi, chi in [(1e-2, 1.0), (1e-3, 0.0), (1e-1, 1.4)]:
+        sol = solve_sphere(xi, chi)
+        rr = np.linspace(0.0, sol.geo.r_edge, 57)
+        zz = _gap(rr)[:, None] * np.linspace(-1.0, 1.0, 9)
+        col = sphere_field(sol, rr[:, None], zz)
+        full = sphere_field(sol, np.broadcast_to(rr[:, None], zz.shape), zz)
+        for name in ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz"):
+            got, want = getattr(col, name), getattr(full, name)
+            assert got.shape == zz.shape and np.array_equal(got, want), name
+
+
 def test_surface_trace_exceeds_midplane_at_order_one_chi():
     sol = solve_sphere(1e-2, 1.0)
     psi_mid = sphere_force(sol).psi
