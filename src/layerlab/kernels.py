@@ -8,10 +8,20 @@ t = I_1/I_0 of the two, so no quantity here overflows for any argument
 the solvers produce.  The one difference that cancels, x - 2t ~ x^3/8 as
 x -> 0, has its own series form (x_minus_2t).
 
-The BVP solver ships two independent discretizations ("primary": degree-6
-Chebyshev panels collocated at Gauss points; "alt": degree-5 panels at
-Chebyshev points on a doubled mesh).  Callers that must guard against
-discretization bugs solve with both and compare.
+The BVP solver ships two independent discretizations ("primary": degree-10
+Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
+panels at their 7 Chebyshev points, on the midpoint-doubled mesh).
+Callers that must guard against discretization bugs solve with both and
+compare.  A problem regular on the axis R = 0 (R p even in R) is solved
+in s = R**2, where the operator
+
+    4 s A_ss + (2 + 2 R p) A_s + q A = f
+
+has smooth coefficients and the axis row is the equation itself at
+s = 0, (2 + 2c) A_s + q(0) A = f(0) with c = lim R p: a polynomial meets
+it only on the regular solution, so there is no truncation of the axis
+and no grading toward it.  The Dirichlet path has no axis and is solved
+in R.
 """
 
 from __future__ import annotations
@@ -208,7 +218,50 @@ def find_root(g: Callable[[float], float], bracket: tuple[float, float],
 # Linear radial two-point BVP by piecewise-Chebyshev collocation
 # ---------------------------------------------------------------------------
 
-_FROBENIUS_EPS = 1e-6
+class PanelPoly:
+    """A piecewise polynomial in x: row i of coefs holds the Chebyshev
+    coefficients on [edges[i], edges[i+1]] in the panel variable
+    t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
+    returns the value and the first two x-derivatives."""
+
+    def __init__(self, edges: np.ndarray, coefs: np.ndarray):
+        self.edges = edges
+        self.coefs = coefs
+        self.half = 0.5 * np.diff(edges)
+        self.mid = 0.5 * (edges[:-1] + edges[1:])
+        # the value, x-derivative and second x-derivative series of every
+        # panel, stacked (npan, 3, deg + 1) so that one product
+        # evaluates all three
+        d1 = _cheb.chebder(coefs, 1, axis=1) / self.half[:, None]
+        d2 = _cheb.chebder(d1, 1, axis=1) / self.half[:, None]
+        self._series = np.zeros((len(coefs), 3, coefs.shape[1]))
+        self._series[:, 0] = coefs
+        self._series[:, 1, :-1] = d1
+        self._series[:, 2, :-2] = d2
+
+    def locate(self, x):
+        """Panel index and panel variable t of every x."""
+        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+                      0, len(self.edges) - 2)
+        return idx, (x - self.mid[idx]) / self.half[idx]
+
+    def at(self, idx, t):
+        """(v, v_x, v_xx) at the panel variables t of the panels idx
+        (idx and t broadcast together)."""
+        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
+        return tuple(np.einsum("...k,...jk->j...", vander, self._series[idx]))
+
+    def __call__(self, x):
+        return self.at(*self.locate(x))
+
+    def gauss(self, rule):
+        """The Gauss-Legendre rule (t, w) on [-1, 1] mapped onto every
+        panel: nodes x, weights and (v, v_x, v_xx), each (npan, len(t))."""
+        t, w = rule
+        h = self.half[:, None]
+        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
+        vals = np.einsum("mk,pjk->jpm", vander, self._series)
+        return self.mid[:, None] + h * t, h * w, tuple(vals)
 
 
 @dataclass
@@ -221,12 +274,22 @@ class RadialSolution:
     differencing).  A''' is NaN if the coefficient derivatives were not
     supplied to the solver.  meta records method, mesh and the measured
     residual.
+
+    For a problem regular on the axis (both None on the Dirichlet path):
+
+    s_form: the solved A as a PanelPoly in s = R**2, the panels on which
+        integrals of A and its derivatives are exact Gauss-Legendre sums.
+    eval_quotients(R) -> (A, A', A'', A''', A'/R, (A'' - A'/R)/R) for
+        an array R, in one evaluation; the two quotients are read off the
+        s-panels as 2 A_s and 4 R A_ss, finite on the axis with no 0/0.
     """
 
     r_lo: float
     r_hi: float
     eval: Callable
     meta: dict = field(default_factory=dict)
+    s_form: Optional[PanelPoly] = None
+    eval_quotients: Optional[Callable] = None
 
 
 @lru_cache(maxsize=32)
@@ -260,25 +323,24 @@ def _design_matrices(deg: int, kind: str):
     return tpts, v0, v1, v2, (e_val_l, e_val_r, e_der_l, e_der_r)
 
 
-def _default_edges(lo: float, hi: float, n_main: int) -> np.ndarray:
-    """Geometric grading from lo up to ~min(1, span/10), then uniform.
-
-    The grading keeps the c/R coefficient region well sampled when lo is
-    the Frobenius truncation point 1e-6."""
-    r_break = min(max(lo * 4.0, min(1.0, (hi - lo) * 0.1)), hi * 0.5)
-    graded = [lo]
-    r = lo
-    while r * 4.0 < r_break:
-        r *= 4.0
-        graded.append(r)
-    main = np.linspace(graded[-1], hi, max(n_main, 8) + 1)
-    return np.concatenate([np.asarray(graded[:-1]), main])
-
-
 def _coef_on(fn, rr):
     """fn evaluated elementwise on the node array rr, as float of rr's
     shape (a callable returning a constant is broadcast)."""
     return np.broadcast_to(np.asarray(fn(rr), dtype=float), rr.shape)
+
+
+def _axis_coefficient(p, r_hi: float) -> float:
+    """c = lim R p(R) at the axis, after checking that R p(R) is even in
+    R, which makes the s = R**2 form of the operator smooth there."""
+    rr = np.array([1e-8, 0.01 * r_hi, 0.3 * r_hi, r_hi])
+    with np.errstate(all="ignore"):
+        plus = rr * _coef_on(p, rr)
+        minus = -rr * _coef_on(p, -rr)
+    if not np.all(np.abs(plus - minus) <= 1e-12 * np.maximum(1.0, np.abs(plus))):
+        raise ValueError("a regular axis needs R p(R) even in R: "
+                         f"R p = {plus.tolist()} at R = {rr.tolist()}, "
+                         f"{minus.tolist()} at -R")
+    return float(plus[0])
 
 
 def _assemble_and_solve(p, q, f, edges, deg, kind,
@@ -368,87 +430,108 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
     plain constant; it is broadcast to the shape of its argument.
 
     left:
-        ("regular",)    regular singular point at R = 0 (p ~ c/R there;
-                        c is measured from p at the truncation point).
-                        The domain is truncated at eps = 1e-6 and the
-                        two-term even Frobenius form A = A0 + A2 R^2,
-                        A'(0) = 0 supplies the boundary row
-                        A'(eps) + eps*q0/(1+c)*A(eps) = eps*f0/(1+c).
-        ("value", v)    Dirichlet A(r_lo) = v.
+        ("regular",)    A regular on the axis R = 0 (r_lo must be 0).  R p
+                        must be even in R (p ~ c/R, with c = lim R p), or
+                        ValueError.  The problem is solved in s = R**2,
+                        where it reads
+                        4 s A_ss + (2 + 2 R p) A_s + q A = f on
+                        [0, r_hi**2], with smooth coefficients; the left
+                        row is that equation at s = 0,
+                        (2 + 2c) A_s + q(0) A = f(0), which a polynomial
+                        meets only on the regular solution.
+        ("value", v)    Dirichlet A(r_lo) = v; solved in R.
     right:
         (alpha, beta, gamma, delta) meaning
         alpha*A + beta*A' + gamma*A'' = delta at r_hi; A'' is eliminated
         through the ODE, so the stored condition is
-        (alpha - gamma*q)*A + (beta - gamma*p)*A' = delta - gamma*f.
+        (alpha - gamma*q)*A + (beta - gamma*p)*A' = delta - gamma*f,
+        with A' = 2 r_hi A_s on the regular path.
 
     coeff_derivs: optional (dp, dq, df) callables; required for the
     reported third derivative A''' = f' - p'A' - pA'' - q'A - qA'.
 
-    mesh: None (auto), int (main-section panel count), or an explicit
-    array of panel edges covering the solve interval.
+    mesh: None (24 uniform panels in R), int (that many), or an explicit
+    array of R panel edges covering the domain.  On the regular path the
+    edges are squared into s.
 
-    The solution is accepted when the ODE residual, sampled about ten
-    times finer than the collocation spacing, satisfies
-    sup|res| <= tol * max(sup|f|, sup|q*A|); otherwise panels are
-    midpoint-refined up to max_refine times before ToleranceNotMet.
+    method: "primary" (degree-10 Chebyshev panels collocated at the 9
+    Gauss points) or "alt" (degree 8 at the 7 Chebyshev points, on the
+    midpoint-doubled mesh): two independent discretizations of the same
+    problem.  Every collocation node is interior to its panel.
+
+    The solution is accepted when the residual of the R-form ODE,
+    sampled about ten times finer than the collocation spacing,
+    satisfies sup|res| <= tol * max(sup|f|, sup|q*A|); otherwise the R
+    panels are midpoint-refined up to max_refine times before
+    ToleranceNotMet.
+    meta["edges"] holds the R breakpoints, above the axis on the regular
+    path (the axis is implied).
     """
     r_lo, r_hi = domain
     regular = left[0] == "regular"
-    if regular:
-        if r_lo != 0.0:
-            raise ValueError("regularity condition requires r_lo = 0")
-        lo = _FROBENIUS_EPS
-    else:
-        lo = r_lo
-    if not (lo < r_hi):
-        raise ValueError(f"empty solve interval [{lo}, {r_hi}]")
+    if regular and r_lo != 0.0:
+        raise ValueError("regularity condition requires r_lo = 0")
+    if not (r_lo < r_hi):
+        raise ValueError(f"empty solve interval [{r_lo}, {r_hi}]")
 
-    if mesh is None:
-        edges = _default_edges(lo, r_hi, 96)
-    elif isinstance(mesh, (int, np.integer)):
-        edges = _default_edges(lo, r_hi, int(mesh))
+    if mesh is None or isinstance(mesh, (int, np.integer)):
+        n = 24 if mesh is None else int(mesh)
+        edges = np.linspace(r_lo, r_hi, max(n, 8) + 1)
     else:
         edges = np.asarray(mesh, dtype=float)
-        if abs(edges[0] - lo) > 1e-12 * max(1.0, lo) or abs(edges[-1] - r_hi) > 1e-12 * max(1.0, r_hi):
+        if abs(edges[0] - r_lo) > 1e-12 * max(1.0, abs(r_lo)) or abs(edges[-1] - r_hi) > 1e-12 * max(1.0, r_hi):
             raise ValueError("explicit mesh must span the solve interval")
         edges = edges.copy()
-        edges[0], edges[-1] = lo, r_hi
+        edges[0], edges[-1] = r_lo, r_hi
 
     if method == "primary":
-        deg, kind = 6, "gauss"
+        deg, kind = 10, "gauss"
     elif method == "alt":
         # lower order, different node family, doubled mesh: an independent
         # discretization of the same BVP for oracle comparisons
-        deg, kind = 5, "chebyshev"
-        edges = _refine_midpoints(edges)
+        deg, kind = 8, "chebyshev"
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # boundary rows in first-order (A, A') form
-    if regular:
-        c_sing = lo * float(p(lo))
-        q0 = float(q(lo))
-        f0 = float(f(lo))
-        left_row = (lo * q0 / (1.0 + c_sing), 1.0, lo * f0 / (1.0 + c_sing))
-    else:
-        left_row = (1.0, 0.0, float(left[1]))
-
+    # rim row in first-order (A, A') form
     alpha, beta, gamma, delta = right
-    pe = float(p(r_hi))
-    qe = float(q(r_hi))
-    fe = float(f(r_hi))
-    a_eff = alpha - gamma * qe
-    b_eff = beta - gamma * pe
-    d_eff = delta - gamma * fe
+    a_eff = alpha - gamma * float(q(r_hi))
+    b_eff = beta - gamma * float(p(r_hi))
+    d_eff = delta - gamma * float(f(r_hi))
     if max(abs(a_eff), abs(b_eff)) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
-    right_row = (a_eff, b_eff, d_eff)
+
+    if regular:
+        c_axis = _axis_coefficient(p, r_hi)
+
+        def in_s(fn):
+            # fn(R) as a function of s = R**2; every node is interior, s > 0
+            return lambda s: _coef_on(fn, np.sqrt(s))
+
+        def lead(s):
+            return 4.0 * s
+
+        r_p = in_s(lambda r: r * p(r))
+        resid = (lambda s: 2.0 + 2.0 * r_p(s), in_s(q), in_s(f))
+        # the collocation rows take the equation divided by its leading 4 s
+        ode = tuple(lambda s, fn=fn: fn(s) / lead(s) for fn in resid)
+        left_row = (float(q(0.0)), 2.0 + 2.0 * c_axis, float(f(0.0)))
+        right_row = (a_eff, 2.0 * r_hi * b_eff, d_eff)
+    else:
+        c_axis = lead = None
+        ode = resid = (p, q, f)
+        left_row = (1.0, 0.0, float(left[1]))
+        right_row = (a_eff, b_eff, d_eff)
+    if method == "alt":
+        edges = _refine_midpoints(edges)
 
     last_res = last_scale = None
     for attempt in range(max_refine + 1):
-        coefs = _assemble_and_solve(p, q, f, edges, deg, kind,
+        # the panels are refined in R; the regular path solves on their squares
+        x_edges = edges * edges if regular else edges
+        coefs = _assemble_and_solve(*ode, x_edges, deg, kind,
                                     left_row, right_row)
-        res_sup, scale = _residual_check(p, q, f, edges, coefs, deg)
+        res_sup, scale = _residual_check(*resid, x_edges, coefs, deg, lead)
         last_res, last_scale = res_sup, scale
         if res_sup <= tol * scale:
             break
@@ -461,20 +544,21 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
             residual=last_res, scale=last_scale,
         )
 
+    poly = PanelPoly(x_edges, coefs)
     meta = {
         "method": method,
         "degree": deg,
-        "panels": len(edges) - 1,
-        "edges": edges.copy(),
+        "panels": len(x_edges) - 1,
+        "edges": edges[1:].copy() if regular else edges.copy(),
         "residual_sup": res_sup,
         "residual_scale": scale,
         "tol": tol,
-        "eps": lo if regular else None,
     }
-    evaluator = _make_evaluator(p, q, f, coeff_derivs, edges, coefs, deg,
-                                regular, lo)
-    return RadialSolution(r_lo=0.0 if regular else r_lo, r_hi=r_hi,
-                          eval=evaluator, meta=meta)
+    evaluator, with_quotients = _make_evaluator(p, q, f, coeff_derivs, poly,
+                                                c_axis)
+    return RadialSolution(r_lo=r_lo, r_hi=r_hi, eval=evaluator, meta=meta,
+                          s_form=poly if regular else None,
+                          eval_quotients=with_quotients)
 
 
 def solve_dual_bvp(p, q, f, domain, left, right, tol, where, *,
@@ -511,16 +595,19 @@ def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _residual_check(p, q, f, edges, coefs, deg):
-    """Sup ODE residual on a grid ~10x finer than the collocation spacing,
-    plus the residual scale max(sup|f|, sup|q*A|).  All panels are
-    evaluated at once on an (npan, nt) grid by Clenshaw recurrence."""
+def _residual_check(p, q, f, edges, coefs, deg, lead=None):
+    """Sup residual of lead*A'' + p*A' + q*A - f (lead = 1 when None) on a
+    grid ~10x finer than the collocation spacing, plus the residual scale
+    max(sup|f|, sup|q*A|).  All panels are evaluated at once on an
+    (npan, nt) grid by Clenshaw recurrence."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     h = 0.5 * np.diff(edges)[:, None]
     rr = 0.5 * (edges[:-1] + edges[1:])[:, None] + h * tt
     av = _cheb.chebval(tt, coefs.T)
     a1 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 1, axis=0)) / h
     a2 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 2, axis=0)) / (h * h)
+    if lead is not None:
+        a2 = lead(rr) * a2
     pv = _coef_on(p, rr)
     qv = _coef_on(q, rr)
     fv = _coef_on(f, rr)
@@ -532,55 +619,47 @@ def _residual_check(p, q, f, edges, coefs, deg):
     return res_sup, scale
 
 
-def _make_evaluator(p, q, f, coeff_derivs, edges, coefs, deg, regular, lo):
-    dco = _cheb.chebder(coefs.T, 1, axis=0)
-    have_derivs = coeff_derivs is not None
-    if have_derivs:
-        dp, dq, df = coeff_derivs
-    halves = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nlast = len(edges) - 2
+def _make_evaluator(p, q, f, coeff_derivs, poly: PanelPoly, c_axis):
+    """eval and eval_quotients of the solved panels (the second None
+    unless the panels are in s = R**2, where c_axis is the axis limit of
+    R p(R); c_axis is None when the panels are in R)."""
 
-    # Frobenius continuation below the truncation point: A = A0 + A2 R^2
-    if regular:
-        t_at_lo = -1.0
-        a_lo = float(_cheb.chebval(t_at_lo, coefs[0]))
-        a1_lo = float(_cheb.chebval(t_at_lo, dco[:, 0])) / halves[0]
-        a2_frob = a1_lo / (2.0 * lo)
-        a0_frob = a_lo - a2_frob * lo * lo
+    def terms(r):
+        """A, A', A'', A''' and, in s, A_s and A_ss on the float array r."""
+        if c_axis is None:
+            av, a1, _ = poly(r)
+            a_s = a_ss = None
+            off = r
+            pv = p(off)
+            p_a1 = pv * a1
+        else:
+            av, a_s, a_ss = poly(r * r)
+            a1 = 2.0 * r * a_s
+            on_axis = r == 0.0
+            off = np.where(on_axis, 1.0, r)
+            pv = p(off)
+            p_a1 = 2.0 * np.where(on_axis, c_axis, off * pv) * a_s
+        # second/third derivatives through the ODE, never by differencing
+        qv = q(r)
+        a2 = f(r) - p_a1 - qv * av
+        if coeff_derivs is None:
+            a3 = np.full_like(av, np.nan)
+        else:
+            dp, dq, df = coeff_derivs
+            a3 = df(r) - dp(off) * a1 - pv * a2 - dq(r) * av - qv * a1
+            if c_axis is not None:
+                # A''' of a profile even in R vanishes on the axis
+                a3 = np.where(on_axis, 0.0, a3)
+        return av, a1, a2, a3, a_s, a_ss
 
     def evaluator(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.clip(np.searchsorted(edges, r_arr, side="right") - 1,
-                      0, nlast)
-        t = (r_arr - mids[idx]) / halves[idx]
-        av = _cheb.chebval(t, coefs[idx].T, tensor=False)
-        a1 = _cheb.chebval(t, dco[:, idx], tensor=False) / halves[idx]
-        # second/third derivatives through the ODE, never by differencing
-        rs = np.where(r_arr < lo, lo, r_arr) if regular else r_arr
-        pv = np.asarray(p(rs), dtype=float)
-        qv = np.asarray(q(rs), dtype=float)
-        fv = np.asarray(f(rs), dtype=float)
-        a2 = fv - pv * a1 - qv * av
-        if have_derivs:
-            dpv = np.asarray(dp(rs), dtype=float)
-            dqv = np.asarray(dq(rs), dtype=float)
-            dfv = np.asarray(df(rs), dtype=float)
-            a3 = dfv - dpv * a1 - pv * a2 - dqv * av - qv * a1
-        else:
-            a3 = np.full_like(av, np.nan)
-        if regular:
-            below = r_arr < lo
-            if np.any(below):
-                # exact quadratic continuation: the clamped-R ODE recovery
-                # above misscales p*A' there
-                av = np.where(below, a0_frob + a2_frob * r_arr * r_arr, av)
-                a1 = np.where(below, 2.0 * a2_frob * r_arr, a1)
-                a2 = np.where(below, 2.0 * a2_frob, a2)
-                if have_derivs:
-                    a3 = np.where(below, 0.0, a3)
+        av, a1, a2, a3, _, _ = terms(np.atleast_1d(np.asarray(r, dtype=float)))
         if np.isscalar(r) or np.ndim(r) == 0:
             return float(av[0]), float(a1[0]), float(a2[0]), float(a3[0])
         return av, a1, a2, a3
 
-    return evaluator
+    def with_quotients(r):
+        av, a1, a2, a3, a_s, a_ss = terms(r)
+        return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
+
+    return evaluator, (None if c_axis is None else with_quotients)

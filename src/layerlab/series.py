@@ -188,18 +188,16 @@ class ThetaSolution:
     Theta: RadialSolution
 
     def _terms(self, R):
-        t0, t1, t2, _ = self.Theta.eval(R)
-        t0, t1, t2 = (np.atleast_1d(np.asarray(v, dtype=float))
-                      for v in (t0, t1, t2))
-        rr = np.atleast_1d(np.asarray(R, dtype=float))
-        t1r = np.where(rr > 0.0, t1 / np.where(rr > 0.0, rr, 1.0), t2)
-        return t0, t1, t2 + t1r, rr
+        """Theta, Theta' and L = Theta'' + Theta'/R on the radii R, with
+        Theta'/R finite on the axis."""
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(R)
+        return t0, t1, t2 + t1_over_r
 
     def u_r0(self, R, Z):
         Rb, Zb = _check_layer_point(self.xi, R, Z)
         scalar = np.isscalar(R) and np.isscalar(Z)
         runiq, inv = np.unique(Rb, return_inverse=True)
-        _, t1, _, _ = self._terms(runiq)
+        _, t1, _ = self._terms(runiq)
         t1 = t1[inv].reshape(Rb.shape)
         g = 1.0 + 0.5 * Rb * Rb
         out = -0.5 * t1 * (Zb * Zb - g * g)
@@ -209,7 +207,7 @@ class ThetaSolution:
         Rb, Zb = _check_layer_point(self.xi, R, Z)
         scalar = np.isscalar(R) and np.isscalar(Z)
         runiq, inv = np.unique(Rb, return_inverse=True)
-        t0, t1, L, _ = self._terms(runiq)
+        t0, t1, L = self._terms(runiq)
         take = lambda a: a[inv].reshape(Rb.shape)
         t0, t1, L = take(t0), take(t1), take(L)
         g = 1.0 + 0.5 * Rb * Rb

@@ -67,12 +67,16 @@ the asymptotic stress field does not conserve at this order (a few
 percent at moderate chi); the midplane trace is the headline number and
 the surface trace stays available through ``trace="surface"``.
 
-Both integrals use fixed Gauss-Legendre rules on the solver's panels,
-with the axis prepended (the first panel, [0, 1e-6], holds the Frobenius
-quadratic).  A is a polynomial of degree <= 6 on each panel, so ``A1`` is
-one of degree <= 9 and 6 points integrate it exactly; the force
-integrand holds ``A''`` and ``A'/R`` from the ODE, smooth but not
-polynomial, and gets 12 interior points, so ``A'/R`` never meets R = 0.
+Both integrals use one fixed Gauss-Legendre rule on the solver's own
+panels, which live in ``s = R**2`` from the axis out (``ds = 2 R dR``).
+A is a polynomial of degree <= 10 in s on each panel, and
+
+    (R/3) F dR = F ds / 6,      A1 dR = -3 g**2 A_s ds,
+
+with ``L = 4 s A_ss + 4 A_s`` and ``R A' = 2 s A_s`` inside the force
+integrand F, so both integrands are polynomials of degree <= 11 in s and
+6 points per panel integrate them exactly, read straight off the panel
+polynomials.
 
 Closed-form anchors used by the tests: for ``chi = 0`` the profile is
 ``A = 1/(2 s**2) - xi**2 / (2 (1 + 2 xi)**2)`` with ``s = R**2 + 2``
@@ -90,7 +94,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _FROBENIUS_EPS, RadialSolution, solve_dual_bvp
+from .kernels import RadialSolution, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
 from .plate import CHI_INCOMPRESSIBLE, FieldSample
 
@@ -109,8 +113,8 @@ __all__ = [
 
 XI_MAX_SPHERE = 0.1
 
-_GL_POTENTIAL = np.polynomial.legendre.leggauss(6)
-_GL_FORCE = np.polynomial.legendre.leggauss(12)
+# exact for the degree <= 11 force and potential integrands in s
+_GL_S = np.polynomial.legendre.leggauss(6)
 
 
 @dataclass(frozen=True)
@@ -201,27 +205,24 @@ def _edge_closure(xi: float, chi: float):
 
 
 def _sphere_edges(xi: float, chi: float, n_main: int) -> np.ndarray:
-    """Panel edges tuned to the sphere profile: geometric grading off the
-    axis, a uniform section through the O(1) feature region (dense enough
-    for the oscillatory homogeneous solutions when chi**2 > 2 xi, whose
-    peak local wavenumber is chi/sqrt(xi)), then log-uniform panels along
-    the algebraic R**-6 tail out to the rim."""
+    """R panel edges tuned to the sphere profile, from the axis: one axis
+    panel out to R = 0.0625, a uniform section through the O(1) feature
+    region (dense enough for the oscillatory homogeneous solutions when
+    chi**2 > 2 xi, whose peak local wavenumber is chi/sqrt(xi)), then
+    log-uniform panels along the algebraic R**-6 tail out to the rim.
+    The solver squares them into s = R**2."""
     re = 1.0 / math.sqrt(xi)
     scale_f = n_main / 96.0
-    graded = [_FROBENIUS_EPS]
-    while graded[-1] * 4.0 < 0.0625:
-        graded.append(graded[-1] * 4.0)
-    start = graded[-1]
+    start = 0.0625
     k_osc = chi / math.sqrt(xi)
-    h_inner = min(0.12, 1.5 / max(k_osc, 1.0)) / max(scale_f, 1e-2)
+    h_inner = min(0.18, 2.25 / max(k_osc, 1.0)) / max(scale_f, 1e-2)
     r_mid = min(4.0, re)
     n_inner = max(int(math.ceil((r_mid - start) / h_inner)), 8)
     inner = np.linspace(start, r_mid, n_inner + 1)
-    head = np.asarray(graded[:-1])
     if r_mid >= re:
-        return np.concatenate([head, inner])
+        return np.concatenate([[0.0], inner])
     tail = np.geomspace(r_mid, re, max(int(n_main), 8) + 1)
-    return np.concatenate([head, inner[:-1], tail])
+    return np.concatenate([[0.0], inner[:-1], tail])
 
 
 @lru_cache(maxsize=64)
@@ -303,16 +304,11 @@ def _profile_terms(sol: SphereSolution, rr: np.ndarray):
     """Evaluate A..A''' on the unique radii and form the derived bundles
     (g, L, V, L', V') used by the field assembly.
 
-    ``A'/R`` and ``(A'' - A'/R)/R`` are evaluated with their finite axis
-    limits (A''(0) and A'''(0)); away from the axis the second form
-    avoids the 1/R**2 blow-up of rounding noise in L'.
+    ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss`` come from the
+    profile's panels in s = R**2: finite on the axis with no 0/0, and the
+    second form keeps the 1/R**2 blow-up of rounding noise out of L'.
     """
-    a0, a1, a2, a3 = sol.A.eval(rr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a1_over_r = np.where(rr > 0.0, a1 / np.where(rr > 0.0, rr, 1.0), a2)
-        lp_core = np.where(rr > 0.0,
-                           (a2 - a1_over_r) / np.where(rr > 0.0, rr, 1.0),
-                           0.0)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1
@@ -367,38 +363,31 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
                        np.broadcast_to(Zb, u_r.shape).copy(), *vals)
 
 
-def _gauss(fn, lo: np.ndarray, hi: np.ndarray, rule) -> np.ndarray:
-    """Integral of fn over each [lo_i, hi_i] by the Gauss-Legendre rule
-    (nodes, weights) on [-1, 1], with one call of fn on every node."""
-    t, w = rule
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * t
-    return half * (fn(nodes.ravel()).reshape(nodes.shape) @ w)
-
-
 def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:
-    """integral of A1 = -3 g**2 A' from 0 to each radius: the cumulative
-    sum of the whole panels below it plus the partial panel up to it, all
-    by the (exact) 6-point rule in one evaluation."""
-
-    def a1_fn(r):
-        g = 1.0 + 0.5 * r * r
-        return -3.0 * g * g * sol.A.eval(r)[1]
-
-    edges = np.concatenate(([0.0], sol.A.meta["edges"]))
-    npan = len(edges) - 1
-    k = np.searchsorted(edges, radii, side="right") - 1
-    parts = _gauss(a1_fn, np.concatenate((edges[:-1], edges[k])),
-                   np.concatenate((edges[1:], radii)), _GL_POTENTIAL)
-    cum = np.concatenate(([0.0], np.cumsum(parts[:npan])))
-    return cum[k] + parts[npan:]
+    """integral of A1 = -3 g**2 A' from 0 to each radius, taken as the
+    integral of -3 g**2 A_s over s from 0 to R**2: the cumulative sum of
+    the whole s-panels below it plus the partial panel up to it, each by
+    the exact 6-point rule."""
+    poly = sol.A.s_form
+    t, w = _GL_S
+    s, ws, (_, a_s, _) = poly.gauss(_GL_S)
+    g = 1.0 + 0.5 * s
+    cum = np.concatenate(([0.0], np.cumsum(np.sum(-3.0 * ws * g * g * a_s,
+                                                  axis=1))))
+    k, t_r = poly.locate(radii * radii)
+    # the partial panel runs over [-1, t_r] in its panel variable
+    frac = 0.5 * (t_r + 1.0)
+    tn = frac[:, None] * (t + 1.0) - 1.0
+    _, a_s, _ = poly.at(k[:, None], tn)
+    g = 1.0 + 0.5 * (poly.mid[k][:, None] + poly.half[k][:, None] * tn)
+    return cum[k] + poly.half[k] * frac * ((-3.0 * g * g * a_s) @ w)
 
 
 def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     """Odd-in-Z potential ``Phi = xi a**2 U [(int_0^R A1) Z + A Z**3]``
     and its first and second derivatives in the scaled coordinates.  The
-    integral of A1 is exact on the solver's polynomial panels (6-point
-    Gauss-Legendre per panel)."""
+    integral of A1 is exact on the solver's polynomial panels in s = R**2
+    (6-point Gauss-Legendre per panel)."""
     cfg = sol.cfg
     xi = cfg.xi
     Rr, runiq, take = _distinct_radii(sol, R)
@@ -435,27 +424,24 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     ``trace="midplane"`` integrates the normal stress along Z = 0 (the
     headline value); ``trace="surface"`` integrates it along the bonded
     surface Z = gap(R).  The two agree in the extreme regimes and differ
-    by a few percent in between.  The integral is a 12-point
-    Gauss-Legendre rule on every solver panel, all nodes in one
-    evaluation of the profile.
+    by a few percent in between.  The integral is the exact 6-point
+    Gauss-Legendre rule on every solver panel in s = R**2, read straight
+    off the panel polynomials.
     """
     if trace not in ("midplane", "surface"):
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
     xi = sol.xi
     c9 = 9.0 - 2.0 * sol.chi * sol.chi
-
-    def integrand(r):
-        a0, a1, a2, _ = sol.A.eval(r)
-        g = 1.0 + 0.5 * r * r
-        L = a2 + a1 / r
-        if trace == "midplane":
-            core = -c9 * (L * g * g + 2.0 * g * r * a1)
-        else:
-            core = -2.0 * c9 * g * r * a1
-        return (r / 3.0) * (core + 6.0 * a0 / xi)
-
-    edges = np.concatenate(([0.0], sol.A.meta["edges"]))
-    psi = float(np.sum(_gauss(integrand, edges[:-1], edges[1:], _GL_FORCE)))
+    s, w, (a0, a_s, a_ss) = sol.A.s_form.gauss(_GL_S)
+    g = 1.0 + 0.5 * s
+    r_a1 = 2.0 * s * a_s                    # R A'
+    if trace == "midplane":
+        L = 4.0 * (s * a_ss + a_s)          # A'' + A'/R
+        core = -c9 * (L * g * g + 2.0 * g * r_a1)
+    else:
+        core = -2.0 * c9 * g * r_a1
+    # (R/3) F dR = F ds / 6
+    psi = float(np.sum(w * (core + 6.0 * a0 / xi))) / 6.0
     cfg = sol.cfg
     return SphereForce(F=6.0 * math.pi * cfg.a * cfg.mu * cfg.U * psi,
                        psi=psi)

@@ -89,6 +89,13 @@ def test_sphere_force_printed_band(capsys):
     assert abs(d["psi"] / 3.4 - 1.0) < 2e-2
 
 
+def test_sphere_force_tight_tolerance(capsys):
+    rc, out, err = run(capsys, "sphere-force", "--xi", "1e-5", "--chi",
+                       "1e-3", "--tol", "1e-12", "--json")
+    assert rc == 0 and err == ""
+    assert abs(json.loads(out)["psi"] / 24692.7390782 - 1.0) < 1e-10
+
+
 def test_regime_transitions_values(capsys):
     rc, out, _ = run(capsys, "regime-transitions", "--geometry", "plate",
                      "--tolerance", "0.1", "--json")

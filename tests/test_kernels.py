@@ -161,6 +161,30 @@ def test_bvp_modified_bessel_solution():
     assert abs(float(sol.eval(1e-6)[0]) - 0.963289107729) < 1e-8
 
 
+def test_bvp_regular_axis_values():
+    # the regular solution is solved in s = R^2, so the axis is an
+    # ordinary point of the representation: A'(0) = 0 exactly and A''(0)
+    # is finite, here -I0''(0)/I0(5) = -1/(2 I0(5)) for A = 1 - I0(R)/I0(5)
+    mpmath.mp.dps = 30
+    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
+                           _const(-1.0), (0.0, 5.0),
+                           ("regular",), (1.0, 0.0, 0.0, 0.0), tol=1e-11)
+    i05 = mpmath.besseli(0, 5)
+    a, da, d2a, _ = sol.eval(0.0)
+    assert abs(a - float(1 - 1 / i05)) < 1e-10
+    assert da == 0.0
+    assert abs(d2a - float(-1 / (2 * i05))) < 1e-10
+
+
+def test_bvp_regular_axis_rejects_odd_r_times_p():
+    # R p = R + 1 is not even in R, so the operator is not smooth in
+    # s = R^2 and the regular path refuses it
+    with pytest.raises(ValueError, match="even"):
+        solve_linear_bvp(lambda r: 1.0 / r + 1.0, _const(-1.0),
+                         _const(-1.0), (0.0, 5.0),
+                         ("regular",), (1.0, 0.0, 0.0, 0.0))
+
+
 def test_bvp_plain_float_coefficients():
     # coefficients that return a constant instead of an array of the
     # argument's shape give the same solution as the vectorized ones

@@ -197,14 +197,20 @@ def test_force_regression_values():
 
 
 @pytest.mark.parametrize("xi, chi, psi, panels, residual_sup", [
-    (1e-3, 1e-3, 250.4687523693668, 1096, 2.4106272533686024e-12),
-    (1e-2, 1.0, 3.369833210963936, 274, 2.236200113969744e-11),
-    (1e-5, 1.0, 10.188935818678516, 1886, 1.9539925233402755e-14),
-    (1e-2, 0.0, 25.499807766243727, 1096, 2.412237076754309e-12),
+    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7805895646816339e-12,
+                 id="0.001-0.001"),
+    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0907941216942163e-14,
+                 id="0.01-1.0"),
+    pytest.param(1e-5, 1.0, 10.188935818678516, 651, 3.83026943495679e-15,
+                 id="1e-05-1.0"),
+    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.782296532581995e-12,
+                 id="0.01-0.0"),
 ])
 def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
     # full-precision pins of the force factor, the accepted mesh and its
-    # residual: solver speedups must leave all three where they are
+    # residual.  psi is the answer: a speedup must leave it where it is.
+    # panels and residual_sup describe the discretization and move only
+    # with it (the ids name the cell, so a re-pin keeps the test's name)
     sol = solve_sphere(xi, chi)
     assert abs(sphere_force(sol).psi / psi - 1.0) <= 1e-12
     assert sol.A.meta["panels"] == panels
@@ -250,6 +256,28 @@ def test_force_matches_adaptive_quadrature():
             ref = integrate(_force_integrand(sol, trace), 0.0,
                             sol.geo.r_edge, tol=1e-12 * abs(psi)).value
             assert abs(psi / ref - 1.0) <= 1e-12, (xi, chi, trace)
+
+
+def test_table_cells_solve_at_tight_tolerance():
+    # every table cell meets tol = 1e-12, where the R-form solver stalled
+    # on its rounding floor, and keeps its default-tolerance answer
+    for xi, chi in TABLE_CELLS:
+        sol = solve_sphere(xi, chi, tol=1e-12)
+        meta = sol.A.meta
+        assert meta["residual_sup"] <= 1e-12 * meta["residual_scale"]
+        assert meta["dual_sup_rel"] <= 1e-8, (xi, chi)
+        psi = sphere_force(sol).psi
+        assert abs(psi / sphere_force(solve_sphere(xi, chi)).psi - 1.0) <= 1e-12
+
+
+def test_coarse_user_mesh_recovers_by_refinement():
+    # mesh=24 at (1e-5, 1e-3) once ran out of refinement passes; it now
+    # meets the default tolerance and the default-mesh answer
+    sol = solve_sphere(1e-5, 1e-3, mesh=24)
+    meta = sol.A.meta
+    assert meta["residual_sup"] <= 1e-10 * meta["residual_scale"]
+    psi = sphere_force(sol).psi
+    assert abs(psi / sphere_force(solve_sphere(1e-5, 1e-3)).psi - 1.0) <= 1e-12
 
 
 def test_force_converged_on_coarse_mesh():
