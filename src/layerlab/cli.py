@@ -483,26 +483,21 @@ def _cmd_verify_table4(args) -> int:
 def _cmd_verify_suite(args) -> int:
     xis = [float(v) for v in np.geomspace(1e-4, 1e-1, 5)]
     chis = [float(v) for v in np.geomspace(1e-3, 1.4, 5)]
-    lines = []
-    n_fail = 0
-
-    def report(name, ok, detail):
-        nonlocal n_fail
-        if not ok:
-            n_fail += 1
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    # (a) edge resultants, both geometries: both rim traction components,
+    # edge resultants (both geometries) take both rim traction components,
     # normalized by the through-thickness max of the edge tractions.  The
     # edge stresses are polynomials of degree <= 3 in Z, so 4-point
     # Gauss-Legendre is exact; one field call per cell samples the 41
     # scale points and the 4 nodes together
     tq, wq = np.polynomial.legendre.leggauss(4)
     z_all = np.concatenate((np.linspace(-1.0, 1.0, 41), tq))
-    worst_plate = worst_sphere = 0.0
+    rg = np.linspace(0.0, 1.0, 41)
+    worst_plate = worst_sphere = worst_d = worst_dual = worst_f = 0.0
     for xi in xis:
         for chi in chis:
             sol = solve_plate(xi, chi=chi)
+            ssol = solve_sphere(xi, chi)
+
+            # (a) edge resultants
             fe = field(sol, 1.0, z_all)
             scale = max(float(np.max(np.abs(fe.s_rr[:41]))),
                         float(np.max(np.abs(fe.s_rz[:41])))) or 1.0
@@ -510,8 +505,6 @@ def _cmd_verify_suite(args) -> int:
             q_rz = float(wq @ fe.s_rz[41:])
             worst_plate = max(worst_plate,
                               max(abs(q_rr), abs(q_rz)) / (2.0 * scale))
-
-            ssol = solve_sphere(xi, chi)
             r_e = ssol.geo.r_edge
             ge = 1.0 + 0.5 * r_e * r_e
             fs = sphere_field(ssol, r_e, np.concatenate(
@@ -521,43 +514,21 @@ def _cmd_verify_suite(args) -> int:
             q_s = ge * float(wq @ fs.s_rr[41:])
             worst_sphere = max(worst_sphere,
                                abs(q_s) / (2.0 * ge * scale_s))
-    report("edge-resultant plate", worst_plate <= 1e-6,
-           f"worst {worst_plate:.3e} (tol 1e-06)")
-    report("edge-resultant sphere", worst_sphere <= 1e-6,
-           f"worst {worst_sphere:.3e} (tol 1e-06)")
 
-    # (b) Dirichlet data
-    worst_d = 0.0
-    for xi in xis:
-        for chi in chis:
-            sol = solve_plate(xi, chi=chi)
-            rg = np.linspace(0.0, 1.0, 41)
+            # (b) Dirichlet data
             for sgn in (1.0, -1.0):
                 uz = field(sol, rg, np.full_like(rg, sgn)).u_z
                 worst_d = max(worst_d, float(np.max(np.abs(uz - sgn))))
-            ssol = solve_sphere(xi, chi)
-            rs = np.linspace(0.0, ssol.geo.r_edge, 41)
+            rs = np.linspace(0.0, r_e, 41)
             gs = 1.0 + 0.5 * rs * rs
             for sgn in (1.0, -1.0):
                 uzs = sphere_field(ssol, rs, sgn * gs).u_z
                 worst_d = max(worst_d, float(np.max(np.abs(uzs - sgn))))
-    report("dirichlet", worst_d <= 1e-8, f"worst {worst_d:.3e} (tol 1e-08)")
 
-    # (c) dual-discretization oracle on every sphere solve
-    worst_dual = 0.0
-    for xi in xis:
-        for chi in chis:
-            ssol = solve_sphere(xi, chi)
+            # (c) dual-discretization oracle on every sphere solve
             worst_dual = max(worst_dual, ssol.A.meta["dual_sup_rel"])
-    report("sphere dual oracle", worst_dual <= 1e-8,
-           f"worst {worst_dual:.3e} (tol 1e-08)")
 
-    # (d) plate force from fields equals the closed form
-    worst_f = 0.0
-    for xi in xis:
-        for chi in chis:
-            sol = solve_plate(xi, chi=chi)
-
+            # (d) plate force from fields equals the closed form
             def integrand(r):
                 return float(field(sol, r, 1.0).s_zz) * r
 
@@ -575,11 +546,19 @@ def _cmd_verify_suite(args) -> int:
             # stresses from ``field`` are dimensional, so the axial load is
             # just 2*pi*a^2 * int sigma_zz(R, 1) R dR
             f_fields = 2.0 * math.pi * sol.cfg.a ** 2 * val
-            f_formula = force(sol)
-            worst_f = max(worst_f, abs(f_fields / f_formula - 1.0))
-    report("plate force-from-fields", worst_f <= 1e-8,
-           f"worst {worst_f:.3e} (tol 1e-08)")
+            worst_f = max(worst_f, abs(f_fields / force(sol) - 1.0))
 
+    lines = []
+    n_fail = 0
+    for name, worst, tol in (("edge-resultant plate", worst_plate, 1e-6),
+                             ("edge-resultant sphere", worst_sphere, 1e-6),
+                             ("dirichlet", worst_d, 1e-8),
+                             ("sphere dual oracle", worst_dual, 1e-8),
+                             ("plate force-from-fields", worst_f, 1e-8)):
+        ok = worst <= tol
+        n_fail += not ok
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: worst {worst:.3e} "
+                     f"(tol {tol:.0e})")
     lines.append(f"properties checked: 5x5 grid; failures: {n_fail}")
     lines.append("result: " + ("PASS" if n_fail == 0 else "FAIL"))
     _write_out("\n".join(lines) + "\n", args.output)

@@ -1,6 +1,7 @@
-"""Shared numerical kernels: Bessel evaluations, a linear two-point BVP
-collocation solver for radial ODEs with a regular singular point at the
-origin, adaptive quadrature, and bracketed root finding.
+"""Shared numerical kernels: Bessel evaluations, a collocation solver for
+linear radial ODEs on [0, R_e] whose solution is regular on the axis and
+meets a Robin-type closure at the rim, adaptive quadrature, and
+bracketed root finding.
 
 Overflow policy: modified Bessel functions are only ever exposed in scaled
 form (e^{-x} I_0, e^{-x} I_1, from scipy.special.i0e/i1e) or as the ratio
@@ -11,17 +12,16 @@ x -> 0, has its own series form (x_minus_2t).
 The BVP solver ships two independent discretizations ("primary": degree-10
 Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
 panels at their 7 Chebyshev points, on the midpoint-doubled mesh).
-Callers that must guard against discretization bugs solve with both and
-compare.  A problem regular on the axis R = 0 (R p even in R) is solved
-in s = R**2, where the operator
+solve_dual_bvp runs both and compares them, to guard against
+discretization bugs.  The problem (R p even in R) is solved in s = R**2,
+where the operator
 
     4 s A_ss + (2 + 2 R p) A_s + q A = f
 
 has smooth coefficients and the axis row is the equation itself at
 s = 0, (2 + 2c) A_s + q(0) A = f(0) with c = lim R p: a polynomial meets
 it only on the regular solution, so there is no truncation of the axis
-and no grading toward it.  The Dirichlet path has no axis and is solved
-in R.
+and no grading toward it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -215,8 +215,12 @@ def find_root(g: Callable[[float], float], bracket: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# Linear radial two-point BVP by piecewise-Chebyshev collocation
+# Linear radial BVP, regular on the axis, by piecewise-Chebyshev collocation
 # ---------------------------------------------------------------------------
+
+# midpoint refinements of the R panels before ToleranceNotMet
+_MAX_REFINE = 3
+
 
 class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
@@ -266,7 +270,7 @@ class PanelPoly:
 
 @dataclass
 class RadialSolution:
-    """A radial profile A(R) with derivatives, on [r_lo, r_hi].
+    """A radial profile A(R) with derivatives.
 
     eval(R) -> (A, A', A'', A''') for scalar or array R.  A and A' come
     from the stored piecewise-polynomial representation; A'' and A''' are
@@ -275,7 +279,7 @@ class RadialSolution:
     supplied to the solver.  meta records method, mesh and the measured
     residual.
 
-    For a problem regular on the axis (both None on the Dirichlet path):
+    Set by solve_linear_bvp (None on a profile given in closed form):
 
     s_form: the solved A as a PanelPoly in s = R**2, the panels on which
         integrals of A and its derivatives are exact Gauss-Legendre sums.
@@ -284,8 +288,6 @@ class RadialSolution:
         s-panels as 2 A_s and 4 R A_ss, finite on the axis with no 0/0.
     """
 
-    r_lo: float
-    r_hi: float
     eval: Callable
     meta: dict = field(default_factory=dict)
     s_form: Optional[PanelPoly] = None
@@ -329,10 +331,10 @@ def _coef_on(fn, rr):
     return np.broadcast_to(np.asarray(fn(rr), dtype=float), rr.shape)
 
 
-def _axis_coefficient(p, r_hi: float) -> float:
+def _axis_coefficient(p, r_edge: float) -> float:
     """c = lim R p(R) at the axis, after checking that R p(R) is even in
     R, which makes the s = R**2 form of the operator smooth there."""
-    rr = np.array([1e-8, 0.01 * r_hi, 0.3 * r_hi, r_hi])
+    rr = np.array([1e-8, 0.01 * r_edge, 0.3 * r_edge, r_edge])
     with np.errstate(all="ignore"):
         plus = rr * _coef_on(p, rr)
         minus = -rr * _coef_on(p, -rr)
@@ -419,70 +421,61 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
     return sol.reshape(npan, ncoef)
 
 
-def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
-                     coeff_derivs=None, mesh=None, method: str = "primary",
-                     max_refine: int = 3) -> RadialSolution:
-    """Solve A'' + p(R) A' + q(R) A = f(R) on `domain` = (r_lo, r_hi).
+def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
+                     coeff_derivs=None, mesh=None,
+                     method: str = "primary") -> RadialSolution:
+    """Solve A'' + p(R) A' + q(R) A = f(R) on [0, r_edge] for the A that
+    is regular on the axis R = 0.
 
     p, q, f (and coeff_derivs): callables evaluated elementwise on float
     arrays of any shape (the solver passes 2-D node arrays, one row per
     panel) and on scalars at the interval ends.  A callable may return a
-    plain constant; it is broadcast to the shape of its argument.
+    plain constant; it is broadcast to the shape of its argument.  R p
+    must be even in R (p ~ c/R, with c = lim R p), or ValueError.
 
-    left:
-        ("regular",)    A regular on the axis R = 0 (r_lo must be 0).  R p
-                        must be even in R (p ~ c/R, with c = lim R p), or
-                        ValueError.  The problem is solved in s = R**2,
-                        where it reads
-                        4 s A_ss + (2 + 2 R p) A_s + q A = f on
-                        [0, r_hi**2], with smooth coefficients; the left
-                        row is that equation at s = 0,
-                        (2 + 2c) A_s + q(0) A = f(0), which a polynomial
-                        meets only on the regular solution.
-        ("value", v)    Dirichlet A(r_lo) = v; solved in R.
+    The problem is solved in s = R**2, where it reads
+    4 s A_ss + (2 + 2 R p) A_s + q A = f on [0, r_edge**2], with smooth
+    coefficients; the axis row is that equation at s = 0,
+    (2 + 2c) A_s + q(0) A = f(0), which a polynomial meets only on the
+    regular solution.
+
     right:
         (alpha, beta, gamma, delta) meaning
-        alpha*A + beta*A' + gamma*A'' = delta at r_hi; A'' is eliminated
+        alpha*A + beta*A' + gamma*A'' = delta at r_edge; A'' is eliminated
         through the ODE, so the stored condition is
         (alpha - gamma*q)*A + (beta - gamma*p)*A' = delta - gamma*f,
-        with A' = 2 r_hi A_s on the regular path.
+        with A' = 2 r_edge A_s.
 
     coeff_derivs: optional (dp, dq, df) callables; required for the
     reported third derivative A''' = f' - p'A' - pA'' - q'A - qA'.
 
-    mesh: None (24 uniform panels in R), int (that many), or an explicit
-    array of R panel edges covering the domain.  On the regular path the
-    edges are squared into s.
+    mesh: None (24 uniform panels in R) or an explicit array of R panel
+    edges spanning [0, r_edge]; the edges are squared into s.
 
     method: "primary" (degree-10 Chebyshev panels collocated at the 9
     Gauss points) or "alt" (degree 8 at the 7 Chebyshev points, on the
     midpoint-doubled mesh): two independent discretizations of the same
     problem.  Every collocation node is interior to its panel.
 
-    The solution is accepted when the residual of the R-form ODE,
-    sampled about ten times finer than the collocation spacing,
-    satisfies sup|res| <= tol * max(sup|f|, sup|q*A|); otherwise the R
-    panels are midpoint-refined up to max_refine times before
-    ToleranceNotMet.
-    meta["edges"] holds the R breakpoints, above the axis on the regular
-    path (the axis is implied).
+    The solution is accepted when the ODE residual (the s form equals
+    the R form pointwise), sampled about ten times finer than the
+    collocation spacing, satisfies
+    sup|res| <= tol * max(sup|f|, sup|q*A|); otherwise the R panels are
+    midpoint-refined up to _MAX_REFINE times before ToleranceNotMet.
+    meta["edges"] holds the R breakpoints above the axis (the axis is
+    implied).
     """
-    r_lo, r_hi = domain
-    regular = left[0] == "regular"
-    if regular and r_lo != 0.0:
-        raise ValueError("regularity condition requires r_lo = 0")
-    if not (r_lo < r_hi):
-        raise ValueError(f"empty solve interval [{r_lo}, {r_hi}]")
+    if not (r_edge > 0.0):
+        raise ValueError(f"empty solve interval [0, {r_edge}]")
 
-    if mesh is None or isinstance(mesh, (int, np.integer)):
-        n = 24 if mesh is None else int(mesh)
-        edges = np.linspace(r_lo, r_hi, max(n, 8) + 1)
+    if mesh is None:
+        edges = np.linspace(0.0, r_edge, 25)
     else:
         edges = np.asarray(mesh, dtype=float)
-        if abs(edges[0] - r_lo) > 1e-12 * max(1.0, abs(r_lo)) or abs(edges[-1] - r_hi) > 1e-12 * max(1.0, r_hi):
+        if abs(edges[0]) > 1e-12 or abs(edges[-1] - r_edge) > 1e-12 * max(1.0, r_edge):
             raise ValueError("explicit mesh must span the solve interval")
         edges = edges.copy()
-        edges[0], edges[-1] = r_lo, r_hi
+        edges[0], edges[-1] = 0.0, r_edge
 
     if method == "primary":
         deg, kind = 10, "gauss"
@@ -490,92 +483,83 @@ def solve_linear_bvp(p, q, f, domain, left, right, tol: float = 1e-10, *,
         # lower order, different node family, doubled mesh: an independent
         # discretization of the same BVP for oracle comparisons
         deg, kind = 8, "chebyshev"
+        edges = _refine_midpoints(edges)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     # rim row in first-order (A, A') form
     alpha, beta, gamma, delta = right
-    a_eff = alpha - gamma * float(q(r_hi))
-    b_eff = beta - gamma * float(p(r_hi))
-    d_eff = delta - gamma * float(f(r_hi))
+    a_eff = alpha - gamma * float(q(r_edge))
+    b_eff = beta - gamma * float(p(r_edge))
+    d_eff = delta - gamma * float(f(r_edge))
     if max(abs(a_eff), abs(b_eff)) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
-    if regular:
-        c_axis = _axis_coefficient(p, r_hi)
+    c_axis = _axis_coefficient(p, r_edge)
 
-        def in_s(fn):
-            # fn(R) as a function of s = R**2; every node is interior, s > 0
-            return lambda s: _coef_on(fn, np.sqrt(s))
+    def in_s(fn):
+        # fn(R) as a function of s = R**2; every node is interior, s > 0
+        return lambda s: _coef_on(fn, np.sqrt(s))
 
-        def lead(s):
-            return 4.0 * s
+    def lead(s):
+        return 4.0 * s
 
-        r_p = in_s(lambda r: r * p(r))
-        resid = (lambda s: 2.0 + 2.0 * r_p(s), in_s(q), in_s(f))
-        # the collocation rows take the equation divided by its leading 4 s
-        ode = tuple(lambda s, fn=fn: fn(s) / lead(s) for fn in resid)
-        left_row = (float(q(0.0)), 2.0 + 2.0 * c_axis, float(f(0.0)))
-        right_row = (a_eff, 2.0 * r_hi * b_eff, d_eff)
-    else:
-        c_axis = lead = None
-        ode = resid = (p, q, f)
-        left_row = (1.0, 0.0, float(left[1]))
-        right_row = (a_eff, b_eff, d_eff)
-    if method == "alt":
-        edges = _refine_midpoints(edges)
+    r_p = in_s(lambda r: r * p(r))
+    resid = (lambda s: 2.0 + 2.0 * r_p(s), in_s(q), in_s(f))
+    # the collocation rows take the equation divided by its leading 4 s
+    ode = tuple(lambda s, fn=fn: fn(s) / lead(s) for fn in resid)
+    left_row = (float(q(0.0)), 2.0 + 2.0 * c_axis, float(f(0.0)))
+    right_row = (a_eff, 2.0 * r_edge * b_eff, d_eff)
 
-    last_res = last_scale = None
-    for attempt in range(max_refine + 1):
-        # the panels are refined in R; the regular path solves on their squares
-        x_edges = edges * edges if regular else edges
-        coefs = _assemble_and_solve(*ode, x_edges, deg, kind,
+    for attempt in range(_MAX_REFINE + 1):
+        # the panels are refined in R and solved on their squares
+        s_edges = edges * edges
+        coefs = _assemble_and_solve(*ode, s_edges, deg, kind,
                                     left_row, right_row)
-        res_sup, scale = _residual_check(*resid, x_edges, coefs, deg, lead)
-        last_res, last_scale = res_sup, scale
+        res_sup, scale = _residual_check(*resid, s_edges, coefs, deg, lead)
         if res_sup <= tol * scale:
             break
-        if attempt < max_refine:
+        if attempt < _MAX_REFINE:
             edges = _refine_midpoints(edges)
     else:
         raise ToleranceNotMet(
-            f"tolerance not met: residual {last_res:.3e} vs "
-            f"{tol:.1e} * scale {last_scale:.3e}",
-            residual=last_res, scale=last_scale,
+            f"tolerance not met: residual {res_sup:.3e} vs "
+            f"{tol:.1e} * scale {scale:.3e}",
+            residual=res_sup, scale=scale,
         )
 
-    poly = PanelPoly(x_edges, coefs)
+    poly = PanelPoly(s_edges, coefs)
     meta = {
         "method": method,
         "degree": deg,
-        "panels": len(x_edges) - 1,
-        "edges": edges[1:].copy() if regular else edges.copy(),
+        "panels": len(s_edges) - 1,
+        "edges": edges[1:].copy(),
         "residual_sup": res_sup,
         "residual_scale": scale,
         "tol": tol,
     }
     evaluator, with_quotients = _make_evaluator(p, q, f, coeff_derivs, poly,
                                                 c_axis)
-    return RadialSolution(r_lo=r_lo, r_hi=r_hi, eval=evaluator, meta=meta,
-                          s_form=poly if regular else None,
+    return RadialSolution(eval=evaluator, meta=meta, s_form=poly,
                           eval_quotients=with_quotients)
 
 
-def solve_dual_bvp(p, q, f, domain, left, right, tol, where, *,
-                   coeff_derivs=None, mesh=None) -> tuple[RadialSolution, float]:
-    """Solve one BVP with both discretizations and cross-check them.
+def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
+                   coeff_derivs=None, mesh=None) -> RadialSolution:
+    """Solve one regular-axis BVP (see solve_linear_bvp) with both
+    discretizations and cross-check them.
 
-    Returns the primary solution, with meta["dual_sup_rel"] set, and the
+    Returns the primary solution, with meta["dual_sup_rel"] set to the
     sup-norm disagreement of A between the two on 1501 even points,
     relative to sup|A|.  A disagreement above 1e-8 raises ToleranceNotMet;
     `where` names the problem in that message.
     """
     kw = dict(coeff_derivs=coeff_derivs, mesh=mesh)
-    primary = solve_linear_bvp(p, q, f, domain, left, right, tol=tol,
+    primary = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
                                method="primary", **kw)
-    alt = solve_linear_bvp(p, q, f, domain, left, right, tol=tol,
+    alt = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
                            method="alt", **kw)
-    grid = np.linspace(domain[0], domain[1], 1501)
+    grid = np.linspace(0.0, r_edge, 1501)
     a_p = primary.eval(grid)[0]
     a_a = alt.eval(grid)[0]
     scale = float(np.max(np.abs(a_p)))
@@ -586,7 +570,7 @@ def solve_dual_bvp(p, q, f, domain, left, right, tol, where, *,
             f"{dual_rel:.3e} > 1e-08",
             best=dual_rel, residual=dual_rel * scale, scale=scale)
     primary.meta["dual_sup_rel"] = dual_rel
-    return primary, dual_rel
+    return primary
 
 
 def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
@@ -620,25 +604,17 @@ def _residual_check(p, q, f, edges, coefs, deg, lead=None):
 
 
 def _make_evaluator(p, q, f, coeff_derivs, poly: PanelPoly, c_axis):
-    """eval and eval_quotients of the solved panels (the second None
-    unless the panels are in s = R**2, where c_axis is the axis limit of
-    R p(R); c_axis is None when the panels are in R)."""
+    """eval and eval_quotients of the panels solved in s = R**2; c_axis is
+    the axis limit of R p(R)."""
 
     def terms(r):
-        """A, A', A'', A''' and, in s, A_s and A_ss on the float array r."""
-        if c_axis is None:
-            av, a1, _ = poly(r)
-            a_s = a_ss = None
-            off = r
-            pv = p(off)
-            p_a1 = pv * a1
-        else:
-            av, a_s, a_ss = poly(r * r)
-            a1 = 2.0 * r * a_s
-            on_axis = r == 0.0
-            off = np.where(on_axis, 1.0, r)
-            pv = p(off)
-            p_a1 = 2.0 * np.where(on_axis, c_axis, off * pv) * a_s
+        """A, A', A'', A''', A_s and A_ss on the float array r."""
+        av, a_s, a_ss = poly(r * r)
+        a1 = 2.0 * r * a_s
+        on_axis = r == 0.0
+        off = np.where(on_axis, 1.0, r)
+        pv = p(off)
+        p_a1 = 2.0 * np.where(on_axis, c_axis, off * pv) * a_s
         # second/third derivatives through the ODE, never by differencing
         qv = q(r)
         a2 = f(r) - p_a1 - qv * av
@@ -647,9 +623,8 @@ def _make_evaluator(p, q, f, coeff_derivs, poly: PanelPoly, c_axis):
         else:
             dp, dq, df = coeff_derivs
             a3 = df(r) - dp(off) * a1 - pv * a2 - dq(r) * av - qv * a1
-            if c_axis is not None:
-                # A''' of a profile even in R vanishes on the axis
-                a3 = np.where(on_axis, 0.0, a3)
+            # A''' of a profile even in R vanishes on the axis
+            a3 = np.where(on_axis, 0.0, a3)
         return av, a1, a2, a3, a_s, a_ss
 
     def evaluator(r):
@@ -662,4 +637,4 @@ def _make_evaluator(p, q, f, coeff_derivs, poly: PanelPoly, c_axis):
         av, a1, a2, a3, a_s, a_ss = terms(r)
         return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
 
-    return evaluator, (None if c_axis is None else with_quotients)
+    return evaluator, with_quotients

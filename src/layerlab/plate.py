@@ -192,7 +192,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 
         meta = {"method": "closed-form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
-        return RadialSolution(r_lo=0.0, r_hi=1.0, eval=evaluator, meta=meta)
+        return RadialSolution(eval=evaluator, meta=meta)
 
     kappa = chi / xi
     edge = bessel_ratio(kappa)
@@ -248,7 +248,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 
     meta = {"method": "closed-form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
-    sol = RadialSolution(r_lo=0.0, r_hi=1.0, eval=evaluator, meta=meta)
+    sol = RadialSolution(eval=evaluator, meta=meta)
 
     # residual self-check at two interior/edge spots
     forcing = 1.0 / (2.0 * xi * xi)
@@ -271,14 +271,11 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 @dataclass(frozen=True)
 class PlateSolution:
     """Everything needed to evaluate the plate solution: geometry/loading
-    (cfg), material constants (mat), the edge Bessel evaluation at
-    x = chi/xi (None on the incompressible branch, where kappa would be
-    infinite), and the radial potential.  Immutable; field evaluation is
-    reentrant."""
+    (cfg), material constants (mat) and the radial potential.  Immutable;
+    field evaluation is reentrant."""
 
     cfg: LayerConfig
     mat: MaterialParams
-    bessel_edge: Optional[BesselRatioEval]
     radial: RadialSolution
 
     @property
@@ -298,9 +295,7 @@ def solve_plate(xi: float, chi: Optional[float] = None,
     chi = resolve_chi(chi=chi, nu=nu)
     cfg = LayerConfig.make("plate", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    radial = radial_profile(xi, chi)
-    edge = bessel_ratio(chi / xi) if chi >= CHI_INCOMPRESSIBLE else None
-    return PlateSolution(cfg=cfg, mat=mat, bessel_edge=edge, radial=radial)
+    return PlateSolution(cfg=cfg, mat=mat, radial=radial_profile(xi, chi))
 
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:

@@ -59,8 +59,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import NumericsError, RadialSolution, solve_dual_bvp
-from .sphere import XI_MAX_SPHERE, _edge_closure, _ode_coefficients, _sphere_edges
+from .kernels import NumericsError, RadialSolution
+from .sphere import XI_MAX_SPHERE, _radial_bvp
 
 __all__ = [
     "SeriesRegime",
@@ -228,21 +228,8 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     if not (0.0 < xi <= XI_MAX_SPHERE):
         raise ValueError(f"theta problem needs 0 < xi <= {XI_MAX_SPHERE}, got {xi}")
     U = float(U)
-    chi_eq = math.sqrt(3.0 * xi)
-    p, q, f0, dp, dq, df0 = _ode_coefficients(xi, chi_eq)
-
-    def f(r):
-        return 6.0 * U * f0(r)
-
-    def df(r):
-        return 6.0 * U * df0(r)
-
-    re = 1.0 / math.sqrt(xi)
-    right = _edge_closure(xi, chi_eq)
-    edges = _sphere_edges(xi, chi_eq, 96)
-    theta, _ = solve_dual_bvp(p, q, f, (0.0, re), ("regular",), right, tol,
-                              f"on Theta at xi = {xi:g}",
-                              coeff_derivs=(dp, dq, df), mesh=edges)
+    theta = _radial_bvp(xi, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
+                        f"on Theta at xi = {xi:g}")
     return ThetaSolution(xi=xi, U=U, Theta=theta)
 
 

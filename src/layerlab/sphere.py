@@ -225,19 +225,26 @@ def _sphere_edges(xi: float, chi: float, n_main: int) -> np.ndarray:
     return np.concatenate([[0.0], inner[:-1], tail])
 
 
+def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
+                load: float, where: str) -> RadialSolution:
+    """Solve the radial profile with its forcing scaled by ``load`` under
+    both independent discretizations and cross-check them (``where`` names
+    the problem if they disagree); returns the primary solution, with the
+    sup-norm relative disagreement in meta["dual_sup_rel"]."""
+    p, q, f, dp, dq, df = _ode_coefficients(xi, chi)
+    edges = _sphere_edges(xi, chi, 96 if mesh is None else int(mesh))
+    return solve_dual_bvp(p, q, lambda r: load * f(r), 1.0 / math.sqrt(xi),
+                          _edge_closure(xi, chi), tol, where,
+                          coeff_derivs=(dp, dq, lambda r: load * df(r)),
+                          mesh=edges)
+
+
 @lru_cache(maxsize=64)
 def _solve_radial(xi: float, chi: float, tol: float,
-                  mesh: Optional[int]) -> tuple[RadialSolution, float]:
-    """Solve the radial profile twice (independent discretizations) and
-    cross-check; returns the primary solution plus the sup-norm relative
-    disagreement between the two."""
-    p, q, f, dp, dq, df = _ode_coefficients(xi, chi)
-    re = 1.0 / math.sqrt(xi)
-    right = _edge_closure(xi, chi)
-    edges = _sphere_edges(xi, chi, 96 if mesh is None else int(mesh))
-    return solve_dual_bvp(p, q, f, (0.0, re), ("regular",), right, tol,
-                          f"at (xi, chi) = ({xi:g}, {chi:g})",
-                          coeff_derivs=(dp, dq, df), mesh=edges)
+                  mesh: Optional[int]) -> RadialSolution:
+    """The sphere profile A(R): _radial_bvp at load 1, cached."""
+    return _radial_bvp(xi, chi, tol, mesh, 1.0,
+                       f"at (xi, chi) = ({xi:g}, {chi:g})")
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
         raise ValueError(f"sphere layers need 0 < xi <= {XI_MAX_SPHERE}, got {xi}")
     cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    radial, _ = _solve_radial(xi, chi, float(tol), mesh)
+    radial = _solve_radial(xi, chi, float(tol), mesh)
     val = 1.0 - chi * chi / (2.0 * xi)
     beta = (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))
     geo = SphereGeometry(xi=xi, r_edge=1.0 / math.sqrt(xi))

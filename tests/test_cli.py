@@ -9,6 +9,7 @@ honest outcome.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,10 +184,21 @@ def test_verify_table4_artifact_deterministic(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_verify_suite_passes(capsys):
+    # one line per check, in a fixed order, then the tally and the verdict
     rc, out, _ = run(capsys, "verify-suite")
     assert rc == 0, out
-    assert "result: PASS" in out
-    assert out.count("PASS") >= 5
+    lines = out.splitlines()
+    checks = [("edge-resultant plate", "1e-06"),
+              ("edge-resultant sphere", "1e-06"),
+              ("dirichlet", "1e-08"),
+              ("sphere dual oracle", "1e-08"),
+              ("plate force-from-fields", "1e-08")]
+    assert len(lines) == len(checks) + 2
+    for line, (name, tol) in zip(lines, checks):
+        assert re.fullmatch(rf"PASS {name}: worst \d\.\d{{3}}e[+-]\d\d "
+                            rf"\(tol {tol}\)", line), line
+    assert lines[-2:] == ["properties checked: 5x5 grid; failures: 0",
+                          "result: PASS"]
 
 
 # ---------------------------------------------------------------------------

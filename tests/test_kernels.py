@@ -12,6 +12,7 @@ from scipy.sparse.linalg import spsolve
 from layerlab.kernels import (
     NoSignChange,
     QuadratureLimit,
+    SingularSystem,
     ToleranceNotMet,
     _assemble_and_solve,
     _design_matrices,
@@ -137,8 +138,8 @@ def test_bvp_degenerate_constant_solution():
     # solution A = 1 (the particular solution already meets the right
     # boundary value, so the homogeneous amplitude vanishes)
     sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), (0.0, 5.0),
-                           ("regular",), (1.0, 0.0, 0.0, 1.0), tol=1e-10)
+                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 1.0),
+                           tol=1e-10)
     rr = np.linspace(1e-6, 5.0, 101)
     a, da, *_ = sol.eval(rr)
     assert float(np.max(np.abs(a - 1.0))) < 1e-10
@@ -150,8 +151,8 @@ def test_bvp_modified_bessel_solution():
     # A(R) = 1 - I0(R)/I0(5); checked against mpmath at interior points
     mpmath.mp.dps = 30
     sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), (0.0, 5.0),
-                           ("regular",), (1.0, 0.0, 0.0, 0.0), tol=1e-11)
+                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
+                           tol=1e-11)
     i05 = mpmath.besseli(0, 5)
     for r in [1e-6, 0.5, 1.0, 2.5, 4.0, 5.0]:
         want = float(1.0 - mpmath.besseli(0, r) / i05)
@@ -167,8 +168,8 @@ def test_bvp_regular_axis_values():
     # is finite, here -I0''(0)/I0(5) = -1/(2 I0(5)) for A = 1 - I0(R)/I0(5)
     mpmath.mp.dps = 30
     sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), (0.0, 5.0),
-                           ("regular",), (1.0, 0.0, 0.0, 0.0), tol=1e-11)
+                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
+                           tol=1e-11)
     i05 = mpmath.besseli(0, 5)
     a, da, d2a, _ = sol.eval(0.0)
     assert abs(a - float(1 - 1 / i05)) < 1e-10
@@ -178,17 +179,16 @@ def test_bvp_regular_axis_values():
 
 def test_bvp_regular_axis_rejects_odd_r_times_p():
     # R p = R + 1 is not even in R, so the operator is not smooth in
-    # s = R^2 and the regular path refuses it
+    # s = R^2 and the solver refuses it
     with pytest.raises(ValueError, match="even"):
         solve_linear_bvp(lambda r: 1.0 / r + 1.0, _const(-1.0),
-                         _const(-1.0), (0.0, 5.0),
-                         ("regular",), (1.0, 0.0, 0.0, 0.0))
+                         _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0))
 
 
 def test_bvp_plain_float_coefficients():
     # coefficients that return a constant instead of an array of the
     # argument's shape give the same solution as the vectorized ones
-    args = ((0.0, 5.0), ("regular",), (1.0, 0.0, 0.0, 0.0))
+    args = (5.0, (1.0, 0.0, 0.0, 0.0))
     ref = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
                            *args, tol=1e-11)
     sol = solve_linear_bvp(lambda r: 1.0 / r, lambda r: -1.0,
@@ -199,39 +199,24 @@ def test_bvp_plain_float_coefficients():
         assert float(np.max(np.abs(got - want))) <= 1e-15
 
 
-def test_bvp_dirichlet_left_variant():
-    # A'' = 2 on [1, 2] with A(1) = 0, A(2) = 1 -> A = R^2 - (2/3)(R-1) - 1
-    sol = solve_linear_bvp(_const(0.0), _const(0.0), _const(2.0),
-                           (1.0, 2.0), ("value", 0.0),
-                           (1.0, 0.0, 0.0, 1.0), tol=1e-12)
-    rr = np.linspace(1.0, 2.0, 33)
-    want = rr**2 - 2.0 * (rr - 1.0) / 3.0 - 1.0
-    # resolve the linear coefficient: A = R^2 + c(R-1) - 1 with A(2)=1 -> c=-2
-    want = rr**2 - 2.0 * (rr - 1.0) - 1.0
-    a = sol.eval(rr)[0]
-    assert float(np.max(np.abs(a - want))) < 1e-10
-
-
 def test_bvp_robin_right_condition():
-    # A'' = 0 on [1, 2], A(1) = 1, A + A' = 0 at 2 -> A = (3 - R)/... :
-    # with A = m R + b: m + b + m = 0 and m + b = 1 -> m = -1/... solve:
-    # b = 1 - m, 2m + b = -m... condition: A(2) + A'(2) = 0 ->
-    # (2m + b) + m = 0 -> 3m + b = 0; with m + b = 1: m = -1/2, b = 3/2
-    sol = solve_linear_bvp(_const(0.0), _const(0.0), _const(0.0),
-                           (1.0, 2.0), ("value", 1.0),
-                           (1.0, 1.0, 0.0, 0.0), tol=1e-10)
-    rr = np.linspace(1.0, 2.0, 17)
-    want = -0.5 * rr + 1.5
-    assert float(np.max(np.abs(sol.eval(rr)[0] - want))) < 1e-10
+    # A'' + A'/R = 4 on [0, 2], regular at 0, A + A' = 0 at 2 -> the
+    # regular solutions are R^2 + b, and A(2) + A'(2) = 8 + b = 0 gives
+    # A = R^2 - 8
+    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(0.0), _const(4.0),
+                           2.0, (1.0, 1.0, 0.0, 0.0), tol=1e-10)
+    rr = np.linspace(0.0, 2.0, 17)
+    a, da, *_ = sol.eval(rr)
+    assert float(np.max(np.abs(a - (rr**2 - 8.0)))) < 1e-10
+    assert float(np.max(np.abs(da - 2.0 * rr))) < 1e-10
 
 
 def test_bvp_derivatives_from_ode():
     # second derivative comes from the ODE itself, so it satisfies it
     # exactly wherever A and A' do
     sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), (0.0, 5.0),
-                           ("regular",), (1.0, 0.0, 0.0, 0.0), tol=1e-11,
-                           coeff_derivs=(lambda r: -1.0 / r**2,
+                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
+                           tol=1e-11, coeff_derivs=(lambda r: -1.0 / r**2,
                                          _const(0.0), _const(0.0)))
     rr = np.linspace(0.5, 4.5, 41)
     a, da, d2a, d3a = sol.eval(rr)
@@ -243,7 +228,7 @@ def test_bvp_derivatives_from_ode():
 def test_bvp_dual_method_agreement():
     # the alternate integrator is an independent oracle for the primary
     args = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
-            (0.0, 5.0), ("regular",), (1.0, 0.0, 0.0, 0.0))
+            5.0, (1.0, 0.0, 0.0, 0.0))
     s1 = solve_linear_bvp(*args, tol=1e-11, method="primary")
     s2 = solve_linear_bvp(*args, tol=1e-11, method="alt")
     rr = np.linspace(1e-6, 5.0, 201)
@@ -255,13 +240,42 @@ def test_bvp_dual_method_agreement():
 
 def test_solve_dual_bvp_returns_cross_checked_primary():
     args = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
-            (0.0, 5.0), ("regular",), (1.0, 0.0, 0.0, 0.0))
-    sol, dual_rel = solve_dual_bvp(*args, 1e-11, "on the test problem")
+            5.0, (1.0, 0.0, 0.0, 0.0))
+    sol = solve_dual_bvp(*args, 1e-11, "on the test problem")
     ref = solve_linear_bvp(*args, tol=1e-11, method="primary")
+    alt = solve_linear_bvp(*args, tol=1e-11, method="alt")
     assert sol.meta["method"] == "primary"
+    rr = np.linspace(0.0, 5.0, 1501)
+    a_ref = ref.eval(rr)[0]
+    assert np.array_equal(sol.eval(rr)[0], a_ref)
+    # the disagreement it reports is the one between the two methods
+    dual_rel = float(np.max(np.abs(a_ref - alt.eval(rr)[0]))) / float(np.max(np.abs(a_ref)))
     assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
-    rr = np.linspace(0.0, 5.0, 101)
-    assert np.array_equal(sol.eval(rr)[0], ref.eval(rr)[0])
+
+
+_BESSEL = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0))
+
+
+def test_bvp_rejects_mesh_not_spanning_the_interval():
+    for mesh in (np.linspace(0.1, 5.0, 9), np.linspace(0.0, 4.0, 9)):
+        with pytest.raises(ValueError, match="span"):
+            solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), mesh=mesh)
+
+
+def test_bvp_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method"):
+        solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), method="beta")
+
+
+@pytest.mark.parametrize("r_edge", [0.0, -1.0, math.nan])
+def test_bvp_rejects_empty_interval(r_edge):
+    with pytest.raises(ValueError, match="empty"):
+        solve_linear_bvp(*_BESSEL, r_edge, (1.0, 0.0, 0.0, 0.0))
+
+
+def test_bvp_rejects_vanishing_rim_functional():
+    with pytest.raises(SingularSystem, match="vanishes"):
+        solve_linear_bvp(*_BESSEL, 5.0, (0.0, 0.0, 0.0, 0.0))
 
 
 def test_tolerance_not_met_carries_diagnostics():
