@@ -22,6 +22,10 @@ has smooth coefficients and the axis row is the equation itself at
 s = 0, (2 + 2c) A_s + q(0) A = f(0) with c = lim R p: a polynomial meets
 it only on the regular solution, so there is no truncation of the axis
 and no grading toward it.
+
+Chebyshev panels are evaluated one way, PanelPoly's: derivative series by
+chebder, then a Vandermonde product (the collocation blocks, the residual
+check, the dual comparison and the solved profile).
 """
 
 from __future__ import annotations
@@ -258,14 +262,19 @@ class PanelPoly:
     def __call__(self, x):
         return self.at(*self.locate(x))
 
+    def grid(self, t):
+        """The fixed panel variables t on every panel: nodes x and
+        (v, v_x, v_xx), each (npan, len(t))."""
+        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
+        vals = np.einsum("mk,pjk->jpm", vander, self._series)
+        return self.mid[:, None] + self.half[:, None] * t, tuple(vals)
+
     def gauss(self, rule):
         """The Gauss-Legendre rule (t, w) on [-1, 1] mapped onto every
         panel: nodes x, weights and (v, v_x, v_xx), each (npan, len(t))."""
         t, w = rule
-        h = self.half[:, None]
-        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
-        vals = np.einsum("mk,pjk->jpm", vander, self._series)
-        return self.mid[:, None] + h * t, h * w, tuple(vals)
+        x, vals = self.grid(t)
+        return x, self.half[:, None] * w, vals
 
 
 @dataclass
@@ -307,22 +316,14 @@ def _design_matrices(deg: int, kind: str):
         tpts = np.cos(math.pi * (2 * i + 1) / (2 * m))[::-1]
     else:  # pragma: no cover
         raise ValueError(kind)
-    v0 = _cheb.chebvander(tpts, deg)
-    v1 = np.zeros_like(v0)
-    v2 = np.zeros_like(v0)
-    for j in range(1, deg + 1):
-        cj = np.zeros(j + 1)
-        cj[j] = 1.0
-        v1[:, j] = _cheb.chebval(tpts, _cheb.chebder(cj, 1))
-        if j >= 2:
-            v2[:, j] = _cheb.chebval(tpts, _cheb.chebder(cj, 2))
-    # endpoint rows for continuity/BCs: T_j(+-1), T_j'(+-1)
-    j = np.arange(deg + 1)
-    e_val_r = np.ones(deg + 1)
-    e_val_l = (-1.0) ** j
-    e_der_r = j.astype(float) ** 2
-    e_der_l = ((-1.0) ** (j + 1)) * j.astype(float) ** 2
-    return tpts, v0, v1, v2, (e_val_l, e_val_r, e_der_l, e_der_r)
+    # T_j, T_j' and T_j'' at the nodes, then at t = -1, +1 for the
+    # continuity and boundary rows (integer arithmetic there, so exact):
+    # derivative series by chebder, then a Vandermonde product
+    t = np.append(tpts, [-1.0, 1.0])
+    eye = np.eye(deg + 1)
+    v0, v1, v2 = (_cheb.chebvander(t, deg - m) @ _cheb.chebder(eye, m)
+                  for m in range(3))
+    return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2], v0[-1], v1[-2], v1[-1])
 
 
 def _coef_on(fn, rr):
@@ -514,9 +515,9 @@ def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
     for attempt in range(_MAX_REFINE + 1):
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
-        coefs = _assemble_and_solve(*ode, s_edges, deg, kind,
-                                    left_row, right_row)
-        res_sup, scale = _residual_check(*resid, s_edges, coefs, deg, lead)
+        poly = PanelPoly(s_edges, _assemble_and_solve(
+            *ode, s_edges, deg, kind, left_row, right_row))
+        res_sup, scale = _residual_check(*resid, lead, poly, deg)
         if res_sup <= tol * scale:
             break
         if attempt < _MAX_REFINE:
@@ -528,7 +529,6 @@ def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
             residual=res_sup, scale=scale,
         )
 
-    poly = PanelPoly(s_edges, coefs)
     meta = {
         "method": method,
         "degree": deg,
@@ -559,9 +559,9 @@ def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
                                method="primary", **kw)
     alt = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
                            method="alt", **kw)
-    grid = np.linspace(0.0, r_edge, 1501)
-    a_p = primary.eval(grid)[0]
-    a_a = alt.eval(grid)[0]
+    s = np.linspace(0.0, r_edge, 1501) ** 2
+    a_p = primary.s_form(s)[0]
+    a_a = alt.s_form(s)[0]
     scale = float(np.max(np.abs(a_p)))
     dual_rel = float(np.max(np.abs(a_p - a_a))) / scale
     if dual_rel > 1e-8:
@@ -579,23 +579,16 @@ def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _residual_check(p, q, f, edges, coefs, deg, lead=None):
-    """Sup residual of lead*A'' + p*A' + q*A - f (lead = 1 when None) on a
-    grid ~10x finer than the collocation spacing, plus the residual scale
-    max(sup|f|, sup|q*A|).  All panels are evaluated at once on an
-    (npan, nt) grid by Clenshaw recurrence."""
+def _residual_check(p, q, f, lead, poly: PanelPoly, deg):
+    """Sup residual of lead*v'' + p*v' + q*v - f for the solved panels
+    poly, on a grid ~10x finer than the collocation spacing, plus the
+    residual scale max(sup|f|, sup|q*v|).  All panels are evaluated at
+    once through poly.grid."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
-    h = 0.5 * np.diff(edges)[:, None]
-    rr = 0.5 * (edges[:-1] + edges[1:])[:, None] + h * tt
-    av = _cheb.chebval(tt, coefs.T)
-    a1 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 1, axis=0)) / h
-    a2 = _cheb.chebval(tt, _cheb.chebder(coefs.T, 2, axis=0)) / (h * h)
-    if lead is not None:
-        a2 = lead(rr) * a2
-    pv = _coef_on(p, rr)
-    qv = _coef_on(q, rr)
-    fv = _coef_on(f, rr)
-    res = a2 + pv * a1 + qv * av - fv
+    xx, (av, a1, a2) = poly.grid(tt)
+    qv = _coef_on(q, xx)
+    fv = _coef_on(f, xx)
+    res = lead(xx) * a2 + _coef_on(p, xx) * a1 + qv * av - fv
     res_sup = float(np.max(np.abs(res)))
     scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
     if scale == 0.0:

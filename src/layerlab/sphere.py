@@ -297,14 +297,18 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     return SphereSolution(cfg=cfg, geo=geo, mat=mat, A=radial, beta=beta)
 
 
-def _distinct_radii(sol: SphereSolution, R):
-    """R as a float array checked against [0, 1/sqrt(xi)], its distinct
-    values, and a map taking arrays over those back to R's own shape."""
+def _layer_points(sol: SphereSolution, R, Z):
+    """R and Z as float arrays checked against the layer,
+    0 <= R <= 1/sqrt(xi) and |Z| <= gap(R); the distinct values of R; and
+    a map taking arrays over those back to R's own shape."""
     Rr = np.asarray(R, dtype=float)
     if np.any(Rr < 0.0) or np.any(Rr > sol.geo.r_edge * (1.0 + 1e-12)):
         raise ValueError("R outside [0, 1/sqrt(xi)]")
+    Zb = np.asarray(Z, dtype=float)
+    if np.any(np.abs(Zb) > (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
+        raise ValueError("Z outside the layer |Z| <= gap(R)")
     runiq, inv = np.unique(Rr.ravel(), return_inverse=True)
-    return Rr, runiq, lambda arr: arr[inv].reshape(Rr.shape)
+    return Rr, Zb, runiq, lambda arr: arr[inv].reshape(Rr.shape)
 
 
 def _profile_terms(sol: SphereSolution, rr: np.ndarray):
@@ -335,10 +339,7 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi = cfg.xi
-    Rr, runiq, take = _distinct_radii(sol, R)
-    Zb = np.asarray(Z, dtype=float)
-    if np.any(np.abs(Zb) > (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
-        raise ValueError("Z outside the layer |Z| <= gap(R)")
+    Rr, Zb, runiq, take = _layer_points(sol, R, Z)
 
     # R-only bundles stay on R's own shape; the Z arithmetic broadcasts
     (a0u, a1u, a2u, _a3u, a1ru, gu, Lu, Vu, Lpu, Vpu) = \
@@ -392,13 +393,14 @@ def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:
 
 def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     """Odd-in-Z potential ``Phi = xi a**2 U [(int_0^R A1) Z + A Z**3]``
-    and its first and second derivatives in the scaled coordinates.  The
-    integral of A1 is exact on the solver's polynomial panels in s = R**2
-    (6-point Gauss-Legendre per panel)."""
+    and its first and second derivatives in the scaled coordinates.  R and
+    Z broadcast together; like sphere_field it requires
+    ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``.  The integral of A1
+    is exact on the solver's polynomial panels in s = R**2 (6-point
+    Gauss-Legendre per panel)."""
     cfg = sol.cfg
     xi = cfg.xi
-    Rr, runiq, take = _distinct_radii(sol, R)
-    Zb = np.asarray(Z, dtype=float)
+    Rr, Zb, runiq, take = _layer_points(sol, R, Z)
 
     a0u, a1u, a2u, _ = sol.A.eval(runiq)
     gu = 1.0 + 0.5 * runiq * runiq

@@ -97,6 +97,23 @@ def test_sphere_force_tight_tolerance(capsys):
     assert abs(json.loads(out)["psi"] / 24692.7390782 - 1.0) < 1e-10
 
 
+def test_sphere_force_unreachable_tolerance_exits_3(capsys):
+    # a numerical failure is reported on stderr, with no partial data
+    rc, out, err = run(capsys, "sphere-force", "--xi", "1e-3", "--chi",
+                       "1e-3", "--tol", "1e-16", "--json")
+    assert rc == 3 and out == ""
+    assert err.startswith("numerical failure: tolerance not met")
+
+
+def test_sphere_force_incompressible_psi_c_is_null(capsys):
+    # psi_c diverges as chi -> 0; JSON carries the infinity as null
+    rc, out, _ = run(capsys, "sphere-force", "--xi", "1e-2", "--chi", "0",
+                     "--json")
+    assert rc == 0
+    d = json.loads(out)
+    assert d["psi_c"] is None and d["psi_i"] == 25.0
+
+
 def test_regime_transitions_values(capsys):
     rc, out, _ = run(capsys, "regime-transitions", "--geometry", "plate",
                      "--tolerance", "0.1", "--json")

