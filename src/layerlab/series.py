@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kernels import NumericsError, RadialSolution
-from .sphere import XI_MAX_SPHERE, _radial_bvp
+from .sphere import XI_MAX_SPHERE, _check_layer, _layer_points, _radial_bvp
 
 __all__ = [
     "SeriesRegime",
@@ -115,19 +115,6 @@ def series_regime(xi: float, mu_over_lambda: float) -> SeriesRegime:
     return SeriesRegime(regime=tag, mu_over_lambda=m, xi=xi)
 
 
-def _check_layer_point(xi: float, R, Z):
-    Rb, Zb = np.broadcast_arrays(np.asarray(R, dtype=float),
-                                 np.asarray(Z, dtype=float))
-    Rb = np.atleast_1d(Rb).astype(float)
-    Zb = np.atleast_1d(Zb).astype(float)
-    if np.any(Rb < 0.0) or np.any(Rb > (1.0 + 1e-12) / math.sqrt(xi)):
-        raise ValueError("R outside [0, 1/sqrt(xi)]")
-    g = 1.0 + 0.5 * Rb * Rb
-    if np.any(np.abs(Zb) > g * (1.0 + 1e-12) + 1e-9):
-        raise ValueError("Z outside the layer |Z| <= gap(R)")
-    return Rb, Zb
-
-
 def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
                                U: float = 1.0):
     """Series displacement field for mu/lambda = O(1).
@@ -141,16 +128,15 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
     if mu <= 0.0 or lam <= 0.0:
         raise ValueError("lam and mu must be positive in this regime")
-    Rb, Zb = _check_layer_point(xi, R, Z)
-    scalar = np.isscalar(R) and np.isscalar(Z)
+    Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
     u_r = math.sqrt(xi) * (lam + mu) / (2.0 * mu) * Rb * bracket * U
     u_z = (2.0 * Zb / s
            - (xi / 3.0) * (lam / mu) * ((2.0 - Rb * Rb) / s)
            * (2.0 * Zb * Zb / s - 1.0) * Zb) * U
-    if scalar:
-        return float(u_r[0]), float(u_z[0])
+    if not u_r.shape:
+        return float(u_r), float(u_z)
     return u_r, u_z
 
 
@@ -162,16 +148,15 @@ def nearly_compressible_series_fields(xi: float, R, Z, U: float = 1.0):
     xi = float(xi)
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    Rb, Zb = _check_layer_point(xi, R, Z)
-    scalar = np.isscalar(R) and np.isscalar(Z)
+    Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
     u_r = 0.5 * Rb * bracket * (1.0 + math.sqrt(xi)) * U
     u_z = (2.0 * Zb / s
            - (xi / 3.0) * ((2.0 - Rb * Rb) / s)
            * (2.0 * Zb * Zb / s - 1.0) * Zb) * U
-    if scalar:
-        return float(u_r[0]), float(u_z[0])
+    if not u_r.shape:
+        return float(u_r), float(u_z)
     return u_r, u_z
 
 
@@ -194,25 +179,18 @@ class ThetaSolution:
         return t0, t1, t2 + t1_over_r
 
     def u_r0(self, R, Z):
-        Rb, Zb = _check_layer_point(self.xi, R, Z)
-        scalar = np.isscalar(R) and np.isscalar(Z)
-        runiq, inv = np.unique(Rb, return_inverse=True)
+        Rb, Zb, runiq, take = _layer_points(1.0 / math.sqrt(self.xi), R, Z)
         _, t1, _ = self._terms(runiq)
-        t1 = t1[inv].reshape(Rb.shape)
         g = 1.0 + 0.5 * Rb * Rb
-        out = -0.5 * t1 * (Zb * Zb - g * g)
-        return float(out[0]) if scalar else out
+        out = -0.5 * take(t1) * (Zb * Zb - g * g)
+        return float(out) if not out.shape else out
 
     def u_z0(self, R, Z):
-        Rb, Zb = _check_layer_point(self.xi, R, Z)
-        scalar = np.isscalar(R) and np.isscalar(Z)
-        runiq, inv = np.unique(Rb, return_inverse=True)
-        t0, t1, L = self._terms(runiq)
-        take = lambda a: a[inv].reshape(Rb.shape)
-        t0, t1, L = take(t0), take(t1), take(L)
+        Rb, Zb, runiq, take = _layer_points(1.0 / math.sqrt(self.xi), R, Z)
+        t0, t1, L = map(take, self._terms(runiq))
         g = 1.0 + 0.5 * Rb * Rb
         out = (t0 - t1 * g * Rb - 0.5 * L * g * g) * Zb + (L / 6.0) * Zb ** 3
-        return float(out[0]) if scalar else out
+        return float(out) if not out.shape else out
 
 
 @lru_cache(maxsize=32)

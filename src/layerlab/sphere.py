@@ -204,18 +204,20 @@ def _edge_closure(xi: float, chi: float):
     return alpha, beta, gamma, 0.0
 
 
-def _sphere_edges(xi: float, chi: float, n_main: int) -> np.ndarray:
+def _sphere_edges(xi: float, n_main: int) -> np.ndarray:
     """R panel edges tuned to the sphere profile, from the axis: one axis
     panel out to R = 0.0625, a uniform section through the O(1) feature
-    region (dense enough for the oscillatory homogeneous solutions when
-    chi**2 > 2 xi, whose peak local wavenumber is chi/sqrt(xi)), then
-    log-uniform panels along the algebraic R**-6 tail out to the rim.
-    The solver squares them into s = R**2."""
+    region, then log-uniform panels along the algebraic R**-6 tail out to
+    the rim.  The solver squares them into s = R**2.
+
+    The mesh depends on xi alone.  q < 0 on the whole interval, so a
+    homogeneous solution has at most one zero and nothing oscillates,
+    whatever chi is.  The profile follows the local balance A ~ f/q, and
+    its rim layer, about 1/(2 chi sqrt(xi)) wide in R, is resolved by the
+    log-spaced tail (by the uniform section when the rim is at R <= 4)."""
     re = 1.0 / math.sqrt(xi)
-    scale_f = n_main / 96.0
     start = 0.0625
-    k_osc = chi / math.sqrt(xi)
-    h_inner = min(0.18, 2.25 / max(k_osc, 1.0)) / max(scale_f, 1e-2)
+    h_inner = 0.18 / max(n_main / 96.0, 1e-2)
     r_mid = min(4.0, re)
     n_inner = max(int(math.ceil((r_mid - start) / h_inner)), 8)
     inner = np.linspace(start, r_mid, n_inner + 1)
@@ -232,7 +234,7 @@ def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
     the problem if they disagree); returns the primary solution, with the
     sup-norm relative disagreement in meta["dual_sup_rel"]."""
     p, q, f, dp, dq, df = _ode_coefficients(xi, chi)
-    edges = _sphere_edges(xi, chi, 96 if mesh is None else int(mesh))
+    edges = _sphere_edges(xi, 96 if mesh is None else int(mesh))
     return solve_dual_bvp(p, q, lambda r: load * f(r), 1.0 / math.sqrt(xi),
                           _edge_closure(xi, chi), tol, where,
                           coeff_derivs=(dp, dq, lambda r: load * df(r)),
@@ -251,9 +253,9 @@ def _solve_radial(xi: float, chi: float, tol: float,
 class SphereSolution:
     """Solved radial profile for the sphere-sphere layer.
 
-    ``beta = sqrt(1 - chi**2/(2 xi))`` stored as (real, imag); it tracks
-    which side of the oscillatory threshold the parameters sit on without
-    ever branching on it.
+    ``beta = sqrt(1 - chi**2/(2 xi))`` stored as (real, imag), imaginary
+    once chi**2 > 2 xi.  It is reported only: the solver never reads it,
+    and the profile does not oscillate on either side (q < 0 for all chi).
     """
 
     cfg: LayerConfig
@@ -297,16 +299,22 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     return SphereSolution(cfg=cfg, geo=geo, mat=mat, A=radial, beta=beta)
 
 
-def _layer_points(sol: SphereSolution, R, Z):
-    """R and Z as float arrays checked against the layer,
-    0 <= R <= 1/sqrt(xi) and |Z| <= gap(R); the distinct values of R; and
-    a map taking arrays over those back to R's own shape."""
+def _check_layer(r_edge: float, R, Z):
+    """R and Z as float arrays checked against the layer truncated at
+    ``r_edge = 1/sqrt(xi)``: 0 <= R <= r_edge and |Z| <= gap(R)."""
     Rr = np.asarray(R, dtype=float)
-    if np.any(Rr < 0.0) or np.any(Rr > sol.geo.r_edge * (1.0 + 1e-12)):
+    if np.any(Rr < 0.0) or np.any(Rr > r_edge * (1.0 + 1e-12)):
         raise ValueError("R outside [0, 1/sqrt(xi)]")
     Zb = np.asarray(Z, dtype=float)
     if np.any(np.abs(Zb) > (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
         raise ValueError("Z outside the layer |Z| <= gap(R)")
+    return Rr, Zb
+
+
+def _layer_points(r_edge: float, R, Z):
+    """_check_layer's R and Z, the distinct values of R, and a map taking
+    arrays over those back to R's own shape."""
+    Rr, Zb = _check_layer(r_edge, R, Z)
     runiq, inv = np.unique(Rr.ravel(), return_inverse=True)
     return Rr, Zb, runiq, lambda arr: arr[inv].reshape(Rr.shape)
 
@@ -339,7 +347,7 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi = cfg.xi
-    Rr, Zb, runiq, take = _layer_points(sol, R, Z)
+    Rr, Zb, runiq, take = _layer_points(sol.geo.r_edge, R, Z)
 
     # R-only bundles stay on R's own shape; the Z arithmetic broadcasts
     (a0u, a1u, a2u, _a3u, a1ru, gu, Lu, Vu, Lpu, Vpu) = \
@@ -400,7 +408,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     Gauss-Legendre per panel)."""
     cfg = sol.cfg
     xi = cfg.xi
-    Rr, Zb, runiq, take = _layer_points(sol, R, Z)
+    Rr, Zb, runiq, take = _layer_points(sol.geo.r_edge, R, Z)
 
     a0u, a1u, a2u, _ = sol.A.eval(runiq)
     gu = 1.0 + 0.5 * runiq * runiq

@@ -400,7 +400,7 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
         edges = np.linspace(1e-6, 5.0, 13)
     else:
         p, q, f = _ode_coefficients(1e-2, 1.0)[:3]
-        edges = _sphere_edges(1e-2, 1.0, 24)
+        edges = _sphere_edges(1e-2, 24)
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
     want = _loop_solve(p, q, f, edges, deg, kind, *rows)
     got = _assemble_and_solve(p, q, f, edges, deg, kind, *rows)

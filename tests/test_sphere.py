@@ -62,8 +62,8 @@ def test_dual_integrator_oracle_recorded():
 
 
 def test_oscillatory_branch_flagged():
-    # chi^2 > 2 xi makes the interior solution oscillatory: beta is the
-    # stored frequency parameter sqrt(1 - chi^2/(2 xi)) as (re, im)
+    # beta = sqrt(1 - chi^2/(2 xi)) is stored as (re, im) and turns
+    # imaginary once chi^2 > 2 xi; A itself never oscillates (q < 0)
     osc = solve_sphere(1e-3, 1.0)
     re, im = osc.beta
     assert re == 0.0 and abs(im - math.sqrt(1.0 / (2e-3) - 1.0)) < 1e-10
@@ -203,7 +203,7 @@ def test_force_regression_values():
                  id="0.001-0.001"),
     pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0672018824209317e-14,
                  id="0.01-1.0"),
-    pytest.param(1e-5, 1.0, 10.188935818678516, 651, 3.3861802251067274e-15,
+    pytest.param(1e-5, 1.0, 10.188935818678516, 119, 7.216449660063518e-16,
                  id="1e-05-1.0"),
     pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.7817969322209137e-12,
                  id="0.01-0.0"),
@@ -274,6 +274,23 @@ def test_table_cells_solve_at_tight_tolerance():
         assert abs(psi / sphere_force(solve_sphere(xi, chi)).psi - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("xi, chi, psi", [
+    (1e-8, 1.5, 7.688642453981314),
+    (1e-7, 1.5, 6.665271893823383),
+    (1e-6, 1.0, 12.491322534840009),
+])
+def test_domain_corner_solves_on_bounded_mesh(xi, chi, psi, tol):
+    # the corner of the domain where chi/sqrt(xi) is largest: the mesh must
+    # not grow with it (at most one doubling of the 119-panel default) and
+    # psi holds to 1e-12
+    sol = solve_sphere(xi, chi, tol=tol)
+    meta = sol.A.meta
+    assert meta["panels"] <= 238
+    assert meta["dual_sup_rel"] <= 1e-8
+    assert abs(sphere_force(sol).psi / psi - 1.0) <= 1e-12
+
+
 def test_coarse_user_mesh_recovers_by_refinement():
     # mesh=24 at (1e-5, 1e-3) once ran out of refinement passes; it now
     # meets the default tolerance and the default-mesh answer
@@ -285,8 +302,8 @@ def test_coarse_user_mesh_recovers_by_refinement():
 
 
 def test_force_converged_on_coarse_mesh():
-    # on a coarse user mesh the 12-point rule already equals 24 points
-    # per panel: the rule, not the mesh, sets no part of the answer
+    # on a coarse user mesh (33 panels here) the 6-point rule in s already
+    # equals 24 points per panel in R: the rule sets no part of the answer
     sol = solve_sphere(1e-5, 1.0, mesh=24)
     edges = np.concatenate(([0.0], sol.A.meta["edges"]))
     for trace in ("midplane", "surface"):
