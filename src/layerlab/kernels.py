@@ -21,7 +21,10 @@ where the operator
 has smooth coefficients and the axis row is the equation itself at
 s = 0, (2 + 2c) A_s + q(0) A = f(0) with c = lim R p: a polynomial meets
 it only on the regular solution, so there is no truncation of the axis
-and no grading toward it.
+and no grading toward it.  The rows are ordered panel by panel (left
+row, each panel's collocation rows and C0/C1 pair with the next, right
+row), so the system is banded with half-bandwidth deg + 1; it is solved
+by LAPACK's band LU (scipy.linalg.solve_banded).
 
 Chebyshev panels are evaluated one way, PanelPoly's: derivative series by
 chebder, then a Vandermonde product (the collocation blocks, the residual
@@ -40,8 +43,7 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate as _sp_integrate
 from scipy import optimize as _sp_optimize
 from scipy import special as _sp_special
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solve_banded
 
 __all__ = [
     "NumericsError",
@@ -348,22 +350,24 @@ def _axis_coefficient(p, r_edge: float) -> float:
 
 def _assemble_and_solve(p, q, f, edges, deg, kind,
                         left_row, right_row):
-    """Build and solve the sparse collocation system.
+    """Build and solve the banded collocation system: the (npan, deg + 1)
+    panel coefficients, or LinAlgError on a singular or non-finite solve.
 
     left_row/right_row: (coef_on_A, coef_on_Aprime, rhs) at the first/last
     mesh point, already reduced to first-order form.
 
-    Rows are ordered: collocation rows panel by panel, then the C0/C1
-    continuity pair at each interior edge, then the left and right
-    boundary rows.  All panels are assembled in one batched pass.
+    Rows run panel by panel: the left boundary row; each panel's deg - 1
+    collocation rows, then its C0/C1 pair with the next panel; the right
+    boundary row last.  Panel i owns the ncoef = deg + 1 rows from
+    1 + i*ncoef on, so the half-bandwidth is bw = deg + 1.  All panels are
+    written in one batched pass into LAPACK band storage
+    ab[bw + row - col, col], which scipy.linalg.solve_banded solves.
     """
     npan = len(edges) - 1
-    ncoef = deg + 1
-    ndof = npan * ncoef
-    tpts, v0, v1, v2, ends = _design_matrices(deg, kind)
-    e_val_l, e_val_r, e_der_l, e_der_r = ends
+    ncoef = bw = deg + 1
+    tpts, v0, v1, v2, (e_val_l, e_val_r, e_der_l, e_der_r) = \
+        _design_matrices(deg, kind)
     mcol = len(tpts)
-
     halves = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
 
@@ -377,48 +381,40 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
     scale = np.max(np.abs(block), axis=2)
     scale[scale == 0.0] = 1.0
     block /= scale[:, :, None]
-    ncol_rows = npan * mcol
-    col_rows = np.repeat(np.arange(ncol_rows), ncoef)
-    col_cols = np.broadcast_to(
-        (np.arange(npan) * ncoef)[:, None, None] + np.arange(ncoef),
-        block.shape).ravel()
 
-    # C0/C1 continuity between panels i and i+1: one row pair per interior
-    # edge, each spanning the 2*ncoef coefficients of both panels
-    ncont = npan - 1
-    cont_rows = np.repeat(ncol_rows + np.arange(2 * ncont), 2 * ncoef)
-    cont_cols = np.broadcast_to(
-        (np.arange(ncont) * ncoef)[:, None, None] + np.arange(2 * ncoef),
-        (ncont, 2, 2 * ncoef)).ravel()
-    cont_vals = np.empty((ncont, 2, 2 * ncoef))
-    cont_vals[:, 0, :ncoef] = e_val_r
-    cont_vals[:, 0, ncoef:] = -e_val_l
-    cont_vals[:, 1, :ncoef] = e_der_r / halves[:-1, None]
-    cont_vals[:, 1, ncoef:] = -e_der_l / halves[1:, None]
+    # band[d, i, j] is ab[d, i*ncoef + j]: row k of panel i meets the
+    # panel's own coefficient j at d = own[j] + k and the next panel's at
+    # d = own[j] + k - ncoef.  Rows k = deg - 1, deg are the C0/C1 pair;
+    # the last panel has none, and its k = deg - 1 is the right row.
+    ab = np.zeros((2 * bw + 1, npan * ncoef))
+    band = ab.reshape(2 * bw + 1, npan, ncoef)
+    j = np.arange(ncoef)
+    own = bw + 1 - j
+    band[own + np.arange(mcol)[:, None], :, j] = block.transpose(1, 2, 0)
+    band[own + deg - 1, :-1, j] = e_val_r[:, None]
+    band[own + deg, :-1, j] = e_der_r[:, None] / halves[:-1]
+    band[own - 2, 1:, j] = -e_val_l[:, None]
+    band[own - 1, 1:, j] = -e_der_l[:, None] / halves[1:]
+    # the right-hand side in the same slots, one row down (the left row
+    # is row 0); the last panel's unused k = deg slot falls off the end
+    rhs = np.zeros(npan * ncoef + 1)
+    rhs[1:].reshape(npan, ncoef)[:, :mcol] = fv / scale
 
-    # boundary rows
-    ca, cb, rhsv = left_row
-    row_l = ca * e_val_l + cb * e_der_l / halves[0]
-    sc_l = max(np.max(np.abs(row_l)), 1e-300)
-    ca, cb, rhsv_r = right_row
-    row_r = ca * e_val_r + cb * e_der_r / halves[-1]
-    sc_r = max(np.max(np.abs(row_r)), 1e-300)
-    nb = ndof - 2
-    bnd_rows = np.repeat([nb, nb + 1], ncoef)
-    bnd_cols = np.concatenate([np.arange(ncoef),
-                               (npan - 1) * ncoef + np.arange(ncoef)])
+    # boundary rows: row 0 (panel 0's k = -1) and the last row
+    ca, cb, b = left_row
+    row = ca * e_val_l + cb * e_der_l / halves[0]
+    sc = max(np.max(np.abs(row)), 1e-300)
+    band[own - 1, 0, j] = row / sc
+    rhs[0] = b / sc
+    ca, cb, b = right_row
+    row = ca * e_val_r + cb * e_der_r / halves[-1]
+    sc = max(np.max(np.abs(row)), 1e-300)
+    band[own + deg - 1, -1, j] = row / sc
+    rhs[-2] = b / sc
 
-    rows = np.concatenate([col_rows, cont_rows, bnd_rows])
-    cols = np.concatenate([col_cols, cont_cols, bnd_cols])
-    vals = np.concatenate([block.ravel(), cont_vals.ravel(),
-                           row_l / sc_l, row_r / sc_r])
-    rhs = np.concatenate([(fv / scale).ravel(), np.zeros(2 * ncont),
-                          [rhsv / sc_l, rhsv_r / sc_r]])
-
-    mat = csc_matrix((vals, (rows, cols)), shape=(ndof, ndof))
-    sol = spsolve(mat, rhs)
+    sol = solve_banded((bw, bw), ab, rhs[:-1], check_finite=False)
     if not np.all(np.isfinite(sol)):
-        raise SingularSystem("singular system in BVP collocation solve")
+        raise LinAlgError("non-finite solution")
     return sol.reshape(npan, ncoef)
 
 
@@ -515,8 +511,14 @@ def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
     for attempt in range(_MAX_REFINE + 1):
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
-        poly = PanelPoly(s_edges, _assemble_and_solve(
-            *ode, s_edges, deg, kind, left_row, right_row))
+        try:
+            coefs = _assemble_and_solve(*ode, s_edges, deg, kind,
+                                        left_row, right_row)
+        except LinAlgError as err:
+            raise SingularSystem(
+                f"singular system in BVP collocation solve ({err}): method "
+                f"{method!r}, degree {deg}, {len(edges) - 1} panels") from err
+        poly = PanelPoly(s_edges, coefs)
         res_sup, scale = _residual_check(*resid, lead, poly, deg)
         if res_sup <= tol * scale:
             break

@@ -313,28 +313,11 @@ def _check_layer(r_edge: float, R, Z):
 
 def _layer_points(r_edge: float, R, Z):
     """_check_layer's R and Z, the distinct values of R, and a map taking
-    arrays over those back to R's own shape."""
+    arrays over those (along their last axis) back to R's own shape."""
     Rr, Zb = _check_layer(r_edge, R, Z)
     runiq, inv = np.unique(Rr.ravel(), return_inverse=True)
-    return Rr, Zb, runiq, lambda arr: arr[inv].reshape(Rr.shape)
-
-
-def _profile_terms(sol: SphereSolution, rr: np.ndarray):
-    """Evaluate A..A''' on the unique radii and form the derived bundles
-    (g, L, V, L', V') used by the field assembly.
-
-    ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss`` come from the
-    profile's panels in s = R**2: finite on the axis with no 0/0, and the
-    second form keeps the 1/R**2 blow-up of rounding noise out of L'.
-    """
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
-    g = 1.0 + 0.5 * rr * rr
-    L = a2 + a1_over_r
-    V = -3.0 * g * g * L - 6.0 * g * rr * a1
-    Lp = a3 + lp_core
-    Vp = (-6.0 * ((rr * rr + g) * a1 + g * rr * a2)
-          - 3.0 * (2.0 * g * rr * L + g * g * Lp))
-    return a0, a1, a2, a3, a1_over_r, g, L, V, Lp, Vp
+    return (Rr, Zb, runiq,
+            lambda arr: arr[..., inv].reshape(arr.shape[:-1] + Rr.shape))
 
 
 def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
@@ -342,41 +325,53 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
 
     R and Z broadcast together; requires ``0 <= R <= 1/sqrt(xi)`` and
     ``|Z| <= gap(R)``.  Stresses scale with ``mu U / (a xi)`` except the
-    shear, which carries ``mu U / (a xi**1.5)``.  The profile is evaluated
-    once per distinct R, so a column R against a Z grid costs its R lines.
+    shear, which carries ``mu U / (a xi**1.5)``.
+
+    Each field is a polynomial in Z with coefficients in R alone: the even
+    ones are ``c0 + c1 (Z**2 - g**2)``, the odd ones ``Z (c0 + c1 Z**2)``.
+    The 11 coefficients are formed once per distinct R and taken to R's
+    shape together, so the grid costs one product and one sum per field
+    (and one more product, by Z, per odd field).
+    u_r stays ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
+    ``Z = +/- g``.  ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss``
+    come from the s = R**2 panels: finite on the axis, and the second
+    keeps the 1/R**2 blow-up of rounding noise out of L'.
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
-    xi = cfg.xi
-    Rr, Zb, runiq, take = _layer_points(sol.geo.r_edge, R, Z)
+    xi, U = cfg.xi, cfg.U
+    Rr, Zb, rr, take = _layer_points(sol.geo.r_edge, R, Z)
 
-    # R-only bundles stay on R's own shape; the Z arithmetic broadcasts
-    (a0u, a1u, a2u, _a3u, a1ru, gu, Lu, Vu, Lpu, Vpu) = \
-        _profile_terms(sol, runiq)
-    a0, a1, a2 = take(a0u), take(a1u), take(a2u)
-    a1r, g, L, V = take(a1ru), take(gu), take(Lu), take(Vu)
-    Lp, Vp = take(Lpu), take(Vpu)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
+    g = 1.0 + 0.5 * rr * rr
+    L = a2 + a1_over_r
+    V = -3.0 * g * g * L - 6.0 * g * rr * a1
+    Lp = a3 + lp_core
+    Vp = (-6.0 * ((rr * rr + g) * a1 + g * rr * a2)
+          - 3.0 * (2.0 * g * rr * L + g * g * Lp))
 
-    U, mu, a = cfg.U, cfg.mu, cfg.a
-    zm = Zb * Zb - g * g
-    edge_term = 2.0 * g * Rr * a1
+    s_scale = cfg.mu * U / (cfg.a * xi)
+    sh_scale = cfg.mu * U / (cfg.a * xi ** 1.5)
+    edge_term = 2.0 * g * rr * a1
+    k3, k6, k9 = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2), 9.0 - 2.0 * c2
+    bracket0 = k3 * (2.0 * a0 / xi - edge_term)
+    gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = take(np.stack([
+        g * g,
+        -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
+        U * (V + 2.0 * c2 * a0 / xi), U * L,
+        s_scale * (bracket0 + k6 * edge_term), s_scale * (k3 * L - k6 * a2),
+        s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
+        s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
+        sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp), sh_scale * xi * Lp]))
 
-    u_r = -(3.0 - c2) * (U / math.sqrt(xi)) * a1 * zm
-    u_z = U * ((V + 2.0 * c2 * a0 / xi) * Zb + L * Zb ** 3)
-
-    s_scale = mu * U / (a * xi)
-    base = L * zm - edge_term
-    s_zz = s_scale * ((9.0 - 2.0 * c2) * base + 6.0 * a0 / xi)
-    bracket1 = (3.0 - 2.0 * c2) * (base + 2.0 * a0 / xi)
-    s_rr = s_scale * (bracket1 - 2.0 * (3.0 - c2) * (a2 * zm - edge_term))
-    s_tt = s_scale * (bracket1 - 2.0 * (3.0 - c2) * a1r * zm)
-    s_rz = (mu * U / (a * xi ** 1.5)) * (
-        (4.0 * c2 - 6.0) * a1 * Zb + xi * (Vp * Zb + Lp * Zb ** 3))
-
-    vals = (u_r, u_z, s_rr, s_tt, s_zz, s_rz)
-    if not u_r.shape:
+    z2 = Zb * Zb
+    zm = z2 - gg
+    vals = (ur1 * zm, Zb * (uz0 + uz1 * z2), rr0 + rr1 * zm, tt0 + tt1 * zm,
+            zz0 + zz1 * zm, Zb * (rz0 + rz1 * z2))
+    shape = vals[0].shape
+    if not shape:
         return FieldSample(float(Rr), float(Zb), *map(float, vals))
-    return FieldSample(np.broadcast_to(Rr, u_r.shape).copy(),
-                       np.broadcast_to(Zb, u_r.shape).copy(), *vals)
+    return FieldSample(np.broadcast_to(Rr, shape).copy(),
+                       np.broadcast_to(Zb, shape).copy(), *vals)
 
 
 def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:

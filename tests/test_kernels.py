@@ -6,8 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 
 from layerlab.kernels import (
     NoSignChange,
@@ -306,12 +305,17 @@ def test_dual_bvp_raises_when_discretizations_disagree():
     assert exc.value.best > 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
 def test_bvp_singular_system_raises():
-    # A'' + A'/R = 0 with A'(5) = 0: every constant solves it
-    with pytest.raises(SingularSystem, match="singular system"):
+    # A'' + A'/R = 0 with A'(5) = 0: every constant solves it.  The band
+    # LU finds the zero pivot; the error names the discretization and
+    # keeps LAPACK's error as its cause
+    with pytest.raises(SingularSystem,
+                       match=r"singular system in BVP collocation solve "
+                             r"\(singular matrix\): method 'primary', "
+                             r"degree 10, 24 panels") as exc:
         solve_linear_bvp(_BESSEL[0], _const(0.0), _const(0.0), 5.0,
                          (0.0, 1.0, 0.0, 0.0))
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +323,30 @@ def test_bvp_singular_system_raises():
 # ---------------------------------------------------------------------------
 
 def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
-    """Per-panel assembly and solve, emitting triplets row by row."""
+    """Per-panel assembly and band solve, emitting the rows one by one in
+    the kernel's order (left row; each panel's collocation rows, then its
+    continuity pair with the next panel; right row) and writing each
+    entry on its own into band storage."""
     tpts, v0, v1, v2, (el, er, dl, dr) = _design_matrices(deg, kind)
     npan, nc = len(edges) - 1, deg + 1
+    n, bw = npan * nc, nc
     halves = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    rows, cols, vals, rhs = [], [], [], []
+    ab = np.zeros((2 * bw + 1, n))
+    rhs = []
 
     def add(span, row, b):
-        rows.extend([len(rhs)] * len(span))
-        cols.extend(span)
-        vals.extend(row)
+        for col, v in zip(span, row):
+            ab[bw + len(rhs) - col, col] = v
         rhs.append(b)
 
+    def boundary(row_spec, ev, ed, h, base):
+        ca, cb, b = row_spec
+        row = ca * ev + cb * ed / h
+        sc = max(np.max(np.abs(row)), 1e-300)
+        add(range(base, base + nc), row / sc, b / sc)
+
+    boundary(left_row, el, dl, halves[0], 0)
     for i in range(npan):
         h = halves[i]
         rr = mids[i] + h * tpts
@@ -341,19 +356,14 @@ def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
         block /= scale[:, None]
         for k in range(len(tpts)):
             add(range(i * nc, (i + 1) * nc), block[k], f(rr)[k] / scale[k])
-    for i in range(npan - 1):
-        span = range(i * nc, (i + 2) * nc)
-        add(span, list(er) + list(-el), 0.0)
-        add(span, list(dr / halves[i]) + list(-dl / halves[i + 1]), 0.0)
-    for (ca, cb, b), ev, ed, h, base in (
-            (left_row, el, dl, halves[0], 0),
-            (right_row, er, dr, halves[-1], (npan - 1) * nc)):
-        row = ca * ev + cb * ed / h
-        sc = max(np.max(np.abs(row)), 1e-300)
-        add(range(base, base + nc), row / sc, b / sc)
-    n = npan * nc
-    mat = csc_matrix((vals, (rows, cols)), shape=(n, n))
-    return spsolve(mat, np.asarray(rhs)).reshape(npan, nc)
+        if i < npan - 1:
+            span = range(i * nc, (i + 2) * nc)
+            add(span, list(er) + list(-el), 0.0)
+            add(span, list(dr / halves[i]) + list(-dl / halves[i + 1]), 0.0)
+    boundary(right_row, er, dr, halves[-1], (npan - 1) * nc)
+    assert len(rhs) == n
+    return solve_banded((bw, bw), ab, np.asarray(rhs),
+                        check_finite=False).reshape(npan, nc)
 
 
 def _loop_residual(p, q, f, edges, coefs, deg):
@@ -392,12 +402,13 @@ def _clenshaw_residual(p, q, f, edges, coefs, deg):
 
 
 @pytest.mark.parametrize("method", [(6, "gauss"), (5, "chebyshev")])
-@pytest.mark.parametrize("problem", ["bessel", "sphere"])
+@pytest.mark.parametrize("problem", ["bessel", "one-panel", "sphere"])
 def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
     deg, kind = method
-    if problem == "bessel":
+    if problem in ("bessel", "one-panel"):
         p, q, f = lambda r: 1.0 / r, _const(-1.0), _const(-1.0)
-        edges = np.linspace(1e-6, 5.0, 13)
+        # one panel: no continuity rows between the two boundary rows
+        edges = np.linspace(1e-6, 5.0, 13 if problem == "bessel" else 2)
     else:
         p, q, f = _ode_coefficients(1e-2, 1.0)[:3]
         edges = _sphere_edges(1e-2, 24)

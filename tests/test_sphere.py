@@ -199,13 +199,13 @@ def test_force_regression_values():
 
 
 @pytest.mark.parametrize("xi, chi, psi, panels, residual_sup", [
-    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7807699759231355e-12,
+    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7817136654940668e-12,
                  id="0.001-0.001"),
-    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0672018824209317e-14,
+    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.0560996521746802e-14,
                  id="0.01-1.0"),
-    pytest.param(1e-5, 1.0, 10.188935818678516, 119, 7.216449660063518e-16,
+    pytest.param(1e-5, 1.0, 10.188935818678516, 119, 4.996003610813204e-16,
                  id="1e-05-1.0"),
-    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.7817969322209137e-12,
+    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.781921832311184e-12,
                  id="0.01-0.0"),
 ])
 def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
@@ -351,6 +351,46 @@ def test_field_column_r_matches_full_grid():
         for name in ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz"):
             got, want = getattr(col, name), getattr(full, name)
             assert got.shape == zz.shape and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("xi, chi", [(1e-2, 1.0), (1e-3, 1e-3), (1e-1, 1.4)])
+def test_field_matches_docstring_formulas(xi, chi):
+    # the fields written out term by term from the module docstring, on
+    # the profile's own A..A''' away from the axis (R >= 0.5, so the
+    # plain 1/R and 1/R**2 quotients are harmless), with no coefficient
+    # form and no sharing with sphere.py's assembly
+    sol = solve_sphere(xi, chi, mu=1.3, a=0.7, U=1.9)
+    mu, a, U, c2 = 1.3, 0.7, 1.9, chi * chi
+    R = np.linspace(0.5, sol.geo.r_edge, 73)[:, None]
+    g = _gap(R)
+    Z = g * np.linspace(-1.0, 1.0, 11)
+    A, A1, A2, A3 = sol.A.eval(R)
+    zm = Z ** 2 - g ** 2
+    L = A2 + A1 / R
+    V = -3.0 * g ** 2 * L - 6.0 * g * R * A1
+    Lp = A3 + A2 / R - A1 / R ** 2
+    Vp = (-6.0 * ((R ** 2 + g) * A1 + g * R * A2)
+          - 3.0 * (2.0 * g * R * L + g ** 2 * Lp))
+    s_scale = mu * U / (a * xi)
+    want = {
+        "u_r": -(3.0 - c2) * (U / math.sqrt(xi)) * A1 * zm,
+        "u_z": U * ((V + 2.0 * c2 * A / xi) * Z + L * Z ** 3),
+        "s_zz": s_scale * ((9.0 - 2.0 * c2) * (L * zm - 2.0 * g * R * A1)
+                           + 6.0 * A / xi),
+        "s_rr": s_scale * ((3.0 - 2.0 * c2) * (L * zm - 2.0 * g * R * A1
+                                               + 2.0 * A / xi)
+                           - 2.0 * (3.0 - c2) * (A2 * zm - 2.0 * g * R * A1)),
+        "s_tt": s_scale * ((3.0 - 2.0 * c2) * (L * zm - 2.0 * g * R * A1
+                                               + 2.0 * A / xi)
+                           - 2.0 * (3.0 - c2) * (A1 / R) * zm),
+        "s_rz": (mu * U / (a * xi ** 1.5)) * (
+            (4.0 * c2 - 6.0) * A1 * Z + xi * (Vp * Z + Lp * Z ** 3)),
+    }
+    fs = sphere_field(sol, R, Z)
+    for name, w in want.items():
+        got = getattr(fs, name)
+        assert got.shape == Z.shape
+        assert np.max(np.abs(got - w)) <= 1e-11 * np.max(np.abs(w)), name
 
 
 def test_surface_trace_exceeds_midplane_at_order_one_chi():
