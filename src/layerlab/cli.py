@@ -25,21 +25,22 @@ verification mismatch, 3 numerical failure.
 
 Field CSV artifacts use the fixed header R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz
 with rows Z-fastest and values printed to 17 significant digits, so
-re-reading a file reproduces the in-memory doubles bit for bit.
+re-reading a file reproduces the in-memory doubles bit for bit.  The two
+verify commands only render what layerlab.verify returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import importlib.resources
 import json
 import math
 import sys
 
 import numpy as np
 
-from .kernels import NumericsError, integrate
+from . import verify
+from .kernels import NumericsError
 from .materials import nu_from_chi, resolve_chi, zeta_family
 from .plate import apparent_modulus, field, force, force_factor, solve_plate
 from .regimes import (SPHERE_ZETA_BAR_INCOMPRESSIBLE,
@@ -56,14 +57,10 @@ _FIELD_HEADER = "R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz"
 # formatting and output plumbing
 # ---------------------------------------------------------------------------
 
-def _g17(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _cell(v) -> str:
     """One CSV cell: floats to 17 significant digits, None empty."""
     if isinstance(v, float):
-        return _g17(v)
+        return "%.17g" % v
     return "" if v is None else str(v)
 
 
@@ -89,52 +86,45 @@ def _write_out(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _render(pairs, args, extra_human_lines=()) -> str:
-    """Render an ordered list of (key, value) pairs in the chosen format."""
+def _stamp(args) -> list:
+    """The --timestamp line of a human report, if asked for."""
+    if not args.timestamp:
+        return []
+    return ["generated: "
+            + datetime.datetime.now(datetime.timezone.utc).isoformat()]
+
+
+def _render(row: dict, args) -> str:
+    """Render one row (a dict in column order) in the chosen format."""
     fmt = args.format
     if fmt == "json":
-        obj = {k: _jsonable(v) for k, v in pairs}
+        obj = {k: _jsonable(v) for k, v in row.items()}
         return json.dumps(obj, sort_keys=True) + "\n"
     if fmt == "csv":
-        head = ",".join(k for k, _ in pairs)
-        row = ",".join(_cell(v) for _, v in pairs)
-        return head + "\n" + row + "\n"
-    lines = []
-    if args.timestamp:
-        lines.append("generated: "
-                     + datetime.datetime.now(datetime.timezone.utc).isoformat())
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        lines.append(f"{k:>{width}}: {_human_value(v)}")
-    lines.extend(extra_human_lines)
+        return ",".join(row) + "\n" + ",".join(map(_cell, row.values())) + "\n"
+    width = max(map(len, row))
+    lines = _stamp(args) + [f"{k:>{width}}: {_human_value(v)}"
+                            for k, v in row.items()]
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(keys, rows, args) -> str:
-    """Render a sweep (list of dicts sharing `keys`) in the chosen format."""
-    fmt = args.format
-    if fmt == "json":
+def _render_rows(rows, args) -> str:
+    """Render a sweep (dicts sharing the first one's keys) in the chosen
+    format: JSON, or else CSV with one line per row."""
+    keys = list(rows[0])
+    if args.format == "json":
         out = [{k: _jsonable(r[k]) for k in keys} for r in rows]
         return json.dumps(out, sort_keys=True) + "\n"
-    # csv for sweeps regardless of human/csv: one line per row
     head = ",".join(keys)
     body = "\n".join(",".join(_cell(r[k]) for k in keys) for r in rows)
     return head + "\n" + body + "\n"
 
 
-def _emit(keys, rows, args) -> None:
+def _emit(rows, args) -> None:
     """Write one row as a report, several as a sweep."""
-    if len(rows) == 1:
-        text = _render([(k, rows[0][k]) for k in keys], args)
-    else:
-        text = _render_rows(keys, rows, args)
+    text = (_render(rows[0], args) if len(rows) == 1
+            else _render_rows(rows, args))
     _write_out(text, args.output)
-
-
-def _reference_tables() -> dict:
-    res = importlib.resources.files("layerlab").joinpath(
-        "data/reference_tables.json")
-    return json.loads(res.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +215,12 @@ def _cmd_plate_force(args) -> int:
     rows = []
     for xi in _xi_list(args):
         g = force_factor(xi, chi)
-        sol_force = (3.0 * math.pi * args.mu * args.a * args.U
-                     / (8.0 * xi ** 3) * g)
+        sol = solve_plate(xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
         fam = zeta_family(xi, chi)
         rows.append({"xi": xi, "chi": chi, "nu": nu_from_chi(chi),
                      "zeta": fam.zeta, "force_factor": g,
-                     "force": sol_force})
-    keys = ["xi", "chi", "nu", "zeta", "force_factor", "force"]
-    _emit(keys, rows, args)
+                     "force": force(sol)})
+    _emit(rows, args)
     return 0
 
 
@@ -246,9 +234,7 @@ def _cmd_plate_modulus(args) -> int:
                      "zeta": fam.zeta, "e_hat": mod.e_hat,
                      "e_hat_i": mod.e_hat_i, "e_hat_c": mod.e_hat_c,
                      "e_hat_l": mod.e_hat_l})
-    keys = ["xi", "chi", "nu", "zeta", "e_hat", "e_hat_i", "e_hat_c",
-            "e_hat_l"]
-    _emit(keys, rows, args)
+    _emit(rows, args)
     return 0
 
 
@@ -267,9 +253,7 @@ def _cmd_compare_plate(args) -> int:
                      "diff_rel": diff_rel,
                      "small_chi_estimate": estimate,
                      "magnitude_ratio": ratio})
-    keys = ["xi", "chi", "nu", "e_hat", "e_hat_l", "diff_rel",
-            "small_chi_estimate", "magnitude_ratio"]
-    _emit(keys, rows, args)
+    _emit(rows, args)
     return 0
 
 
@@ -288,10 +272,7 @@ def _cmd_sphere_force(args) -> int:
                 "psi": mid.psi, "psi_surface": surf.psi,
                 "psi_i": ext.psi_i, "psi_c": ext.psi_c, "force": mid.F}
 
-    rows = [one(xi) for xi in _xi_list(args)]
-    keys = ["xi", "chi", "nu", "zeta_bar", "zeta_tilde", "psi",
-            "psi_surface", "psi_i", "psi_c", "force"]
-    _emit(keys, rows, args)
+    _emit([one(xi) for xi in _xi_list(args)], args)
     return 0
 
 
@@ -300,29 +281,28 @@ def _cmd_regime_classify(args) -> int:
         raise ValueError("--xi is required")
     rep = classify(args.geometry, args.xi, chi=args.chi, nu=args.nu,
                    tolerance=args.tolerance)
-    pairs = [("geometry", rep.geometry), ("xi", rep.xi), ("chi", rep.chi),
-             ("nu", nu_from_chi(rep.chi)), ("regime", rep.label),
-             ("zeta", rep.zeta), ("zeta_bar", rep.zeta_bar),
-             ("zeta_tilde", rep.zeta_tilde), ("zeta_c", rep.zeta_c),
-             ("zeta_i", rep.zeta_i), ("tolerance", rep.tolerance)]
-    _write_out(_render(pairs, args), args.output)
+    _emit([{"geometry": rep.geometry, "xi": rep.xi, "chi": rep.chi,
+            "nu": nu_from_chi(rep.chi), "regime": rep.label,
+            "zeta": rep.zeta, "zeta_bar": rep.zeta_bar,
+            "zeta_tilde": rep.zeta_tilde, "zeta_c": rep.zeta_c,
+            "zeta_i": rep.zeta_i, "tolerance": rep.tolerance}], args)
     return 0
 
 
 def _cmd_regime_transitions(args) -> int:
     if args.geometry == "plate":
         tr = plate_transitions(args.tolerance)
-        pairs = [("geometry", "plate"), ("tolerance", args.tolerance),
-                 ("zeta_c", tr.zeta_compressible),
-                 ("zeta_i", tr.zeta_incompressible)]
+        row = {"geometry": "plate", "tolerance": args.tolerance,
+               "zeta_c": tr.zeta_compressible,
+               "zeta_i": tr.zeta_incompressible}
         if args.xi is not None:
             lo, hi = nu_intermediate_window(args.xi, args.tolerance)
-            pairs += [("xi", args.xi), ("nu_lo", lo), ("nu_hi", hi)]
+            row.update(xi=args.xi, nu_lo=lo, nu_hi=hi)
     else:
-        pairs = [("geometry", "sphere"),
-                 ("zeta_bar_incompressible", SPHERE_ZETA_BAR_INCOMPRESSIBLE),
-                 ("zeta_tilde_compressible", SPHERE_ZETA_TILDE_COMPRESSIBLE)]
-    _write_out(_render(pairs, args), args.output)
+        row = {"geometry": "sphere",
+               "zeta_bar_incompressible": SPHERE_ZETA_BAR_INCOMPRESSIBLE,
+               "zeta_tilde_compressible": SPHERE_ZETA_TILDE_COMPRESSIBLE}
+    _emit([row], args)
     return 0
 
 
@@ -377,184 +357,36 @@ def _cmd_sphere_field(args) -> int:
 # verification commands
 # ---------------------------------------------------------------------------
 
-def _table4_artifact_rows(data, computed):
-    """Deterministic artifact rows: xi outer descending, chi ascending,
-    with the chi-independent incompressible-limit rows at chi = 0."""
-    citation = data["citation"]
-    xi_desc = sorted(data["xi"], reverse=True)
-    chis = data["chi"]
-    rows = []
-    for xi in xi_desc:
-        i = data["xi"].index(xi)
-        rows.append((xi, 0.0, "psi_i", computed["psi_i"][i], "computed", ""))
-        rows.append((xi, 0.0, "psi_i", data["psi_i"][i],
-                     "paper-printed golden", citation))
-        for j, chi in enumerate(chis):
-            rows.append((xi, chi, "psi", computed["psi"][j][i], "computed", ""))
-            rows.append((xi, chi, "psi", data["psi"][j][i],
-                         "paper-printed golden", citation))
-            rows.append((xi, chi, "fe", data["fe"][j][i],
-                         "paper-printed golden", citation))
-            rows.append((xi, chi, "psi_c", computed["psi_c"][j][i],
-                         "computed", ""))
-            rows.append((xi, chi, "psi_c", data["psi_c"][j][i],
-                         "paper-printed golden", citation))
-    return rows
-
-
-def _table4_csv(rows) -> str:
-    lines = ["xi,chi,quantity,value,source,citation"]
-    for xi, chi, quantity, value, source, citation in rows:
-        lines.append(",".join((_g17(xi), _g17(chi), quantity, _g17(value),
-                               source, citation)))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_verify_table4(args) -> int:
-    data = _reference_tables()["table4"]
-    xis, chis = data["xi"], data["chi"]
-
-    psi_comp = [[sphere_force(solve_sphere(xi, chi), trace="midplane").psi
-                 for xi in xis] for chi in chis]
-    computed = {
-        "psi": psi_comp,
-        "psi_i": [psi_extremes(xi, 1.0).psi_i for xi in xis],
-        "psi_c": [[psi_extremes(xi, chi).psi_c for xi in xis]
-                  for chi in chis],
-    }
-
-    failures = []
-    checks = []  # (label, xi, chi, computed, golden, rel, tol, ok)
-
-    def check(label, xi, chi, comp, golden, tol):
-        rel = abs(comp / golden - 1.0)
-        ok = rel <= tol
-        checks.append((label, xi, chi, comp, golden, rel, tol, ok))
-        if not ok:
-            failures.append({"quantity": label, "xi": xi, "chi": chi,
-                             "computed": comp, "golden": golden,
-                             "rel": rel, "tol": tol})
-
-    for i, xi in enumerate(xis):
-        check("psi_i", xi, 0.0, computed["psi_i"][i], data["psi_i"][i], 5e-2)
-    for j, chi in enumerate(chis):
-        for i, xi in enumerate(xis):
-            check("psi-vs-fe", xi, chi, psi_comp[j][i], data["fe"][j][i],
-                  5e-2)
-            check("psi-vs-printed", xi, chi, psi_comp[j][i],
-                  data["psi"][j][i], 2e-2)
-            check("psi_c", xi, chi, computed["psi_c"][j][i],
-                  data["psi_c"][j][i], 5e-2)
-
-    rows = _table4_artifact_rows(data, computed)
-    artifact = _table4_csv(rows)
-    ok_all = not failures
-
+    checks, rows = verify.table4()
+    failures = [c for c in checks if not c["rel"] <= c["tol"]]
     if args.format == "json":
-        report = json.dumps({
-            "pass": ok_all,
-            "failures": failures,
-            "rows": [{"xi": r[0], "chi": r[1], "quantity": r[2],
-                      "value": r[3], "source": r[4], "citation": r[5]}
-                     for r in rows],
-        }, sort_keys=True) + "\n"
-        _write_out(report, args.output)
+        _write_out(json.dumps({"pass": not failures, "failures": failures,
+                               "rows": rows}, sort_keys=True) + "\n",
+                   args.output)
     elif args.format == "csv":
-        _write_out(artifact, args.output)
+        _write_out(_render_rows(rows, args), args.output)
     else:
-        lines = []
-        if args.timestamp:
-            lines.append("generated: " + datetime.datetime.now(
-                datetime.timezone.utc).isoformat())
-        for label, xi, chi, comp, golden, rel, tol, ok in checks:
-            tag = "PASS" if ok else "FAIL"
-            lines.append(f"{tag} {label:<14} xi={xi:<6g} chi={chi:<6g} "
-                         f"computed {comp:.6g} golden {golden:.6g} "
-                         f"rel {rel:.2e} tol {tol:.0e}")
-        n_fail = len(failures)
-        lines.append(f"cells checked: {len(checks)}; mismatches: {n_fail}")
-        lines.append("result: " + ("PASS" if ok_all else "FAIL"))
+        lines = _stamp(args)
+        for c in checks:
+            tag = "PASS" if c["rel"] <= c["tol"] else "FAIL"
+            lines.append(f"{tag} {c['quantity']:<14} xi={c['xi']:<6g} "
+                         f"chi={c['chi']:<6g} computed {c['computed']:.6g} "
+                         f"golden {c['golden']:.6g} rel {c['rel']:.2e} "
+                         f"tol {c['tol']:.0e}")
+        lines.append(f"cells checked: {len(checks)}; "
+                     f"mismatches: {len(failures)}")
+        lines.append("result: " + ("FAIL" if failures else "PASS"))
         _write_out("\n".join(lines) + "\n", None)
         if args.output:
-            _write_out(artifact, args.output)
-    return 0 if ok_all else 2
+            _write_out(_render_rows(rows, args), args.output)
+    return 2 if failures else 0
 
 
 def _cmd_verify_suite(args) -> int:
-    xis = [float(v) for v in np.geomspace(1e-4, 1e-1, 5)]
-    chis = [float(v) for v in np.geomspace(1e-3, 1.4, 5)]
-    # edge resultants (both geometries) take both rim traction components,
-    # normalized by the through-thickness max of the edge tractions.  The
-    # edge stresses are polynomials of degree <= 3 in Z, so 4-point
-    # Gauss-Legendre is exact; one field call per cell samples the 41
-    # scale points and the 4 nodes together
-    tq, wq = np.polynomial.legendre.leggauss(4)
-    z_all = np.concatenate((np.linspace(-1.0, 1.0, 41), tq))
-    rg = np.linspace(0.0, 1.0, 41)
-    worst_plate = worst_sphere = worst_d = worst_dual = worst_f = 0.0
-    for xi in xis:
-        for chi in chis:
-            sol = solve_plate(xi, chi=chi)
-            ssol = solve_sphere(xi, chi)
-
-            # (a) edge resultants
-            fe = field(sol, 1.0, z_all)
-            scale = max(float(np.max(np.abs(fe.s_rr[:41]))),
-                        float(np.max(np.abs(fe.s_rz[:41])))) or 1.0
-            q_rr = float(wq @ fe.s_rr[41:])
-            q_rz = float(wq @ fe.s_rz[41:])
-            worst_plate = max(worst_plate,
-                              max(abs(q_rr), abs(q_rz)) / (2.0 * scale))
-            r_e = ssol.geo.r_edge
-            ge = 1.0 + 0.5 * r_e * r_e
-            fs = sphere_field(ssol, r_e, np.concatenate(
-                (np.linspace(-ge, ge, 41), ge * tq)))
-            scale_s = max(float(np.max(np.abs(fs.s_rr[:41]))),
-                          float(np.max(np.abs(fs.s_rz[:41])))) or 1.0
-            q_s = ge * float(wq @ fs.s_rr[41:])
-            worst_sphere = max(worst_sphere,
-                               abs(q_s) / (2.0 * ge * scale_s))
-
-            # (b) Dirichlet data
-            for sgn in (1.0, -1.0):
-                uz = field(sol, rg, np.full_like(rg, sgn)).u_z
-                worst_d = max(worst_d, float(np.max(np.abs(uz - sgn))))
-            rs = np.linspace(0.0, r_e, 41)
-            gs = 1.0 + 0.5 * rs * rs
-            for sgn in (1.0, -1.0):
-                uzs = sphere_field(ssol, rs, sgn * gs).u_z
-                worst_d = max(worst_d, float(np.max(np.abs(uzs - sgn))))
-
-            # (c) dual-discretization oracle on every sphere solve
-            worst_dual = max(worst_dual, ssol.A.meta["dual_sup_rel"])
-
-            # (d) plate force from fields equals the closed form
-            def integrand(r):
-                return float(field(sol, r, 1.0).s_zz) * r
-
-            # split at the edge boundary layer (width ~ xi/chi) so the
-            # adaptive quadrature cannot step over it unsampled
-            kappa = chi / xi
-            scale = abs(integrand(0.5)) + abs(integrand(1.0))
-            tol_q = 1e-12 * max(scale, 1.0)
-            if kappa > 50.0:
-                r_split = 1.0 - min(0.3, 50.0 / kappa)
-                val = (integrate(integrand, 0.0, r_split, tol=tol_q).value
-                       + integrate(integrand, r_split, 1.0, tol=tol_q).value)
-            else:
-                val = integrate(integrand, 0.0, 1.0, tol=tol_q).value
-            # stresses from ``field`` are dimensional, so the axial load is
-            # just 2*pi*a^2 * int sigma_zz(R, 1) R dR
-            f_fields = 2.0 * math.pi * sol.cfg.a ** 2 * val
-            worst_f = max(worst_f, abs(f_fields / force(sol) - 1.0))
-
     lines = []
     n_fail = 0
-    for name, worst, tol in (("edge-resultant plate", worst_plate, 1e-6),
-                             ("edge-resultant sphere", worst_sphere, 1e-6),
-                             ("dirichlet", worst_d, 1e-8),
-                             ("sphere dual oracle", worst_dual, 1e-8),
-                             ("plate force-from-fields", worst_f, 1e-8)):
+    for name, worst, tol in verify.suite():
         ok = worst <= tol
         n_fail += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: worst {worst:.3e} "

@@ -553,8 +553,9 @@ def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
 
     Returns the primary solution, with meta["dual_sup_rel"] set to the
     sup-norm disagreement of A between the two on 1501 even points,
-    relative to sup|A|.  A disagreement above 1e-8 raises ToleranceNotMet;
-    `where` names the problem in that message.
+    relative to sup|A| (0 when both are identically zero).  A
+    disagreement above 1e-8 raises ToleranceNotMet; `where` names the
+    problem in that message.
     """
     kw = dict(coeff_derivs=coeff_derivs, mesh=mesh)
     primary = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
@@ -564,13 +565,14 @@ def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
     s = np.linspace(0.0, r_edge, 1501) ** 2
     a_p = primary.s_form(s)[0]
     a_a = alt.s_form(s)[0]
+    diff = float(np.max(np.abs(a_p - a_a)))
     scale = float(np.max(np.abs(a_p)))
-    dual_rel = float(np.max(np.abs(a_p - a_a))) / scale
+    dual_rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)
     if dual_rel > 1e-8:
         raise ToleranceNotMet(
             f"independent discretizations disagree {where}: sup rel "
             f"{dual_rel:.3e} > 1e-08",
-            best=dual_rel, residual=dual_rel * scale, scale=scale)
+            best=dual_rel, residual=diff, scale=scale)
     primary.meta["dual_sup_rel"] = dual_rel
     return primary
 

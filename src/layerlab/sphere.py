@@ -463,12 +463,13 @@ def psi_extremes(xi: float, chi: float) -> PsiExtremes:
     """Limiting force factors (incompressible plateau, compressible log).
 
     ``psi_i = 1/(4 xi)`` is chi-independent; ``psi_c = ln(1/(2 xi))/chi**2``
-    diverges as chi -> 0 and is reported as inf there.
+    diverges as chi -> 0 and is reported as inf there.  Requires
+    ``0 < xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
     """
-    xi = float(xi)
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    chi = float(chi)
+    xi, chi = float(xi), resolve_chi(chi)
+    if not (0.0 < xi <= XI_MAX_SPHERE):
+        raise ValueError(
+            f"xi must be positive and <= {XI_MAX_SPHERE}, got {xi}")
     psi_i = 0.25 / xi
     if chi < CHI_INCOMPRESSIBLE:
         return PsiExtremes(psi_i=psi_i, psi_c=math.inf)

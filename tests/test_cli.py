@@ -16,7 +16,7 @@ import pytest
 
 from layerlab.cli import main
 from layerlab.plate import field as plate_field_eval
-from layerlab.plate import solve_plate
+from layerlab.plate import force, solve_plate
 
 
 def run(capsys, *argv):
@@ -37,6 +37,11 @@ def test_plate_force_human(capsys):
     rc, out, err = run(capsys, "plate-force", "--xi", "1e-3", "--chi", "0.7")
     assert rc == 0 and err == ""
     assert "force" in out and "zeta" in out
+    # the printed force is plate.force's, scales included
+    rc, out, _ = run(capsys, "plate-force", "--xi", "1e-2", "--chi", "0.7",
+                     "--mu", "2.5", "--a", "3", "--U", "0.5", "--json")
+    want = force(solve_plate(1e-2, chi=0.7, mu=2.5, a=3.0, U=0.5))
+    assert rc == 0 and json.loads(out)["force"] == want
 
 
 def test_plate_modulus_values(capsys):
@@ -347,6 +352,11 @@ def test_material_input_errors(capsys):
 def test_domain_errors(capsys):
     rc, _, err = run(capsys, "sphere-force", "--xi", "0.5", "--chi", "1")
     assert rc == 2
+    # plate-force takes its force from a PlateSolution, so it shares the
+    # field commands' check on the scales
+    rc, _, err = run(capsys, "plate-force", "--xi", "1e-2", "--chi", "0.5",
+                     "--mu", "-1")
+    assert rc == 2 and "must all be positive" in err
 
 
 def test_consistent_nu_chi_pair_accepted(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 MODULES = ("layerlab", "layerlab.kernels", "layerlab.materials",
            "layerlab.plate", "layerlab.sphere", "layerlab.series",
-           "layerlab.regimes", "layerlab.cli")
+           "layerlab.regimes", "layerlab.cli", "layerlab.verify")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -256,6 +256,15 @@ def test_solve_dual_bvp_returns_cross_checked_primary():
 _BESSEL = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0))
 
 
+def test_solve_dual_bvp_zero_solution():
+    # f = 0 with a homogeneous rim row: both discretizations give A = 0
+    # exactly, so the relative disagreement is 0 rather than 0/0
+    sol = solve_dual_bvp(lambda r: 1.0 / r, _const(-1.0), _const(0.0), 5.0,
+                         (1.0, 0.0, 0.0, 0.0), 1e-10, "on the zero problem")
+    assert np.all(sol.eval(np.linspace(0.0, 5.0, 101))[0] == 0.0)
+    assert sol.meta["dual_sup_rel"] == 0.0
+
+
 def test_bvp_rejects_mesh_not_spanning_the_interval():
     for mesh in (np.linspace(0.1, 5.0, 9), np.linspace(0.0, 4.0, 9)):
         with pytest.raises(ValueError, match="span"):

@@ -201,6 +201,15 @@ def test_theta_u_linearity():
     assert float(np.max(np.abs(b - 2.5 * a))) < 1e-12 * float(np.max(np.abs(b)))
 
 
+def test_theta_zero_approach_is_identically_zero():
+    # U = 0 gives Theta = 0 exactly; the dual gate reports 0, not 0/0
+    th = solve_theta(1e-3, U=0.0)
+    rr = np.linspace(0.0, 1.0 / math.sqrt(1e-3), 101)
+    for values in th.Theta.eval(rr)[:3]:
+        assert np.all(values == 0.0)
+    assert th.Theta.meta["dual_sup_rel"] == 0.0
+
+
 def test_theta_validation():
     with pytest.raises(ValueError):
         solve_theta(0.2)

@@ -410,6 +410,14 @@ def test_psi_extremes_closed_forms():
     assert abs(ex.psi_c - want_c) < 1e-12 * want_c
     with pytest.raises(ValueError, match="xi must be positive"):
         psi_extremes(0.0, 1.0)
+    # the domain is solve_sphere's: 0 < xi <= XI_MAX_SPHERE, 0 <= chi <= 3/2
+    with pytest.raises(ValueError, match="xi must be positive"):
+        psi_extremes(0.6, 1.0)
+    for chi in (-1.0, 7.0):
+        with pytest.raises(ValueError, match="chi must lie in"):
+            psi_extremes(1e-3, chi)
+    assert psi_extremes(XI_MAX_SPHERE, 1.5).psi_c > 0.0
+    assert psi_extremes(1e-3, 0.0).psi_c == math.inf
 
 
 def test_printed_reference_cells_two_digit():
