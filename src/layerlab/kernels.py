@@ -13,15 +13,17 @@ The BVP solver ships two independent discretizations ("primary": degree-10
 Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
 panels at their 7 Chebyshev points, on the midpoint-doubled mesh).
 solve_dual_bvp runs both and compares them, to guard against
-discretization bugs.  The problem (R p even in R) is solved in s = R**2,
-where the operator
+discretization bugs.  Its interface is the s-form operator, in
+s = R**2,
 
-    4 s A_ss + (2 + 2 R p) A_s + q A = f
+    4 s A_ss + 2 (1 + m) A_s + q A = f,        m = R p,
 
-has smooth coefficients and the axis row is the equation itself at
-s = 0, (2 + 2c) A_s + q(0) A = f(0) with c = lim R p: a polynomial meets
-it only on the regular solution, so there is no truncation of the axis
-and no grading toward it.  The rows are ordered panel by panel (left
+with the caller's m, q, f and their s-derivatives given as functions of
+s.  The axis row is the equation itself at s = 0,
+(2 + 2 m(0)) A_s + q(0) A = f(0): a polynomial meets it only on the
+regular solution, so there is no truncation of the axis and no grading
+toward it.  A'' and A''' are read off the same equation, with no 1/R
+and so no axis special case.  The rows are ordered panel by panel (left
 row, each panel's collocation rows and C0/C1 pair with the next, right
 row), so the system is banded with half-bandwidth deg + 1; it is solved
 by LAPACK's band LU (scipy.linalg.solve_banded).
@@ -285,10 +287,8 @@ class RadialSolution:
 
     eval(R) -> (A, A', A'', A''') for scalar or array R.  A and A' come
     from the stored piecewise-polynomial representation; A'' and A''' are
-    recovered from the ODE and its R-derivative (never from numerical
-    differencing).  A''' is NaN if the coefficient derivatives were not
-    supplied to the solver.  meta records method, mesh and the measured
-    residual.
+    read off the ODE and its derivative (never from numerical
+    differencing).  meta records method, mesh and the measured residual.
 
     Set by solve_linear_bvp (None on a profile given in closed form):
 
@@ -328,33 +328,20 @@ def _design_matrices(deg: int, kind: str):
     return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2], v0[-1], v1[-2], v1[-1])
 
 
-def _coef_on(fn, rr):
-    """fn evaluated elementwise on the node array rr, as float of rr's
+def _coef_on(fn, ss):
+    """fn evaluated elementwise on the node array ss, as float of ss's
     shape (a callable returning a constant is broadcast)."""
-    return np.broadcast_to(np.asarray(fn(rr), dtype=float), rr.shape)
+    return np.broadcast_to(np.asarray(fn(ss), dtype=float), ss.shape)
 
 
-def _axis_coefficient(p, r_edge: float) -> float:
-    """c = lim R p(R) at the axis, after checking that R p(R) is even in
-    R, which makes the s = R**2 form of the operator smooth there."""
-    rr = np.array([1e-8, 0.01 * r_edge, 0.3 * r_edge, r_edge])
-    with np.errstate(all="ignore"):
-        plus = rr * _coef_on(p, rr)
-        minus = -rr * _coef_on(p, -rr)
-    if not np.all(np.abs(plus - minus) <= 1e-12 * np.maximum(1.0, np.abs(plus))):
-        raise ValueError("a regular axis needs R p(R) even in R: "
-                         f"R p = {plus.tolist()} at R = {rr.tolist()}, "
-                         f"{minus.tolist()} at -R")
-    return float(plus[0])
+def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
+    """Build and solve the banded collocation system of
+    4 s v'' + 2 (1 + m) v' + q v = f on the s panels edges: the
+    (npan, deg + 1) panel coefficients, or LinAlgError on a singular or
+    non-finite solve.
 
-
-def _assemble_and_solve(p, q, f, edges, deg, kind,
-                        left_row, right_row):
-    """Build and solve the banded collocation system: the (npan, deg + 1)
-    panel coefficients, or LinAlgError on a singular or non-finite solve.
-
-    left_row/right_row: (coef_on_A, coef_on_Aprime, rhs) at the first/last
-    mesh point, already reduced to first-order form.
+    left_row/right_row: (coef_on_v, coef_on_v', rhs) at the first/last
+    mesh point.
 
     Rows run panel by panel: the left boundary row; each panel's deg - 1
     collocation rows, then its C0/C1 pair with the next panel; the right
@@ -373,11 +360,10 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
 
     # collocation blocks, (npan, mcol, ncoef), each row scaled by its max
     h = halves[:, None, None]
-    rr = mids[:, None] + halves[:, None] * tpts
-    pv = _coef_on(p, rr)[:, :, None]
-    qv = _coef_on(q, rr)[:, :, None]
-    fv = _coef_on(f, rr)
-    block = v2 / (h * h) + pv * v1 / h + qv * v0
+    ss = mids[:, None] + halves[:, None] * tpts
+    block = (4.0 * ss[:, :, None] * v2 / (h * h)
+             + 2.0 * (1.0 + _coef_on(m, ss))[:, :, None] * v1 / h
+             + _coef_on(q, ss)[:, :, None] * v0)
     scale = np.max(np.abs(block), axis=2)
     scale[scale == 0.0] = 1.0
     block /= scale[:, :, None]
@@ -398,7 +384,7 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
     # the right-hand side in the same slots, one row down (the left row
     # is row 0); the last panel's unused k = deg slot falls off the end
     rhs = np.zeros(npan * ncoef + 1)
-    rhs[1:].reshape(npan, ncoef)[:, :mcol] = fv / scale
+    rhs[1:].reshape(npan, ncoef)[:, :mcol] = _coef_on(f, ss) / scale
 
     # boundary rows: row 0 (panel 0's k = -1) and the last row
     ca, cb, b = left_row
@@ -418,61 +404,50 @@ def _assemble_and_solve(p, q, f, edges, deg, kind,
     return sol.reshape(npan, ncoef)
 
 
-def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
-                     coeff_derivs=None, mesh=None,
+def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
                      method: str = "primary") -> RadialSolution:
-    """Solve A'' + p(R) A' + q(R) A = f(R) on [0, r_edge] for the A that
-    is regular on the axis R = 0.
+    """Solve 4 s A_ss + 2 (1 + m) A_s + q A = f in s = R**2 on
+    [0, mesh[-1]**2] for the A that is regular on the axis.  In R it
+    reads A'' + p A' + q A = f, with m = R p.
 
-    p, q, f (and coeff_derivs): callables evaluated elementwise on float
-    arrays of any shape (the solver passes 2-D node arrays, one row per
-    panel) and on scalars at the interval ends.  A callable may return a
-    plain constant; it is broadcast to the shape of its argument.  R p
-    must be even in R (p ~ c/R, with c = lim R p), or ValueError.
+    coeffs: (m, q, f, m_s, q_s, f_s), callables of s evaluated
+    elementwise on float arrays of any shape (the solver passes 2-D node
+    arrays, one row per panel) and on scalars at the interval ends; the
+    last three are the s-derivatives of the first three.  A callable may
+    return a plain constant; it is broadcast to the shape of its argument.
 
-    The problem is solved in s = R**2, where it reads
-    4 s A_ss + (2 + 2 R p) A_s + q A = f on [0, r_edge**2], with smooth
-    coefficients; the axis row is that equation at s = 0,
-    (2 + 2c) A_s + q(0) A = f(0), which a polynomial meets only on the
-    regular solution.
+    The axis row is the equation itself at s = 0,
+    (2 + 2 m(0)) A_s + q(0) A = f(0), which a polynomial meets only on
+    the regular solution.
 
     right:
         (alpha, beta, gamma, delta) meaning
-        alpha*A + beta*A' + gamma*A'' = delta at r_edge; A'' is eliminated
-        through the ODE, so the stored condition is
-        (alpha - gamma*q)*A + (beta - gamma*p)*A' = delta - gamma*f,
-        with A' = 2 r_edge A_s.
+        alpha*A + beta*A' + gamma*A'' = delta at the rim R_e.  With
+        A' = 2 R_e A_s and A'' = f - 2 m A_s - q A the stored condition is
+        (alpha - gamma*q)*A + 2 (R_e beta - gamma*m)*A_s = delta - gamma*f.
 
-    coeff_derivs: optional (dp, dq, df) callables; required for the
-    reported third derivative A''' = f' - p'A' - pA'' - q'A - qA'.
-
-    mesh: None (24 uniform panels in R) or an explicit array of R panel
-    edges spanning [0, r_edge]; the edges are squared into s.
+    mesh: the R panel edges, from 0 out to the rim mesh[-1] > 0, or
+    ValueError; the solver squares them into s.
 
     method: "primary" (degree-10 Chebyshev panels collocated at the 9
     Gauss points) or "alt" (degree 8 at the 7 Chebyshev points, on the
     midpoint-doubled mesh): two independent discretizations of the same
     problem.  Every collocation node is interior to its panel.
 
-    The solution is accepted when the ODE residual (the s form equals
-    the R form pointwise), sampled about ten times finer than the
-    collocation spacing, satisfies
-    sup|res| <= tol * max(sup|f|, sup|q*A|); otherwise the R panels are
-    midpoint-refined up to _MAX_REFINE times before ToleranceNotMet.
-    meta["edges"] holds the R breakpoints above the axis (the axis is
-    implied).
+    The solution is accepted when the residual of the equation, sampled
+    about ten times finer than the collocation spacing, satisfies
+    sup|res| <= tol * max(sup|f|, sup|q*A|), with 0 < tol < inf (else
+    ValueError); otherwise the R panels are midpoint-refined up to
+    _MAX_REFINE times before ToleranceNotMet.  meta["edges"] holds the R
+    breakpoints above the axis (the axis is implied).
     """
-    if not (r_edge > 0.0):
-        raise ValueError(f"empty solve interval [0, {r_edge}]")
-
-    if mesh is None:
-        edges = np.linspace(0.0, r_edge, 25)
-    else:
-        edges = np.asarray(mesh, dtype=float)
-        if abs(edges[0]) > 1e-12 or abs(edges[-1] - r_edge) > 1e-12 * max(1.0, r_edge):
-            raise ValueError("explicit mesh must span the solve interval")
-        edges = edges.copy()
-        edges[0], edges[-1] = 0.0, r_edge
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    edges = np.asarray(mesh, dtype=float)
+    if len(edges) < 2 or edges[0] != 0.0 or not (edges[-1] > 0.0):
+        raise ValueError("a mesh must run from 0 to a positive rim, got "
+                         + np.array2string(edges, threshold=6))
+    r_e = float(edges[-1])
 
     if method == "primary":
         deg, kind = 10, "gauss"
@@ -484,42 +459,28 @@ def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # rim row in first-order (A, A') form
+    m, q, f = coeffs[:3]
     alpha, beta, gamma, delta = right
-    a_eff = alpha - gamma * float(q(r_edge))
-    b_eff = beta - gamma * float(p(r_edge))
-    d_eff = delta - gamma * float(f(r_edge))
-    if max(abs(a_eff), abs(b_eff)) == 0.0:
+    s_e = r_e * r_e
+    left_row = (float(q(0.0)), 2.0 + 2.0 * float(m(0.0)), float(f(0.0)))
+    right_row = (alpha - gamma * float(q(s_e)),
+                 2.0 * (r_e * beta - gamma * float(m(s_e))),
+                 delta - gamma * float(f(s_e)))
+    if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
-
-    c_axis = _axis_coefficient(p, r_edge)
-
-    def in_s(fn):
-        # fn(R) as a function of s = R**2; every node is interior, s > 0
-        return lambda s: _coef_on(fn, np.sqrt(s))
-
-    def lead(s):
-        return 4.0 * s
-
-    r_p = in_s(lambda r: r * p(r))
-    resid = (lambda s: 2.0 + 2.0 * r_p(s), in_s(q), in_s(f))
-    # the collocation rows take the equation divided by its leading 4 s
-    ode = tuple(lambda s, fn=fn: fn(s) / lead(s) for fn in resid)
-    left_row = (float(q(0.0)), 2.0 + 2.0 * c_axis, float(f(0.0)))
-    right_row = (a_eff, 2.0 * r_edge * b_eff, d_eff)
 
     for attempt in range(_MAX_REFINE + 1):
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
         try:
-            coefs = _assemble_and_solve(*ode, s_edges, deg, kind,
+            coefs = _assemble_and_solve(m, q, f, s_edges, deg, kind,
                                         left_row, right_row)
         except LinAlgError as err:
             raise SingularSystem(
                 f"singular system in BVP collocation solve ({err}): method "
                 f"{method!r}, degree {deg}, {len(edges) - 1} panels") from err
         poly = PanelPoly(s_edges, coefs)
-        res_sup, scale = _residual_check(*resid, lead, poly, deg)
+        res_sup, scale = _residual_check(m, q, f, poly, deg)
         if res_sup <= tol * scale:
             break
         if attempt < _MAX_REFINE:
@@ -540,14 +501,12 @@ def solve_linear_bvp(p, q, f, r_edge: float, right, tol: float = 1e-10, *,
         "residual_scale": scale,
         "tol": tol,
     }
-    evaluator, with_quotients = _make_evaluator(p, q, f, coeff_derivs, poly,
-                                                c_axis)
+    evaluator, with_quotients = _make_evaluator(coeffs, poly)
     return RadialSolution(eval=evaluator, meta=meta, s_form=poly,
                           eval_quotients=with_quotients)
 
 
-def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
-                   coeff_derivs=None, mesh=None) -> RadialSolution:
+def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     """Solve one regular-axis BVP (see solve_linear_bvp) with both
     discretizations and cross-check them.
 
@@ -557,12 +516,10 @@ def solve_dual_bvp(p, q, f, r_edge: float, right, tol, where, *,
     disagreement above 1e-8 raises ToleranceNotMet; `where` names the
     problem in that message.
     """
-    kw = dict(coeff_derivs=coeff_derivs, mesh=mesh)
-    primary = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
-                               method="primary", **kw)
-    alt = solve_linear_bvp(p, q, f, r_edge, right, tol=tol,
-                           method="alt", **kw)
-    s = np.linspace(0.0, r_edge, 1501) ** 2
+    primary = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh,
+                               method="primary")
+    alt = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh, method="alt")
+    s = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
     a_p = primary.s_form(s)[0]
     a_a = alt.s_form(s)[0]
     diff = float(np.max(np.abs(a_p - a_a)))
@@ -583,16 +540,16 @@ def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _residual_check(p, q, f, lead, poly: PanelPoly, deg):
-    """Sup residual of lead*v'' + p*v' + q*v - f for the solved panels
-    poly, on a grid ~10x finer than the collocation spacing, plus the
-    residual scale max(sup|f|, sup|q*v|).  All panels are evaluated at
-    once through poly.grid."""
+def _residual_check(m, q, f, poly: PanelPoly, deg):
+    """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f for the solved
+    panels poly, on a grid ~10x finer than the collocation spacing, plus
+    the residual scale max(sup|f|, sup|q*v|).  All panels are evaluated
+    at once through poly.grid."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
-    xx, (av, a1, a2) = poly.grid(tt)
-    qv = _coef_on(q, xx)
-    fv = _coef_on(f, xx)
-    res = lead(xx) * a2 + _coef_on(p, xx) * a1 + qv * av - fv
+    ss, (av, a1, a2) = poly.grid(tt)
+    qv = _coef_on(q, ss)
+    fv = _coef_on(f, ss)
+    res = 4.0 * ss * a2 + 2.0 * (1.0 + _coef_on(m, ss)) * a1 + qv * av - fv
     res_sup = float(np.max(np.abs(res)))
     scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
     if scale == 0.0:
@@ -600,29 +557,25 @@ def _residual_check(p, q, f, lead, poly: PanelPoly, deg):
     return res_sup, scale
 
 
-def _make_evaluator(p, q, f, coeff_derivs, poly: PanelPoly, c_axis):
-    """eval and eval_quotients of the panels solved in s = R**2; c_axis is
-    the axis limit of R p(R)."""
+def _make_evaluator(coeffs, poly: PanelPoly):
+    """eval and eval_quotients of the panels solved in s = R**2.  A' comes
+    from the panels; A'' and A''' are read off the equation and its
+    s-derivative:
+
+        A'   = 2 R A_s,
+        A''  = f - 2 m A_s - q A,
+        A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
+
+    none of which divides by R, so the axis is an ordinary point."""
 
     def terms(r):
         """A, A', A'', A''', A_s and A_ss on the float array r."""
-        av, a_s, a_ss = poly(r * r)
-        a1 = 2.0 * r * a_s
-        on_axis = r == 0.0
-        off = np.where(on_axis, 1.0, r)
-        pv = p(off)
-        p_a1 = 2.0 * np.where(on_axis, c_axis, off * pv) * a_s
-        # second/third derivatives through the ODE, never by differencing
-        qv = q(r)
-        a2 = f(r) - p_a1 - qv * av
-        if coeff_derivs is None:
-            a3 = np.full_like(av, np.nan)
-        else:
-            dp, dq, df = coeff_derivs
-            a3 = df(r) - dp(off) * a1 - pv * a2 - dq(r) * av - qv * a1
-            # A''' of a profile even in R vanishes on the axis
-            a3 = np.where(on_axis, 0.0, a3)
-        return av, a1, a2, a3, a_s, a_ss
+        s = r * r
+        av, a_s, a_ss = poly(s)
+        m, q, f, m_s, q_s, f_s = (fn(s) for fn in coeffs)
+        a2 = f - 2.0 * m * a_s - q * av
+        a3 = f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av - q * a_s
+        return av, 2.0 * r * a_s, a2, 2.0 * r * a3, a_s, a_ss
 
     def evaluator(r):
         av, a1, a2, a3, _, _ = terms(np.atleast_1d(np.asarray(r, dtype=float)))

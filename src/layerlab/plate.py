@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -272,11 +273,14 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 class PlateSolution:
     """Everything needed to evaluate the plate solution: geometry/loading
     (cfg), material constants (mat) and the radial potential.  Immutable;
-    field evaluation is reentrant."""
+    field evaluation is reentrant.
+
+    The radial potential is built on first use and kept, so a solution
+    used only for its force never builds it; its residual self-check
+    therefore raises at the first field evaluation, not in solve_plate."""
 
     cfg: LayerConfig
     mat: MaterialParams
-    radial: RadialSolution
 
     @property
     def xi(self) -> float:
@@ -285,6 +289,10 @@ class PlateSolution:
     @property
     def chi(self) -> float:
         return self.mat.chi
+
+    @cached_property
+    def radial(self) -> RadialSolution:
+        return radial_profile(self.xi, self.chi)
 
 
 def solve_plate(xi: float, chi: Optional[float] = None,
@@ -295,7 +303,7 @@ def solve_plate(xi: float, chi: Optional[float] = None,
     chi = resolve_chi(chi=chi, nu=nu)
     cfg = LayerConfig.make("plate", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    return PlateSolution(cfg=cfg, mat=mat, radial=radial_profile(xi, chi))
+    return PlateSolution(cfg=cfg, mat=mat)
 
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:

@@ -29,6 +29,17 @@ which is exactly ``integral of sigma_rr over the layer thickness = 0``.
 The shear resultant vanishes identically (the shear stress is odd in Z),
 so it is checked, never imposed.
 
+The solver takes the equation in ``s = R**2``, where it reads
+``4 s A_ss + 2 (1 + m) A_s + q A = f`` with ``m = R p``; with
+``sigma = s + 2`` its coefficients and their s-derivatives are
+
+    m = (7 s + 2) / sigma,       m_s = 12 / sigma**2,
+    q = -4 chi**2 / (xi sigma**2),   q_s = 8 chi**2 / (xi sigma**3),
+    f = -4 / sigma**3,           f_s = 12 / sigma**4,
+
+all smooth through the axis, so ``A''`` and ``A'''`` are read off the
+equation with no ``1/R``.
+
 Writing ``L = A'' + A'/R`` and ``V = -3 g**2 L - 6 g R A'``, the fields
 are assembled as
 
@@ -79,10 +90,11 @@ integrand F, so both integrands are polynomials of degree <= 11 in s and
 polynomials.
 
 Closed-form anchors used by the tests: for ``chi = 0`` the profile is
-``A = 1/(2 s**2) - xi**2 / (2 (1 + 2 xi)**2)`` with ``s = R**2 + 2``
-(so ``A' = -2 R / s**3`` and ``A(R_e) = 0``), and the extreme-regime
-force factors are ``Psi_i = 1/(4 xi)`` (incompressible plateau) and
-``Psi_c = ln(1/(2 xi)) / chi**2`` (compressible logarithm).
+``A = 1/(2 sigma**2) - xi**2 / (2 (1 + 2 xi)**2)`` with
+``sigma = R**2 + 2`` (so ``A' = -2 R / sigma**3`` and ``A(R_e) = 0``),
+and the extreme-regime force factors are ``Psi_i = 1/(4 xi)``
+(incompressible plateau) and ``Psi_c = ln(1/(2 xi)) / chi**2``
+(compressible logarithm).
 """
 
 from __future__ import annotations
@@ -162,35 +174,35 @@ class PotentialSample:
     phi_zz: object
 
 
-def _ode_coefficients(xi: float, chi: float):
-    """Coefficient callables (p, q, f) and their derivatives for A(R)."""
+def _ode_coefficients(xi: float, chi: float, load: float):
+    """The s-form coefficient callables (m, q, f, m_s, q_s, f_s) of A,
+    functions of s = R**2, with the forcing scaled by ``load``."""
     c2 = chi * chi
 
-    def p(r):
-        return (7.0 * r * r + 2.0) / (r * r * r + 2.0 * r)
+    def m(s):
+        return (7.0 * s + 2.0) / (s + 2.0)
 
-    def q(r):
-        s = r * r + 2.0
-        return -4.0 * c2 / (xi * s * s)
+    def q(s):
+        sg = s + 2.0
+        return -4.0 * c2 / (xi * sg * sg)
 
-    def f(r):
-        s = r * r + 2.0
-        return -4.0 / (s * s * s)
+    def f(s):
+        sg = s + 2.0
+        return -4.0 * load / (sg * sg * sg)
 
-    def dp(r):
-        r2 = r * r
-        s = r2 + 2.0
-        return (-7.0 * r2 * r2 + 8.0 * r2 - 4.0) / (r2 * s * s)
+    def m_s(s):
+        sg = s + 2.0
+        return 12.0 / (sg * sg)
 
-    def dq(r):
-        s = r * r + 2.0
-        return 16.0 * c2 * r / (xi * s * s * s)
+    def q_s(s):
+        sg = s + 2.0
+        return 8.0 * c2 / (xi * sg * sg * sg)
 
-    def df(r):
-        s = r * r + 2.0
-        return 24.0 * r / (s * s * s * s)
+    def f_s(s):
+        sg = s + 2.0
+        return 12.0 * load / (sg * sg * sg * sg)
 
-    return p, q, f, dp, dq, df
+    return m, q, f, m_s, q_s, f_s
 
 
 def _edge_closure(xi: float, chi: float):
@@ -233,12 +245,9 @@ def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
     both independent discretizations and cross-check them (``where`` names
     the problem if they disagree); returns the primary solution, with the
     sup-norm relative disagreement in meta["dual_sup_rel"]."""
-    p, q, f, dp, dq, df = _ode_coefficients(xi, chi)
-    edges = _sphere_edges(xi, 96 if mesh is None else int(mesh))
-    return solve_dual_bvp(p, q, lambda r: load * f(r), 1.0 / math.sqrt(xi),
+    return solve_dual_bvp(_ode_coefficients(xi, chi, load),
                           _edge_closure(xi, chi), tol, where,
-                          coeff_derivs=(dp, dq, lambda r: load * df(r)),
-                          mesh=edges)
+                          mesh=_sphere_edges(xi, 96 if mesh is None else int(mesh)))
 
 
 @lru_cache(maxsize=64)

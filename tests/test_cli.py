@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from layerlab import plate
 from layerlab.cli import main
 from layerlab.plate import field as plate_field_eval
 from layerlab.plate import force, solve_plate
@@ -42,6 +43,24 @@ def test_plate_force_human(capsys):
                      "--mu", "2.5", "--a", "3", "--U", "0.5", "--json")
     want = force(solve_plate(1e-2, chi=0.7, mu=2.5, a=3.0, U=0.5))
     assert rc == 0 and json.loads(out)["force"] == want
+
+
+def test_plate_profile_built_only_for_fields(capsys, monkeypatch):
+    # plate-force needs the force alone, so a sweep builds no radial
+    # profile; field builds it once per solution and keeps it
+    calls = []
+    build = plate.radial_profile
+    monkeypatch.setattr(plate, "radial_profile",
+                        lambda *args: calls.append(args) or build(*args))
+    rc, out, _ = run(capsys, "plate-force", "--sweep-xi", "1e-4", "1e-1",
+                     "20", "--chi", "0.7", "--csv")
+    assert rc == 0 and len(out.splitlines()) == 21
+    assert calls == []
+    sol = solve_plate(1e-2, chi=0.7)
+    assert calls == []
+    plate_field_eval(sol, 0.5, 0.0)
+    plate_field_eval(sol, np.linspace(0.0, 1.0, 5), 0.3)
+    assert calls == [(1e-2, 0.7)]
 
 
 def test_plate_modulus_values(capsys):
@@ -108,6 +127,16 @@ def test_sphere_force_unreachable_tolerance_exits_3(capsys):
                        "1e-3", "--tol", "1e-16", "--json")
     assert rc == 3 and out == ""
     assert err.startswith("numerical failure: tolerance not met")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_sphere_force_invalid_tolerance_exits_2(capsys, tol):
+    # a tolerance no residual can meet is a usage error, raised before
+    # any solve, not a numerical failure (exit 3)
+    rc, out, err = run(capsys, "sphere-force", "--xi", "1e-3", "--chi",
+                       "1e-3", "--tol", tol, "--json")
+    assert rc == 2 and out == ""
+    assert "tol must be positive and finite" in err
 
 
 def test_sphere_force_incompressible_psi_c_is_null(capsys):

@@ -130,16 +130,26 @@ def test_find_root_requires_sign_change():
 
 def _const(c):
     """Vectorized constant coefficient for the BVP solver."""
-    return lambda r: np.full_like(np.asarray(r, dtype=float), c)
+    return lambda s: np.full_like(np.asarray(s, dtype=float), c)
+
+
+def _bessel(q=-1.0, f=-1.0):
+    """s-form coefficients of A'' + A'/R + q A = f with constant q and f:
+    m = R p = 1 and every s-derivative 0."""
+    return (_const(1.0), _const(q), _const(f),
+            _const(0.0), _const(0.0), _const(0.0))
+
+
+_MESH = np.linspace(0.0, 5.0, 25)
+_ZERO_RIM = (1.0, 0.0, 0.0, 0.0)
 
 
 def test_bvp_degenerate_constant_solution():
     # A'' + A'/R - A = -1, regular at 0, A(5) = 1 has the constant
     # solution A = 1 (the particular solution already meets the right
     # boundary value, so the homogeneous amplitude vanishes)
-    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 1.0),
-                           tol=1e-10)
+    sol = solve_linear_bvp(_bessel(), (1.0, 0.0, 0.0, 1.0), tol=1e-10,
+                           mesh=_MESH)
     rr = np.linspace(1e-6, 5.0, 101)
     a, da, *_ = sol.eval(rr)
     assert float(np.max(np.abs(a - 1.0))) < 1e-10
@@ -150,9 +160,7 @@ def test_bvp_modified_bessel_solution():
     # A'' + A'/R - A = -1, regular at 0, A(5) = 0 has
     # A(R) = 1 - I0(R)/I0(5); checked against mpmath at interior points
     mpmath.mp.dps = 30
-    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
-                           tol=1e-11)
+    sol = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
     i05 = mpmath.besseli(0, 5)
     for r in [1e-6, 0.5, 1.0, 2.5, 4.0, 5.0]:
         want = float(1.0 - mpmath.besseli(0, r) / i05)
@@ -164,38 +172,28 @@ def test_bvp_modified_bessel_solution():
 
 def test_bvp_regular_axis_values():
     # the regular solution is solved in s = R^2, so the axis is an
-    # ordinary point of the representation: A'(0) = 0 exactly and A''(0)
-    # is finite, here -I0''(0)/I0(5) = -1/(2 I0(5)) for A = 1 - I0(R)/I0(5)
+    # ordinary point of the representation: A'(0) = A'''(0) = 0 exactly
+    # and A''(0) is finite, here -I0''(0)/I0(5) = -1/(2 I0(5)) for
+    # A = 1 - I0(R)/I0(5)
     mpmath.mp.dps = 30
-    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
-                           tol=1e-11)
+    sol = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
     i05 = mpmath.besseli(0, 5)
-    a, da, d2a, _ = sol.eval(0.0)
+    a, da, d2a, d3a = sol.eval(0.0)
     assert abs(a - float(1 - 1 / i05)) < 1e-10
-    assert da == 0.0
+    assert da == 0.0 and d3a == 0.0
     assert abs(d2a - float(-1 / (2 * i05))) < 1e-10
-
-
-def test_bvp_regular_axis_rejects_odd_r_times_p():
-    # R p = R + 1 is not even in R, so the operator is not smooth in
-    # s = R^2 and the solver refuses it
-    with pytest.raises(ValueError, match="even"):
-        solve_linear_bvp(lambda r: 1.0 / r + 1.0, _const(-1.0),
-                         _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0))
 
 
 def test_bvp_plain_float_coefficients():
     # coefficients that return a constant instead of an array of the
     # argument's shape give the same solution as the vectorized ones
-    args = (5.0, (1.0, 0.0, 0.0, 0.0))
-    ref = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
-                           *args, tol=1e-11)
-    sol = solve_linear_bvp(lambda r: 1.0 / r, lambda r: -1.0,
-                           lambda r: -1.0, *args, tol=1e-11)
+    ref = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
+    plain = (lambda s: 1.0, lambda s: -1.0, lambda s: -1.0,
+             lambda s: 0.0, lambda s: 0.0, lambda s: 0.0)
+    sol = solve_linear_bvp(plain, _ZERO_RIM, tol=1e-11, mesh=_MESH)
     assert sol.meta["panels"] == ref.meta["panels"]
-    rr = np.linspace(1e-6, 5.0, 101)
-    for got, want in zip(sol.eval(rr)[:3], ref.eval(rr)[:3]):
+    rr = np.linspace(0.0, 5.0, 101)
+    for got, want in zip(sol.eval(rr), ref.eval(rr)):
         assert float(np.max(np.abs(got - want))) <= 1e-15
 
 
@@ -203,8 +201,8 @@ def test_bvp_robin_right_condition():
     # A'' + A'/R = 4 on [0, 2], regular at 0, A + A' = 0 at 2 -> the
     # regular solutions are R^2 + b, and A(2) + A'(2) = 8 + b = 0 gives
     # A = R^2 - 8
-    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(0.0), _const(4.0),
-                           2.0, (1.0, 1.0, 0.0, 0.0), tol=1e-10)
+    sol = solve_linear_bvp(_bessel(q=0.0, f=4.0), (1.0, 1.0, 0.0, 0.0),
+                           tol=1e-10, mesh=np.linspace(0.0, 2.0, 25))
     rr = np.linspace(0.0, 2.0, 17)
     a, da, *_ = sol.eval(rr)
     assert float(np.max(np.abs(a - (rr**2 - 8.0)))) < 1e-10
@@ -212,25 +210,30 @@ def test_bvp_robin_right_condition():
 
 
 def test_bvp_derivatives_from_ode():
-    # second derivative comes from the ODE itself, so it satisfies it
-    # exactly wherever A and A' do
-    sol = solve_linear_bvp(lambda r: 1.0 / r, _const(-1.0),
-                           _const(-1.0), 5.0, (1.0, 0.0, 0.0, 0.0),
-                           tol=1e-11, coeff_derivs=(lambda r: -1.0 / r**2,
-                                         _const(0.0), _const(0.0)))
+    # A'' and A''' are read off the equation and its derivative: A'' meets
+    # the R-form equation wherever A and A' do, and A''' matches
+    # -I0'''(R)/I0(5) from mpmath, on the axis too
+    mpmath.mp.dps = 30
+    sol = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
     rr = np.linspace(0.5, 4.5, 41)
-    a, da, d2a, d3a = sol.eval(rr)
+    a, da, d2a, _ = sol.eval(rr)
     res = d2a + da / rr - a + 1.0
     assert float(np.max(np.abs(res))) < 1e-12
-    assert np.all(np.isfinite(d3a))
+    i05 = mpmath.besseli(0, 5)
+    radii = [0.0, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.5, 4.0, 5.0]
+    want = np.array([float(-mpmath.diff(lambda x: mpmath.besseli(0, x), r, 3)
+                           / i05) for r in radii])
+    got = sol.eval(np.array(radii))[3]
+    sup = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) < 1e-12 * sup
 
 
 def test_bvp_dual_method_agreement():
     # the alternate integrator is an independent oracle for the primary
-    args = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
-            5.0, (1.0, 0.0, 0.0, 0.0))
-    s1 = solve_linear_bvp(*args, tol=1e-11, method="primary")
-    s2 = solve_linear_bvp(*args, tol=1e-11, method="alt")
+    s1 = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH,
+                          method="primary")
+    s2 = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH,
+                          method="alt")
     rr = np.linspace(1e-6, 5.0, 201)
     a1 = s1.eval(rr)[0]
     a2 = s2.eval(rr)[0]
@@ -239,11 +242,12 @@ def test_bvp_dual_method_agreement():
 
 
 def test_solve_dual_bvp_returns_cross_checked_primary():
-    args = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0),
-            5.0, (1.0, 0.0, 0.0, 0.0))
-    sol = solve_dual_bvp(*args, 1e-11, "on the test problem")
-    ref = solve_linear_bvp(*args, tol=1e-11, method="primary")
-    alt = solve_linear_bvp(*args, tol=1e-11, method="alt")
+    sol = solve_dual_bvp(_bessel(), _ZERO_RIM, 1e-11, "on the test problem",
+                         mesh=_MESH)
+    ref = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH,
+                           method="primary")
+    alt = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH,
+                           method="alt")
     assert sol.meta["method"] == "primary"
     rr = np.linspace(0.0, 5.0, 1501)
     a_ref = ref.eval(rr)[0]
@@ -253,38 +257,44 @@ def test_solve_dual_bvp_returns_cross_checked_primary():
     assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
 
 
-_BESSEL = (lambda r: 1.0 / r, _const(-1.0), _const(-1.0))
-
-
 def test_solve_dual_bvp_zero_solution():
     # f = 0 with a homogeneous rim row: both discretizations give A = 0
     # exactly, so the relative disagreement is 0 rather than 0/0
-    sol = solve_dual_bvp(lambda r: 1.0 / r, _const(-1.0), _const(0.0), 5.0,
-                         (1.0, 0.0, 0.0, 0.0), 1e-10, "on the zero problem")
+    sol = solve_dual_bvp(_bessel(f=0.0), _ZERO_RIM, 1e-10,
+                         "on the zero problem", mesh=_MESH)
     assert np.all(sol.eval(np.linspace(0.0, 5.0, 101))[0] == 0.0)
     assert sol.meta["dual_sup_rel"] == 0.0
 
 
-def test_bvp_rejects_mesh_not_spanning_the_interval():
-    for mesh in (np.linspace(0.1, 5.0, 9), np.linspace(0.0, 4.0, 9)):
-        with pytest.raises(ValueError, match="span"):
-            solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), mesh=mesh)
-
-
 def test_bvp_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
-        solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), method="beta")
+        solve_linear_bvp(_bessel(), _ZERO_RIM, mesh=_MESH, method="beta")
 
 
-@pytest.mark.parametrize("r_edge", [0.0, -1.0, math.nan])
-def test_bvp_rejects_empty_interval(r_edge):
-    with pytest.raises(ValueError, match="empty"):
-        solve_linear_bvp(*_BESSEL, r_edge, (1.0, 0.0, 0.0, 0.0))
+@pytest.mark.parametrize("mesh", [
+    pytest.param([0.0, 0.0], id="0.0"),
+    pytest.param([0.0, -1.0], id="-1.0"),
+    pytest.param([0.0, math.nan], id="nan"),
+    pytest.param([5.0], id="one-edge"),
+    pytest.param(np.linspace(0.1, 5.0, 9), id="off-axis"),
+])
+def test_bvp_rejects_empty_interval(mesh):
+    # a mesh runs from the axis R = 0 out to a positive rim
+    with pytest.raises(ValueError, match="from 0 to a positive rim"):
+        solve_linear_bvp(_bessel(), _ZERO_RIM, mesh=mesh)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bvp_rejects_invalid_tolerance(tol):
+    # a tolerance that no residual can meet (or every residual meets) is
+    # a caller error, raised before any solve
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_linear_bvp(_bessel(), _ZERO_RIM, tol=tol, mesh=_MESH)
 
 
 def test_bvp_rejects_vanishing_rim_functional():
     with pytest.raises(SingularSystem, match="vanishes"):
-        solve_linear_bvp(*_BESSEL, 5.0, (0.0, 0.0, 0.0, 0.0))
+        solve_linear_bvp(_bessel(), (0.0, 0.0, 0.0, 0.0), mesh=_MESH)
 
 
 def test_tolerance_not_met_carries_diagnostics():
@@ -296,21 +306,20 @@ def test_bvp_unreachable_tolerance_raises_with_residual():
     # 1e-17 is below the residual's rounding floor: every refinement pass
     # fails and the last residual comes back with its scale (sup|f| = 1)
     with pytest.raises(ToleranceNotMet, match="tolerance not met") as exc:
-        solve_linear_bvp(*_BESSEL, 5.0, (1.0, 0.0, 0.0, 0.0), tol=1e-17)
+        solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-17, mesh=_MESH)
     assert exc.value.scale == 1.0
     assert 1e-17 < exc.value.residual < 1e-11
 
 
 def test_dual_bvp_raises_when_discretizations_disagree():
     # q = -2500 puts a layer of width 1/50 at the rim: each
-    # discretization meets the loose tol 1e-2 on the default mesh, but
+    # discretization meets the loose tol 1e-2 on 24 uniform panels, but
     # they differ there by ~6e-5 of sup|A|
-    p, _, f = _BESSEL
     with pytest.raises(ToleranceNotMet,
                        match="independent discretizations disagree on the "
                              "test problem") as exc:
-        solve_dual_bvp(p, _const(-2500.0), f, 5.0, (1.0, 0.0, 0.0, 0.0),
-                       1e-2, "on the test problem")
+        solve_dual_bvp(_bessel(q=-2500.0), _ZERO_RIM, 1e-2,
+                       "on the test problem", mesh=_MESH)
     assert exc.value.best > 1e-8
 
 
@@ -322,8 +331,8 @@ def test_bvp_singular_system_raises():
                        match=r"singular system in BVP collocation solve "
                              r"\(singular matrix\): method 'primary', "
                              r"degree 10, 24 panels") as exc:
-        solve_linear_bvp(_BESSEL[0], _const(0.0), _const(0.0), 5.0,
-                         (0.0, 1.0, 0.0, 0.0))
+        solve_linear_bvp(_bessel(q=0.0, f=0.0), (0.0, 1.0, 0.0, 0.0),
+                         mesh=_MESH)
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -331,11 +340,12 @@ def test_bvp_singular_system_raises():
 # Batched collocation kernel against its per-panel loop form
 # ---------------------------------------------------------------------------
 
-def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
-    """Per-panel assembly and band solve, emitting the rows one by one in
-    the kernel's order (left row; each panel's collocation rows, then its
-    continuity pair with the next panel; right row) and writing each
-    entry on its own into band storage."""
+def _loop_solve(m, q, f, edges, deg, kind, left_row, right_row):
+    """Per-panel assembly of 4 s v'' + 2 (1 + m) v' + q v = f and band
+    solve, emitting the rows one by one in the kernel's order (left row;
+    each panel's collocation rows, then its continuity pair with the next
+    panel; right row) and writing each entry on its own into band
+    storage."""
     tpts, v0, v1, v2, (el, er, dl, dr) = _design_matrices(deg, kind)
     npan, nc = len(edges) - 1, deg + 1
     n, bw = npan * nc, nc
@@ -358,13 +368,15 @@ def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
     boundary(left_row, el, dl, halves[0], 0)
     for i in range(npan):
         h = halves[i]
-        rr = mids[i] + h * tpts
-        block = v2 / (h * h) + p(rr)[:, None] * v1 / h + q(rr)[:, None] * v0
+        ss = mids[i] + h * tpts
+        block = (4.0 * ss[:, None] * v2 / (h * h)
+                 + 2.0 * (1.0 + m(ss))[:, None] * v1 / h
+                 + q(ss)[:, None] * v0)
         scale = np.max(np.abs(block), axis=1)
         scale[scale == 0.0] = 1.0
         block /= scale[:, None]
         for k in range(len(tpts)):
-            add(range(i * nc, (i + 1) * nc), block[k], f(rr)[k] / scale[k])
+            add(range(i * nc, (i + 1) * nc), block[k], f(ss)[k] / scale[k])
         if i < npan - 1:
             span = range(i * nc, (i + 2) * nc)
             add(span, list(er) + list(-el), 0.0)
@@ -375,21 +387,21 @@ def _loop_solve(p, q, f, edges, deg, kind, left_row, right_row):
                         check_finite=False).reshape(npan, nc)
 
 
-def _loop_residual(p, q, f, edges, coefs, deg):
+def _loop_residual(m, q, f, edges, coefs, deg):
     """Per-panel residual sup and scale, each panel through its own
     one-panel PanelPoly."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     res_sup = scale = 0.0
     for i in range(len(edges) - 1):
-        rr, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(tt)
-        res = a2 + p(rr) * a1 + q(rr) * av - f(rr)
+        ss, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(tt)
+        res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
         res_sup = max(res_sup, float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(f(rr)))),
-                    float(np.max(np.abs(q(rr) * av))))
+        scale = max(scale, float(np.max(np.abs(f(ss)))),
+                    float(np.max(np.abs(q(ss) * av))))
     return res_sup, scale
 
 
-def _clenshaw_residual(p, q, f, edges, coefs, deg):
+def _clenshaw_residual(m, q, f, edges, coefs, deg):
     """Per-panel residual sup and scale, one Clenshaw call per panel: an
     evaluation independent of PanelPoly's Vandermonde rule."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
@@ -399,35 +411,36 @@ def _clenshaw_residual(p, q, f, edges, coefs, deg):
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
         h = 0.5 * (b - a)
-        rr = 0.5 * (a + b) + h * tt
+        ss = 0.5 * (a + b) + h * tt
         av = chebval(tt, coefs[i])
         a1 = chebval(tt, dco[:, i]) / h
         a2 = chebval(tt, d2co[:, i]) / (h * h)
-        res = a2 + p(rr) * a1 + q(rr) * av - f(rr)
+        res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
         res_sup = max(res_sup, float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(f(rr)))),
-                    float(np.max(np.abs(q(rr) * av))))
+        scale = max(scale, float(np.max(np.abs(f(ss)))),
+                    float(np.max(np.abs(q(ss) * av))))
     return res_sup, scale
 
 
 @pytest.mark.parametrize("method", [(6, "gauss"), (5, "chebyshev")])
 @pytest.mark.parametrize("problem", ["bessel", "one-panel", "sphere"])
 def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
+    # each form gets the squared R edges of a radial mesh, as the solver
+    # passes them
     deg, kind = method
     if problem in ("bessel", "one-panel"):
-        p, q, f = lambda r: 1.0 / r, _const(-1.0), _const(-1.0)
+        m, q, f = _bessel()[:3]
         # one panel: no continuity rows between the two boundary rows
-        edges = np.linspace(1e-6, 5.0, 13 if problem == "bessel" else 2)
+        edges = np.linspace(0.0, 5.0, 13 if problem == "bessel" else 2) ** 2
     else:
-        p, q, f = _ode_coefficients(1e-2, 1.0)[:3]
-        edges = _sphere_edges(1e-2, 24)
+        m, q, f = _ode_coefficients(1e-2, 1.0, 1.0)[:3]
+        edges = _sphere_edges(1e-2, 24) ** 2
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
-    want = _loop_solve(p, q, f, edges, deg, kind, *rows)
-    got = _assemble_and_solve(p, q, f, edges, deg, kind, *rows)
+    want = _loop_solve(m, q, f, edges, deg, kind, *rows)
+    got = _assemble_and_solve(m, q, f, edges, deg, kind, *rows)
     assert np.array_equal(got, want)
-    res_sup, scale = _residual_check(p, q, f, _const(1.0),
-                                     PanelPoly(edges, got), deg)
-    assert (res_sup, scale) == _loop_residual(p, q, f, edges, want, deg)
-    ref_sup, ref_scale = _clenshaw_residual(p, q, f, edges, want, deg)
+    res_sup, scale = _residual_check(m, q, f, PanelPoly(edges, got), deg)
+    assert (res_sup, scale) == _loop_residual(m, q, f, edges, want, deg)
+    ref_sup, ref_scale = _clenshaw_residual(m, q, f, edges, want, deg)
     assert abs(res_sup - ref_sup) <= 1e-15 * ref_scale
     assert abs(scale - ref_scale) <= 1e-15 * ref_scale

@@ -213,6 +213,8 @@ def test_theta_zero_approach_is_identically_zero():
 def test_theta_validation():
     with pytest.raises(ValueError):
         solve_theta(0.2)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_theta(1e-3, tol=math.nan)
 
 
 # ---------------------------------------------------------------------------
