@@ -72,14 +72,21 @@ class NumericsError(RuntimeError):
 class ToleranceNotMet(NumericsError):
     """A solver converged to something, but not to the requested tolerance.
 
-    Attributes: best (the best available result), residual, scale.
+    Attributes: best (the best available result), residual, scale; for
+    the BVP solver also floor (the lowest residual/scale its refinement
+    reached), intervals (the (lo, hi) R-intervals of the panels still
+    over tolerance there) and passes (the refinement passes it took).
     """
 
-    def __init__(self, msg, best=None, residual=None, scale=None):
+    def __init__(self, msg, best=None, residual=None, scale=None,
+                 floor=None, intervals=(), passes=None):
         super().__init__(msg)
         self.best = best
         self.residual = residual
         self.scale = scale
+        self.floor = floor
+        self.intervals = intervals
+        self.passes = passes
 
 
 class SingularSystem(NumericsError):
@@ -226,7 +233,8 @@ def find_root(g: Callable[[float], float], bracket: tuple[float, float],
 # Linear radial BVP, regular on the axis, by piecewise-Chebyshev collocation
 # ---------------------------------------------------------------------------
 
-# midpoint refinements of the R panels before ToleranceNotMet
+# refinement passes (each splits the R panels over tolerance at their
+# midpoints) before ToleranceNotMet
 _MAX_REFINE = 3
 
 
@@ -288,7 +296,8 @@ class RadialSolution:
     eval(R) -> (A, A', A'', A''') for scalar or array R.  A and A' come
     from the stored piecewise-polynomial representation; A'' and A''' are
     read off the ODE and its derivative (never from numerical
-    differencing).  meta records method, mesh and the measured residual.
+    differencing).  meta records method, mesh, refinement passes and the
+    measured residual.
 
     Set by solve_linear_bvp (None on a profile given in closed form):
 
@@ -437,9 +446,14 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
     The solution is accepted when the residual of the equation, sampled
     about ten times finer than the collocation spacing, satisfies
     sup|res| <= tol * max(sup|f|, sup|q*A|), with 0 < tol < inf (else
-    ValueError); otherwise the R panels are midpoint-refined up to
-    _MAX_REFINE times before ToleranceNotMet.  meta["edges"] holds the R
-    breakpoints above the axis (the axis is implied).
+    ValueError).  Otherwise each refinement pass halves, at its R
+    midpoint, only the panels whose own sampled sup residual is over
+    tol * scale, and solves again.  Refinement stops with
+    ToleranceNotMet after _MAX_REFINE passes, or as soon as a pass does
+    not lower the sup residual (its rounding floor); the error names that
+    floor and the R-intervals of the panels still over tolerance.
+    meta["passes"] counts the passes taken, and meta["edges"] holds the
+    R breakpoints above the axis (the axis is implied).
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -455,7 +469,7 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
         # lower order, different node family, doubled mesh: an independent
         # discretization of the same BVP for oracle comparisons
         deg, kind = 8, "chebyshev"
-        edges = _refine_midpoints(edges)
+        edges = _split_panels(edges)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -469,7 +483,9 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
     if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
-    for attempt in range(_MAX_REFINE + 1):
+    passes = 0
+    best = None
+    while True:
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
         try:
@@ -480,22 +496,23 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
                 f"singular system in BVP collocation solve ({err}): method "
                 f"{method!r}, degree {deg}, {len(edges) - 1} panels") from err
         poly = PanelPoly(s_edges, coefs)
-        res_sup, scale = _residual_check(m, q, f, poly, deg)
-        if res_sup <= tol * scale:
+        res_sup, scale, panel_sups = _residual_check(m, q, f, poly, deg)
+        over = panel_sups > tol * scale
+        if not over.any():
             break
-        if attempt < _MAX_REFINE:
-            edges = _refine_midpoints(edges)
-    else:
-        raise ToleranceNotMet(
-            f"tolerance not met: residual {res_sup:.3e} vs "
-            f"{tol:.1e} * scale {scale:.3e}",
-            residual=res_sup, scale=scale,
-        )
+        stalled = best is not None and res_sup >= best[0]
+        if not stalled:
+            best = (res_sup, scale, edges, over)
+        if stalled or passes == _MAX_REFINE:
+            raise _tolerance_not_met(tol, passes, stalled, *best)
+        edges = _split_panels(edges, over)
+        passes += 1
 
     meta = {
         "method": method,
         "degree": deg,
         "panels": len(s_edges) - 1,
+        "passes": passes,
         "edges": edges[1:].copy(),
         "residual_sup": res_sup,
         "residual_scale": scale,
@@ -510,11 +527,13 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     """Solve one regular-axis BVP (see solve_linear_bvp) with both
     discretizations and cross-check them.
 
-    Returns the primary solution, with meta["dual_sup_rel"] set to the
-    sup-norm disagreement of A between the two on 1501 even points,
-    relative to sup|A| (0 when both are identically zero).  A
-    disagreement above 1e-8 raises ToleranceNotMet; `where` names the
-    problem in that message.
+    Each discretization refines on its own residual.  Returns the
+    primary solution, with meta["dual_sup_rel"] set to the sup-norm
+    disagreement of A between the two on 1501 even points, relative to
+    sup|A| (0 when both are identically zero), and meta["alt_panels"],
+    meta["alt_passes"] those of the alt solve.  A disagreement above
+    meta["dual_gate"] = min(1e-8, 100 tol) raises ToleranceNotMet;
+    `where` names the problem in that message.
     """
     primary = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh,
                                method="primary")
@@ -525,36 +544,66 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     diff = float(np.max(np.abs(a_p - a_a)))
     scale = float(np.max(np.abs(a_p)))
     dual_rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)
-    if dual_rel > 1e-8:
+    # as tight as the tolerance allows, never looser than 1e-8
+    gate = min(1e-8, 100.0 * tol)
+    if dual_rel > gate:
         raise ToleranceNotMet(
             f"independent discretizations disagree {where}: sup rel "
-            f"{dual_rel:.3e} > 1e-08",
+            f"{dual_rel:.3e} > {gate:.0e}",
             best=dual_rel, residual=diff, scale=scale)
-    primary.meta["dual_sup_rel"] = dual_rel
+    primary.meta.update(dual_sup_rel=dual_rel, dual_gate=gate,
+                        alt_panels=alt.meta["panels"],
+                        alt_passes=alt.meta["passes"])
     return primary
 
 
-def _refine_midpoints(edges: np.ndarray) -> np.ndarray:
-    """Halve every panel (doubling the mesh), preserving the grading."""
+def _split_panels(edges: np.ndarray, over=None) -> np.ndarray:
+    """Halve the panels marked by the boolean mask over at their
+    midpoints (every panel when over is None: the mesh doubled, with its
+    grading)."""
     mids = 0.5 * (edges[:-1] + edges[1:])
+    if over is not None:
+        mids = mids[over]
     return np.sort(np.concatenate([edges, mids]))
+
+
+def _tolerance_not_met(tol, passes, stalled, res_sup, scale, edges, over):
+    """ToleranceNotMet for the best pass of a refinement (residual res_sup
+    of scale on the R panels edges, over marking the panels over
+    tolerance), naming the floor reached and where the excess sits."""
+    floor = res_sup / scale
+    # runs of adjacent panels over tolerance, as R-intervals
+    idx = np.flatnonzero(over)
+    gaps = np.diff(idx) > 1
+    intervals = [(float(edges[lo]), float(edges[hi + 1])) for lo, hi in
+                 zip(idx[np.r_[True, gaps]], idx[np.r_[gaps, True]])]
+    why = "the residual stopped falling" if stalled else "the pass limit"
+    where = ", ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in intervals)
+    return ToleranceNotMet(
+        f"tolerance not met: residual {res_sup:.3e} vs {tol:.1e} * scale "
+        f"{scale:.3e}; refinement stopped after {passes} passes "
+        f"({why}) at a floor of {floor:.1e} of scale, with panels over "
+        f"tolerance at R in {where}",
+        residual=res_sup, scale=scale, floor=floor, intervals=intervals,
+        passes=passes)
 
 
 def _residual_check(m, q, f, poly: PanelPoly, deg):
     """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f for the solved
-    panels poly, on a grid ~10x finer than the collocation spacing, plus
-    the residual scale max(sup|f|, sup|q*v|).  All panels are evaluated
-    at once through poly.grid."""
+    panels poly, on a grid ~10x finer than the collocation spacing, the
+    residual scale max(sup|f|, sup|q*v|), and the sup residual of every
+    panel on the same grid.  All panels are evaluated at once through
+    poly.grid."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     ss, (av, a1, a2) = poly.grid(tt)
     qv = _coef_on(q, ss)
     fv = _coef_on(f, ss)
     res = 4.0 * ss * a2 + 2.0 * (1.0 + _coef_on(m, ss)) * a1 + qv * av - fv
-    res_sup = float(np.max(np.abs(res)))
+    panel_sups = np.max(np.abs(res), axis=1)
     scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
     if scale == 0.0:
         scale = 1.0
-    return res_sup, scale
+    return float(np.max(panel_sups)), scale, panel_sups
 
 
 def _make_evaluator(coeffs, poly: PanelPoly):

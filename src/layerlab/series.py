@@ -200,7 +200,7 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     Same radial operator family as the sphere profile at chi**2 = 3 xi
     (where beta = i/sqrt(2)), with the forcing carrying a factor 6 U;
     regular on the axis, zero normal-stress resultant at the rim.  Both
-    kernel discretizations are run and must agree to 1e-8.
+    kernel discretizations are run and must agree to min(1e-8, 100 tol).
     """
     xi = float(xi)
     if not (0.0 < xi <= XI_MAX_SPHERE):

@@ -216,27 +216,51 @@ def _edge_closure(xi: float, chi: float):
     return alpha, beta, gamma, 0.0
 
 
-def _sphere_edges(xi: float, n_main: int) -> np.ndarray:
+# the width ratio of neighbouring panels on the default tail: the
+# largest with which the rim at xi = 1e-8 still takes 96 tail panels
+_TAIL_RATIO = 1.093
+
+
+def _sphere_edges(xi: float, n_main: Optional[int] = None) -> np.ndarray:
     """R panel edges tuned to the sphere profile, from the axis: one axis
     panel out to R = 0.0625, a uniform section through the O(1) feature
-    region, then log-uniform panels along the algebraic R**-6 tail out to
-    the rim.  The solver squares them into s = R**2.
+    region out to R = 4, then panels growing toward the rim
+    R_e = 1/sqrt(xi) along the algebraic R**-6 tail.  The solver squares
+    them into s = R**2.
+
+    By default (n_main None) the uniform section has spacing h = 0.18
+    and the tail continues it with one grading ratio: its n panels have
+    widths proportional to h * _TAIL_RATIO**k, k = 1..n, the fewest that
+    reach R_e, scaled down to end on it.  So n grows with ln(R_e), and
+    no neighbouring panels, the first tail panel included, differ by
+    more than _TAIL_RATIO: the tail takes 16 panels at xi = 1e-2 and 96
+    at xi = 1e-8.  An integer n_main puts n_main log-spaced panels on
+    the tail (at least 8) and spacing 0.18 * 96/n_main on the uniform
+    section.
 
     The mesh depends on xi alone.  q < 0 on the whole interval, so a
     homogeneous solution has at most one zero and nothing oscillates,
     whatever chi is.  The profile follows the local balance A ~ f/q, and
     its rim layer, about 1/(2 chi sqrt(xi)) wide in R, is resolved by the
-    log-spaced tail (by the uniform section when the rim is at R <= 4)."""
+    graded tail (by the uniform section when the rim is at R <= 4)."""
     re = 1.0 / math.sqrt(xi)
     start = 0.0625
-    h_inner = 0.18 / max(n_main / 96.0, 1e-2)
+    h_inner = 0.18 if n_main is None else 0.18 / max(n_main / 96.0, 1e-2)
     r_mid = min(4.0, re)
     n_inner = max(int(math.ceil((r_mid - start) / h_inner)), 8)
     inner = np.linspace(start, r_mid, n_inner + 1)
     if r_mid >= re:
         return np.concatenate([[0.0], inner])
-    tail = np.geomspace(r_mid, re, max(int(n_main), 8) + 1)
-    return np.concatenate([[0.0], inner[:-1], tail])
+    if n_main is None:
+        rho = _TAIL_RATIO
+        n_tail = math.ceil(math.log1p((re - r_mid) * (rho - 1.0)
+                                      / (h_inner * rho)) / math.log(rho))
+        reach = np.cumsum(rho ** np.arange(1.0, n_tail + 1.0))
+        tail = r_mid + (re - r_mid) * reach / reach[-1]
+        tail[-1] = re
+    else:
+        tail = np.geomspace(r_mid, re, max(int(n_main), 8) + 1)[1:]
+    return np.concatenate([[0.0], inner, tail])
 
 
 def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
@@ -244,10 +268,11 @@ def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
     """Solve the radial profile with its forcing scaled by ``load`` under
     both independent discretizations and cross-check them (``where`` names
     the problem if they disagree); returns the primary solution, with the
-    sup-norm relative disagreement in meta["dual_sup_rel"]."""
+    sup-norm relative disagreement in meta["dual_sup_rel"].  ``mesh`` is
+    _sphere_edges' n_main (None: the default graded tail)."""
     return solve_dual_bvp(_ode_coefficients(xi, chi, load),
                           _edge_closure(xi, chi), tol, where,
-                          mesh=_sphere_edges(xi, 96 if mesh is None else int(mesh)))
+                          mesh=_sphere_edges(xi, mesh))
 
 
 @lru_cache(maxsize=64)
@@ -290,10 +315,14 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
 
     Requires ``0 < xi <= 0.1`` (the parabolic-gap approximation) and
     ``0 <= chi <= 3/2``.  Every solve runs two independent
-    discretizations and requires them to agree to 1e-8 in sup norm;
-    repeated calls with identical parameters reuse a cached profile.
-    ``mesh`` overrides the panel count of the radial solver (used by the
-    mesh-convergence tests).
+    discretizations and requires them to agree in sup norm to
+    ``min(1e-8, 100 tol)``; repeated calls with identical parameters
+    reuse a cached profile.  By default the radial mesh grades its tail
+    toward the rim by one ratio (19-119 panels); an integer ``mesh``
+    puts ``mesh`` log-spaced panels on the tail from R = 4 and spacing
+    ``0.18 * 96/mesh`` inside it (see _sphere_edges; used by the
+    mesh-convergence tests).  Either start is refined only where the
+    residual asks for it.
     """
     chi = resolve_chi(chi, nu)
     xi = float(xi)

@@ -9,11 +9,15 @@ honest outcome.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import layerlab
 from layerlab import plate
 from layerlab.cli import main
 from layerlab.plate import field as plate_field_eval
@@ -127,6 +131,18 @@ def test_sphere_force_unreachable_tolerance_exits_3(capsys):
                        "1e-3", "--tol", "1e-16", "--json")
     assert rc == 3 and out == ""
     assert err.startswith("numerical failure: tolerance not met")
+
+
+def test_sphere_force_residual_floor_exits_3(capsys):
+    # below the residual's rounding floor the solver stops refining and
+    # the message names the floor and the R-intervals over tolerance
+    rc, out, err = run(capsys, "sphere-force", "--xi", "1e-3", "--chi",
+                       "1e-3", "--tol", "1e-15")
+    assert rc == 3 and out == ""
+    assert re.fullmatch(r"numerical failure: tolerance not met: .*"
+                        r"\(the residual stopped falling\) at a floor of "
+                        r"\S+ of scale, with panels over tolerance at R in "
+                        r"\[[0-9.e+-]+, [0-9.e+-]+\].*\n", err)
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -411,3 +427,19 @@ def test_timestamp_only_in_human_reports(capsys):
     rc2, out2, _ = run(capsys, "sphere-force", "--xi", "1e-2", "--chi", "1",
                        "--json")
     assert out1 == out2
+
+
+def test_python_m_layerlab_matches_in_process(capsys):
+    # the package runs as a module: the same bytes on stdout and stderr,
+    # and the same exit status, as cli.main in process
+    argv = ["regime-classify", "--geometry", "sphere", "--xi", "1e-3",
+            "--chi", "0.5", "--json"]
+    rc, out, err = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(layerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "layerlab", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (rc, out.encode(), err.encode())
+    assert rc == 0 and out

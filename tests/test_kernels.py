@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.linalg import solve_banded
+from scipy.special import i0e
 
 from layerlab.kernels import (
+    _MAX_REFINE,
     NoSignChange,
     PanelPoly,
     QuadratureLimit,
@@ -255,6 +257,19 @@ def test_solve_dual_bvp_returns_cross_checked_primary():
     # the disagreement it reports is the one between the two methods
     dual_rel = float(np.max(np.abs(a_ref - alt.eval(rr)[0]))) / float(np.max(np.abs(a_ref)))
     assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
+    assert sol.meta["alt_panels"] == alt.meta["panels"]
+    assert sol.meta["alt_passes"] == alt.meta["passes"]
+
+
+@pytest.mark.parametrize("tol, gate", [(1e-6, 1e-8), (1e-10, 1e-8),
+                                       (1e-11, 1e-9), (1e-12, 1e-10)])
+def test_dual_gate_scales_with_tolerance(tol, gate):
+    # the agreement asked of the two discretizations is min(1e-8,
+    # 100 tol): today's 1e-8 at the default 1e-10, and never looser
+    sol = solve_dual_bvp(_bessel(), _ZERO_RIM, tol, "on the test problem",
+                         mesh=_MESH)
+    assert sol.meta["dual_gate"] == pytest.approx(gate, rel=1e-15)
+    assert sol.meta["dual_sup_rel"] <= gate
 
 
 def test_solve_dual_bvp_zero_solution():
@@ -303,12 +318,44 @@ def test_tolerance_not_met_carries_diagnostics():
 
 
 def test_bvp_unreachable_tolerance_raises_with_residual():
-    # 1e-17 is below the residual's rounding floor: every refinement pass
-    # fails and the last residual comes back with its scale (sup|f| = 1)
+    # 1e-17 is below the residual's rounding floor: refinement stops when
+    # a pass no longer lowers the residual, and the best residual comes
+    # back with its scale (sup|f| = 1) and the panels over tolerance
     with pytest.raises(ToleranceNotMet, match="tolerance not met") as exc:
         solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-17, mesh=_MESH)
-    assert exc.value.scale == 1.0
-    assert 1e-17 < exc.value.residual < 1e-11
+    err = exc.value
+    assert err.scale == 1.0
+    assert 1e-17 < err.residual < 1e-11
+    assert err.floor == err.residual and err.passes <= _MAX_REFINE
+    assert err.intervals and all(0.0 <= lo < hi <= 5.0
+                                 for lo, hi in err.intervals)
+
+
+def test_bvp_refines_only_panels_over_tolerance():
+    # A'' + A'/R - 400 A = -1 has a layer of width 1/20 at the rim:
+    # A = (1 - I0(20 R)/I0(100))/400.  Only the rim panels are split, so
+    # the interior keeps its edges and the mesh grows from 24 to 29
+    # panels in two passes (uniform doubling would give 96)
+    sol = solve_linear_bvp(_bessel(q=-400.0), _ZERO_RIM, tol=1e-10,
+                           mesh=_MESH)
+    edges = np.concatenate(([0.0], sol.meta["edges"]))
+    assert sol.meta["passes"] == 2 and sol.meta["panels"] == 29
+    assert np.array_equal(edges[edges < 4.4], _MESH[_MESH < 4.4])
+    rr = np.linspace(0.0, 5.0, 2001)
+    want = (1.0 - i0e(20.0 * rr) / i0e(100.0) * np.exp(20.0 * rr - 100.0)) / 400.0
+    assert np.max(np.abs(sol.eval(rr)[0] - want)) <= 1e-11 * np.max(want)
+
+
+def test_bvp_pass_limit_names_the_panels():
+    # with a layer of width 1/50 at the rim, three passes of splitting
+    # leave the rim panel just over tol: the error says the pass limit
+    # stopped it and where
+    with pytest.raises(ToleranceNotMet,
+                       match=r"after 3 passes \(the pass limit\).* at R in "
+                             r"\[4\.") as exc:
+        solve_linear_bvp(_bessel(q=-2500.0), _ZERO_RIM, tol=1e-10, mesh=_MESH)
+    assert exc.value.passes == _MAX_REFINE
+    assert all(4.5 < lo < hi == 5.0 for lo, hi in exc.value.intervals)
 
 
 def test_dual_bvp_raises_when_discretizations_disagree():
@@ -388,26 +435,26 @@ def _loop_solve(m, q, f, edges, deg, kind, left_row, right_row):
 
 
 def _loop_residual(m, q, f, edges, coefs, deg):
-    """Per-panel residual sup and scale, each panel through its own
+    """Residual sup, scale and per-panel sups, each panel through its own
     one-panel PanelPoly."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
-    res_sup = scale = 0.0
+    panel_sups, scale = [], 0.0
     for i in range(len(edges) - 1):
         ss, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(tt)
         res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
-        res_sup = max(res_sup, float(np.max(np.abs(res))))
+        panel_sups.append(float(np.max(np.abs(res))))
         scale = max(scale, float(np.max(np.abs(f(ss)))),
                     float(np.max(np.abs(q(ss) * av))))
-    return res_sup, scale
+    return max(panel_sups), scale, panel_sups
 
 
 def _clenshaw_residual(m, q, f, edges, coefs, deg):
-    """Per-panel residual sup and scale, one Clenshaw call per panel: an
-    evaluation independent of PanelPoly's Vandermonde rule."""
+    """Residual sup, scale and per-panel sups, one Clenshaw call per
+    panel: an evaluation independent of PanelPoly's Vandermonde rule."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     dco = chebder(coefs.T, 1, axis=0)
     d2co = chebder(coefs.T, 2, axis=0)
-    res_sup = scale = 0.0
+    panel_sups, scale = [], 0.0
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
         h = 0.5 * (b - a)
@@ -416,10 +463,10 @@ def _clenshaw_residual(m, q, f, edges, coefs, deg):
         a1 = chebval(tt, dco[:, i]) / h
         a2 = chebval(tt, d2co[:, i]) / (h * h)
         res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
-        res_sup = max(res_sup, float(np.max(np.abs(res))))
+        panel_sups.append(float(np.max(np.abs(res))))
         scale = max(scale, float(np.max(np.abs(f(ss)))),
                     float(np.max(np.abs(q(ss) * av))))
-    return res_sup, scale
+    return max(panel_sups), scale, panel_sups
 
 
 @pytest.mark.parametrize("method", [(6, "gauss"), (5, "chebyshev")])
@@ -439,8 +486,14 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
     want = _loop_solve(m, q, f, edges, deg, kind, *rows)
     got = _assemble_and_solve(m, q, f, edges, deg, kind, *rows)
     assert np.array_equal(got, want)
-    res_sup, scale = _residual_check(m, q, f, PanelPoly(edges, got), deg)
-    assert (res_sup, scale) == _loop_residual(m, q, f, edges, want, deg)
-    ref_sup, ref_scale = _clenshaw_residual(m, q, f, edges, want, deg)
+    res_sup, scale, panel_sups = _residual_check(
+        m, q, f, PanelPoly(edges, got), deg)
+    loop_sup, loop_scale, loop_panels = _loop_residual(m, q, f, edges,
+                                                        want, deg)
+    assert (res_sup, scale) == (loop_sup, loop_scale)
+    assert panel_sups.tolist() == loop_panels
+    ref_sup, ref_scale, ref_panels = _clenshaw_residual(m, q, f, edges,
+                                                        want, deg)
     assert abs(res_sup - ref_sup) <= 1e-15 * ref_scale
     assert abs(scale - ref_scale) <= 1e-15 * ref_scale
+    assert np.max(np.abs(panel_sups - ref_panels)) <= 1e-15 * ref_scale

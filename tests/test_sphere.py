@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
-from layerlab.kernels import integrate
+from layerlab.kernels import _MAX_REFINE, ToleranceNotMet, integrate
 from layerlab.sphere import (
     XI_MAX_SPHERE,
     PsiExtremes,
@@ -234,13 +234,13 @@ def test_force_regression_values():
 
 
 @pytest.mark.parametrize("xi, chi, psi, panels, residual_sup", [
-    pytest.param(1e-3, 1e-3, 250.4687523693668, 119, 1.7815054986769496e-12,
+    pytest.param(1e-3, 1e-3, 250.4687523693668, 53, 1.7807005869840964e-12,
                  id="0.001-0.001"),
-    pytest.param(1e-2, 1.0, 3.369833210963936, 119, 1.071365218763276e-14,
+    pytest.param(1e-2, 1.0, 3.369833210963936, 39, 1.071365218763276e-14,
                  id="0.01-1.0"),
-    pytest.param(1e-5, 1.0, 10.188935818678516, 119, 4.996003610813204e-16,
+    pytest.param(1e-5, 1.0, 10.188935818678516, 80, 7.771561172376096e-16,
                  id="1e-05-1.0"),
-    pytest.param(1e-2, 0.0, 25.499807766243727, 119, 1.7812834540720246e-12,
+    pytest.param(1e-2, 0.0, 25.499807766243727, 39, 1.7822132658551482e-12,
                  id="0.01-0.0"),
 ])
 def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
@@ -299,12 +299,17 @@ def test_force_matches_adaptive_quadrature():
 
 def test_table_cells_solve_at_tight_tolerance():
     # every table cell meets tol = 1e-12, where the R-form solver stalled
-    # on its rounding floor, and keeps its default-tolerance answer
+    # on its rounding floor, and keeps its default-tolerance answer; only
+    # the panels over tolerance are split, so no cell takes the 238
+    # panels of a doubled 119-panel mesh, and the two discretizations
+    # agree within the gate min(1e-8, 100 tol) = 1e-10
     for xi, chi in TABLE_CELLS:
         sol = solve_sphere(xi, chi, tol=1e-12)
         meta = sol.A.meta
         assert meta["residual_sup"] <= 1e-12 * meta["residual_scale"]
-        assert meta["dual_sup_rel"] <= 1e-8, (xi, chi)
+        assert meta["panels"] < 238 and meta["alt_panels"] < 2 * 238
+        assert meta["dual_gate"] == 1e-10
+        assert meta["dual_sup_rel"] <= 1e-10, (xi, chi)
         psi = sphere_force(sol).psi
         assert abs(psi / sphere_force(solve_sphere(xi, chi)).psi - 1.0) <= 1e-12
 
@@ -326,14 +331,63 @@ def test_domain_corner_solves_on_bounded_mesh(xi, chi, psi, tol):
     assert abs(sphere_force(sol).psi / psi - 1.0) <= 1e-12
 
 
+# the cells of verify-suite's 5x5 grid and the chi = 0 anchors
+SUITE_CELLS = [(float(xi), float(chi)) for xi in np.geomspace(1e-4, 1e-1, 5)
+               for chi in np.geomspace(1e-3, 1.4, 5)]
+ANCHOR_CELLS = [(1e-3, 0.0), (1e-2, 0.0)]
+
+
+def test_default_mesh_needs_no_refinement():
+    # the graded default mesh meets the default tolerance as it stands,
+    # in both discretizations, and never takes more panels than the
+    # 119 of the fixed 96-panel tail it replaced
+    for xi, chi in TABLE_CELLS + SUITE_CELLS + ANCHOR_CELLS:
+        meta = solve_sphere(xi, chi).A.meta
+        assert meta["passes"] == 0 and meta["alt_passes"] == 0, (xi, chi)
+        assert meta["panels"] <= 119, (xi, chi)
+        assert meta["dual_gate"] == 1e-8
+
+
 def test_coarse_user_mesh_recovers_by_refinement():
     # mesh=24 at (1e-5, 1e-3) once ran out of refinement passes; it now
-    # meets the default tolerance and the default-mesh answer
+    # meets the default tolerance and the default-mesh answer, splitting
+    # only the panels over tolerance (fewer than the 66 of a doubling)
     sol = solve_sphere(1e-5, 1e-3, mesh=24)
     meta = sol.A.meta
     assert meta["residual_sup"] <= 1e-10 * meta["residual_scale"]
+    assert meta["passes"] == 1 and 33 < meta["panels"] < 66
     psi = sphere_force(sol).psi
     assert abs(psi / sphere_force(solve_sphere(1e-5, 1e-3)).psi - 1.0) <= 1e-12
+
+
+def test_unreachable_tolerance_names_floor_and_panels():
+    # 1e-15 is below the s-form residual's rounding floor: refinement
+    # stops when a pass no longer lowers the residual, inside the pass
+    # limit, and the error names the floor and where the excess sits
+    with pytest.raises(ToleranceNotMet, match=r"stopped falling\) at a floor "
+                       r"of .* of scale, with panels over tolerance at R in "
+                       r"\[") as exc:
+        solve_sphere(1e-3, 1e-3, tol=1e-15)
+    err = exc.value
+    assert err.passes < _MAX_REFINE
+    assert 1e-15 < err.floor == err.residual / err.scale < 1e-12
+    assert err.intervals and all(0.0 <= lo < hi <= 1.0 / math.sqrt(1e-3)
+                                 for lo, hi in err.intervals)
+
+
+@pytest.mark.parametrize("xi, chi", [(1e-8, 1.5), (1e-5, 1.0), (1e-4, 0.3),
+                                     (1e-2, 0.7), (1e-2, 1.0), (1e-3, 1e-3)])
+def test_fields_match_fine_mesh(xi, chi):
+    # every field on the graded default mesh against a 473-panel solve
+    # (mesh=384) on a 2001 x 21 grid, to 1e-10 of the field's sup
+    sol, ref = solve_sphere(xi, chi), solve_sphere(xi, chi, mesh=384)
+    assert ref.A.meta["panels"] == 473
+    R = np.linspace(0.0, sol.geo.r_edge, 2001)[:, None]
+    Z = _gap(R) * np.linspace(-1.0, 1.0, 21)
+    got, want = sphere_field(sol, R, Z), sphere_field(ref, R, Z)
+    for name in ("u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)), name
 
 
 def test_force_converged_on_coarse_mesh():
