@@ -346,8 +346,8 @@ def _cmd_sphere_field(args) -> int:
                        U=args.U)
     r_vals = np.linspace(0.0, sol.geo.r_edge, args.nr)
     # Z spans the local gap g(R) = 1 + R^2/2 on every R line
-    z_grid = np.array([np.linspace(-g, g, args.nz)
-                       for g in 1.0 + 0.5 * r_vals * r_vals])
+    g = 1.0 + 0.5 * r_vals * r_vals
+    z_grid = np.linspace(-g, g, args.nz, axis=1)
     _write_out(_field_csv(sphere_field(sol, r_vals[:, None], z_grid)),
                args.output)
     return 0

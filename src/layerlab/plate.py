@@ -45,6 +45,8 @@ at the bonded edge corner (R, Z) = (1, +-1) and is not valid there.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -86,7 +88,12 @@ class FieldSample:
     solver reuses this container with |Z| up to the local gap half-width).
     u_r, u_z carry length units through U; the stresses carry the dominant
     normal-stress scale mu*U/(a*xi).  Fields are floats for scalar input,
-    arrays (of the broadcast shape) for array input.
+    arrays (of the broadcast shape) for array input.  For array input R
+    and Z are read-only broadcast views of the inputs, not copies, and
+    the six fields are views into one (6, *shape) block; each field is
+    F-ordered when a column R meets a shorter row Z (see _field_block).
+    The values are the same in either memory order.  A block of 128 KiB
+    to 4 MiB is reused by a later call once no array views it.
     """
 
     R: object
@@ -97,6 +104,78 @@ class FieldSample:
     s_tt: object
     s_zz: object
     s_rz: object
+
+
+# Field blocks of _RECYCLE_BYTES are kept, at most _RECYCLE_COUNT of them,
+# and handed out again once no array views them (see _block_buffer).
+_RECYCLE_BYTES = (1 << 17, 1 << 22)
+_RECYCLE_COUNT = 4
+_recycled: list = []
+_recycle_lock = threading.Lock()
+
+
+def _ref_counts(bufs) -> list:
+    return [sys.getrefcount(b) for b in bufs]
+
+
+# what _ref_counts reads for a buffer that only its list holds
+_IDLE_REFS = _ref_counts([np.empty(0)])[0]
+
+
+def _block_buffer(size: int) -> np.ndarray:
+    """A flat float buffer of `size` elements that no live array views.
+
+    Whether a fresh block of a few MB costs a page fault per 4 KiB
+    depends on what the rest of the process freed before: glibc trims
+    the top of its heap past a threshold and maps the pages again on the
+    next growth.  A 1001 x 41 sphere field took 1.5 or 2.5 ms by that
+    alone, and which one changed from run to run.  So blocks in
+    _RECYCLE_BYTES are recycled.  Every view of a buffer holds a
+    reference to it, so a kept buffer that only the list holds is free;
+    when the list is full, a fresh block replaces its first free one."""
+    if not _RECYCLE_BYTES[0] <= 8 * size <= _RECYCLE_BYTES[1]:
+        return np.empty(size)
+    with _recycle_lock:
+        idle = [b for b, n in zip(_recycled, _ref_counts(_recycled))
+                if n == _IDLE_REFS]
+        for buf in idle:
+            if buf.size == size:
+                return buf
+        buf = np.empty(size)
+        if len(_recycled) == _RECYCLE_COUNT and idle:
+            _recycled[:] = [b for b in _recycled if b is not idle[0]]
+        if len(_recycled) < _RECYCLE_COUNT:
+            _recycled.append(buf)
+        return buf
+
+
+def _field_block(Rr: np.ndarray, Zb: np.ndarray) -> list:
+    """Uninitialised storage for the six fields over the broadcast shape
+    of R and Z: views into one (6, *shape) block, in FieldSample order.
+
+    The long axis is made contiguous.  When neither R nor Z is a full
+    grid (a column R against a row Z) and the first axis is the longer,
+    each field is F-ordered, so the inner loop of every product runs
+    over that axis; full grids, 1-D and scalar input stay C-ordered."""
+    shape = np.broadcast_shapes(Rr.shape, Zb.shape)
+    size = math.prod(shape)
+    buf = _block_buffer(6 * size)
+    if (len(shape) == 2 and shape[0] > shape[1]
+            and Rr.size < size and Zb.size < size):
+        block = buf.reshape(6, shape[1], shape[0]).transpose(0, 2, 1)
+    else:
+        block = buf.reshape(6, *shape)
+    return [block[i, ...] for i in range(6)]
+
+
+def _field_sample(Rr: np.ndarray, Zb: np.ndarray, fields) -> FieldSample:
+    """The FieldSample of _field_block's filled views: floats for scalar
+    input, else R and Z as read-only broadcast views of the inputs."""
+    shape = fields[0].shape
+    if not shape:
+        return FieldSample(float(Rr), float(Zb), *map(float, fields))
+    return FieldSample(np.broadcast_to(Rr, shape), np.broadcast_to(Zb, shape),
+                       *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +390,11 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     broadcast against each other.  The radial potential is evaluated once
     per distinct R, so dense (R, Z) product grids cost only their R lines.
 
+    Each field is written in place into one preallocated (6, *shape)
+    block, with no other grid-sized array; a column R against a shorter
+    row Z gives F-ordered fields (see FieldSample).  R and Z come back as
+    read-only broadcast views of the inputs.
+
     Not valid within O(xi) of the bonded-edge corner (R, Z) = (1, +-1),
     where the underlying expansion omits a boundary-layer corrector.
     """
@@ -322,7 +406,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
         raise ValueError("|Z| out of range [0, 1]")
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
-    # broadcast, in the same order of operations as on the full grid
+    # broadcast into the field block
     r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
     av, a1, a2, _ = sol.radial.eval(r_unique)
     # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
@@ -340,20 +424,41 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     B = c2 * A - 0.5
     zm = Zb * Zb - 1.0
-    u_r = (3.0 - c2) * xi * U * A1 * (-zm)
-    u_z = U * (Zb + B * Zb * zm)
     s_scale = mu * U / (a * xi)
-    s_zz = s_scale * ((9.0 - 2.0 * c2) * B * zm + 6.0 * A)
-    s_rr = s_scale * ((3.0 - 2.0 * c2) * (B * zm + 2.0 * A)
-                      - 2.0 * (3.0 - c2) * xi * xi * A2 * zm)
-    s_tt = s_scale * ((3.0 - 2.0 * c2) * (B * zm + 2.0 * A)
-                      - 2.0 * (3.0 - c2) * xi * xi * A1R * zm)
-    s_rz = (mu * U / a) * A1 * (c2 * Zb * Zb + c2 - 6.0) * Zb
-
-    vals = (u_r, u_z, s_rr, s_tt, s_zz, s_rz)
-    if np.ndim(u_r) == 0:
-        return FieldSample(float(Rr), float(Zb), *map(float, vals))
-    return FieldSample(*np.broadcast_arrays(Rr, Zb), *vals)
+    k_sh = 2.0 * (3.0 - c2) * xi * xi
+    # In place, in the order of operations of
+    #   u_r  = (3 - c2) xi U A1 (-zm)
+    #   u_z  = U (Zb + B Zb zm)
+    #   s_zz = s_scale ((9 - 2 c2) B zm + 6 A)
+    #   s_rr = s_scale ((3 - 2 c2) (B zm + 2 A) - k_sh A2 zm)
+    #   s_tt = the same with A1R for A2
+    #   s_rz = (mu U / a) A1 (c2 Zb Zb + c2 - 6) Zb
+    # with at most the operands of a + or * swapped, so every double is
+    # that of the expression above.
+    fields = _field_block(Rr, Zb)
+    u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
+    np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
+    np.multiply(B, Zb, out=u_z)
+    u_z *= zm
+    u_z += Zb
+    u_z *= U
+    np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
+    s_zz += 6.0 * A
+    s_zz *= s_scale
+    # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are formed,
+    # and s_rz serves as scratch for s_tt's last term
+    np.multiply(B, zm, out=s_tt)
+    s_tt += 2.0 * A
+    s_tt *= 3.0 - 2.0 * c2
+    np.multiply(k_sh * A2, zm, out=s_rr)
+    np.subtract(s_tt, s_rr, out=s_rr)
+    s_rr *= s_scale
+    np.multiply(k_sh * A1R, zm, out=s_rz)
+    s_tt -= s_rz
+    s_tt *= s_scale
+    np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
+    s_rz *= Zb
+    return _field_sample(Rr, Zb, fields)
 
 
 # ---------------------------------------------------------------------------

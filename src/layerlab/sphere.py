@@ -108,7 +108,8 @@ import numpy as np
 
 from .kernels import RadialSolution, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
-from .plate import CHI_INCOMPRESSIBLE, FieldSample
+from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
+                    _field_sample)
 
 __all__ = [
     "SphereGeometry",
@@ -368,8 +369,12 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     Each field is a polynomial in Z with coefficients in R alone: the even
     ones are ``c0 + c1 (Z**2 - g**2)``, the odd ones ``Z (c0 + c1 Z**2)``.
     The 11 coefficients are formed once per distinct R and taken to R's
-    shape together, so the grid costs one product and one sum per field
-    (and one more product, by Z, per odd field).
+    shape together.  Each field is then written in place into one
+    preallocated (6, *shape) block: a product, a sum and, per odd field,
+    one more product by Z.  Z**2 and Z**2 - g**2 are formed in the slots
+    of u_z and s_zz, so no other grid-sized array is made.  R and Z come
+    back as read-only broadcast views of the inputs; a column R against
+    a shorter row Z gives F-ordered fields (see FieldSample).
     u_r stays ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
     ``Z = +/- g``.  ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss``
     come from the s = R**2 panels: finite on the axis, and the second
@@ -401,15 +406,24 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
         s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
         sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp), sh_scale * xi * Lp]))
 
-    z2 = Zb * Zb
-    zm = z2 - gg
-    vals = (ur1 * zm, Zb * (uz0 + uz1 * z2), rr0 + rr1 * zm, tt0 + tt1 * zm,
-            zz0 + zz1 * zm, Zb * (rz0 + rz1 * z2))
-    shape = vals[0].shape
-    if not shape:
-        return FieldSample(float(Rr), float(Zb), *map(float, vals))
-    return FieldSample(np.broadcast_to(Rr, shape).copy(),
-                       np.broadcast_to(Zb, shape).copy(), *vals)
+    # in place, as ur1 zm, c0 + c1 zm and Zb (c0 + c1 z2) with the operands
+    # of + and * swapped at most, so every double is that expression's;
+    # z2 = Zb**2 is held in u_z's slot and zm = z2 - g**2 in s_zz's until
+    # each is the last field formed from it
+    fields = _field_block(Rr, Zb)
+    u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
+    z2, zm = u_z, s_zz
+    np.multiply(Zb, Zb, out=z2)
+    np.subtract(z2, gg, out=zm)
+    for out, c0, c1 in ((s_rz, rz0, rz1), (u_z, uz0, uz1)):
+        np.multiply(c1, z2, out=out)
+        out += c0
+        out *= Zb
+    np.multiply(ur1, zm, out=u_r)
+    for out, c0, c1 in ((s_rr, rr0, rr1), (s_tt, tt0, tt1), (s_zz, zz0, zz1)):
+        np.multiply(c1, zm, out=out)
+        out += c0
+    return _field_sample(Rr, Zb, fields)
 
 
 def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:

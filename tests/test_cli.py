@@ -313,6 +313,17 @@ def test_sphere_field_grid_follows_gap(capsys):
     r_last, z_last = float(last[0]), float(last[1])
     assert abs(r_last - 10.0) < 1e-12
     assert abs(z_last - (1.0 + 0.5 * r_last**2)) < 1e-12
+    # the grid is exactly the per-line np.linspace over each gap
+    rc, out, _ = run(capsys, "sphere-field", "--xi", "1e-3", "--chi", "1",
+                     "--csv", "--nr", "7", "--nz", "5")
+    assert rc == 0
+    rz = np.array([[float(v) for v in line.split(",")[:2]]
+                   for line in out.splitlines()[1:]]).reshape(7, 5, 2)
+    r_vals = np.linspace(0.0, 1.0 / math.sqrt(1e-3), 7)
+    per_line = np.array([np.linspace(-g, g, 5)
+                         for g in 1.0 + 0.5 * r_vals * r_vals])
+    assert np.array_equal(rz[:, :, 0], np.repeat(r_vals[:, None], 5, axis=1))
+    assert np.array_equal(rz[:, :, 1], per_line)
 
 
 def test_field_output_to_file(capsys, tmp_path):
