@@ -23,6 +23,9 @@ lines (# comments allowed) supplies defaults that explicit flags
 override.  Exit status: 0 success, 2 usage or validation error or a
 verification mismatch, 3 numerical failure.
 
+Each option is declared once, in one of the option groups built by
+_build_parser; _COMMANDS names the groups every command takes.
+
 Field CSV artifacts use the fixed header R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz
 with rows Z-fastest and values printed to 17 significant digits, so
 re-reading a file reproduces the in-memory doubles bit for bit.  The two
@@ -94,36 +97,23 @@ def _stamp(args) -> list:
             + datetime.datetime.now(datetime.timezone.utc).isoformat()]
 
 
-def _render(row: dict, args) -> str:
-    """Render one row (a dict in column order) in the chosen format."""
-    fmt = args.format
-    if fmt == "json":
-        obj = {k: _jsonable(v) for k, v in row.items()}
-        return json.dumps(obj, sort_keys=True) + "\n"
-    if fmt == "csv":
-        return ",".join(row) + "\n" + ",".join(map(_cell, row.values())) + "\n"
-    width = max(map(len, row))
-    lines = _stamp(args) + [f"{k:>{width}}: {_human_value(v)}"
-                            for k, v in row.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _render_rows(rows, args) -> str:
-    """Render a sweep (dicts sharing the first one's keys) in the chosen
-    format: JSON, or else CSV with one line per row."""
+def _emit(rows, args) -> None:
+    """Write rows (dicts sharing the first one's keys, in column order) in
+    the chosen format: JSON, one object or a list for a sweep; CSV, one
+    line per row; or, for a single row, a human `key: value` report.  A
+    human sweep is written as CSV."""
     keys = list(rows[0])
     if args.format == "json":
-        out = [{k: _jsonable(r[k]) for k in keys} for r in rows]
-        return json.dumps(out, sort_keys=True) + "\n"
-    head = ",".join(keys)
-    body = "\n".join(",".join(_cell(r[k]) for k in keys) for r in rows)
-    return head + "\n" + body + "\n"
-
-
-def _emit(rows, args) -> None:
-    """Write one row as a report, several as a sweep."""
-    text = (_render(rows[0], args) if len(rows) == 1
-            else _render_rows(rows, args))
+        objs = [{k: _jsonable(r[k]) for k in keys} for r in rows]
+        text = json.dumps(objs if len(rows) > 1 else objs[0],
+                          sort_keys=True) + "\n"
+    elif args.format == "csv" or len(rows) > 1:
+        text = "\n".join([",".join(keys)] + [",".join(_cell(r[k]) for k in keys)
+                                             for r in rows]) + "\n"
+    else:
+        width = max(map(len, keys))
+        text = "\n".join(_stamp(args) + [f"{k:>{width}}: {_human_value(v)}"
+                                         for k, v in rows[0].items()]) + "\n"
     _write_out(text, args.output)
 
 
@@ -168,19 +158,23 @@ def _read_config(path: str) -> dict:
 
 
 def _finalize(args) -> None:
-    """Merge config-file values under explicit flags, then hard defaults."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    """Merge config-file values under explicit flags, then hard defaults.
+
+    Every option the user can leave out parses to None, so this merge is
+    the only place a default is applied; the --json/--csv shorthands are
+    applied after it, so either one overrides --format."""
+    cfg = _read_config(args.config) if args.config else {}
     for dest, val in cfg.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, val)
     for dest, val in _DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, val)
-    if getattr(args, "json", False):
+    if args.json:
         args.format = "json"
-    if getattr(args, "csv", False):
+    if args.csv:
         args.format = "csv"
-    if getattr(args, "format", None) not in (None, "human", "csv", "json"):
+    if args.format not in ("human", "csv", "json"):
         raise ValueError(f"unknown format {args.format!r}")
     sweep = getattr(args, "sweep_xi", None)
     if sweep is not None:
@@ -202,79 +196,61 @@ def _xi_list(args):
     return [float(args.xi)]
 
 
-def _material(args) -> float:
-    return resolve_chi(chi=args.chi, nu=args.nu)
+# ---------------------------------------------------------------------------
+# sweep commands: one row per xi
+# ---------------------------------------------------------------------------
+
+def _sweep(row):
+    """The command emitting xi, chi, nu and then row(xi, chi, args) for
+    each xi of --xi or --sweep-xi, with the material resolved first."""
+    def command(args) -> int:
+        chi = resolve_chi(chi=args.chi, nu=args.nu)
+        nu = nu_from_chi(chi)
+        _emit([{"xi": xi, "chi": chi, "nu": nu, **row(xi, chi, args)}
+               for xi in _xi_list(args)], args)
+        return 0
+    return command
+
+
+def _plate_force_row(xi, chi, args) -> dict:
+    g = force_factor(xi, chi)
+    sol = solve_plate(xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
+    return {"zeta": zeta_family(xi, chi).zeta, "force_factor": g,
+            "force": force(sol)}
+
+
+def _plate_modulus_row(xi, chi, args) -> dict:
+    mod = apparent_modulus(xi, chi)
+    return {"zeta": zeta_family(xi, chi).zeta, "e_hat": mod.e_hat,
+            "e_hat_i": mod.e_hat_i, "e_hat_c": mod.e_hat_c,
+            "e_hat_l": mod.e_hat_l}
+
+
+def _compare_plate_row(xi, chi, args) -> dict:
+    mod = apparent_modulus(xi, chi)
+    diff_rel = (mod.e_hat_l - mod.e_hat) / mod.e_hat
+    c2 = chi * chi
+    estimate = (2.0 * chi * (4.0 * c2 * c2 - 24.0 * c2 + 27.0) * xi
+                / (9.0 * (3.0 - c2)))
+    ratio = abs(diff_rel) / abs(estimate) if estimate != 0.0 else math.inf
+    return {"e_hat": mod.e_hat, "e_hat_l": mod.e_hat_l, "diff_rel": diff_rel,
+            "small_chi_estimate": estimate, "magnitude_ratio": ratio}
+
+
+def _sphere_force_row(xi, chi, args) -> dict:
+    sol = solve_sphere(xi, chi, tol=args.tol, mu=args.mu, a=args.a, U=args.U)
+    mid = sphere_force(sol, trace="midplane")
+    surf = sphere_force(sol, trace="surface")
+    ext = psi_extremes(xi, chi)
+    fam = zeta_family(xi, chi)
+    return {"zeta_bar": fam.zeta_bar, "zeta_tilde": fam.zeta_tilde,
+            "psi": mid.psi, "psi_surface": surf.psi,
+            "psi_i": ext.psi_i, "psi_c": ext.psi_c, "force": mid.F}
 
 
 # ---------------------------------------------------------------------------
-# scalar commands
+# regime commands
 # ---------------------------------------------------------------------------
-
-def _cmd_plate_force(args) -> int:
-    chi = _material(args)
-    rows = []
-    for xi in _xi_list(args):
-        g = force_factor(xi, chi)
-        sol = solve_plate(xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
-        fam = zeta_family(xi, chi)
-        rows.append({"xi": xi, "chi": chi, "nu": nu_from_chi(chi),
-                     "zeta": fam.zeta, "force_factor": g,
-                     "force": force(sol)})
-    _emit(rows, args)
-    return 0
-
-
-def _cmd_plate_modulus(args) -> int:
-    chi = _material(args)
-    rows = []
-    for xi in _xi_list(args):
-        mod = apparent_modulus(xi, chi)
-        fam = zeta_family(xi, chi)
-        rows.append({"xi": xi, "chi": chi, "nu": nu_from_chi(chi),
-                     "zeta": fam.zeta, "e_hat": mod.e_hat,
-                     "e_hat_i": mod.e_hat_i, "e_hat_c": mod.e_hat_c,
-                     "e_hat_l": mod.e_hat_l})
-    _emit(rows, args)
-    return 0
-
-
-def _cmd_compare_plate(args) -> int:
-    chi = _material(args)
-    rows = []
-    for xi in _xi_list(args):
-        mod = apparent_modulus(xi, chi)
-        diff_rel = (mod.e_hat_l - mod.e_hat) / mod.e_hat
-        c2 = chi * chi
-        estimate = (2.0 * chi * (4.0 * c2 * c2 - 24.0 * c2 + 27.0) * xi
-                    / (9.0 * (3.0 - c2)))
-        ratio = abs(diff_rel) / abs(estimate) if estimate != 0.0 else math.inf
-        rows.append({"xi": xi, "chi": chi, "nu": nu_from_chi(chi),
-                     "e_hat": mod.e_hat, "e_hat_l": mod.e_hat_l,
-                     "diff_rel": diff_rel,
-                     "small_chi_estimate": estimate,
-                     "magnitude_ratio": ratio})
-    _emit(rows, args)
-    return 0
-
-
-def _cmd_sphere_force(args) -> int:
-    chi = _material(args)
-
-    def one(xi):
-        sol = solve_sphere(xi, chi, tol=args.tol, mu=args.mu, a=args.a,
-                           U=args.U)
-        mid = sphere_force(sol, trace="midplane")
-        surf = sphere_force(sol, trace="surface")
-        ext = psi_extremes(xi, chi)
-        fam = zeta_family(xi, chi)
-        return {"xi": xi, "chi": chi, "nu": nu_from_chi(chi),
-                "zeta_bar": fam.zeta_bar, "zeta_tilde": fam.zeta_tilde,
-                "psi": mid.psi, "psi_surface": surf.psi,
-                "psi_i": ext.psi_i, "psi_c": ext.psi_c, "force": mid.F}
-
-    _emit([one(xi) for xi in _xi_list(args)], args)
-    return 0
-
 
 def _cmd_regime_classify(args) -> int:
     if args.xi is None:
@@ -330,7 +306,7 @@ def _check_grid(args) -> None:
 
 
 def _cmd_plate_field(args) -> int:
-    chi = _material(args)
+    chi = resolve_chi(chi=args.chi, nu=args.nu)
     _check_grid(args)
     sol = solve_plate(args.xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
     r_col = np.linspace(0.0, 1.0, args.nr)[:, None]
@@ -340,7 +316,7 @@ def _cmd_plate_field(args) -> int:
 
 
 def _cmd_sphere_field(args) -> int:
-    chi = _material(args)
+    chi = resolve_chi(chi=args.chi, nu=args.nu)
     _check_grid(args)
     sol = solve_sphere(args.xi, chi, tol=args.tol, mu=args.mu, a=args.a,
                        U=args.U)
@@ -358,15 +334,11 @@ def _cmd_sphere_field(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_table4(args) -> int:
+    """Human: the checks as a report on stdout (the rows as CSV only to
+    --output).  JSON: verdict, failures and rows.  CSV: the rows."""
     checks, rows = verify.table4()
     failures = [c for c in checks if not c["rel"] <= c["tol"]]
-    if args.format == "json":
-        _write_out(json.dumps({"pass": not failures, "failures": failures,
-                               "rows": rows}, sort_keys=True) + "\n",
-                   args.output)
-    elif args.format == "csv":
-        _write_out(_render_rows(rows, args), args.output)
-    else:
+    if args.format == "human":
         lines = _stamp(args)
         for c in checks:
             tag = "PASS" if c["rel"] <= c["tol"] else "FAIL"
@@ -378,8 +350,11 @@ def _cmd_verify_table4(args) -> int:
                      f"mismatches: {len(failures)}")
         lines.append("result: " + ("FAIL" if failures else "PASS"))
         _write_out("\n".join(lines) + "\n", None)
-        if args.output:
-            _write_out(_render_rows(rows, args), args.output)
+    if args.format == "json":
+        _emit([{"pass": not failures, "failures": failures, "rows": rows}],
+              args)
+    elif args.format == "csv" or args.output:
+        _emit(rows, args)
     return 2 if failures else 0
 
 
@@ -401,119 +376,101 @@ def _cmd_verify_suite(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, material=True, geometry_scale=False, sweep=False,
-                needs_xi=True):
-    if needs_xi:
-        p.add_argument("--xi", type=float, default=None,
-                       help="thickness ratio h/a")
-    if material:
-        p.add_argument("--chi", type=float, default=None,
-                       help="compressibility parameter in [0, 3/2]")
-        p.add_argument("--nu", type=float, default=None,
-                       help="Poisson's ratio (alternative to --chi)")
-    if geometry_scale:
-        p.add_argument("--mu", type=float, default=None,
-                       help="shear modulus (default 1)")
-        p.add_argument("--a", type=float, default=None,
-                       help="radius scale (default 1)")
-        p.add_argument("--U", type=float, default=None,
-                       help="prescribed half-approach (default 1)")
-    if sweep:
-        p.add_argument("--sweep-xi", nargs=3, type=float, default=None,
-                       metavar=("LO", "HI", "N"),
-                       help="log-spaced xi sweep (emits one row per xi)")
-    p.add_argument("--format", choices=("human", "csv", "json"), default=None,
-                   help="output format (default human)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
-    p.add_argument("--csv", action="store_true",
-                   help="shorthand for --format csv")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write output to PATH instead of stdout")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key = value defaults, overridden by explicit flags")
-    p.add_argument("--timestamp", action="store_true",
-                   help="add a generation timestamp to human output")
+# (command, handler, option groups, help); the groups are declared in
+# _build_parser, and their options are listed in this order
+_COMMANDS = (
+    ("plate-force", _sweep(_plate_force_row),
+     "xi material scale sweep output", "force between bonded plates"),
+    ("plate-modulus", _sweep(_plate_modulus_row),
+     "xi material sweep output", "apparent compression modulus and limits"),
+    ("plate-field", _cmd_plate_field,
+     "xi material scale output grid", "plate field samples as CSV"),
+    ("sphere-force", _sweep(_sphere_force_row),
+     "xi material scale sweep output tol",
+     "squeezing force between bonded spheres"),
+    ("sphere-field", _cmd_sphere_field,
+     "xi material scale output tol gap_grid", "sphere field samples as CSV"),
+    ("regime-classify", _cmd_regime_classify,
+     "xi material output regime",
+     "compressibility regime of a parameter point"),
+    ("regime-transitions", _cmd_regime_transitions,
+     "xi output regime",
+     "transition constants; with --xi also the Poisson-ratio window "
+     "(plates)"),
+    ("compare-plate", _sweep(_compare_plate_row),
+     "xi material sweep output",
+     "exact modulus vs classical thin-layer formula"),
+    ("verify-table4", _cmd_verify_table4, "output",
+     "recompute the published sphere-force table against embedded golden "
+     "data"),
+    ("verify-suite", _cmd_verify_suite, "output",
+     "run the built-in property battery (edge resultants, Dirichlet data, "
+     "dual oracle, force-from-fields)"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """A fresh parser: each option group is a parent parser whose options
+    default to None (flags to False), so _finalize alone fills defaults
+    and no value set on one parse can reach another."""
+    groups = {}
+
+    def group(name):
+        groups[name] = argparse.ArgumentParser(add_help=False)
+        return groups[name].add_argument
+
+    add = group("xi")
+    add("--xi", type=float, help="thickness ratio h/a")
+    add = group("material")
+    add("--chi", type=float, help="compressibility parameter in [0, 3/2]")
+    add("--nu", type=float, help="Poisson's ratio (alternative to --chi)")
+    add = group("scale")
+    add("--mu", type=float, help="shear modulus (default 1)")
+    add("--a", type=float, help="radius scale (default 1)")
+    add("--U", type=float, help="prescribed half-approach (default 1)")
+    add = group("sweep")
+    add("--sweep-xi", nargs=3, type=float, metavar=("LO", "HI", "N"),
+        help="log-spaced xi sweep (emits one row per xi)")
+    add = group("output")
+    add("--format", choices=("human", "csv", "json"),
+        help="output format (default human)")
+    add("--json", action="store_true", help="shorthand for --format json")
+    add("--csv", action="store_true", help="shorthand for --format csv")
+    add("--output", metavar="PATH",
+        help="write output to PATH instead of stdout")
+    add("--config", metavar="FILE",
+        help="key = value defaults, overridden by explicit flags")
+    add("--timestamp", action="store_true",
+        help="add a generation timestamp to human output")
+    add = group("tol")
+    add("--tol", type=float, help="radial-solver tolerance (default 1e-10)")
+    # plate Z samples span the fixed gap, sphere ones the local gap g(R)
+    for name, nz_span in (("grid", ""),
+                          ("gap_grid", " per R, scaled to the local gap")):
+        add = group(name)
+        add("--nr", type=int, help="R samples (>= 2)")
+        add("--nz", type=int, help=f"Z samples{nz_span} (>= 2)")
+    add = group("regime")
+    add("--geometry", choices=("plate", "sphere"),
+        help="layer geometry (default plate)")
+    add("--tolerance", type=float,
+        help="limit-formula accuracy defining the window (plates; "
+             "default 0.1)")
+
     ap = argparse.ArgumentParser(
         prog="layerlab",
         description="Thin bonded elastic layers: forces, moduli, fields, "
                     "and compressibility regimes.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plate-force", help="force between bonded plates")
-    _add_common(p, geometry_scale=True, sweep=True)
-    p.set_defaults(func=_cmd_plate_force)
-
-    p = sub.add_parser("plate-modulus",
-                       help="apparent compression modulus and limits")
-    _add_common(p, sweep=True)
-    p.set_defaults(func=_cmd_plate_modulus)
-
-    p = sub.add_parser("plate-field", help="plate field samples as CSV")
-    _add_common(p, geometry_scale=True)
-    p.add_argument("--nr", type=int, default=None, help="R samples (>= 2)")
-    p.add_argument("--nz", type=int, default=None, help="Z samples (>= 2)")
-    p.set_defaults(func=_cmd_plate_field)
-
-    p = sub.add_parser("sphere-force",
-                       help="squeezing force between bonded spheres")
-    _add_common(p, geometry_scale=True, sweep=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help="radial-solver tolerance (default 1e-10)")
-    p.set_defaults(func=_cmd_sphere_force)
-
-    p = sub.add_parser("sphere-field", help="sphere field samples as CSV")
-    _add_common(p, geometry_scale=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--nr", type=int, default=None, help="R samples (>= 2)")
-    p.add_argument("--nz", type=int, default=None,
-                   help="Z samples per R, scaled to the local gap (>= 2)")
-    p.set_defaults(func=_cmd_sphere_field)
-
-    p = sub.add_parser("regime-classify",
-                       help="compressibility regime of a parameter point")
-    _add_common(p)
-    p.add_argument("--geometry", choices=("plate", "sphere"), default=None)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="limit-formula accuracy defining the window "
-                        "(plates; default 0.1)")
-    p.set_defaults(func=_cmd_regime_classify)
-
-    p = sub.add_parser("regime-transitions",
-                       help="transition constants; with --xi also the "
-                            "Poisson-ratio window (plates)")
-    _add_common(p, material=False, needs_xi=True)
-    p.add_argument("--geometry", choices=("plate", "sphere"), default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.set_defaults(func=_cmd_regime_transitions)
-
-    p = sub.add_parser("compare-plate",
-                       help="exact modulus vs classical thin-layer formula")
-    _add_common(p, sweep=True)
-    p.set_defaults(func=_cmd_compare_plate)
-
-    p = sub.add_parser("verify-table4",
-                       help="recompute the published sphere-force table "
-                            "against embedded golden data")
-    _add_common(p, material=False, needs_xi=False)
-    p.set_defaults(func=_cmd_verify_table4)
-
-    p = sub.add_parser("verify-suite",
-                       help="run the built-in property battery (edge "
-                            "resultants, Dirichlet data, dual oracle, "
-                            "force-from-fields)")
-    _add_common(p, material=False, needs_xi=False)
-    p.set_defaults(func=_cmd_verify_suite)
-
+    for name, handler, names, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text,
+                           parents=[groups[g] for g in names.split()])
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _finalize(args)
         return args.func(args)

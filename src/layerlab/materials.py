@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "check_xi",
+    "check_chi",
     "chi_from_nu",
     "nu_from_chi",
     "resolve_chi",
@@ -39,6 +41,22 @@ __all__ = [
 ]
 
 CHI_MAX = 1.5
+
+
+def check_xi(xi) -> float:
+    """xi as a float, after checking the thickness ratio's domain
+    0 < xi < 1 (NaN fails it)."""
+    if not (0.0 < xi < 1.0):
+        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    return float(xi)
+
+
+def check_chi(chi) -> float:
+    """chi as a float, after checking the compressibility parameter's
+    domain 0 <= chi <= 3/2 (NaN fails it)."""
+    if not (0.0 <= chi <= CHI_MAX):
+        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
+    return float(chi)
 
 
 def chi_from_nu(nu: float) -> float:
@@ -62,8 +80,7 @@ def nu_from_chi(chi: float) -> float:
     endpoint of the physical range, so downstream code treats chi = 3/2 as
     singular (E = 0 there).
     """
-    if not (0.0 <= chi <= CHI_MAX):
-        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
+    check_chi(chi)
     c2 = chi * chi
     return (3.0 - 2.0 * c2) / (6.0 - 2.0 * c2)
 
@@ -86,10 +103,7 @@ def resolve_chi(chi: float | None = None, nu: float | None = None) -> float:
             raise ValueError(
                 f"chi = {chi} and nu = {nu} disagree: chi(nu) = {chi_nu:.12g}"
             )
-    chi = float(chi)
-    if not (0.0 <= chi <= CHI_MAX):
-        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
-    return chi
+    return check_chi(float(chi))
 
 
 @dataclass(frozen=True)
@@ -115,10 +129,8 @@ def zeta_family(xi: float, chi: float) -> ZetaFamily:
     Examples: (xi, chi) = (1e-2, 0.5) -> zeta = 0.02;
     (1e-5, 1e-2) -> zeta_bar = 1/sqrt(10); (1e-4, 1.0) -> zeta_tilde = 0.1.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    if not (0.0 <= chi <= CHI_MAX):
-        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
+    check_xi(xi)
+    check_chi(chi)
     if chi == 0.0:
         inf = math.inf
         return ZetaFamily(xi, chi, inf, inf, inf, True)
@@ -208,8 +220,7 @@ class LayerConfig:
             raise ValueError(f"kind must be 'plate' or 'sphere', got {self.kind!r}")
         if self.a <= 0.0 or self.h <= 0.0 or self.mu <= 0.0:
             raise ValueError("a, h, mu must all be positive")
-        if not (0.0 < self.xi < 1.0):
-            raise ValueError(f"xi must lie in (0, 1), got {self.xi}")
+        check_xi(self.xi)
         if abs(self.xi - self.h / self.a) > 1e-14 * self.xi:
             raise ValueError(
                 f"xi = {self.xi} inconsistent with h/a = {self.h / self.a}"

@@ -56,7 +56,8 @@ from scipy import special as _sp_special
 
 from .kernels import (BesselRatioEval, NumericsError, RadialSolution,
                       bessel_ratio, x_minus_2t)
-from .materials import CHI_MAX, LayerConfig, MaterialParams, resolve_chi
+from .materials import (CHI_MAX, LayerConfig, MaterialParams, check_chi,
+                        check_xi, resolve_chi)
 
 __all__ = [
     "CHI_INCOMPRESSIBLE",
@@ -199,9 +200,10 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
         raise ValueError("a and h must be positive")
     r = np.asarray(r, dtype=float) + 0.0
     z = np.asarray(z, dtype=float) + 0.0
-    if np.any(r < 0.0) or np.any(r > a):
+    # written so that NaN fails each check
+    if not (np.all(r >= 0.0) and np.all(r <= a)):
         raise ValueError("r out of range [0, a]")
-    if np.any(np.abs(z) > h):
+    if not np.all(np.abs(z) <= h):
         raise ValueError("|z| out of range [0, h]")
     h3 = h * h * h
     v_r = 3.0 * r * V * (h * h - z * z) / (4.0 * h3)
@@ -251,10 +253,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     not special-cased.  A cheap residual self-check at R = 0.5 and R = 1
     guards the assembled evaluator.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    if not (0.0 <= chi <= CHI_MAX):
-        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
+    check_xi(xi)
+    check_chi(chi)
 
     if chi < CHI_INCOMPRESSIBLE:
         inv = 1.0 / (8.0 * xi * xi)
@@ -400,9 +400,10 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     """
     Rr = np.asarray(R, dtype=float)
     Zb = np.asarray(Z, dtype=float)
-    if np.any(Rr < 0.0) or np.any(Rr > 1.0):
+    # written so that NaN fails each check
+    if not (np.all(Rr >= 0.0) and np.all(Rr <= 1.0)):
         raise ValueError("R out of range [0, 1]")
-    if np.any(np.abs(Zb) > 1.0):
+    if not np.all(np.abs(Zb) <= 1.0):
         raise ValueError("|Z| out of range [0, 1]")
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
@@ -490,10 +491,8 @@ def force_factor(xi: float, chi: float) -> float:
     its ~x^2/8 relative cancellation at small x; every other term is
     positive, so G is cancellation-free over the whole parameter range.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    if not (0.0 <= chi <= CHI_MAX):
-        raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
+    check_xi(xi)
+    check_chi(chi)
     if chi < CHI_INCOMPRESSIBLE:
         return 1.0
     ev = bessel_ratio(chi / xi)
@@ -541,8 +540,7 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
     incompressible limit with e_hat_c = +inf; chi = 3/2 is rejected
     because E = 0 there makes every E-normalized modulus singular.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    check_xi(xi)
     if not (0.0 <= chi < CHI_MAX):
         raise ValueError(
             f"chi must lie in [0, 3/2); the modulus normalization is "
@@ -596,8 +594,7 @@ def compressible_superposition(xi: float, chi: float, mu: float = 1.0,
     edge-zone corrector driven by the load -s_rr on the free edge R = 1,
     returned here for external consumption.  Requires chi > 0.
     """
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    check_xi(xi)
     if not (0.0 < chi <= CHI_MAX):
         raise ValueError(f"chi must be positive (and <= 3/2), got {chi}")
     base = mu * U / (a * xi * chi * chi)

@@ -43,7 +43,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .kernels import bessel_ratio, find_root, x_minus_2t
-from .materials import ZetaFamily, nu_from_chi, resolve_chi, zeta_family
+from .materials import (ZetaFamily, check_xi, nu_from_chi, resolve_chi,
+                        zeta_family)
 
 __all__ = [
     "PlateTransitions",
@@ -78,8 +79,6 @@ def plate_ratio_incompressible(zeta: float) -> float:
     """Inflation E_i / E of the incompressible plateau estimate over the
     true plate modulus, in the joint thin/incompressible limit."""
     zeta = float(zeta)
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
     return plate_ratio_compressible(zeta) / (8.0 * zeta * zeta)
 
 
@@ -117,9 +116,7 @@ def nu_intermediate_window(xi: float, tolerance: float = 0.10) -> tuple[float, f
     chi = xi/zeta; for thin layers it pins nu against 1/2 (e.g. at
     xi = 1e-2 it is roughly (0.492, 0.49999)).
     """
-    xi = float(xi)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    xi = check_xi(float(xi))
     zc, zi = plate_transitions(tolerance)
     chi_hi = min(xi / zc, 1.5)
     chi_lo = xi / zi
@@ -184,10 +181,7 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
     if geometry not in ("plate", "sphere"):
         raise ValueError(f"geometry must be 'plate' or 'sphere', got {geometry!r}")
     chi = resolve_chi(chi, nu)
-    xi = float(xi)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
-    fam = zeta_family(xi, chi)
+    fam = zeta_family(float(xi), chi)
 
     if geometry == "plate":
         zc, zi = plate_transitions(tolerance)

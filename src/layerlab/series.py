@@ -60,7 +60,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kernels import NumericsError, RadialSolution
-from .sphere import XI_MAX_SPHERE, _check_layer, _layer_points, _radial_bvp
+from .materials import check_xi
+from .sphere import _check_layer, _check_sphere_xi, _layer_points, _radial_bvp
 
 __all__ = [
     "SeriesRegime",
@@ -96,8 +97,7 @@ def series_regime(xi: float, mu_over_lambda: float) -> SeriesRegime:
     """Classify mu/lambda against the series-regime boundaries."""
     xi = float(xi)
     m = float(mu_over_lambda)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    check_xi(xi)
     if m <= 0.0:
         raise ValueError(f"mu/lambda must be positive, got {m}")
     root = math.sqrt(xi)
@@ -123,9 +123,7 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
     sqrt(xi); both vanish/match the plate motion on the bonded surfaces
     at their retained orders.
     """
-    xi = float(xi)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    xi = check_xi(float(xi))
     if mu <= 0.0 or lam <= 0.0:
         raise ValueError("lam and mu must be positive in this regime")
     Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
@@ -145,9 +143,7 @@ def nearly_compressible_series_fields(xi: float, R, Z, U: float = 1.0):
 
     Returns (u_r, u_z); here u_r and u_z are the same order in xi.
     """
-    xi = float(xi)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    xi = check_xi(float(xi))
     Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
@@ -202,9 +198,7 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     regular on the axis, zero normal-stress resultant at the rim.  Both
     kernel discretizations are run and must agree to min(1e-8, 100 tol).
     """
-    xi = float(xi)
-    if not (0.0 < xi <= XI_MAX_SPHERE):
-        raise ValueError(f"theta problem needs 0 < xi <= {XI_MAX_SPHERE}, got {xi}")
+    xi = _check_sphere_xi(float(xi))
     U = float(U)
     theta = _radial_bvp(xi, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
                         f"on Theta at xi = {xi:g}")
@@ -311,8 +305,7 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     u_r_fn, u_z_fn = fields
     xi = float(xi)
     m = float(mu_over_lambda)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    check_xi(xi)
     if mode not in ("full", "dominant"):
         raise ValueError(f"mode must be 'full' or 'dominant', got {mode!r}")
     if r_window is None:

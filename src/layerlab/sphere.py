@@ -126,6 +126,16 @@ __all__ = [
 
 XI_MAX_SPHERE = 0.1
 
+
+def _check_sphere_xi(xi) -> float:
+    """xi as a float, after checking the sphere layers' domain
+    0 < xi <= XI_MAX_SPHERE, where the parabolic gap holds (NaN fails it)."""
+    if not (0.0 < xi <= XI_MAX_SPHERE):
+        raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} for a "
+                         f"sphere layer, got {xi}")
+    return float(xi)
+
+
 # exact for the degree <= 11 force and potential integrands in s
 _GL_S = np.polynomial.legendre.leggauss(6)
 
@@ -326,9 +336,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     residual asks for it.
     """
     chi = resolve_chi(chi, nu)
-    xi = float(xi)
-    if not (0.0 < xi <= XI_MAX_SPHERE):
-        raise ValueError(f"sphere layers need 0 < xi <= {XI_MAX_SPHERE}, got {xi}")
+    xi = _check_sphere_xi(float(xi))
     cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
     radial = _solve_radial(xi, chi, float(tol), mesh)
@@ -341,11 +349,12 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
 def _check_layer(r_edge: float, R, Z):
     """R and Z as float arrays checked against the layer truncated at
     ``r_edge = 1/sqrt(xi)``: 0 <= R <= r_edge and |Z| <= gap(R)."""
+    # written so that NaN fails each check; one |Z| array, one boolean grid
     Rr = np.asarray(R, dtype=float)
-    if np.any(Rr < 0.0) or np.any(Rr > r_edge * (1.0 + 1e-12)):
+    if not (np.all(Rr >= 0.0) and np.all(Rr <= r_edge * (1.0 + 1e-12))):
         raise ValueError("R outside [0, 1/sqrt(xi)]")
     Zb = np.asarray(Z, dtype=float)
-    if np.any(np.abs(Zb) > (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
+    if not np.all(np.abs(Zb) <= (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
         raise ValueError("Z outside the layer |Z| <= gap(R)")
     return Rr, Zb
 
@@ -519,9 +528,7 @@ def psi_extremes(xi: float, chi: float) -> PsiExtremes:
     ``0 < xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
     """
     xi, chi = float(xi), resolve_chi(chi)
-    if not (0.0 < xi <= XI_MAX_SPHERE):
-        raise ValueError(
-            f"xi must be positive and <= {XI_MAX_SPHERE}, got {xi}")
+    _check_sphere_xi(xi)
     psi_i = 0.25 / xi
     if chi < CHI_INCOMPRESSIBLE:
         return PsiExtremes(psi_i=psi_i, psi_c=math.inf)

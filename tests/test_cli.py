@@ -7,6 +7,7 @@ two-significant-digit resolution (see README).  The tests assert that
 honest outcome.
 """
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import pytest
 
 import layerlab
 from layerlab import plate
-from layerlab.cli import main
+from layerlab.cli import _build_parser, _finalize, main
 from layerlab.plate import field as plate_field_eval
 from layerlab.plate import force, solve_plate
 
@@ -426,6 +427,87 @@ def test_format_validation(capsys):
     rc, _, err = run(capsys, "plate-force", "--xi", "1e-3", "--chi", "1",
                      "--format", "yaml")
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, fmt", [
+    (["--json", "--format", "csv"], "json"),
+    (["--csv", "--json"], "csv"),
+    (["--format", "json", "--csv"], "csv"),
+    (["--format", "csv", "--json"], "json"),
+])
+def test_format_shorthands_override_format(capsys, flags, fmt):
+    # --json and --csv win over --format wherever they stand, and --csv
+    # over --json
+    rc, out, _ = run(capsys, "regime-transitions", "--geometry", "sphere",
+                     *flags)
+    assert rc == 0
+    if fmt == "json":
+        assert json.loads(out)["geometry"] == "sphere"
+    else:
+        assert out.splitlines()[0].startswith("geometry,zeta_bar")
+
+
+def test_config_format_is_validated(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = yaml\n")
+    rc, out, err = run(capsys, "regime-transitions", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert "unknown format 'yaml'" in err
+
+
+def test_config_values_stay_in_their_call(capsys, tmp_path):
+    # a value a config file fills in is not a default of the next call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 0.2\nformat = json\n")
+    rc, out, _ = run(capsys, "regime-transitions", "--config", str(cfg))
+    assert rc == 0 and json.loads(out)["tolerance"] == 0.2
+    rc, out, _ = run(capsys, "regime-transitions", "--json")
+    assert rc == 0 and json.loads(out)["tolerance"] == 0.1
+
+
+# Each command's long options and the value each resolves to when it is
+# not given (after the config merge)
+_XI = {"--xi": None}
+_MATERIAL = {"--chi": None, "--nu": None}
+_SCALE = {"--mu": 1.0, "--a": 1.0, "--U": 1.0}
+_SWEEP = {"--sweep-xi": None}
+_OUTPUT = {"--format": "human", "--json": False, "--csv": False,
+           "--output": None, "--config": None, "--timestamp": False}
+_TOL = {"--tol": 1e-10}
+_GRID = {"--nr": 41, "--nz": 21}
+_REGIME = {"--geometry": "plate", "--tolerance": 0.1}
+_COMMAND_OPTIONS = {
+    "plate-force": {**_XI, **_MATERIAL, **_SCALE, **_SWEEP, **_OUTPUT},
+    "plate-modulus": {**_XI, **_MATERIAL, **_SWEEP, **_OUTPUT},
+    "plate-field": {**_XI, **_MATERIAL, **_SCALE, **_OUTPUT, **_GRID},
+    "sphere-force": {**_XI, **_MATERIAL, **_SCALE, **_SWEEP, **_OUTPUT,
+                     **_TOL},
+    "sphere-field": {**_XI, **_MATERIAL, **_SCALE, **_OUTPUT, **_TOL,
+                     **_GRID},
+    "regime-classify": {**_XI, **_MATERIAL, **_OUTPUT, **_REGIME},
+    "regime-transitions": {**_XI, **_OUTPUT, **_REGIME},
+    "compare-plate": {**_XI, **_MATERIAL, **_SWEEP, **_OUTPUT},
+    "verify-table4": _OUTPUT,
+    "verify-suite": _OUTPUT,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_OPTIONS))
+def test_command_options_and_defaults(command):
+    ap = _build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMAND_OPTIONS)
+    want = _COMMAND_OPTIONS[command]
+    flags = {s for a in sub.choices[command]._actions
+             for s in a.option_strings if s.startswith("--")}
+    assert flags - {"--help"} == set(want)
+    args = ap.parse_args([command])
+    _finalize(args)
+    got = {f: getattr(args, f[2:].replace("-", "_")) for f in want}
+    assert got == want
+    assert set(vars(args)) == {f[2:].replace("-", "_") for f in want} \
+        | {"command", "func"}
 
 
 def test_timestamp_only_in_human_reports(capsys):

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
+from layerlab import plate, series
 from layerlab.kernels import _MAX_REFINE, ToleranceNotMet, integrate
 from layerlab.sphere import (
     XI_MAX_SPHERE,
@@ -176,6 +177,39 @@ def test_field_domain_validation():
         for fn in (sphere_field, sphere_potential):
             with pytest.raises(ValueError, match="outside"):
                 fn(sol, R, Z)
+
+
+def _theta():
+    return series.solve_theta(1e-2)
+
+
+@pytest.mark.parametrize("coord", ["R", "Z"])
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda R, Z: plate.field(plate.solve_plate(1e-2, chi=0.5), R, Z),
+                 id="plate.field"),
+    pytest.param(lambda R, Z: plate.stefan_fluid_fields(R, Z, 1.0, 1.0, 1.0, 1.0),
+                 id="plate.stefan_fluid_fields"),
+    pytest.param(lambda R, Z: sphere_field(solve_sphere(1e-2, 0.5), R, Z),
+                 id="sphere.sphere_field"),
+    pytest.param(lambda R, Z: sphere_potential(solve_sphere(1e-2, 0.5), R, Z),
+                 id="sphere.sphere_potential"),
+    pytest.param(lambda R, Z: series.compressible_series_fields(1e-2, 1.0, 1.0,
+                                                                R, Z),
+                 id="series.compressible_series_fields"),
+    pytest.param(lambda R, Z: series.nearly_compressible_series_fields(1e-2, R, Z),
+                 id="series.nearly_compressible_series_fields"),
+    pytest.param(lambda R, Z: _theta().u_r0(R, Z), id="series.ThetaSolution.u_r0"),
+    pytest.param(lambda R, Z: _theta().u_z0(R, Z), id="series.ThetaSolution.u_z0"),
+])
+def test_nan_coordinates_rejected(fn, coord):
+    # every public function taking layer coordinates: a NaN R or Z is
+    # outside every layer and must not come back as a NaN field.
+    # Scalars and arrays take the same check
+    fn(0.5, 0.5)
+    for nan in (math.nan, np.array([0.5, math.nan])):
+        R, Z = (nan, 0.5) if coord == "R" else (0.5, nan)
+        with pytest.raises(ValueError):
+            fn(R, Z)
 
 
 def test_potential_derivative_consistency():
