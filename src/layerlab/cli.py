@@ -27,15 +27,20 @@ Each option is declared once, in one of the option groups built by
 _build_parser; _COMMANDS names the groups every command takes.
 
 Field CSV artifacts use the fixed header R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz
-with rows Z-fastest and values printed to 17 significant digits, so
-re-reading a file reproduces the in-memory doubles bit for bit.  The two
-verify commands only render what layerlab.verify returns.
+with rows Z-fastest and every value exactly as "%.17g" prints it, so
+re-reading a file reproduces the in-memory doubles bit for bit.  The
+table is rendered by a vectorized numpy kernel (layerlab.csv17) that is
+byte-identical to "%.17g" and hands the values it cannot prove it rounds
+correctly (those within 1e-6 of a rounding tie) and the non-finite ones
+to "%.17g" itself.  The two verify commands only render what
+layerlab.verify returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -43,6 +48,7 @@ import sys
 import numpy as np
 
 from . import verify
+from .csv17 import csv17
 from .kernels import NumericsError
 from .materials import nu_from_chi, resolve_chi, zeta_family
 from .plate import apparent_modulus, field, force, force_factor, solve_plate
@@ -287,15 +293,11 @@ def _cmd_regime_transitions(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _field_csv(fs) -> str:
-    """fs: FieldSample on an (nr, nz) grid, emitted row-major (Z fastest),
-    one R line at a time."""
+    """fs: FieldSample on an (nr, nz) grid, emitted row-major (Z fastest)
+    under the header, every value as "%.17g" prints it."""
     names = _FIELD_HEADER.split(",")
     table = np.stack([getattr(fs, name) for name in names], axis=-1)
-    fmt = ",".join(["%.17g"] * len(names))
-    lines = [_FIELD_HEADER]
-    for r_line in table:
-        lines.extend(fmt % tuple(row) for row in r_line.tolist())
-    return "\n".join(lines) + "\n"
+    return _FIELD_HEADER + "\n" + csv17(table.reshape(-1, len(names)))
 
 
 def _check_grid(args) -> None:
@@ -359,16 +361,23 @@ def _cmd_verify_table4(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
-    lines = []
-    n_fail = 0
-    for name, worst, tol in verify.suite():
-        ok = worst <= tol
-        n_fail += not ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: worst {worst:.3e} "
-                     f"(tol {tol:.0e})")
-    lines.append(f"properties checked: 5x5 grid; failures: {n_fail}")
-    lines.append("result: " + ("PASS" if n_fail == 0 else "FAIL"))
-    _write_out("\n".join(lines) + "\n", args.output)
+    """Human: one PASS/FAIL line per property, the tally and the verdict.
+    JSON: the verdict and the checks.  CSV: the checks."""
+    checks = [{"name": name, "worst": float(worst), "tol": tol,
+               "pass": bool(worst <= tol)}
+              for name, worst, tol in verify.suite()]
+    n_fail = sum(not c["pass"] for c in checks)
+    if args.format == "json":
+        _emit([{"pass": n_fail == 0, "checks": checks}], args)
+    elif args.format == "csv":
+        _emit(checks, args)
+    else:
+        lines = _stamp(args) + [
+            f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: "
+            f"worst {c['worst']:.3e} (tol {c['tol']:.0e})" for c in checks]
+        lines.append(f"properties checked: 5x5 grid; failures: {n_fail}")
+        lines.append("result: " + ("PASS" if n_fail == 0 else "FAIL"))
+        _write_out("\n".join(lines) + "\n", args.output)
     return 0 if n_fail == 0 else 2
 
 
@@ -409,10 +418,15 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """A fresh parser: each option group is a parent parser whose options
-    default to None (flags to False), so _finalize alone fills defaults
-    and no value set on one parse can reach another."""
+    """The parser, built once per process and shared by every main call.
+
+    Each option group is a parent parser whose options default to None
+    (flags to False), and _finalize alone applies defaults, on the
+    namespace of its own parse; so parses stay independent, and nothing
+    one call sets, a config value or a failed parse included, reaches the
+    next."""
     groups = {}
 
     def group(name):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import layerlab
-from layerlab import plate
+from layerlab import cli, plate
 from layerlab.cli import _build_parser, _finalize, main
 from layerlab.plate import field as plate_field_eval
 from layerlab.plate import force, solve_plate
@@ -269,6 +269,35 @@ def test_verify_suite_passes(capsys):
                           "result: PASS"]
 
 
+_SUITE = [("dirichlet", 2.5e-15, 1e-08), ("sphere dual oracle", 3e-08, 1e-08)]
+
+
+@pytest.mark.parametrize("flags", [(), ("--timestamp",), ("--json",),
+                                   ("--csv",), ("--format", "json")])
+def test_verify_suite_formats(capsys, monkeypatch, flags):
+    # the checks as data in JSON and CSV, the report otherwise; a failing
+    # property exits 2 whatever the format
+    monkeypatch.setattr(cli.verify, "suite", lambda: list(_SUITE))
+    rc, out, _ = run(capsys, "verify-suite", *flags)
+    assert rc == 2
+    checks = [{"name": n, "worst": w, "tol": t, "pass": w <= t}
+              for n, w, t in _SUITE]
+    if "json" in flags or "--json" in flags:
+        assert json.loads(out) == {"pass": False, "checks": checks}
+    elif "--csv" in flags:
+        assert out.splitlines() == ["name,worst,tol,pass"] + [
+            "%s,%.17g,%.17g,%s" % (n, w, t, w <= t) for n, w, t in _SUITE]
+    else:
+        report = ["PASS dirichlet: worst 2.500e-15 (tol 1e-08)",
+                  "FAIL sphere dual oracle: worst 3.000e-08 (tol 1e-08)",
+                  "properties checked: 5x5 grid; failures: 1",
+                  "result: FAIL"]
+        lines = out.splitlines()
+        if flags:
+            assert lines.pop(0).startswith("generated: ")
+        assert lines == report
+
+
 # ---------------------------------------------------------------------------
 # Field emission
 # ---------------------------------------------------------------------------
@@ -301,6 +330,34 @@ def test_plate_field_csv_round_trip(capsys):
     # walls carry the prescribed displacement
     top = data[np.isclose(data[:, 1], 1.0)]
     assert np.all(top[:, 3] == 1.0)
+
+
+def _per_row_field_csv(fs):
+    """The former field emitter, one "%.17g" join per row: the oracle."""
+    names = cli._FIELD_HEADER.split(",")
+    table = np.stack([getattr(fs, name) for name in names], axis=-1)
+    fmt = ",".join(["%.17g"] * len(names))
+    lines = [cli._FIELD_HEADER]
+    for r_line in table:
+        lines.extend(fmt % tuple(row) for row in r_line.tolist())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, xi, chi", [
+    ("plate-field", "1e-3", "0"), ("plate-field", "1e-3", "1e-9"),
+    ("plate-field", "1e-3", "0.7"), ("sphere-field", "0.1", "0"),
+    ("sphere-field", "1e-3", "1e-3"), ("sphere-field", "4.6e-4", "1.2")])
+def test_field_csv_matches_per_row_printf(capsys, monkeypatch, command, xi,
+                                          chi):
+    # AC9: the vectorized emitter prints the bytes of the per-row one
+    samples = []
+    emit = cli._field_csv
+    monkeypatch.setattr(cli, "_field_csv",
+                        lambda fs: samples.append(fs) or emit(fs))
+    rc, out, _ = run(capsys, command, "--xi", xi, "--chi", chi,
+                     "--nr", "401", "--nz", "41", "--csv")
+    assert rc == 0 and len(samples) == 1
+    assert out == _per_row_field_csv(samples[0])
 
 
 def test_sphere_field_grid_follows_gap(capsys):
@@ -463,6 +520,29 @@ def test_config_values_stay_in_their_call(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["tolerance"] == 0.2
     rc, out, _ = run(capsys, "regime-transitions", "--json")
     assert rc == 0 and json.loads(out)["tolerance"] == 0.1
+
+
+def test_parser_is_reused_and_calls_stay_apart(capsys, tmp_path):
+    # one parser serves every call; what a call sets (format, output
+    # path, config values) and a usage error leave the next call as if
+    # it ran first
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 0.2\nformat = json\n")
+    path = tmp_path / "out.csv"
+    fresh = run(capsys, "regime-transitions", "--xi", "1e-2")
+    assert fresh[0] == 0 and "tolerance: 0.1" in fresh[1]
+    rc, out, _ = run(capsys, "regime-transitions", "--config", str(cfg))
+    assert rc == 0 and json.loads(out)["tolerance"] == 0.2
+    rc, out, _ = run(capsys, "regime-transitions", "--xi", "1e-2", "--csv",
+                     "--output", str(path))
+    assert (rc, out) == (0, "") and path.read_text().startswith("geometry,")
+    rc, out, err = run(capsys, "regime-transitions", "--tolerance", "x")
+    assert rc == 2 and out == "" and "invalid float value" in err
+    assert run(capsys, "regime-transitions", "--xi", "1e-2") == fresh
+    rc, out, _ = run(capsys, "regime-transitions", "--json")
+    assert rc == 0 and json.loads(out)["tolerance"] == 0.1
+    assert run(capsys, "regime-transitions", "--xi", "1e-2") == fresh
 
 
 # Each command's long options and the value each resolves to when it is

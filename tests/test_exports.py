@@ -6,7 +6,8 @@ import pytest
 
 MODULES = ("layerlab", "layerlab.kernels", "layerlab.materials",
            "layerlab.plate", "layerlab.sphere", "layerlab.series",
-           "layerlab.regimes", "layerlab.cli", "layerlab.verify")
+           "layerlab.regimes", "layerlab.cli", "layerlab.verify",
+           "layerlab.csv17")
 
 
 @pytest.mark.parametrize("name", MODULES)
