@@ -169,14 +169,26 @@ def _field_block(Rr: np.ndarray, Zb: np.ndarray) -> list:
     return [block[i, ...] for i in range(6)]
 
 
-def _field_sample(Rr: np.ndarray, Zb: np.ndarray, fields) -> FieldSample:
-    """The FieldSample of _field_block's filled views: floats for scalar
-    input, else R and Z as read-only broadcast views of the inputs."""
+def _distinct(Rr: np.ndarray):
+    """The distinct values of Rr, and a map taking arrays over them (along
+    their last axis) back to Rr's own shape."""
+    r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
+    # arr.T[inverse] is numpy's fast gather along a first axis;
+    # arr[..., inverse] gives the same array in the same memory layout but
+    # takes 2.5 times as long on a 1-D arr
+    return r_unique, (lambda arr: arr.T[inverse].T
+                      .reshape(arr.shape[:-1] + Rr.shape))
+
+
+def _field_sample(Rr: np.ndarray, Zb: np.ndarray, fields, kind=FieldSample):
+    """The sample (a FieldSample, or `kind`) of the filled fields: floats
+    for scalar input, else R and Z as read-only broadcast views of the
+    inputs."""
     shape = fields[0].shape
     if not shape:
-        return FieldSample(float(Rr), float(Zb), *map(float, fields))
-    return FieldSample(np.broadcast_to(Rr, shape), np.broadcast_to(Zb, shape),
-                       *fields)
+        return kind(float(Rr), float(Zb), *map(float, fields))
+    return kind(np.broadcast_to(Rr, shape), np.broadcast_to(Zb, shape),
+                *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +420,12 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
-    r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
+    r_unique, take = _distinct(Rr)
     av, a1, a2, _ = sol.radial.eval(r_unique)
     # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
     safe_r = np.where(r_unique > 0.0, r_unique, 1.0)
     a1r = np.where(r_unique > 0.0, a1 / safe_r, a2)
-
-    A = av[inverse].reshape(Rr.shape)
-    A1 = a1[inverse].reshape(Rr.shape)
-    A2 = a2[inverse].reshape(Rr.shape)
-    A1R = a1r[inverse].reshape(Rr.shape)
+    A, A1, A2, A1R = map(take, (av, a1, a2, a1r))
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi

@@ -48,20 +48,24 @@ of xi.  Three regimes admit direct series solutions:
 through the scaled system above with 4th-order finite differences and
 reports residual norms normalized by the largest retained term, so the
 asymptotic defect of each series is measured rather than assumed.
+
+The series belong to the sphere layer: every public function takes
+0 < xi <= 0.1, and every field its points, through
+``sphere.SphereGeometry``, the layer's one owner of that domain, the rim
+and the gap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .kernels import NumericsError, RadialSolution
-from .materials import check_xi
-from .sphere import _check_layer, _check_sphere_xi, _layer_points, _radial_bvp
+from .sphere import SphereGeometry, _radial_bvp
 
 __all__ = [
     "SeriesRegime",
@@ -95,9 +99,8 @@ class SeriesRegime:
 
 def series_regime(xi: float, mu_over_lambda: float) -> SeriesRegime:
     """Classify mu/lambda against the series-regime boundaries."""
-    xi = float(xi)
+    xi = SphereGeometry.of(xi).xi
     m = float(mu_over_lambda)
-    check_xi(xi)
     if m <= 0.0:
         raise ValueError(f"mu/lambda must be positive, got {m}")
     root = math.sqrt(xi)
@@ -123,19 +126,11 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
     sqrt(xi); both vanish/match the plate motion on the bonded surfaces
     at their retained orders.
     """
-    xi = check_xi(float(xi))
+    geo = SphereGeometry.of(xi)
     if mu <= 0.0 or lam <= 0.0:
         raise ValueError("lam and mu must be positive in this regime")
-    Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
-    s = 2.0 + Rb * Rb
-    bracket = 4.0 * Zb * Zb / (s * s) - 1.0
-    u_r = math.sqrt(xi) * (lam + mu) / (2.0 * mu) * Rb * bracket * U
-    u_z = (2.0 * Zb / s
-           - (xi / 3.0) * (lam / mu) * ((2.0 - Rb * Rb) / s)
-           * (2.0 * Zb * Zb / s - 1.0) * Zb) * U
-    if not u_r.shape:
-        return float(u_r), float(u_z)
-    return u_r, u_z
+    return _series_fields(geo, (math.sqrt(geo.xi) * (lam + mu) / (2.0 * mu),
+                                1.0), lam / mu, R, Z, U)
 
 
 def nearly_compressible_series_fields(xi: float, R, Z, U: float = 1.0):
@@ -143,13 +138,27 @@ def nearly_compressible_series_fields(xi: float, R, Z, U: float = 1.0):
 
     Returns (u_r, u_z); here u_r and u_z are the same order in xi.
     """
-    xi = check_xi(float(xi))
-    Rb, Zb = _check_layer(1.0 / math.sqrt(xi), R, Z)
+    geo = SphereGeometry.of(xi)
+    return _series_fields(geo, (0.5, 1.0 + math.sqrt(geo.xi)), 1.0, R, Z, U)
+
+
+def _series_fields(geo: SphereGeometry, k_r: tuple, k_z: float, R, Z,
+                   U: float):
+    """The two direct series, which differ only in their prefactors
+    ``k_r = (k0, k1)`` and ``k_z``:
+
+        u_r = k0 R [4Z**2/(2+R**2)**2 - 1] k1 U
+        u_z = { 2Z/(2+R**2) - (xi/3) k_z ((2-R**2)/(2+R**2))
+                [2Z**2/(2+R**2) - 1] Z } U
+
+    k0 and k1 sit where the printed series put them, so each field is
+    the product it was written as."""
+    Rb, Zb = geo.check(R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
-    u_r = 0.5 * Rb * bracket * (1.0 + math.sqrt(xi)) * U
+    u_r = k_r[0] * Rb * bracket * k_r[1] * U
     u_z = (2.0 * Zb / s
-           - (xi / 3.0) * ((2.0 - Rb * Rb) / s)
+           - (geo.xi / 3.0) * k_z * ((2.0 - Rb * Rb) / s)
            * (2.0 * Zb * Zb / s - 1.0) * Zb) * U
     if not u_r.shape:
         return float(u_r), float(u_z)
@@ -168,23 +177,25 @@ class ThetaSolution:
     U: float
     Theta: RadialSolution
 
-    def _terms(self, R):
-        """Theta, Theta' and L = Theta'' + Theta'/R on the radii R, with
-        Theta'/R finite on the axis."""
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(R)
-        return t0, t1, t2 + t1_over_r
+    @cached_property
+    def geo(self) -> SphereGeometry:
+        return SphereGeometry.of(self.xi)
+
+    def _terms(self, R, Z):
+        """R, Z and g(R) after the layer check, then Theta, Theta' and
+        L = Theta'' + Theta'/R, formed once per distinct R (Theta'/R finite
+        on the axis) and taken to R's shape."""
+        Rb, Zb, runiq, take = self.geo.points(R, Z)
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(runiq)
+        return Rb, Zb, self.geo.gap(Rb), *map(take, (t0, t1, t2 + t1_over_r))
 
     def u_r0(self, R, Z):
-        Rb, Zb, runiq, take = _layer_points(1.0 / math.sqrt(self.xi), R, Z)
-        _, t1, _ = self._terms(runiq)
-        g = 1.0 + 0.5 * Rb * Rb
-        out = -0.5 * take(t1) * (Zb * Zb - g * g)
+        _, Zb, g, _, t1, _ = self._terms(R, Z)
+        out = -0.5 * t1 * (Zb * Zb - g * g)
         return float(out) if not out.shape else out
 
     def u_z0(self, R, Z):
-        Rb, Zb, runiq, take = _layer_points(1.0 / math.sqrt(self.xi), R, Z)
-        t0, t1, L = map(take, self._terms(runiq))
-        g = 1.0 + 0.5 * Rb * Rb
+        Rb, Zb, g, t0, t1, L = self._terms(R, Z)
         out = (t0 - t1 * g * Rb - 0.5 * L * g * g) * Zb + (L / 6.0) * Zb ** 3
         return float(out) if not out.shape else out
 
@@ -198,9 +209,9 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     regular on the axis, zero normal-stress resultant at the rim.  Both
     kernel discretizations are run and must agree to min(1e-8, 100 tol).
     """
-    xi = _check_sphere_xi(float(xi))
-    U = float(U)
-    theta = _radial_bvp(xi, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
+    geo = SphereGeometry.of(xi)
+    xi, U = geo.xi, float(U)
+    theta = _radial_bvp(geo, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
                         f"on Theta at xi = {xi:g}")
     return ThetaSolution(xi=xi, U=U, Theta=theta)
 
@@ -289,6 +300,8 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     centered differences on an n-by-n rectangle
     [r_lo, r_hi] x [-0.9 g(r_lo), 0.9 g(r_lo)] (inside the layer since
     the gap grows with R) and normalized by the largest retained term.
+    ``r_window`` = (r_lo, r_hi) defaults to (0.25, 2.5), inside the rim
+    1/sqrt(xi) >= 3.16 of every sphere layer.
     mode="dominant" drops the xi / mu-over-lambda weights and tests only
     the dominant-balance pair, which the Theta fields satisfy
     identically.
@@ -303,20 +316,20 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     comparison would only compare noise with noise.
     """
     u_r_fn, u_z_fn = fields
-    xi = float(xi)
+    geo = SphereGeometry.of(xi)
+    xi = geo.xi
     m = float(mu_over_lambda)
-    check_xi(xi)
     if mode not in ("full", "dominant"):
         raise ValueError(f"mode must be 'full' or 'dominant', got {mode!r}")
     if r_window is None:
-        r_window = (0.25, min(2.5, 0.8 / math.sqrt(xi)))
+        r_window = (0.25, 2.5)
     r_lo, r_hi = map(float, r_window)
-    if not (0.0 < r_lo < r_hi <= 1.0 / math.sqrt(xi)):
+    if not (0.0 < r_lo < r_hi <= geo.r_edge):
         raise ValueError(f"r_window {r_window} outside (0, 1/sqrt(xi)]")
     n = int(n)
     if n < 13 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 13")
-    z_max = 0.9 * (1.0 + 0.5 * r_lo * r_lo)
+    z_max = 0.9 * geo.gap(r_lo)
     rr = np.linspace(r_lo, r_hi, n)
     zz = np.linspace(-z_max, z_max, n)
 
@@ -334,13 +347,10 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     N2, sup_r2, sup_z2, _, _ = _norms_from_terms(terms_r2, terms_z2)
     fine = max(sup_r, sup_z) / N
     coarse = max(sup_r2, sup_z2) / N2
-    if max(fine, coarse) < 1e-4:
-        return ResidualNorms(sup_r=sup_r / N, sup_z=sup_z / N,
-                             l2_r=l2_r / N, l2_z=l2_z / N, normalization=N)
-    if abs(fine - coarse) > 0.10 * max(fine, 1e-300):
+    if (max(fine, coarse) >= 1e-4
+            and abs(fine - coarse) > 0.10 * max(fine, 1e-300)):
         raise NumericsError(
             f"residual grid too coarse: normalized sup {fine:.3e} vs "
             f"{coarse:.3e} on the halved grid (> 10% apart)")
-
     return ResidualNorms(sup_r=sup_r / N, sup_z=sup_z / N,
                          l2_r=l2_r / N, l2_z=l2_z / N, normalization=N)

@@ -108,8 +108,8 @@ import numpy as np
 
 from .kernels import RadialSolution, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
-from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
-                    _field_sample)
+from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _distinct,
+                    _field_block, _field_sample)
 
 __all__ = [
     "SphereGeometry",
@@ -127,22 +127,16 @@ __all__ = [
 XI_MAX_SPHERE = 0.1
 
 
-def _check_sphere_xi(xi) -> float:
-    """xi as a float, after checking the sphere layers' domain
-    0 < xi <= XI_MAX_SPHERE, where the parabolic gap holds (NaN fails it)."""
-    if not (0.0 < xi <= XI_MAX_SPHERE):
-        raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} for a "
-                         f"sphere layer, got {xi}")
-    return float(xi)
-
-
 # exact for the degree <= 11 force and potential integrands in s
 _GL_S = np.polynomial.legendre.leggauss(6)
 
 
 @dataclass(frozen=True)
 class SphereGeometry:
-    """Scaled geometry of the sphere-sphere gap.
+    """Scaled geometry of the sphere-sphere gap, and the one owner of the
+    sphere layer's domain: every sphere-layer function (the profile, its
+    fields and potential, the Theta problem and the direct series) takes
+    xi through ``of`` and its points through ``check`` or ``points``.
 
     ``gap(R) = 1 + R**2/2`` is the half-thickness in units of h; the
     domain is truncated at ``r_edge = 1/sqrt(xi)``.
@@ -151,10 +145,39 @@ class SphereGeometry:
     xi: float
     r_edge: float
 
+    @classmethod
+    def of(cls, xi) -> "SphereGeometry":
+        """The geometry at xi, after checking 0 < xi <= XI_MAX_SPHERE,
+        where the parabolic gap holds (NaN fails it)."""
+        xi = float(xi)
+        if not (0.0 < xi <= XI_MAX_SPHERE):
+            raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} "
+                             f"for a sphere layer, got {xi}")
+        return cls(xi=xi, r_edge=1.0 / math.sqrt(xi))
+
     def gap(self, R):
         R = np.asarray(R, dtype=float)
         g = 1.0 + 0.5 * R * R
         return float(g) if g.ndim == 0 else g
+
+    def check(self, R, Z):
+        """R and Z as float arrays, after checking them against the layer:
+        ``0 <= R <= r_edge`` and ``|Z| <= gap(R)``."""
+        # written so that NaN fails each check; one |Z| array, one boolean grid
+        Rr = np.asarray(R, dtype=float)
+        if not (np.all(Rr >= 0.0) and np.all(Rr <= self.r_edge * (1.0 + 1e-12))):
+            raise ValueError("R outside [0, 1/sqrt(xi)]")
+        Zb = np.asarray(Z, dtype=float)
+        if not np.all(np.abs(Zb) <= self.gap(Rr) * (1.0 + 1e-12) + 1e-9):
+            raise ValueError("Z outside the layer |Z| <= gap(R)")
+        return Rr, Zb
+
+    def points(self, R, Z):
+        """check's R and Z, then the distinct values of R and a map taking
+        arrays over those (along their last axis) back to R's own shape,
+        for fields whose coefficients depend on R alone."""
+        Rr, Zb = self.check(R, Z)
+        return (Rr, Zb, *_distinct(Rr))
 
 
 class SphereForce(NamedTuple):
@@ -173,7 +196,11 @@ class PsiExtremes(NamedTuple):
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """Potential ``Phi`` and its scaled-coordinate derivatives at (R, Z)."""
+    """Potential ``Phi`` and its scaled-coordinate derivatives at (R, Z).
+
+    Floats for scalar input, arrays of the broadcast shape otherwise, with
+    R and Z read-only broadcast views of the inputs (as in FieldSample).
+    """
 
     R: object
     Z: object
@@ -216,12 +243,12 @@ def _ode_coefficients(xi: float, chi: float, load: float):
     return m, q, f, m_s, q_s, f_s
 
 
-def _edge_closure(xi: float, chi: float):
+def _edge_closure(geo: SphereGeometry, chi: float):
     """Rim row (alpha, beta, gamma, delta): zero sigma_rr resultant."""
-    re = 1.0 / math.sqrt(xi)
-    ge = 1.0 + 0.5 * re * re
+    re = geo.r_edge
+    ge = geo.gap(re)
     k = 3.0 - 2.0 * chi * chi
-    alpha = 3.0 * k / xi
+    alpha = 3.0 * k / geo.xi
     beta = 9.0 * ge * re - k * ge * ge / re
     gamma = 3.0 * ge * ge
     return alpha, beta, gamma, 0.0
@@ -232,7 +259,8 @@ def _edge_closure(xi: float, chi: float):
 _TAIL_RATIO = 1.093
 
 
-def _sphere_edges(xi: float, n_main: Optional[int] = None) -> np.ndarray:
+def _sphere_edges(geo: SphereGeometry,
+                  n_main: Optional[int] = None) -> np.ndarray:
     """R panel edges tuned to the sphere profile, from the axis: one axis
     panel out to R = 0.0625, a uniform section through the O(1) feature
     region out to R = 4, then panels growing toward the rim
@@ -254,7 +282,7 @@ def _sphere_edges(xi: float, n_main: Optional[int] = None) -> np.ndarray:
     whatever chi is.  The profile follows the local balance A ~ f/q, and
     its rim layer, about 1/(2 chi sqrt(xi)) wide in R, is resolved by the
     graded tail (by the uniform section when the rim is at R <= 4)."""
-    re = 1.0 / math.sqrt(xi)
+    re = geo.r_edge
     start = 0.0625
     h_inner = 0.18 if n_main is None else 0.18 / max(n_main / 96.0, 1e-2)
     r_mid = min(4.0, re)
@@ -274,24 +302,19 @@ def _sphere_edges(xi: float, n_main: Optional[int] = None) -> np.ndarray:
     return np.concatenate([[0.0], inner, tail])
 
 
-def _radial_bvp(xi: float, chi: float, tol: float, mesh: Optional[int],
-                load: float, where: str) -> RadialSolution:
+@lru_cache(maxsize=64)
+def _radial_bvp(geo: SphereGeometry, chi: float, tol: float,
+                mesh: Optional[int], load: float, where: str) -> RadialSolution:
     """Solve the radial profile with its forcing scaled by ``load`` under
     both independent discretizations and cross-check them (``where`` names
     the problem if they disagree); returns the primary solution, with the
     sup-norm relative disagreement in meta["dual_sup_rel"].  ``mesh`` is
-    _sphere_edges' n_main (None: the default graded tail)."""
-    return solve_dual_bvp(_ode_coefficients(xi, chi, load),
-                          _edge_closure(xi, chi), tol, where,
-                          mesh=_sphere_edges(xi, mesh))
-
-
-@lru_cache(maxsize=64)
-def _solve_radial(xi: float, chi: float, tol: float,
-                  mesh: Optional[int]) -> RadialSolution:
-    """The sphere profile A(R): _radial_bvp at load 1, cached."""
-    return _radial_bvp(xi, chi, tol, mesh, 1.0,
-                       f"at (xi, chi) = ({xi:g}, {chi:g})")
+    _sphere_edges' n_main (None: the default graded tail).  Cached: the
+    sphere profile (load 1) and the Theta problem (load 6 U) differ in
+    chi, load and where, so each is its own entry and its own solve."""
+    return solve_dual_bvp(_ode_coefficients(geo.xi, chi, load),
+                          _edge_closure(geo, chi), tol, where,
+                          mesh=_sphere_edges(geo, mesh))
 
 
 @dataclass(frozen=True)
@@ -336,36 +359,15 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     residual asks for it.
     """
     chi = resolve_chi(chi, nu)
-    xi = _check_sphere_xi(float(xi))
+    geo = SphereGeometry.of(xi)
+    xi = geo.xi
     cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    radial = _solve_radial(xi, chi, float(tol), mesh)
+    radial = _radial_bvp(geo, chi, float(tol), mesh, 1.0,
+                         f"at (xi, chi) = ({xi:g}, {chi:g})")
     val = 1.0 - chi * chi / (2.0 * xi)
     beta = (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))
-    geo = SphereGeometry(xi=xi, r_edge=1.0 / math.sqrt(xi))
     return SphereSolution(cfg=cfg, geo=geo, mat=mat, A=radial, beta=beta)
-
-
-def _check_layer(r_edge: float, R, Z):
-    """R and Z as float arrays checked against the layer truncated at
-    ``r_edge = 1/sqrt(xi)``: 0 <= R <= r_edge and |Z| <= gap(R)."""
-    # written so that NaN fails each check; one |Z| array, one boolean grid
-    Rr = np.asarray(R, dtype=float)
-    if not (np.all(Rr >= 0.0) and np.all(Rr <= r_edge * (1.0 + 1e-12))):
-        raise ValueError("R outside [0, 1/sqrt(xi)]")
-    Zb = np.asarray(Z, dtype=float)
-    if not np.all(np.abs(Zb) <= (1.0 + 0.5 * Rr * Rr) * (1.0 + 1e-12) + 1e-9):
-        raise ValueError("Z outside the layer |Z| <= gap(R)")
-    return Rr, Zb
-
-
-def _layer_points(r_edge: float, R, Z):
-    """_check_layer's R and Z, the distinct values of R, and a map taking
-    arrays over those (along their last axis) back to R's own shape."""
-    Rr, Zb = _check_layer(r_edge, R, Z)
-    runiq, inv = np.unique(Rr.ravel(), return_inverse=True)
-    return (Rr, Zb, runiq,
-            lambda arr: arr[..., inv].reshape(arr.shape[:-1] + Rr.shape))
 
 
 def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
@@ -391,10 +393,10 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
-    Rr, Zb, rr, take = _layer_points(sol.geo.r_edge, R, Z)
+    Rr, Zb, rr, take = sol.geo.points(R, Z)
 
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
-    g = 1.0 + 0.5 * rr * rr
+    g = sol.geo.gap(rr)
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1
     Lp = a3 + lp_core
@@ -459,36 +461,32 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     """Odd-in-Z potential ``Phi = xi a**2 U [(int_0^R A1) Z + A Z**3]``
     and its first and second derivatives in the scaled coordinates.  R and
     Z broadcast together; like sphere_field it requires
-    ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``.  The integral of A1
-    is exact on the solver's polynomial panels in s = R**2 (6-point
-    Gauss-Legendre per panel)."""
+    ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``, and it gives floats
+    for scalar input, else R and Z as read-only broadcast views of the
+    inputs.  The integral of A1 is exact on the solver's polynomial panels
+    in s = R**2 (6-point Gauss-Legendre per panel)."""
     cfg = sol.cfg
-    xi = cfg.xi
-    Rr, Zb, runiq, take = _layer_points(sol.geo.r_edge, R, Z)
+    Rr, Zb, runiq, take = sol.geo.points(R, Z)
 
     a0u, a1u, a2u, _ = sol.A.eval(runiq)
-    gu = 1.0 + 0.5 * runiq * runiq
+    gu = sol.geo.gap(runiq)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * runiq * a1u
     Iau = _a1_antiderivative(sol, runiq)
 
-    a0, a1 = take(a0u), take(a1u)
-    A1, A1p, Ia = take(A1u), take(A1pu), take(Iau)
+    a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
 
-    s0 = xi * cfg.a ** 2 * cfg.U
+    s0 = cfg.xi * cfg.a ** 2 * cfg.U
     z2 = Zb * Zb
     phi = s0 * (Ia * Zb + a0 * Zb * z2)
     phi_r = s0 * (A1 * Zb + a1 * Zb * z2)
     phi_z = s0 * (Ia + 3.0 * a0 * z2)
-    phi_rr = s0 * (A1p * Zb + take(a2u) * Zb * z2)
+    phi_rr = s0 * (A1p * Zb + a2 * Zb * z2)
     phi_rz = s0 * (A1 + 3.0 * a1 * z2)
     phi_zz = s0 * 6.0 * a0 * Zb
 
-    vals = (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz)
-    if not phi.shape:
-        return PotentialSample(float(Rr), float(Zb), *map(float, vals))
-    return PotentialSample(np.broadcast_to(Rr, phi.shape).copy(),
-                           np.broadcast_to(Zb, phi.shape).copy(), *vals)
+    return _field_sample(Rr, Zb, (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz),
+                         PotentialSample)
 
 
 def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
@@ -527,8 +525,8 @@ def psi_extremes(xi: float, chi: float) -> PsiExtremes:
     diverges as chi -> 0 and is reported as inf there.  Requires
     ``0 < xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
     """
-    xi, chi = float(xi), resolve_chi(chi)
-    _check_sphere_xi(xi)
+    chi = resolve_chi(chi)
+    xi = SphereGeometry.of(xi).xi
     psi_i = 0.25 / xi
     if chi < CHI_INCOMPRESSIBLE:
         return PsiExtremes(psi_i=psi_i, psi_c=math.inf)

@@ -127,7 +127,7 @@ def cell_properties(xi: float, chi: float) -> dict:
     q_rr = float(_WQ @ fe.s_rr[41:])
     q_rz = float(_WQ @ fe.s_rz[41:])
     r_e = ssol.geo.r_edge
-    ge = 1.0 + 0.5 * r_e * r_e
+    ge = ssol.geo.gap(r_e)
     fs = sphere_field(ssol, r_e, np.concatenate(
         (np.linspace(-ge, ge, 41), ge * _TQ)))
     scale_s = max(float(np.max(np.abs(fs.s_rr[:41]))),
@@ -137,7 +137,7 @@ def cell_properties(xi: float, chi: float) -> dict:
     rs = np.linspace(0.0, r_e, 41)
     walls = [(field(sol, _R_WALL, np.full_like(_R_WALL, sgn)).u_z, sgn)
              for sgn in (1.0, -1.0)]
-    walls += [(sphere_field(ssol, rs, sgn * (1.0 + 0.5 * rs * rs)).u_z, sgn)
+    walls += [(sphere_field(ssol, rs, sgn * ssol.geo.gap(rs)).u_z, sgn)
               for sgn in (1.0, -1.0)]
     worst_d = max(float(np.max(np.abs(uz - sgn))) for uz, sgn in walls)
 

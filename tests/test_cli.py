@@ -85,6 +85,13 @@ def test_plate_modulus_values(capsys):
     # away
     assert abs(d["e_hat_c"] / d["e_hat"] - 1.0) < 0.10
     assert abs(d["e_hat_l"] / d["e_hat"] - 1.0) < 1e-4
+    # at chi = 0 the compressible plateau is infinite, and JSON carries it
+    # as null
+    rc, out, _ = run(capsys, "plate-modulus", "--xi", "1e-2", "--chi", "0",
+                     "--json")
+    d = json.loads(out)
+    assert rc == 0 and d["e_hat_c"] is None
+    assert d["e_hat"] == d["e_hat_i"] == 1250.0
 
 
 def test_sphere_force_json_contract(capsys):
@@ -190,6 +197,14 @@ def test_regime_classify(capsys):
     assert rc == 0
     d = json.loads(out)
     assert d["regime"] == "incompressible"
+    # the sphere thresholds are fixed constants, with no tolerance window:
+    # the human report prints n/a where JSON has null
+    rc, out, _ = run(capsys, "regime-classify", "--geometry", "sphere",
+                     "--xi", "1e-4", "--nu", "0.5")
+    report = dict(map(str.strip, line.split(":", 1))
+                  for line in out.splitlines())
+    assert rc == 0
+    assert report["zeta_c"] == report["zeta_i"] == report["tolerance"] == "n/a"
 
 
 def test_compare_plate_values(capsys):
@@ -393,6 +408,14 @@ def test_field_output_to_file(capsys, tmp_path):
     assert dest.read_text().splitlines()[0] == "R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz"
 
 
+def test_output_into_missing_directory_exits_3(capsys, tmp_path):
+    dest = tmp_path / "missing" / "out.json"
+    rc, out, err = run(capsys, "plate-force", "--xi", "1e-3", "--chi", "0.7",
+                       "--json", "--output", str(dest))
+    assert rc == 3 and out == ""
+    assert err.startswith("i/o failure: ") and not dest.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # Config files, sweeps, environment
 # ---------------------------------------------------------------------------
@@ -417,6 +440,10 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     rc, _, err = run(capsys, "sphere-force", "--xi", "1e-2", "--chi", "1",
                      "--config", str(cfg))
     assert rc == 2 and "error" in err.lower()
+    cfg.write_text("chi 1\n")
+    rc, _, err = run(capsys, "sphere-force", "--xi", "1e-2",
+                     "--config", str(cfg))
+    assert rc == 2 and err == "error: config line without '=': 'chi 1'\n"
 
 
 def test_sweep_is_log_spaced(capsys):
@@ -461,6 +488,20 @@ def test_material_input_errors(capsys):
     assert rc == 2 and "error" in err.lower()
     rc2, _, err2 = run(capsys, "plate-force", "--xi", "1e-3")
     assert rc2 == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("plate-force", "--chi", "1"), "--xi is required (or --sweep-xi LO HI N)"),
+    (("regime-classify", "--chi", "1"), "--xi is required"),
+    (("plate-field", "--xi", "1e-3", "--chi", "0.7", "--nr", "1"),
+     "--nr and --nz must be >= 2"),
+    (("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "2.5"),
+     "sweep point count must be an integer >= 2"),
+], ids=["force-no-xi", "classify-no-xi", "field-nr", "sweep-count"])
+def test_usage_errors_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_domain_errors(capsys):

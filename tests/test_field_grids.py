@@ -10,7 +10,7 @@ import pytest
 
 from layerlab import plate
 from layerlab.plate import FieldSample, field, solve_plate
-from layerlab.sphere import _layer_points, solve_sphere, sphere_field
+from layerlab.sphere import solve_sphere, sphere_field
 
 NAMES = ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
 
@@ -53,7 +53,7 @@ def _plate_reference(sol, R, Z):
 def _sphere_reference(sol, R, Z):
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
-    Rr, Zb, rr, take = _layer_points(sol.geo.r_edge, R, Z)
+    Rr, Zb, rr, take = sol.geo.points(R, Z)
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r

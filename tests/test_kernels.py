@@ -26,7 +26,7 @@ from layerlab.kernels import (
     solve_linear_bvp,
     x_minus_2t,
 )
-from layerlab.sphere import _ode_coefficients, _sphere_edges
+from layerlab.sphere import SphereGeometry, _ode_coefficients, _sphere_edges
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,8 @@ def test_bessel_ratio_limits():
     # t -> 1 from below for large x
     t_big = bessel_ratio(1e8).t
     assert 0.999999 < t_big < 1.0
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        bessel_ratio(-1.0)
 
 
 def test_x_minus_2t_against_mpmath():
@@ -481,7 +483,7 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
         edges = np.linspace(0.0, 5.0, 13 if problem == "bessel" else 2) ** 2
     else:
         m, q, f = _ode_coefficients(1e-2, 1.0, 1.0)[:3]
-        edges = _sphere_edges(1e-2, 24) ** 2
+        edges = _sphere_edges(SphereGeometry.of(1e-2), 24) ** 2
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
     want = _loop_solve(m, q, f, edges, deg, kind, *rows)
     got = _assemble_and_solve(m, q, f, edges, deg, kind, *rows)

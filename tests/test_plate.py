@@ -35,6 +35,11 @@ def test_profile_incompressible_closed_form():
         got = prof.eval(rr)[0]
         sup = np.max(np.abs(want))
         assert float(np.max(np.abs(got - want))) < 1e-12 * sup
+    # a scalar R gives four floats, the array evaluation's doubles
+    point = radial_profile(1e-2, 0.0).eval(0.5)
+    assert all(type(v) is float for v in point)
+    assert point == tuple(v[0] for v in radial_profile(1e-2, 0.0).eval(
+        np.array([0.5])))
 
 
 def test_profile_against_mpmath_bessel():
@@ -283,6 +288,8 @@ def test_stefan_reference_flow():
     # pressure is largest at the center
     p_c = stefan_fluid_fields(np.zeros(1), np.zeros(1), a, h, mu, V)[2]
     assert float(p_c[0]) > float(p[2])
+    with pytest.raises(ValueError, match="a and h must be positive"):
+        stefan_fluid_fields(0.0, 0.0, 0.0, h, mu, V)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +303,12 @@ def test_apparent_modulus_plateaus():
     # incompressible plateau: E_hat -> E_hat_i as chi -> 0 at fixed xi
     am2 = apparent_modulus(1e-2, 1e-8)
     assert abs(am2.e_hat / am2.e_hat_i - 1.0) < 1e-6
+    # chi = 0 sits on the incompressible plateau itself; e_hat_l is left
+    # unpinned, since its chi < 1e-10 branch differs by 1 from the chi -> 0
+    # limit of the Bessel branch (ROADMAP item 1)
+    am0 = apparent_modulus(1e-2, 0.0)
+    assert am0.e_hat == am0.e_hat_i == 1250.0
+    assert am0.e_hat_c == math.inf
 
 
 def test_apparent_modulus_closed_forms():
@@ -340,3 +353,6 @@ def test_compressible_superposition_state():
     st = compressible_superposition(1e-3, 1.0, mu=2.0)
     lam = 2.0 * (3.0 - 2.0) / 1.0  # mu (3 - 2 chi^2)/chi^2 at chi = 1
     assert abs(st.s_rr / st.s_zz - lam / (lam + 2 * 2.0)) < 1e-12
+    # the uniaxial state needs a compressible material
+    with pytest.raises(ValueError, match="chi must be positive"):
+        compressible_superposition(1e-3, 0.0)

@@ -90,6 +90,8 @@ def test_transitions_validate_tolerance():
         plate_transitions(0.0)
     with pytest.raises(ValueError):
         plate_transitions(1e3)
+    with pytest.raises(ValueError, match="zeta must be positive"):
+        plate_ratio_compressible(0.0)
 
 
 def test_nu_window_printed_rounding():

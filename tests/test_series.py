@@ -2,6 +2,7 @@
 Navier residual checker that validates their truncation orders."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ def _split(fn):
     return (lambda R, Z: fn(R, Z)[0], lambda R, Z: fn(R, Z)[1])
 
 
+# a uniform strain: every retained term of the scaled system vanishes
+_UNIFORM_STRAIN = (lambda R, Z: 0.3 * np.asarray(R, float),
+                   lambda R, Z: 0.7 * np.asarray(Z, float))
+
+
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------
@@ -45,6 +51,24 @@ def test_series_regime_rejects_gaps():
         series_regime(1e-4, 1e-3)
     with pytest.raises(ValueError):
         series_regime(1e-4, 0.05)
+    with pytest.raises(ValueError, match="mu/lambda must be positive"):
+        series_regime(1e-4, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_theta(0.5),
+    lambda: compressible_series_fields(0.5, 1.0, 1.0, 0.5, 0.1),
+    lambda: nearly_compressible_series_fields(0.5, 0.5, 0.1),
+    lambda: series_regime(0.5, 1.0),
+    lambda: navier_residual(_UNIFORM_STRAIN, 0.5, 1.0),
+], ids=["solve_theta", "compressible", "nearly_compressible", "regime",
+        "residual"])
+def test_series_take_the_sphere_layer_domain(call):
+    # the series belong to the sphere layer: xi = 0.5 is a valid plate
+    # thickness ratio but lies past the parabolic gap's xi <= 0.1
+    msg = "xi must be positive and <= 0.1 for a sphere layer, got 0.5"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        call()
 
 
 def test_series_regime_transition_tie():
@@ -86,6 +110,9 @@ def test_compressible_fields_validation():
         compressible_series_fields(xi, 1.0, 1.0, 1.01 / math.sqrt(xi), 0.0)
     with pytest.raises(ValueError):
         compressible_series_fields(xi, 1.0, 1.0, 1.0, 2.0 * float(_gap(1.0)))
+    for lam, mu in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="lam and mu must be positive"):
+            compressible_series_fields(xi, lam, mu, 1.0, 0.5)
 
 
 def test_radial_sweep_amplitude():
@@ -290,10 +317,7 @@ def test_theta_fields_satisfy_dominant_balance():
 def test_residual_noise_guard():
     # a uniform-strain field makes every retained term vanish; the
     # checker reports exact zeros instead of amplified rounding noise
-    res = navier_residual(
-        (lambda R, Z: np.asarray(R, float) * 0.3,
-         lambda R, Z: np.asarray(Z, float) * 0.7),
-        1e-2, 1.0)
+    res = navier_residual(_UNIFORM_STRAIN, 1e-2, 1.0)
     assert res.sup_r == 0.0 and res.sup_z == 0.0
     assert res.l2_r == 0.0 and res.l2_z == 0.0
 
@@ -303,3 +327,9 @@ def test_residual_validation():
         navier_residual(
             _split(lambda R, Z: compressible_series_fields(1e-2, 1.0, 1.0, R, Z)),
             1e-2, 1.0, n=4)
+    with pytest.raises(ValueError, match="mode must be 'full' or 'dominant'"):
+        navier_residual(_UNIFORM_STRAIN, 1e-2, 1.0, mode="exact")
+    # the window must be increasing, off the axis and inside the rim R = 10
+    for window in ((0.0, 2.0), (2.0, 1.0), (0.25, 10.5)):
+        with pytest.raises(ValueError, match="outside"):
+            navier_residual(_UNIFORM_STRAIN, 1e-2, 1.0, r_window=window)

@@ -7,6 +7,7 @@ README documents the deviation.  The same cells pass the 5% two-digit
 comparison, exercised in the acceptance suite.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from layerlab.kernels import _MAX_REFINE, ToleranceNotMet, integrate
 from layerlab.sphere import (
     XI_MAX_SPHERE,
     PsiExtremes,
+    SphereGeometry,
     psi_extremes,
     solve_sphere,
     sphere_field,
@@ -39,6 +41,22 @@ def test_geometry_scalings():
     assert abs(sol.geo.r_edge - 10.0) < 1e-12
     assert abs(sol.geo.gap(2.0) - 3.0) < 1e-15
     assert sol.cfg.kind == "sphere"
+    assert sol.geo == SphereGeometry.of(1e-2)
+
+
+def test_potential_sample_matches_field_sample():
+    # floats for scalar input; otherwise R and Z are read-only broadcast
+    # views of the inputs, as sphere_field returns them
+    sol = solve_sphere(1e-2, 0.5)
+    R = np.linspace(0.0, sol.geo.r_edge, 7)[:, None]
+    Z = np.linspace(-1.0, 1.0, 5)
+    pot, fs = sphere_potential(sol, R, Z), sphere_field(sol, R, Z)
+    for got, given, twin in ((pot.R, R, fs.R), (pot.Z, Z, fs.Z)):
+        assert got.shape == (7, 5) and not got.flags.writeable
+        assert np.shares_memory(got, given)
+        assert np.array_equal(got, twin)
+    scalar = sphere_potential(sol, 1.0, 0.5)
+    assert all(type(v) is float for v in dataclasses.astuple(scalar))
 
 
 def test_solver_accepts_nu_or_chi():
@@ -53,6 +71,12 @@ def test_xi_range_guard():
         solve_sphere(0.2, 1.0)
     with pytest.raises(ValueError):
         solve_sphere(0.0, 1.0)
+    # SphereGeometry.of is the one check behind every sphere-layer function
+    for xi in (0.0, 0.1000001, math.nan):
+        with pytest.raises(ValueError, match="<= 0.1 for a sphere layer"):
+            SphereGeometry.of(xi)
+    geo = SphereGeometry.of(XI_MAX_SPHERE)
+    assert geo.xi == 0.1 and geo.r_edge == 1.0 / math.sqrt(0.1)
 
 
 def test_dual_integrator_oracle_recorded():
