@@ -1,7 +1,10 @@
 """Shared numerical kernels: Bessel evaluations, a collocation solver for
 linear radial ODEs on [0, R_e] whose solution is regular on the axis and
-meets a Robin-type closure at the rim, adaptive quadrature, and
-bracketed root finding.
+meets a Robin-type closure at the rim, adaptive quadrature (scipy's
+QUADPACK, imported on call), and a bracketed root finder: Brent's method
+(Brent 1973, ch. 4), run as scipy.optimize.brentq's iteration from the
+two ends find_root has already evaluated, so its roots equal brentq's
+bit for bit and scipy.optimize stays off the import path.
 
 Overflow policy: modified Bessel functions are only ever exposed in scaled
 form (e^{-x} I_0, e^{-x} I_1, from scipy.special.i0e/i1e) or as the ratio
@@ -42,8 +45,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy import integrate as _sp_integrate
-from scipy import optimize as _sp_optimize
 from scipy import special as _sp_special
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -183,12 +184,16 @@ class QuadratureResult:
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod quadrature of f on [lo, hi].
+    """Adaptive Gauss-Kronrod quadrature of f on [lo, hi] (scipy's quad,
+    with scipy.integrate imported on call: no library path needs it, so
+    it is kept off the import path).
 
     tol is applied both absolutely and relatively.  On subdivision/roundoff
     limit the best estimate is raised inside QuadratureLimit rather than
     returned, so callers cannot silently use a bad value.
     """
+    from scipy import integrate as _sp_integrate
+
     out = _sp_integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol,
                              limit=200, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
@@ -205,12 +210,22 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
 # Root finding
 # ---------------------------------------------------------------------------
 
+# brentq's floor on rtol and its default iteration limit
+_RTOL_MIN = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
 def find_root(g: Callable[[float], float], bracket: tuple[float, float],
               tol: float = 1e-12) -> float:
-    """Brent-style bracketed root of g on [lo, hi].
+    """Root of g on the bracket [lo, hi] by Brent's method, run as
+    scipy.optimize.brentq's iteration (xtol = tol, rtol = max(tol, 4 eps),
+    100 iterations) from g(lo) and g(hi) as evaluated here: the root is
+    brentq's bit for bit, and the ends are not evaluated twice.
 
     An exact root at either endpoint is returned as that endpoint; a
-    bracket without a sign change raises NoSignChange.
+    bracket without a sign change raises NoSignChange.  As in brentq, a
+    NaN value of g raises ValueError and a search that does not converge
+    raises NumericsError.
     """
     lo, hi = bracket
     if not (lo < hi):
@@ -225,8 +240,85 @@ def find_root(g: Callable[[float], float], bracket: tuple[float, float],
         raise NoSignChange(
             f"no sign change on [{lo}, {hi}]: g(lo) = {glo}, g(hi) = {ghi}"
         )
-    return _sp_optimize.brentq(g, lo, hi, xtol=tol,
-                               rtol=max(tol, 4.0 * np.finfo(float).eps))
+    if tol <= 0.0:
+        raise ValueError(f"xtol too small ({tol:g} <= 0)")
+    return _brent(g, lo, hi, glo, ghi, tol, max(tol, _RTOL_MIN))
+
+
+def _checked(x, fx) -> float:
+    """g's value fx at x as a float; NaN raises ValueError, as brentq's
+    wrapper does."""
+    fx = float(fx)
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
+
+
+def _div(a: float, b: float) -> float:
+    """a / b as C divides doubles: where Python raises at b = 0, IEEE 754
+    gives NaN for 0/0 and NaN/0, and otherwise an infinity signed by both
+    operands (a zero divisor keeps its sign)."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
+    """scipy's brentq.c, step for step, from the end values fa = g(xa)
+    and fb = g(xb), nonzero and of opposite sign.
+
+    The iteration keeps the current iterate xcur, the previous one xpre
+    and the contrapoint xblk (g changes sign between xcur and xblk), and
+    takes an inverse-quadratic (or secant) step where that is safely
+    short, a bisection step otherwise.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = _checked(xpre, fa), _checked(xcur, fb)
+    xtol, rtol = float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry      # good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _checked(xcur, g(xcur))
+    raise NumericsError(
+        f"root finding failed to converge after {_BRENT_MAXITER} iterations "
+        f"on [{xa}, {xb}], value is {xcur}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional
 from .kernels import bessel_ratio, find_root, x_minus_2t
 from .materials import (ZetaFamily, check_xi, nu_from_chi, resolve_chi,
                         zeta_family)
+from .sphere import SphereGeometry
 
 __all__ = [
     "PlateTransitions",
@@ -173,10 +174,11 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
 
     geometry is "plate" or "sphere".  Exactly one of chi or nu is
     required (both are accepted if consistent).  chi = 0 is always
-    incompressible.  For spheres the boundaries are the fixed constants
-    zeta_bar >= 1 (incompressible) and sqrt(10) zeta_tilde <= 1
-    (compressible, with the boundary itself counted as compressible),
-    and ``tolerance`` is ignored.
+    incompressible.  For spheres xi must lie in the sphere layer's
+    domain (``SphereGeometry.of``: 0 < xi <= 0.1), the boundaries are the
+    fixed constants zeta_bar >= 1 (incompressible) and sqrt(10)
+    zeta_tilde <= 1 (compressible, with the boundary itself counted as
+    compressible), and ``tolerance`` is ignored.
     """
     if geometry not in ("plate", "sphere"):
         raise ValueError(f"geometry must be 'plate' or 'sphere', got {geometry!r}")
@@ -195,6 +197,7 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
                             zeta_family=fam, zeta_c=zc, zeta_i=zi,
                             label=label)
 
+    SphereGeometry.of(fam.xi)           # the sphere layer's domain, xi <= 0.1
     if fam.infinite or fam.zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE:
         label = "incompressible"
     elif fam.zeta_tilde * math.sqrt(10.0) <= 1.0 + _TIE_EPS:

@@ -497,7 +497,10 @@ def test_material_input_errors(capsys):
      "--nr and --nz must be >= 2"),
     (("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "2.5"),
      "sweep point count must be an integer >= 2"),
-], ids=["force-no-xi", "classify-no-xi", "field-nr", "sweep-count"])
+    (("regime-classify", "--geometry", "sphere", "--xi", "0.5", "--chi", "0.3"),
+     "xi must be positive and <= 0.1 for a sphere layer, got 0.5"),
+], ids=["force-no-xi", "classify-no-xi", "field-nr", "sweep-count",
+        "classify-sphere-xi"])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
@@ -657,3 +660,30 @@ def test_python_m_layerlab_matches_in_process(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (rc, out.encode(), err.encode())
     assert rc == 0 and out
+
+
+_LAZY_SCIPY_CHECK = """
+import sys
+from layerlab import cli, kernels
+assert cli.main(["regime-transitions"]) == 0
+assert cli.main(["regime-classify", "--geometry", "plate", "--xi", "1e-2",
+                 "--chi", "0.3"]) == 0
+loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+assert not loaded, loaded
+assert "scipy.special" in sys.modules and "scipy.linalg" in sys.modules
+q = kernels.integrate(lambda x: x * x, 0.0, 1.0)
+assert abs(q.value - 1.0 / 3.0) < 1e-15, q
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_fresh_process_leaves_optimize_and_integrate_unloaded():
+    # in a fresh interpreter, the CLI and a plate classify (root finding
+    # included) load neither scipy.optimize nor scipy.integrate; quadrature
+    # still works, and loads scipy.integrate on call
+    src = os.path.dirname(os.path.dirname(layerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHECK],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -12,6 +12,7 @@ from scipy.special import i0e
 from layerlab.kernels import (
     _MAX_REFINE,
     NoSignChange,
+    NumericsError,
     PanelPoly,
     QuadratureLimit,
     SingularSystem,
@@ -26,6 +27,7 @@ from layerlab.kernels import (
     solve_linear_bvp,
     x_minus_2t,
 )
+from layerlab.regimes import plate_ratio_compressible, plate_ratio_incompressible
 from layerlab.sphere import SphereGeometry, _ode_coefficients, _sphere_edges
 
 
@@ -125,6 +127,68 @@ def test_find_root_requires_sign_change():
         find_root(lambda x: 1.0 + x * x, (0.0, 1.0))
     with pytest.raises(ValueError):
         find_root(lambda x: x, (2.0, 1.0))
+
+
+def _brentq_root(g, bracket, tol):
+    # the reference: scipy's brentq with find_root's xtol and rtol
+    from scipy.optimize import brentq
+
+    return brentq(g, *bracket, xtol=tol,
+                  rtol=max(tol, 4.0 * np.finfo(float).eps))
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-8])
+def test_find_root_matches_brentq_on_plate_transitions(tol):
+    # plate_transitions' two ratio functions on its two brackets, over a
+    # sweep of tolerances: every root is brentq's, bit for bit
+    for tau in np.geomspace(1e-8, 99.0, 50):
+        target = 1.0 + float(tau)
+        for ratio, bracket in ((plate_ratio_compressible, (1e-9, 1e3)),
+                               (plate_ratio_incompressible, (1e-6, 1e6))):
+            def g(z):
+                return ratio(z) - target
+            got = find_root(g, bracket, tol=tol)
+            assert type(got) is float
+            assert got == _brentq_root(g, bracket, tol), (tau, ratio)
+
+
+def test_find_root_matches_brentq_on_generic_brackets():
+    # (x - c)^p (1 + 0.1 sin 5x), odd p, on seeded brackets and tolerances:
+    # a root where brentq finds one, bit for bit, and a failure where
+    # brentq fails to converge (flat high-order roots at tight tolerance)
+    rng = np.random.default_rng(20)
+    converged = failed = 0
+    for _ in range(600):
+        c = rng.uniform(-1.0, 1.0)
+        p = int(rng.choice([1, 3, 5, 7, 9, 11]))
+        bracket = (c - rng.uniform(1e-3, 3.0), c + rng.uniform(1e-3, 3.0))
+        tol = float(10.0 ** rng.uniform(-15.0, -2.0))
+
+        def g(x):
+            return (x - c) ** p * (1.0 + 0.1 * math.sin(5.0 * x))
+        try:
+            want = _brentq_root(g, bracket, tol)
+        except RuntimeError:
+            with pytest.raises(NumericsError, match="failed to converge"):
+                find_root(g, bracket, tol=tol)
+            failed += 1
+            continue
+        assert find_root(g, bracket, tol=tol) == want, (c, p, bracket, tol)
+        converged += 1
+    assert converged > 300 and failed > 50
+
+
+def test_find_root_nan_value_raises():
+    # a NaN value of g stops the search, as in brentq
+    with pytest.raises(ValueError, match="NaN"):
+        find_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,
+                  (0.0, 1.0))
+    # a NaN end fails the sign test against a negative other end, and
+    # reaches the search (so raises ValueError) against a positive one
+    with pytest.raises(NoSignChange):
+        find_root(lambda x: math.nan if x > 0.9 else -1.0, (0.0, 1.0))
+    with pytest.raises(ValueError, match="NaN"):
+        find_root(lambda x: math.nan if x < 0.1 else 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

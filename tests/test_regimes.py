@@ -176,3 +176,9 @@ def test_classify_validation():
         classify("plate", 1.5, chi=0.5)
     with pytest.raises(ValueError):
         classify("plate", 1e-2)
+    # a sphere layer takes xi through SphereGeometry.of: 0 < xi <= 0.1,
+    # where the plate's domain runs to 1
+    assert classify("plate", 0.5, chi=0.3).label == "incompressible"
+    with pytest.raises(ValueError, match="<= 0.1 for a sphere layer"):
+        classify("sphere", 0.5, chi=0.3)
+    assert classify("sphere", 0.1, chi=0.3).label == "incompressible"
