@@ -29,11 +29,14 @@ toward it.  A'' and A''' are read off the same equation, with no 1/R
 and so no axis special case.  The rows are ordered panel by panel (left
 row, each panel's collocation rows and C0/C1 pair with the next, right
 row), so the system is banded with half-bandwidth deg + 1; it is solved
-by LAPACK's band LU (scipy.linalg.solve_banded).
+by LAPACK's band LU (dgbsv, called directly on storage built in its
+layout).
 
 Chebyshev panels are evaluated one way, PanelPoly's: derivative series by
-chebder, then a Vandermonde product (the collocation blocks, the residual
-check, the dual comparison and the solved profile).
+chebder's recurrence, then a Vandermonde product (the collocation blocks,
+the residual check, the dual comparison and the solved profile).  The
+Vandermondes on fixed nodes (the residual check's, the Gauss rules') are
+built once per degree.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import special as _sp_special
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 __all__ = [
     "NumericsError",
@@ -334,7 +337,7 @@ class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
     coefficients on [edges[i], edges[i+1]] in the panel variable
     t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
-    returns the value and the first two x-derivatives."""
+    but value returns the value and the first two x-derivatives."""
 
     def __init__(self, edges: np.ndarray, coefs: np.ndarray):
         self.edges = edges
@@ -344,12 +347,16 @@ class PanelPoly:
         # the value, x-derivative and second x-derivative series of every
         # panel, stacked (npan, 3, deg + 1) so that one product
         # evaluates all three
-        d1 = _cheb.chebder(coefs, 1, axis=1) / self.half[:, None]
-        d2 = _cheb.chebder(d1, 1, axis=1) / self.half[:, None]
+        d1 = _chebder_rows(coefs) / self.half[:, None]
+        d2 = _chebder_rows(d1) / self.half[:, None]
         self._series = np.zeros((len(coefs), 3, coefs.shape[1]))
         self._series[:, 0] = coefs
         self._series[:, 1, :-1] = d1
         self._series[:, 2, :-2] = d2
+
+    @property
+    def deg(self) -> int:
+        return self.coefs.shape[1] - 1
 
     def locate(self, x):
         """Panel index and panel variable t of every x."""
@@ -360,25 +367,73 @@ class PanelPoly:
     def at(self, idx, t):
         """(v, v_x, v_xx) at the panel variables t of the panels idx
         (idx and t broadcast together)."""
-        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
+        vander = _cheb.chebvander(t, self.deg)
         return tuple(np.einsum("...k,...jk->j...", vander, self._series[idx]))
 
     def __call__(self, x):
         return self.at(*self.locate(x))
 
-    def grid(self, t):
-        """The fixed panel variables t on every panel: nodes x and
+    def value(self, x):
+        """v alone at x: the same product as the first of __call__'s
+        three, on the same (strided) Vandermonde, so the same doubles at a
+        third of the work; a contiguous copy of it would round
+        differently."""
+        idx, t = self.locate(x)
+        return np.einsum("...k,...k->...", _cheb.chebvander(t, self.deg),
+                         self.coefs[idx])
+
+    def grid(self, t, vander):
+        """The fixed panel variables t on every panel, given with their
+        Chebyshev-Vandermonde vander = chebvander(t, deg): nodes x and
         (v, v_x, v_xx), each (npan, len(t))."""
-        vander = _cheb.chebvander(t, self.coefs.shape[1] - 1)
         vals = np.einsum("mk,pjk->jpm", vander, self._series)
         return self.mid[:, None] + self.half[:, None] * t, tuple(vals)
 
-    def gauss(self, rule):
-        """The Gauss-Legendre rule (t, w) on [-1, 1] mapped onto every
-        panel: nodes x, weights and (v, v_x, v_xx), each (npan, len(t))."""
-        t, w = rule
-        x, vals = self.grid(t)
+    def gauss(self, n: int):
+        """The n-point Gauss-Legendre rule on [-1, 1] mapped onto every
+        panel: nodes x, weights and (v, v_x, v_xx), each (npan, n)."""
+        t, w, vander = _gauss_nodes(self.deg, n)
+        x, vals = self.grid(t, vander)
         return x, self.half[:, None] * w, vals
+
+
+def _chebder_rows(c: np.ndarray) -> np.ndarray:
+    """The derivative series of the Chebyshev coefficient rows c,
+    (npan, n) -> (npan, n - 1), n >= 3: chebder(c, axis=1) by chebder's
+    own recurrence and operation order, so every double equals chebder's,
+    without its generic argument handling."""
+    c = c.T.copy()
+    n = len(c) - 1
+    der = np.empty((n, c.shape[1]))
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der.T
+
+
+def _frozen(*arrays):
+    """arrays, made read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def _gauss_nodes(deg: int, n: int):
+    """The n-point Gauss-Legendre nodes t and weights w on [-1, 1], and
+    the degree-deg Chebyshev-Vandermonde at t."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    return _frozen(t, w, _cheb.chebvander(t, deg))
+
+
+@lru_cache(maxsize=8)
+def _check_nodes(deg: int):
+    """The residual check's panel variables for degree deg, about ten
+    to a collocation spacing, and their Chebyshev-Vandermonde."""
+    tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
+    return _frozen(tt, _cheb.chebvander(tt, deg))
 
 
 @dataclass
@@ -404,6 +459,11 @@ class RadialSolution:
     meta: dict = field(default_factory=dict)
     s_form: Optional[PanelPoly] = None
     eval_quotients: Optional[Callable] = None
+
+
+# LAPACK's band LU solve, called directly: solve_banded's wrapper would
+# copy the band into this layout on every solve
+_gbsv, = get_lapack_funcs(("gbsv",), dtype=np.float64)
 
 
 @lru_cache(maxsize=32)
@@ -449,7 +509,9 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     boundary row last.  Panel i owns the ncoef = deg + 1 rows from
     1 + i*ncoef on, so the half-bandwidth is bw = deg + 1.  All panels are
     written in one batched pass into LAPACK band storage
-    ab[bw + row - col, col], which scipy.linalg.solve_banded solves.
+    ab[2 bw + row - col, col], which LAPACK's dgbsv factors and solves in
+    place; a zero pivot raises LinAlgError("singular matrix"), as
+    scipy.linalg.solve_banded does.
     """
     npan = len(edges) - 1
     ncoef = bw = deg + 1
@@ -469,12 +531,15 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     scale[scale == 0.0] = 1.0
     block /= scale[:, :, None]
 
-    # band[d, i, j] is ab[d, i*ncoef + j]: row k of panel i meets the
-    # panel's own coefficient j at d = own[j] + k and the next panel's at
-    # d = own[j] + k - ncoef.  Rows k = deg - 1, deg are the C0/C1 pair;
-    # the last panel has none, and its k = deg - 1 is the right row.
-    ab = np.zeros((2 * bw + 1, npan * ncoef))
-    band = ab.reshape(2 * bw + 1, npan, ncoef)
+    # LAPACK's band storage for dgbsv: Fortran order, with bw rows of
+    # fill-in above the 2 bw + 1 diagonals, so LAPACK works on it in
+    # place.  band[d, i, j] is ab[bw + d, i*ncoef + j]: row k of panel i
+    # meets the panel's own coefficient j at d = own[j] + k and the next
+    # panel's at d = own[j] + k - ncoef.  Rows k = deg - 1, deg are the
+    # C0/C1 pair; the last panel has none, and its k = deg - 1 is the
+    # right row.
+    ab = np.zeros((3 * bw + 1, npan * ncoef), order="F")
+    band = ab[bw:].reshape(2 * bw + 1, npan, ncoef)
     j = np.arange(ncoef)
     own = bw + 1 - j
     band[own + np.arange(mcol)[:, None], :, j] = block.transpose(1, 2, 0)
@@ -499,7 +564,10 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     band[own + deg - 1, -1, j] = row / sc
     rhs[-2] = b / sc
 
-    sol = solve_banded((bw, bw), ab, rhs[:-1], check_finite=False)
+    *_, sol, info = _gbsv(bw, bw, ab, rhs[:-1], overwrite_ab=True,
+                          overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     if not np.all(np.isfinite(sol)):
         raise LinAlgError("non-finite solution")
     return sol.reshape(npan, ncoef)
@@ -631,8 +699,8 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
                                method="primary")
     alt = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh, method="alt")
     s = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
-    a_p = primary.s_form(s)[0]
-    a_a = alt.s_form(s)[0]
+    a_p = primary.s_form.value(s)
+    a_a = alt.s_form.value(s)
     diff = float(np.max(np.abs(a_p - a_a)))
     scale = float(np.max(np.abs(a_p)))
     dual_rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)
@@ -684,10 +752,9 @@ def _residual_check(m, q, f, poly: PanelPoly, deg):
     """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f for the solved
     panels poly, on a grid ~10x finer than the collocation spacing, the
     residual scale max(sup|f|, sup|q*v|), and the sup residual of every
-    panel on the same grid.  All panels are evaluated at once through
-    poly.grid."""
-    tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
-    ss, (av, a1, a2) = poly.grid(tt)
+    panel on the same grid.  All panels are evaluated at once, on the
+    degree's cached nodes and Vandermonde."""
+    ss, (av, a1, a2) = poly.grid(*_check_nodes(deg))
     qv = _coef_on(q, ss)
     fv = _coef_on(f, ss)
     res = 4.0 * ss * a2 + 2.0 * (1.0 + _coef_on(m, ss)) * a1 + qv * av - fv

@@ -114,13 +114,18 @@ def nu_intermediate_window(xi: float, tolerance: float = 0.10) -> tuple[float, f
     thickness ratio xi is in neither extreme regime.
 
     The window maps the zeta interval (zeta_c, zeta_i) through
-    chi = xi/zeta; for thin layers it pins nu against 1/2 (e.g. at
-    xi = 1e-2 it is roughly (0.492, 0.49999)).
+    chi = xi/zeta, clamped to the admissible chi <= 3/2 (nu >= -1); for
+    thin layers it pins nu against 1/2 (e.g. at xi = 1e-2 it is roughly
+    (0.492, 0.49999)).  Where no admissible chi is intermediate the
+    window is empty, nu_lo == nu_hi: at nu = -1 where even chi = 3/2
+    leaves the layer incompressible (xi/zeta_i >= 3/2, thick layers at a
+    wide tolerance), and at nu(xi/zeta_c) where the two bands overlap
+    (zeta_c >= zeta_i, tolerances above about 1.5).
     """
     xi = check_xi(float(xi))
     zc, zi = plate_transitions(tolerance)
     chi_hi = min(xi / zc, 1.5)
-    chi_lo = xi / zi
+    chi_lo = min(xi / zi, chi_hi)
     return nu_from_chi(chi_hi), nu_from_chi(chi_lo)
 
 

@@ -128,7 +128,8 @@ XI_MAX_SPHERE = 0.1
 
 
 # exact for the degree <= 11 force and potential integrands in s
-_GL_S = np.polynomial.legendre.leggauss(6)
+_GL_N = 6
+_GL_S = np.polynomial.legendre.leggauss(_GL_N)
 
 
 @dataclass(frozen=True)
@@ -444,7 +445,7 @@ def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:
     the exact 6-point rule."""
     poly = sol.A.s_form
     t, w = _GL_S
-    s, ws, (_, a_s, _) = poly.gauss(_GL_S)
+    s, ws, (_, a_s, _) = poly.gauss(_GL_N)
     g = 1.0 + 0.5 * s
     cum = np.concatenate(([0.0], np.cumsum(np.sum(-3.0 * ws * g * g * a_s,
                                                   axis=1))))
@@ -503,7 +504,7 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
     xi = sol.xi
     c9 = 9.0 - 2.0 * sol.chi * sol.chi
-    s, w, (a0, a_s, a_ss) = sol.A.s_form.gauss(_GL_S)
+    s, w, (a0, a_s, a_ss) = sol.A.s_form.gauss(_GL_N)
     g = 1.0 + 0.5 * s
     r_a1 = 2.0 * s * a_s                    # R A'
     if trace == "midplane":

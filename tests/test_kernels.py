@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 from scipy.linalg import solve_banded
 from scipy.special import i0e
 
@@ -18,6 +18,7 @@ from layerlab.kernels import (
     SingularSystem,
     ToleranceNotMet,
     _assemble_and_solve,
+    _chebder_rows,
     _design_matrices,
     _residual_check,
     bessel_ratio,
@@ -28,7 +29,8 @@ from layerlab.kernels import (
     x_minus_2t,
 )
 from layerlab.regimes import plate_ratio_compressible, plate_ratio_incompressible
-from layerlab.sphere import SphereGeometry, _ode_coefficients, _sphere_edges
+from layerlab.sphere import (SphereGeometry, _edge_closure, _ode_coefficients,
+                             _sphere_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +451,80 @@ def test_bvp_singular_system_raises():
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
+def _nan_inside(s):
+    # q = -1 except on 4 < s < 9, where it is NaN
+    s = np.asarray(s, dtype=float)
+    return np.where((s > 4.0) & (s < 9.0), np.nan, -1.0)
+
+
+@pytest.mark.parametrize("method", ["primary", "alt"])
+@pytest.mark.parametrize("coeffs", [
+    _bessel(q=np.nan), _bessel(f=np.nan),
+    (_const(1.0), _nan_inside, _const(-1.0)) + _bessel()[3:],
+], ids=["q", "f", "q-inside"])
+def test_bvp_nan_coefficient_raises_singular_system(coeffs, method):
+    # a NaN coefficient poisons the band or the right-hand side: LAPACK
+    # either meets a NaN pivot or returns NaN, and both surface as
+    # SingularSystem with the LinAlgError as its cause
+    with pytest.raises(SingularSystem, match=f"method '{method}'") as exc:
+        solve_linear_bvp(coeffs, _ZERO_RIM, mesh=_MESH, method=method)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("deg", [5, 6, 8, 10])
+def test_chebder_rows_is_chebder_bit_for_bit(deg):
+    # PanelPoly's derivative series against numpy's chebder along the
+    # rows, on coefficients spread over 40 decades, applied twice (the
+    # second derivative differentiates the first)
+    rng = np.random.default_rng(deg)
+    c = rng.standard_normal((64, deg + 1)) * 10.0 ** rng.uniform(
+        -30.0, 10.0, (64, deg + 1))
+    d1 = _chebder_rows(c)
+    assert np.array_equal(d1, chebder(c, axis=1))
+    assert np.array_equal(_chebder_rows(d1), chebder(d1, axis=1))
+
+
+def _sphere_problem(xi, chi, load=1.0):
+    """The sphere profile's (coeffs, right, mesh) at (xi, chi), with its
+    forcing scaled by load (6 at chi**2 = 3 xi is the Theta problem)."""
+    geo = SphereGeometry.of(xi)
+    return (_ode_coefficients(xi, chi, load), _edge_closure(geo, chi),
+            _sphere_edges(geo))
+
+
+@pytest.mark.parametrize("method", ["primary", "alt"])
+def test_panel_value_matches_full_evaluation_bit_for_bit(method):
+    # PanelPoly.value is the first of __call__'s three products: on the
+    # axis, on every panel edge (where locate switches panels), at the rim
+    # and on the dual comparison's 1501 points, as 1-D and 2-D arrays
+    coeffs, right, mesh = _sphere_problem(1e-3, 0.5)
+    poly = solve_linear_bvp(coeffs, right, mesh=mesh, method=method).s_form
+    s_cmp = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
+    for s in (np.array([0.0]), poly.edges, poly.edges[-1:], s_cmp,
+              s_cmp[:1500].reshape(30, 50)):
+        assert np.array_equal(poly.value(s), poly(s)[0])
+
+
+@pytest.mark.parametrize("xi, chi, load", [
+    (1e-4, 1e-3, 1.0), (1e-3, 1.0, 1.0), (1e-2, 1.5, 1.0),
+    (1e-3, math.sqrt(3e-3), 6.0),
+], ids=["1e-4-1e-3", "1e-3-1", "1e-2-1.5", "theta-1e-3"])
+def test_sphere_dual_disagreement_is_the_evaluators(xi, chi, load):
+    # the sphere-cell form of test_solve_dual_bvp_returns_cross_checked_
+    # primary: the reported dual_sup_rel is the one recomputed through
+    # each solve's full evaluator on the same 1501 points
+    coeffs, right, mesh = _sphere_problem(xi, chi, load)
+    sol = solve_dual_bvp(coeffs, right, 1e-10, "on a sphere cell", mesh=mesh)
+    ref, alt = (solve_linear_bvp(coeffs, right, tol=1e-10, mesh=mesh,
+                                 method=method) for method in ("primary", "alt"))
+    rr = np.linspace(0.0, float(mesh[-1]), 1501)
+    a_ref = ref.eval(rr)[0]
+    dual_rel = (float(np.max(np.abs(a_ref - alt.eval(rr)[0])))
+                / float(np.max(np.abs(a_ref))))
+    assert sol.meta["dual_sup_rel"] == dual_rel <= 1e-8
+    assert sol.meta["alt_panels"] == alt.meta["panels"]
+
+
 # ---------------------------------------------------------------------------
 # Batched collocation kernel against its per-panel loop form
 # ---------------------------------------------------------------------------
@@ -506,7 +582,8 @@ def _loop_residual(m, q, f, edges, coefs, deg):
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
     panel_sups, scale = [], 0.0
     for i in range(len(edges) - 1):
-        ss, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(tt)
+        ss, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(
+            tt, chebvander(tt, deg))
         res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
         panel_sups.append(float(np.max(np.abs(res))))
         scale = max(scale, float(np.max(np.abs(f(ss)))),

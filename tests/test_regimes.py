@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from layerlab.materials import nu_from_chi
 from layerlab.regimes import (
     SPHERE_ZETA_BAR_INCOMPRESSIBLE,
     SPHERE_ZETA_TILDE_COMPRESSIBLE,
@@ -104,6 +105,28 @@ def test_nu_window_printed_rounding():
     # pinned values
     assert abs(lo2 - 0.492188807144) < 1e-9
     assert abs(hi2 - 0.499989968973) < 1e-9
+
+
+def test_nu_window_empty_where_every_chi_is_incompressible():
+    # at xi = 0.99 and tolerance 1, xi/zeta_i = 2.46 > 3/2: every
+    # admissible chi gives zeta > zeta_i, so no nu is intermediate; the
+    # window closes at chi = 3/2 (nu = -1) rather than raising
+    assert plate_transitions(1.0).zeta_incompressible < 0.99 / 1.5
+    assert nu_intermediate_window(0.99, tolerance=1.0) == (-1.0, -1.0)
+    # only chi_hi clamps at xi = 0.5: the window is still open
+    lo, hi = nu_intermediate_window(0.5, tolerance=1.0)
+    assert lo == -1.0 < hi < 0.0
+
+
+@pytest.mark.parametrize("xi", [1e-4, 1e-2, 0.5, 0.99])
+def test_nu_window_empty_where_the_bands_overlap(xi):
+    # above a tolerance of about 1.5, zeta_c > zeta_i: every layer is
+    # within tolerance of an extreme, so no nu is intermediate (the
+    # unclamped map gave nu_lo > nu_hi, or raised at thick layers)
+    zc, zi = plate_transitions(10.0)
+    assert zc > zi
+    lo, hi = nu_intermediate_window(xi, tolerance=10.0)
+    assert lo == hi == nu_from_chi(min(xi / zc, 1.5))
 
 
 def test_nu_window_shrinks_toward_half_with_thinness():
