@@ -460,6 +460,13 @@ class RadialSolution:
     s_form: Optional[PanelPoly] = None
     eval_quotients: Optional[Callable] = None
 
+    def eval2(self, r):
+        """(A, A', A'') at R: eval's first three, bit for bit, without
+        forming A''', for callers that discard it.  It calls eval with the
+        private flag _a3, which every profile this package builds takes,
+        so a wrapper put on eval (bench/tracing.py's) sees these calls."""
+        return self.eval(r, _a3=False)
+
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would
 # copy the band into this layout on every solve
@@ -766,7 +773,8 @@ def _residual_check(m, q, f, poly: PanelPoly, deg):
 
 
 def _make_evaluator(coeffs, poly: PanelPoly):
-    """eval and eval_quotients of the panels solved in s = R**2.  A' comes
+    """eval and eval_quotients of the panels solved in s = R**2; eval's
+    private _a3=False skips A''' (see RadialSolution.eval2).  A' comes
     from the panels; A'' and A''' are read off the equation and its
     s-derivative:
 
@@ -776,20 +784,26 @@ def _make_evaluator(coeffs, poly: PanelPoly):
 
     none of which divides by R, so the axis is an ordinary point."""
 
-    def terms(r):
-        """A, A', A'', A''', A_s and A_ss on the float array r."""
+    def terms(r, third=True):
+        """A, A', A'', A''' (None unless third), A_s and A_ss on the float
+        array r."""
         s = r * r
         av, a_s, a_ss = poly(s)
-        m, q, f, m_s, q_s, f_s = (fn(s) for fn in coeffs)
+        m, q, f = (fn(s) for fn in coeffs[:3])
         a2 = f - 2.0 * m * a_s - q * av
-        a3 = f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av - q * a_s
-        return av, 2.0 * r * a_s, a2, 2.0 * r * a3, a_s, a_ss
+        a3 = None
+        if third:
+            m_s, q_s, f_s = (fn(s) for fn in coeffs[3:])
+            a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
+                            - q * a_s)
+        return av, 2.0 * r * a_s, a2, a3, a_s, a_ss
 
-    def evaluator(r):
-        av, a1, a2, a3, _, _ = terms(np.atleast_1d(np.asarray(r, dtype=float)))
+    def evaluator(r, _a3=True):
+        values = terms(np.atleast_1d(np.asarray(r, dtype=float)), _a3)
+        values = values[:4] if _a3 else values[:3]
         if np.isscalar(r) or np.ndim(r) == 0:
-            return float(av[0]), float(a1[0]), float(a2[0]), float(a3[0])
-        return av, a1, a2, a3
+            return tuple(float(v[0]) for v in values)
+        return values
 
     def with_quotients(r):
         av, a1, a2, a3, a_s, a_ss = terms(r)

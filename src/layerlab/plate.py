@@ -170,8 +170,18 @@ def _field_block(Rr: np.ndarray, Zb: np.ndarray) -> list:
 
 
 def _distinct(Rr: np.ndarray):
-    """The distinct values of Rr, and a map taking arrays over them (along
-    their last axis) back to Rr's own shape."""
+    """The radii to evaluate an R-only quantity on, as a 1-D array, and a
+    map taking arrays over them (along their last axis) back to Rr's own
+    shape.
+
+    A line of radii, an Rr with at most one axis longer than 1 (a column,
+    a row, 1-D or a scalar), is evaluated in place: its own elements, in
+    its own order, and the map is a reshape.  A full grid is evaluated
+    once per distinct R: the sorted distinct values, and the map gathers
+    them back.  Every R-only quantity here is elementwise in its radius,
+    so both give the same doubles."""
+    if sum(n > 1 for n in Rr.shape) <= 1:
+        return Rr.ravel(), (lambda arr: arr.reshape(arr.shape[:-1] + Rr.shape))
     r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
     # arr.T[inverse] is numpy's fast gather along a first axis;
     # arr[..., inverse] gives the same array in the same memory layout but
@@ -245,6 +255,21 @@ def _w_series(x):
     return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
+def _closed_form(derivatives, meta: dict) -> RadialSolution:
+    """The RadialSolution of derivatives(r, a3), which gives (A, A', A'')
+    and, when a3 is true, A''' on a float array r of one dimension or
+    more; eval takes scalars too, and its private _a3 is a3."""
+
+    def evaluator(r, _a3=True):
+        rr = np.asarray(r, dtype=float)
+        values = derivatives(np.atleast_1d(rr), _a3)
+        if rr.ndim == 0:
+            return tuple(float(v[0]) for v in values)
+        return values
+
+    return RadialSolution(eval=evaluator, meta=meta)
+
+
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
@@ -263,7 +288,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     factor (3 - chi^2) in c_b vanishes only at chi = sqrt(3) ~ 1.732,
     outside the admissible [0, 3/2] (the range check rejects it), so it is
     not special-cased.  A cheap residual self-check at R = 0.5 and R = 1
-    guards the assembled evaluator.
+    guards the assembled evaluator.  eval2(R) gives (A, A', A'') alone,
+    the same doubles, without the A''' pass (see RadialSolution).
     """
     check_xi(xi)
     check_chi(chi)
@@ -271,20 +297,15 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     if chi < CHI_INCOMPRESSIBLE:
         inv = 1.0 / (8.0 * xi * xi)
 
-        def evaluator(r):
-            r_arr = np.asarray(r, dtype=float)
-            flat = np.atleast_1d(r_arr).astype(float)
-            av = (1.0 - flat * flat) * inv
-            a1 = -2.0 * inv * flat
-            a2 = np.full_like(flat, -2.0 * inv)
-            a3 = np.zeros_like(flat)
-            if np.ndim(r_arr) == 0:
-                return float(av[0]), float(a1[0]), float(a2[0]), float(a3[0])
-            return av, a1, a2, a3
+        def derivatives(r, a3):
+            av = (1.0 - r * r) * inv
+            a1 = -2.0 * inv * r
+            a2 = np.full_like(r, -2.0 * inv)
+            return (av, a1, a2, np.zeros_like(r)) if a3 else (av, a1, a2)
 
         meta = {"method": "closed-form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
-        return RadialSolution(eval=evaluator, meta=meta)
+        return _closed_form(derivatives, meta)
 
     kappa = chi / xi
     edge = bessel_ratio(kappa)
@@ -304,8 +325,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             coefs.append(coefs[-1] * 0.25 * kappa * kappa / (len(coefs) + 1) ** 2)
         series_den = 8.0 * xi * xi * math.exp(kappa) * edge.scaled_i0
 
-    def evaluator(r):
-        rr = np.asarray(r, dtype=float)
+    def derivatives(rr, a3):
         x = kappa * rr
         si0 = _sp_special.i0e(x)
         si1 = _sp_special.i1e(x)
@@ -327,27 +347,25 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
+        if not a3:
+            return av, a1, a2
         w = si1 - si0 / sx + 2.0 * si1x / sx
         small = x < _W_SWITCH
-        if rr.ndim:
-            w[small] = _w_series(x[small])
-        elif small:
-            w = _w_series(x)
-        a3 = ck * kappa ** 3 * base * w
-        if rr.ndim == 0:
-            return float(av), float(a1), float(a2), float(a3)
-        return av, a1, a2, a3
+        w[small] = _w_series(x[small])
+        return av, a1, a2, ck * kappa ** 3 * base * w
 
     meta = {"method": "closed-form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
-    sol = RadialSolution(eval=evaluator, meta=meta)
+    sol = _closed_form(derivatives, meta)
 
-    # residual self-check at two interior/edge spots
+    # residual self-check at an interior and the edge spot, in one call
     forcing = 1.0 / (2.0 * xi * xi)
-    for r_spot in (0.5, 1.0):
-        a0, a1s, a2s, _ = sol.eval(r_spot)
-        res = a2s + a1s / r_spot - kappa * kappa * a0 + forcing
-        scale = max(forcing, kappa * kappa * abs(a0), abs(a2s))
+    spots = np.array([0.5, 1.0])
+    a0, a1s, a2s = sol.eval2(spots)
+    residuals = a2s + a1s / spots - kappa * kappa * a0 + forcing
+    scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
+                        np.abs(a2s))
+    for r_spot, res, scale in zip(spots, residuals, scales):
         if abs(res) > 1e-12 * scale:
             raise NumericsError(
                 f"radial profile residual {res:.3e} exceeds 1e-12*{scale:.3e} "
@@ -399,8 +417,11 @@ def solve_plate(xi: float, chi: Optional[float] = None,
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:
     """Sample displacements and stresses at scaled (R, Z); R and Z
-    broadcast against each other.  The radial potential is evaluated once
-    per distinct R, so dense (R, Z) product grids cost only their R lines.
+    broadcast against each other.  The radial potential (A, A', A'',
+    never A''') is evaluated once per R of a line of radii (a column, a
+    row, 1-D or a scalar), on R itself, and once per distinct R of a full
+    R grid (see _distinct), so dense (R, Z) product grids cost only their
+    R lines.
 
     Each field is written in place into one preallocated (6, *shape)
     block, with no other grid-sized array; a column R against a shorter
@@ -420,11 +441,11 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
-    r_unique, take = _distinct(Rr)
-    av, a1, a2, _ = sol.radial.eval(r_unique)
+    radii, take = _distinct(Rr)
+    av, a1, a2 = sol.radial.eval2(radii)
     # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
-    safe_r = np.where(r_unique > 0.0, r_unique, 1.0)
-    a1r = np.where(r_unique > 0.0, a1 / safe_r, a2)
+    safe_r = np.where(radii > 0.0, radii, 1.0)
+    a1r = np.where(radii > 0.0, a1 / safe_r, a2)
     A, A1, A2, A1R = map(take, (av, a1, a2, a1r))
 
     cfg = sol.cfg

@@ -183,10 +183,10 @@ class ThetaSolution:
 
     def _terms(self, R, Z):
         """R, Z and g(R) after the layer check, then Theta, Theta' and
-        L = Theta'' + Theta'/R, formed once per distinct R (Theta'/R finite
-        on the axis) and taken to R's shape."""
-        Rb, Zb, runiq, take = self.geo.points(R, Z)
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(runiq)
+        L = Theta'' + Theta'/R, formed on the radii of SphereGeometry.points
+        (Theta'/R finite on the axis) and taken to R's shape."""
+        Rb, Zb, radii, take = self.geo.points(R, Z)
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(radii)
         return Rb, Zb, self.geo.gap(Rb), *map(take, (t0, t1, t2 + t1_over_r))
 
     def u_r0(self, R, Z):

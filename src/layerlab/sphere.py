@@ -174,9 +174,12 @@ class SphereGeometry:
         return Rr, Zb
 
     def points(self, R, Z):
-        """check's R and Z, then the distinct values of R and a map taking
-        arrays over those (along their last axis) back to R's own shape,
-        for fields whose coefficients depend on R alone."""
+        """check's R and Z, then the radii to evaluate on, 1-D, and a map
+        taking arrays over those (along their last axis) back to R's own
+        shape, for fields whose coefficients depend on R alone.  A line of
+        radii (a column, a row, 1-D or a scalar) is evaluated in place,
+        on R's own elements, and the map is a reshape; a full R grid is
+        evaluated once per distinct R (plate._distinct)."""
         Rr, Zb = self.check(R, Z)
         return (Rr, Zb, *_distinct(Rr))
 
@@ -380,8 +383,10 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
 
     Each field is a polynomial in Z with coefficients in R alone: the even
     ones are ``c0 + c1 (Z**2 - g**2)``, the odd ones ``Z (c0 + c1 Z**2)``.
-    The 11 coefficients are formed once per distinct R and taken to R's
-    shape together.  Each field is then written in place into one
+    The 11 coefficients are formed once per R of a line of radii (a
+    column, a row, 1-D or a scalar), on R itself, or once per distinct R
+    of a full R grid, and taken to R's shape together (see
+    SphereGeometry.points).  Each field is then written in place into one
     preallocated (6, *shape) block: a product, a sum and, per odd field,
     one more product by Z.  Z**2 and Z**2 - g**2 are formed in the slots
     of u_z and s_zz, so no other grid-sized array is made.  R and Z come
@@ -467,13 +472,13 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     inputs.  The integral of A1 is exact on the solver's polynomial panels
     in s = R**2 (6-point Gauss-Legendre per panel)."""
     cfg = sol.cfg
-    Rr, Zb, runiq, take = sol.geo.points(R, Z)
+    Rr, Zb, radii, take = sol.geo.points(R, Z)
 
-    a0u, a1u, a2u, _ = sol.A.eval(runiq)
-    gu = sol.geo.gap(runiq)
+    a0u, a1u, a2u = sol.A.eval2(radii)
+    gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
-    A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * runiq * a1u
-    Iau = _a1_antiderivative(sol, runiq)
+    A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u
+    Iau = _a1_antiderivative(sol, radii)
 
     a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
 

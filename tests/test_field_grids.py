@@ -1,5 +1,6 @@
 """Field grids assembled in place: bit for bit against the full-temporary
-expressions, no grid-sized temporaries beyond the block, and blocks
+expressions, a line of radii bit for bit against the same points as a
+full grid, no grid-sized temporaries beyond the block, and blocks
 recycled only once no array views them."""
 
 import math
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from layerlab import plate
-from layerlab.plate import FieldSample, field, solve_plate
-from layerlab.sphere import solve_sphere, sphere_field
+from layerlab.plate import FieldSample, field, radial_profile, solve_plate
+from layerlab.series import solve_theta
+from layerlab.sphere import solve_sphere, sphere_field, sphere_potential
 
 NAMES = ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
 
@@ -53,7 +55,12 @@ def _plate_reference(sol, R, Z):
 def _sphere_reference(sol, R, Z):
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
-    Rr, Zb, rr, take = sol.geo.points(R, Z)
+    Rr, Zb = sol.geo.check(R, Z)
+    rr, inverse = np.unique(Rr.ravel(), return_inverse=True)
+
+    def take(arr):
+        return arr[:, inverse].reshape(arr.shape[:-1] + Rr.shape)
+
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
@@ -205,6 +212,134 @@ def test_sphere_field_holds_few_grid_sized_arrays():
         tracemalloc.stop()
     assert fs.u_r.shape == held.u_r.shape == z.shape
     assert peak <= 7.5 * z.nbytes, peak / z.nbytes
+
+
+def test_plate_field_holds_few_r_sized_arrays(monkeypatch):
+    # a column R against a row Z: the block plus the radial evaluation's
+    # R-length temporaries, 9.2 R arrays at kappa = 70; np.unique's sort,
+    # inverse and the four gathers back to R's shape read 16.2
+    sol = solve_plate(0.01, chi=0.7)
+    r = np.linspace(0.0, 1.0, 3000)[:, None]
+    z = np.linspace(-1.0, 1.0, 10)[None, :]
+    # held, so no recycled block of this size is free for the traced call
+    held = [field(sol, r, z) for _ in range(plate._RECYCLE_COUNT)]
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on a line of radii")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    tracemalloc.start()
+    try:
+        fs = field(sol, r, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = fs.u_r.base.nbytes
+    assert block == 6 * r.nbytes * z.size
+    assert all(fs.u_r.base is not f.u_r.base for f in held)
+    assert block <= peak <= block + 12 * r.nbytes, (peak - block) / r.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Lines of radii: evaluated in place, the same doubles as a full grid
+# ---------------------------------------------------------------------------
+
+def _plate_line(xi, chi):
+    sol = solve_plate(xi, chi=chi)
+    return 1.0, lambda R, Z: vars(field(sol, R, Z))
+
+
+def _sphere_line(fn, xi, chi):
+    sol = solve_sphere(xi, chi)
+    return sol.geo.r_edge, lambda R, Z: vars(fn(sol, R, Z))
+
+
+def _theta_line(xi):
+    theta = solve_theta(xi)
+    return theta.geo.r_edge, lambda R, Z: {"u_r0": theta.u_r0(R, Z),
+                                           "u_z0": theta.u_z0(R, Z)}
+
+
+# name -> () -> (the layer's rim radius, (R, Z) -> {name: array})
+LINE_CASES = {
+    "plate.field chi=0": lambda: _plate_line(0.01, 0.0),
+    "plate.field kappa=70": lambda: _plate_line(0.01, 0.7),
+    "plate.field kappa=1": lambda: _plate_line(0.05, 0.05),
+    "sphere_field chi=0": lambda: _sphere_line(sphere_field, 1e-2, 0.0),
+    "sphere_field chi=1.4": lambda: _sphere_line(sphere_field, 1e-3, 1.4),
+    "sphere_potential chi=0": lambda: _sphere_line(sphere_potential, 1e-2, 0.0),
+    "sphere_potential chi=1.4": lambda: _sphere_line(sphere_potential, 1e-3, 1.4),
+    "ThetaSolution.u_r0/u_z0": lambda: _theta_line(1e-2),
+}
+
+
+def _line_inputs(r_edge):
+    """(R, Z) with R a line of radii; |Z| <= 1 lies in either layer."""
+    rng = np.random.default_rng(11)
+    r = np.linspace(0.0, r_edge, 25)
+    zf = np.linspace(-1.0, 1.0, 7)
+    return {
+        "unsorted column": (rng.permutation(r)[:, None], zf[None, :]),
+        "descending column": (r[::-1, None], 0.5 * zf[None, :]),
+        "column with repeated radii": (np.repeat(r[::3], 3)[::-1, None],
+                                       zf[None, :]),
+        "row R": (rng.permutation(r)[None, :], zf[:, None]),
+        "1-D R": (rng.permutation(r), 0.9 * np.cos(np.arange(r.size))),
+    }
+
+
+def _as_full_grid(R, Z):
+    """The same points with R a full grid, two axes longer than 1, which
+    is evaluated once per distinct R; and where the line's points sit in
+    it (a 1-D line is stacked twice)."""
+    R, Z = (a.copy() for a in np.broadcast_arrays(R, Z))
+    if R.ndim == 1:
+        return np.stack([R, R]), np.stack([Z, Z]), 0
+    return R, Z, ...
+
+
+@pytest.mark.parametrize("case", LINE_CASES)
+def test_line_of_radii_matches_full_grid_bit_for_bit(case):
+    r_edge, fn = LINE_CASES[case]()
+    for label, (R, Z) in _line_inputs(r_edge).items():
+        got = fn(R, Z)
+        R_full, Z_full, at = _as_full_grid(R, Z)
+        want = fn(R_full, Z_full)
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            g, w = np.asarray(got[name]), np.asarray(w)[at]
+            assert g.shape == w.shape, (label, name)
+            assert g.tobytes() == w.tobytes(), (label, name)
+
+
+@pytest.mark.parametrize("case", LINE_CASES)
+def test_empty_column_of_radii(case):
+    r_edge, fn = LINE_CASES[case]()
+    out = fn(np.empty((0, 1)), np.linspace(-1.0, 1.0, 5)[None, :])
+    for name, v in out.items():
+        assert v.shape == (0, 5) and v.dtype == float, name
+
+
+def test_plate_field_and_profile_never_form_a3(monkeypatch):
+    # near the axis, x = kappa R < _W_SWITCH, A''' takes _w_series; the
+    # fields and the profile's self-check read A, A' and A'' alone
+    xi, chi = 0.01, 0.7
+    r = np.linspace(0.0, 2.0 * xi / chi, 9)
+    assert np.any(chi / xi * r < plate._W_SWITCH)
+
+    def forbidden(x):
+        raise AssertionError("A''' formed")
+
+    monkeypatch.setattr(plate, "_w_series", forbidden)
+    prof = radial_profile(xi, chi)
+    sol = solve_plate(xi, chi=chi)
+    z = np.linspace(-1.0, 1.0, 5)
+    field(sol, r[:, None], z[None, :])
+    field(sol, *np.meshgrid(r, z, indexing="ij"))
+    field(sol, r[3], z[1])
+    # the patch is live: eval still forms A'''
+    with pytest.raises(AssertionError, match="A''' formed"):
+        prof.eval(r)
 
 
 # ---------------------------------------------------------------------------
