@@ -24,7 +24,8 @@ override.  Exit status: 0 success, 2 usage or validation error or a
 verification mismatch, 3 numerical failure.
 
 Each option is declared once, in one of the option groups built by
-_build_parser; _COMMANDS names the groups every command takes.
+_build_parser; _COMMANDS names the groups every command takes.  A config
+file's values are converted and checked by the same declarations.
 
 Field CSV artifacts use the fixed header R,Z,u_r,u_z,s_rr,s_tt,s_zz,s_rz
 with rows Z-fastest and every value exactly as "%.17g" prints it, so
@@ -139,14 +140,10 @@ _DEFAULTS = {
     "geometry": "plate",
 }
 
-_CONFIG_TYPES = {
-    "xi": float, "chi": float, "nu": float, "tolerance": float, "tol": float,
-    "mu": float, "a": float, "U": float, "nr": int, "nz": int,
-    "format": str, "output": str, "geometry": str,
-}
-
-
 def _read_config(path: str) -> dict:
+    """The `key = value` lines of the file at path, each value converted
+    and checked by the option's own action (see _build_parser): its type,
+    then its choices."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -157,9 +154,13 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"config line without '=': {raw.rstrip()!r}")
             key, val = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            action = _build_parser().config_actions.get(key)
+            if action is None:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = _CONFIG_TYPES[key](val.strip())
+            val = (action.type or str)(val.strip())
+            if action.choices is not None and val not in action.choices:
+                raise ValueError(f"unknown {key} {val!r}")
+            cfg[key] = val
     return cfg
 
 
@@ -180,14 +181,12 @@ def _finalize(args) -> None:
         args.format = "json"
     if args.csv:
         args.format = "csv"
-    if args.format not in ("human", "csv", "json"):
-        raise ValueError(f"unknown format {args.format!r}")
     sweep = getattr(args, "sweep_xi", None)
     if sweep is not None:
         lo, hi, n = sweep
         if not (0.0 < lo < hi):
             raise ValueError("sweep range must satisfy 0 < lo < hi")
-        if int(n) != n or n < 2:
+        if not (n.is_integer() and n >= 2):
             raise ValueError("sweep point count must be an integer >= 2")
 
 
@@ -426,7 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     (flags to False), and _finalize alone applies defaults, on the
     namespace of its own parse; so parses stay independent, and nothing
     one call sets, a config value or a failed parse included, reaches the
-    next."""
+    next.  Its config_actions maps what a config file may set, every
+    option that takes one value but --config, to the option's action,
+    whose type and choices convert and check the file's values."""
     groups = {}
 
     def group(name):
@@ -480,6 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text,
                            parents=[groups[g] for g in names.split()])
         p.set_defaults(func=handler)
+    ap.config_actions = {a.dest: a for g in groups.values() for a in g._actions
+                         if a.nargs is None and a.dest != "config"}
     return ap
 
 

@@ -42,8 +42,8 @@ built once per degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import InitVar, dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -438,34 +438,66 @@ def _check_nodes(deg: int):
 
 @dataclass
 class RadialSolution:
-    """A radial profile A(R) with derivatives.
+    """A radial profile A(R), evaluated from its one derivative function.
 
-    eval(R) -> (A, A', A'', A''') for scalar or array R.  A and A' come
-    from the stored piecewise-polynomial representation; A'' and A''' are
-    read off the ODE and its derivative (never from numerical
-    differencing).  meta records method, mesh, refinement passes and the
-    measured residual.
+    terms(r, third) gives (A, A', A'', A''') on a float array r of one
+    dimension or more, elementwise, with None for A''' unless third; a
+    profile solved by solve_linear_bvp appends A_s and A_ss, the
+    s = R**2 derivatives of its panels.  The plate's terms are its
+    closed forms; a solved profile's read its panels through the ODE
+    (see _panel_terms).  eval, eval2 and eval_quotients are the only
+    readers of terms.
 
-    Set by solve_linear_bvp (None on a profile given in closed form):
+    meta records method, mesh, refinement passes and the measured
+    residual.  s_form (None on a profile given in closed form) is the
+    solved A as a PanelPoly in s = R**2, the panels on which integrals
+    of A and its derivatives are exact Gauss-Legendre sums.
 
-    s_form: the solved A as a PanelPoly in s = R**2, the panels on which
-        integrals of A and its derivatives are exact Gauss-Legendre sums.
-    eval_quotients(R) -> (A, A', A'', A''', A'/R, (A'' - A'/R)/R) for
-        an array R, in one evaluation; the two quotients are read off the
-        s-panels as 2 A_s and 4 R A_ss, finite on the axis with no 0/0.
+    eval may also be given to the constructor (dataclasses.replace
+    passes it on): it then stands in for the method on that instance, as
+    an eval assigned to the instance does (bench/tracing.py's wrapper).
     """
 
-    eval: Callable
+    terms: Callable
     meta: dict = field(default_factory=dict)
     s_form: Optional[PanelPoly] = None
-    eval_quotients: Optional[Callable] = None
+    # declared bare, so that its default is the method defined below
+    eval: InitVar[Callable]
+
+    def __post_init__(self, eval):
+        # the method, bound to this or any other instance, is no override
+        if getattr(eval, "__func__", eval) is not RadialSolution.eval:
+            self.eval = eval
+
+    def eval(self, r, _a3=True):
+        """(A, A', A'', A''') at R: floats for a scalar R (0-d included),
+        else arrays of R's shape.  The private _a3=False leaves A''' out
+        (see eval2).
+
+        A scalar R is evaluated as the pair (R, R): einsum sums the panel
+        series of a one-point batch in another order (its kernel for
+        contiguous operands), so a lone point would round differently
+        from the same R in an array; the pair gives the array's doubles."""
+        rr = np.asarray(r, dtype=float)
+        values = self.terms(rr if rr.ndim else np.full(2, rr),
+                            _a3)[:4 if _a3 else 3]
+        if rr.ndim == 0:
+            return tuple(float(v[0]) for v in values)
+        return values
 
     def eval2(self, r):
         """(A, A', A'') at R: eval's first three, bit for bit, without
-        forming A''', for callers that discard it.  It calls eval with the
-        private flag _a3, which every profile this package builds takes,
-        so a wrapper put on eval (bench/tracing.py's) sees these calls."""
+        forming A''', for callers that discard it.  It calls the
+        instance's eval with the private flag _a3, so a wrapper put on
+        eval (bench/tracing.py's) sees these calls."""
         return self.eval(r, _a3=False)
+
+    def eval_quotients(self, r):
+        """(A, A', A'', A''', A'/R, (A'' - A'/R)/R) on the float array r,
+        for a profile solved on s-panels: the two quotients are read off
+        them as 2 A_s and 4 R A_ss, finite on the axis with no 0/0."""
+        av, a1, a2, a3, a_s, a_ss = self.terms(r, True)
+        return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would
@@ -685,9 +717,8 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
         "residual_scale": scale,
         "tol": tol,
     }
-    evaluator, with_quotients = _make_evaluator(coeffs, poly)
-    return RadialSolution(eval=evaluator, meta=meta, s_form=poly,
-                          eval_quotients=with_quotients)
+    return RadialSolution(terms=partial(_panel_terms, coeffs, poly),
+                          meta=meta, s_form=poly)
 
 
 def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
@@ -772,41 +803,24 @@ def _residual_check(m, q, f, poly: PanelPoly, deg):
     return float(np.max(panel_sups)), scale, panel_sups
 
 
-def _make_evaluator(coeffs, poly: PanelPoly):
-    """eval and eval_quotients of the panels solved in s = R**2; eval's
-    private _a3=False skips A''' (see RadialSolution.eval2).  A' comes
-    from the panels; A'' and A''' are read off the equation and its
-    s-derivative:
+def _panel_terms(coeffs, poly: PanelPoly, r, third):
+    """RadialSolution.terms of the panels poly, solved in s = R**2 for
+    the equation of coeffs: A, A', A'', A''' (None unless third), A_s
+    and A_ss on the float array r.  A' comes from the panels; A'' and
+    A''' are read off the equation and its s-derivative:
 
         A'   = 2 R A_s,
         A''  = f - 2 m A_s - q A,
         A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
 
     none of which divides by R, so the axis is an ordinary point."""
-
-    def terms(r, third=True):
-        """A, A', A'', A''' (None unless third), A_s and A_ss on the float
-        array r."""
-        s = r * r
-        av, a_s, a_ss = poly(s)
-        m, q, f = (fn(s) for fn in coeffs[:3])
-        a2 = f - 2.0 * m * a_s - q * av
-        a3 = None
-        if third:
-            m_s, q_s, f_s = (fn(s) for fn in coeffs[3:])
-            a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
-                            - q * a_s)
-        return av, 2.0 * r * a_s, a2, a3, a_s, a_ss
-
-    def evaluator(r, _a3=True):
-        values = terms(np.atleast_1d(np.asarray(r, dtype=float)), _a3)
-        values = values[:4] if _a3 else values[:3]
-        if np.isscalar(r) or np.ndim(r) == 0:
-            return tuple(float(v[0]) for v in values)
-        return values
-
-    def with_quotients(r):
-        av, a1, a2, a3, a_s, a_ss = terms(r)
-        return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
-
-    return evaluator, with_quotients
+    s = r * r
+    av, a_s, a_ss = poly(s)
+    m, q, f = (fn(s) for fn in coeffs[:3])
+    a2 = f - 2.0 * m * a_s - q * av
+    a3 = None
+    if third:
+        m_s, q_s, f_s = (fn(s) for fn in coeffs[3:])
+        a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
+                        - q * a_s)
+    return av, 2.0 * r * a_s, a2, a3, a_s, a_ss

@@ -161,8 +161,8 @@ class MaterialParams:
 
     @staticmethod
     def from_nu(nu: float, mu: float = 1.0) -> "MaterialParams":
-        if mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        if not (0.0 < mu < math.inf):
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         chi = chi_from_nu(nu)
         if nu == 0.5:
             lam = math.inf
@@ -173,8 +173,8 @@ class MaterialParams:
 
     @staticmethod
     def from_chi(chi: float, mu: float = 1.0) -> "MaterialParams":
-        if mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        if not (0.0 < mu < math.inf):
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         nu = nu_from_chi(chi)
         if chi == 0.0:
             lam = math.inf
@@ -205,7 +205,9 @@ class LayerConfig:
     radius a) or "sphere" (layer between rigid spheres of radius a with
     minimum half-gap h).  xi = h/a must match the stored lengths to 1e-14
     relative.  U is the prescribed half-approach of the rigid bodies and mu
-    the layer shear modulus; both only scale dimensional output.
+    the layer shear modulus; both only scale dimensional output.  a, h and
+    mu must lie in (0, inf) and U must be finite (U = 0 and U < 0 are
+    allowed); NaN fails every check.
     """
 
     kind: str
@@ -218,6 +220,8 @@ class LayerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("plate", "sphere"):
             raise ValueError(f"kind must be 'plate' or 'sphere', got {self.kind!r}")
+        if not all(map(math.isfinite, (self.a, self.h, self.mu, self.U))):
+            raise ValueError(f"a, h, mu and U must be finite, got {self}")
         if self.a <= 0.0 or self.h <= 0.0 or self.mu <= 0.0:
             raise ValueError("a, h, mu must all be positive")
         check_xi(self.xi)

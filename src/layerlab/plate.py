@@ -255,28 +255,13 @@ def _w_series(x):
     return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
-def _closed_form(derivatives, meta: dict) -> RadialSolution:
-    """The RadialSolution of derivatives(r, a3), which gives (A, A', A'')
-    and, when a3 is true, A''' on a float array r of one dimension or
-    more; eval takes scalars too, and its private _a3 is a3."""
-
-    def evaluator(r, _a3=True):
-        rr = np.asarray(r, dtype=float)
-        values = derivatives(np.atleast_1d(rr), _a3)
-        if rr.ndim == 0:
-            return tuple(float(v[0]) for v in values)
-        return values
-
-    return RadialSolution(eval=evaluator, meta=meta)
-
-
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
-    eval(R) -> (A, A', A'', A''') for scalar or array R, evaluated in one
-    array pass from scaled Bessel values (scipy.special.i0e/i1e) and
-    ratios against I_0(chi/xi), so arbitrarily large chi/xi cannot
-    overflow.  A is assembled as
+    Its derivative function (RadialSolution.terms) gives A, A', A'' and,
+    on request, A''' in one array pass from scaled Bessel values
+    (scipy.special.i0e/i1e) and ratios against I_0(chi/xi), so
+    arbitrarily large chi/xi cannot overflow.  A is assembled as
 
         2 chi^2 A = (1 - c_b) + c_b (1 - I_0(kappa R)/I_0(kappa)),
 
@@ -288,8 +273,9 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     factor (3 - chi^2) in c_b vanishes only at chi = sqrt(3) ~ 1.732,
     outside the admissible [0, 3/2] (the range check rejects it), so it is
     not special-cased.  A cheap residual self-check at R = 0.5 and R = 1
-    guards the assembled evaluator.  eval2(R) gives (A, A', A'') alone,
-    the same doubles, without the A''' pass (see RadialSolution).
+    guards the assembled profile.  eval(R) gives (A, A', A'', A''') for
+    scalar or array R, and eval2(R) the first three, the same doubles,
+    without the A''' pass (see RadialSolution).
     """
     check_xi(xi)
     check_chi(chi)
@@ -297,15 +283,15 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     if chi < CHI_INCOMPRESSIBLE:
         inv = 1.0 / (8.0 * xi * xi)
 
-        def derivatives(r, a3):
+        def terms(r, third):
             av = (1.0 - r * r) * inv
             a1 = -2.0 * inv * r
             a2 = np.full_like(r, -2.0 * inv)
-            return (av, a1, a2, np.zeros_like(r)) if a3 else (av, a1, a2)
+            return av, a1, a2, (np.zeros_like(r) if third else None)
 
         meta = {"method": "closed-form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
-        return _closed_form(derivatives, meta)
+        return RadialSolution(terms=terms, meta=meta)
 
     kappa = chi / xi
     edge = bessel_ratio(kappa)
@@ -325,7 +311,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             coefs.append(coefs[-1] * 0.25 * kappa * kappa / (len(coefs) + 1) ** 2)
         series_den = 8.0 * xi * xi * math.exp(kappa) * edge.scaled_i0
 
-    def derivatives(rr, a3):
+    def terms(rr, third):
         x = kappa * rr
         si0 = _sp_special.i0e(x)
         si1 = _sp_special.i1e(x)
@@ -347,8 +333,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
-        if not a3:
-            return av, a1, a2
+        if not third:
+            return av, a1, a2, None
         w = si1 - si0 / sx + 2.0 * si1x / sx
         small = x < _W_SWITCH
         w[small] = _w_series(x[small])
@@ -356,7 +342,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 
     meta = {"method": "closed-form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
-    sol = _closed_form(derivatives, meta)
+    sol = RadialSolution(terms=terms, meta=meta)
 
     # residual self-check at an interior and the edge spot, in one call
     forcing = 1.0 / (2.0 * xi * xi)

@@ -211,6 +211,8 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     """
     geo = SphereGeometry.of(xi)
     xi, U = geo.xi, float(U)
+    if not math.isfinite(U):
+        raise ValueError(f"U must be finite, got {U}")
     theta = _radial_bvp(geo, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
                         f"on Theta at xi = {xi:g}")
     return ThetaSolution(xi=xi, U=U, Theta=theta)

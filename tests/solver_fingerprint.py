@@ -16,32 +16,46 @@ Covered:
   and an unsorted column with repeated radii.
 
 Floats are stored as ``float.hex``, so a change in the last bit shows.
-``tests/test_solver_fingerprint.py`` recomputes every entry and names
-each one that differs.
 
-A change that moves an answer on purpose rewrites the file with
+Beside it, the argv corpus (``tests/data/argv_corpus.json``): the exit
+status and the sha256 of stdout and of stderr of ``layerlab.cli.main``,
+run in process with COLUMNS pinned to 80 (argparse wraps help and usage
+to the terminal width), for every argv list of ARGV_CORPUS: each command
+bare and in each format, sweeps, --nu, the scales, field grids up to
+101 x 41, the error paths and every --help.
+
+``tests/test_solver_fingerprint.py`` recomputes every entry of both and
+names each one that differs.  A change that moves an answer on purpose
+rewrites both files with
 
     PYTHONPATH=src python tests/solver_fingerprint.py
 
 and states every changed entry, old -> new and why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
 import platform
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import scipy
 
-from layerlab import plate
+from layerlab import cli, plate
 from layerlab.regimes import plate_transitions
 from layerlab.series import solve_theta
 from layerlab.sphere import (SphereGeometry, solve_sphere, sphere_field,
                              sphere_force, sphere_potential)
 
 PATH = pathlib.Path(__file__).parent / "data" / "solver_fingerprint.json"
+ARGV_PATH = PATH.with_name("argv_corpus.json")
 
 TOLS = (1e-10, 1e-12)
 THETA_XIS = (1e-4, 1e-3, 1e-2)
@@ -179,6 +193,222 @@ def compute() -> dict:
     return {**sphere_entries(), **plate_entries(), **field_entries()}
 
 
+# ---------------------------------------------------------------------------
+# argv corpus
+# ---------------------------------------------------------------------------
+
+# an argv element "CONFIG:<text>" stands for the path of a file holding
+# <text>, written afresh for the run
+CONFIG = "CONFIG:"
+
+_FORMATS = ((), ("--json",), ("--csv",))
+# one passing argv per command
+_BASES = (
+    ("plate-force", "--xi", "1e-3", "--chi", "0.7"),
+    ("plate-modulus", "--xi", "1e-3", "--nu", "0.499905"),
+    ("plate-field", "--xi", "0.01", "--chi", "0.7", "--nr", "6",
+     "--nz", "3"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1"),
+    ("sphere-field", "--xi", "1e-2", "--chi", "1", "--nr", "6", "--nz", "3"),
+    ("regime-classify", "--xi", "1e-2", "--chi", "0.3"),
+    ("regime-transitions",),
+    ("compare-plate", "--xi", "1e-3", "--chi", "0.1"),
+    ("verify-table4",),
+    ("verify-suite",),
+)
+_COMMANDS = tuple(base[0] for base in _BASES)
+_SWEEPS = (
+    ("plate-force", "--chi", "0.7", "--sweep-xi", "1e-4", "1e-1", "5"),
+    ("plate-modulus", "--nu", "0.49", "--sweep-xi", "1e-3", "0.5", "4"),
+    ("sphere-force", "--chi", "1", "--sweep-xi", "1e-4", "1e-2", "3"),
+    ("compare-plate", "--chi", "0.05", "--sweep-xi", "1e-4", "1e-2", "3"),
+)
+_MORE = (
+    # the material as --nu, alone and with a chi that agrees
+    ("plate-force", "--xi", "1e-2", "--nu", "0.3"),
+    ("plate-modulus", "--xi", "1e-2", "--nu", "0.5", "--json"),
+    ("sphere-force", "--xi", "1e-3", "--nu", "0.45", "--json"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--nu", "0.25"),
+    ("regime-classify", "--xi", "1e-3", "--nu", "0.49", "--json"),
+    ("compare-plate", "--xi", "1e-2", "--nu", "0.4999", "--csv"),
+    # scales
+    ("plate-force", "--xi", "1e-2", "--chi", "0.7", "--mu", "2.5", "--a",
+     "3", "--U", "0.5", "--json"),
+    ("plate-force", "--xi", "1e-2", "--chi", "0", "--U", "-1"),
+    ("plate-force", "--xi", "1e-2", "--chi", "0.7", "--U", "0", "--csv"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "0.5", "--mu", "2", "--a",
+     "0.5", "--U", "-2", "--json"),
+    ("plate-field", "--xi", "0.05", "--chi", "0.3", "--mu", "2", "--a",
+     "3", "--U", "-0.5", "--nr", "5", "--nz", "4"),
+    ("sphere-field", "--xi", "1e-3", "--chi", "0.5", "--mu", "3", "--U",
+     "0.25", "--nr", "5", "--nz", "4"),
+    # field grids
+    ("plate-field", "--xi", "0.01", "--chi", "0.7", "--nr", "101",
+     "--nz", "41"),
+    ("plate-field", "--xi", "0.05", "--chi", "0", "--nr", "101", "--nz",
+     "41"),
+    ("plate-field", "--xi", "1e-3", "--chi", "1.4", "--nr", "51", "--nz",
+     "21"),
+    ("plate-field", "--xi", "0.01", "--nu", "0.49"),
+    ("sphere-field", "--xi", "1e-2", "--chi", "1", "--nr", "101", "--nz",
+     "41"),
+    ("sphere-field", "--xi", "1e-3", "--chi", "0", "--nr", "101", "--nz",
+     "41"),
+    ("sphere-field", "--xi", "1e-4", "--chi", "1e-3", "--tol", "1e-12"),
+    # tolerances and regimes
+    ("sphere-force", "--xi", "1e-5", "--chi", "1e-3", "--tol", "1e-12",
+     "--json"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "0", "--json"),
+    ("regime-classify", "--geometry", "sphere", "--xi", "1e-3", "--chi",
+     "0.5", "--json"),
+    ("regime-classify", "--geometry", "sphere", "--xi", "1e-4", "--nu",
+     "0.5"),
+    ("regime-classify", "--xi", "1e-3", "--chi", "0.7", "--tolerance",
+     "0.05", "--csv"),
+    ("regime-classify", "--xi", "1e-2", "--chi", "0"),
+    ("regime-transitions", "--xi", "1e-2"),
+    ("regime-transitions", "--xi", "1e-2", "--tolerance", "0.2", "--json"),
+    ("regime-transitions", "--geometry", "sphere", "--csv"),
+    ("regime-transitions", "--geometry", "plate", "--format", "json",
+     "--csv"),
+    ("regime-transitions", "--csv", "--json"),
+    # config files
+    ("sphere-force", "--xi", "1e-2", "--config",
+     CONFIG + "# rig\nchi = 1.0\nformat = csv\n"),
+    ("sphere-force", "--xi", "1e-2", "--json", "--config",
+     CONFIG + "chi = 1.0\nformat = csv\n"),
+    ("regime-transitions", "--config",
+     CONFIG + "tolerance = 0.2\nformat = json\n"),
+    ("plate-field", "--config",
+     CONFIG + "xi = 0.02\nnu = 0.45\nnr = 4\nnz = 3\nU = -1\n"),
+    # errors: the domain
+    ("plate-force", "--xi", "0", "--chi", "1"),
+    ("plate-force", "--xi", "1", "--chi", "1"),
+    ("plate-force", "--xi", "nan", "--chi", "1"),
+    ("plate-force", "--xi", "1e-2", "--chi", "1.6"),
+    ("plate-force", "--xi", "1e-2", "--chi", "-0.1"),
+    ("plate-force", "--xi", "1e-2", "--chi", "nan"),
+    ("plate-force", "--xi", "1e-2", "--nu", "0.6"),
+    ("plate-force", "--xi", "1e-3", "--chi", "1.0", "--nu", "0.3"),
+    ("plate-modulus", "--xi", "1e-2", "--chi", "1.5"),
+    ("sphere-force", "--xi", "0.5", "--chi", "1"),
+    ("sphere-field", "--xi", "0.2", "--chi", "1"),
+    ("regime-classify", "--geometry", "sphere", "--xi", "0.5", "--chi",
+     "0.3"),
+    ("regime-transitions", "--tolerance", "0"),
+    # errors: the scales, nan and inf included
+    ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
+    ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--a", "nan", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--a", "inf", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--mu", "nan", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--mu", "inf", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "nan", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "inf", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U=-inf"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--mu", "nan"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--a", "inf"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--U", "nan", "--json"),
+    ("plate-field", "--xi", "0.1", "--chi", "1", "--U", "nan", "--nr", "3",
+     "--nz", "2"),
+    ("sphere-field", "--xi", "1e-2", "--chi", "1", "--mu", "inf", "--nr",
+     "3", "--nz", "2"),
+    # errors: tolerances and grids
+    ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "0"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "nan"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "inf"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "1e-16",
+     "--json"),
+    ("plate-field", "--xi", "1e-3", "--chi", "0.7", "--nr", "1"),
+    ("sphere-field", "--xi", "1e-3", "--chi", "0.7", "--nz", "0"),
+    ("plate-field", "--chi", "0.7"),
+    ("sphere-field", "--chi", "0.7"),
+    ("regime-classify", "--chi", "1"),
+    ("plate-force", "--chi", "1"),
+    # errors: sweeps
+    ("sphere-force", "--chi", "1", "--sweep-xi", "1e-2", "1e-4", "3"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "0", "1e-2", "3"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "1"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "2.5"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "inf"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "nan"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2"),
+    # errors: argparse
+    (),
+    ("plate-torque",),
+    ("plate-force", "--xi", "x", "--chi", "1"),
+    ("plate-force", "--xi", "1e-3", "--chi", "1", "--format", "yaml"),
+    ("plate-force", "--xi", "1e-3", "--chi", "1", "--bogus"),
+    ("regime-transitions", "--geometry", "spheres"),
+    ("plate-field", "--xi", "1e-2", "--chi", "1", "--nr", "2.5"),
+    # errors: config files
+    ("regime-transitions", "--config", CONFIG + "geometry = spheres\n"),
+    ("regime-classify", "--xi", "1e-3", "--chi", "0.5", "--config",
+     CONFIG + "geometry = spheres\n"),
+    ("regime-transitions", "--config", CONFIG + "format = yaml\n"),
+    ("regime-transitions", "--json", "--config", CONFIG + "format = yaml\n"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--config",
+     CONFIG + "bogus = 3\n"),
+    ("sphere-force", "--xi", "1e-2", "--config", CONFIG + "chi 1\n"),
+    ("sphere-force", "--xi", "1e-2", "--config", CONFIG + "chi = x\n"),
+    ("plate-field", "--xi", "1e-2", "--chi", "1", "--config",
+     CONFIG + "nr = 1.5\n"),
+    ("regime-transitions", "--config", CONFIG + "json = 1\n"),
+)
+
+ARGV_CORPUS = tuple(dict.fromkeys(
+    [(command,) for command in _COMMANDS]
+    + [base + fmt for base in _BASES for fmt in _FORMATS]
+    + [sweep + fmt for sweep in _SWEEPS for fmt in _FORMATS]
+    + list(_MORE)
+    + [("--help",)] + [(command, "--help") for command in _COMMANDS]))
+
+
+def run_cli(argv) -> tuple:
+    """(exit status, stdout, stderr) of cli.main(argv), in process.  An
+    exception that escapes main is recorded as a process would end on
+    it: status 1, and the traceback's last line on stderr.  Python's
+    warnings are left out: they name source paths, and show once per
+    process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            status = cli.main(list(argv))
+        except SystemExit as exc:       # argparse's usage errors and --help
+            status = int(exc.code or 0)
+        except Exception as exc:
+            status = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def compute_argv() -> dict:
+    """The status and output digests of every argv of ARGV_CORPUS, keyed
+    by the argv's elements, quoted and joined with spaces (a config file
+    by its text)."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in ARGV_CORPUS:
+            real = list(argv)
+            for i, arg in enumerate(argv):
+                if arg.startswith(CONFIG):
+                    real[i] = os.path.join(tmp, f"{len(out)}.cfg")
+                    with open(real[i], "w") as fh:
+                        fh.write(arg[len(CONFIG):])
+            status, stdout, stderr = run_cli(real)
+            out[" ".join(map(repr, argv))] = {
+                "status": status, "stdout": _sha(stdout),
+                "stderr": _sha(stderr)}
+    return out
+
+
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
@@ -189,6 +419,9 @@ def main() -> int:
     data = {"versions": versions(), "entries": compute()}
     PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data['entries'])} entries to {PATH}")
+    corpus = {"versions": versions(), "entries": compute_argv()}
+    ARGV_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus['entries'])} entries to {ARGV_PATH}")
     return 0
 
 

@@ -499,8 +499,15 @@ def test_material_input_errors(capsys):
      "sweep point count must be an integer >= 2"),
     (("regime-classify", "--geometry", "sphere", "--xi", "0.5", "--chi", "0.3"),
      "xi must be positive and <= 0.1 for a sphere layer, got 0.5"),
+    (("plate-field", "--chi", "0.7"), "--xi is required"),
+    (("sphere-field", "--nu", "0.3"), "--xi is required"),
+    (("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "inf"),
+     "sweep point count must be an integer >= 2"),
+    (("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "nan"),
+     "sweep point count must be an integer >= 2"),
 ], ids=["force-no-xi", "classify-no-xi", "field-nr", "sweep-count",
-        "classify-sphere-xi"])
+        "classify-sphere-xi", "plate-field-no-xi", "sphere-field-no-xi",
+        "sweep-count-inf", "sweep-count-nan"])
 def test_usage_errors_exit_2(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
@@ -515,6 +522,24 @@ def test_domain_errors(capsys):
     rc, _, err = run(capsys, "plate-force", "--xi", "1e-2", "--chi", "0.5",
                      "--mu", "-1")
     assert rc == 2 and "must all be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("plate-force", "--a", "nan"), ("plate-force", "--a", "inf"),
+    ("plate-force", "--mu", "nan"), ("plate-force", "--mu", "inf"),
+    ("plate-force", "--U", "nan"), ("plate-force", "--U", "inf"),
+    ("plate-force", "--U=-inf"), ("sphere-force", "--mu", "nan"),
+    ("sphere-force", "--U", "inf"), ("plate-field", "--U", "nan"),
+    ("sphere-field", "--a", "inf"),
+], ids=lambda argv: " ".join(argv))
+def test_nonfinite_scales_exit_2(capsys, argv):
+    # NaN and infinite scales are usage errors, not a null force or rows
+    # of NaN (U = 0 and U < 0 stay legal: see the argv corpus)
+    rc, out, err = run(capsys, argv[0], "--xi", "0.1", "--chi", "1",
+                       *argv[1:], "--json")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: a, h, mu and U must be finite, got "
+                          "LayerConfig(")
 
 
 def test_consistent_nu_chi_pair_accepted(capsys):
@@ -554,6 +579,30 @@ def test_config_format_is_validated(capsys, tmp_path):
     rc, out, err = run(capsys, "regime-transitions", "--config", str(cfg))
     assert (rc, out) == (2, "")
     assert "unknown format 'yaml'" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("regime-transitions",),
+    ("regime-classify", "--xi", "1e-3", "--chi", "0.5"),
+], ids=lambda command: command[0])
+def test_config_values_are_checked_by_their_options(capsys, tmp_path,
+                                                    command):
+    # a config value meets its option's own type and choices, as on the
+    # command line: geometry = spheres is rejected, not run as a sphere
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry = spheres\n")
+    argv = [*command, "--config", str(cfg)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: unknown geometry 'spheres'\n")
+    rc, _, err = run(capsys, *command, "--geometry", "spheres")
+    assert rc == 2 and "invalid choice: 'spheres'" in err
+    # and a bad value fails even where a flag overrides it
+    cfg.write_text("format = yaml\n")
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, out, err) == (2, "", "error: unknown format 'yaml'\n")
+    cfg.write_text("nr = 1.5\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and "invalid literal for int()" in err
 
 
 def test_config_values_stay_in_their_call(capsys, tmp_path):

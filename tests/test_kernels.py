@@ -131,6 +131,13 @@ def test_find_root_requires_sign_change():
         find_root(lambda x: x, (2.0, 1.0))
 
 
+def test_find_root_rejects_nonpositive_tol():
+    # brentq's own check on xtol, made once the bracket holds a sign change
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="xtol too small"):
+            find_root(lambda x: x - 0.5, (0.0, 1.0), tol=tol)
+
+
 def _brentq_root(g, bracket, tol):
     # the reference: scipy's brentq with find_root's xtol and rtol
     from scipy.optimize import brentq

@@ -118,7 +118,7 @@ def test_material_params_limits():
     assert abs(near.youngs) < 1e-14
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
 def test_material_params_reject_nonpositive_mu(mu):
     for make, value in ((MaterialParams.from_chi, 1.0),
                         (MaterialParams.from_nu, 0.3)):
@@ -135,3 +135,19 @@ def test_layer_config_make_and_validation():
         LayerConfig.make("plate", 0.0)
     with pytest.raises(ValueError):
         LayerConfig(kind="plate", a=1.0, h=0.5, xi=0.4, U=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("name", ["a", "mu", "U"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_layer_config_rejects_nonfinite_scales(name, value):
+    # a, h and mu lie in (0, inf) and U is finite; NaN fails each check
+    scales = {"a": 2.0, "mu": 3.0, "U": 0.5, name: value}
+    with pytest.raises(ValueError, match="a, h, mu and U must be finite"):
+        LayerConfig.make("plate", 1e-3, **scales)
+
+
+def test_layer_config_keeps_zero_and_negative_approach():
+    for U in (0.0, -2.0):
+        assert LayerConfig.make("sphere", 1e-3, U=U).U == U
+    with pytest.raises(ValueError, match="must all be positive"):
+        LayerConfig.make("plate", 1e-3, a=-1.0)

@@ -17,6 +17,8 @@ from layerlab.plate import (
     solve_plate,
     stefan_fluid_fields,
 )
+from layerlab.series import solve_theta
+from layerlab.sphere import SphereGeometry, solve_sphere
 
 XI_GRID = [1e-4, 1e-3, 1e-2, 1e-1]
 CHI_GRID = [1e-3, 0.3, 0.7, 1.0, 1.4]
@@ -146,20 +148,50 @@ def test_profile_third_derivative_full_accuracy():
         assert float(np.max(np.abs(got - want))) <= 1e-14 * sup, (xi, chi)
 
 
-def test_profile_array_eval_matches_scalar_calls():
-    # one array pass gives the same doubles as point-by-point calls, and
-    # keeps the shape of its input
+# (profile, rim, radii of note) of every kind of RadialSolution: the
+# plate's Bessel branch at kappa = chi/xi below 2 (its power series) and
+# above it (where x = kappa R crosses 0.02 and 1, and A''' switches to
+# its series form below 1), the plate's chi < 1e-10 family, a sphere
+# profile and Theta
+PROFILE_KINDS = {
+    "plate-kappa-0.01": lambda: (radial_profile(1e-3, 1e-5), 1.0, ()),
+    "plate-kappa-1": lambda: (radial_profile(0.05, 0.05), 1.0, (0.02, 1.0)),
+    "plate-kappa-70": lambda: (radial_profile(1e-2, 0.7), 1.0,
+                               (0.02 / 70, 1 / 70)),
+    "plate-kappa-14000": lambda: (radial_profile(1e-4, 1.4), 1.0,
+                                  (0.02 / 14000, 1 / 14000)),
+    "plate-chi-0": lambda: (radial_profile(1e-2, 0.0), 1.0, ()),
+    "sphere": lambda: (solve_sphere(1e-3, 0.5).A,
+                       SphereGeometry.of(1e-3).r_edge, (1.0, 4.0)),
+    "theta": lambda: (solve_theta(1e-2).Theta,
+                      SphereGeometry.of(1e-2).r_edge, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profile_array_eval_matches_scalar_calls(kind):
+    # every profile honours RadialSolution's one contract: an array pass
+    # keeps its input's shape and gives the doubles of point-by-point
+    # calls, which give floats (a 0-d array counts as a scalar); eval2 is
+    # eval's first three, bit for bit
+    prof, rim, noted = PROFILE_KINDS[kind]()
     rng = np.random.default_rng(5)
-    for xi, chi in [(1e-3, 1e-5), (0.05, 0.05), (1e-2, 0.7), (1e-4, 1.4)]:
-        prof = radial_profile(xi, chi)
-        rr = np.concatenate(([0.0, 1.0, 0.02 * xi / chi, xi / chi],
-                             rng.uniform(0.0, 1.0, 196))).reshape(20, 10)
-        got = prof.eval(rr)
-        scalar = [prof.eval(float(r)) for r in rr.ravel()]
-        assert all(isinstance(v, float) for vals in scalar for v in vals)
-        for k in range(4):
-            assert got[k].shape == rr.shape
-            assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), (xi, chi, k)
+    rr = np.concatenate(([0.0, rim], noted,
+                         rng.uniform(0.0, rim, 198 - len(noted))))
+    rr = rr.reshape(20, 10)
+    got = prof.eval(rr)
+    scalar = [prof.eval(float(r)) for r in rr.ravel()]
+    assert all(isinstance(v, float) for vals in scalar for v in vals)
+    assert prof.eval(np.array(rr[3, 3])) == scalar[33]
+    for k in range(4):
+        assert got[k].shape == rr.shape
+        assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), k
+    got2 = prof.eval2(rr)
+    assert len(got2) == 3
+    for k in range(3):
+        assert np.array_equal(got2[k], got[k]), k
+    assert all(prof.eval2(float(r)) == vals[:3]
+               for r, vals in zip(rr.ravel(), scalar))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,10 @@ def test_theta_validation():
         solve_theta(0.2)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         solve_theta(1e-3, tol=math.nan)
+    # a non-finite approach is a usage error, not a singular system
+    for U in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="U must be finite"):
+            solve_theta(1e-3, U=U)
 
 
 # ---------------------------------------------------------------------------
