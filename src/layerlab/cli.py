@@ -13,7 +13,8 @@ Commands
     verify-suite        run the built-in property battery
 
 Conventions shared by every command: numeric flags accept scientific
-notation; the material is specified as --chi or --nu (both together are
+notation, negative values included (--U -1e-3 reads as --U=-1e-3); the
+material is specified as --chi or --nu (both together are
 accepted if they agree to 1e-10); --format human|csv|json selects the
 output shape (--json/--csv are shorthands) and --output PATH redirects it
 (default stdout).  CSV and JSON output is deterministic byte-for-byte
@@ -417,6 +418,20 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading an argument that parses as a float
+    (-1e-3, -inf, -nan) as a value.  argparse itself takes only the -1
+    and -0.5 spellings of a negative number for values, and any other
+    word led by '-' for an option."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared by every main call.
@@ -472,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="limit-formula accuracy defining the window (plates; "
              "default 0.1)")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="layerlab",
         description="Thin bonded elastic layers: forces, moduli, fields, "
                     "and compressibility regimes.")

@@ -469,20 +469,45 @@ class RadialSolution:
         if getattr(eval, "__func__", eval) is not RadialSolution.eval:
             self.eval = eval
 
+    @staticmethod
+    def radii(r: np.ndarray):
+        """The radii to evaluate an R-only quantity of the float array r
+        on, as a 1-D array, and a map taking arrays over them (along their
+        last axis) back to r's own shape.
+
+        A line of radii, an r with at most one axis longer than 1 (a
+        column, a row, 1-D or a scalar), is evaluated in place: its own
+        elements, in its own order, and the map is a reshape.  A full grid
+        is evaluated once per distinct R: the sorted distinct values, and
+        the map gathers them back.  A lone radius (a scalar, a one-element
+        line or a grid of one R) is evaluated as the pair (R, R): einsum
+        sums the panel series of a one-point batch, and matmul forms a
+        one-row product, in another order, so R alone would round
+        differently from the same R inside a line.  Every R-only quantity
+        here is elementwise in its radius, so each form gives the doubles
+        of a line."""
+        if sum(n > 1 for n in r.shape) <= 1:
+            radii, index = r.ravel(), slice(r.size)
+        else:
+            radii, index = np.unique(r.ravel(), return_inverse=True)
+        if radii.size == 1:
+            radii = np.repeat(radii, 2)
+        # arr.T[index] is numpy's fast gather along a first axis (a view for
+        # the slice); arr[..., index] gives the same array in the same
+        # memory layout but takes 2.5 times as long on a 1-D arr
+        return radii, (lambda arr: arr.T[index].T
+                       .reshape(arr.shape[:-1] + r.shape))
+
     def eval(self, r, _a3=True):
         """(A, A', A'', A''') at R: floats for a scalar R (0-d included),
-        else arrays of R's shape.  The private _a3=False leaves A''' out
-        (see eval2).
-
-        A scalar R is evaluated as the pair (R, R): einsum sums the panel
-        series of a one-point batch in another order (its kernel for
-        contiguous operands), so a lone point would round differently
-        from the same R in an array; the pair gives the array's doubles."""
+        else arrays of R's shape, each formed on the radii of R (see
+        radii), so a lone R gives the doubles it has inside a line.  The
+        private _a3=False leaves A''' out (see eval2)."""
         rr = np.asarray(r, dtype=float)
-        values = self.terms(rr if rr.ndim else np.full(2, rr),
-                            _a3)[:4 if _a3 else 3]
+        radii, take = self.radii(rr)
+        values = tuple(map(take, self.terms(radii, _a3)[:4 if _a3 else 3]))
         if rr.ndim == 0:
-            return tuple(float(v[0]) for v in values)
+            return tuple(map(float, values))
         return values
 
     def eval2(self, r):

@@ -169,27 +169,6 @@ def _field_block(Rr: np.ndarray, Zb: np.ndarray) -> list:
     return [block[i, ...] for i in range(6)]
 
 
-def _distinct(Rr: np.ndarray):
-    """The radii to evaluate an R-only quantity on, as a 1-D array, and a
-    map taking arrays over them (along their last axis) back to Rr's own
-    shape.
-
-    A line of radii, an Rr with at most one axis longer than 1 (a column,
-    a row, 1-D or a scalar), is evaluated in place: its own elements, in
-    its own order, and the map is a reshape.  A full grid is evaluated
-    once per distinct R: the sorted distinct values, and the map gathers
-    them back.  Every R-only quantity here is elementwise in its radius,
-    so both give the same doubles."""
-    if sum(n > 1 for n in Rr.shape) <= 1:
-        return Rr.ravel(), (lambda arr: arr.reshape(arr.shape[:-1] + Rr.shape))
-    r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
-    # arr.T[inverse] is numpy's fast gather along a first axis;
-    # arr[..., inverse] gives the same array in the same memory layout but
-    # takes 2.5 times as long on a 1-D arr
-    return r_unique, (lambda arr: arr.T[inverse].T
-                      .reshape(arr.shape[:-1] + Rr.shape))
-
-
 def _field_sample(Rr: np.ndarray, Zb: np.ndarray, fields, kind=FieldSample):
     """The sample (a FieldSample, or `kind`) of the filled fields: floats
     for scalar input, else R and Z as read-only broadcast views of the
@@ -216,10 +195,17 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
     so v_z(+-h) = -+V and the pressure peaks at the center:
     p(0, 0) = mu V (3 a^2 + 2 h^2)/(4 h^3).  The incompressible-limit
     elastic displacements coincide with (v_r, v_z) under V -> -U.
-    Accepts scalars or arrays; requires 0 <= r <= a and |z| <= h.
+    Accepts scalars or arrays; requires 0 <= r <= a and |z| <= h, a and h
+    positive and finite, and mu and V finite.
     """
-    if a <= 0.0 or h <= 0.0:
-        raise ValueError("a and h must be positive")
+    # written so that NaN fails each check
+    for name, value in (("a", a), ("h", h)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"a and h must be positive and finite, got "
+                             f"{name} = {value}")
+    for name, value in (("mu", mu), ("V", V)):
+        if not math.isfinite(value):
+            raise ValueError(f"mu and V must be finite, got {name} = {value}")
     r = np.asarray(r, dtype=float) + 0.0
     z = np.asarray(z, dtype=float) + 0.0
     # written so that NaN fails each check
@@ -406,8 +392,8 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     broadcast against each other.  The radial potential (A, A', A'',
     never A''') is evaluated once per R of a line of radii (a column, a
     row, 1-D or a scalar), on R itself, and once per distinct R of a full
-    R grid (see _distinct), so dense (R, Z) product grids cost only their
-    R lines.
+    R grid (see RadialSolution.radii), so dense (R, Z) product grids cost
+    only their R lines, and a lone R gives the doubles of a line.
 
     Each field is written in place into one preallocated (6, *shape)
     block, with no other grid-sized array; a column R against a shorter
@@ -427,7 +413,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
-    radii, take = _distinct(Rr)
+    radii, take = RadialSolution.radii(Rr)
     av, a1, a2 = sol.radial.eval2(radii)
     # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
     safe_r = np.where(radii > 0.0, radii, 1.0)
@@ -607,11 +593,18 @@ def compressible_superposition(xi: float, chi: float, mu: float = 1.0,
     state is pure uniaxial stress).  The interface shear vanishes
     identically, so the exact solution differs from this state only by an
     edge-zone corrector driven by the load -s_rr on the free edge R = 1,
-    returned here for external consumption.  Requires chi > 0.
+    returned here for external consumption.  Requires chi > 0, mu and a
+    positive and finite, and U finite (U = 0 and U < 0 are allowed).
     """
     check_xi(xi)
     if not (0.0 < chi <= CHI_MAX):
         raise ValueError(f"chi must be positive (and <= 3/2), got {chi}")
+    # written so that NaN fails each check
+    for name, value in (("mu", mu), ("a", a)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(U):
+        raise ValueError(f"U must be finite, got {U}")
     base = mu * U / (a * xi * chi * chi)
     s_rr = (3.0 - 2.0 * chi * chi) * base
     s_zz = 3.0 * base

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -124,11 +124,15 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
 
     Returns (u_r, u_z) broadcast over R, Z.  u_r is smaller than u_z by
     sqrt(xi); both vanish/match the plate motion on the bonded surfaces
-    at their retained orders.
+    at their retained orders.  lam and mu must be positive and finite,
+    and U finite.
     """
     geo = SphereGeometry.of(xi)
-    if mu <= 0.0 or lam <= 0.0:
-        raise ValueError("lam and mu must be positive in this regime")
+    # written so that NaN fails each check
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"lam and mu must be positive and finite in "
+                             f"this regime, got {name} = {value}")
     return _series_fields(geo, (math.sqrt(geo.xi) * (lam + mu) / (2.0 * mu),
                                 1.0), lam / mu, R, Z, U)
 
@@ -136,7 +140,8 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
 def nearly_compressible_series_fields(xi: float, R, Z, U: float = 1.0):
     """Series displacement field at the mu/lambda = sqrt(xi) transition.
 
-    Returns (u_r, u_z); here u_r and u_z are the same order in xi.
+    Returns (u_r, u_z); here u_r and u_z are the same order in xi.  U
+    must be finite.
     """
     geo = SphereGeometry.of(xi)
     return _series_fields(geo, (0.5, 1.0 + math.sqrt(geo.xi)), 1.0, R, Z, U)
@@ -152,7 +157,9 @@ def _series_fields(geo: SphereGeometry, k_r: tuple, k_z: float, R, Z,
                 [2Z**2/(2+R**2) - 1] Z } U
 
     k0 and k1 sit where the printed series put them, so each field is
-    the product it was written as."""
+    the product it was written as.  U must be finite."""
+    if not math.isfinite(U):
+        raise ValueError(f"U must be finite, got {U}")
     Rb, Zb = geo.check(R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
@@ -200,7 +207,6 @@ class ThetaSolution:
         return float(out) if not out.shape else out
 
 
-@lru_cache(maxsize=32)
 def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     """Solve the Theta boundary-value problem on [0, 1/sqrt(xi)].
 
@@ -208,12 +214,14 @@ def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
     (where beta = i/sqrt(2)), with the forcing carrying a factor 6 U;
     regular on the axis, zero normal-stress resultant at the rim.  Both
     kernel discretizations are run and must agree to min(1e-8, 100 tol).
+    The solved profile shares the sphere profile's cache (_radial_bvp),
+    so a repeat call returns a ThetaSolution around the same Theta.
     """
     geo = SphereGeometry.of(xi)
     xi, U = geo.xi, float(U)
     if not math.isfinite(U):
         raise ValueError(f"U must be finite, got {U}")
-    theta = _radial_bvp(geo, math.sqrt(3.0 * xi), tol, None, 6.0 * U,
+    theta = _radial_bvp(geo, math.sqrt(3.0 * xi), tol, 6.0 * U,
                         f"on Theta at xi = {xi:g}")
     return ThetaSolution(xi=xi, U=U, Theta=theta)
 

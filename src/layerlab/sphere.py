@@ -108,8 +108,8 @@ import numpy as np
 
 from .kernels import RadialSolution, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
-from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _distinct,
-                    _field_block, _field_sample)
+from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
+                    _field_sample)
 
 __all__ = [
     "SphereGeometry",
@@ -176,12 +176,12 @@ class SphereGeometry:
     def points(self, R, Z):
         """check's R and Z, then the radii to evaluate on, 1-D, and a map
         taking arrays over those (along their last axis) back to R's own
-        shape, for fields whose coefficients depend on R alone.  A line of
-        radii (a column, a row, 1-D or a scalar) is evaluated in place,
-        on R's own elements, and the map is a reshape; a full R grid is
-        evaluated once per distinct R (plate._distinct)."""
+        shape, for fields whose coefficients depend on R alone
+        (RadialSolution.radii): a line of radii (a column, a row, 1-D or
+        a scalar) is evaluated in place, a full R grid once per distinct
+        R, and a lone R as it would be inside a line."""
         Rr, Zb = self.check(R, Z)
-        return (Rr, Zb, *_distinct(Rr))
+        return (Rr, Zb, *RadialSolution.radii(Rr))
 
 
 class SphereForce(NamedTuple):
@@ -263,23 +263,19 @@ def _edge_closure(geo: SphereGeometry, chi: float):
 _TAIL_RATIO = 1.093
 
 
-def _sphere_edges(geo: SphereGeometry,
-                  n_main: Optional[int] = None) -> np.ndarray:
-    """R panel edges tuned to the sphere profile, from the axis: one axis
-    panel out to R = 0.0625, a uniform section through the O(1) feature
-    region out to R = 4, then panels growing toward the rim
-    R_e = 1/sqrt(xi) along the algebraic R**-6 tail.  The solver squares
-    them into s = R**2.
+def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
+    """The sphere profile's R panel edges, from the axis: one axis panel
+    out to R = 0.0625, a uniform section through the O(1) feature region
+    out to R = 4, then panels growing toward the rim R_e = 1/sqrt(xi)
+    along the algebraic R**-6 tail.  The solver squares them into
+    s = R**2.
 
-    By default (n_main None) the uniform section has spacing h = 0.18
-    and the tail continues it with one grading ratio: its n panels have
-    widths proportional to h * _TAIL_RATIO**k, k = 1..n, the fewest that
-    reach R_e, scaled down to end on it.  So n grows with ln(R_e), and
-    no neighbouring panels, the first tail panel included, differ by
-    more than _TAIL_RATIO: the tail takes 16 panels at xi = 1e-2 and 96
-    at xi = 1e-8.  An integer n_main puts n_main log-spaced panels on
-    the tail (at least 8) and spacing 0.18 * 96/n_main on the uniform
-    section.
+    The uniform section has spacing h = 0.18 and the tail continues it
+    with one grading ratio: its n panels have widths proportional to
+    h * _TAIL_RATIO**k, k = 1..n, the fewest that reach R_e, scaled down
+    to end on it.  So n grows with ln(R_e), and no neighbouring panels,
+    the first tail panel included, differ by more than _TAIL_RATIO: the
+    tail takes 16 panels at xi = 1e-2 and 96 at xi = 1e-8.
 
     The mesh depends on xi alone.  q < 0 on the whole interval, so a
     homogeneous solution has at most one zero and nothing oscillates,
@@ -287,38 +283,34 @@ def _sphere_edges(geo: SphereGeometry,
     its rim layer, about 1/(2 chi sqrt(xi)) wide in R, is resolved by the
     graded tail (by the uniform section when the rim is at R <= 4)."""
     re = geo.r_edge
-    start = 0.0625
-    h_inner = 0.18 if n_main is None else 0.18 / max(n_main / 96.0, 1e-2)
+    start, h, rho = 0.0625, 0.18, _TAIL_RATIO
     r_mid = min(4.0, re)
-    n_inner = max(int(math.ceil((r_mid - start) / h_inner)), 8)
+    n_inner = max(int(math.ceil((r_mid - start) / h)), 8)
     inner = np.linspace(start, r_mid, n_inner + 1)
     if r_mid >= re:
         return np.concatenate([[0.0], inner])
-    if n_main is None:
-        rho = _TAIL_RATIO
-        n_tail = math.ceil(math.log1p((re - r_mid) * (rho - 1.0)
-                                      / (h_inner * rho)) / math.log(rho))
-        reach = np.cumsum(rho ** np.arange(1.0, n_tail + 1.0))
-        tail = r_mid + (re - r_mid) * reach / reach[-1]
-        tail[-1] = re
-    else:
-        tail = np.geomspace(r_mid, re, max(int(n_main), 8) + 1)[1:]
+    n_tail = math.ceil(math.log1p((re - r_mid) * (rho - 1.0) / (h * rho))
+                       / math.log(rho))
+    reach = np.cumsum(rho ** np.arange(1.0, n_tail + 1.0))
+    tail = r_mid + (re - r_mid) * reach / reach[-1]
+    tail[-1] = re
     return np.concatenate([[0.0], inner, tail])
 
 
 @lru_cache(maxsize=64)
 def _radial_bvp(geo: SphereGeometry, chi: float, tol: float,
-                mesh: Optional[int], load: float, where: str) -> RadialSolution:
-    """Solve the radial profile with its forcing scaled by ``load`` under
-    both independent discretizations and cross-check them (``where`` names
-    the problem if they disagree); returns the primary solution, with the
-    sup-norm relative disagreement in meta["dual_sup_rel"].  ``mesh`` is
-    _sphere_edges' n_main (None: the default graded tail).  Cached: the
+                load: float, where: str) -> RadialSolution:
+    """Solve the radial profile with its forcing scaled by ``load`` on
+    _sphere_edges' mesh under both independent discretizations and
+    cross-check them (``where`` names the problem if they disagree);
+    returns the primary solution, with the sup-norm relative disagreement
+    in meta["dual_sup_rel"].  The one cache of a solved profile: the
     sphere profile (load 1) and the Theta problem (load 6 U) differ in
-    chi, load and where, so each is its own entry and its own solve."""
+    chi, load and where, so each is its own entry and its own solve, and
+    a repeat of either returns the profile solved first."""
     return solve_dual_bvp(_ode_coefficients(geo.xi, chi, load),
                           _edge_closure(geo, chi), tol, where,
-                          mesh=_sphere_edges(geo, mesh))
+                          mesh=_sphere_edges(geo))
 
 
 @dataclass(frozen=True)
@@ -347,27 +339,24 @@ class SphereSolution:
 
 def solve_sphere(xi: float, chi: Optional[float] = None,
                  tol: float = 1e-10, *, nu: Optional[float] = None,
-                 mu: float = 1.0, a: float = 1.0, U: float = 1.0,
-                 mesh: Optional[int] = None) -> SphereSolution:
+                 mu: float = 1.0, a: float = 1.0,
+                 U: float = 1.0) -> SphereSolution:
     """Solve for the radial profile A(R) of the sphere-sphere layer.
 
     Requires ``0 < xi <= 0.1`` (the parabolic-gap approximation) and
     ``0 <= chi <= 3/2``.  Every solve runs two independent
     discretizations and requires them to agree in sup norm to
     ``min(1e-8, 100 tol)``; repeated calls with identical parameters
-    reuse a cached profile.  By default the radial mesh grades its tail
-    toward the rim by one ratio (19-119 panels); an integer ``mesh``
-    puts ``mesh`` log-spaced panels on the tail from R = 4 and spacing
-    ``0.18 * 96/mesh`` inside it (see _sphere_edges; used by the
-    mesh-convergence tests).  Either start is refined only where the
-    residual asks for it.
+    reuse a cached profile.  The radial mesh depends on xi alone and
+    grades its tail toward the rim by one ratio (19-119 panels; see
+    _sphere_edges); it is refined only where the residual asks for it.
     """
     chi = resolve_chi(chi, nu)
     geo = SphereGeometry.of(xi)
     xi = geo.xi
     cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    radial = _radial_bvp(geo, chi, float(tol), mesh, 1.0,
+    radial = _radial_bvp(geo, chi, float(tol), 1.0,
                          f"at (xi, chi) = ({xi:g}, {chi:g})")
     val = 1.0 - chi * chi / (2.0 * xi)
     beta = (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))

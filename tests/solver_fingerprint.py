@@ -13,7 +13,11 @@ Covered:
 - the sha256 of every field array from plate.field, sphere_field,
   sphere_potential and the Theta fields u_r0, u_z0, on grids in each
   input form: column x row, column x full, full x full, 1-D, scalar
-  and an unsorted column with repeated radii.
+  and an unsorted column with repeated radii;
+- the direct series: series_regime in each of its three regimes, the
+  sha256 of both series' fields on the same grid forms at two xi, and
+  the navier_residual norms of both series and of the Theta fields, in
+  both modes.
 
 Floats are stored as ``float.hex``, so a change in the last bit shows.
 
@@ -30,16 +34,20 @@ rewrites both files with
 
     PYTHONPATH=src python tests/solver_fingerprint.py
 
-and states every changed entry, old -> new and why.
+and states every changed entry, old -> new and why.  Both files record
+the versions they were written with and the git commit, and whether the
+tree held changes against it (null for both outside a git checkout).
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -50,7 +58,9 @@ import scipy
 
 from layerlab import cli, plate
 from layerlab.regimes import plate_transitions
-from layerlab.series import solve_theta
+from layerlab.series import (compressible_series_fields, navier_residual,
+                             nearly_compressible_series_fields,
+                             series_regime, solve_theta)
 from layerlab.sphere import (SphereGeometry, solve_sphere, sphere_field,
                              sphere_force, sphere_potential)
 
@@ -70,6 +80,7 @@ MODULUS_CASES = ((0.1, 0.0), (0.1, 5e-11), (0.05, 0.05), (0.05, 0.1),
                  (0.01, 0.1), (1e-3, 1.0), (0.5, 1.4))
 TRANSITION_TOLERANCES = (0.05, 0.10, 0.2)
 SPHERE_FIELD_CASES = ((1e-2, 0.0), (1e-3, 1.0))
+SERIES_XIS = (1e-3, 1e-2)
 FIELDS = ("u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
 POTENTIALS = ("phi", "phi_r", "phi_z", "phi_rr", "phi_rz", "phi_zz")
 
@@ -188,9 +199,48 @@ def field_entries() -> dict:
     return out
 
 
+def _pair(fn):
+    """(u_r, u_z) callables from one function returning the pair."""
+    return (lambda R, Z: fn(R, Z)[0], lambda R, Z: fn(R, Z)[1])
+
+
+def series_entries() -> dict:
+    """The series regimes, hashes of both direct series on every grid
+    form, and the Navier residual norms of both series and of the Theta
+    fields in both modes."""
+    out = {}
+    xi = SERIES_XIS[0]
+    for m in (1.0, math.sqrt(xi), xi):
+        rep = series_regime(xi, m)
+        out[f"series_regime xi={xi!r} mu_over_lambda={m!r}"] = {
+            "regime": rep.regime, "mu_over_lambda": rep.mu_over_lambda.hex(),
+            "xi": rep.xi.hex()}
+    for xi in SERIES_XIS:
+        geo, theta = SphereGeometry.of(xi), solve_theta(xi)
+        series = {
+            "compressible": (lambda R, Z: compressible_series_fields(
+                xi, 2.0, 1.0, R, Z, U=0.5), 0.5),
+            "nearly_compressible": (lambda R, Z:
+                                    nearly_compressible_series_fields(
+                                        xi, R, Z), math.sqrt(xi))}
+        for name, (fn, _) in series.items():
+            for form, (R, Z) in _grids(geo.r_edge, geo.gap).items():
+                out[f"{name} series xi={xi!r} {form}"] = _digests(
+                    dict(zip(("u_r", "u_z"), fn(R, Z))))
+        pairs = {name: (_pair(fn), m) for name, (fn, m) in series.items()}
+        pairs["theta"] = ((theta.u_r0, theta.u_z0), xi)
+        for name, (fields, m) in pairs.items():
+            for mode in ("full", "dominant"):
+                out[f"navier_residual {name} xi={xi!r} {mode}"] = {
+                    "norms": _hexes(navier_residual(fields, xi, m,
+                                                    mode=mode))}
+    return out
+
+
 def compute() -> dict:
     """Every fingerprint entry, by name."""
-    return {**sphere_entries(), **plate_entries(), **field_entries()}
+    return {**sphere_entries(), **plate_entries(), **field_entries(),
+            **series_entries()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +363,17 @@ _MORE = (
      "--nz", "2"),
     ("sphere-field", "--xi", "1e-2", "--chi", "1", "--mu", "inf", "--nr",
      "3", "--nz", "2"),
+    # negative numbers in scientific notation and -inf/-nan as values
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "-1e-3"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U=-1e-3"),
+    ("plate-force", "--xi", "0.1", "--nu", "-3e-1", "--json"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "1", "--U", "-2.5E-1",
+     "--csv"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "-inf"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "-nan", "--json"),
+    ("plate-force", "--xi", "0.1", "--chi", "1", "--U", "-x"),
+    ("plate-force", "--xi", "-1e-3", "--chi", "1"),
+    ("plate-force", "--chi", "1", "--sweep-xi", "-1e-3", "1e-2", "3"),
     # errors: tolerances and grids
     ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "0"),
     ("sphere-force", "--xi", "1e-3", "--chi", "1e-3", "--tol", "nan"),
@@ -409,9 +470,25 @@ def compute_argv() -> dict:
     return out
 
 
+def _git(*args):
+    """git's stdout for args, run in this file's checkout, or None
+    outside a git checkout (or without git)."""
+    try:
+        return subprocess.run(("git", *args), cwd=PATH.parent, text=True,
+                              capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def versions() -> dict:
+    """The versions this runs with, the git commit of the checkout and
+    whether its tree held changes against that commit."""
+    head = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain")
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__,
+            "commit": head and head.strip(),
+            "clean": None if status is None else not status}
 
 
 def main() -> int:

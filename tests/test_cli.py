@@ -542,6 +542,40 @@ def test_nonfinite_scales_exit_2(capsys, argv):
                           "LayerConfig(")
 
 
+@pytest.mark.parametrize("base, flag, value", [
+    (("plate-force", "--xi", "0.1", "--chi", "1"), "--U", "-1e-3"),
+    (("plate-force", "--xi", "0.1"), "--nu", "-3e-1"),
+    (("plate-force", "--xi", "0.1", "--chi", "1", "--json"), "--U", "-2.5E+0"),
+    (("sphere-force", "--xi", "1e-2", "--chi", "1", "--csv"), "--U", "-1e-3"),
+    (("plate-force", "--chi", "1"), "--xi", "-1e-3"),
+    (("plate-force", "--xi", "0.1"), "--chi", "-nan"),
+    (("plate-force", "--xi", "0.1", "--chi", "1"), "--mu", "-inf"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_negative_numbers_in_any_float_spelling_are_values(capsys, base,
+                                                           flag, value):
+    # a value led by '-' that parses as a float is the flag's value, as
+    # argparse already reads -1 and -0.5: the bytes of the flag=value form
+    spaced = run(capsys, *base, flag, value)
+    assert "expected one argument" not in spaced[2]
+    assert spaced == run(capsys, *base, f"{flag}={value}")
+
+
+def test_negative_infinite_scale_exits_2_and_a_word_stays_an_option(capsys):
+    rc, out, err = run(capsys, "plate-force", "--xi", "0.1", "--chi", "1",
+                       "--U", "-inf")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: a, h, mu and U must be finite, got "
+                          "LayerConfig(")
+    rc, out, err = run(capsys, "plate-force", "--xi", "0.1", "--chi", "1",
+                       "--U", "-x")
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: argument --U: expected one argument\n")
+    rc, out, err = run(capsys, "plate-force", "--chi", "1", "--sweep-xi",
+                       "-1e-3", "1e-2", "3")
+    assert (rc, out, err) == (2, "", "error: sweep range must satisfy "
+                                     "0 < lo < hi\n")
+
+
 def test_consistent_nu_chi_pair_accepted(capsys):
     chi = math.sqrt(3.0 * 0.5 / (2.0 * 0.75))  # chi(nu = 0.25) = 1
     rc, out, _ = run(capsys, "sphere-force", "--xi", "1e-2",

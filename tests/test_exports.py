@@ -19,7 +19,7 @@ MODULES = ("layerlab", "layerlab.kernels", "layerlab.materials",
 # sphere fields share plate's field blocks, and the Theta problem is the
 # sphere profile's BVP with another load
 PRIVATE_IMPORTS = {
-    ("sphere", "plate"): {"_distinct", "_field_block", "_field_sample"},
+    ("sphere", "plate"): {"_field_block", "_field_sample"},
     ("series", "sphere"): {"_radial_bvp"},
 }
 

@@ -57,6 +57,9 @@ def _sphere_reference(sol, R, Z):
     xi, U = cfg.xi, cfg.U
     Rr, Zb = sol.geo.check(R, Z)
     rr, inverse = np.unique(Rr.ravel(), return_inverse=True)
+    if rr.size == 1:
+        # a lone radius is evaluated as the pair (R, R), as inside a line
+        rr = np.repeat(rr, 2)
 
     def take(arr):
         return arr[:, inverse].reshape(arr.shape[:-1] + Rr.shape)
@@ -310,6 +313,33 @@ def test_line_of_radii_matches_full_grid_bit_for_bit(case):
             g, w = np.asarray(got[name]), np.asarray(w)[at]
             assert g.shape == w.shape, (label, name)
             assert g.tobytes() == w.tobytes(), (label, name)
+
+
+@pytest.mark.parametrize("xi, chi", [(1e-3, 0.5), (1e-2, 1.4)])
+def test_lone_radius_matches_its_line_bit_for_bit(xi, chi):
+    # every value at a scalar (R, Z), and at one radius of shape (1, 1)
+    # against a Z row, is the doubles of the same point inside a line of
+    # 50 seeded points: the fields, the potential and Theta's fields
+    sol, theta = solve_sphere(xi, chi), solve_theta(xi)
+    quantities = {
+        "sphere_field": lambda R, Z: vars(sphere_field(sol, R, Z)),
+        "sphere_potential": lambda R, Z: vars(sphere_potential(sol, R, Z)),
+        "theta": lambda R, Z: {"u_r0": theta.u_r0(R, Z),
+                               "u_z0": theta.u_z0(R, Z)},
+    }
+    rng = np.random.default_rng(24)
+    R = rng.uniform(0.0, sol.geo.r_edge, 50)
+    Z = sol.geo.gap(R) * rng.uniform(-1.0, 1.0, 50)
+    for quantity, fn in quantities.items():
+        line = fn(R, Z)
+        for i, (r, z) in enumerate(zip(R, Z)):
+            for form, point in (("scalar", (r, z)),
+                                ("one radius", ([[r]], [[z, -z]]))):
+                got = fn(*point)
+                for name, want in line.items():
+                    g = float(np.ravel(got[name])[0])
+                    assert g.hex() == float(want[i]).hex(), (
+                        quantity, form, i, name)
 
 
 @pytest.mark.parametrize("case", LINE_CASES)

@@ -631,7 +631,7 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
         edges = np.linspace(0.0, 5.0, 13 if problem == "bessel" else 2) ** 2
     else:
         m, q, f = _ode_coefficients(1e-2, 1.0, 1.0)[:3]
-        edges = _sphere_edges(SphereGeometry.of(1e-2), 24) ** 2
+        edges = _sphere_edges(SphereGeometry.of(1e-2)) ** 2
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
     want = _loop_solve(m, q, f, edges, deg, kind, *rows)
     got = _assemble_and_solve(m, q, f, edges, deg, kind, *rows)

@@ -1,6 +1,7 @@
 """Bonded layer between rigid plates: fields, force, apparent moduli."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -324,6 +325,17 @@ def test_stefan_reference_flow():
         stefan_fluid_fields(0.0, 0.0, 0.0, h, mu, V)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "h", "mu", "V"])
+def test_stefan_rejects_nonfinite_scales(name, value):
+    # a and h lie in (0, inf), mu and V are finite; NaN fails each check
+    scales = {"a": 2.0, "h": 0.02, "mu": 3.0, "V": 0.5, name: value}
+    rule = ("a and h must be positive and finite" if name in ("a", "h")
+            else "mu and V must be finite")
+    with pytest.raises(ValueError, match=re.escape(f"{rule}, got {name} = {value}")):
+        stefan_fluid_fields(0.5, 0.01, *scales.values())
+
+
 # ---------------------------------------------------------------------------
 # Apparent moduli
 # ---------------------------------------------------------------------------
@@ -388,3 +400,15 @@ def test_compressible_superposition_state():
     # the uniaxial state needs a compressible material
     with pytest.raises(ValueError, match="chi must be positive"):
         compressible_superposition(1e-3, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu", "a", "U"])
+def test_compressible_superposition_rejects_nonfinite_scales(name, value):
+    # mu and a lie in (0, inf) and U is finite; U = 0 and U < 0 stay legal
+    rule = "must be finite" if name == "U" else "must be positive and finite"
+    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}, got {value}")):
+        compressible_superposition(0.1, 1.0, **{name: value})
+    for U in (0.0, -1.0):
+        st = compressible_superposition(0.1, 1.0, U=U)
+        assert all(map(math.isfinite, (st.s_rr, st.s_zz, st.edge_load)))

@@ -115,6 +115,32 @@ def test_compressible_fields_validation():
             compressible_series_fields(xi, lam, mu, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["lam", "mu", "U"])
+def test_compressible_series_rejects_nonfinite_scales(name, value):
+    # lam and mu lie in (0, inf) and U is finite; NaN fails each check
+    scales = {"lam": 1.0, "mu": 1.0, "U": 1.0, name: value}
+    msg = (f"U must be finite, got {value}" if name == "U" else
+           f"lam and mu must be positive and finite in this regime, "
+           f"got {name} = {value}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        compressible_series_fields(1e-3, scales["lam"], scales["mu"], 1.0,
+                                   0.5, U=scales["U"])
+
+
+@pytest.mark.parametrize("U", [math.nan, math.inf, -math.inf])
+def test_nearly_compressible_series_rejects_nonfinite_U(U):
+    with pytest.raises(ValueError, match=re.escape(f"U must be finite, got {U}")):
+        nearly_compressible_series_fields(1e-3, 1.0, 0.5, U=U)
+
+
+def test_series_keep_zero_and_negative_approach():
+    for U in (0.0, -2.0):
+        for fields in (compressible_series_fields(1e-3, 2.0, 1.0, 1.0, 0.5, U=U),
+                       nearly_compressible_series_fields(1e-3, 1.0, 0.5, U=U)):
+            assert all(math.isfinite(v) for v in fields)
+
+
 def test_radial_sweep_amplitude():
     # max |u_r| over the near-axis region of the nearly-compressible
     # branch is order U (the compressible branch at lam = mu carries an
@@ -206,7 +232,8 @@ def test_theta_oscillatory_parameter():
 def test_theta_dual_oracle_and_cache():
     th = solve_theta(1e-2)
     assert th.Theta.meta["dual_sup_rel"] <= 1e-8
-    assert solve_theta(1e-2) is th  # lru-cached
+    # the solved profile is _radial_bvp's cached one
+    assert solve_theta(1e-2).Theta is th.Theta
 
 
 def test_theta_field_wall_conditions():

@@ -1,6 +1,8 @@
 """The solvers' answers and counters, and the command line's output, bit
 for bit, against the committed fingerprint and argv corpus (see
-solver_fingerprint.py, which writes both)."""
+solver_fingerprint.py, which writes both).  A failure names every entry
+that differs and prints the versions, git commit and tree state each
+file was written with beside those of the run."""
 
 import json
 

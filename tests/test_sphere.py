@@ -15,11 +15,15 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
 from layerlab import plate, series
-from layerlab.kernels import _MAX_REFINE, ToleranceNotMet, integrate
+from layerlab.kernels import (_MAX_REFINE, ToleranceNotMet, _split_panels,
+                              integrate, solve_dual_bvp)
 from layerlab.sphere import (
     XI_MAX_SPHERE,
     PsiExtremes,
     SphereGeometry,
+    _edge_closure,
+    _ode_coefficients,
+    _sphere_edges,
     psi_extremes,
     solve_sphere,
     sphere_field,
@@ -406,11 +410,30 @@ def test_default_mesh_needs_no_refinement():
         assert meta["dual_gate"] == 1e-8
 
 
+def _solve_on(xi, chi, mesh):
+    """solve_sphere(xi, chi) with its profile solved again, by the
+    sphere's own equation and rim row at the default tolerance, on the
+    R panel edges mesh."""
+    sol = solve_sphere(xi, chi)
+    radial = solve_dual_bvp(_ode_coefficients(sol.xi, sol.chi, 1.0),
+                            _edge_closure(sol.geo, sol.chi), 1e-10,
+                            f"on a test mesh at ({xi:g}, {chi:g})", mesh=mesh)
+    return dataclasses.replace(sol, A=radial)
+
+
+def _coarse_mesh(xi):
+    """A coarse 33-panel mesh: the axis panel, 8 uniform panels out to
+    R = 4 and 24 log-spaced panels from there to the rim."""
+    return np.concatenate(([0.0], np.linspace(0.0625, 4.0, 9),
+                           np.geomspace(4.0, 1.0 / math.sqrt(xi), 25)[1:]))
+
+
 def test_coarse_user_mesh_recovers_by_refinement():
-    # mesh=24 at (1e-5, 1e-3) once ran out of refinement passes; it now
-    # meets the default tolerance and the default-mesh answer, splitting
-    # only the panels over tolerance (fewer than the 66 of a doubling)
-    sol = solve_sphere(1e-5, 1e-3, mesh=24)
+    # the coarse mesh at (1e-5, 1e-3) once ran out of refinement passes;
+    # it now meets the default tolerance and the default-mesh answer,
+    # splitting only the panels over tolerance (fewer than the 66 of a
+    # doubling)
+    sol = _solve_on(1e-5, 1e-3, _coarse_mesh(1e-5))
     meta = sol.A.meta
     assert meta["residual_sup"] <= 1e-10 * meta["residual_scale"]
     assert meta["passes"] == 1 and 33 < meta["panels"] < 66
@@ -433,13 +456,20 @@ def test_unreachable_tolerance_names_floor_and_panels():
                                  for lo, hi in err.intervals)
 
 
-@pytest.mark.parametrize("xi, chi", [(1e-8, 1.5), (1e-5, 1.0), (1e-4, 0.3),
-                                     (1e-2, 0.7), (1e-2, 1.0), (1e-3, 1e-3)])
+# the panels of the default mesh at each cell with every panel split twice
+FINE_PANELS = {(1e-8, 1.5): 476, (1e-5, 1.0): 320, (1e-4, 0.3): 268,
+               (1e-2, 0.7): 156, (1e-2, 1.0): 156, (1e-3, 1e-3): 212}
+
+
+@pytest.mark.parametrize("xi, chi", FINE_PANELS)
 def test_fields_match_fine_mesh(xi, chi):
-    # every field on the graded default mesh against a 473-panel solve
-    # (mesh=384) on a 2001 x 21 grid, to 1e-10 of the field's sup
-    sol, ref = solve_sphere(xi, chi), solve_sphere(xi, chi, mesh=384)
-    assert ref.A.meta["panels"] == 473
+    # every field on the graded default mesh against a solve on the same
+    # mesh with every panel split twice, on a 2001 x 21 grid, to 1e-10 of
+    # the field's sup
+    sol = solve_sphere(xi, chi)
+    ref = _solve_on(xi, chi, _split_panels(_split_panels(
+        _sphere_edges(sol.geo))))
+    assert ref.A.meta["panels"] == FINE_PANELS[xi, chi]
     R = np.linspace(0.0, sol.geo.r_edge, 2001)[:, None]
     Z = _gap(R) * np.linspace(-1.0, 1.0, 21)
     got, want = sphere_field(sol, R, Z), sphere_field(ref, R, Z)
@@ -449,9 +479,9 @@ def test_fields_match_fine_mesh(xi, chi):
 
 
 def test_force_converged_on_coarse_mesh():
-    # on a coarse user mesh (33 panels here) the 6-point rule in s already
+    # on a coarse mesh (33 panels here) the 6-point rule in s already
     # equals 24 points per panel in R: the rule sets no part of the answer
-    sol = solve_sphere(1e-5, 1.0, mesh=24)
+    sol = _solve_on(1e-5, 1.0, _coarse_mesh(1e-5))
     edges = np.concatenate(([0.0], sol.A.meta["edges"]))
     for trace in ("midplane", "surface"):
         fine = _panel_gauss(_force_integrand(sol, trace), edges, 24)
