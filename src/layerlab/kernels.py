@@ -66,6 +66,7 @@ __all__ = [
     "RadialSolution",
     "solve_linear_bvp",
     "solve_dual_bvp",
+    "closed_form_profile",
 ]
 
 
@@ -519,7 +520,8 @@ class RadialSolution:
 
     def eval_quotients(self, r):
         """(A, A', A'', A''', A'/R, (A'' - A'/R)/R) on the float array r,
-        for a profile solved on s-panels: the two quotients are read off
+        for a profile whose terms give A_s and A_ss (one solved on
+        s-panels, or a closed form in s): the two quotients are read off
         them as 2 A_s and 4 R A_ss, finite on the axis with no 0/0."""
         av, a1, a2, a3, a_s, a_ss = self.terms(r, True)
         return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
@@ -698,12 +700,8 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
         raise ValueError(f"unknown method {method!r}")
 
     m, q, f = coeffs[:3]
-    alpha, beta, gamma, delta = right
-    s_e = r_e * r_e
     left_row = (float(q(0.0)), 2.0 + 2.0 * float(m(0.0)), float(f(0.0)))
-    right_row = (alpha - gamma * float(q(s_e)),
-                 2.0 * (r_e * beta - gamma * float(m(s_e))),
-                 delta - gamma * float(f(s_e)))
+    right_row = _rim_row(coeffs, right, r_e)
     if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
@@ -828,11 +826,28 @@ def _residual_check(m, q, f, poly: PanelPoly, deg):
     return float(np.max(panel_sups)), scale, panel_sups
 
 
-def _panel_terms(coeffs, poly: PanelPoly, r, third):
-    """RadialSolution.terms of the panels poly, solved in s = R**2 for
-    the equation of coeffs: A, A', A'', A''' (None unless third), A_s
-    and A_ss on the float array r.  A' comes from the panels; A'' and
-    A''' are read off the equation and its s-derivative:
+def _rim_row(coeffs, right, r_e: float):
+    """The rim condition right = (alpha, beta, gamma, delta), meaning
+    alpha A + beta A' + gamma A'' = delta at R = r_e, as the row
+    (on A, on A_s, rhs) in the s-form unknowns: with A' = 2 r_e A_s and
+    A'' = f - 2 m A_s - q A it reads
+
+        (alpha - gamma q) A + 2 (r_e beta - gamma m) A_s = delta - gamma f,
+
+    with the coefficients of coeffs taken at s = r_e**2."""
+    m, q, f = coeffs[:3]
+    alpha, beta, gamma, delta = right
+    s_e = r_e * r_e
+    return (alpha - gamma * float(q(s_e)),
+            2.0 * (r_e * beta - gamma * float(m(s_e))),
+            delta - gamma * float(f(s_e)))
+
+
+def _ode_terms(coeffs, r, av, a_s, a_ss, third):
+    """RadialSolution.terms of a profile of the equation of coeffs, from
+    its A, A_s and A_ss on the float array r: A, A', A'', A''' (None
+    unless third), A_s and A_ss.  A' comes from A_s; A'' and A''' are
+    read off the equation and its s-derivative:
 
         A'   = 2 R A_s,
         A''  = f - 2 m A_s - q A,
@@ -840,7 +855,6 @@ def _panel_terms(coeffs, poly: PanelPoly, r, third):
 
     none of which divides by R, so the axis is an ordinary point."""
     s = r * r
-    av, a_s, a_ss = poly(s)
     m, q, f = (fn(s) for fn in coeffs[:3])
     a2 = f - 2.0 * m * a_s - q * av
     a3 = None
@@ -849,3 +863,38 @@ def _panel_terms(coeffs, poly: PanelPoly, r, third):
         a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
                         - q * a_s)
     return av, 2.0 * r * a_s, a2, a3, a_s, a_ss
+
+
+def _panel_terms(coeffs, poly: PanelPoly, r, third):
+    """RadialSolution.terms of the panels poly, solved in s = R**2 for
+    the equation of coeffs (see _ode_terms)."""
+    return _ode_terms(coeffs, r, *poly(r * r), third)
+
+
+def closed_form_profile(coeffs, right, r_e: float, solutions, *,
+                        scale: float = 1.0,
+                        meta: Optional[dict] = None) -> RadialSolution:
+    """scale times the profile A of the equation coeffs, regular on the
+    axis and meeting the rim condition right at r_e (both as
+    solve_linear_bvp takes them), from its closed form A = P + C H.
+    solutions(s) gives ((P, P_s, P_ss), (H, H_s, H_ss)) on the float
+    array s = R**2, elementwise: a particular solution and the
+    homogeneous solution regular on the axis.  C is fixed by the rim row
+    (_rim_row), and terms reads A'' and A''' off the equation as a solved
+    profile's do (_ode_terms), then multiplies all six arrays by scale.
+
+    meta holds method "closed form" and C (that of A, before scale),
+    updated with the caller's meta; s_form is None: there are no panels."""
+    c_a, c_s, rhs = _rim_row(coeffs, right, r_e)
+    (p0, p_s, _), (h0, h_s, _) = solutions(np.array([r_e * r_e]))
+    c = float((rhs - c_a * p0[0] - c_s * p_s[0])
+              / (c_a * h0[0] + c_s * h_s[0]))
+
+    def terms(r, third):
+        (p0, p_s, p_ss), (h0, h_s, h_ss) = solutions(r * r)
+        out = _ode_terms(coeffs, r, p0 + c * h0, p_s + c * h_s,
+                         p_ss + c * h_ss, third)
+        return tuple(None if v is None else scale * v for v in out)
+
+    return RadialSolution(terms=terms, meta={"method": "closed form",
+                                             "C": c, **(meta or {})})

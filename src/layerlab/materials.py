@@ -220,8 +220,10 @@ class LayerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("plate", "sphere"):
             raise ValueError(f"kind must be 'plate' or 'sphere', got {self.kind!r}")
-        if not all(map(math.isfinite, (self.a, self.h, self.mu, self.U))):
-            raise ValueError(f"a, h, mu and U must be finite, got {self}")
+        for name in ("a", "h", "mu", "U"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.a <= 0.0 or self.h <= 0.0 or self.mu <= 0.0:
             raise ValueError("a, h, mu must all be positive")
         check_xi(self.xi)

@@ -40,9 +40,10 @@ of xi.  Three regimes admit direct series solutions:
       u_z0 = [Theta - Theta' g R - (L/2) g**2] Z + (L/6) Z**3,
 
   u_z0 integrating dilatation = Theta in Z from the midplane (odd), so
-  u_z0(R, +/-g) = +/-U holds through the Theta equation itself.  The
-  full profile solved at chi**2 = 3 xi satisfies Theta = 6 A U exactly,
-  which is the cross-check the tests lean on.
+  u_z0(R, +/-g) = +/-U holds through the Theta equation itself.
+  Theta = 6 A U, with A the full profile at chi**2 = 3 xi: solve_theta
+  builds it in closed form, and the collocation solver's A at that chi
+  is the independent cross-check the tests lean on.
 
 ``navier_residual`` closes the loop: it pushes any (u_r, u_z) pair
 through the scaled system above with 4th-order finite differences and
@@ -65,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kernels import NumericsError, RadialSolution
-from .sphere import SphereGeometry, _radial_bvp
+from .sphere import SphereGeometry, _theta_profile
 
 __all__ = [
     "SeriesRegime",
@@ -98,11 +99,14 @@ class SeriesRegime:
 
 
 def series_regime(xi: float, mu_over_lambda: float) -> SeriesRegime:
-    """Classify mu/lambda against the series-regime boundaries."""
+    """Classify mu/lambda against the series-regime boundaries;
+    mu_over_lambda must be positive and finite."""
     xi = SphereGeometry.of(xi).xi
     m = float(mu_over_lambda)
-    if m <= 0.0:
-        raise ValueError(f"mu/lambda must be positive, got {m}")
+    # written so that NaN fails it
+    if not (0.0 < m < math.inf):
+        raise ValueError(f"mu_over_lambda must be positive and finite, "
+                         f"got {m}")
     root = math.sqrt(xi)
     if m >= 10.0 * root:
         tag = "compressible"
@@ -177,7 +181,9 @@ class ThetaSolution:
     """Scaled dilatation profile Theta(R) and its leading fields.
 
     Theta is independent of Z by construction; u_r0/u_z0 evaluate the
-    leading nearly-incompressible displacement pair.
+    leading nearly-incompressible displacement pair.  The profile is
+    solve_theta's closed form: its meta holds method "closed form", the
+    rim coefficient C, and the switch point and term counts of its series.
     """
 
     xi: float
@@ -207,23 +213,27 @@ class ThetaSolution:
         return float(out) if not out.shape else out
 
 
-def solve_theta(xi: float, U: float = 1.0, tol: float = 1e-10) -> ThetaSolution:
-    """Solve the Theta boundary-value problem on [0, 1/sqrt(xi)].
+def solve_theta(xi: float, U: float = 1.0) -> ThetaSolution:
+    """The Theta profile on [0, 1/sqrt(xi)], in closed form.
 
-    Same radial operator family as the sphere profile at chi**2 = 3 xi
-    (where beta = i/sqrt(2)), with the forcing carrying a factor 6 U;
-    regular on the axis, zero normal-stress resultant at the rim.  Both
-    kernel discretizations are run and must agree to min(1e-8, 100 tol).
-    The solved profile shares the sphere profile's cache (_radial_bvp),
-    so a repeat call returns a ThetaSolution around the same Theta.
+    Theta is 6 U times the sphere profile at chi**2 = 3 xi (where
+    beta = i/sqrt(2)): regular on the axis, zero normal-stress resultant
+    at the rim.  At that chi the profile equation in x = R**2/(R**2 + 2)
+    is Gauss's hypergeometric equation with a, b = -1 +/- i/sqrt(2) and
+    c = 1 for every xi, so, with F = 2F1(a, b; 1; x),
+
+        Theta = 6 U (P + C F),     P = -1/6 - x/2 + kappa F,
+
+    P the profile of the untruncated layer and C, in Theta.meta, fixed by
+    the rim row (see sphere's module docstring).  No collocation solve
+    runs: the build evaluates the series once, at the rim, and Theta is
+    evaluated from the same series at any R, to rounding.
     """
     geo = SphereGeometry.of(xi)
-    xi, U = geo.xi, float(U)
+    U = float(U)
     if not math.isfinite(U):
         raise ValueError(f"U must be finite, got {U}")
-    theta = _radial_bvp(geo, math.sqrt(3.0 * xi), tol, 6.0 * U,
-                        f"on Theta at xi = {xi:g}")
-    return ThetaSolution(xi=xi, U=U, Theta=theta)
+    return ThetaSolution(xi=geo.xi, U=U, Theta=_theta_profile(geo, 6.0 * U))
 
 
 class ResidualNorms(NamedTuple):
@@ -305,7 +315,8 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
                     mode: str = "full") -> ResidualNorms:
     """Measure how well a displacement pair satisfies the scaled system.
 
-    ``fields`` is (u_r, u_z), each callable on broadcast (R, Z) arrays.
+    ``fields`` is (u_r, u_z), each callable on broadcast (R, Z) arrays,
+    and mu_over_lambda must be finite.
     The residual of both scaled equations is formed with 4th-order
     centered differences on an n-by-n rectangle
     [r_lo, r_hi] x [-0.9 g(r_lo), 0.9 g(r_lo)] (inside the layer since
@@ -329,6 +340,8 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     geo = SphereGeometry.of(xi)
     xi = geo.xi
     m = float(mu_over_lambda)
+    if not math.isfinite(m):
+        raise ValueError(f"mu_over_lambda must be finite, got {m}")
     if mode not in ("full", "dominant"):
         raise ValueError(f"mode must be 'full' or 'dominant', got {mode!r}")
     if r_window is None:

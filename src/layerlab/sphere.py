@@ -95,6 +95,51 @@ Closed-form anchors used by the tests: for ``chi = 0`` the profile is
 and the extreme-regime force factors are ``Psi_i = 1/(4 xi)``
 (incompressible plateau) and ``Psi_c = ln(1/(2 xi)) / chi**2``
 (compressible logarithm).
+
+At ``chi**2 = 3 xi``, the Theta problem of ``series``, the profile has a
+closed form too, built with no collocation solve (_theta_profile).  In
+``x = s / (s + 2) = R**2 / (R**2 + 2)``, which maps the layer onto
+``[0, 1/(1 + 2 xi)]``, the s-form equation becomes
+
+    x (1 - x) A_xx + (1 + x) A_x - (k/2) A = (x - 1)/4,   k = chi**2/xi,
+
+Gauss's hypergeometric equation with ``c = 1``, ``a + b = -2`` and
+``ab = k/2``: at ``k = 3``, ``a, b = -1 +/- i beta`` with
+``beta = 1/sqrt(2)`` for every xi.  Both indicial roots at ``x = 0`` are
+0, so ``F = 2F1(a, b; 1; x)`` is the one homogeneous solution regular on
+the axis, ``-1/6 - x/2`` solves the forced equation, and
+
+    A = P + C F,     P = -1/6 - x/2 + kappa F,     kappa = 2 / (3 q0),
+
+with ``q0 = F(1)``.  kappa makes P vanish as ``(1 - x)**2 / 8`` at
+``x -> 1``: P is the profile of the untruncated layer, and C, fixed by
+the rim row, is the rim's correction to it (of order xi**2).  Up to
+``x = 0.55`` F is summed from its Taylor series,
+``t_{n+1} = t_n (n**2 - 2 n + 3/2) / (n + 1)**2``; above it, in
+``y = 1 - x = 2 / (s + 2)``, from the connection formula for
+``c - a - b = 3`` (Abramowitz and Stegun 15.3.11):
+
+    F = Q(y) + y**3 sum_n d_n y**n (ln y + e_n),
+    Q = q0 (1 - (ab/2) y + (a (a + 1) b (b + 1) / 4) y**2),
+    q0 = Gamma(3) / (Gamma(a + 3) Gamma(b + 3)),
+    d_n = (a + 3)_n (b + 3)_n / (Gamma(a) Gamma(b) n! (n + 3)!),
+    e_n = psi(a + n + 3) + psi(b + n + 3) - psi(n + 1) - psi(n + 4).
+
+The Gamma products are exact through
+``|Gamma(1 + i beta)|**2 = pi beta / sinh(pi beta)`` (A&S 6.1.31):
+``q0 = 2 sinh(pi beta) / (pi beta (1 + beta**2))`` and
+``1 / (Gamma(a) Gamma(b)) = beta (1 + beta**2) sinh(pi beta) / pi``.
+With ``Re psi(1 + i beta) = -gamma + beta**2 sum_k 1/(k (k**2 + beta**2))``
+(A&S 6.3.17), ``e_0 = 2/(1 + beta**2) - 11/6
++ 2 sum_j (-1)**j beta**(2j + 2) zeta(2j + 3)``, and d_n and e_n follow
+by their recurrences.  (scipy's complex Gamma and psi at these points are
+2e-15 off, which cost F'' 5e-15.)  P's terms ``2/3 - y/2`` cancel
+``-1/6 - x/2`` exactly, so its connection series leaves them out and P
+keeps its relative accuracy out to the rim.  Every series is summed
+from its smallest term up; F, P and their first two x-derivatives
+agree with mpmath at 40 digits to 20 units of roundoff or better, over
+x from 0 to 1 - 2e-8.  A'' and A''' are read off the equation, as on
+the panels.
 """
 
 from __future__ import annotations
@@ -105,8 +150,9 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import special
 
-from .kernels import RadialSolution, solve_dual_bvp
+from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
 from .materials import LayerConfig, MaterialParams, resolve_chi
 from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
                     _field_sample)
@@ -216,9 +262,9 @@ class PotentialSample:
     phi_zz: object
 
 
-def _ode_coefficients(xi: float, chi: float, load: float):
+def _ode_coefficients(xi: float, chi: float):
     """The s-form coefficient callables (m, q, f, m_s, q_s, f_s) of A,
-    functions of s = R**2, with the forcing scaled by ``load``."""
+    functions of s = R**2."""
     c2 = chi * chi
 
     def m(s):
@@ -230,7 +276,7 @@ def _ode_coefficients(xi: float, chi: float, load: float):
 
     def f(s):
         sg = s + 2.0
-        return -4.0 * load / (sg * sg * sg)
+        return -4.0 / (sg * sg * sg)
 
     def m_s(s):
         sg = s + 2.0
@@ -242,7 +288,7 @@ def _ode_coefficients(xi: float, chi: float, load: float):
 
     def f_s(s):
         sg = s + 2.0
-        return 12.0 * load / (sg * sg * sg * sg)
+        return 12.0 / (sg * sg * sg * sg)
 
     return m, q, f, m_s, q_s, f_s
 
@@ -256,6 +302,132 @@ def _edge_closure(geo: SphereGeometry, chi: float):
     beta = 9.0 * ge * re - k * ge * ge / re
     gamma = 3.0 * ge * ge
     return alpha, beta, gamma, 0.0
+
+
+# x = R**2/(R**2 + 2) up to which the Theta profile's series are summed in
+# x (Taylor), and past which in y = 1 - x (the connection formula), and
+# the terms of each: at x = 0.55 the tail of either side, for F, F_x and
+# F_xx, is below 2**-56 of the value it sums to, with the fewest terms
+_K3_SWITCH = 0.55
+_K3_TERMS = 55
+
+
+def _k3_series():
+    """The coefficient rows, highest power first (see _power_sums), that
+    sum F = 2F1(a, b; 1; x) at a, b = -1 +/- i/sqrt(2), the particular
+    solution P = -1/6 - x/2 + kappa F, kappa = 2/(3 q0), and the first
+    two x-derivatives of each (module docstring): the Taylor rows in x of
+    P, P_x, P_xx, F, F_x and F_xx, and the connection rows in y = 1 - x,
+    a pair (plain, log) for each of the six, which is the plain series
+    plus ln(y) times the log series."""
+    # beta**2 for a, b = -1 +/- i beta at k = 3: ab = 1 + beta**2 = 3/2
+    b2 = 0.5
+    n = np.arange(float(_K3_TERMS))
+    m = np.arange(_K3_TERMS + 1.0)
+    # t_{n+1} = t_n (n + a)(n + b)/(n + 1)**2, (n + a)(n + b) = n**2 - 2 n + ab
+    t = np.cumprod(np.concatenate(([1.0], (m * m - 2.0 * m + 1.0 + b2)
+                                   / ((m + 1.0) * (m + 1.0)))))
+    taylor_f = [t[:-2], (n + 1.0) * t[1:-1], (n + 1.0) * (n + 2.0) * t[2:]]
+    # the connection formula's terms q of Q, and d_n and e_n by their
+    # recurrences from d_0 and e_0
+    beta, ab = math.sqrt(b2), 1.0 + b2
+    sh = math.sinh(math.pi * beta)
+    q0 = 2.0 * sh / (math.pi * beta * ab)
+    q = (q0, -0.5 * ab * q0, 0.25 * ab * b2 * q0)
+    kappa = 2.0 / (3.0 * q0)
+    k = n[:-1]
+    d = np.cumprod(np.concatenate(([beta * ab * sh / (6.0 * math.pi)],
+                                   ((k + 2.0) ** 2 + b2)
+                                   / ((k + 1.0) * (k + 4.0)))))
+    j = np.arange(60.0)
+    e0 = (2.0 / ab - 11.0 / 6.0
+          + 2.0 * float(np.sum((-b2) ** j * b2 * special.zeta(2.0 * j + 3.0))))
+    e = e0 + np.concatenate(([0.0], np.cumsum(
+        2.0 * (k + 2.0) / ((k + 2.0) ** 2 + b2)
+        - 1.0 / (k + 1.0) - 1.0 / (k + 4.0))))
+    # F = Q(y) + y**3 sum d_n y**n (ln y + e_n), differentiated termwise
+    # (d/dx = -d/dy): (plain, log) for F, F_x and F_xx
+    de, d3 = d * e, (n + 3.0) * d
+    conn_f = [np.r_[q, de], np.r_[0.0, 0.0, 0.0, d],
+              -np.r_[q[1], 2.0 * q[2], d + (n + 3.0) * de, 0.0],
+              -np.r_[0.0, 0.0, d3, 0.0],
+              np.r_[2.0 * q[2], (2.0 * n + 5.0) * d
+                    + (n + 2.0) * (n + 3.0) * de, 0.0, 0.0],
+              np.r_[0.0, (n + 2.0) * d3, 0.0, 0.0]]
+    # P = -1/6 - x/2 + kappa F in x, and kappa (F - q0 (1 - 3 y/4)) in y:
+    # F's connection rows without the terms that cancel
+    taylor_p = [kappa * row for row in taylor_f]
+    taylor_p[0][:2] += (-1.0 / 6.0, -0.5)
+    taylor_p[1][0] += -0.5
+    conn_p = [kappa * row for row in conn_f]
+    conn_p[0][:2] = 0.0
+    conn_p[2][0] = 0.0
+    rows = tuple(np.ascontiguousarray(np.stack(r)[:, ::-1])
+                 for r in (taylor_p + taylor_f, conn_p + conn_f))
+    for r in rows:
+        r.flags.writeable = False       # shared by every call
+    return rows
+
+
+# built once, at import (about 0.3 ms), as _GL_S is
+_K3_TAYLOR, _K3_CONNECTION = _k3_series()
+
+
+def _power_sums(rows, v):
+    """The polynomials whose coefficients, highest power first, are the
+    rows, at every element of the 1-D float array v, as
+    (len(rows), len(v)): the powers by a running product, then one sum
+    of products per row and element, from the highest power (the
+    smallest term) down, so that every value is its element's own,
+    whatever else v holds."""
+    p = np.empty((v.size, rows.shape[1]))
+    p[:, -1] = 1.0
+    p[:, :-1] = v[:, None]
+    rising = p[:, ::-1]
+    np.cumprod(rising, axis=1, out=rising)
+    return np.einsum("nk,rk->rn", p, rows)
+
+
+def _k3_basis(x, y):
+    """P, P_x, P_xx, F, F_x and F_xx (_k3_series) on the float arrays x
+    and y = 1 - x, given apart so that neither is formed by cancellation,
+    as one (6, *x.shape) array: from the Taylor rows at x <= _K3_SWITCH
+    and the connection rows above it, where P keeps its relative accuracy
+    as it falls toward x = 1."""
+    out = np.empty((6,) + x.shape)
+    below = x <= _K3_SWITCH
+    if below.any():
+        out[:, below] = _power_sums(_K3_TAYLOR, x[below])
+    if not below.all():
+        y = y[~below]
+        sums = _power_sums(_K3_CONNECTION, y)
+        out[:, ~below] = sums[0::2] + np.log(y) * sums[1::2]
+    return out
+
+
+def _k3_solutions(s):
+    """The particular solution P and the regular homogeneous solution F
+    of the profile at k = 3, each with its first two s-derivatives, on
+    the float array s: _k3_basis at x = s/(s + 2), y = 2/(s + 2)."""
+    sg = s + 2.0
+    v = _k3_basis(s / sg, 2.0 / sg)
+    # x_s = 2/sg**2, x_ss = -4/sg**3
+    x_s = 2.0 / (sg * sg)
+    v_s = v[1::3] * x_s
+    v_ss = v[2::3] * x_s * x_s - 2.0 * v_s / sg
+    return (v[0], v_s[0], v_ss[0]), (v[3], v_s[1], v_ss[1])
+
+
+def _theta_profile(geo: SphereGeometry, load: float) -> RadialSolution:
+    """load times the sphere profile at chi**2 = 3 xi, from its closed
+    form A = P + C F (module docstring), with C fixed by _edge_closure's
+    rim row."""
+    chi = math.sqrt(3.0 * geo.xi)
+    return closed_form_profile(
+        _ode_coefficients(geo.xi, chi), _edge_closure(geo, chi), geo.r_edge,
+        _k3_solutions, scale=load,
+        meta={"switch": _K3_SWITCH, "taylor_terms": _K3_TERMS,
+              "connection_terms": _K3_TERMS})
 
 
 # the width ratio of neighbouring panels on the default tail: the
@@ -299,16 +471,13 @@ def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _radial_bvp(geo: SphereGeometry, chi: float, tol: float,
-                load: float, where: str) -> RadialSolution:
-    """Solve the radial profile with its forcing scaled by ``load`` on
-    _sphere_edges' mesh under both independent discretizations and
-    cross-check them (``where`` names the problem if they disagree);
-    returns the primary solution, with the sup-norm relative disagreement
-    in meta["dual_sup_rel"].  The one cache of a solved profile: the
-    sphere profile (load 1) and the Theta problem (load 6 U) differ in
-    chi, load and where, so each is its own entry and its own solve, and
-    a repeat of either returns the profile solved first."""
-    return solve_dual_bvp(_ode_coefficients(geo.xi, chi, load),
+                where: str) -> RadialSolution:
+    """Solve the radial profile on _sphere_edges' mesh under both
+    independent discretizations and cross-check them (``where`` names the
+    cell if they disagree); returns the primary solution, with the
+    sup-norm relative disagreement in meta["dual_sup_rel"].  The one cache
+    of a solved profile: a repeat returns the profile solved first."""
+    return solve_dual_bvp(_ode_coefficients(geo.xi, chi),
                           _edge_closure(geo, chi), tol, where,
                           mesh=_sphere_edges(geo))
 
@@ -356,7 +525,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     xi = geo.xi
     cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
     mat = MaterialParams.from_chi(chi, mu=mu)
-    radial = _radial_bvp(geo, chi, float(tol), 1.0,
+    radial = _radial_bvp(geo, chi, float(tol),
                          f"at (xi, chi) = ({xi:g}, {chi:g})")
     val = 1.0 - chi * chi / (2.0 * xi)
     beta = (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))

@@ -4,8 +4,8 @@ on a fixed set of problems.
 Covered:
 
 - the sphere solver on the 16 printed table cells, the verify-suite 5x5
-  grid, the chi = 0 anchors and the Theta problem at xi in
-  {1e-4, 1e-3, 1e-2}, each at tol 1e-10 and 1e-12;
+  grid and the chi = 0 anchors, each at tol 1e-10 and 1e-12, and the
+  closed-form Theta profile at xi in {1e-4, 1e-3, 1e-2} with its meta;
 - the plate closed forms: force_factor and apparent_modulus on both
   Bessel branches (x = chi/xi below and above 2) and below
   chi = 1e-10, plate_transitions at three tolerances, and the radial
@@ -110,7 +110,8 @@ def _hexes(values) -> list:
 
 def sphere_entries() -> dict:
     """Psi on both traces and the solver counters of every sphere cell,
-    and Theta with its counters."""
+    and Theta with its closed form's meta: the rim coefficient C, the
+    switch point and the term counts."""
     out = {}
     for tol in TOLS:
         for xi, chi in sphere_cells():
@@ -119,13 +120,17 @@ def sphere_entries() -> dict:
                      for trace in ("midplane", "surface")}
             entry.update(_solver_entry(sol.A.meta))
             out[f"sphere xi={xi!r} chi={chi!r} tol={tol!r}"] = entry
-        for xi in THETA_XIS:
-            theta = solve_theta(xi, tol=tol).Theta
-            r = np.array([0.0, 1.0, SphereGeometry.of(xi).r_edge])
-            t0, t1, _, _ = theta.eval(r)
-            entry = {"theta": _hexes(t0), "theta_r": _hexes(t1)}
-            entry.update(_solver_entry(theta.meta))
-            out[f"theta xi={xi!r} tol={tol!r}"] = entry
+    for xi in THETA_XIS:
+        theta = solve_theta(xi).Theta
+        r = np.array([0.0, 1.0, SphereGeometry.of(xi).r_edge])
+        t0, t1, _, _ = theta.eval(r)
+        meta = theta.meta
+        out[f"theta xi={xi!r}"] = {
+            "theta": _hexes(t0), "theta_r": _hexes(t1),
+            "method": meta["method"], "C": meta["C"].hex(),
+            "switch": meta["switch"].hex(),
+            "taylor_terms": meta["taylor_terms"],
+            "connection_terms": meta["connection_terms"]}
     return out
 
 

@@ -16,11 +16,12 @@ MODULES = ("layerlab", "layerlab.kernels", "layerlab.materials",
            "layerlab.csv17")
 
 # (importing module, defining module) -> the underscore names it may use:
-# sphere fields share plate's field blocks, and the Theta problem is the
-# sphere profile's BVP with another load
+# sphere fields share plate's field blocks, and the Theta profile is the
+# sphere profile at chi**2 = 3 xi, built in closed form beside the
+# sphere's own equation and rim row
 PRIVATE_IMPORTS = {
     ("sphere", "plate"): {"_field_block", "_field_sample"},
-    ("series", "sphere"): {"_radial_bvp"},
+    ("series", "sphere"): {"_theta_profile"},
 }
 
 

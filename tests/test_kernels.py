@@ -491,11 +491,10 @@ def test_chebder_rows_is_chebder_bit_for_bit(deg):
     assert np.array_equal(_chebder_rows(d1), chebder(d1, axis=1))
 
 
-def _sphere_problem(xi, chi, load=1.0):
-    """The sphere profile's (coeffs, right, mesh) at (xi, chi), with its
-    forcing scaled by load (6 at chi**2 = 3 xi is the Theta problem)."""
+def _sphere_problem(xi, chi):
+    """The sphere profile's (coeffs, right, mesh) at (xi, chi)."""
     geo = SphereGeometry.of(xi)
-    return (_ode_coefficients(xi, chi, load), _edge_closure(geo, chi),
+    return (_ode_coefficients(xi, chi), _edge_closure(geo, chi),
             _sphere_edges(geo))
 
 
@@ -512,15 +511,15 @@ def test_panel_value_matches_full_evaluation_bit_for_bit(method):
         assert np.array_equal(poly.value(s), poly(s)[0])
 
 
-@pytest.mark.parametrize("xi, chi, load", [
-    (1e-4, 1e-3, 1.0), (1e-3, 1.0, 1.0), (1e-2, 1.5, 1.0),
-    (1e-3, math.sqrt(3e-3), 6.0),
+@pytest.mark.parametrize("xi, chi", [
+    (1e-4, 1e-3), (1e-3, 1.0), (1e-2, 1.5), (1e-3, math.sqrt(3e-3)),
 ], ids=["1e-4-1e-3", "1e-3-1", "1e-2-1.5", "theta-1e-3"])
-def test_sphere_dual_disagreement_is_the_evaluators(xi, chi, load):
+def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
     # the sphere-cell form of test_solve_dual_bvp_returns_cross_checked_
     # primary: the reported dual_sup_rel is the one recomputed through
-    # each solve's full evaluator on the same 1501 points
-    coeffs, right, mesh = _sphere_problem(xi, chi, load)
+    # each solve's full evaluator on the same 1501 points ("theta-1e-3" is
+    # the operator of Theta's closed form, chi**2 = 3 xi, at load 1)
+    coeffs, right, mesh = _sphere_problem(xi, chi)
     sol = solve_dual_bvp(coeffs, right, 1e-10, "on a sphere cell", mesh=mesh)
     ref, alt = (solve_linear_bvp(coeffs, right, tol=1e-10, mesh=mesh,
                                  method=method) for method in ("primary", "alt"))
@@ -630,7 +629,7 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
         # one panel: no continuity rows between the two boundary rows
         edges = np.linspace(0.0, 5.0, 13 if problem == "bessel" else 2) ** 2
     else:
-        m, q, f = _ode_coefficients(1e-2, 1.0, 1.0)[:3]
+        m, q, f = _ode_coefficients(1e-2, 1.0)[:3]
         edges = _sphere_edges(SphereGeometry.of(1e-2)) ** 2
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
     want = _loop_solve(m, q, f, edges, deg, kind, *rows)

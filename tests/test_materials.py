@@ -1,6 +1,7 @@
 """Material-parameter algebra: chi <-> nu maps, zeta groupings, configs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,8 +142,11 @@ def test_layer_config_make_and_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_layer_config_rejects_nonfinite_scales(name, value):
     # a, h and mu lie in (0, inf) and U is finite; NaN fails each check
+    # the message names the argument (an infinite a makes h = xi a
+    # infinite too, and a is checked first)
     scales = {"a": 2.0, "mu": 3.0, "U": 0.5, name: value}
-    with pytest.raises(ValueError, match="a, h, mu and U must be finite"):
+    msg = f"{name} must be finite, got {value}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
         LayerConfig.make("plate", 1e-3, **scales)
 
 

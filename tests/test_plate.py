@@ -153,7 +153,8 @@ def test_profile_third_derivative_full_accuracy():
 # plate's Bessel branch at kappa = chi/xi below 2 (its power series) and
 # above it (where x = kappa R crosses 0.02 and 1, and A''' switches to
 # its series form below 1), the plate's chi < 1e-10 family, a sphere
-# profile and Theta
+# profile and Theta's closed form (whose series switch from x to 1 - x at
+# x = R**2/(R**2 + 2) = 0.55)
 PROFILE_KINDS = {
     "plate-kappa-0.01": lambda: (radial_profile(1e-3, 1e-5), 1.0, ()),
     "plate-kappa-1": lambda: (radial_profile(0.05, 0.05), 1.0, (0.02, 1.0)),
@@ -165,7 +166,8 @@ PROFILE_KINDS = {
     "sphere": lambda: (solve_sphere(1e-3, 0.5).A,
                        SphereGeometry.of(1e-3).r_edge, (1.0, 4.0)),
     "theta": lambda: (solve_theta(1e-2).Theta,
-                      SphereGeometry.of(1e-2).r_edge, (1.0,)),
+                      SphereGeometry.of(1e-2).r_edge,
+                      (1.0, math.sqrt(1.1 / 0.45))),
 }
 
 
@@ -349,7 +351,7 @@ def test_apparent_modulus_plateaus():
     assert abs(am2.e_hat / am2.e_hat_i - 1.0) < 1e-6
     # chi = 0 sits on the incompressible plateau itself; e_hat_l is left
     # unpinned, since its chi < 1e-10 branch differs by 1 from the chi -> 0
-    # limit of the Bessel branch (ROADMAP item 1)
+    # limit of the Bessel branch (ROADMAP item 5)
     am0 = apparent_modulus(1e-2, 0.0)
     assert am0.e_hat == am0.e_hat_i == 1250.0
     assert am0.e_hat_c == math.inf

@@ -15,6 +15,7 @@ from layerlab.series import (
     series_regime,
     solve_theta,
 )
+from layerlab import kernels, sphere
 from layerlab.sphere import solve_sphere, sphere_field
 
 
@@ -51,8 +52,16 @@ def test_series_regime_rejects_gaps():
         series_regime(1e-4, 1e-3)
     with pytest.raises(ValueError):
         series_regime(1e-4, 0.05)
-    with pytest.raises(ValueError, match="mu/lambda must be positive"):
+    with pytest.raises(ValueError, match="mu_over_lambda must be positive"):
         series_regime(1e-4, -1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_series_regime_rejects_nonfinite_mu_over_lambda(value):
+    # NaN sits in no regime and inf in no scaling: both are usage errors
+    msg = f"mu_over_lambda must be positive and finite, got {value}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        series_regime(1e-3, value)
 
 
 @pytest.mark.parametrize("call", [
@@ -208,7 +217,8 @@ def test_nearly_compressible_u_r_larger_than_compressible():
 # ---------------------------------------------------------------------------
 
 def test_theta_matches_scaled_sphere_profile():
-    # Theta(R) = 6 A(R) U where A solves the sphere BVP at chi^2 = 3 xi
+    # Theta(R) = 6 A(R) U where A solves the sphere BVP at chi^2 = 3 xi:
+    # the closed form against the collocation solver
     for xi in (1e-2, 1e-3):
         th = solve_theta(xi)
         sol = solve_sphere(xi, math.sqrt(3.0 * xi))
@@ -229,11 +239,27 @@ def test_theta_oscillatory_parameter():
         assert abs(im - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
-def test_theta_dual_oracle_and_cache():
+def test_theta_is_a_closed_form_with_no_solve(monkeypatch):
+    # solve_theta builds Theta in closed form: every collocation entry
+    # point fails if reached, and the profile reports the series it sums
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_theta reached a collocation solve")
+
+    for module, name in ((kernels, "solve_linear_bvp"),
+                         (kernels, "solve_dual_bvp"),
+                         (sphere, "solve_dual_bvp"), (sphere, "_radial_bvp")):
+        monkeypatch.setattr(module, name, no_solve)
     th = solve_theta(1e-2)
-    assert th.Theta.meta["dual_sup_rel"] <= 1e-8
-    # the solved profile is _radial_bvp's cached one
-    assert solve_theta(1e-2).Theta is th.Theta
+    meta = th.Theta.meta
+    assert meta["method"] == "closed form" and th.Theta.s_form is None
+    assert (meta["switch"], meta["taylor_terms"],
+            meta["connection_terms"]) == (0.55, 55, 55)
+    assert math.isfinite(meta["C"])
+    # a repeat builds the same profile, to the last bit
+    rr = np.linspace(0.0, 10.0, 41)
+    again = solve_theta(1e-2).Theta
+    for a, b in zip(th.Theta.eval(rr), again.eval(rr)):
+        assert np.array_equal(a, b)
 
 
 def test_theta_field_wall_conditions():
@@ -256,19 +282,21 @@ def test_theta_u_linearity():
 
 
 def test_theta_zero_approach_is_identically_zero():
-    # U = 0 gives Theta = 0 exactly; the dual gate reports 0, not 0/0
+    # U = 0 gives Theta = 0 exactly; the rim coefficient C is the unit
+    # load's, not 0/0, since U only scales the closed form
     th = solve_theta(1e-3, U=0.0)
     rr = np.linspace(0.0, 1.0 / math.sqrt(1e-3), 101)
-    for values in th.Theta.eval(rr)[:3]:
+    for values in th.Theta.eval(rr):
         assert np.all(values == 0.0)
-    assert th.Theta.meta["dual_sup_rel"] == 0.0
+    assert th.Theta.meta["C"] == solve_theta(1e-3).Theta.meta["C"]
 
 
 def test_theta_validation():
     with pytest.raises(ValueError):
         solve_theta(0.2)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        solve_theta(1e-3, tol=math.nan)
+    # the closed form has no tolerance to set
+    with pytest.raises(TypeError, match="tol"):
+        solve_theta(1e-3, tol=1e-10)
     # a non-finite approach is a usage error, not a singular system
     for U in (math.nan, math.inf):
         with pytest.raises(ValueError, match="U must be finite"):
@@ -351,6 +379,14 @@ def test_residual_noise_guard():
     res = navier_residual(_UNIFORM_STRAIN, 1e-2, 1.0)
     assert res.sup_r == 0.0 and res.sup_z == 0.0
     assert res.l2_r == 0.0 and res.l2_z == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_navier_residual_rejects_nonfinite_mu_over_lambda(value):
+    # a non-finite weight would give NaN norms (or warn), not a residual
+    msg = f"mu_over_lambda must be finite, got {value}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        navier_residual(_UNIFORM_STRAIN, 1e-2, value)
 
 
 def test_residual_validation():

@@ -415,7 +415,7 @@ def _solve_on(xi, chi, mesh):
     sphere's own equation and rim row at the default tolerance, on the
     R panel edges mesh."""
     sol = solve_sphere(xi, chi)
-    radial = solve_dual_bvp(_ode_coefficients(sol.xi, sol.chi, 1.0),
+    radial = solve_dual_bvp(_ode_coefficients(sol.xi, sol.chi),
                             _edge_closure(sol.geo, sol.chi), 1e-10,
                             f"on a test mesh at ({xi:g}, {chi:g})", mesh=mesh)
     return dataclasses.replace(sol, A=radial)

@@ -70,8 +70,9 @@ def test_properties_hold_over_the_domain(tolerances, xi, chi):
 @settings(_SWEEP, max_examples=25)
 @given(xi=XI)
 def test_theta_identity_over_the_domain(xi):
-    # AC4: Theta = 6 A at chi^2 = 3 xi.  Both solves meet tol 1e-10 on
-    # the same mesh, so they agree far inside AC4's 1e-6
+    # AC4: Theta = 6 A at chi^2 = 3 xi.  Theta's closed form is exact to
+    # rounding and the solve meets tol 1e-10, so they agree far inside
+    # AC4's 1e-6
     sol = solve_sphere(xi, math.sqrt(3.0 * xi))
     rr = np.linspace(0.0, 1.0 / math.sqrt(xi), 301)
     a6 = 6.0 * sol.A.eval(rr)[0]
