@@ -22,7 +22,9 @@ for identical inputs: no timestamps ever appear in them, and the human
 report gains one only with --timestamp.  A --config FILE of `key = value`
 lines (# comments allowed) supplies defaults that explicit flags
 override.  Exit status: 0 success, 2 usage or validation error or a
-verification mismatch, 3 numerical failure.
+verification mismatch, 3 numerical failure or an i/o failure (an
+--output or --config path that cannot be opened, say), each reported on
+stderr as "error: ...", "numerical failure: ..." or "i/o failure: ...".
 
 Each option is declared once, in one of the option groups built by
 _build_parser; _COMMANDS names the groups every command takes.  A config
@@ -57,7 +59,8 @@ from .plate import apparent_modulus, field, force, force_factor, solve_plate
 from .regimes import (SPHERE_ZETA_BAR_INCOMPRESSIBLE,
                       SPHERE_ZETA_TILDE_COMPRESSIBLE, classify,
                       nu_intermediate_window, plate_transitions)
-from .sphere import psi_extremes, solve_sphere, sphere_field, sphere_force
+from .sphere import (SphereGeometry, psi_extremes, solve_sphere,
+                     sphere_field, sphere_force)
 
 __all__ = ["main"]
 
@@ -281,6 +284,8 @@ def _cmd_regime_transitions(args) -> int:
             lo, hi = nu_intermediate_window(args.xi, args.tolerance)
             row.update(xi=args.xi, nu_lo=lo, nu_hi=hi)
     else:
+        if args.xi is not None:
+            SphereGeometry.of(args.xi)  # the sphere layer's domain
         row = {"geometry": "sphere",
                "zeta_bar_incompressible": SPHERE_ZETA_BAR_INCOMPRESSIBLE,
                "zeta_tilde_compressible": SPHERE_ZETA_TILDE_COMPRESSIBLE}

@@ -77,10 +77,13 @@ class NumericsError(RuntimeError):
 class ToleranceNotMet(NumericsError):
     """A solver converged to something, but not to the requested tolerance.
 
-    Attributes: best (the best available result), residual, scale; for
-    the BVP solver also floor (the lowest residual/scale its refinement
-    reached), intervals (the (lo, hi) R-intervals of the panels still
-    over tolerance there) and passes (the refinement passes it took).
+    Attributes: best, residual, scale; for the BVP solver's refinement
+    also floor (the lowest residual/scale it reached), intervals (the
+    (lo, hi) R-intervals of the panels still over tolerance there) and
+    passes (the refinement passes it took).  What best holds depends on
+    the raiser: refinement leaves it None, and solve_dual_bvp stores the
+    sup-relative disagreement of the two discretizations (with residual
+    and scale the absolute disagreement and sup|A|).
     """
 
     def __init__(self, msg, best=None, residual=None, scale=None,

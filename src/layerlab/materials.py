@@ -21,6 +21,12 @@ The relative-thickness groupings used by the regime analysis are
 
 all flagged infinite at chi = 0.  No iteration anywhere; every function is
 pure and every dataclass immutable.
+
+The domain checks live here and every module shares them: check_xi and
+check_chi for the two parameters that fix a solution, and check_positive
+and check_finite for the scales that only scale it (a, h, mu, U, ...).
+Each returns its value as a float, and its ValueError names the argument
+and the value.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from dataclasses import dataclass
 __all__ = [
     "check_xi",
     "check_chi",
+    "check_positive",
+    "check_finite",
     "chi_from_nu",
     "nu_from_chi",
     "resolve_chi",
@@ -57,6 +65,24 @@ def check_chi(chi) -> float:
     if not (0.0 <= chi <= CHI_MAX):
         raise ValueError(f"chi must lie in [0, 3/2], got {chi}")
     return float(chi)
+
+
+def check_positive(name: str, value) -> float:
+    """value as a float, after checking that the scale called name lies in
+    (0, inf) (NaN fails it)."""
+    value = float(value)
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_finite(name: str, value) -> float:
+    """value as a float, after checking that the scale called name is
+    finite (NaN fails it); zero and negative values pass."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def chi_from_nu(nu: float) -> float:
@@ -161,8 +187,7 @@ class MaterialParams:
 
     @staticmethod
     def from_nu(nu: float, mu: float = 1.0) -> "MaterialParams":
-        if not (0.0 < mu < math.inf):
-            raise ValueError(f"mu must be positive and finite, got {mu}")
+        check_positive("mu", mu)
         chi = chi_from_nu(nu)
         if nu == 0.5:
             lam = math.inf
@@ -173,8 +198,7 @@ class MaterialParams:
 
     @staticmethod
     def from_chi(chi: float, mu: float = 1.0) -> "MaterialParams":
-        if not (0.0 < mu < math.inf):
-            raise ValueError(f"mu must be positive and finite, got {mu}")
+        check_positive("mu", mu)
         nu = nu_from_chi(chi)
         if chi == 0.0:
             lam = math.inf
@@ -203,36 +227,27 @@ class LayerConfig:
 
     kind is "plate" (layer of half-thickness h between rigid plates of
     radius a) or "sphere" (layer between rigid spheres of radius a with
-    minimum half-gap h).  xi = h/a must match the stored lengths to 1e-14
-    relative.  U is the prescribed half-approach of the rigid bodies and mu
-    the layer shear modulus; both only scale dimensional output.  a, h and
+    minimum half-gap h), and xi = h/a lies in (0, 1); h = xi a is derived,
+    not stored.  U is the prescribed half-approach of the rigid bodies and
+    mu the layer shear modulus; both only scale dimensional output.  a and
     mu must lie in (0, inf) and U must be finite (U = 0 and U < 0 are
     allowed); NaN fails every check.
     """
 
     kind: str
-    a: float
-    h: float
     xi: float
-    U: float
-    mu: float
+    a: float = 1.0
+    U: float = 1.0
+    mu: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("plate", "sphere"):
             raise ValueError(f"kind must be 'plate' or 'sphere', got {self.kind!r}")
-        for name in ("a", "h", "mu", "U"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.a <= 0.0 or self.h <= 0.0 or self.mu <= 0.0:
-            raise ValueError("a, h, mu must all be positive")
+        check_positive("a", self.a)
+        check_positive("mu", self.mu)
+        check_finite("U", self.U)
         check_xi(self.xi)
-        if abs(self.xi - self.h / self.a) > 1e-14 * self.xi:
-            raise ValueError(
-                f"xi = {self.xi} inconsistent with h/a = {self.h / self.a}"
-            )
 
-    @staticmethod
-    def make(kind: str, xi: float, a: float = 1.0, U: float = 1.0,
-             mu: float = 1.0) -> "LayerConfig":
-        return LayerConfig(kind=kind, a=a, h=xi * a, xi=xi, U=U, mu=mu)
+    @property
+    def h(self) -> float:
+        return self.xi * self.a

@@ -56,8 +56,8 @@ from scipy import special as _sp_special
 
 from .kernels import (BesselRatioEval, NumericsError, RadialSolution,
                       bessel_ratio, x_minus_2t)
-from .materials import (CHI_MAX, LayerConfig, MaterialParams, check_chi,
-                        check_xi, resolve_chi)
+from .materials import (CHI_MAX, LayerConfig, check_chi, check_finite,
+                        check_positive, check_xi, resolve_chi)
 
 __all__ = [
     "CHI_INCOMPRESSIBLE",
@@ -198,14 +198,8 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
     Accepts scalars or arrays; requires 0 <= r <= a and |z| <= h, a and h
     positive and finite, and mu and V finite.
     """
-    # written so that NaN fails each check
-    for name, value in (("a", a), ("h", h)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"a and h must be positive and finite, got "
-                             f"{name} = {value}")
-    for name, value in (("mu", mu), ("V", V)):
-        if not math.isfinite(value):
-            raise ValueError(f"mu and V must be finite, got {name} = {value}")
+    a, h = check_positive("a", a), check_positive("h", h)
+    mu, V = check_finite("mu", mu), check_finite("V", V)
     r = np.asarray(r, dtype=float) + 0.0
     z = np.asarray(z, dtype=float) + 0.0
     # written so that NaN fails each check
@@ -275,7 +269,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             a2 = np.full_like(r, -2.0 * inv)
             return av, a1, a2, (np.zeros_like(r) if third else None)
 
-        meta = {"method": "closed-form", "branch": "incompressible",
+        meta = {"method": "closed form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
         return RadialSolution(terms=terms, meta=meta)
 
@@ -326,7 +320,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         w[small] = _w_series(x[small])
         return av, a1, a2, ck * kappa ** 3 * base * w
 
-    meta = {"method": "closed-form", "branch": "bessel", "xi": xi,
+    meta = {"method": "closed form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
     sol = RadialSolution(terms=terms, meta=meta)
 
@@ -352,39 +346,34 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
 
 @dataclass(frozen=True)
 class PlateSolution:
-    """Everything needed to evaluate the plate solution: geometry/loading
-    (cfg), material constants (mat) and the radial potential.  Immutable;
-    field evaluation is reentrant.
+    """Everything needed to evaluate the plate solution: the problem
+    record (cfg: xi and the scales a, U, mu), the compressibility
+    parameter chi and the radial potential.  Immutable; field evaluation
+    is reentrant.
 
     The radial potential is built on first use and kept, so a solution
     used only for its force never builds it; its residual self-check
     therefore raises at the first field evaluation, not in solve_plate."""
 
     cfg: LayerConfig
-    mat: MaterialParams
+    chi: float
 
     @property
     def xi(self) -> float:
         return self.cfg.xi
-
-    @property
-    def chi(self) -> float:
-        return self.mat.chi
 
     @cached_property
     def radial(self) -> RadialSolution:
         return radial_profile(self.xi, self.chi)
 
 
-def solve_plate(xi: float, chi: Optional[float] = None,
+def solve_plate(xi: float, chi: Optional[float] = None, *,
                 nu: Optional[float] = None, mu: float = 1.0, a: float = 1.0,
                 U: float = 1.0) -> PlateSolution:
     """Build a PlateSolution for thickness ratio xi and material given by
     chi, nu, or both (cross-checked to 1e-10 if both; see resolve_chi)."""
     chi = resolve_chi(chi=chi, nu=nu)
-    cfg = LayerConfig.make("plate", xi, a=a, U=U, mu=mu)
-    mat = MaterialParams.from_chi(chi, mu=mu)
-    return PlateSolution(cfg=cfg, mat=mat)
+    return PlateSolution(LayerConfig("plate", xi, a=a, U=U, mu=mu), chi)
 
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:
@@ -599,12 +588,8 @@ def compressible_superposition(xi: float, chi: float, mu: float = 1.0,
     check_xi(xi)
     if not (0.0 < chi <= CHI_MAX):
         raise ValueError(f"chi must be positive (and <= 3/2), got {chi}")
-    # written so that NaN fails each check
-    for name, value in (("mu", mu), ("a", a)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(U):
-        raise ValueError(f"U must be finite, got {U}")
+    mu, a = check_positive("mu", mu), check_positive("a", a)
+    U = check_finite("U", U)
     base = mu * U / (a * xi * chi * chi)
     s_rr = (3.0 - 2.0 * chi * chi) * base
     s_zz = 3.0 * base

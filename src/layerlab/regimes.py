@@ -43,8 +43,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .kernels import bessel_ratio, find_root, x_minus_2t
-from .materials import (ZetaFamily, check_xi, nu_from_chi, resolve_chi,
-                        zeta_family)
+from .materials import (ZetaFamily, check_positive, check_xi, nu_from_chi,
+                        resolve_chi, zeta_family)
 from .sphere import SphereGeometry
 
 __all__ = [
@@ -70,9 +70,7 @@ def _one_minus_2t_over_y(y: float) -> float:
 def plate_ratio_compressible(zeta: float) -> float:
     """Inflation E_c / E of the compressible plateau estimate over the
     true plate modulus, in the joint thin/incompressible limit."""
-    zeta = float(zeta)
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
+    zeta = check_positive("zeta", zeta)
     return 1.0 / _one_minus_2t_over_y(1.0 / zeta)
 
 
@@ -179,11 +177,13 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
 
     geometry is "plate" or "sphere".  Exactly one of chi or nu is
     required (both are accepted if consistent).  chi = 0 is always
-    incompressible.  For spheres xi must lie in the sphere layer's
-    domain (``SphereGeometry.of``: 0 < xi <= 0.1), the boundaries are the
-    fixed constants zeta_bar >= 1 (incompressible) and sqrt(10)
-    zeta_tilde <= 1 (compressible, with the boundary itself counted as
-    compressible), and ``tolerance`` is ignored.
+    incompressible, since every zeta is +inf there.  For spheres xi must
+    lie in the sphere layer's domain (``SphereGeometry.of``:
+    0 < xi <= 0.1), the boundaries are the fixed constants
+    zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE = 1 (incompressible) and
+    zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE = 1/sqrt(10)
+    (compressible, with the boundary itself counted as compressible),
+    and ``tolerance`` is ignored.
     """
     if geometry not in ("plate", "sphere"):
         raise ValueError(f"geometry must be 'plate' or 'sphere', got {geometry!r}")
@@ -192,7 +192,7 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
 
     if geometry == "plate":
         zc, zi = plate_transitions(tolerance)
-        if fam.infinite or fam.zeta >= zi:
+        if fam.zeta >= zi:
             label = "incompressible"
         elif fam.zeta <= zc:
             label = "compressible"
@@ -203,9 +203,9 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
                             label=label)
 
     SphereGeometry.of(fam.xi)           # the sphere layer's domain, xi <= 0.1
-    if fam.infinite or fam.zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE:
+    if fam.zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE:
         label = "incompressible"
-    elif fam.zeta_tilde * math.sqrt(10.0) <= 1.0 + _TIE_EPS:
+    elif fam.zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE * (1.0 + _TIE_EPS):
         label = "compressible"
     else:
         label = "intermediate"

@@ -60,12 +60,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .kernels import NumericsError, RadialSolution
+from .materials import check_finite, check_positive
 from .sphere import SphereGeometry, _theta_profile
 
 __all__ = [
@@ -102,11 +102,7 @@ def series_regime(xi: float, mu_over_lambda: float) -> SeriesRegime:
     """Classify mu/lambda against the series-regime boundaries;
     mu_over_lambda must be positive and finite."""
     xi = SphereGeometry.of(xi).xi
-    m = float(mu_over_lambda)
-    # written so that NaN fails it
-    if not (0.0 < m < math.inf):
-        raise ValueError(f"mu_over_lambda must be positive and finite, "
-                         f"got {m}")
+    m = check_positive("mu_over_lambda", mu_over_lambda)
     root = math.sqrt(xi)
     if m >= 10.0 * root:
         tag = "compressible"
@@ -132,11 +128,7 @@ def compressible_series_fields(xi: float, lam: float, mu: float, R, Z,
     and U finite.
     """
     geo = SphereGeometry.of(xi)
-    # written so that NaN fails each check
-    for name, value in (("lam", lam), ("mu", mu)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"lam and mu must be positive and finite in "
-                             f"this regime, got {name} = {value}")
+    lam, mu = check_positive("lam", lam), check_positive("mu", mu)
     return _series_fields(geo, (math.sqrt(geo.xi) * (lam + mu) / (2.0 * mu),
                                 1.0), lam / mu, R, Z, U)
 
@@ -162,8 +154,7 @@ def _series_fields(geo: SphereGeometry, k_r: tuple, k_z: float, R, Z,
 
     k0 and k1 sit where the printed series put them, so each field is
     the product it was written as.  U must be finite."""
-    if not math.isfinite(U):
-        raise ValueError(f"U must be finite, got {U}")
+    U = check_finite("U", U)
     Rb, Zb = geo.check(R, Z)
     s = 2.0 + Rb * Rb
     bracket = 4.0 * Zb * Zb / (s * s) - 1.0
@@ -181,18 +172,19 @@ class ThetaSolution:
     """Scaled dilatation profile Theta(R) and its leading fields.
 
     Theta is independent of Z by construction; u_r0/u_z0 evaluate the
-    leading nearly-incompressible displacement pair.  The profile is
-    solve_theta's closed form: its meta holds method "closed form", the
-    rim coefficient C, and the switch point and term counts of its series.
+    leading nearly-incompressible displacement pair on the layer geo.
+    The profile is solve_theta's closed form: its meta holds method
+    "closed form", the rim coefficient C, and the switch point and term
+    counts of its series.
     """
 
-    xi: float
+    geo: SphereGeometry
     U: float
     Theta: RadialSolution
 
-    @cached_property
-    def geo(self) -> SphereGeometry:
-        return SphereGeometry.of(self.xi)
+    @property
+    def xi(self) -> float:
+        return self.geo.xi
 
     def _terms(self, R, Z):
         """R, Z and g(R) after the layer check, then Theta, Theta' and
@@ -230,10 +222,8 @@ def solve_theta(xi: float, U: float = 1.0) -> ThetaSolution:
     evaluated from the same series at any R, to rounding.
     """
     geo = SphereGeometry.of(xi)
-    U = float(U)
-    if not math.isfinite(U):
-        raise ValueError(f"U must be finite, got {U}")
-    return ThetaSolution(xi=geo.xi, U=U, Theta=_theta_profile(geo, 6.0 * U))
+    U = check_finite("U", U)
+    return ThetaSolution(geo, U, _theta_profile(geo, 6.0 * U))
 
 
 class ResidualNorms(NamedTuple):
@@ -339,9 +329,7 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     u_r_fn, u_z_fn = fields
     geo = SphereGeometry.of(xi)
     xi = geo.xi
-    m = float(mu_over_lambda)
-    if not math.isfinite(m):
-        raise ValueError(f"mu_over_lambda must be finite, got {m}")
+    m = check_finite("mu_over_lambda", mu_over_lambda)
     if mode not in ("full", "dominant"):
         raise ValueError(f"mode must be 'full' or 'dominant', got {mode!r}")
     if r_window is None:

@@ -153,7 +153,7 @@ import numpy as np
 from scipy import special
 
 from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
-from .materials import LayerConfig, MaterialParams, resolve_chi
+from .materials import LayerConfig, resolve_chi
 from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
                     _field_sample)
 
@@ -484,26 +484,27 @@ def _radial_bvp(geo: SphereGeometry, chi: float, tol: float,
 
 @dataclass(frozen=True)
 class SphereSolution:
-    """Solved radial profile for the sphere-sphere layer.
-
-    ``beta = sqrt(1 - chi**2/(2 xi))`` stored as (real, imag), imaginary
-    once chi**2 > 2 xi.  It is reported only: the solver never reads it,
-    and the profile does not oscillate on either side (q < 0 for all chi).
-    """
+    """Solved radial profile A for the sphere-sphere layer, with the
+    problem record (cfg: xi and the scales a, U, mu), the layer geometry
+    (geo) and the compressibility parameter chi."""
 
     cfg: LayerConfig
     geo: SphereGeometry
-    mat: MaterialParams
+    chi: float
     A: RadialSolution
-    beta: tuple[float, float]
 
     @property
     def xi(self) -> float:
         return self.cfg.xi
 
     @property
-    def chi(self) -> float:
-        return self.mat.chi
+    def beta(self) -> tuple[float, float]:
+        """``sqrt(1 - chi**2/(2 xi))`` as (real, imag), imaginary once
+        chi**2 > 2 xi.  It is reported only: the solver never reads it,
+        and the profile does not oscillate on either side (q < 0 for all
+        chi)."""
+        val = 1.0 - self.chi * self.chi / (2.0 * self.xi)
+        return (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))
 
 
 def solve_sphere(xi: float, chi: Optional[float] = None,
@@ -522,14 +523,10 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     """
     chi = resolve_chi(chi, nu)
     geo = SphereGeometry.of(xi)
-    xi = geo.xi
-    cfg = LayerConfig.make("sphere", xi, a=a, U=U, mu=mu)
-    mat = MaterialParams.from_chi(chi, mu=mu)
+    cfg = LayerConfig("sphere", geo.xi, a=a, U=U, mu=mu)
     radial = _radial_bvp(geo, chi, float(tol),
-                         f"at (xi, chi) = ({xi:g}, {chi:g})")
-    val = 1.0 - chi * chi / (2.0 * xi)
-    beta = (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))
-    return SphereSolution(cfg=cfg, geo=geo, mat=mat, A=radial, beta=beta)
+                         f"at (xi, chi) = ({geo.xi:g}, {chi:g})")
+    return SphereSolution(cfg, geo, chi, radial)
 
 
 def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:

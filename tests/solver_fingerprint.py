@@ -324,6 +324,7 @@ _MORE = (
     ("regime-transitions", "--xi", "1e-2"),
     ("regime-transitions", "--xi", "1e-2", "--tolerance", "0.2", "--json"),
     ("regime-transitions", "--geometry", "sphere", "--csv"),
+    ("regime-transitions", "--geometry", "sphere", "--xi", "1e-2", "--json"),
     ("regime-transitions", "--geometry", "plate", "--format", "json",
      "--csv"),
     ("regime-transitions", "--csv", "--json"),
@@ -351,6 +352,9 @@ _MORE = (
     ("regime-classify", "--geometry", "sphere", "--xi", "0.5", "--chi",
      "0.3"),
     ("regime-transitions", "--tolerance", "0"),
+    ("regime-transitions", "--geometry", "sphere", "--xi", "nan"),
+    ("regime-transitions", "--geometry", "sphere", "--xi", "-1"),
+    ("regime-transitions", "--geometry", "sphere", "--xi", "0.2"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

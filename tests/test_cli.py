@@ -191,6 +191,26 @@ def test_regime_transitions_nu_window(capsys):
     assert round(d["nu_hi"], 5) == 0.49999
 
 
+@pytest.mark.parametrize("xi", ["nan", "-1", "0.2"])
+def test_sphere_regime_transitions_check_xi(capsys, xi):
+    # a given --xi goes through the sphere layer's domain check
+    msg = (f"error: xi must be positive and <= 0.1 for a sphere layer, "
+           f"got {float(xi)}\n")
+    assert run(capsys, "regime-transitions", "--geometry", "sphere",
+               "--xi", xi) == (2, "", msg)
+
+
+def test_sphere_regime_transitions_xi_as_classify(capsys):
+    # the message regime-classify gives, and an in-domain --xi leaves the
+    # constants unchanged
+    assert run(capsys, "regime-transitions", "--geometry", "sphere",
+               "--xi", "0.2") == run(capsys, "regime-classify", "--geometry",
+                                     "sphere", "--xi", "0.2", "--chi", "0.3")
+    assert run(capsys, "regime-transitions", "--geometry", "sphere",
+               "--xi", "1e-2") == run(capsys, "regime-transitions",
+                                      "--geometry", "sphere")
+
+
 def test_regime_classify(capsys):
     rc, out, _ = run(capsys, "regime-classify", "--geometry", "sphere",
                      "--xi", "1e-4", "--nu", "0.5", "--json")
@@ -521,7 +541,7 @@ def test_domain_errors(capsys):
     # field commands' check on the scales
     rc, _, err = run(capsys, "plate-force", "--xi", "1e-2", "--chi", "0.5",
                      "--mu", "-1")
-    assert rc == 2 and "must all be positive" in err
+    assert rc == 2 and err == "error: mu must be positive and finite, got -1.0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -539,9 +559,10 @@ def test_nonfinite_scales_exit_2(capsys, argv):
                        *argv[1:], "--json")
     flag, value = argv[1].split("=") if len(argv) == 2 else argv[1:]
     assert (rc, out) == (2, "")
-    # the message names the scale (an infinite a makes h = xi a infinite
-    # too, and a is named first)
-    assert err == f"error: {flag[2:]} must be finite, got {float(value)}\n"
+    # the message names the scale and its value; a and mu must also be
+    # positive
+    rule = "must be finite" if flag == "--U" else "must be positive and finite"
+    assert err == f"error: {flag[2:]} {rule}, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("base, flag, value", [

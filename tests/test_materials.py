@@ -1,11 +1,13 @@
 """Material-parameter algebra: chi <-> nu maps, zeta groupings, configs."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from layerlab import plate, regimes, series, sphere
 from layerlab.materials import (
     CHI_MAX,
     LayerConfig,
@@ -127,31 +129,109 @@ def test_material_params_reject_nonpositive_mu(mu):
             make(value, mu=mu)
 
 
-def test_layer_config_make_and_validation():
-    cfg = LayerConfig.make("plate", 1e-3, a=2.0, U=0.5, mu=3.0)
+def test_layer_config_construction_and_validation():
+    cfg = LayerConfig("plate", 1e-3, a=2.0, U=0.5, mu=3.0)
     assert cfg.h == 2e-3 and cfg.xi == 1e-3
+    # each value is held once: h = xi a is derived, not stored
+    assert [f.name for f in dataclasses.fields(LayerConfig)] == [
+        "kind", "xi", "a", "U", "mu"]
+    assert LayerConfig("sphere", 1e-2) == LayerConfig(
+        kind="sphere", xi=1e-2, a=1.0, U=1.0, mu=1.0)
     with pytest.raises(ValueError):
-        LayerConfig.make("cube", 1e-3)
+        LayerConfig("cube", 1e-3)
     with pytest.raises(ValueError):
-        LayerConfig.make("plate", 0.0)
-    with pytest.raises(ValueError):
-        LayerConfig(kind="plate", a=1.0, h=0.5, xi=0.4, U=1.0, mu=1.0)
+        LayerConfig("plate", 0.0)
+    with pytest.raises(TypeError):
+        LayerConfig("plate", 0.4, h=0.5)
 
 
 @pytest.mark.parametrize("name", ["a", "mu", "U"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_layer_config_rejects_nonfinite_scales(name, value):
-    # a, h and mu lie in (0, inf) and U is finite; NaN fails each check
-    # the message names the argument (an infinite a makes h = xi a
-    # infinite too, and a is checked first)
+    # a and mu lie in (0, inf) and U is finite; NaN fails each check,
+    # and the message names the argument and its value
     scales = {"a": 2.0, "mu": 3.0, "U": 0.5, name: value}
-    msg = f"{name} must be finite, got {value}"
+    rule = "must be finite" if name == "U" else "must be positive and finite"
+    msg = f"{name} {rule}, got {value}"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        LayerConfig.make("plate", 1e-3, **scales)
+        LayerConfig("plate", 1e-3, **scales)
 
 
 def test_layer_config_keeps_zero_and_negative_approach():
     for U in (0.0, -2.0):
-        assert LayerConfig.make("sphere", 1e-3, U=U).U == U
-    with pytest.raises(ValueError, match="must all be positive"):
-        LayerConfig.make("plate", 1e-3, a=-1.0)
+        assert LayerConfig("sphere", 1e-3, U=U).U == U
+    with pytest.raises(ValueError, match=re.escape(
+            "a must be positive and finite, got -1.0")):
+        LayerConfig("plate", 1e-3, a=-1.0)
+
+
+# a uniform strain, which navier_residual takes at any finite ratio
+_FIELDS = (lambda R, Z: 0.3 * R, lambda R, Z: 0.7 * Z)
+# every consumer of check_positive and check_finite, with the scale it
+# checks and whether that scale must be positive; each call is valid but
+# for that one scale
+_SCALE_CHECKS = {
+    "MaterialParams.from_nu": (
+        lambda v: MaterialParams.from_nu(0.3, mu=v), "mu", True),
+    "MaterialParams.from_chi": (
+        lambda v: MaterialParams.from_chi(1.0, mu=v), "mu", True),
+    "LayerConfig a": (lambda v: LayerConfig("plate", 1e-3, a=v), "a", True),
+    "LayerConfig mu": (lambda v: LayerConfig("sphere", 1e-3, mu=v), "mu",
+                       True),
+    "LayerConfig U": (lambda v: LayerConfig("plate", 1e-3, U=v), "U", False),
+    "solve_plate a": (lambda v: plate.solve_plate(0.1, 1.0, a=v), "a", True),
+    "solve_sphere mu": (lambda v: sphere.solve_sphere(1e-2, 1.0, mu=v), "mu",
+                        True),
+    "stefan a": (lambda v: plate.stefan_fluid_fields(0.5, 0.01, v, 0.02,
+                                                     3.0, 0.5), "a", True),
+    "stefan h": (lambda v: plate.stefan_fluid_fields(0.5, 0.01, 2.0, v,
+                                                     3.0, 0.5), "h", True),
+    "stefan mu": (lambda v: plate.stefan_fluid_fields(0.5, 0.01, 2.0, 0.02,
+                                                      v, 0.5), "mu", False),
+    "stefan V": (lambda v: plate.stefan_fluid_fields(0.5, 0.01, 2.0, 0.02,
+                                                     3.0, v), "V", False),
+    "superposition mu": (
+        lambda v: plate.compressible_superposition(0.1, 1.0, mu=v), "mu",
+        True),
+    "superposition a": (
+        lambda v: plate.compressible_superposition(0.1, 1.0, a=v), "a", True),
+    "superposition U": (
+        lambda v: plate.compressible_superposition(0.1, 1.0, U=v), "U",
+        False),
+    "compressible series lam": (
+        lambda v: series.compressible_series_fields(1e-3, v, 1.0, 1.0, 0.5),
+        "lam", True),
+    "compressible series mu": (
+        lambda v: series.compressible_series_fields(1e-3, 1.0, v, 1.0, 0.5),
+        "mu", True),
+    "compressible series U": (
+        lambda v: series.compressible_series_fields(1e-3, 1.0, 1.0, 1.0, 0.5,
+                                                    U=v), "U", False),
+    "nearly compressible series U": (
+        lambda v: series.nearly_compressible_series_fields(1e-3, 1.0, 0.5,
+                                                           U=v), "U", False),
+    "solve_theta U": (lambda v: series.solve_theta(1e-3, U=v), "U", False),
+    "series_regime": (lambda v: series.series_regime(1e-3, v),
+                      "mu_over_lambda", True),
+    "navier_residual": (lambda v: series.navier_residual(_FIELDS, 1e-2, v),
+                        "mu_over_lambda", False),
+    "plate_ratio_compressible": (
+        lambda v: regimes.plate_ratio_compressible(v), "zeta", True),
+    "plate_ratio_incompressible": (
+        lambda v: regimes.plate_ratio_incompressible(v), "zeta", True),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("consumer", list(_SCALE_CHECKS))
+def test_scale_checks_name_the_argument_and_value(consumer, value):
+    # one message shape per rule, naming the argument and its value:
+    # NaN fails both rules, 0 only the positive one
+    call, name, positive = _SCALE_CHECKS[consumer]
+    if not positive and value == 0.0:
+        call(value)                     # a zero approach or ratio is legal
+        return
+    rule = "must be positive and finite" if positive else "must be finite"
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} {rule}, got {value}"

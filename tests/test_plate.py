@@ -29,6 +29,17 @@ CHI_GRID = [1e-3, 0.3, 0.7, 1.0, 1.4]
 # Radial profile A(R)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("xi, chi, branch", [
+    (0.1, 0.0, "incompressible"), (0.1, 0.1, "bessel"), (1e-3, 0.7, "bessel"),
+])
+def test_closed_form_profiles_name_one_method(xi, chi, branch):
+    # the plate's closed forms (x = chi/xi below and above 2, and below
+    # chi = 1e-10) and Theta's spell their method alike
+    meta = radial_profile(xi, chi).meta
+    assert (meta["method"], meta["branch"]) == ("closed form", branch)
+    assert solve_theta(1e-3).Theta.meta["method"] == "closed form"
+
+
 def test_profile_incompressible_closed_form():
     # chi = 0: A(R) = (1 - R^2)/(8 xi^2) exactly
     for xi in (1e-3, 1e-2):
@@ -323,7 +334,8 @@ def test_stefan_reference_flow():
     # pressure is largest at the center
     p_c = stefan_fluid_fields(np.zeros(1), np.zeros(1), a, h, mu, V)[2]
     assert float(p_c[0]) > float(p[2])
-    with pytest.raises(ValueError, match="a and h must be positive"):
+    with pytest.raises(ValueError, match=re.escape(
+            "a must be positive and finite, got 0.0")):
         stefan_fluid_fields(0.0, 0.0, 0.0, h, mu, V)
 
 
@@ -332,9 +344,9 @@ def test_stefan_reference_flow():
 def test_stefan_rejects_nonfinite_scales(name, value):
     # a and h lie in (0, inf), mu and V are finite; NaN fails each check
     scales = {"a": 2.0, "h": 0.02, "mu": 3.0, "V": 0.5, name: value}
-    rule = ("a and h must be positive and finite" if name in ("a", "h")
-            else "mu and V must be finite")
-    with pytest.raises(ValueError, match=re.escape(f"{rule}, got {name} = {value}")):
+    rule = ("must be positive and finite" if name in ("a", "h")
+            else "must be finite")
+    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}, got {value}")):
         stefan_fluid_fields(0.5, 0.01, *scales.values())
 
 

@@ -180,6 +180,19 @@ def test_classify_sphere_boundary_tie():
     chi = (xi ** 0.25) * math.sqrt(10.0)
     rep = classify("sphere", xi, chi=chi)
     assert rep.regime == "compressible"
+    # the guard counts a zeta_tilde up to 1e-12 past the boundary, no more
+    assert classify("sphere", xi, chi=chi * (1.0 - 1e-13)).regime == "compressible"
+    assert classify("sphere", xi, chi=chi * (1.0 - 1e-10)).regime == "intermediate"
+    # the incompressible boundary zeta_bar = sqrt(xi)/chi = 1 itself counts
+    # as incompressible, and a hair above it does not
+    rep = classify("sphere", xi, chi=math.sqrt(xi))
+    assert rep.zeta_bar == SPHERE_ZETA_BAR_INCOMPRESSIBLE
+    assert rep.regime == "incompressible"
+    assert classify("sphere", xi, chi=1.01 * math.sqrt(xi)).regime == "intermediate"
+    # chi = 0 makes every zeta infinite: incompressible in both geometries
+    for geometry in ("plate", "sphere"):
+        rep = classify(geometry, xi, chi=0.0)
+        assert rep.zeta_family.infinite and rep.regime == "incompressible"
 
 
 def test_classify_report_plumbing():

@@ -119,8 +119,10 @@ def test_compressible_fields_validation():
         compressible_series_fields(xi, 1.0, 1.0, 1.01 / math.sqrt(xi), 0.0)
     with pytest.raises(ValueError):
         compressible_series_fields(xi, 1.0, 1.0, 1.0, 2.0 * float(_gap(1.0)))
-    for lam, mu in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(ValueError, match="lam and mu must be positive"):
+    for lam, mu, msg in ((0.0, 1.0, "lam must be positive and finite, got 0.0"),
+                         (-1.0, 1.0, "lam must be positive and finite, got -1.0"),
+                         (1.0, 0.0, "mu must be positive and finite, got 0.0")):
+        with pytest.raises(ValueError, match=re.escape(msg)):
             compressible_series_fields(xi, lam, mu, 1.0, 0.5)
 
 
@@ -130,8 +132,7 @@ def test_compressible_series_rejects_nonfinite_scales(name, value):
     # lam and mu lie in (0, inf) and U is finite; NaN fails each check
     scales = {"lam": 1.0, "mu": 1.0, "U": 1.0, name: value}
     msg = (f"U must be finite, got {value}" if name == "U" else
-           f"lam and mu must be positive and finite in this regime, "
-           f"got {name} = {value}")
+           f"{name} must be positive and finite, got {value}")
     with pytest.raises(ValueError, match=re.escape(msg)):
         compressible_series_fields(1e-3, scales["lam"], scales["mu"], 1.0,
                                    0.5, U=scales["U"])
