@@ -44,7 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -453,9 +454,10 @@ class RadialSolution:
     readers of terms.
 
     meta records method, mesh, refinement passes and the measured
-    residual.  s_form (None on a profile given in closed form) is the
-    solved A as a PanelPoly in s = R**2, the panels on which integrals
-    of A and its derivatives are exact Gauss-Legendre sums.
+    residual (a read-only mapping on a solve_dual_bvp profile).  s_form
+    (None on a profile given in closed form) is the solved A as a
+    PanelPoly in s = R**2, the panels on which integrals of A and its
+    derivatives are exact Gauss-Legendre sums.
 
     eval may also be given to the constructor (dataclasses.replace
     passes it on): it then stands in for the method on that instance, as
@@ -463,7 +465,7 @@ class RadialSolution:
     """
 
     terms: Callable
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
     s_form: Optional[PanelPoly] = None
     # declared bare, so that its default is the method defined below
     eval: InitVar[Callable]
@@ -682,7 +684,8 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
     not lower the sup residual (its rounding floor); the error names that
     floor and the R-intervals of the panels still over tolerance.
     meta["passes"] counts the passes taken, and meta["edges"] holds the
-    R breakpoints above the axis (the axis is implied).
+    R breakpoints above the axis (the axis is implied).  meta["edges"]
+    and the arrays of the returned s_form are read-only.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -743,6 +746,8 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
         "residual_scale": scale,
         "tol": tol,
     }
+    _frozen(poly.edges, poly.coefs, poly.half, poly.mid, poly._series,
+            meta["edges"])
     return RadialSolution(terms=partial(_panel_terms, coeffs, poly),
                           meta=meta, s_form=poly)
 
@@ -757,7 +762,9 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     sup|A| (0 when both are identically zero), and meta["alt_panels"],
     meta["alt_passes"] those of the alt solve.  A disagreement above
     meta["dual_gate"] = min(1e-8, 100 tol) raises ToleranceNotMet;
-    `where` names the problem in that message.
+    `where` names the problem in that message.  The returned meta is a
+    read-only mapping, and the panel arrays are read-only (see
+    solve_linear_bvp), since a cached solution is shared by every caller.
     """
     primary = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh,
                                method="primary")
@@ -778,6 +785,7 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     primary.meta.update(dual_sup_rel=dual_rel, dual_gate=gate,
                         alt_panels=alt.meta["panels"],
                         alt_passes=alt.meta["passes"])
+    primary.meta = MappingProxyType(primary.meta)
     return primary
 
 

@@ -19,7 +19,7 @@ The relative-thickness groupings used by the regime analysis are
     zeta_bar   = sqrt(xi) / chi  (sphere, incompressible side)
     zeta_tilde = xi**0.25 / chi  (sphere, compressible side)
 
-all flagged infinite at chi = 0.  No iteration anywhere; every function is
+all +inf at chi = 0.  No iteration anywhere; every function is
 pure and every dataclass immutable.
 
 The domain checks live here and every module shares them: check_xi and
@@ -138,7 +138,7 @@ class ZetaFamily:
 
     zeta = xi/chi (plate), zeta_bar = sqrt(xi)/chi (sphere, incompressible
     side), zeta_tilde = xi**(1/4)/chi (sphere, compressible side).  All are
-    +inf when chi == 0; `infinite` flags that case.
+    +inf when chi == 0.
     """
 
     xi: float
@@ -146,7 +146,6 @@ class ZetaFamily:
     zeta: float
     zeta_bar: float
     zeta_tilde: float
-    infinite: bool
 
 
 def zeta_family(xi: float, chi: float) -> ZetaFamily:
@@ -159,14 +158,13 @@ def zeta_family(xi: float, chi: float) -> ZetaFamily:
     check_chi(chi)
     if chi == 0.0:
         inf = math.inf
-        return ZetaFamily(xi, chi, inf, inf, inf, True)
+        return ZetaFamily(xi, chi, inf, inf, inf)
     return ZetaFamily(
         xi,
         chi,
         xi / chi,
         math.sqrt(xi) / chi,
         xi**0.25 / chi,
-        False,
     )
 
 
@@ -177,6 +175,10 @@ class MaterialParams:
     Fields: nu (Poisson), chi (compressibility parameter), mu (shear
     modulus), lam (first Lame constant; +inf at nu = 1/2), youngs
     (Young's modulus; 0 at chi = 3/2, flagged by `youngs_singular`).
+
+    The public converter from (nu or chi, mu) to the constants the
+    series take: lam for ``compressible_series_fields``, and mu / lam for
+    ``series_regime`` and ``navier_residual``.
     """
 
     nu: float

@@ -43,8 +43,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .kernels import bessel_ratio, find_root, x_minus_2t
-from .materials import (ZetaFamily, check_positive, check_xi, nu_from_chi,
-                        resolve_chi, zeta_family)
+from .materials import (check_positive, check_xi, nu_from_chi, resolve_chi,
+                        zeta_family)
 from .sphere import SphereGeometry
 
 __all__ = [
@@ -62,16 +62,13 @@ SPHERE_ZETA_TILDE_COMPRESSIBLE = 1.0 / math.sqrt(10.0)
 _TIE_EPS = 1e-12
 
 
-def _one_minus_2t_over_y(y: float) -> float:
-    """1 - 2 t(y)/y without cancellation, as (y - 2t)/y."""
-    return x_minus_2t(bessel_ratio(y)) / y
-
-
 def plate_ratio_compressible(zeta: float) -> float:
     """Inflation E_c / E of the compressible plateau estimate over the
-    true plate modulus, in the joint thin/incompressible limit."""
-    zeta = check_positive("zeta", zeta)
-    return 1.0 / _one_minus_2t_over_y(1.0 / zeta)
+    true plate modulus, in the joint thin/incompressible limit: with
+    y = 1/zeta, 1 / (1 - 2 t(y)/y), the difference formed without
+    cancellation as (y - 2t)/y."""
+    y = 1.0 / check_positive("zeta", zeta)
+    return 1.0 / (x_minus_2t(bessel_ratio(y)) / y)
 
 
 def plate_ratio_incompressible(zeta: float) -> float:
@@ -131,6 +128,8 @@ def nu_intermediate_window(xi: float, tolerance: float = 0.10) -> tuple[float, f
 class RegimeReport:
     """Classification of a layer's compressibility regime.
 
+    xi and chi are the layer's parameters and zeta, zeta_bar, zeta_tilde
+    their groupings (all +inf at chi = 0; see ``zeta_family``).
     ``label`` is one of "incompressible", "compressible",
     "intermediate".  For plates, ``zeta_c``/``zeta_i`` are the
     tolerance-dependent boundaries the decision used; for spheres they
@@ -139,35 +138,15 @@ class RegimeReport:
     """
 
     geometry: str
-    tolerance: Optional[float]
-    zeta_family: ZetaFamily
+    xi: float
+    chi: float
+    zeta: float
+    zeta_bar: float
+    zeta_tilde: float
     zeta_c: Optional[float]
     zeta_i: Optional[float]
+    tolerance: Optional[float]
     label: str
-
-    @property
-    def regime(self) -> str:
-        return self.label
-
-    @property
-    def xi(self) -> float:
-        return self.zeta_family.xi
-
-    @property
-    def chi(self) -> float:
-        return self.zeta_family.chi
-
-    @property
-    def zeta(self) -> float:
-        return self.zeta_family.zeta
-
-    @property
-    def zeta_bar(self) -> float:
-        return self.zeta_family.zeta_bar
-
-    @property
-    def zeta_tilde(self) -> float:
-        return self.zeta_family.zeta_tilde
 
 
 def classify(geometry: str, xi: float, chi: Optional[float] = None,
@@ -175,11 +154,11 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
              tolerance: float = 0.10) -> RegimeReport:
     """Classify a layer as compressible / incompressible / intermediate.
 
-    geometry is "plate" or "sphere".  Exactly one of chi or nu is
-    required (both are accepted if consistent).  chi = 0 is always
-    incompressible, since every zeta is +inf there.  For spheres xi must
-    lie in the sphere layer's domain (``SphereGeometry.of``:
-    0 < xi <= 0.1), the boundaries are the fixed constants
+    geometry is "plate" or "sphere"; chi or nu, or both if they agree
+    (``resolve_chi``).  chi = 0 is always incompressible, since every
+    zeta is +inf there.  For spheres xi is checked first against the
+    sphere layer's domain (``SphereGeometry.of``: 0 < xi <= 0.1), the
+    boundaries are the fixed constants
     zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE = 1 (incompressible) and
     zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE = 1/sqrt(10)
     (compressible, with the boundary itself counted as compressible),
@@ -188,26 +167,26 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
     if geometry not in ("plate", "sphere"):
         raise ValueError(f"geometry must be 'plate' or 'sphere', got {geometry!r}")
     chi = resolve_chi(chi, nu)
+    if geometry == "sphere":
+        xi = SphereGeometry.of(xi).xi   # the sphere layer's domain, xi <= 0.1
     fam = zeta_family(float(xi), chi)
 
     if geometry == "plate":
         zc, zi = plate_transitions(tolerance)
+        tolerance = float(tolerance)
         if fam.zeta >= zi:
             label = "incompressible"
         elif fam.zeta <= zc:
             label = "compressible"
         else:
             label = "intermediate"
-        return RegimeReport(geometry=geometry, tolerance=float(tolerance),
-                            zeta_family=fam, zeta_c=zc, zeta_i=zi,
-                            label=label)
-
-    SphereGeometry.of(fam.xi)           # the sphere layer's domain, xi <= 0.1
-    if fam.zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE:
-        label = "incompressible"
-    elif fam.zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE * (1.0 + _TIE_EPS):
-        label = "compressible"
     else:
-        label = "intermediate"
-    return RegimeReport(geometry=geometry, tolerance=None, zeta_family=fam,
-                        zeta_c=None, zeta_i=None, label=label)
+        zc = zi = tolerance = None
+        if fam.zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE:
+            label = "incompressible"
+        elif fam.zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE * (1.0 + _TIE_EPS):
+            label = "compressible"
+        else:
+            label = "intermediate"
+    return RegimeReport(geometry, fam.xi, fam.chi, fam.zeta, fam.zeta_bar,
+                        fam.zeta_tilde, zc, zi, tolerance, label)

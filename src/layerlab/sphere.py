@@ -470,15 +470,16 @@ def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _radial_bvp(geo: SphereGeometry, chi: float, tol: float,
-                where: str) -> RadialSolution:
+def _radial_bvp(geo: SphereGeometry, chi: float, tol: float) -> RadialSolution:
     """Solve the radial profile on _sphere_edges' mesh under both
-    independent discretizations and cross-check them (``where`` names the
-    cell if they disagree); returns the primary solution, with the
+    independent discretizations and cross-check them (the message names
+    the cell if they disagree); returns the primary solution, with the
     sup-norm relative disagreement in meta["dual_sup_rel"].  The one cache
-    of a solved profile: a repeat returns the profile solved first."""
+    of a solved profile: a repeat returns the profile solved first, whose
+    meta and panel arrays are read-only (solve_dual_bvp)."""
     return solve_dual_bvp(_ode_coefficients(geo.xi, chi),
-                          _edge_closure(geo, chi), tol, where,
+                          _edge_closure(geo, chi), tol,
+                          f"at (xi, chi) = ({geo.xi:g}, {chi:g})",
                           mesh=_sphere_edges(geo))
 
 
@@ -524,9 +525,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     chi = resolve_chi(chi, nu)
     geo = SphereGeometry.of(xi)
     cfg = LayerConfig("sphere", geo.xi, a=a, U=U, mu=mu)
-    radial = _radial_bvp(geo, chi, float(tol),
-                         f"at (xi, chi) = ({geo.xi:g}, {chi:g})")
-    return SphereSolution(cfg, geo, chi, radial)
+    return SphereSolution(cfg, geo, chi, _radial_bvp(geo, chi, float(tol)))
 
 
 def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:

@@ -355,6 +355,10 @@ _MORE = (
     ("regime-transitions", "--geometry", "sphere", "--xi", "nan"),
     ("regime-transitions", "--geometry", "sphere", "--xi", "-1"),
     ("regime-transitions", "--geometry", "sphere", "--xi", "0.2"),
+    ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi",
+     "nan"),
+    ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "-1"),
+    ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "2"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

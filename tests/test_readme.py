@@ -1,10 +1,13 @@
-"""The README's library quickstart runs as written and prints the values
-its comments give."""
+"""The README runs as written: its library quickstart prints the values
+its comments give, its command-line transcript prints the lines it
+shows, and its command table names each command's option groups."""
 
 import pathlib
 import re
+import shlex
 
 import layerlab  # noqa: F401  (loaded at collection, as the other modules do)
+from layerlab import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,8 +17,12 @@ _FLOAT = re.compile(r"\d+\.\d+(?:e[+-]?\d+)?")
 _PREFIX = re.compile(r"(\d+\.\d+)\.\.\.")
 
 
+def _section(title: str) -> str:
+    return README.read_text().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _quickstart() -> str:
-    section = README.read_text().split("## Library quickstart", 1)[1]
+    section = _section("Library quickstart")
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
@@ -35,3 +42,46 @@ def test_readme_quickstart_prints_its_commented_values(capsys):
             checked += 1
     # Psi at (1e-2, 1) and the two plate transition constants
     assert checked == 2
+
+
+def _transcript() -> list:
+    """The `$ layerlab ...` lines of the command-line section's text
+    block that are followed by output, as (argv, shown lines); a line
+    "..." ends what is shown."""
+    block = _section("Command line").split("```text\n", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ layerlab "):
+            runs.append((shlex.split(line[2:], comments=True)[1:], []))
+        elif line.strip():
+            runs[-1][1].append(line)
+    return [(argv, shown) for argv, shown in runs if shown]
+
+
+def test_readme_command_transcript_prints_its_lines(capsys):
+    runs = _transcript()
+    assert [argv[0] for argv, _ in runs] == [
+        "plate-modulus", "sphere-force", "regime-classify"]
+    for argv, shown in runs:
+        assert cli.main(argv) == 0, argv
+        printed = capsys.readouterr().out.splitlines()
+        if shown[-1].strip() == "...":
+            shown = shown[:-1]
+            printed = printed[:len(shown)]
+        assert printed == shown, argv
+
+
+def test_readme_command_table_matches_the_parser():
+    lines = _section("Command line").splitlines()
+    header = next(line for line in lines if line.startswith("| command |"))
+    groups = [g.strip() for g in header.strip("|").split("|")[1:]]
+    rows = [line.strip("|").split("|") for line in lines
+            if line.startswith("| `")]
+    table = {row[0].strip().strip("`"): {g for g, mark in zip(groups, row[1:])
+                                         if mark.strip() == "x"}
+             for row in rows}
+    # the grid column stands for either grid group: Z across the plate
+    # layer, or across the local gap of a sphere layer
+    want = {name: {"grid" if g == "gap_grid" else g for g in spec.split()}
+            for name, _, spec, _ in cli._COMMANDS}
+    assert table == want

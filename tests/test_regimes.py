@@ -1,21 +1,23 @@
 """Compressibility-regime classification and transition constants."""
 
+import dataclasses
 import math
 
 import mpmath
 import pytest
 
-from layerlab.materials import nu_from_chi
+from layerlab.materials import ZetaFamily, nu_from_chi, zeta_family
 from layerlab.regimes import (
     SPHERE_ZETA_BAR_INCOMPRESSIBLE,
     SPHERE_ZETA_TILDE_COMPRESSIBLE,
+    RegimeReport,
     classify,
     nu_intermediate_window,
     plate_ratio_compressible,
     plate_ratio_incompressible,
     plate_transitions,
 )
-from layerlab.regimes import _one_minus_2t_over_y
+from layerlab.sphere import SphereGeometry
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +38,13 @@ def test_ratio_compressible_reference_point():
 def test_one_minus_2t_over_y_against_mpmath():
     # 1 - 2 t(y)/y ~ y^2/8 on both sides of y = 0.01, where a truncated
     # series once met the direct difference
+    # (read as 1/ratio_c at zeta = 1/y, on the y that 1/zeta rounds to)
     mpmath.mp.dps = 40
     for y in (0.005, 0.00999, 0.01, 0.02, 0.05):
-        ym = mpmath.mpf(y)
+        zeta = 1.0 / y
+        ym = mpmath.mpf(1.0 / zeta)
         want = 1 - 2 * mpmath.besseli(1, ym) / (mpmath.besseli(0, ym) * ym)
-        got = _one_minus_2t_over_y(y)
+        got = 1.0 / plate_ratio_compressible(zeta)
         assert abs(got - want) < 1e-14 * want, y
 
 
@@ -143,18 +147,18 @@ def test_nu_window_shrinks_toward_half_with_thinness():
 def test_classify_plate_bands():
     # zeta = xi/chi against (0.0466, 1.289)
     rep = classify("plate", 1e-3, chi=1.0)        # zeta = 1e-3
-    assert rep.regime == "compressible"
+    assert rep.label == "compressible"
     rep = classify("plate", 1e-2, chi=0.05)       # zeta = 0.2
-    assert rep.regime == "intermediate"
+    assert rep.label == "intermediate"
     rep = classify("plate", 1e-1, chi=0.05)       # zeta = 2
-    assert rep.regime == "incompressible"
+    assert rep.label == "incompressible"
     assert rep.tolerance == 0.10
     assert rep.zeta_c is not None and rep.zeta_i is not None
 
 
 def test_classify_plate_chi_zero():
     rep = classify("plate", 1e-3, chi=0.0)
-    assert rep.regime == "incompressible"
+    assert rep.label == "incompressible"
     assert rep.zeta == math.inf
 
 
@@ -163,14 +167,14 @@ def test_classify_sphere_bands():
     assert abs(SPHERE_ZETA_TILDE_COMPRESSIBLE - 1.0 / math.sqrt(10.0)) < 1e-15
     # zeta_bar = sqrt(xi)/chi >= 1: incompressible
     rep = classify("sphere", 1e-2, chi=0.05)      # zeta_bar = 2
-    assert rep.regime == "incompressible"
+    assert rep.label == "incompressible"
     assert rep.tolerance is None
     # sqrt(10) zeta_tilde <= 1: compressible
     rep = classify("sphere", 1e-4, chi=1.0)       # zeta_tilde = 0.1
-    assert rep.regime == "compressible"
+    assert rep.label == "compressible"
     # in between
     rep = classify("sphere", 1e-2, chi=0.9)
-    assert rep.regime == "intermediate"
+    assert rep.label == "intermediate"
 
 
 def test_classify_sphere_boundary_tie():
@@ -179,20 +183,21 @@ def test_classify_sphere_boundary_tie():
     xi = 1e-4
     chi = (xi ** 0.25) * math.sqrt(10.0)
     rep = classify("sphere", xi, chi=chi)
-    assert rep.regime == "compressible"
+    assert rep.label == "compressible"
     # the guard counts a zeta_tilde up to 1e-12 past the boundary, no more
-    assert classify("sphere", xi, chi=chi * (1.0 - 1e-13)).regime == "compressible"
-    assert classify("sphere", xi, chi=chi * (1.0 - 1e-10)).regime == "intermediate"
+    assert classify("sphere", xi, chi=chi * (1.0 - 1e-13)).label == "compressible"
+    assert classify("sphere", xi, chi=chi * (1.0 - 1e-10)).label == "intermediate"
     # the incompressible boundary zeta_bar = sqrt(xi)/chi = 1 itself counts
     # as incompressible, and a hair above it does not
     rep = classify("sphere", xi, chi=math.sqrt(xi))
     assert rep.zeta_bar == SPHERE_ZETA_BAR_INCOMPRESSIBLE
-    assert rep.regime == "incompressible"
-    assert classify("sphere", xi, chi=1.01 * math.sqrt(xi)).regime == "intermediate"
+    assert rep.label == "incompressible"
+    assert classify("sphere", xi, chi=1.01 * math.sqrt(xi)).label == "intermediate"
     # chi = 0 makes every zeta infinite: incompressible in both geometries
     for geometry in ("plate", "sphere"):
         rep = classify(geometry, xi, chi=0.0)
-        assert rep.zeta_family.infinite and rep.regime == "incompressible"
+        assert rep.zeta == rep.zeta_bar == rep.zeta_tilde == math.inf
+        assert rep.label == "incompressible"
 
 
 def test_classify_report_plumbing():
@@ -202,7 +207,7 @@ def test_classify_report_plumbing():
     assert abs(rep.zeta - 1e-2) < 1e-14
     assert abs(rep.zeta_bar - 0.1) < 1e-14
     assert abs(rep.zeta_tilde - 1e-2 ** 0.25) < 1e-12
-    assert rep.label == rep.regime
+    assert rep.label == "compressible"
 
 
 def test_classify_validation():
@@ -218,3 +223,28 @@ def test_classify_validation():
     with pytest.raises(ValueError, match="<= 0.1 for a sphere layer"):
         classify("sphere", 0.5, chi=0.3)
     assert classify("sphere", 0.1, chi=0.3).label == "incompressible"
+
+
+@pytest.mark.parametrize("xi", [math.nan, -1.0, 0.0, 0.2, 2.0])
+def test_classify_sphere_checks_xi_through_sphere_geometry(xi):
+    # a sphere layer's xi has one domain and one message, whichever
+    # function is handed it
+    with pytest.raises(ValueError) as want:
+        SphereGeometry.of(xi)
+    with pytest.raises(ValueError) as got:
+        classify("sphere", xi, chi=0.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_regime_report_holds_each_value_once():
+    names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    assert names(RegimeReport) == ["geometry", "xi", "chi", "zeta", "zeta_bar",
+                                   "zeta_tilde", "zeta_c", "zeta_i",
+                                   "tolerance", "label"]
+    assert not [k for k, v in vars(RegimeReport).items()
+                if isinstance(v, property)]
+    assert names(ZetaFamily) == ["xi", "chi", "zeta", "zeta_bar", "zeta_tilde"]
+    # the report carries the zeta family's values as they are
+    rep = classify("plate", 1e-2, chi=0.5)
+    assert (rep.xi, rep.chi, rep.zeta, rep.zeta_bar, rep.zeta_tilde) \
+        == dataclasses.astuple(zeta_family(1e-2, 0.5))

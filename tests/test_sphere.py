@@ -318,6 +318,24 @@ def test_solver_answers_pinned(xi, chi, psi, panels, residual_sup):
     assert abs(sol.A.meta["residual_sup"] / residual_sup - 1.0) <= 1e-12
 
 
+def test_cached_profile_is_read_only():
+    # a repeat solve hands every caller the one cached profile, so no
+    # caller may change it: each write raises (each writes the values
+    # already there, so a build that let it through keeps its answers)
+    sol = solve_sphere(1e-2, 1.0)
+    poly, meta = sol.A.s_form, sol.A.meta
+    for arr in (poly.edges, poly.coefs, poly.half, poly.mid, poly._series,
+                meta["edges"]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
+    with pytest.raises(TypeError):
+        meta["dual_sup_rel"] = meta["dual_sup_rel"]
+    again = solve_sphere(1e-2, 1.0)
+    assert again.A is sol.A
+    assert sphere_force(again).psi == 3.3698332109639195
+    assert again.A.meta["panels"] == meta["panels"]
+
+
 TABLE_CELLS = [(xi, chi) for xi in (1e-5, 1e-4, 1e-3, 1e-2)
                for chi in (1e-3, 1e-2, 0.1, 1.0)]
 
