@@ -227,24 +227,22 @@ class MaterialParams:
 class LayerConfig:
     """Geometry and loading of one bonded-layer problem.
 
-    kind is "plate" (layer of half-thickness h between rigid plates of
-    radius a) or "sphere" (layer between rigid spheres of radius a with
-    minimum half-gap h), and xi = h/a lies in (0, 1); h = xi a is derived,
-    not stored.  U is the prescribed half-approach of the rigid bodies and
-    mu the layer shear modulus; both only scale dimensional output.  a and
-    mu must lie in (0, inf) and U must be finite (U = 0 and U < 0 are
-    allowed); NaN fails every check.
+    a is the radius of the rigid plates or spheres and h the layer's
+    half-thickness (its minimum half-gap between spheres); xi = h/a lies
+    in (0, 1), and h = xi a is derived, not stored.  The geometry is the
+    solution's type (PlateSolution or SphereSolution), not a field.  U is
+    the prescribed half-approach of the rigid bodies and mu the layer
+    shear modulus; both only scale dimensional output.  a and mu must lie
+    in (0, inf) and U must be finite (U = 0 and U < 0 are allowed); NaN
+    fails every check.
     """
 
-    kind: str
     xi: float
     a: float = 1.0
     U: float = 1.0
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("plate", "sphere"):
-            raise ValueError(f"kind must be 'plate' or 'sphere', got {self.kind!r}")
         check_positive("a", self.a)
         check_positive("mu", self.mu)
         check_finite("U", self.U)

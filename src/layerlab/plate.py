@@ -332,7 +332,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
                         np.abs(a2s))
     for r_spot, res, scale in zip(spots, residuals, scales):
-        if abs(res) > 1e-12 * scale:
+        if not abs(res) <= 1e-12 * scale:
             raise NumericsError(
                 f"radial profile residual {res:.3e} exceeds 1e-12*{scale:.3e} "
                 f"at R = {r_spot} (xi = {xi}, chi = {chi})"
@@ -373,7 +373,7 @@ def solve_plate(xi: float, chi: Optional[float] = None, *,
     """Build a PlateSolution for thickness ratio xi and material given by
     chi, nu, or both (cross-checked to 1e-10 if both; see resolve_chi)."""
     chi = resolve_chi(chi=chi, nu=nu)
-    return PlateSolution(LayerConfig("plate", xi, a=a, U=U, mu=mu), chi)
+    return PlateSolution(LayerConfig(xi, a=a, U=U, mu=mu), chi)
 
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,40 +253,37 @@ def _d2(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _residual_terms(u_r_fn, u_z_fn, xi, m, rr, zz, mode):
-    """Raw term arrays of both scaled equations on the grid core."""
-    R2, Z2 = np.meshgrid(rr, zz, indexing="ij")
-    ur = np.asarray(u_r_fn(R2, Z2), dtype=float)
-    uz = np.asarray(u_z_fn(R2, Z2), dtype=float)
+# the meter's one grid: _GRID_N points a side, R over _R_WINDOW (inside
+# the rim 1/sqrt(xi) >= 3.16 of every sphere layer)
+_GRID_N = 201
+_R_WINDOW = (0.25, 2.5)
+
+
+def _weights(xi, m, mode):
+    """The six equation weights, (r-equation, z-equation), in the term
+    order of _residual_terms: u_r,ZZ, u_z,ZR, the Bessel operator on u_r;
+    u_z,ZZ, u_r,ZR + u_r,Z/R, the Laplacian on u_z."""
+    if mode == "dominant":
+        return (1.0, 1.0, 1.0), (1.0, 1.0, 0.0)
+    return ((m / xi ** 2, (1.0 + m) / xi ** 1.5, (1.0 + 2.0 * m) / xi),
+            ((1.0 + 2.0 * m) / xi ** 2, (1.0 + m) / xi ** 1.5, m / xi))
+
+
+def _residual_terms(ur, uz, rr, zz, weights):
+    """Weighted term arrays of both scaled equations on the grid core,
+    from the fields ur, uz sampled on the meshgrid of rr and zz."""
     hr = rr[1] - rr[0]
     hz = zz[1] - zz[0]
     Rcol = rr[:, None]
-
-    ur_zz = _d2(ur, hz, 1)
-    uz_zz = _d2(uz, hz, 1)
     ur_r = _d1(ur, hr, 0)
-    uz_rr = _d2(uz, hr, 0)
-    ur_rr = _d2(ur, hr, 0)
-    ur_z = _d1(ur, hz, 1)
     uz_r = _d1(uz, hr, 0)
-    uz_zr = _d1(_d1(uz, hr, 0), hz, 1)
-    ur_zr = _d1(_d1(ur, hr, 0), hz, 1)
-
-    bessel_ur = ur_rr + ur_r / Rcol - ur / (Rcol * Rcol)
-    if mode == "dominant":
-        terms_r = [ur_zz, uz_zr, bessel_ur]
-        terms_z = [uz_zz, ur_zr + ur_z / Rcol]
-    else:
-        terms_r = [m / xi ** 2 * ur_zz,
-                   (1.0 + m) / xi ** 1.5 * uz_zr,
-                   (1.0 + 2.0 * m) / xi * bessel_ur]
-        terms_z = [(1.0 + 2.0 * m) / xi ** 2 * uz_zz,
-                   (1.0 + m) / xi ** 1.5 * (ur_zr + ur_z / Rcol),
-                   m / xi * (uz_rr + uz_r / Rcol)]
+    raw_r = (_d2(ur, hz, 1), _d1(uz_r, hz, 1),
+             _d2(ur, hr, 0) + ur_r / Rcol - ur / (Rcol * Rcol))
+    raw_z = (_d2(uz, hz, 1), _d1(ur_r, hz, 1) + _d1(ur, hz, 1) / Rcol,
+             _d2(uz, hr, 0) + uz_r / Rcol)
     core = (slice(2, -2), slice(2, -2))
-    terms_r = [t[core] for t in terms_r]
-    terms_z = [t[core] for t in terms_z]
-    return terms_r, terms_z, float(np.max(np.abs(uz)))
+    return ([w * t[core] for w, t in zip(weights[0], raw_r)],
+            [w * t[core] for w, t in zip(weights[1], raw_z)])
 
 
 def _norms_from_terms(terms_r, terms_z):
@@ -301,61 +298,52 @@ def _norms_from_terms(terms_r, terms_z):
 
 
 def navier_residual(fields, xi: float, mu_over_lambda: float, *,
-                    r_window: Optional[tuple] = None, n: int = 201,
                     mode: str = "full") -> ResidualNorms:
     """Measure how well a displacement pair satisfies the scaled system.
 
-    ``fields`` is (u_r, u_z), each callable on broadcast (R, Z) arrays,
-    and mu_over_lambda must be finite.
-    The residual of both scaled equations is formed with 4th-order
-    centered differences on an n-by-n rectangle
-    [r_lo, r_hi] x [-0.9 g(r_lo), 0.9 g(r_lo)] (inside the layer since
-    the gap grows with R) and normalized by the largest retained term.
-    ``r_window`` = (r_lo, r_hi) defaults to (0.25, 2.5), inside the rim
-    1/sqrt(xi) >= 3.16 of every sphere layer.
-    mode="dominant" drops the xi / mu-over-lambda weights and tests only
-    the dominant-balance pair, which the Theta fields satisfy
-    identically.
+    ``fields(R, Z)`` returns the pair (u_r, u_z) on broadcast (R, Z)
+    arrays, as the two direct series do; mu_over_lambda must be finite.
+    ``fields`` is called once, on the meshgrid of a fixed 201-by-201
+    rectangle [0.25, 2.5] x [-0.9 g(0.25), 0.9 g(0.25)], inside the layer
+    (the gap grows with R) and inside the rim 1/sqrt(xi) >= 3.16 of every
+    sphere layer.  The residual of both scaled equations is formed there
+    with 4th-order centered differences and normalized by the largest
+    retained term.  mode="dominant" drops the xi / mu-over-lambda weights
+    and tests only the dominant-balance pair, which the Theta fields
+    satisfy identically.
 
     If every retained term is at rounding level (an exact uniform-strain
     field, say), the residual is reported as zero rather than dividing
-    noise by noise.  A step-halving disagreement above 10% raises
-    NumericsError (grid too coarse for the field passed in); the halving
-    comparison is waived when both grids put the normalized residual
+    noise by noise: the floor is 1e-10 times the largest weight magnitude
+    times sup |u_z|, so it holds for any sign of the weights.  A
+    step-halving check reruns the differences on the even-index slices
+    of the same evaluation, the grid of twice the step; a disagreement
+    above 10% raises NumericsError (grid too coarse for the field passed
+    in).  The check is waived when both grids put the normalized residual
     under 1e-4, where the value is differencing noise on a field that
-    satisfies the equations far beyond series accuracy and the
-    comparison would only compare noise with noise.
+    satisfies the equations far beyond series accuracy and the comparison
+    would only compare noise with noise.
     """
-    u_r_fn, u_z_fn = fields
     geo = SphereGeometry.of(xi)
-    xi = geo.xi
     m = check_finite("mu_over_lambda", mu_over_lambda)
     if mode not in ("full", "dominant"):
         raise ValueError(f"mode must be 'full' or 'dominant', got {mode!r}")
-    if r_window is None:
-        r_window = (0.25, 2.5)
-    r_lo, r_hi = map(float, r_window)
-    if not (0.0 < r_lo < r_hi <= geo.r_edge):
-        raise ValueError(f"r_window {r_window} outside (0, 1/sqrt(xi)]")
-    n = int(n)
-    if n < 13 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 13")
-    z_max = 0.9 * geo.gap(r_lo)
-    rr = np.linspace(r_lo, r_hi, n)
-    zz = np.linspace(-z_max, z_max, n)
-
-    terms_r, terms_z, uz_sup = _residual_terms(u_r_fn, u_z_fn, xi, m, rr, zz, mode)
-    N, sup_r, sup_z, l2_r, l2_z = _norms_from_terms(terms_r, terms_z)
-
-    weight = (1.0 + 2.0 * m) / xi ** 2 if mode == "full" else 1.0
-    noise_floor = 1e-10 * weight * max(uz_sup, 1e-300)
-    if N < noise_floor:
+    weights = _weights(geo.xi, m, mode)
+    z_max = 0.9 * geo.gap(_R_WINDOW[0])
+    rr = np.linspace(*_R_WINDOW, _GRID_N)
+    zz = np.linspace(-z_max, z_max, _GRID_N)
+    ur, uz = (np.asarray(u, dtype=float)
+              for u in fields(*np.meshgrid(rr, zz, indexing="ij")))
+    N, sup_r, sup_z, l2_r, l2_z = _norms_from_terms(
+        *_residual_terms(ur, uz, rr, zz, weights))
+    w_max = max(map(abs, weights[0] + weights[1]))
+    if N < 1e-10 * w_max * max(float(np.max(np.abs(uz))), 1e-300):
         return ResidualNorms(0.0, 0.0, 0.0, 0.0, normalization=N)
 
     # step-halving consistency: the even-index subgrid doubles h
-    terms_r2, terms_z2, _ = _residual_terms(u_r_fn, u_z_fn, xi, m,
-                                            rr[::2], zz[::2], mode)
-    N2, sup_r2, sup_z2, _, _ = _norms_from_terms(terms_r2, terms_z2)
+    even = (slice(None, None, 2),) * 2
+    N2, sup_r2, sup_z2, _, _ = _norms_from_terms(*_residual_terms(
+        ur[even], uz[even], rr[::2], zz[::2], weights))
     fine = max(sup_r, sup_z) / N
     coarse = max(sup_r2, sup_z2) / N2
     if (max(fine, coarse) >= 1e-4

@@ -154,8 +154,7 @@ from scipy import special
 
 from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
 from .materials import LayerConfig, resolve_chi
-from .plate import (CHI_INCOMPRESSIBLE, FieldSample, _field_block,
-                    _field_sample)
+from .plate import FieldSample, _field_block, _field_sample
 
 __all__ = [
     "SphereGeometry",
@@ -524,7 +523,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     """
     chi = resolve_chi(chi, nu)
     geo = SphereGeometry.of(xi)
-    cfg = LayerConfig("sphere", geo.xi, a=a, U=U, mu=mu)
+    cfg = LayerConfig(geo.xi, a=a, U=U, mu=mu)
     return SphereSolution(cfg, geo, chi, _radial_bvp(geo, chi, float(tol)))
 
 
@@ -682,12 +681,14 @@ def psi_extremes(xi: float, chi: float) -> PsiExtremes:
     """Limiting force factors (incompressible plateau, compressible log).
 
     ``psi_i = 1/(4 xi)`` is chi-independent; ``psi_c = ln(1/(2 xi))/chi**2``
-    diverges as chi -> 0 and is reported as inf there.  Requires
+    diverges as chi -> 0.  It is finite for every chi whose square is
+    nonzero (at xi = 1e-2, chi = 5e-11 gives 1.56e21), and reported as
+    inf at chi = 0 and wherever chi**2 underflows to 0.  Requires
     ``0 < xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
     """
     chi = resolve_chi(chi)
     xi = SphereGeometry.of(xi).xi
     psi_i = 0.25 / xi
-    if chi < CHI_INCOMPRESSIBLE:
+    if chi * chi == 0.0:
         return PsiExtremes(psi_i=psi_i, psi_c=math.inf)
     return PsiExtremes(psi_i=psi_i, psi_c=math.log(0.5 / xi) / (chi * chi))

@@ -204,11 +204,6 @@ def field_entries() -> dict:
     return out
 
 
-def _pair(fn):
-    """(u_r, u_z) callables from one function returning the pair."""
-    return (lambda R, Z: fn(R, Z)[0], lambda R, Z: fn(R, Z)[1])
-
-
 def series_entries() -> dict:
     """The series regimes, hashes of both direct series on every grid
     form, and the Navier residual norms of both series and of the Theta
@@ -232,9 +227,9 @@ def series_entries() -> dict:
             for form, (R, Z) in _grids(geo.r_edge, geo.gap).items():
                 out[f"{name} series xi={xi!r} {form}"] = _digests(
                     dict(zip(("u_r", "u_z"), fn(R, Z))))
-        pairs = {name: (_pair(fn), m) for name, (fn, m) in series.items()}
-        pairs["theta"] = ((theta.u_r0, theta.u_z0), xi)
-        for name, (fields, m) in pairs.items():
+        series["theta"] = (lambda R, Z: (theta.u_r0(R, Z),
+                                         theta.u_z0(R, Z)), xi)
+        for name, (fields, m) in series.items():
             for mode in ("full", "dominant"):
                 out[f"navier_residual {name} xi={xi!r} {mode}"] = {
                     "norms": _hexes(navier_residual(fields, xi, m,
@@ -314,6 +309,7 @@ _MORE = (
     ("sphere-force", "--xi", "1e-5", "--chi", "1e-3", "--tol", "1e-12",
      "--json"),
     ("sphere-force", "--xi", "1e-2", "--chi", "0", "--json"),
+    ("sphere-force", "--xi", "1e-2", "--chi", "5e-11", "--json"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-3", "--chi",
      "0.5", "--json"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-4", "--nu",
@@ -359,6 +355,10 @@ _MORE = (
      "nan"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "-1"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "2"),
+    # errors: plate closed forms past double range (Python float errors)
+    ("plate-force", "--xi", "1e-200", "--chi", "1"),
+    ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
+    ("plate-force", "--xi", "5e-324", "--chi", "1"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

@@ -187,8 +187,7 @@ def test_criterion_8_series_cross_check():
 
     def res_at(x):
         r = navier_residual(
-            (lambda R, Z: compressible_series_fields(x, 1.0, 1.0, R, Z)[0],
-             lambda R, Z: compressible_series_fields(x, 1.0, 1.0, R, Z)[1]),
+            lambda R, Z: compressible_series_fields(x, 1.0, 1.0, R, Z),
             x, 1.0)
         return max(r.sup_r, r.sup_z)
 

@@ -153,6 +153,20 @@ def test_sphere_force_residual_floor_exits_3(capsys):
                         r"\[[0-9.e+-]+, [0-9.e+-]+\].*\n", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ("plate-force", "--xi", "1e-200", "--chi", "1"),     # OverflowError
+    ("plate-modulus", "--xi", "1e-170", "--chi", "1"),   # ZeroDivisionError
+    ("plate-force", "--xi", "5e-324", "--chi", "1"),     # ZeroDivisionError
+], ids=" ".join)
+def test_float_errors_past_double_range_exit_3(capsys, argv):
+    # a plate closed form that leaves double range raises one of Python's
+    # float errors; it is a numerical failure, reported in one line with
+    # no traceback and no data
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_sphere_force_invalid_tolerance_exits_2(capsys, tol):
     # a tolerance no residual can meet is a usage error, raised before

@@ -130,19 +130,16 @@ def test_material_params_reject_nonpositive_mu(mu):
 
 
 def test_layer_config_construction_and_validation():
-    cfg = LayerConfig("plate", 1e-3, a=2.0, U=0.5, mu=3.0)
+    cfg = LayerConfig(1e-3, a=2.0, U=0.5, mu=3.0)
     assert cfg.h == 2e-3 and cfg.xi == 1e-3
     # each value is held once: h = xi a is derived, not stored
     assert [f.name for f in dataclasses.fields(LayerConfig)] == [
-        "kind", "xi", "a", "U", "mu"]
-    assert LayerConfig("sphere", 1e-2) == LayerConfig(
-        kind="sphere", xi=1e-2, a=1.0, U=1.0, mu=1.0)
+        "xi", "a", "U", "mu"]
+    assert LayerConfig(1e-2) == LayerConfig(xi=1e-2, a=1.0, U=1.0, mu=1.0)
     with pytest.raises(ValueError):
-        LayerConfig("cube", 1e-3)
-    with pytest.raises(ValueError):
-        LayerConfig("plate", 0.0)
+        LayerConfig(0.0)
     with pytest.raises(TypeError):
-        LayerConfig("plate", 0.4, h=0.5)
+        LayerConfig(0.4, h=0.5)
 
 
 @pytest.mark.parametrize("name", ["a", "mu", "U"])
@@ -154,19 +151,17 @@ def test_layer_config_rejects_nonfinite_scales(name, value):
     rule = "must be finite" if name == "U" else "must be positive and finite"
     msg = f"{name} {rule}, got {value}"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        LayerConfig("plate", 1e-3, **scales)
+        LayerConfig(1e-3, **scales)
 
 
 def test_layer_config_keeps_zero_and_negative_approach():
     for U in (0.0, -2.0):
-        assert LayerConfig("sphere", 1e-3, U=U).U == U
+        assert LayerConfig(1e-3, U=U).U == U
     with pytest.raises(ValueError, match=re.escape(
             "a must be positive and finite, got -1.0")):
-        LayerConfig("plate", 1e-3, a=-1.0)
+        LayerConfig(1e-3, a=-1.0)
 
 
-# a uniform strain, which navier_residual takes at any finite ratio
-_FIELDS = (lambda R, Z: 0.3 * R, lambda R, Z: 0.7 * Z)
 # every consumer of check_positive and check_finite, with the scale it
 # checks and whether that scale must be positive; each call is valid but
 # for that one scale
@@ -175,10 +170,9 @@ _SCALE_CHECKS = {
         lambda v: MaterialParams.from_nu(0.3, mu=v), "mu", True),
     "MaterialParams.from_chi": (
         lambda v: MaterialParams.from_chi(1.0, mu=v), "mu", True),
-    "LayerConfig a": (lambda v: LayerConfig("plate", 1e-3, a=v), "a", True),
-    "LayerConfig mu": (lambda v: LayerConfig("sphere", 1e-3, mu=v), "mu",
-                       True),
-    "LayerConfig U": (lambda v: LayerConfig("plate", 1e-3, U=v), "U", False),
+    "LayerConfig a": (lambda v: LayerConfig(1e-3, a=v), "a", True),
+    "LayerConfig mu": (lambda v: LayerConfig(1e-3, mu=v), "mu", True),
+    "LayerConfig U": (lambda v: LayerConfig(1e-3, U=v), "U", False),
     "solve_plate a": (lambda v: plate.solve_plate(0.1, 1.0, a=v), "a", True),
     "solve_sphere mu": (lambda v: sphere.solve_sphere(1e-2, 1.0, mu=v), "mu",
                         True),
@@ -213,8 +207,10 @@ _SCALE_CHECKS = {
     "solve_theta U": (lambda v: series.solve_theta(1e-3, U=v), "U", False),
     "series_regime": (lambda v: series.series_regime(1e-3, v),
                       "mu_over_lambda", True),
-    "navier_residual": (lambda v: series.navier_residual(_FIELDS, 1e-2, v),
-                        "mu_over_lambda", False),
+    # a uniform strain, which navier_residual takes at any finite ratio
+    "navier_residual": (
+        lambda v: series.navier_residual(lambda R, Z: (0.3 * R, 0.7 * Z),
+                                         1e-2, v), "mu_over_lambda", False),
     "plate_ratio_compressible": (
         lambda v: regimes.plate_ratio_compressible(v), "zeta", True),
     "plate_ratio_incompressible": (
@@ -222,14 +218,15 @@ _SCALE_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("value",
+                         [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("consumer", list(_SCALE_CHECKS))
 def test_scale_checks_name_the_argument_and_value(consumer, value):
     # one message shape per rule, naming the argument and its value:
-    # NaN fails both rules, 0 only the positive one
+    # NaN fails both rules, 0 and -1 only the positive one
     call, name, positive = _SCALE_CHECKS[consumer]
-    if not positive and value == 0.0:
-        call(value)                     # a zero approach or ratio is legal
+    if not positive and math.isfinite(value):
+        call(value)             # a zero or negative approach or ratio is legal
         return
     rule = "must be positive and finite" if positive else "must be finite"
     with pytest.raises(ValueError) as exc:

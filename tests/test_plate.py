@@ -2,12 +2,13 @@
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from layerlab.kernels import integrate
+from layerlab.kernels import NumericsError, integrate
 from layerlab.plate import (
     apparent_modulus,
     compressible_superposition,
@@ -28,6 +29,18 @@ CHI_GRID = [1e-3, 0.3, 0.7, 1.0, 1.4]
 # ---------------------------------------------------------------------------
 # Radial profile A(R)
 # ---------------------------------------------------------------------------
+
+def test_radial_profile_self_check_fails_on_nan():
+    # at xi = 1e-156 the forcing 1/(2 xi^2) overflows and the residual at
+    # the self-check spots is NaN; the check fails on it instead of
+    # letting s_rr = nan through (numpy warns first, so the warnings of
+    # the overflowing arithmetic are ignored here)
+    sol = solve_plate(1e-156, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericsError, match="radial profile residual nan"):
+            field(sol, 0.5, 0.5)
+
 
 @pytest.mark.parametrize("xi, chi, branch", [
     (0.1, 0.0, "incompressible"), (0.1, 0.1, "bessel"), (1e-3, 0.7, "bessel"),

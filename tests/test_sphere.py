@@ -44,7 +44,6 @@ def test_geometry_scalings():
     sol = solve_sphere(1e-2, 0.5)
     assert abs(sol.geo.r_edge - 10.0) < 1e-12
     assert abs(sol.geo.gap(2.0) - 3.0) < 1e-15
-    assert sol.cfg.kind == "sphere"
     assert sol.geo == SphereGeometry.of(1e-2)
 
 
@@ -613,6 +612,10 @@ def test_psi_extremes_closed_forms():
             psi_extremes(1e-3, chi)
     assert psi_extremes(XI_MAX_SPHERE, 1.5).psi_c > 0.0
     assert psi_extremes(1e-3, 0.0).psi_c == math.inf
+    # ln(1/(2 xi))/chi**2 has no cancellation: it is finite below the
+    # plate's chi = 1e-10 family, and inf only where chi**2 is 0
+    assert psi_extremes(1e-2, 5e-11).psi_c == 1.5648092021712583e+21
+    assert psi_extremes(1e-3, 1e-170).psi_c == math.inf    # chi**2 underflows
 
 
 def test_printed_reference_cells_two_digit():
