@@ -10,7 +10,8 @@ Overflow policy: modified Bessel functions are only ever exposed in scaled
 form (e^{-x} I_0, e^{-x} I_1, from scipy.special.i0e/i1e) or as the ratio
 t = I_1/I_0 of the two, so no quantity here overflows for any argument
 the solvers produce.  The one difference that cancels, x - 2t ~ x^3/8 as
-x -> 0, has its own series form (x_minus_2t).
+x -> 0, is formed from its own series and kept on the same record
+(BesselRatioEval.x_minus_2t).
 
 The BVP solver ships two independent discretizations ("primary": degree-10
 Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
@@ -21,8 +22,9 @@ s = R**2,
 
     4 s A_ss + 2 (1 + m) A_s + q A = f,        m = R p,
 
-with the caller's m, q, f and their s-derivatives given as functions of
-s.  The axis row is the equation itself at s = 0,
+given by the caller as one pair (ode, ode_s) of functions of s: ode(s)
+returns (m, q, f) and ode_s(s) their s-derivatives, each evaluated once
+per node array.  The axis row is the equation itself at s = 0,
 (2 + 2 m(0)) A_s + q(0) A = f(0): a polynomial meets it only on the
 regular solution, so there is no truncation of the axis and no grading
 toward it.  A'' and A''' are read off the same equation, with no 1/R
@@ -60,7 +62,6 @@ __all__ = [
     "QuadratureLimit",
     "BesselRatioEval",
     "bessel_ratio",
-    "x_minus_2t",
     "QuadratureResult",
     "integrate",
     "find_root",
@@ -128,26 +129,30 @@ class QuadratureLimit(NumericsError):
 
 @dataclass(frozen=True)
 class BesselRatioEval:
-    """t = I_1(x)/I_0(x) together with the scaled values e^{-x}I_0(x) and
-    e^{-x}I_1(x).  All finite for every x >= 0."""
+    """t = I_1(x)/I_0(x) together with the scaled value e^{-x}I_0(x) and
+    the difference x - 2t, formed without cancellation.  All finite for
+    every x >= 0."""
 
     x: float
     t: float
     scaled_i0: float
-    scaled_i1: float
+    x_minus_2t: float
 
 
 def bessel_ratio(x: float) -> BesselRatioEval:
-    """Evaluate t = I_1/I_0 and the scaled pair e^{-x}(I_0, I_1) with
-    scipy.special.i0e/i1e.
+    """Evaluate t = I_1/I_0 and e^{-x}I_0 with scipy.special.i0e/i1e, and
+    x - 2t: P(x)/I_0(x) from the positive series P below x = 2 (where
+    x - 2t ~ x^3/8 would cancel), the plain difference at and above 2
+    (where it is at least 0.6 and benign).
 
     Requires x >= 0.  t(0) = 0; t increases strictly toward 1.
     """
     if x < 0.0:
         raise ValueError(f"bessel_ratio requires x >= 0, got {x}")
     i0e = float(_sp_special.i0e(x))
-    i1e = float(_sp_special.i1e(x))
-    return BesselRatioEval(x, i1e / i0e, i0e, i1e)
+    t = float(_sp_special.i1e(x)) / i0e
+    d = _p_cancel_free(x) / (math.exp(x) * i0e) if x < 2.0 else x - 2.0 * t
+    return BesselRatioEval(x, t, i0e, d)
 
 
 def _p_cancel_free(x: float) -> float:
@@ -166,17 +171,6 @@ def _p_cancel_free(x: float) -> float:
         if term < 1e-17 * s:
             break
     return s
-
-
-def x_minus_2t(ev: BesselRatioEval) -> float:
-    """x - 2 I_1(x)/I_0(x) for the evaluation ev at x, without
-    cancellation: P(x)/I_0(x) from the positive series P below x = 2
-    (where x - 2t ~ x^3/8 would cancel), x - 2t at and above 2 (where the
-    difference is at least 0.6 and benign)."""
-    x = ev.x
-    if x < 2.0:
-        return _p_cancel_free(x) / (math.exp(x) * ev.scaled_i0)
-    return x - 2.0 * ev.t
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +554,11 @@ def _design_matrices(deg: int, kind: str):
     return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2], v0[-1], v1[-2], v1[-1])
 
 
-def _coef_on(fn, ss):
-    """fn evaluated elementwise on the node array ss, as float of ss's
-    shape (a callable returning a constant is broadcast)."""
-    return np.broadcast_to(np.asarray(fn(ss), dtype=float), ss.shape)
-
-
-def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
+def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
     """Build and solve the banded collocation system of
-    4 s v'' + 2 (1 + m) v' + q v = f on the s panels edges: the
-    (npan, deg + 1) panel coefficients, or LinAlgError on a singular or
-    non-finite solve.
+    4 s v'' + 2 (1 + m) v' + q v = f, the equation (ode, ode_s), on the s
+    panels edges: the (npan, deg + 1) panel coefficients, or LinAlgError
+    on a singular or non-finite solve.
 
     left_row/right_row: (coef_on_v, coef_on_v', rhs) at the first/last
     mesh point.
@@ -595,9 +583,11 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     # collocation blocks, (npan, mcol, ncoef), each row scaled by its max
     h = halves[:, None, None]
     ss = mids[:, None] + halves[:, None] * tpts
+    # a coefficient given as a constant is broadcast to the nodes
+    m, q, f = np.broadcast_arrays(ss, *equation[0](ss))[1:]
     block = (4.0 * ss[:, :, None] * v2 / (h * h)
-             + 2.0 * (1.0 + _coef_on(m, ss))[:, :, None] * v1 / h
-             + _coef_on(q, ss)[:, :, None] * v0)
+             + 2.0 * (1.0 + m)[:, :, None] * v1 / h
+             + q[:, :, None] * v0)
     scale = np.max(np.abs(block), axis=2)
     scale[scale == 0.0] = 1.0
     block /= scale[:, :, None]
@@ -621,7 +611,7 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     # the right-hand side in the same slots, one row down (the left row
     # is row 0); the last panel's unused k = deg slot falls off the end
     rhs = np.zeros(npan * ncoef + 1)
-    rhs[1:].reshape(npan, ncoef)[:, :mcol] = _coef_on(f, ss) / scale
+    rhs[1:].reshape(npan, ncoef)[:, :mcol] = f / scale
 
     # boundary rows: row 0 (panel 0's k = -1) and the last row
     ca, cb, b = left_row
@@ -644,17 +634,18 @@ def _assemble_and_solve(m, q, f, edges, deg, kind, left_row, right_row):
     return sol.reshape(npan, ncoef)
 
 
-def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
+def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
                      method: str = "primary") -> RadialSolution:
     """Solve 4 s A_ss + 2 (1 + m) A_s + q A = f in s = R**2 on
     [0, mesh[-1]**2] for the A that is regular on the axis.  In R it
     reads A'' + p A' + q A = f, with m = R p.
 
-    coeffs: (m, q, f, m_s, q_s, f_s), callables of s evaluated
+    equation: the pair (ode, ode_s) of functions of s, evaluated
     elementwise on float arrays of any shape (the solver passes 2-D node
-    arrays, one row per panel) and on scalars at the interval ends; the
-    last three are the s-derivatives of the first three.  A callable may
-    return a plain constant; it is broadcast to the shape of its argument.
+    arrays, one row per panel) and on scalars at the interval ends:
+    ode(s) returns (m, q, f), and ode_s(s) their s-derivatives
+    (m_s, q_s, f_s).  Any of them may be a plain constant; it is
+    broadcast to the shape of the argument.
 
     The axis row is the equation itself at s = 0,
     (2 + 2 m(0)) A_s + q(0) A = f(0), which a polynomial meets only on
@@ -705,9 +696,9 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    m, q, f = coeffs[:3]
-    left_row = (float(q(0.0)), 2.0 + 2.0 * float(m(0.0)), float(f(0.0)))
-    right_row = _rim_row(coeffs, right, r_e)
+    m0, q0, f0 = map(float, equation[0](0.0))
+    left_row = (q0, 2.0 + 2.0 * m0, f0)
+    right_row = _rim_row(equation, right, r_e)
     if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
@@ -717,14 +708,14 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
         try:
-            coefs = _assemble_and_solve(m, q, f, s_edges, deg, kind,
+            coefs = _assemble_and_solve(equation, s_edges, deg, kind,
                                         left_row, right_row)
         except LinAlgError as err:
             raise SingularSystem(
                 f"singular system in BVP collocation solve ({err}): method "
                 f"{method!r}, degree {deg}, {len(edges) - 1} panels") from err
         poly = PanelPoly(s_edges, coefs)
-        res_sup, scale, panel_sups = _residual_check(m, q, f, poly, deg)
+        res_sup, scale, panel_sups = _residual_check(equation, poly, deg)
         over = panel_sups > tol * scale
         if not over.any():
             break
@@ -748,11 +739,11 @@ def solve_linear_bvp(coeffs, right, tol: float = 1e-10, *, mesh,
     }
     _frozen(poly.edges, poly.coefs, poly.half, poly.mid, poly._series,
             meta["edges"])
-    return RadialSolution(terms=partial(_panel_terms, coeffs, poly),
+    return RadialSolution(terms=partial(_panel_terms, equation, poly),
                           meta=meta, s_form=poly)
 
 
-def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
+def solve_dual_bvp(equation, right, tol, where, *, mesh) -> RadialSolution:
     """Solve one regular-axis BVP (see solve_linear_bvp) with both
     discretizations and cross-check them.
 
@@ -766,9 +757,9 @@ def solve_dual_bvp(coeffs, right, tol, where, *, mesh) -> RadialSolution:
     read-only mapping, and the panel arrays are read-only (see
     solve_linear_bvp), since a cached solution is shared by every caller.
     """
-    primary = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh,
+    primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
                                method="primary")
-    alt = solve_linear_bvp(coeffs, right, tol=tol, mesh=mesh, method="alt")
+    alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh, method="alt")
     s = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
     a_p = primary.s_form.value(s)
     a_a = alt.s_form.value(s)
@@ -820,16 +811,15 @@ def _tolerance_not_met(tol, passes, stalled, res_sup, scale, edges, over):
         passes=passes)
 
 
-def _residual_check(m, q, f, poly: PanelPoly, deg):
-    """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f for the solved
-    panels poly, on a grid ~10x finer than the collocation spacing, the
-    residual scale max(sup|f|, sup|q*v|), and the sup residual of every
-    panel on the same grid.  All panels are evaluated at once, on the
-    degree's cached nodes and Vandermonde."""
+def _residual_check(equation, poly: PanelPoly, deg):
+    """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f, the equation
+    (ode, ode_s), for the solved panels poly, on a grid ~10x finer than
+    the collocation spacing, the residual scale max(sup|f|, sup|q*v|),
+    and the sup residual of every panel on the same grid.  All panels are
+    evaluated at once, on the degree's cached nodes and Vandermonde."""
     ss, (av, a1, a2) = poly.grid(*_check_nodes(deg))
-    qv = _coef_on(q, ss)
-    fv = _coef_on(f, ss)
-    res = 4.0 * ss * a2 + 2.0 * (1.0 + _coef_on(m, ss)) * a1 + qv * av - fv
+    m, qv, fv = np.broadcast_arrays(ss, *equation[0](ss))[1:]
+    res = 4.0 * ss * a2 + 2.0 * (1.0 + m) * a1 + qv * av - fv
     panel_sups = np.max(np.abs(res), axis=1)
     scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
     if scale == 0.0:
@@ -837,7 +827,7 @@ def _residual_check(m, q, f, poly: PanelPoly, deg):
     return float(np.max(panel_sups)), scale, panel_sups
 
 
-def _rim_row(coeffs, right, r_e: float):
+def _rim_row(equation, right, r_e: float):
     """The rim condition right = (alpha, beta, gamma, delta), meaning
     alpha A + beta A' + gamma A'' = delta at R = r_e, as the row
     (on A, on A_s, rhs) in the s-form unknowns: with A' = 2 r_e A_s and
@@ -845,17 +835,15 @@ def _rim_row(coeffs, right, r_e: float):
 
         (alpha - gamma q) A + 2 (r_e beta - gamma m) A_s = delta - gamma f,
 
-    with the coefficients of coeffs taken at s = r_e**2."""
-    m, q, f = coeffs[:3]
+    with m, q and f of the equation (ode, ode_s) taken at s = r_e**2."""
     alpha, beta, gamma, delta = right
-    s_e = r_e * r_e
-    return (alpha - gamma * float(q(s_e)),
-            2.0 * (r_e * beta - gamma * float(m(s_e))),
-            delta - gamma * float(f(s_e)))
+    m, q, f = map(float, equation[0](r_e * r_e))
+    return (alpha - gamma * q, 2.0 * (r_e * beta - gamma * m),
+            delta - gamma * f)
 
 
-def _ode_terms(coeffs, r, av, a_s, a_ss, third):
-    """RadialSolution.terms of a profile of the equation of coeffs, from
+def _ode_terms(equation, r, av, a_s, a_ss, third):
+    """RadialSolution.terms of a profile of the equation (ode, ode_s), from
     its A, A_s and A_ss on the float array r: A, A', A'', A''' (None
     unless third), A_s and A_ss.  A' comes from A_s; A'' and A''' are
     read off the equation and its s-derivative:
@@ -865,28 +853,29 @@ def _ode_terms(coeffs, r, av, a_s, a_ss, third):
         A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
 
     none of which divides by R, so the axis is an ordinary point."""
+    ode, ode_s = equation
     s = r * r
-    m, q, f = (fn(s) for fn in coeffs[:3])
+    m, q, f = ode(s)
     a2 = f - 2.0 * m * a_s - q * av
     a3 = None
     if third:
-        m_s, q_s, f_s = (fn(s) for fn in coeffs[3:])
+        m_s, q_s, f_s = ode_s(s)
         a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
                         - q * a_s)
     return av, 2.0 * r * a_s, a2, a3, a_s, a_ss
 
 
-def _panel_terms(coeffs, poly: PanelPoly, r, third):
+def _panel_terms(equation, poly: PanelPoly, r, third):
     """RadialSolution.terms of the panels poly, solved in s = R**2 for
-    the equation of coeffs (see _ode_terms)."""
-    return _ode_terms(coeffs, r, *poly(r * r), third)
+    the equation (ode, ode_s) (see _ode_terms)."""
+    return _ode_terms(equation, r, *poly(r * r), third)
 
 
-def closed_form_profile(coeffs, right, r_e: float, solutions, *,
+def closed_form_profile(equation, right, r_e: float, solutions, *,
                         scale: float = 1.0,
                         meta: Optional[dict] = None) -> RadialSolution:
-    """scale times the profile A of the equation coeffs, regular on the
-    axis and meeting the rim condition right at r_e (both as
+    """scale times the profile A of the equation (ode, ode_s), regular on
+    the axis and meeting the rim condition right at r_e (both as
     solve_linear_bvp takes them), from its closed form A = P + C H.
     solutions(s) gives ((P, P_s, P_ss), (H, H_s, H_ss)) on the float
     array s = R**2, elementwise: a particular solution and the
@@ -896,14 +885,14 @@ def closed_form_profile(coeffs, right, r_e: float, solutions, *,
 
     meta holds method "closed form" and C (that of A, before scale),
     updated with the caller's meta; s_form is None: there are no panels."""
-    c_a, c_s, rhs = _rim_row(coeffs, right, r_e)
+    c_a, c_s, rhs = _rim_row(equation, right, r_e)
     (p0, p_s, _), (h0, h_s, _) = solutions(np.array([r_e * r_e]))
     c = float((rhs - c_a * p0[0] - c_s * p_s[0])
               / (c_a * h0[0] + c_s * h_s[0]))
 
     def terms(r, third):
         (p0, p_s, p_ss), (h0, h_s, h_ss) = solutions(r * r)
-        out = _ode_terms(coeffs, r, p0 + c * h0, p_s + c * h_s,
+        out = _ode_terms(equation, r, p0 + c * h0, p_s + c * h_s,
                          p_ss + c * h_ss, third)
         return tuple(None if v is None else scale * v for v in out)
 

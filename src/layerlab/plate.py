@@ -21,9 +21,12 @@ integral_{-1}^{1} sigma_rr(1, Z) dZ vanishes.  The solution is
     c_b   = 3 (3 - 2 chi^2) / ((3 - chi^2) (3 - 2 xi chi t)),  t = I_1/I_0 (kappa),
 
 kept entirely in scaled-Bessel form so nothing overflows for any kappa.
-Below chi = 1e-10 the incompressible-limit family A = (1 - R^2)/(8 xi^2)
-takes over (the 1/chi^2 factors above are indeterminate there although the
-combined fields stay finite).
+Where chi < 1e-10 and kappa < 1e-6 the incompressible-limit family
+A = (1 - R^2)/(8 xi^2) takes over (the 1/chi^2 factors above are
+indeterminate at chi = 0 although the combined fields stay finite, and
+at kappa < 1e-6 the family's G = 1 is within kappa^2/6 < 2e-13 of the
+Bessel form's).  _edge makes that choice once for the profile, the force
+and the moduli.
 
 Fields, with B(R) = chi^2 A - 1/2:
 
@@ -55,7 +58,7 @@ import numpy as np
 from scipy import special as _sp_special
 
 from .kernels import (BesselRatioEval, NumericsError, RadialSolution,
-                      bessel_ratio, x_minus_2t)
+                      bessel_ratio)
 from .materials import (CHI_MAX, LayerConfig, check_chi, check_finite,
                         check_positive, check_xi, resolve_chi)
 
@@ -75,10 +78,12 @@ __all__ = [
     "compressible_superposition",
 ]
 
-# The incompressible closed-form family takes over below this chi.  The
-# general expressions have finite chi -> 0 limits, but their 1/chi^2
-# factors make direct evaluation indeterminate at chi = 0.
+# The incompressible closed-form family takes over below this chi, where
+# also chi/xi < _KAPPA_INCOMPRESSIBLE (see _edge).  The general
+# expressions have finite chi -> 0 limits, but their 1/chi^2 factors make
+# direct evaluation indeterminate at chi = 0.
 CHI_INCOMPRESSIBLE = 1e-10
+_KAPPA_INCOMPRESSIBLE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -235,6 +240,18 @@ def _w_series(x):
     return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
+def _edge(xi: float, chi: float) -> Optional[BesselRatioEval]:
+    """The Bessel record at the edge x = chi/xi, after checking xi and chi,
+    or None where the incompressible family takes over: chi < 1e-10 and
+    chi/xi < 1e-6.  There 1 - G ~ (chi/xi)^2/6 is below 2e-13; at
+    chi/xi >= 1e-6 the Bessel form is kept however small chi is."""
+    check_xi(xi)
+    check_chi(chi)
+    if chi < CHI_INCOMPRESSIBLE and chi / xi < _KAPPA_INCOMPRESSIBLE:
+        return None
+    return bessel_ratio(chi / xi)
+
+
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
@@ -248,19 +265,20 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     each bracket divided by 2 chi^2 in closed form: the first through the
     cancellation-free x - 2t at kappa, the second through its power series
     in kappa below kappa = 2.  Neither subtracts terms of size 1/chi^2, so
-    A keeps full accuracy as chi/xi -> 0, down to chi = 1e-10, below which
-    the incompressible family A = (1 - R^2)/(8 xi^2) takes over.  The
-    factor (3 - chi^2) in c_b vanishes only at chi = sqrt(3) ~ 1.732,
-    outside the admissible [0, 3/2] (the range check rejects it), so it is
-    not special-cased.  A cheap residual self-check at R = 0.5 and R = 1
-    guards the assembled profile.  eval(R) gives (A, A', A'', A''') for
-    scalar or array R, and eval2(R) the first three, the same doubles,
-    without the A''' pass (see RadialSolution).
+    A keeps full accuracy as chi/xi -> 0, down to chi = 1e-10 and
+    kappa = 1e-6, below both of which the incompressible family
+    A = (1 - R^2)/(8 xi^2) takes over (_edge).  The factor (3 - chi^2) in
+    c_b vanishes only at chi = sqrt(3) ~ 1.732, outside the admissible
+    [0, 3/2] (the range check rejects it), so it is not special-cased.
+    A cheap residual self-check at R = 0.5 and R = 1 guards the assembled
+    profile; arithmetic that overflows there (a forcing 1/(2 xi^2) past
+    the float range) fails it with NumericsError alone, with no numpy
+    warning first.  eval(R) gives (A, A', A'', A''') for scalar or array
+    R, and eval2(R) the first three, the same doubles, without the A'''
+    pass (see RadialSolution).
     """
-    check_xi(xi)
-    check_chi(chi)
-
-    if chi < CHI_INCOMPRESSIBLE:
+    edge = _edge(xi, chi)
+    if edge is None:
         inv = 1.0 / (8.0 * xi * xi)
 
         def terms(r, third):
@@ -273,14 +291,13 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
                 "xi": xi, "chi": chi}
         return RadialSolution(terms=terms, meta=meta)
 
-    kappa = chi / xi
-    edge = bessel_ratio(kappa)
+    kappa = edge.x
     c2 = chi * chi
     dt = 3.0 - 2.0 * xi * chi * edge.t          # (3 I_0 - 2 xi chi I_1)/I_0
     c_b = 3.0 * (3.0 - 2.0 * c2) / ((3.0 - c2) * dt)
     ck = -0.5 * c_b / c2                        # C I_0(kappa) in A = 1/(2chi^2) + C I_0(kappa R)
     # A(1) = (1 - c_b)/(2 chi^2), divided through in closed form
-    a_edge = ((3.0 * x_minus_2t(edge) + 2.0 * c2 * edge.t)
+    a_edge = ((3.0 * edge.x_minus_2t + 2.0 * c2 * edge.t)
               / (2.0 * kappa * (3.0 - c2) * dt))
     # below kappa = 2, (1 - I_0(kappa R)/I_0(kappa))/(2 chi^2) =
     # sum_{m>=1} (kappa^2/4)^(m-1) (1 - R^2m)/(m!)^2 / (8 xi^2 I_0(kappa));
@@ -324,15 +341,18 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
     sol = RadialSolution(terms=terms, meta=meta)
 
-    # residual self-check at an interior and the edge spot, in one call
+    # residual self-check at an interior and the edge spot, in one call;
+    # a non-finite residual or scale fails it, so overflow is not warned
+    # about
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
-    a0, a1s, a2s = sol.eval2(spots)
-    residuals = a2s + a1s / spots - kappa * kappa * a0 + forcing
-    scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
-                        np.abs(a2s))
+    with np.errstate(invalid="ignore", over="ignore"):
+        a0, a1s, a2s = sol.eval2(spots)
+        residuals = a2s + a1s / spots - kappa * kappa * a0 + forcing
+        scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
+                            np.abs(a2s))
     for r_spot, res, scale in zip(spots, residuals, scales):
-        if not abs(res) <= 1e-12 * scale:
+        if not abs(res) <= 1e-12 * scale < math.inf:
             raise NumericsError(
                 f"radial profile residual {res:.3e} exceeds 1e-12*{scale:.3e} "
                 f"at R = {r_spot} (xi = {xi}, chi = {chi})"
@@ -456,12 +476,12 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 # Force and apparent moduli
 # ---------------------------------------------------------------------------
 
-def _g(xi: float, chi: float, ev: BesselRatioEval, d: float) -> float:
-    """G from the edge evaluation ev at x = chi/xi and d = x - 2t."""
+def _g(xi: float, chi: float, ev: BesselRatioEval) -> float:
+    """G from the edge evaluation ev at x = chi/xi."""
     c2 = chi * chi
     three = 3.0 - c2
     t = ev.t
-    num = 3.0 * three * d + 2.0 * c2 * c2 * t
+    num = 3.0 * three * ev.x_minus_2t + 2.0 * c2 * c2 * t
     den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
     return 8.0 * num / den
 
@@ -477,16 +497,14 @@ def force_factor(xi: float, chi: float) -> float:
             [x^3 (3 - chi^2) (3 - 2 xi chi t)],
 
     the closed form in I_0, I_1 divided through by I_0, which is exact
-    algebra for every x.  x - 2t comes from kernels.x_minus_2t, free of
-    its ~x^2/8 relative cancellation at small x; every other term is
-    positive, so G is cancellation-free over the whole parameter range.
+    algebra for every x.  x - 2t comes from the edge record
+    (kernels.bessel_ratio), free of its ~x^2/8 relative cancellation at
+    small x; every other term is positive, so G is cancellation-free over
+    the whole parameter range.  Where chi < 1e-10 and x < 1e-6 the
+    incompressible family's G = 1 is returned (_edge).
     """
-    check_xi(xi)
-    check_chi(chi)
-    if chi < CHI_INCOMPRESSIBLE:
-        return 1.0
-    ev = bessel_ratio(chi / xi)
-    return _g(xi, chi, ev, x_minus_2t(ev))
+    edge = _edge(xi, chi)
+    return 1.0 if edge is None else _g(xi, chi, edge)
 
 
 def force(sol: PlateSolution) -> float:
@@ -537,16 +555,15 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
             f"singular at chi = 3/2 (E = 0), got {chi}"
         )
     e_i = 1.0 / (8.0 * xi * xi)
-    if chi < CHI_INCOMPRESSIBLE:
+    ev = _edge(xi, chi)
+    if ev is None:
         return ApparentModuli(e_i, e_i, math.inf, e_i)
     c2 = chi * chi
     three = 3.0 - c2
     nine4 = 9.0 - 4.0 * c2
     e_c = 3.0 * three / (c2 * nine4)
-    ev = bessel_ratio(chi / xi)
-    d = x_minus_2t(ev)
-    e_hat = 3.0 * three * _g(xi, chi, ev, d) / (8.0 * xi * xi * nine4)
-    num = 9.0 * d + 2.0 * c2 * nine4 * ev.t
+    e_hat = 3.0 * three * _g(xi, chi, ev) / (8.0 * xi * xi * nine4)
+    num = 9.0 * ev.x_minus_2t + 2.0 * c2 * nine4 * ev.t
     den = ev.x ** 3 * nine4 * (3.0 - 2.0 * xi * chi * ev.t)
     e_l = three * num / (xi * xi * den)
     return ApparentModuli(e_hat, e_i, e_c, e_l)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .kernels import bessel_ratio, find_root, x_minus_2t
+from .kernels import bessel_ratio, find_root
 from .materials import (check_positive, check_xi, nu_from_chi, resolve_chi,
                         zeta_family)
 from .sphere import SphereGeometry
@@ -68,7 +68,7 @@ def plate_ratio_compressible(zeta: float) -> float:
     y = 1/zeta, 1 / (1 - 2 t(y)/y), the difference formed without
     cancellation as (y - 2t)/y."""
     y = 1.0 / check_positive("zeta", zeta)
-    return 1.0 / (x_minus_2t(bessel_ratio(y)) / y)
+    return 1.0 / (bessel_ratio(y).x_minus_2t / y)
 
 
 def plate_ratio_incompressible(zeta: float) -> float:

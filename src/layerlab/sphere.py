@@ -262,34 +262,22 @@ class PotentialSample:
 
 
 def _ode_coefficients(xi: float, chi: float):
-    """The s-form coefficient callables (m, q, f, m_s, q_s, f_s) of A,
-    functions of s = R**2."""
+    """The s-form equation of A as the pair (ode, ode_s), functions of
+    s = R**2: ode(s) gives (m, q, f) and ode_s(s) their s-derivatives
+    (m_s, q_s, f_s), each forming sigma = s + 2 once."""
     c2 = chi * chi
 
-    def m(s):
-        return (7.0 * s + 2.0) / (s + 2.0)
-
-    def q(s):
+    def ode(s):
         sg = s + 2.0
-        return -4.0 * c2 / (xi * sg * sg)
+        return ((7.0 * s + 2.0) / sg, -4.0 * c2 / (xi * sg * sg),
+                -4.0 / (sg * sg * sg))
 
-    def f(s):
+    def ode_s(s):
         sg = s + 2.0
-        return -4.0 / (sg * sg * sg)
+        return (12.0 / (sg * sg), 8.0 * c2 / (xi * sg * sg * sg),
+                12.0 / (sg * sg * sg * sg))
 
-    def m_s(s):
-        sg = s + 2.0
-        return 12.0 / (sg * sg)
-
-    def q_s(s):
-        sg = s + 2.0
-        return 8.0 * c2 / (xi * sg * sg * sg)
-
-    def f_s(s):
-        sg = s + 2.0
-        return 12.0 / (sg * sg * sg * sg)
-
-    return m, q, f, m_s, q_s, f_s
+    return ode, ode_s
 
 
 def _edge_closure(geo: SphereGeometry, chi: float):

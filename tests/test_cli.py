@@ -167,6 +167,16 @@ def test_float_errors_past_double_range_exit_3(capsys, argv):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
+def test_profile_self_check_failure_is_one_line(capsys):
+    # the self-check's overflowing arithmetic warns nothing (a warning is
+    # an error in this suite): the failure is its one line, with no data
+    rc, out, err = run(capsys, "plate-field", "--xi", "1e-156", "--chi", "1",
+                       "--nr", "3", "--nz", "2", "--csv")
+    assert rc == 3 and out == ""
+    assert err == ("numerical failure: radial profile residual nan exceeds "
+                   "1e-12*nan at R = 0.5 (xi = 1e-156, chi = 1.0)\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_sphere_force_invalid_tolerance_exits_2(capsys, tol):
     # a tolerance no residual can meet is a usage error, raised before

@@ -26,7 +26,6 @@ from layerlab.kernels import (
     integrate,
     solve_dual_bvp,
     solve_linear_bvp,
-    x_minus_2t,
 )
 from layerlab.regimes import plate_ratio_compressible, plate_ratio_incompressible
 from layerlab.sphere import (SphereGeometry, _edge_closure, _ode_coefficients,
@@ -55,9 +54,7 @@ def test_bessel_ratio_scaled_values():
     for x in [0.3, 2.0, 20.0, 800.0]:
         ev = bessel_ratio(x)
         want0 = float(mpmath.exp(-x) * mpmath.besseli(0, x))
-        want1 = float(mpmath.exp(-x) * mpmath.besseli(1, x))
         assert abs(ev.scaled_i0 - want0) < 1e-13 * want0
-        assert abs(ev.scaled_i1 - want1) < 1e-13 * max(want1, 1e-300)
 
 
 def test_bessel_ratio_limits():
@@ -70,16 +67,17 @@ def test_bessel_ratio_limits():
 
 
 def test_x_minus_2t_against_mpmath():
-    # x - 2 I1(x)/I0(x) ~ x^3/8 at small x: the series branch below x = 2
-    # and the direct difference at and above it, both to full precision
+    # x - 2 I1(x)/I0(x) ~ x^3/8 at small x, as bessel_ratio's record
+    # holds it: the series branch below x = 2 and the direct difference
+    # at and above it, both to full precision
     mpmath.mp.dps = 40
     for x in [1e-8, 1e-5, 1e-3, 0.05, 0.3, 1.0, 1.5, 1.999, 2.0, 2.001,
               3.0, 15.0, 100.0, 1e4]:
         xm = mpmath.mpf(x)
         want = xm - 2 * mpmath.besseli(1, xm) / mpmath.besseli(0, xm)
-        got = x_minus_2t(bessel_ratio(x))
+        got = bessel_ratio(x).x_minus_2t
         assert abs(got - want) < 1e-14 * abs(want), x
-    assert x_minus_2t(bessel_ratio(0.0)) == 0.0
+    assert bessel_ratio(0.0).x_minus_2t == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +203,17 @@ def test_find_root_nan_value_raises():
 # ---------------------------------------------------------------------------
 
 
-def _const(c):
-    """Vectorized constant coefficient for the BVP solver."""
-    return lambda s: np.full_like(np.asarray(s, dtype=float), c)
+def _const(*values):
+    """A function of s giving the constants values, each as an array of
+    the shape of s: one side of an (ode, ode_s) pair."""
+    return lambda s: tuple(np.full_like(np.asarray(s, dtype=float), c)
+                           for c in values)
 
 
 def _bessel(q=-1.0, f=-1.0):
-    """s-form coefficients of A'' + A'/R + q A = f with constant q and f:
-    m = R p = 1 and every s-derivative 0."""
-    return (_const(1.0), _const(q), _const(f),
-            _const(0.0), _const(0.0), _const(0.0))
+    """The s-form pair (ode, ode_s) of A'' + A'/R + q A = f with constant
+    q and f: m = R p = 1 and every s-derivative 0."""
+    return _const(1.0, q, f), _const(0.0, 0.0, 0.0)
 
 
 _MESH = np.linspace(0.0, 5.0, 25)
@@ -265,8 +264,7 @@ def test_bvp_plain_float_coefficients():
     # coefficients that return a constant instead of an array of the
     # argument's shape give the same solution as the vectorized ones
     ref = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
-    plain = (lambda s: 1.0, lambda s: -1.0, lambda s: -1.0,
-             lambda s: 0.0, lambda s: 0.0, lambda s: 0.0)
+    plain = (lambda s: (1.0, -1.0, -1.0), lambda s: (0.0, 0.0, 0.0))
     sol = solve_linear_bvp(plain, _ZERO_RIM, tol=1e-11, mesh=_MESH)
     assert sol.meta["panels"] == ref.meta["panels"]
     rr = np.linspace(0.0, 5.0, 101)
@@ -459,22 +457,22 @@ def test_bvp_singular_system_raises():
 
 
 def _nan_inside(s):
-    # q = -1 except on 4 < s < 9, where it is NaN
+    # _bessel()'s (m, q, f), but q = -1 except on 4 < s < 9, where it is NaN
     s = np.asarray(s, dtype=float)
-    return np.where((s > 4.0) & (s < 9.0), np.nan, -1.0)
+    return (np.ones_like(s), np.where((s > 4.0) & (s < 9.0), np.nan, -1.0),
+            np.full_like(s, -1.0))
 
 
 @pytest.mark.parametrize("method", ["primary", "alt"])
-@pytest.mark.parametrize("coeffs", [
-    _bessel(q=np.nan), _bessel(f=np.nan),
-    (_const(1.0), _nan_inside, _const(-1.0)) + _bessel()[3:],
+@pytest.mark.parametrize("equation", [
+    _bessel(q=np.nan), _bessel(f=np.nan), (_nan_inside, _bessel()[1]),
 ], ids=["q", "f", "q-inside"])
-def test_bvp_nan_coefficient_raises_singular_system(coeffs, method):
+def test_bvp_nan_coefficient_raises_singular_system(equation, method):
     # a NaN coefficient poisons the band or the right-hand side: LAPACK
     # either meets a NaN pivot or returns NaN, and both surface as
     # SingularSystem with the LinAlgError as its cause
     with pytest.raises(SingularSystem, match=f"method '{method}'") as exc:
-        solve_linear_bvp(coeffs, _ZERO_RIM, mesh=_MESH, method=method)
+        solve_linear_bvp(equation, _ZERO_RIM, mesh=_MESH, method=method)
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -492,7 +490,7 @@ def test_chebder_rows_is_chebder_bit_for_bit(deg):
 
 
 def _sphere_problem(xi, chi):
-    """The sphere profile's (coeffs, right, mesh) at (xi, chi)."""
+    """The sphere profile's (equation, right, mesh) at (xi, chi)."""
     geo = SphereGeometry.of(xi)
     return (_ode_coefficients(xi, chi), _edge_closure(geo, chi),
             _sphere_edges(geo))
@@ -503,8 +501,8 @@ def test_panel_value_matches_full_evaluation_bit_for_bit(method):
     # PanelPoly.value is the first of __call__'s three products: on the
     # axis, on every panel edge (where locate switches panels), at the rim
     # and on the dual comparison's 1501 points, as 1-D and 2-D arrays
-    coeffs, right, mesh = _sphere_problem(1e-3, 0.5)
-    poly = solve_linear_bvp(coeffs, right, mesh=mesh, method=method).s_form
+    equation, right, mesh = _sphere_problem(1e-3, 0.5)
+    poly = solve_linear_bvp(equation, right, mesh=mesh, method=method).s_form
     s_cmp = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
     for s in (np.array([0.0]), poly.edges, poly.edges[-1:], s_cmp,
               s_cmp[:1500].reshape(30, 50)):
@@ -519,9 +517,10 @@ def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
     # primary: the reported dual_sup_rel is the one recomputed through
     # each solve's full evaluator on the same 1501 points ("theta-1e-3" is
     # the operator of Theta's closed form, chi**2 = 3 xi, at load 1)
-    coeffs, right, mesh = _sphere_problem(xi, chi)
-    sol = solve_dual_bvp(coeffs, right, 1e-10, "on a sphere cell", mesh=mesh)
-    ref, alt = (solve_linear_bvp(coeffs, right, tol=1e-10, mesh=mesh,
+    equation, right, mesh = _sphere_problem(xi, chi)
+    sol = solve_dual_bvp(equation, right, 1e-10, "on a sphere cell",
+                         mesh=mesh)
+    ref, alt = (solve_linear_bvp(equation, right, tol=1e-10, mesh=mesh,
                                  method=method) for method in ("primary", "alt"))
     rr = np.linspace(0.0, float(mesh[-1]), 1501)
     a_ref = ref.eval(rr)[0]
@@ -535,8 +534,9 @@ def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
 # Batched collocation kernel against its per-panel loop form
 # ---------------------------------------------------------------------------
 
-def _loop_solve(m, q, f, edges, deg, kind, left_row, right_row):
-    """Per-panel assembly of 4 s v'' + 2 (1 + m) v' + q v = f and band
+def _loop_solve(equation, edges, deg, kind, left_row, right_row):
+    """Per-panel assembly of 4 s v'' + 2 (1 + m) v' + q v = f, the
+    equation (ode, ode_s), and band
     solve, emitting the rows one by one in the kernel's order (left row;
     each panel's collocation rows, then its continuity pair with the next
     panel; right row) and writing each entry on its own into band
@@ -564,14 +564,15 @@ def _loop_solve(m, q, f, edges, deg, kind, left_row, right_row):
     for i in range(npan):
         h = halves[i]
         ss = mids[i] + h * tpts
+        m, q, f = equation[0](ss)
         block = (4.0 * ss[:, None] * v2 / (h * h)
-                 + 2.0 * (1.0 + m(ss))[:, None] * v1 / h
-                 + q(ss)[:, None] * v0)
+                 + 2.0 * (1.0 + m)[:, None] * v1 / h
+                 + q[:, None] * v0)
         scale = np.max(np.abs(block), axis=1)
         scale[scale == 0.0] = 1.0
         block /= scale[:, None]
         for k in range(len(tpts)):
-            add(range(i * nc, (i + 1) * nc), block[k], f(ss)[k] / scale[k])
+            add(range(i * nc, (i + 1) * nc), block[k], f[k] / scale[k])
         if i < npan - 1:
             span = range(i * nc, (i + 2) * nc)
             add(span, list(er) + list(-el), 0.0)
@@ -582,7 +583,7 @@ def _loop_solve(m, q, f, edges, deg, kind, left_row, right_row):
                         check_finite=False).reshape(npan, nc)
 
 
-def _loop_residual(m, q, f, edges, coefs, deg):
+def _loop_residual(equation, edges, coefs, deg):
     """Residual sup, scale and per-panel sups, each panel through its own
     one-panel PanelPoly."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
@@ -590,14 +591,15 @@ def _loop_residual(m, q, f, edges, coefs, deg):
     for i in range(len(edges) - 1):
         ss, (av, a1, a2) = PanelPoly(edges[i:i + 2], coefs[i:i + 1]).grid(
             tt, chebvander(tt, deg))
-        res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
+        m, q, f = equation[0](ss)
+        res = 4.0 * ss * a2 + 2.0 * (1.0 + m) * a1 + q * av - f
         panel_sups.append(float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(f(ss)))),
-                    float(np.max(np.abs(q(ss) * av))))
+        scale = max(scale, float(np.max(np.abs(f))),
+                    float(np.max(np.abs(q * av))))
     return max(panel_sups), scale, panel_sups
 
 
-def _clenshaw_residual(m, q, f, edges, coefs, deg):
+def _clenshaw_residual(equation, edges, coefs, deg):
     """Residual sup, scale and per-panel sups, one Clenshaw call per
     panel: an evaluation independent of PanelPoly's Vandermonde rule."""
     tt = np.linspace(-1.0, 1.0, 10 * (deg - 1) + 2)[1:-1]
@@ -611,10 +613,11 @@ def _clenshaw_residual(m, q, f, edges, coefs, deg):
         av = chebval(tt, coefs[i])
         a1 = chebval(tt, dco[:, i]) / h
         a2 = chebval(tt, d2co[:, i]) / (h * h)
-        res = 4.0 * ss * a2 + 2.0 * (1.0 + m(ss)) * a1 + q(ss) * av - f(ss)
+        m, q, f = equation[0](ss)
+        res = 4.0 * ss * a2 + 2.0 * (1.0 + m) * a1 + q * av - f
         panel_sups.append(float(np.max(np.abs(res))))
-        scale = max(scale, float(np.max(np.abs(f(ss)))),
-                    float(np.max(np.abs(q(ss) * av))))
+        scale = max(scale, float(np.max(np.abs(f))),
+                    float(np.max(np.abs(q * av))))
     return max(panel_sups), scale, panel_sups
 
 
@@ -625,23 +628,23 @@ def test_batched_kernel_matches_loop_form_bit_for_bit(problem, method):
     # passes them
     deg, kind = method
     if problem in ("bessel", "one-panel"):
-        m, q, f = _bessel()[:3]
+        equation = _bessel()
         # one panel: no continuity rows between the two boundary rows
         edges = np.linspace(0.0, 5.0, 13 if problem == "bessel" else 2) ** 2
     else:
-        m, q, f = _ode_coefficients(1e-2, 1.0)[:3]
+        equation = _ode_coefficients(1e-2, 1.0)
         edges = _sphere_edges(SphereGeometry.of(1e-2)) ** 2
     rows = ((0.0, 1.0, 0.0), (1.0, 0.5, 0.25))
-    want = _loop_solve(m, q, f, edges, deg, kind, *rows)
-    got = _assemble_and_solve(m, q, f, edges, deg, kind, *rows)
+    want = _loop_solve(equation, edges, deg, kind, *rows)
+    got = _assemble_and_solve(equation, edges, deg, kind, *rows)
     assert np.array_equal(got, want)
     res_sup, scale, panel_sups = _residual_check(
-        m, q, f, PanelPoly(edges, got), deg)
-    loop_sup, loop_scale, loop_panels = _loop_residual(m, q, f, edges,
+        equation, PanelPoly(edges, got), deg)
+    loop_sup, loop_scale, loop_panels = _loop_residual(equation, edges,
                                                         want, deg)
     assert (res_sup, scale) == (loop_sup, loop_scale)
     assert panel_sups.tolist() == loop_panels
-    ref_sup, ref_scale, ref_panels = _clenshaw_residual(m, q, f, edges,
+    ref_sup, ref_scale, ref_panels = _clenshaw_residual(equation, edges,
                                                         want, deg)
     assert abs(res_sup - ref_sup) <= 1e-15 * ref_scale
     assert abs(scale - ref_scale) <= 1e-15 * ref_scale

@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -33,13 +32,20 @@ CHI_GRID = [1e-3, 0.3, 0.7, 1.0, 1.4]
 def test_radial_profile_self_check_fails_on_nan():
     # at xi = 1e-156 the forcing 1/(2 xi^2) overflows and the residual at
     # the self-check spots is NaN; the check fails on it instead of
-    # letting s_rr = nan through (numpy warns first, so the warnings of
-    # the overflowing arithmetic are ignored here)
+    # letting s_rr = nan through, and the overflowing arithmetic warns
+    # nothing first (a warning is an error in this suite)
     sol = solve_plate(1e-156, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NumericsError, match="radial profile residual nan"):
-            field(sol, 0.5, 0.5)
+    with pytest.raises(NumericsError, match="radial profile residual nan"):
+        field(sol, 0.5, 0.5)
+
+
+def test_radial_profile_self_check_fails_on_infinite_scale():
+    # at (1e-150, 1.5e-156) chi**2 is subnormal and 1/chi**2 overflows:
+    # A' and A'' are -inf at the spots, and so are the residual and its
+    # scale; an infinite scale fails the check as NaN does
+    with pytest.raises(NumericsError, match=re.escape(
+            "radial profile residual -inf exceeds 1e-12*inf")):
+        radial_profile(1e-150, 1.5e-156)
 
 
 @pytest.mark.parametrize("xi, chi, branch", [
@@ -127,6 +133,35 @@ def _profile_mp(xi, chi, rr):
         out.append([(1 - c_b * i0 / i0k) / (2 * chi**2), ck * kappa * i1,
                     ck * kappa**2 * (i0 - i1x), ck * kappa**3 * w])
     return np.array(out, dtype=float).T
+
+
+def test_family_switch_needs_small_chi_over_xi():
+    # below chi = 1e-10 a layer with chi/xi >= 1e-6 keeps its Bessel
+    # form: at xi = 1e-12, kappa = chi/xi runs 50-100 across the switch,
+    # G ~ 8 xi^2/chi^2 there, and the family's G = 1 would be far off
+    xi = 1e-12
+    for below, above in ((force_factor(xi, 9.99e-11), force_factor(xi, 1e-10)),
+                         (apparent_modulus(xi, 9.99e-11).e_hat,
+                          apparent_modulus(xi, 1e-10).e_hat)):
+        assert abs(below / above - 1.0) < 0.01
+    rr = np.concatenate((np.linspace(0.0, 1.0, 41), [0.98, 0.99, 0.995]))
+    want = _profile_mp(xi, 5e-11, rr)
+    got = radial_profile(xi, 5e-11).eval(rr)
+    for k in range(4):
+        sup = float(np.max(np.abs(want[k])))
+        assert float(np.max(np.abs(got[k] - want[k]))) < 1e-12 * sup, k
+
+
+@pytest.mark.parametrize("xi", [1e-12, 1e-6, 1e-3])
+def test_closed_forms_choose_one_branch(xi):
+    # the profile, the force and the moduli switch to the incompressible
+    # family together: where chi < 1e-10 and chi/xi < 1e-6
+    for chi in (0.0, 5e-11, 1e-10, 1e-9):
+        family = chi < 1e-10 and chi / xi < 1e-6
+        branch = radial_profile(xi, chi).meta["branch"]
+        assert branch == ("incompressible" if family else "bessel"), chi
+        assert (force_factor(xi, chi) == 1.0) == family, chi
+        assert (apparent_modulus(xi, chi).e_hat_c == math.inf) == family, chi
 
 
 def test_profile_small_chi_over_xi_against_mpmath():
@@ -430,12 +465,16 @@ def test_compressible_superposition_state():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["mu", "a", "U"])
+@pytest.mark.parametrize("name", ["mu", "a"])
 def test_compressible_superposition_rejects_nonfinite_scales(name, value):
-    # mu and a lie in (0, inf) and U is finite; U = 0 and U < 0 stay legal
-    rule = "must be finite" if name == "U" else "must be positive and finite"
-    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}, got {value}")):
+    # mu and a lie in (0, inf)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be positive and finite, got {value}")):
         compressible_superposition(0.1, 1.0, **{name: value})
+
+
+def test_compressible_superposition_takes_zero_and_negative_U():
+    # U is finite, and U = 0 and U < 0 stay legal
     for U in (0.0, -1.0):
         st = compressible_superposition(0.1, 1.0, U=U)
         assert all(map(math.isfinite, (st.s_rr, st.s_zz, st.edge_load)))
