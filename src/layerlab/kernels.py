@@ -381,6 +381,11 @@ class PanelPoly:
         return np.einsum("...k,...k->...", _cheb.chebvander(t, self.deg),
                          self.coefs[idx])
 
+    def end(self):
+        """The last edge x and (v, v_x, v_xx) there: the last panel's
+        series summed at t = 1, where every T_k is 1."""
+        return (float(self.edges[-1]), *self._series[-1].sum(axis=1).tolist())
+
     def grid(self, t, vander):
         """The fixed panel variables t on every panel, given with their
         Chebyshev-Vandermonde vander = chebvander(t, deg): nodes x and
@@ -756,6 +761,12 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh) -> RadialSolution:
     `where` names the problem in that message.  The returned meta is a
     read-only mapping, and the panel arrays are read-only (see
     solve_linear_bvp), since a cached solution is shared by every caller.
+
+    What the check cannot see is a fault both discretizations share: one
+    in the equation or the rim row they are both given, or in the float
+    range of the coefficients they both evaluate (an overflow or
+    underflow hits both alike).  The closed-form profiles are the
+    oracles for those.
     """
     primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
                                method="primary")

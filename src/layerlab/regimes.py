@@ -157,7 +157,7 @@ def classify(geometry: str, xi: float, chi: Optional[float] = None,
     geometry is "plate" or "sphere"; chi or nu, or both if they agree
     (``resolve_chi``).  chi = 0 is always incompressible, since every
     zeta is +inf there.  For spheres xi is checked first against the
-    sphere layer's domain (``SphereGeometry.of``: 0 < xi <= 0.1), the
+    sphere layer's domain (``SphereGeometry.of``: 1e-76 <= xi <= 0.1), the
     boundaries are the fixed constants
     zeta_bar >= SPHERE_ZETA_BAR_INCOMPRESSIBLE = 1 (incompressible) and
     zeta_tilde <= SPHERE_ZETA_TILDE_COMPRESSIBLE = 1/sqrt(10)

@@ -51,7 +51,7 @@ reports residual norms normalized by the largest retained term, so the
 asymptotic defect of each series is measured rather than assumed.
 
 The series belong to the sphere layer: every public function takes
-0 < xi <= 0.1, and every field its points, through
+1e-76 <= xi <= 0.1, and every field its points, through
 ``sphere.SphereGeometry``, the layer's one owner of that domain, the rim
 and the gap.
 """

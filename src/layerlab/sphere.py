@@ -78,16 +78,22 @@ the asymptotic stress field does not conserve at this order (a few
 percent at moderate chi); the midplane trace is the headline number and
 the surface trace stays available through ``trace="surface"``.
 
-Both integrals use one fixed Gauss-Legendre rule on the solver's own
-panels, which live in ``s = R**2`` from the axis out (``ds = 2 R dR``).
-A is a polynomial of degree <= 10 in s on each panel, and
+Neither trace needs L.  With ``M_j = integral of s**j A ds`` over
+``0 <= s <= R_e**2`` (``ds = 2 R dR``, so the 6 A / xi term gives
+``M0 / xi``) and ``c9 = 9 - 2 chi**2``: ``(R g**2 A')' = R (g**2 L +
+2 g R A')``, so the midplane bracket integrates to its rim value, and by
+parts in s, ``integral of g s A_s ds = g_e R_e**2 A(R_e) - M0 - M1``:
 
-    (R/3) F dR = F ds / 6,      A1 dR = -3 g**2 A_s ds,
+    Psi = M0 / xi - (c9 / 3) R_e g_e**2 A'(R_e)                 (midplane)
+    Psi = M0 / xi - (2 c9 / 3) (g_e R_e**2 A(R_e) - M0 - M1)    (surface)
 
-with ``L = 4 s A_ss + 4 A_s`` and ``R A' = 2 s A_s`` inside the force
-integrand F, so both integrands are polynomials of degree <= 11 in s and
-6 points per panel integrate them exactly, read straight off the panel
-polynomials.
+So the force reads A and A_s at the rim and A's moments, and any profile
+whose rim values and moments are known has a force.  The moments, and
+the potential's ``A1 dR = -3 g**2 A_s ds``, use one fixed Gauss-Legendre
+rule on the solver's own panels, which live in s from the axis out: A is
+a polynomial of degree <= 10 in s on each panel, so 6 points per panel
+integrate ``A``, ``s A`` and ``g**2 A_s`` exactly, read straight off the
+panel polynomials.
 
 Closed-form anchors used by the tests: for ``chi = 0`` the profile is
 ``A = 1/(2 sigma**2) - xi**2 / (2 (1 + 2 xi)**2)`` with
@@ -170,9 +176,12 @@ __all__ = [
 ]
 
 XI_MAX_SPHERE = 0.1
+# from xi ~ 7e-78 down, ode_s's 12 / sigma**4 (the fields' A''') overflows
+# at the rim
+XI_MIN_SPHERE = 1e-76
 
 
-# exact for the degree <= 11 force and potential integrands in s
+# exact for the force's moments of A and the potential's g**2 A_s in s
 _GL_N = 6
 _GL_S = np.polynomial.legendre.leggauss(_GL_N)
 
@@ -194,11 +203,16 @@ class SphereGeometry:
     @classmethod
     def of(cls, xi) -> "SphereGeometry":
         """The geometry at xi, after checking 0 < xi <= XI_MAX_SPHERE,
-        where the parabolic gap holds (NaN fails it)."""
+        where the parabolic gap holds (NaN fails it), and then
+        xi >= XI_MIN_SPHERE, below which the fields' coefficients leave
+        double range, each with its own message."""
         xi = float(xi)
         if not (0.0 < xi <= XI_MAX_SPHERE):
             raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} "
                              f"for a sphere layer, got {xi}")
+        if xi < XI_MIN_SPHERE:
+            raise ValueError(f"xi must be >= {XI_MIN_SPHERE} for a sphere "
+                             f"layer (below it the fields overflow), got {xi}")
         return cls(xi=xi, r_edge=1.0 / math.sqrt(xi))
 
     def gap(self, R):
@@ -501,8 +515,9 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
                  U: float = 1.0) -> SphereSolution:
     """Solve for the radial profile A(R) of the sphere-sphere layer.
 
-    Requires ``0 < xi <= 0.1`` (the parabolic-gap approximation) and
-    ``0 <= chi <= 3/2``.  Every solve runs two independent
+    Requires ``1e-76 <= xi <= 0.1`` (the parabolic-gap approximation
+    above; below the floor XI_MIN_SPHERE the fields leave double range)
+    and ``0 <= chi <= 3/2``.  Every solve runs two independent
     discretizations and requires them to agree in sup norm to
     ``min(1e-8, 100 tol)``; repeated calls with identical parameters
     reuse a cached profile.  The radial mesh depends on xi alone and
@@ -642,24 +657,22 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     ``trace="midplane"`` integrates the normal stress along Z = 0 (the
     headline value); ``trace="surface"`` integrates it along the bonded
     surface Z = gap(R).  The two agree in the extreme regimes and differ
-    by a few percent in between.  The integral is the exact 6-point
-    Gauss-Legendre rule on every solver panel in s = R**2, read straight
-    off the panel polynomials.
+    by a few percent in between.  Each trace is its rim identity (module
+    docstring): A and A_s at the rim, read as the last panel's series at
+    its end, and the moments M0 (and M1, for the surface) by the exact
+    6-point Gauss-Legendre rule on every solver panel in s = R**2.  No
+    A_ss is read, so the force holds down to XI_MIN_SPHERE, where A_ss
+    underflows on the tail's nodes.
     """
     if trace not in ("midplane", "surface"):
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
-    xi = sol.xi
-    c9 = 9.0 - 2.0 * sol.chi * sol.chi
-    s, w, (a0, a_s, a_ss) = sol.A.s_form.gauss(_GL_N)
-    g = 1.0 + 0.5 * s
-    r_a1 = 2.0 * s * a_s                    # R A'
-    if trace == "midplane":
-        L = 4.0 * (s * a_ss + a_s)          # A'' + A'/R
-        core = -c9 * (L * g * g + 2.0 * g * r_a1)
-    else:
-        core = -2.0 * c9 * g * r_a1
-    # (R/3) F dR = F ds / 6
-    psi = float(np.sum(w * (core + 6.0 * a0 / xi))) / 6.0
+    s, w, (a0, _, _) = sol.A.s_form.gauss(_GL_N)
+    se, ae, ae_s, _ = sol.A.s_form.end()
+    ge, m0 = 1.0 + 0.5 * se, float(np.sum(w * a0))
+    # R_e g_e**2 A'(R_e), or g_e R_e**2 A(R_e) - M0 - M1, with A' = 2 R A_s
+    rim = (2.0 * se * ge * ge * ae_s if trace == "midplane"
+           else 2.0 * (se * ge * ae - m0 - float(np.sum(w * s * a0))))
+    psi = m0 / sol.xi - (9.0 - 2.0 * sol.chi * sol.chi) * rim / 3.0
     cfg = sol.cfg
     return SphereForce(F=6.0 * math.pi * cfg.a * cfg.mu * cfg.U * psi,
                        psi=psi)
@@ -672,7 +685,7 @@ def psi_extremes(xi: float, chi: float) -> PsiExtremes:
     diverges as chi -> 0.  It is finite for every chi whose square is
     nonzero (at xi = 1e-2, chi = 5e-11 gives 1.56e21), and reported as
     inf at chi = 0 and wherever chi**2 underflows to 0.  Requires
-    ``0 < xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
+    ``1e-76 <= xi <= 0.1`` and ``0 <= chi <= 3/2``, as solve_sphere does.
     """
     chi = resolve_chi(chi)
     xi = SphereGeometry.of(xi).xi

@@ -23,7 +23,8 @@ __all__ = ["table4", "cell_properties", "suite"]
 # property name -> tolerance on its worst value, in the printed order
 _TOLERANCES = {"edge-resultant plate": 1e-6, "edge-resultant sphere": 1e-6,
                "dirichlet": 1e-8, "sphere dual oracle": 1e-8,
-               "plate force-from-fields": 1e-8}
+               "plate force-from-fields": 1e-8,
+               "sphere force-from-fields": 1e-8}
 
 # the edge stresses are polynomials of degree <= 3 in Z, so 4-point
 # Gauss-Legendre is exact; 41 even points set the scale of each edge
@@ -108,7 +109,7 @@ def _plate_force_from_fields(sol) -> float:
 
 
 def cell_properties(xi: float, chi: float) -> dict:
-    """The five verify-suite properties at one (xi, chi) cell, by name:
+    """The six verify-suite properties at one (xi, chi) cell, by name:
 
     - edge-resultant plate/sphere: the net rim tractions over the edge
       (both components for the plate, s_rr for the sphere), relative to
@@ -116,7 +117,13 @@ def cell_properties(xi: float, chi: float) -> dict:
     - dirichlet: worst |u_z -+ 1| on both walls of both geometries;
     - sphere dual oracle: the sup disagreement of the two independent
       radial discretizations, relative to sup|A|;
-    - plate force-from-fields: |F from the field's s_zz / plate.force - 1|.
+    - plate force-from-fields: |F from the field's s_zz / plate.force - 1|;
+    - sphere force-from-fields: |Psi from the field's midplane s_zz /
+      sphere_force's psi - 1|, the field's s_zz summed by the exact
+      6-point rule on the panels in s (Psi = sum w s_zz / 6, s_zz in units
+      of mu U/(a xi)).  It checks sphere_force's midplane rim identity
+      against the field's own A'' on the nodes; both read the same
+      profile, so it does not check the rim row.
     """
     sol = solve_plate(xi, chi=chi)
     ssol = solve_sphere(xi, chi)
@@ -140,13 +147,18 @@ def cell_properties(xi: float, chi: float) -> dict:
     walls += [(sphere_field(ssol, rs, sgn * ssol.geo.gap(rs)).u_z, sgn)
               for sgn in (1.0, -1.0)]
     worst_d = max(float(np.max(np.abs(uz - sgn))) for uz, sgn in walls)
+    s, w, _ = ssol.A.s_form.gauss(6)
+    s_zz = sphere_field(ssol, np.sqrt(s.ravel()), 0.0).s_zz
+    psi_f = xi * float(w.ravel() @ s_zz) / 6.0    # s_zz in mu U / (a xi)
 
     return {"edge-resultant plate": max(abs(q_rr), abs(q_rz)) / (2.0 * scale),
             "edge-resultant sphere": abs(q_s) / (2.0 * ge * scale_s),
             "dirichlet": worst_d,
             "sphere dual oracle": ssol.A.meta["dual_sup_rel"],
             "plate force-from-fields":
-                abs(_plate_force_from_fields(sol) / force(sol) - 1.0)}
+                abs(_plate_force_from_fields(sol) / force(sol) - 1.0),
+            "sphere force-from-fields":
+                abs(psi_f / sphere_force(ssol).psi - 1.0)}
 
 
 def suite():

@@ -310,6 +310,7 @@ _MORE = (
      "--json"),
     ("sphere-force", "--xi", "1e-2", "--chi", "0", "--json"),
     ("sphere-force", "--xi", "1e-2", "--chi", "5e-11", "--json"),
+    ("sphere-force", "--xi", "1e-76", "--chi", "1", "--json"),  # the floor
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-3", "--chi",
      "0.5", "--json"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-4", "--nu",
@@ -355,6 +356,10 @@ _MORE = (
      "nan"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "-1"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "2"),
+    # errors: below the sphere layer's floor xi = 1e-76
+    ("sphere-force", "--xi", "9.9e-77", "--chi", "1"),
+    ("regime-classify", "--geometry", "sphere", "--xi", "1e-81", "--chi",
+     "1"),
     # errors: plate closed forms past double range (Python float errors)
     ("plate-force", "--xi", "1e-200", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),

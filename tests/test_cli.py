@@ -319,7 +319,8 @@ def test_verify_suite_passes(capsys):
               ("edge-resultant sphere", "1e-06"),
               ("dirichlet", "1e-08"),
               ("sphere dual oracle", "1e-08"),
-              ("plate force-from-fields", "1e-08")]
+              ("plate force-from-fields", "1e-08"),
+              ("sphere force-from-fields", "1e-08")]
     assert len(lines) == len(checks) + 2
     for line, (name, tol) in zip(lines, checks):
         assert re.fullmatch(rf"PASS {name}: worst \d\.\d{{3}}e[+-]\d\d "

@@ -465,9 +465,9 @@ def test_compressible_superposition_state():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["mu", "a"])
+@pytest.mark.parametrize("name", ["a"])
 def test_compressible_superposition_rejects_nonfinite_scales(name, value):
-    # mu and a lie in (0, inf)
+    # a lies in (0, inf); mu is test_materials.py's "superposition mu"
     with pytest.raises(ValueError, match=re.escape(
             f"{name} must be positive and finite, got {value}")):
         compressible_superposition(0.1, 1.0, **{name: value})

@@ -14,11 +14,12 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
-from layerlab import plate, series
+from layerlab import plate, regimes, series
 from layerlab.kernels import (_MAX_REFINE, ToleranceNotMet, _split_panels,
                               integrate, solve_dual_bvp)
 from layerlab.sphere import (
     XI_MAX_SPHERE,
+    XI_MIN_SPHERE,
     PsiExtremes,
     SphereGeometry,
     _edge_closure,
@@ -331,7 +332,7 @@ def test_cached_profile_is_read_only():
         meta["dual_sup_rel"] = meta["dual_sup_rel"]
     again = solve_sphere(1e-2, 1.0)
     assert again.A is sol.A
-    assert sphere_force(again).psi == 3.3698332109639195
+    assert sphere_force(again).psi == 3.36983321096392
     assert again.A.meta["panels"] == meta["panels"]
 
 
@@ -661,3 +662,61 @@ def test_psi_approaches_incompressible_plateau():
         psi = sphere_force(solve_sphere(xi, 1e-6)).psi
         plateau = 1.0 / (4.0 * xi)
         assert 1.0 - 1e-9 < psi / plateau < 1.0 + tol, (xi, psi / plateau)
+
+
+# ---------------------------------------------------------------------------
+# The small-xi end of the domain
+# ---------------------------------------------------------------------------
+
+def test_small_xi_force_keeps_its_plateau():
+    # Psi - Psi_c settles by xi = 1e-20 and holds on both traces down to
+    # the floor XI_MIN_SPHERE (drift measured at most 2.7e-12; at chi = 1
+    # the plateau is -0.631068 midplane, +0.472786 surface), and at
+    # chi = 0, Psi = Psi_i = 1/(4 xi) on both.  A midplane trace that
+    # reads A_ss on the Gauss nodes goes wrong from xi ~ 1e-81, where
+    # A_ss underflows there
+    for chi in (0.1, 1.0, 1.5):
+        plateau = None
+        for xi in (1e-20, 1e-50, XI_MIN_SPHERE):
+            sol = solve_sphere(xi, chi)
+            psi_c = psi_extremes(xi, chi).psi_c
+            got = np.array([sphere_force(sol, trace).psi - psi_c
+                            for trace in ("midplane", "surface")])
+            plateau = got if plateau is None else plateau
+            assert np.all(np.abs(got - plateau) <= 1e-9), (xi, chi, got)
+        if chi == 1.0:
+            assert np.all(np.abs(plateau - (-0.631068, 0.472786)) < 1e-6)
+    for xi in (1e-50, XI_MIN_SPHERE):
+        sol = solve_sphere(xi, 0.0)
+        for trace in ("midplane", "surface"):
+            assert abs(4.0 * xi * sphere_force(sol, trace).psi - 1.0) <= 1e-14
+
+
+def test_fields_at_the_xi_floor_raise_no_warning():
+    # the suite turns every numpy warning into a failure: at the floor the
+    # fields, the potential and the Theta fields stay in double range out
+    # to the rim (ode_s's 12 / sigma**4 overflows from xi ~ 7e-78)
+    sol = solve_sphere(XI_MIN_SPHERE, 1.0)
+    R = np.linspace(0.0, sol.geo.r_edge, 201)[:, None]
+    Z = np.linspace(-1.0, 1.0, 5) * sol.geo.gap(R)
+    for sample in (sphere_field(sol, R, Z), sphere_potential(sol, R, Z)):
+        for value in dataclasses.astuple(sample):
+            assert np.all(np.isfinite(value))
+    theta = series.solve_theta(XI_MIN_SPHERE)
+    for value in (theta.u_r0(R, Z), theta.u_z0(R, Z)):
+        assert np.all(np.isfinite(value))
+
+
+@pytest.mark.parametrize("xi", [9.9e-77, 1e-81, 1e-103, 5e-324])
+def test_xi_below_the_floor_refused(xi):
+    # below XI_MIN_SPHERE every sphere-layer function refuses, with the
+    # floor in its message, where it used to answer wrong (the profile
+    # from xi ~ 1e-103) or fail late ("singular system" at 1e-160)
+    assert XI_MIN_SPHERE == 1e-76
+    for call in (lambda: solve_sphere(xi, 1.0),
+                 lambda: psi_extremes(xi, 1.0),
+                 lambda: regimes.classify("sphere", xi, 1.0),
+                 lambda: series.solve_theta(xi)):
+        with pytest.raises(ValueError, match=r"xi must be >= 1e-76 for a "
+                                             r"sphere layer .*, got "):
+            call()

@@ -56,7 +56,8 @@ def test_suite_reports_every_property_in_order():
     report = verify.suite()
     assert [name for name, _, _ in report] == [
         "edge-resultant plate", "edge-resultant sphere", "dirichlet",
-        "sphere dual oracle", "plate force-from-fields"]
+        "sphere dual oracle", "plate force-from-fields",
+        "sphere force-from-fields"]
     assert all(0.0 <= worst <= tol for _, worst, tol in report)
 
 
