@@ -11,7 +11,9 @@ form (e^{-x} I_0, e^{-x} I_1, from scipy.special.i0e/i1e) or as the ratio
 t = I_1/I_0 of the two, so no quantity here overflows for any argument
 the solvers produce.  The one difference that cancels, x - 2t ~ x^3/8 as
 x -> 0, is formed from its own series and kept on the same record
-(BesselRatioEval.x_minus_2t).
+(BesselRatioEval.x_minus_2t).  That record is a NamedTuple, a tuple's
+cost to build, since the plate's scalar closed forms build one per
+point.
 
 The BVP solver ships two independent discretizations ("primary": degree-10
 Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
@@ -47,7 +49,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -127,8 +129,7 @@ class QuadratureLimit(NumericsError):
 # Bessel evaluations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BesselRatioEval:
+class BesselRatioEval(NamedTuple):
     """t = I_1(x)/I_0(x) together with the scaled value e^{-x}I_0(x) and
     the difference x - 2t, formed without cancellation.  All finite for
     every x >= 0."""
@@ -155,18 +156,22 @@ def bessel_ratio(x: float) -> BesselRatioEval:
     return BesselRatioEval(x, t, i0e, d)
 
 
+_P_DENOMS = tuple(4.0 * m * (m + 2.0) for m in range(1, 60))
+
+
 def _p_cancel_free(x: float) -> float:
     """P(x) = x I_0(x) - 2 I_1(x) by its power series
 
         P = sum_{m>=1} m x^{2m+1} / (4^m (m!)^2 (m+1)) = x^3/8 + x^5/96 + ...
 
     Every coefficient is positive, so the ~x^2/8 relative cancellation of
-    the defining difference at small x never appears."""
+    the defining difference at small x never appears.  Term m + 1 is term
+    m times x^2/(4m(m + 2)), dividing by _P_DENOMS."""
     term = x ** 3 / 8.0
     s = term
     x2 = x * x
-    for m in range(1, 60):
-        term *= x2 / (4.0 * m * (m + 2.0))
+    for den in _P_DENOMS:
+        term *= x2 / den
         s += term
         if term < 1e-17 * s:
             break

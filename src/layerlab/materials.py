@@ -20,7 +20,9 @@ The relative-thickness groupings used by the regime analysis are
     zeta_tilde = xi**0.25 / chi  (sphere, compressible side)
 
 all +inf at chi = 0.  No iteration anywhere; every function is
-pure and every dataclass immutable.
+pure and every record immutable: ZetaFamily, built on every plate sweep
+point, is a NamedTuple (a tuple's cost, with the same named fields), the
+parameter records frozen dataclasses.
 
 The domain checks live here and every module shares them: check_xi and
 check_chi for the two parameters that fix a solution, and check_positive
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "check_xi",
@@ -132,8 +135,7 @@ def resolve_chi(chi: float | None = None, nu: float | None = None) -> float:
     return check_chi(float(chi))
 
 
-@dataclass(frozen=True)
-class ZetaFamily:
+class ZetaFamily(NamedTuple):
     """The three thickness/compressibility groupings.
 
     zeta = xi/chi (plate), zeta_bar = sqrt(xi)/chi (sphere, incompressible

@@ -514,10 +514,16 @@ def force(sol: PlateSolution) -> float:
 
     positive for U > 0 (plates pulled apart).  Identical to the surface
     integral 2 pi a^2 integral_0^1 sigma_zz(R, 1) R dR of the field
-    stresses (the two are the same closed form rearranged)."""
+    stresses (the two are the same closed form rearranged).  Raises
+    NumericsError where the prefactor leaves double range (xi below
+    about 1e-103 at unit scales), rather than return inf or nan."""
     cfg = sol.cfg
     pref = 3.0 * math.pi * cfg.mu * cfg.a * cfg.U / (8.0 * cfg.xi ** 3)
-    return pref * force_factor(cfg.xi, sol.chi)
+    f = pref * force_factor(cfg.xi, sol.chi)
+    if not math.isfinite(f):
+        raise NumericsError(f"plate force {f} is past double range "
+                            f"(xi = {cfg.xi}, chi = {sol.chi})")
+    return f
 
 
 class ApparentModuli(NamedTuple):

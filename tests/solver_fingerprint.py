@@ -8,8 +8,12 @@ Covered:
   closed-form Theta profile at xi in {1e-4, 1e-3, 1e-2} with its meta;
 - the plate closed forms: force_factor and apparent_modulus on both
   Bessel branches (x = chi/xi below and above 2) and below
-  chi = 1e-10, plate_transitions at three tolerances, and the radial
-  profile with all four derivatives on a few radii;
+  chi = 1e-10, with zeta_family and classify("plate", ...) on the same
+  cells, plate_transitions at three tolerances, nu_intermediate_window
+  at two (xi, tolerance), and the radial profile with all four
+  derivatives on a few radii;
+- the Bessel record bessel_ratio (t, e^{-x} I_0 and x - 2t) on both
+  sides of its series switch at x = 2;
 - the sha256 of every field array from plate.field, sphere_field,
   sphere_potential and the Theta fields u_r0, u_z0, on grids in each
   input form: column x row, column x full, full x full, 1-D, scalar
@@ -57,7 +61,10 @@ import numpy as np
 import scipy
 
 from layerlab import cli, plate
-from layerlab.regimes import plate_transitions
+from layerlab.kernels import bessel_ratio
+from layerlab.materials import zeta_family
+from layerlab.regimes import (classify, nu_intermediate_window,
+                              plate_transitions)
 from layerlab.series import (compressible_series_fields, navier_residual,
                              nearly_compressible_series_fields,
                              series_regime, solve_theta)
@@ -79,6 +86,17 @@ PLATE_CASES = ((0.01, 1e-12), (0.01, 0.7), (0.05, 0.05), (0.01, 1.4))
 MODULUS_CASES = ((0.1, 0.0), (0.1, 5e-11), (0.05, 0.05), (0.05, 0.1),
                  (0.01, 0.1), (1e-3, 1.0), (0.5, 1.4))
 TRANSITION_TOLERANCES = (0.05, 0.10, 0.2)
+# (xi, tolerance): a thin layer at the default, a thick one at a wide
+# tolerance, where the window's top is clamped at chi = 3/2
+WINDOW_CASES = ((1e-2, 0.10), (0.5, 0.2))
+# x for bessel_ratio: 0, the x^3/8 end of the series, the series up to
+# just below its switch at 2, the switch, and the plain difference out
+# to 700, near where e^x leaves double range
+BESSEL_XS = (0.0, 1e-8, 1e-3, 0.5, 1.0, 1.999, 2.0, 20.0, 700.0)
+BESSEL_FIELDS = ("x", "t", "scaled_i0", "x_minus_2t")
+ZETA_FIELDS = ("xi", "chi", "zeta", "zeta_bar", "zeta_tilde")
+REPORT_FIELDS = ("geometry", "xi", "chi", "zeta", "zeta_bar", "zeta_tilde",
+                 "zeta_c", "zeta_i", "tolerance", "label")
 SPHERE_FIELD_CASES = ((1e-2, 0.0), (1e-3, 1.0))
 SERIES_XIS = (1e-3, 1e-2)
 FIELDS = ("u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
@@ -106,6 +124,14 @@ def _solver_entry(meta) -> dict:
 
 def _hexes(values) -> list:
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def _fields(record, names) -> dict:
+    """The named fields of a record, floats as float.hex and the rest
+    (labels, None) as they are."""
+    values = {name: getattr(record, name) for name in names}
+    return {name: v.hex() if isinstance(v, float) else v
+            for name, v in values.items()}
 
 
 def sphere_entries() -> dict:
@@ -141,9 +167,19 @@ def plate_entries() -> dict:
         out[f"plate moduli xi={xi!r} chi={chi!r}"] = {
             "force_factor": plate.force_factor(xi, chi).hex(),
             "apparent_modulus": _hexes(plate.apparent_modulus(xi, chi))}
+        out[f"zeta_family xi={xi!r} chi={chi!r}"] = _fields(
+            zeta_family(xi, chi), ZETA_FIELDS)
+        out[f"classify plate xi={xi!r} chi={chi!r}"] = _fields(
+            classify("plate", xi, chi), REPORT_FIELDS)
     for tau in TRANSITION_TOLERANCES:
         out[f"plate_transitions tolerance={tau!r}"] = {
             "zetas": _hexes(plate_transitions(tau))}
+    for xi, tau in WINDOW_CASES:
+        out[f"nu_intermediate_window xi={xi!r} tolerance={tau!r}"] = {
+            "nu": _hexes(nu_intermediate_window(xi, tau))}
+    for x in BESSEL_XS:
+        out[f"bessel_ratio x={x!r}"] = _fields(bessel_ratio(x),
+                                               BESSEL_FIELDS)
     r = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0])
     for xi, chi in PLATE_CASES:
         values = plate.radial_profile(xi, chi).eval(r)
@@ -360,10 +396,13 @@ _MORE = (
     ("sphere-force", "--xi", "9.9e-77", "--chi", "1"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-81", "--chi",
      "1"),
-    # errors: plate closed forms past double range (Python float errors)
+    # errors: plate closed forms past double range (Python float errors,
+    # and the force's NumericsError where its prefactor overflows)
     ("plate-force", "--xi", "1e-200", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
     ("plate-force", "--xi", "5e-324", "--chi", "1"),
+    ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),
+    ("plate-force", "--xi", "1e-103", "--chi", "0.1"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

@@ -157,11 +157,14 @@ def test_sphere_force_residual_floor_exits_3(capsys):
     ("plate-force", "--xi", "1e-200", "--chi", "1"),     # OverflowError
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),   # ZeroDivisionError
     ("plate-force", "--xi", "5e-324", "--chi", "1"),     # ZeroDivisionError
+    ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),  # force inf
+    ("plate-force", "--xi", "1e-103", "--chi", "0.1"),          # force inf
 ], ids=" ".join)
 def test_float_errors_past_double_range_exit_3(capsys, argv):
     # a plate closed form that leaves double range raises one of Python's
-    # float errors; it is a numerical failure, reported in one line with
-    # no traceback and no data
+    # float errors, or the force's NumericsError where its prefactor
+    # 3 pi mu a U / (8 xi^3) overflows; it is a numerical failure,
+    # reported in one line with no traceback and no data
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1

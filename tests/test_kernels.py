@@ -11,6 +11,7 @@ from scipy.special import i0e
 
 from layerlab.kernels import (
     _MAX_REFINE,
+    BesselRatioEval,
     NoSignChange,
     NumericsError,
     PanelPoly,
@@ -20,6 +21,7 @@ from layerlab.kernels import (
     _assemble_and_solve,
     _chebder_rows,
     _design_matrices,
+    _p_cancel_free,
     _residual_check,
     bessel_ratio,
     find_root,
@@ -27,6 +29,7 @@ from layerlab.kernels import (
     solve_dual_bvp,
     solve_linear_bvp,
 )
+from layerlab.materials import ZetaFamily, zeta_family
 from layerlab.regimes import plate_ratio_compressible, plate_ratio_incompressible
 from layerlab.sphere import (SphereGeometry, _edge_closure, _ode_coefficients,
                              _sphere_edges)
@@ -78,6 +81,46 @@ def test_x_minus_2t_against_mpmath():
         got = bessel_ratio(x).x_minus_2t
         assert abs(got - want) < 1e-14 * abs(want), x
     assert bessel_ratio(0.0).x_minus_2t == 0.0
+
+
+def _p_loop(x: float) -> float:
+    """P(x) = x I_0(x) - 2 I_1(x) by its series, forming each ratio's
+    denominator 4m(m + 2) in the loop: the reference _p_cancel_free's
+    tabulated denominators must reproduce bit for bit."""
+    term = x ** 3 / 8.0
+    s = term
+    x2 = x * x
+    for m in range(1, 60):
+        term *= x2 / (4.0 * m * (m + 2.0))
+        s += term
+        if term < 1e-17 * s:
+            break
+    return s
+
+
+def test_p_cancel_free_equals_its_loop_form_bit_for_bit():
+    xs = (np.random.default_rng(20).uniform(0.0, 2.0, 20000).tolist()
+          + np.geomspace(1e-8, 1.999, 400).tolist()
+          + [0.0, 1.999, math.nextafter(2.0, 0.0)])
+    assert [_p_cancel_free(x).hex() for x in xs] \
+        == [_p_loop(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("record, cls, names", [
+    (lambda: bessel_ratio(0.5), BesselRatioEval,
+     ("x", "t", "scaled_i0", "x_minus_2t")),
+    (lambda: zeta_family(1e-2, 0.5), ZetaFamily,
+     ("xi", "chi", "zeta", "zeta_bar", "zeta_tilde")),
+], ids=["bessel_ratio", "zeta_family"])
+def test_scalar_records_are_named_tuples(record, cls, names):
+    # the plate's per-point records cost what a tuple costs: fields in
+    # their documented order, read by name or position, and immutable
+    rec = record()
+    assert type(rec) is cls and isinstance(rec, tuple)
+    assert cls._fields == names
+    assert tuple(rec) == tuple(getattr(rec, name) for name in names)
+    with pytest.raises(AttributeError):
+        setattr(rec, names[-1], 1.0)
 
 
 # ---------------------------------------------------------------------------

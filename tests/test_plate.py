@@ -464,15 +464,6 @@ def test_compressible_superposition_state():
         compressible_superposition(1e-3, 0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["a"])
-def test_compressible_superposition_rejects_nonfinite_scales(name, value):
-    # a lies in (0, inf); mu is test_materials.py's "superposition mu"
-    with pytest.raises(ValueError, match=re.escape(
-            f"{name} must be positive and finite, got {value}")):
-        compressible_superposition(0.1, 1.0, **{name: value})
-
-
 def test_compressible_superposition_takes_zero_and_negative_U():
     # U is finite, and U = 0 and U < 0 stay legal
     for U in (0.0, -1.0):

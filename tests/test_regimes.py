@@ -243,8 +243,9 @@ def test_regime_report_holds_each_value_once():
                                    "tolerance", "label"]
     assert not [k for k, v in vars(RegimeReport).items()
                 if isinstance(v, property)]
-    assert names(ZetaFamily) == ["xi", "chi", "zeta", "zeta_bar", "zeta_tilde"]
+    assert ZetaFamily._fields == ("xi", "chi", "zeta", "zeta_bar",
+                                  "zeta_tilde")
     # the report carries the zeta family's values as they are
     rep = classify("plate", 1e-2, chi=0.5)
     assert (rep.xi, rep.chi, rep.zeta, rep.zeta_bar, rep.zeta_tilde) \
-        == dataclasses.astuple(zeta_family(1e-2, 0.5))
+        == tuple(zeta_family(1e-2, 0.5))

@@ -377,6 +377,29 @@ def test_force_matches_adaptive_quadrature():
             assert abs(psi / ref - 1.0) <= 1e-12, (xi, chi, trace)
 
 
+@pytest.mark.parametrize("xi, chi", [
+    (1e-2, 1.0), (1e-4, 1.0), (1e-8, 1.5), (0.1, 0.5), (1e-76, 1.0),
+    (1e-3, 0.1), (1e-2, 1e-2), (1e-3, 1e-3)])
+def test_moment_identity(xi, chi):
+    # with w = R (R^2 + 2)^3 and M_j = int_0^{R_e^2} s^j A ds, the profile
+    # equation integrates to 2 M0 + M1 = (xi / (2 chi^2)) (w_e A'(R_e) +
+    # 2 R_e^2), and w_e A'(R_e) = 2 s_e (s_e + 2)^3 A_s(s_e) in s = R^2.
+    # M_j by the force's 6-point rule on every panel, the rim values by
+    # PanelPoly.end.  The rim sum cancels as chi -> 0 (w_e A'(R_e) ~
+    # -2 R_e^2), which amplifies its rounding by kappa, the sum of the
+    # terms' magnitudes over the magnitude of their sum: about 1/chi^2,
+    # far more than xi/chi^2 (7e5 at (1e-3, 1e-3)).  Measured errors are
+    # at most 2 eps kappa, at (1e-8, 1.5)
+    sol = solve_sphere(xi, chi)
+    s, w, (a, _, _) = sol.A.s_form.gauss(6)
+    se, _, ae_s, _ = sol.A.s_form.end()
+    moments = 2.0 * float(np.sum(w * a)) + float(np.sum(w * s * a))
+    rim = 2.0 * se * (se + 2.0) ** 3 * ae_s
+    kappa = (abs(rim) + 2.0 * se) / abs(rim + 2.0 * se)
+    want = xi / (2.0 * chi * chi) * (rim + 2.0 * se)
+    assert abs(moments / want - 1.0) <= 10.0 * np.finfo(float).eps * kappa
+
+
 def test_table_cells_solve_at_tight_tolerance():
     # every table cell meets tol = 1e-12, where the R-form solver stalled
     # on its rounding floor, and keeps its default-tolerance answer; only
