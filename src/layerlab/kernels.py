@@ -18,9 +18,10 @@ point.
 The BVP solver ships two independent discretizations ("primary": degree-10
 Chebyshev panels collocated at their 9 Gauss points; "alt": degree-8
 panels at their 7 Chebyshev points, on the midpoint-doubled mesh).
-solve_dual_bvp runs both and compares them, to guard against
-discretization bugs.  Its interface is the s-form operator, in
-s = R**2,
+solve_dual_bvp runs the primary and compares it with a reference, to
+guard against discretization bugs: the alt discretization, or a closed
+form of the profile where the caller has one.  Its interface is the
+s-form operator, in s = R**2,
 
     4 s A_ss + 2 (1 + m) A_s + q A = f,        m = R p,
 
@@ -86,8 +87,8 @@ class ToleranceNotMet(NumericsError):
     (lo, hi) R-intervals of the panels still over tolerance there) and
     passes (the refinement passes it took).  What best holds depends on
     the raiser: refinement leaves it None, and solve_dual_bvp stores the
-    sup-relative disagreement of the two discretizations (with residual
-    and scale the absolute disagreement and sup|A|).
+    sup-relative disagreement of the primary with its reference (with
+    residual and scale the absolute disagreement and sup|A|).
     """
 
     def __init__(self, msg, best=None, residual=None, scale=None,
@@ -335,6 +336,10 @@ def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
 # refinement passes (each splits the R panels over tolerance at their
 # midpoints) before ToleranceNotMet
 _MAX_REFINE = 3
+# the Gauss-Legendre points per panel on which solve_dual_bvp compares the
+# primary with its reference: the rule that integrates A and s A exactly
+# on a degree-10 panel in s, where the sphere force reads A's moments
+_DUAL_GAUSS = 6
 
 
 class PanelPoly:
@@ -753,45 +758,62 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
                           meta=meta, s_form=poly)
 
 
-def solve_dual_bvp(equation, right, tol, where, *, mesh) -> RadialSolution:
-    """Solve one regular-axis BVP (see solve_linear_bvp) with both
-    discretizations and cross-check them.
+def solve_dual_bvp(equation, right, tol, where, *, mesh,
+                   exact=None) -> RadialSolution:
+    """Solve one regular-axis BVP (see solve_linear_bvp) with the primary
+    discretization and cross-check it against a reference: the exact
+    profile where exact is given, else the alt discretization.
 
-    Each discretization refines on its own residual.  Returns the
-    primary solution, with meta["dual_sup_rel"] set to the sup-norm
-    disagreement of A between the two on 1501 even points, relative to
-    sup|A| (0 when both are identically zero), and meta["alt_panels"],
-    meta["alt_passes"] those of the alt solve.  A disagreement above
-    meta["dual_gate"] = min(1e-8, 100 tol) raises ToleranceNotMet;
-    `where` names the problem in that message.  The returned meta is a
-    read-only mapping, and the panel arrays are read-only (see
-    solve_linear_bvp), since a cached solution is shared by every caller.
+    exact: None, or the closed form's solutions as closed_form_profile
+    takes them, with exact(s, False) giving the pair (P, H) alone; the
+    reference is then P + C H, with C fixed by the rim row.  The alt
+    discretization refines on its own residual.  Either reference is
+    sampled where the primary is, on the 6-point Gauss-Legendre nodes of
+    its panels in s (the rule that integrates A's moments exactly).
 
-    What the check cannot see is a fault both discretizations share: one
-    in the equation or the rim row they are both given, or in the float
-    range of the coefficients they both evaluate (an overflow or
-    underflow hits both alike).  The closed-form profiles are the
-    oracles for those.
+    Returns the primary solution, with meta["dual_sup_rel"] set to the
+    sup-norm disagreement of A with the reference on those nodes,
+    relative to the primary's sup|A| there (0 when both are identically
+    zero), meta["reference"] to "exact" or "alt", and for the alt
+    reference meta["alt_panels"], meta["alt_passes"] those of the alt
+    solve.  A disagreement above meta["dual_gate"] = min(1e-8, 100 tol)
+    raises ToleranceNotMet; `where` names the problem in that message.
+    The returned meta is a read-only mapping, and the panel arrays are
+    read-only (see solve_linear_bvp), since a cached solution is shared
+    by every caller.
+
+    What the check cannot see is a fault the primary shares with its
+    reference: one in the equation or the rim row they are both given,
+    or in the float range of the coefficients both discretizations
+    evaluate (an overflow or underflow hits both alike).  An exact
+    reference is derived from the same equation and rim row, so it
+    cannot see the first either.  The closed-form profiles, written
+    apart from the code, are the oracles for those.
     """
     primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
                                method="primary")
-    alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh, method="alt")
-    s = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
-    a_p = primary.s_form.value(s)
-    a_a = alt.s_form.value(s)
-    diff = float(np.max(np.abs(a_p - a_a)))
+    s, _, (a_p, _, _) = primary.s_form.gauss(_DUAL_GAUSS)
+    if exact is None:
+        alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
+                               method="alt")
+        a_ref = alt.s_form.value(s)
+        ref = {"reference": "alt", "alt_panels": alt.meta["panels"],
+               "alt_passes": alt.meta["passes"]}
+        name = "independent discretizations"
+    else:
+        p, h = exact(s, False)
+        a_ref = p + _rim_constant(equation, right, float(mesh[-1]), exact) * h
+        ref, name = {"reference": "exact"}, "the panels and the exact profile"
+    diff = float(np.max(np.abs(a_p - a_ref)))
     scale = float(np.max(np.abs(a_p)))
     dual_rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)
     # as tight as the tolerance allows, never looser than 1e-8
     gate = min(1e-8, 100.0 * tol)
     if dual_rel > gate:
         raise ToleranceNotMet(
-            f"independent discretizations disagree {where}: sup rel "
-            f"{dual_rel:.3e} > {gate:.0e}",
+            f"{name} disagree {where}: sup rel {dual_rel:.3e} > {gate:.0e}",
             best=dual_rel, residual=diff, scale=scale)
-    primary.meta.update(dual_sup_rel=dual_rel, dual_gate=gate,
-                        alt_panels=alt.meta["panels"],
-                        alt_passes=alt.meta["passes"])
+    primary.meta.update(dual_sup_rel=dual_rel, dual_gate=gate, **ref)
     primary.meta = MappingProxyType(primary.meta)
     return primary
 
@@ -887,6 +909,16 @@ def _panel_terms(equation, poly: PanelPoly, r, third):
     return _ode_terms(equation, r, *poly(r * r), third)
 
 
+def _rim_constant(equation, right, r_e: float, solutions) -> float:
+    """The C of A = P + C H that meets the rim condition right at r_e
+    (_rim_row), from the closed form's solutions at s = r_e**2 (see
+    closed_form_profile)."""
+    c_a, c_s, rhs = _rim_row(equation, right, r_e)
+    (p0, p_s, _), (h0, h_s, _) = solutions(np.array([r_e * r_e]))
+    return float((rhs - c_a * p0[0] - c_s * p_s[0])
+                 / (c_a * h0[0] + c_s * h_s[0]))
+
+
 def closed_form_profile(equation, right, r_e: float, solutions, *,
                         scale: float = 1.0,
                         meta: Optional[dict] = None) -> RadialSolution:
@@ -901,10 +933,7 @@ def closed_form_profile(equation, right, r_e: float, solutions, *,
 
     meta holds method "closed form" and C (that of A, before scale),
     updated with the caller's meta; s_form is None: there are no panels."""
-    c_a, c_s, rhs = _rim_row(equation, right, r_e)
-    (p0, p_s, _), (h0, h_s, _) = solutions(np.array([r_e * r_e]))
-    c = float((rhs - c_a * p0[0] - c_s * p_s[0])
-              / (c_a * h0[0] + c_s * h_s[0]))
+    c = _rim_constant(equation, right, r_e, solutions)
 
     def terms(r, third):
         (p0, p_s, p_ss), (h0, h_s, h_ss) = solutions(r * r)

@@ -411,6 +411,8 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     Not valid within O(xi) of the bonded-edge corner (R, Z) = (1, +-1),
     where the underlying expansion omits a boundary-layer corrector.
+    Raises NumericsError where a field leaves double range (the stresses
+    from xi about 1e-103 at unit scales), rather than return inf.
     """
     Rr = np.asarray(R, dtype=float)
     Zb = np.asarray(Z, dtype=float)
@@ -448,27 +450,34 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     # that of the expression above.
     fields = _field_block(Rr, Zb)
     u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
-    np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
-    np.multiply(B, Zb, out=u_z)
-    u_z *= zm
-    u_z += Zb
-    u_z *= U
-    np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
-    s_zz += 6.0 * A
-    s_zz *= s_scale
-    # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are formed,
-    # and s_rz serves as scratch for s_tt's last term
-    np.multiply(B, zm, out=s_tt)
-    s_tt += 2.0 * A
-    s_tt *= 3.0 - 2.0 * c2
-    np.multiply(k_sh * A2, zm, out=s_rr)
-    np.subtract(s_tt, s_rr, out=s_rr)
-    s_rr *= s_scale
-    np.multiply(k_sh * A1R, zm, out=s_rz)
-    s_tt -= s_rz
-    s_tt *= s_scale
-    np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
-    s_rz *= Zb
+    # a stress past double range (the scale mu U/(a xi) times A, from xi
+    # about 1e-103 at unit scales) raises here, as the force does
+    try:
+        with np.errstate(over="raise"):
+            np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
+            np.multiply(B, Zb, out=u_z)
+            u_z *= zm
+            u_z += Zb
+            u_z *= U
+            np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
+            s_zz += 6.0 * A
+            s_zz *= s_scale
+            # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are
+            # formed, and s_rz serves as scratch for s_tt's last term
+            np.multiply(B, zm, out=s_tt)
+            s_tt += 2.0 * A
+            s_tt *= 3.0 - 2.0 * c2
+            np.multiply(k_sh * A2, zm, out=s_rr)
+            np.subtract(s_tt, s_rr, out=s_rr)
+            s_rr *= s_scale
+            np.multiply(k_sh * A1R, zm, out=s_rz)
+            s_tt -= s_rz
+            s_tt *= s_scale
+            np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
+            s_rz *= Zb
+    except FloatingPointError:
+        raise NumericsError(f"plate field is past double range (xi = {xi}, "
+                            f"chi = {sol.chi})") from None
     return _field_sample(Rr, Zb, fields)
 
 
@@ -476,13 +485,19 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 # Force and apparent moduli
 # ---------------------------------------------------------------------------
 
-def _g(xi: float, chi: float, ev: BesselRatioEval) -> float:
-    """G from the edge evaluation ev at x = chi/xi."""
+def _g(xi: float, chi: float, ev: BesselRatioEval, name: str) -> float:
+    """G from the edge evaluation ev at x = chi/xi, for the function
+    name, which NumericsError names where x**3 leaves double range (x
+    above about 5.6e102)."""
     c2 = chi * chi
     three = 3.0 - c2
     t = ev.t
     num = 3.0 * three * ev.x_minus_2t + 2.0 * c2 * c2 * t
-    den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
+    try:
+        den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
+    except OverflowError:
+        raise NumericsError(f"{name}: (chi/xi)**3 is past double range "
+                            f"(xi = {xi}, chi = {chi})") from None
     return 8.0 * num / den
 
 
@@ -504,7 +519,7 @@ def force_factor(xi: float, chi: float) -> float:
     incompressible family's G = 1 is returned (_edge).
     """
     edge = _edge(xi, chi)
-    return 1.0 if edge is None else _g(xi, chi, edge)
+    return 1.0 if edge is None else _g(xi, chi, edge, "force_factor")
 
 
 def force(sol: PlateSolution) -> float:
@@ -568,7 +583,8 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
     three = 3.0 - c2
     nine4 = 9.0 - 4.0 * c2
     e_c = 3.0 * three / (c2 * nine4)
-    e_hat = 3.0 * three * _g(xi, chi, ev) / (8.0 * xi * xi * nine4)
+    e_hat = (3.0 * three * _g(xi, chi, ev, "apparent_modulus")
+             / (8.0 * xi * xi * nine4))
     num = 9.0 * ev.x_minus_2t + 2.0 * c2 * nine4 * ev.t
     den = ev.x ** 3 * nine4 * (3.0 - 2.0 * xi * chi * ev.t)
     e_l = three * num / (xi * xi * den)

@@ -102,26 +102,27 @@ and the extreme-regime force factors are ``Psi_i = 1/(4 xi)``
 (incompressible plateau) and ``Psi_c = ln(1/(2 xi)) / chi**2``
 (compressible logarithm).
 
-At ``chi**2 = 3 xi``, the Theta problem of ``series``, the profile has a
-closed form too, built with no collocation solve (_theta_profile).  In
+For every chi > 0 the profile has a closed form too.  In
 ``x = s / (s + 2) = R**2 / (R**2 + 2)``, which maps the layer onto
 ``[0, 1/(1 + 2 xi)]``, the s-form equation becomes
 
     x (1 - x) A_xx + (1 + x) A_x - (k/2) A = (x - 1)/4,   k = chi**2/xi,
 
 Gauss's hypergeometric equation with ``c = 1``, ``a + b = -2`` and
-``ab = k/2``: at ``k = 3``, ``a, b = -1 +/- i beta`` with
-``beta = 1/sqrt(2)`` for every xi.  Both indicial roots at ``x = 0`` are
-0, so ``F = 2F1(a, b; 1; x)`` is the one homogeneous solution regular on
-the axis, ``-1/6 - x/2`` solves the forced equation, and
+``ab = k/2``: ``a, b = -1 +/- sqrt(1 - ab)``, the complex conjugates
+``-1 +/- i beta``, ``beta**2 = ab - 1``, once ab > 1.  Both indicial
+roots at ``x = 0`` are 0, so ``F = 2F1(a, b; 1; x)`` is the one
+homogeneous solution regular on the axis, ``p0 + p1 x`` with
+``p1 = 1/(4 - 2 k)`` and ``p0 = (2 p1 + 1/2)/k`` solves the forced
+equation (k not 0 or 2), and
 
-    A = P + C F,     P = -1/6 - x/2 + kappa F,     kappa = 2 / (3 q0),
+    A = P + C F,    P = p0 + p1 x + kappa F,    kappa = -2/(k (2 - k) q0),
 
 with ``q0 = F(1)``.  kappa makes P vanish as ``(1 - x)**2 / 8`` at
 ``x -> 1``: P is the profile of the untruncated layer, and C, fixed by
 the rim row, is the rim's correction to it (of order xi**2).  Up to
 ``x = 0.55`` F is summed from its Taylor series,
-``t_{n+1} = t_n (n**2 - 2 n + 3/2) / (n + 1)**2``; above it, in
+``t_{n+1} = t_n (n**2 - 2 n + ab) / (n + 1)**2``; above it, in
 ``y = 1 - x = 2 / (s + 2)``, from the connection formula for
 ``c - a - b = 3`` (Abramowitz and Stegun 15.3.11):
 
@@ -133,26 +134,42 @@ the rim row, is the rim's correction to it (of order xi**2).  Up to
 
 The Gamma products are exact through
 ``|Gamma(1 + i beta)|**2 = pi beta / sinh(pi beta)`` (A&S 6.1.31):
-``q0 = 2 sinh(pi beta) / (pi beta (1 + beta**2))`` and
-``1 / (Gamma(a) Gamma(b)) = beta (1 + beta**2) sinh(pi beta) / pi``.
-With ``Re psi(1 + i beta) = -gamma + beta**2 sum_k 1/(k (k**2 + beta**2))``
-(A&S 6.3.17), ``e_0 = 2/(1 + beta**2) - 11/6
-+ 2 sum_j (-1)**j beta**(2j + 2) zeta(2j + 3)``, and d_n and e_n follow
-by their recurrences.  (scipy's complex Gamma and psi at these points are
-2e-15 off, which cost F'' 5e-15.)  P's terms ``2/3 - y/2`` cancel
-``-1/6 - x/2`` exactly, so its connection series leaves them out and P
-keeps its relative accuracy out to the rim.  Every series is summed
-from its smallest term up; F, P and their first two x-derivatives
-agree with mpmath at 40 digits to 20 units of roundoff or better, over
-x from 0 to 1 - 2e-8.  A'' and A''' are read off the equation, as on
+``q0 = 2 sinh(pi beta) / (pi beta ab)`` and
+``1 / (Gamma(a) Gamma(b)) = beta ab sinh(pi beta) / pi``, with
+``beta = i r`` below ab = 1.  With ``Re psi(1 + i beta) = -gamma
++ beta**2 sum_k 1/(k (k**2 + beta**2))`` (A&S 6.3.17),
+``e_0 = 1/6 + 2 beta**2 sum_{k >= 2} 1/(k (k**2 + beta**2))``; where
+``|beta**2| <= 1/2`` it is summed as ``e_0 = 2/ab - 11/6
++ 2 sum_j (-1)**j beta**(2j + 2) zeta(2j + 3)`` (the form Theta is
+built with), and d_n and e_n follow by their recurrences.  P's terms
+``p0 + p1 x`` cancel kappa Q's first two exactly, so its connection
+series leaves them out and P keeps its relative accuracy out to the rim.
+In x, P's constant and linear terms ``p0 + kappa`` and
+``p1 + kappa ab`` cancel as 1/ab toward ab = 0 and as 1/(ab - 1) toward
+ab = 1; below ab = 3/2 they are read instead off P's connection series
+at the switch, less the higher Taylor terms there, so that nothing
+cancels and the two series meet at the switch.  Every series is summed
+from its smallest term up; A'' and A''' are read off the equation, as on
 the panels.
+
+Two profiles use it.  At ``chi**2 = 3 xi`` (``ab = 3/2``) it is the
+Theta problem of ``series``, built with no collocation solve
+(_theta_profile): F, P and their first two x-derivatives agree with
+mpmath at 40 digits to 20 units of roundoff or better, over x from 0 to
+1 - 2e-8.  And wherever ``0 < ab <= 20`` and ab is not 1 (_cell), a
+cold solve checks its panels against it in place of the alt
+discretization: A and A_s agree with mpmath to 32 units of roundoff of
+``|P| + |C F|`` below ab = 10, and to 2048 at ab = 20, where the
+connection series cancels just past the switch.  Past ab = 20 (ROADMAP
+item 13), at ab = 1 and at chi = 0 the alt discretization stays the
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -305,73 +322,110 @@ def _edge_closure(geo: SphereGeometry, chi: float):
     return alpha, beta, gamma, 0.0
 
 
-# x = R**2/(R**2 + 2) up to which the Theta profile's series are summed in
-# x (Taylor), and past which in y = 1 - x (the connection formula), and
-# the terms of each: at x = 0.55 the tail of either side, for F, F_x and
-# F_xx, is below 2**-56 of the value it sums to, with the fewest terms
-_K3_SWITCH = 0.55
-_K3_TERMS = 55
+# x = R**2/(R**2 + 2) up to which the family's series are summed in x
+# (Taylor), and past which in y = 1 - x (the connection formula), and the
+# terms of each: at x = 0.55 the tail of either side, for F, F_x and
+# F_xx, is below 2**-56 of the value it sums to at ab = 3/2, with the
+# fewest terms
+_HYP_SWITCH = 0.55
+_HYP_TERMS = 55
+
+# the largest ab = chi**2/(2 xi) on which the exact profile, not the alt
+# discretization, checks the panels (_cell): past it the connection
+# series cancels (ROADMAP items 12 and 13); it agrees with the panels to
+# 7.2e-14 at ab = 20 and to 2.7e-15 below ab = 5
+_EXACT_AB_MAX = 20.0
 
 
-def _k3_series():
+def _family_constants(ab):
+    """q0 = F(1) = Gamma(3)/(Gamma(a + 3) Gamma(b + 3)), d_0 =
+    1/(6 Gamma(a) Gamma(b)) and e_0 of the connection formula at a, b =
+    -1 +/- sqrt(1 - ab) (module docstring), each in closed form for every
+    ab > 0: q0 and d_0 through |Gamma(1 + i beta)|**2 = pi beta /
+    sinh(pi beta), in its sin form (beta = i r) below ab = 1, where
+    sin(pi r) is taken as sin(pi min(r, 1 - r)); e_0 through A&S 6.3.17,
+    e_0 = 1/6 + 2 b2 sum_{k >= 2} 1/(k (k**2 + b2)), b2 = ab - 1, its
+    tail past k = 9 summed as sum_j (-b2)**j zeta(2 j + 3, 10).  Where
+    |b2| <= 1/2 (Theta's ab = 3/2 among them) e_0 is the zeta series
+    Theta is built with instead, the same sum from k = 1."""
+    b2 = ab - 1.0
+    # rho = |beta| and w = sinh(pi beta), or below ab = 1 (beta = i r) r
+    # and sin(pi r), with 1 - r = ab/(1 + r) formed without cancellation
+    rho = math.sqrt(abs(b2))
+    w = (math.sinh(math.pi * rho) if b2 > 0.0
+         else math.sin(math.pi * min(rho, ab / (1.0 + rho))))
+    q0, d0 = (2.0 * w / (math.pi * rho * ab),
+              math.copysign(rho, b2) * ab * w / (6.0 * math.pi))
+    if abs(b2) <= 0.5:
+        j = np.arange(60.0)
+        return q0, d0, (2.0 / ab - 11.0 / 6.0 + 2.0 * float(np.sum(
+            (-b2) ** j * b2 * special.zeta(2.0 * j + 3.0))))
+    k, j = np.arange(2.0, 10.0), np.arange(30.0)
+    return q0, d0, 1.0 / 6.0 + 2.0 * b2 * (
+        float(np.sum(1.0 / (k * (k * k + b2))))
+        + float(np.sum((-b2) ** j * special.zeta(2.0 * j + 3.0, 10.0))))
+
+
+def _family_rows(ab):
     """The coefficient rows, highest power first (see _power_sums), that
-    sum F = 2F1(a, b; 1; x) at a, b = -1 +/- i/sqrt(2), the particular
-    solution P = -1/6 - x/2 + kappa F, kappa = 2/(3 q0), and the first
-    two x-derivatives of each (module docstring): the Taylor rows in x of
-    P, P_x, P_xx, F, F_x and F_xx, and the connection rows in y = 1 - x,
-    a pair (plain, log) for each of the six, which is the plain series
-    plus ln(y) times the log series."""
-    # beta**2 for a, b = -1 +/- i beta at k = 3: ab = 1 + beta**2 = 3/2
-    b2 = 0.5
-    n = np.arange(float(_K3_TERMS))
-    m = np.arange(_K3_TERMS + 1.0)
+    sum F = 2F1(a, b; 1; x) with a + b = -2 and ab given, the particular
+    solution P = p0 + p1 x + kappa F, and the first two x-derivatives of
+    each (module docstring): the Taylor rows in x of P, P_x, P_xx, F, F_x
+    and F_xx, as a (6, _HYP_TERMS) array, and the connection rows in
+    y = 1 - x, a pair (plain, log) for each of the six, which is the
+    plain series plus ln(y) times the log series, as a (12, _HYP_TERMS + 3)
+    array."""
+    b2, n = ab - 1.0, np.arange(float(_HYP_TERMS))
+    m = np.arange(_HYP_TERMS + 1.0)
     # t_{n+1} = t_n (n + a)(n + b)/(n + 1)**2, (n + a)(n + b) = n**2 - 2 n + ab
-    t = np.cumprod(np.concatenate(([1.0], (m * m - 2.0 * m + 1.0 + b2)
+    t = np.cumprod(np.concatenate(([1.0], (m * m - 2.0 * m + ab)
                                    / ((m + 1.0) * (m + 1.0)))))
-    taylor_f = [t[:-2], (n + 1.0) * t[1:-1], (n + 1.0) * (n + 2.0) * t[2:]]
+    taylor = np.empty((6, _HYP_TERMS))
+    taylor[3], taylor[4] = t[:-2], (n + 1.0) * t[1:-1]
+    taylor[5] = (n + 1.0) * (n + 2.0) * t[2:]
     # the connection formula's terms q of Q, and d_n and e_n by their
-    # recurrences from d_0 and e_0
-    beta, ab = math.sqrt(b2), 1.0 + b2
-    sh = math.sinh(math.pi * beta)
-    q0 = 2.0 * sh / (math.pi * beta * ab)
-    q = (q0, -0.5 * ab * q0, 0.25 * ab * b2 * q0)
-    kappa = 2.0 / (3.0 * q0)
-    k = n[:-1]
-    d = np.cumprod(np.concatenate(([beta * ab * sh / (6.0 * math.pi)],
-                                   ((k + 2.0) ** 2 + b2)
-                                   / ((k + 1.0) * (k + 4.0)))))
-    j = np.arange(60.0)
-    e0 = (2.0 / ab - 11.0 / 6.0
-          + 2.0 * float(np.sum((-b2) ** j * b2 * special.zeta(2.0 * j + 3.0))))
+    # recurrences from d_0 and e_0; (n + a + 3)(n + b + 3) = (n + 2)**2 + b2
+    q0, d0, e0 = _family_constants(ab)
+    q1, q2 = -0.5 * ab * q0, 0.25 * ab * b2 * q0
+    j = n[:-1]
+    d = np.cumprod(np.concatenate(([d0], ((j + 2.0) ** 2 + b2)
+                                   / ((j + 1.0) * (j + 4.0)))))
     e = e0 + np.concatenate(([0.0], np.cumsum(
-        2.0 * (k + 2.0) / ((k + 2.0) ** 2 + b2)
-        - 1.0 / (k + 1.0) - 1.0 / (k + 4.0))))
+        2.0 * (j + 2.0) / ((j + 2.0) ** 2 + b2)
+        - 1.0 / (j + 1.0) - 1.0 / (j + 4.0))))
     # F = Q(y) + y**3 sum d_n y**n (ln y + e_n), differentiated termwise
-    # (d/dx = -d/dy): (plain, log) for F, F_x and F_xx
+    # (d/dx = -d/dy): (plain, log) for F, F_x and F_xx, in rows 6 to 11
     de, d3 = d * e, (n + 3.0) * d
-    conn_f = [np.r_[q, de], np.r_[0.0, 0.0, 0.0, d],
-              -np.r_[q[1], 2.0 * q[2], d + (n + 3.0) * de, 0.0],
-              -np.r_[0.0, 0.0, d3, 0.0],
-              np.r_[2.0 * q[2], (2.0 * n + 5.0) * d
-                    + (n + 2.0) * (n + 3.0) * de, 0.0, 0.0],
-              np.r_[0.0, (n + 2.0) * d3, 0.0, 0.0]]
-    # P = -1/6 - x/2 + kappa F in x, and kappa (F - q0 (1 - 3 y/4)) in y:
-    # F's connection rows without the terms that cancel
-    taylor_p = [kappa * row for row in taylor_f]
-    taylor_p[0][:2] += (-1.0 / 6.0, -0.5)
-    taylor_p[1][0] += -0.5
-    conn_p = [kappa * row for row in conn_f]
-    conn_p[0][:2] = 0.0
-    conn_p[2][0] = 0.0
-    rows = tuple(np.ascontiguousarray(np.stack(r)[:, ::-1])
-                 for r in (taylor_p + taylor_f, conn_p + conn_f))
-    for r in rows:
-        r.flags.writeable = False       # shared by every call
-    return rows
-
-
-# built once, at import (about 0.3 ms), as _GL_S is
-_K3_TAYLOR, _K3_CONNECTION = _k3_series()
+    conn = np.zeros((12, _HYP_TERMS + 3))
+    conn[6, :3], conn[6, 3:], conn[7, 3:] = (q0, q1, q2), de, d
+    conn[8, :2], conn[8, 2:-1] = (-q1, -2.0 * q2), -(d + (n + 3.0) * de)
+    conn[9, 2:-1] = -d3
+    conn[10, 0] = 2.0 * q2
+    conn[10, 1:-2] = (2.0 * n + 5.0) * d + (n + 2.0) * (n + 3.0) * de
+    conn[11, 1:-2] = (n + 2.0) * d3
+    # P = p0 + p1 x + kappa F in x, and kappa (F - Q's first two terms)
+    # in y: F's connection rows without the terms that cancel
+    k = 2.0 * ab
+    p1 = 1.0 / (4.0 - 2.0 * k)
+    kappa = -2.0 / (k * (2.0 - k) * q0)
+    np.multiply(kappa, taylor[3:], out=taylor[:3])
+    taylor[0, :2] += ((2.0 * p1 + 0.5) / k, p1)
+    taylor[1, 0] += p1
+    np.multiply(kappa, conn[6:], out=conn[:6])
+    conn[0, :2] = conn[2, 0] = 0.0
+    if ab < 1.5:
+        # p0 + kappa and p1 + kappa ab cancel as 1/ab toward ab = 0 and
+        # as 1/(ab - 1) toward ab = 1, where P's connection rows do not:
+        # they are P and P_x of those rows at the switch, less the Taylor
+        # rows' other terms there
+        x, y = _HYP_SWITCH, 1.0 - _HYP_SWITCH
+        p, p_log, p_x, p_x_log = conn[:4] @ y ** np.arange(_HYP_TERMS + 3.0)
+        xn = x ** np.arange(_HYP_TERMS - 1.0)
+        c1 = p_x + math.log(y) * p_x_log - x * (taylor[1, 1:] @ xn)
+        taylor[0, 1] = taylor[1, 0] = c1
+        taylor[0, 0] = (p + math.log(y) * p_log
+                        - x * (c1 + x * (taylor[0, 2:] @ xn[:-1])))
+    return taylor[:, ::-1].copy(), conn[:, ::-1].copy()
 
 
 def _power_sums(rows, v):
@@ -389,29 +443,35 @@ def _power_sums(rows, v):
     return np.einsum("nk,rk->rn", p, rows)
 
 
-def _k3_basis(x, y):
-    """P, P_x, P_xx, F, F_x and F_xx (_k3_series) on the float arrays x
-    and y = 1 - x, given apart so that neither is formed by cancellation,
-    as one (6, *x.shape) array: from the Taylor rows at x <= _K3_SWITCH
-    and the connection rows above it, where P keeps its relative accuracy
-    as it falls toward x = 1."""
-    out = np.empty((6,) + x.shape)
-    below = x <= _K3_SWITCH
+def _family_basis(rows, x, y, d=3):
+    """P and F (_family_rows) with their first d - 1 x-derivatives on the
+    float arrays x and y = 1 - x, given apart so that neither is formed
+    by cancellation, as one (2 d, *x.shape) array, P's d rows first: from
+    the Taylor rows at x <= _HYP_SWITCH and the connection rows above
+    it, where P keeps its relative accuracy as it falls toward x = 1."""
+    taylor, conn = (r.reshape(2, 3, -1)[:, :d].reshape(-1, r.shape[1])
+                    for r in rows)
+    out = np.empty((2 * d,) + x.shape)
+    below = x <= _HYP_SWITCH
     if below.any():
-        out[:, below] = _power_sums(_K3_TAYLOR, x[below])
+        out[:, below] = _power_sums(taylor, x[below])
     if not below.all():
         y = y[~below]
-        sums = _power_sums(_K3_CONNECTION, y)
+        sums = _power_sums(conn, y)
         out[:, ~below] = sums[0::2] + np.log(y) * sums[1::2]
     return out
 
 
-def _k3_solutions(s):
+def _family_solutions(rows, s, derivatives=True):
     """The particular solution P and the regular homogeneous solution F
-    of the profile at k = 3, each with its first two s-derivatives, on
-    the float array s: _k3_basis at x = s/(s + 2), y = 2/(s + 2)."""
+    of the family rows (_family_rows) on the float array s, at
+    x = s/(s + 2), y = 2/(s + 2): each with its first two s-derivatives,
+    as closed_form_profile takes them, or the pair (P, F) alone when not
+    derivatives."""
     sg = s + 2.0
-    v = _k3_basis(s / sg, 2.0 / sg)
+    if not derivatives:
+        return tuple(_family_basis(rows, s / sg, 2.0 / sg, 1))
+    v = _family_basis(rows, s / sg, 2.0 / sg)
     # x_s = 2/sg**2, x_ss = -4/sg**3
     x_s = 2.0 / (sg * sg)
     v_s = v[1::3] * x_s
@@ -421,14 +481,14 @@ def _k3_solutions(s):
 
 def _theta_profile(geo: SphereGeometry, load: float) -> RadialSolution:
     """load times the sphere profile at chi**2 = 3 xi, from its closed
-    form A = P + C F (module docstring), with C fixed by _edge_closure's
-    rim row."""
+    form A = P + C F at ab = 3/2 (module docstring), with C fixed by
+    _edge_closure's rim row."""
     chi = math.sqrt(3.0 * geo.xi)
     return closed_form_profile(
         _ode_coefficients(geo.xi, chi), _edge_closure(geo, chi), geo.r_edge,
-        _k3_solutions, scale=load,
-        meta={"switch": _K3_SWITCH, "taylor_terms": _K3_TERMS,
-              "connection_terms": _K3_TERMS})
+        partial(_family_solutions, _family_rows(1.5)), scale=load,
+        meta={"switch": _HYP_SWITCH, "taylor_terms": _HYP_TERMS,
+              "connection_terms": _HYP_TERMS})
 
 
 # the width ratio of neighbouring panels on the default tail: the
@@ -470,18 +530,33 @@ def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
     return np.concatenate([[0.0], inner, tail])
 
 
+def _cell(geo: SphereGeometry, chi: float):
+    """The sphere profile's problem at (xi, chi): the equation
+    (ode, ode_s), the rim row, the R mesh (_sphere_edges) and the exact
+    reference, the family's solutions at ab = chi**2/(2 xi) where
+    0 < ab <= _EXACT_AB_MAX and ab != 1, else None (at ab = 1, p1 and
+    kappa have their pole; at ab = 0, chi = 0, p0 and kappa)."""
+    ab = chi * chi / (2.0 * geo.xi)
+    exact = (partial(_family_solutions, _family_rows(ab))
+             if 0.0 < ab <= _EXACT_AB_MAX and ab != 1.0 else None)
+    return (_ode_coefficients(geo.xi, chi), _edge_closure(geo, chi),
+            _sphere_edges(geo), exact)
+
+
 @lru_cache(maxsize=64)
 def _radial_bvp(geo: SphereGeometry, chi: float, tol: float) -> RadialSolution:
-    """Solve the radial profile on _sphere_edges' mesh under both
-    independent discretizations and cross-check them (the message names
-    the cell if they disagree); returns the primary solution, with the
-    sup-norm relative disagreement in meta["dual_sup_rel"].  The one cache
-    of a solved profile: a repeat returns the profile solved first, whose
-    meta and panel arrays are read-only (solve_dual_bvp)."""
-    return solve_dual_bvp(_ode_coefficients(geo.xi, chi),
-                          _edge_closure(geo, chi), tol,
+    """Solve the radial profile on _sphere_edges' mesh and cross-check it
+    (solve_dual_bvp): against the exact profile where _cell has one, else
+    against the alt discretization; the message names the cell if they
+    disagree.  Returns the primary solution, with the sup-norm relative
+    disagreement in meta["dual_sup_rel"] and the reference in
+    meta["reference"].  The one cache of a solved profile: a repeat
+    returns the profile solved first, whose meta and panel arrays are
+    read-only (solve_dual_bvp)."""
+    equation, right, mesh, exact = _cell(geo, chi)
+    return solve_dual_bvp(equation, right, tol,
                           f"at (xi, chi) = ({geo.xi:g}, {chi:g})",
-                          mesh=_sphere_edges(geo))
+                          mesh=mesh, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -517,10 +592,17 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
 
     Requires ``1e-76 <= xi <= 0.1`` (the parabolic-gap approximation
     above; below the floor XI_MIN_SPHERE the fields leave double range)
-    and ``0 <= chi <= 3/2``.  Every solve runs two independent
-    discretizations and requires them to agree in sup norm to
-    ``min(1e-8, 100 tol)``; repeated calls with identical parameters
-    reuse a cached profile.  The radial mesh depends on xi alone and
+    and ``0 <= chi <= 3/2``.  Every cold solve checks its panels against
+    a reference and requires them to agree in sup norm, relative to
+    sup|A|, to ``min(1e-8, 100 tol)``: the exact profile (module
+    docstring) where ``ab = chi**2/(2 xi)`` has ``0 < ab <= 20`` and
+    ``ab != 1``, else an independent second discretization.
+    ``A.meta["reference"]`` names it (``"exact"`` or ``"alt"``) and
+    ``A.meta["dual_sup_rel"]`` holds the disagreement; the alt solve's
+    ``"alt_panels"`` and ``"alt_passes"`` are there only where it is the
+    reference.  The exact check cannot see a fault in the equation or
+    the rim row, which it shares with the panels (solve_dual_bvp).
+    Repeated calls with identical parameters reuse a cached profile.  The radial mesh depends on xi alone and
     grades its tail toward the rim by one ratio (19-119 panels; see
     _sphere_edges); it is refined only where the residual asks for it.
     """

@@ -115,11 +115,17 @@ def sphere_cells() -> list[tuple[float, float]]:
 
 
 def _solver_entry(meta) -> dict:
-    """The counters and rounding-level diagnostics of one dual solve."""
-    return {"panels": meta["panels"], "alt_panels": meta["alt_panels"],
-            "passes": meta["passes"], "alt_passes": meta["alt_passes"],
-            "residual_sup": meta["residual_sup"].hex(),
-            "dual_sup_rel": meta["dual_sup_rel"].hex()}
+    """The counters and rounding-level diagnostics of one checked solve:
+    its reference, and the alt solve's counters where the alt
+    discretization is the reference."""
+    entry = {"reference": meta["reference"], "panels": meta["panels"],
+             "passes": meta["passes"],
+             "residual_sup": meta["residual_sup"].hex(),
+             "dual_sup_rel": meta["dual_sup_rel"].hex()}
+    if meta["reference"] == "alt":
+        entry.update(alt_panels=meta["alt_panels"],
+                     alt_passes=meta["alt_passes"])
+    return entry
 
 
 def _hexes(values) -> list:
@@ -397,12 +403,17 @@ _MORE = (
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-81", "--chi",
      "1"),
     # errors: plate closed forms past double range (Python float errors,
-    # and the force's NumericsError where its prefactor overflows)
+    # and NumericsError where the force's prefactor, (chi/xi)**3 or a
+    # field's stress overflows)
     ("plate-force", "--xi", "1e-200", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
     ("plate-force", "--xi", "5e-324", "--chi", "1"),
     ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),
     ("plate-force", "--xi", "1e-103", "--chi", "0.1"),
+    ("plate-force", "--chi", "0.1", "--sweep-xi", "1e-104", "1e-2", "3"),
+    ("plate-modulus", "--xi", "1e-104", "--chi", "1"),
+    ("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz", "2",
+     "--csv"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

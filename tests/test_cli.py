@@ -154,20 +154,43 @@ def test_sphere_force_residual_floor_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("plate-force", "--xi", "1e-200", "--chi", "1"),     # OverflowError
+    ("plate-force", "--xi", "1e-200", "--chi", "1"),     # (chi/xi)**3
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),   # ZeroDivisionError
     ("plate-force", "--xi", "5e-324", "--chi", "1"),     # ZeroDivisionError
     ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),  # force inf
     ("plate-force", "--xi", "1e-103", "--chi", "0.1"),          # force inf
+    ("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
+     "2", "--csv"),                                              # stress inf
 ], ids=" ".join)
 def test_float_errors_past_double_range_exit_3(capsys, argv):
     # a plate closed form that leaves double range raises one of Python's
-    # float errors, or the force's NumericsError where its prefactor
-    # 3 pi mu a U / (8 xi^3) overflows; it is a numerical failure,
-    # reported in one line with no traceback and no data
+    # float errors, or a NumericsError where the force's prefactor
+    # 3 pi mu a U / (8 xi^3), (chi/xi)**3 or a field's stress overflows;
+    # it is a numerical failure, reported in one line with no traceback
+    # and no data (and no numpy warning: a warning fails this suite)
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("plate-force", "--chi", "0.1", "--sweep-xi", "1e-104", "1e-2", "3"),
+     "force_factor: (chi/xi)**3 is past double range (xi = 1e-104, "
+     "chi = 0.1)"),
+    (("plate-modulus", "--xi", "1e-104", "--chi", "1"),
+     "apparent_modulus: (chi/xi)**3 is past double range (xi = 1e-104, "
+     "chi = 1.0)"),
+    (("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
+      "2", "--csv"),
+     "plate field is past double range (xi = 1e-103, chi = 0.0)"),
+], ids=["force_factor", "apparent_modulus", "field"])
+def test_overflow_names_function_and_cell(capsys, argv, message):
+    # past double range the plate's closed forms name the function and
+    # the cell, not Python's bare "(34, 'Numerical result out of range')"
+    # or a field of inf with exit 0
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err == f"numerical failure: {message}\n"
 
 
 def test_profile_self_check_failure_is_one_line(capsys):

@@ -366,15 +366,63 @@ def test_solve_dual_bvp_returns_cross_checked_primary():
                            method="primary")
     alt = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH,
                            method="alt")
-    assert sol.meta["method"] == "primary"
+    assert sol.meta["method"] == "primary" and sol.meta["reference"] == "alt"
     rr = np.linspace(0.0, 5.0, 1501)
-    a_ref = ref.eval(rr)[0]
-    assert np.array_equal(sol.eval(rr)[0], a_ref)
-    # the disagreement it reports is the one between the two methods
-    dual_rel = float(np.max(np.abs(a_ref - alt.eval(rr)[0]))) / float(np.max(np.abs(a_ref)))
+    assert np.array_equal(sol.eval(rr)[0], ref.eval(rr)[0])
+    # the disagreement it reports is the one between the two methods, on
+    # the primary's 6-point Gauss-Legendre nodes in s
+    s, _, (a_ref, _, _) = ref.s_form.gauss(6)
+    dual_rel = (float(np.max(np.abs(a_ref - alt.s_form(s)[0])))
+                / float(np.max(np.abs(a_ref))))
     assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
     assert sol.meta["alt_panels"] == alt.meta["panels"]
     assert sol.meta["alt_passes"] == alt.meta["passes"]
+
+
+def _chi0_solutions(s, derivatives=True):
+    """The sphere profile's closed form at chi = 0 as solve_dual_bvp's
+    exact reference takes it: P = 1/(2 sigma**2), sigma = s + 2, and
+    H = 1, each with its first two s-derivatives, or (P, H) alone."""
+    sg = s + 2.0
+    p, h = 0.5 / (sg * sg), np.ones_like(s)
+    if not derivatives:
+        return p, h
+    zero = np.zeros_like(s)
+    return (p, -1.0 / sg ** 3, 3.0 / sg ** 4), (h, zero, zero)
+
+
+def test_solve_dual_bvp_checks_against_an_exact_reference():
+    # given a closed form, the primary is checked against it on the same
+    # Gauss-Legendre nodes, with C from the rim row, and no alt solve runs
+    equation, right, mesh = _sphere_problem(1e-3, 0.0)
+    sol = solve_dual_bvp(equation, right, 1e-10, "on the chi = 0 cell",
+                         mesh=mesh, exact=_chi0_solutions)
+    meta = sol.meta
+    assert meta["reference"] == "exact" and "alt_panels" not in meta
+    assert "alt_passes" not in meta and meta["dual_gate"] == 1e-8
+    s, _, (a_p, _, _) = sol.s_form.gauss(6)
+    # A = 1/(2 sigma**2) - xi**2/(2 (1 + 2 xi)**2) (sphere module docstring)
+    want = 0.5 / (s + 2.0) ** 2 - 1e-6 / (2.0 * 1.002 ** 2)
+    assert meta["dual_sup_rel"] == pytest.approx(
+        float(np.max(np.abs(a_p - want))) / float(np.max(np.abs(a_p))),
+        rel=1e-3, abs=1e-15)
+    assert meta["dual_sup_rel"] <= 1e-12
+
+
+def test_exact_reference_gate_raises():
+    # a reference off by 1e-6 of P fails the gate min(1e-8, 100 tol), in
+    # the one ToleranceNotMet both references raise
+    def off(s, derivatives=True):
+        p, h = _chi0_solutions(s, False)
+        return 1.000001 * p, h
+
+    equation, right, mesh = _sphere_problem(1e-3, 0.0)
+    with pytest.raises(ToleranceNotMet, match="the panels and the exact "
+                       "profile disagree on the chi = 0 cell") as exc:
+        solve_dual_bvp(equation, right, 1e-10, "on the chi = 0 cell",
+                       mesh=mesh, exact=lambda s, d=True: (
+                           _chi0_solutions(s) if d else off(s)))
+    assert 1e-8 < exc.value.best < 1e-5
 
 
 @pytest.mark.parametrize("tol, gate", [(1e-6, 1e-8), (1e-10, 1e-8),
@@ -542,13 +590,15 @@ def _sphere_problem(xi, chi):
 @pytest.mark.parametrize("method", ["primary", "alt"])
 def test_panel_value_matches_full_evaluation_bit_for_bit(method):
     # PanelPoly.value is the first of __call__'s three products: on the
-    # axis, on every panel edge (where locate switches panels), at the rim
-    # and on the dual comparison's 1501 points, as 1-D and 2-D arrays
+    # axis, on every panel edge (where locate switches panels), at the rim,
+    # on 1501 even points in R and on the dual comparison's Gauss-Legendre
+    # nodes (a 2-D array), as 1-D and 2-D arrays
     equation, right, mesh = _sphere_problem(1e-3, 0.5)
     poly = solve_linear_bvp(equation, right, mesh=mesh, method=method).s_form
     s_cmp = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
+    nodes = solve_linear_bvp(equation, right, mesh=mesh).s_form.gauss(6)[0]
     for s in (np.array([0.0]), poly.edges, poly.edges[-1:], s_cmp,
-              s_cmp[:1500].reshape(30, 50)):
+              s_cmp[:1500].reshape(30, 50), nodes):
         assert np.array_equal(poly.value(s), poly(s)[0])
 
 
@@ -557,17 +607,17 @@ def test_panel_value_matches_full_evaluation_bit_for_bit(method):
 ], ids=["1e-4-1e-3", "1e-3-1", "1e-2-1.5", "theta-1e-3"])
 def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
     # the sphere-cell form of test_solve_dual_bvp_returns_cross_checked_
-    # primary: the reported dual_sup_rel is the one recomputed through
-    # each solve's full evaluator on the same 1501 points ("theta-1e-3" is
-    # the operator of Theta's closed form, chi**2 = 3 xi, at load 1)
+    # primary: the reported dual_sup_rel is the one recomputed from the
+    # primary's values on its 6-point Gauss-Legendre nodes and the alt
+    # solve's full panel evaluator there ("theta-1e-3" is the operator of
+    # Theta's closed form, chi**2 = 3 xi, at load 1)
     equation, right, mesh = _sphere_problem(xi, chi)
     sol = solve_dual_bvp(equation, right, 1e-10, "on a sphere cell",
                          mesh=mesh)
     ref, alt = (solve_linear_bvp(equation, right, tol=1e-10, mesh=mesh,
                                  method=method) for method in ("primary", "alt"))
-    rr = np.linspace(0.0, float(mesh[-1]), 1501)
-    a_ref = ref.eval(rr)[0]
-    dual_rel = (float(np.max(np.abs(a_ref - alt.eval(rr)[0])))
+    s, _, (a_ref, _, _) = ref.s_form.gauss(6)
+    dual_rel = (float(np.max(np.abs(a_ref - alt.s_form(s)[0])))
                 / float(np.max(np.abs(a_ref))))
     assert sol.meta["dual_sup_rel"] == dual_rel <= 1e-8
     assert sol.meta["alt_panels"] == alt.meta["panels"]

@@ -18,6 +18,7 @@ from layerlab import plate, regimes, series
 from layerlab.kernels import (_MAX_REFINE, ToleranceNotMet, _split_panels,
                               integrate, solve_dual_bvp)
 from layerlab.sphere import (
+    _EXACT_AB_MAX,
     XI_MAX_SPHERE,
     XI_MIN_SPHERE,
     PsiExtremes,
@@ -400,19 +401,53 @@ def test_moment_identity(xi, chi):
     assert abs(moments / want - 1.0) <= 10.0 * np.finfo(float).eps * kappa
 
 
+def _served(xi, chi):
+    """Whether solve_sphere checks the cell against the exact profile:
+    0 < ab <= 20 and ab != 1, ab = chi**2/(2 xi)."""
+    ab = chi * chi / (2.0 * xi)
+    return 0.0 < ab <= _EXACT_AB_MAX and ab != 1.0
+
+
+def _alt_checked(xi, chi, tol=1e-10):
+    """The cell's profile solved again through solve_dual_bvp on the
+    default mesh with the alt discretization as its reference, whatever
+    reference solve_sphere takes there."""
+    geo = SphereGeometry.of(xi)
+    return solve_dual_bvp(_ode_coefficients(xi, chi), _edge_closure(geo, chi),
+                          tol, f"at ({xi:g}, {chi:g})",
+                          mesh=_sphere_edges(geo))
+
+
+def _assert_reference(meta, xi, chi):
+    """solve_sphere's meta names the reference the cell gets, and a cell
+    checked against the exact profile meets it to 1e-12."""
+    if _served(xi, chi):
+        assert meta["reference"] == "exact" and "alt_panels" not in meta
+        assert meta["dual_sup_rel"] <= 1e-12, (xi, chi)
+    else:
+        assert meta["reference"] == "alt", (xi, chi)
+
+
 def test_table_cells_solve_at_tight_tolerance():
     # every table cell meets tol = 1e-12, where the R-form solver stalled
     # on its rounding floor, and keeps its default-tolerance answer; only
     # the panels over tolerance are split, so no cell takes the 238
     # panels of a doubled 119-panel mesh, and the two discretizations
-    # agree within the gate min(1e-8, 100 tol) = 1e-10
+    # agree within the gate min(1e-8, 100 tol) = 1e-10 (the alt one
+    # solved explicitly, since solve_sphere checks the cells with
+    # 0 < ab <= 20 against the exact profile instead)
     for xi, chi in TABLE_CELLS:
         sol = solve_sphere(xi, chi, tol=1e-12)
         meta = sol.A.meta
         assert meta["residual_sup"] <= 1e-12 * meta["residual_scale"]
-        assert meta["panels"] < 238 and meta["alt_panels"] < 2 * 238
+        assert meta["panels"] < 238
         assert meta["dual_gate"] == 1e-10
         assert meta["dual_sup_rel"] <= 1e-10, (xi, chi)
+        _assert_reference(meta, xi, chi)
+        alt = _alt_checked(xi, chi, 1e-12).meta
+        assert alt["reference"] == "alt" and alt["alt_panels"] < 2 * 238
+        assert alt["dual_gate"] == 1e-10
+        assert alt["dual_sup_rel"] <= 1e-10, (xi, chi)
         psi = sphere_force(sol).psi
         assert abs(psi / sphere_force(solve_sphere(xi, chi)).psi - 1.0) <= 1e-12
 
@@ -442,13 +477,16 @@ ANCHOR_CELLS = [(1e-3, 0.0), (1e-2, 0.0)]
 
 def test_default_mesh_needs_no_refinement():
     # the graded default mesh meets the default tolerance as it stands,
-    # in both discretizations, and never takes more panels than the
-    # 119 of the fixed 96-panel tail it replaced
+    # in both discretizations (the alt one solved explicitly), and never
+    # takes more panels than the 119 of the fixed 96-panel tail it
+    # replaced
     for xi, chi in TABLE_CELLS + SUITE_CELLS + ANCHOR_CELLS:
         meta = solve_sphere(xi, chi).A.meta
-        assert meta["passes"] == 0 and meta["alt_passes"] == 0, (xi, chi)
+        assert meta["passes"] == 0, (xi, chi)
+        assert _alt_checked(xi, chi).meta["alt_passes"] == 0, (xi, chi)
         assert meta["panels"] <= 119, (xi, chi)
         assert meta["dual_gate"] == 1e-8
+        _assert_reference(meta, xi, chi)
 
 
 def _solve_on(xi, chi, mesh):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from layerlab.series import solve_theta
-from layerlab.sphere import (_K3_SWITCH, SphereGeometry, _k3_basis,
-                             solve_sphere)
+from layerlab.sphere import (_HYP_SWITCH, SphereGeometry, _family_basis,
+                             _family_rows, solve_sphere)
 
 
 # x from the axis to 2e-8 short of x = 1 (the rim at xi = 1e-8 sits at
@@ -24,7 +24,7 @@ from layerlab.sphere import (_K3_SWITCH, SphereGeometry, _k3_basis,
 _OFFSETS = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2])
 X = np.unique(np.concatenate((
     np.linspace(0.0, 0.8, 9), [0.3, 0.5, 0.7, 0.95, 0.999, 1.0 - 2e-8],
-    [_K3_SWITCH], _K3_SWITCH - _OFFSETS, _K3_SWITCH + _OFFSETS)))
+    [_HYP_SWITCH], _HYP_SWITCH - _OFFSETS, _HYP_SWITCH + _OFFSETS)))
 
 
 def _reference(x: float) -> list:
@@ -51,10 +51,11 @@ def basis():
     """The closed form's (P, P_x, P_xx, F, F_x, F_xx) on X, and the
     40-digit reference."""
     # 1 - x is exact for x >= 1/2, where the connection rows read it
-    return _k3_basis(X, 1.0 - X), np.array([_reference(x) for x in X]).T
+    return (_family_basis(_family_rows(1.5), X, 1.0 - X),
+            np.array([_reference(x) for x in X]).T)
 
 
-# (row of _k3_basis, bound in units of 2**-53): the power of two at or
+# (row of _family_basis, bound in units of 2**-53): the power of two at or
 # above twice the worst measured, which was 2.1, 2.0, 9.5, 18.5, 3.6 and
 # 9.7 units, in this order
 BASIS_BOUNDS = {"F": (3, 8), "F_x": (4, 8), "F_xx": (5, 32), "P": (0, 64),
