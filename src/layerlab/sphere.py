@@ -156,13 +156,13 @@ Two profiles use it.  At ``chi**2 = 3 xi`` (``ab = 3/2``) it is the
 Theta problem of ``series``, built with no collocation solve
 (_theta_profile): F, P and their first two x-derivatives agree with
 mpmath at 40 digits to 20 units of roundoff or better, over x from 0 to
-1 - 2e-8.  And wherever ``0 < ab <= 20`` and ab is not 1 (_cell), a
+1 - 2e-8.  And wherever ``1e-300 <= ab <= 20`` and ab is not 1 (_cell), a
 cold solve checks its panels against it in place of the alt
 discretization: A and A_s agree with mpmath to 32 units of roundoff of
 ``|P| + |C F|`` below ab = 10, and to 2048 at ab = 20, where the
 connection series cancels just past the switch.  Past ab = 20 (ROADMAP
-item 13), at ab = 1 and at chi = 0 the alt discretization stays the
-reference.
+item 13), at ab = 1 and below ab = 1e-300, chi = 0 included, the alt
+discretization stays the reference.
 """
 
 from __future__ import annotations
@@ -330,11 +330,13 @@ def _edge_closure(geo: SphereGeometry, chi: float):
 _HYP_SWITCH = 0.55
 _HYP_TERMS = 55
 
-# the largest ab = chi**2/(2 xi) on which the exact profile, not the alt
-# discretization, checks the panels (_cell): past it the connection
-# series cancels (ROADMAP items 12 and 13); it agrees with the panels to
-# 7.2e-14 at ab = 20 and to 2.7e-15 below ab = 5
-_EXACT_AB_MAX = 20.0
+# the ab = chi**2/(2 xi) on which the exact profile, not the alt
+# discretization, checks the panels (_cell): below the least, p0 and
+# kappa, which go as 1/ab, leave double range (from ab about 1e-309); past
+# the largest the connection series cancels (ROADMAP items 12 and 13).
+# The profile agrees with the panels to 7.2e-14 at ab = 20 and to
+# 2.7e-15 below ab = 5
+_EXACT_AB = (1e-300, 20.0)
 
 
 def _family_constants(ab):
@@ -533,12 +535,12 @@ def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
 def _cell(geo: SphereGeometry, chi: float):
     """The sphere profile's problem at (xi, chi): the equation
     (ode, ode_s), the rim row, the R mesh (_sphere_edges) and the exact
-    reference, the family's solutions at ab = chi**2/(2 xi) where
-    0 < ab <= _EXACT_AB_MAX and ab != 1, else None (at ab = 1, p1 and
-    kappa have their pole; at ab = 0, chi = 0, p0 and kappa)."""
+    reference, the family's solutions at ab = chi**2/(2 xi) where ab lies
+    in _EXACT_AB and is not 1, else None (at ab = 1, p1 and kappa have
+    their pole; at ab = 0, chi = 0, p0 and kappa)."""
     ab = chi * chi / (2.0 * geo.xi)
     exact = (partial(_family_solutions, _family_rows(ab))
-             if 0.0 < ab <= _EXACT_AB_MAX and ab != 1.0 else None)
+             if _EXACT_AB[0] <= ab <= _EXACT_AB[1] and ab != 1.0 else None)
     return (_ode_coefficients(geo.xi, chi), _edge_closure(geo, chi),
             _sphere_edges(geo), exact)
 
@@ -595,8 +597,8 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     and ``0 <= chi <= 3/2``.  Every cold solve checks its panels against
     a reference and requires them to agree in sup norm, relative to
     sup|A|, to ``min(1e-8, 100 tol)``: the exact profile (module
-    docstring) where ``ab = chi**2/(2 xi)`` has ``0 < ab <= 20`` and
-    ``ab != 1``, else an independent second discretization.
+    docstring) where ``ab = chi**2/(2 xi)`` has ``1e-300 <= ab <= 20``
+    and ``ab != 1``, else an independent second discretization.
     ``A.meta["reference"]`` names it (``"exact"`` or ``"alt"``) and
     ``A.meta["dual_sup_rel"]`` holds the disagreement; the alt solve's
     ``"alt_panels"`` and ``"alt_passes"`` are there only where it is the

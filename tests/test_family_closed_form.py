@@ -1,7 +1,7 @@
 """The sphere profile's exact form A = P + C F, F = 2F1(a, b; 1; x) with
 a + b = -2 and ab = chi**2/(2 xi), against mpmath.hyp2f1 at 40 digits,
 on cells across the range where solve_sphere checks its panels against
-it (0 < ab <= 20, ab != 1): the low end, both sides of ab = 1 and the
+it (1e-300 <= ab <= 20, ab != 1): the low end, both sides of ab = 1 and the
 top.  C is fixed in both by the same rim row (kernels._rim_row, in
 doubles), so what is checked is the evaluator: its Taylor and
 connection series, their constants and the particular part P.

@@ -18,7 +18,7 @@ from layerlab import plate, regimes, series
 from layerlab.kernels import (_MAX_REFINE, ToleranceNotMet, _split_panels,
                               integrate, solve_dual_bvp)
 from layerlab.sphere import (
-    _EXACT_AB_MAX,
+    _EXACT_AB,
     XI_MAX_SPHERE,
     XI_MIN_SPHERE,
     PsiExtremes,
@@ -403,9 +403,9 @@ def test_moment_identity(xi, chi):
 
 def _served(xi, chi):
     """Whether solve_sphere checks the cell against the exact profile:
-    0 < ab <= 20 and ab != 1, ab = chi**2/(2 xi)."""
+    1e-300 <= ab <= 20 and ab != 1, ab = chi**2/(2 xi)."""
     ab = chi * chi / (2.0 * xi)
-    return 0.0 < ab <= _EXACT_AB_MAX and ab != 1.0
+    return _EXACT_AB[0] <= ab <= _EXACT_AB[1] and ab != 1.0
 
 
 def _alt_checked(xi, chi, tol=1e-10):
@@ -428,6 +428,23 @@ def _assert_reference(meta, xi, chi):
         assert meta["reference"] == "alt", (xi, chi)
 
 
+@pytest.mark.parametrize("xi, chi, reference", [
+    (0.03125, 1.118, "exact"),      # ab = 19.9988
+    (0.03125, 1.1181, "alt"),       # ab = 20.002, past the range
+    (0.03125, 0.25, "alt"),         # ab = 1 exactly, the pole of p1
+    (1e-2, 0.0, "alt"),             # chi = 0
+    (0.1, 1e-150, "exact"),         # ab = 5e-300
+    (0.1, 1e-160, "alt"),           # chi**2 is subnormal
+])
+def test_reference_follows_ab(xi, chi, reference):
+    # ab = chi**2/(2 xi) alone picks the reference, at both ends of the
+    # range and at its one excluded point; each cell solves and checks
+    # (no warning: a warning fails this suite)
+    meta = solve_sphere(xi, chi).A.meta
+    assert meta["reference"] == reference
+    assert meta["dual_sup_rel"] <= (1e-12 if reference == "exact" else 1e-8)
+
+
 def test_table_cells_solve_at_tight_tolerance():
     # every table cell meets tol = 1e-12, where the R-form solver stalled
     # on its rounding floor, and keeps its default-tolerance answer; only
@@ -435,7 +452,7 @@ def test_table_cells_solve_at_tight_tolerance():
     # panels of a doubled 119-panel mesh, and the two discretizations
     # agree within the gate min(1e-8, 100 tol) = 1e-10 (the alt one
     # solved explicitly, since solve_sphere checks the cells with
-    # 0 < ab <= 20 against the exact profile instead)
+    # 1e-300 <= ab <= 20 against the exact profile instead)
     for xi, chi in TABLE_CELLS:
         sol = solve_sphere(xi, chi, tol=1e-12)
         meta = sol.A.meta
