@@ -40,15 +40,16 @@ layout).
 Chebyshev panels are evaluated one way, PanelPoly's: derivative series by
 chebder's recurrence, then a Vandermonde product (the collocation blocks,
 the residual check, the dual comparison and the solved profile).  The
-Vandermondes on fixed nodes (the residual check's, the Gauss rules') are
-built once per degree.
+Vandermondes on fixed nodes (the residual check's, the Gauss rule's) are
+built once per degree, and a solved profile's Gauss record once per
+profile (PanelPoly.gauss).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -336,17 +337,20 @@ def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
 # refinement passes (each splits the R panels over tolerance at their
 # midpoints) before ToleranceNotMet
 _MAX_REFINE = 3
-# the Gauss-Legendre points per panel on which solve_dual_bvp compares the
-# primary with its reference: the rule that integrates A and s A exactly
-# on a degree-10 panel in s, where the sphere force reads A's moments
-_DUAL_GAUSS = 6
 
 
 class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
     coefficients on [edges[i], edges[i+1]] in the panel variable
     t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
-    but value returns the value and the first two x-derivatives."""
+    but value returns the value and the first two x-derivatives.  Its
+    arrays are read-only, since a solved profile is shared by every
+    caller of a cache.
+
+    Integrals read three things, and nothing else of the panels: the rim
+    values (end), the 6-point Gauss-Legendre record of every panel
+    (gauss, formed once) and the running integral up to a given x by
+    the same rule (integral_below)."""
 
     def __init__(self, edges: np.ndarray, coefs: np.ndarray):
         self.edges = edges
@@ -362,6 +366,7 @@ class PanelPoly:
         self._series[:, 0] = coefs
         self._series[:, 1, :-1] = d1
         self._series[:, 2, :-2] = d2
+        _frozen(self.edges, self.coefs, self.half, self.mid, self._series)
 
     @property
     def deg(self) -> int:
@@ -403,12 +408,29 @@ class PanelPoly:
         vals = np.einsum("mk,pjk->jpm", vander, self._series)
         return self.mid[:, None] + self.half[:, None] * t, tuple(vals)
 
-    def gauss(self, n: int):
-        """The n-point Gauss-Legendre rule on [-1, 1] mapped onto every
-        panel: nodes x, weights and (v, v_x, v_xx), each (npan, n)."""
-        t, w, vander = _gauss_nodes(self.deg, n)
-        x, vals = self.grid(t, vander)
-        return x, self.half[:, None] * w, vals
+    @cached_property
+    def gauss(self):
+        """The Gauss-Legendre rule (_GAUSS_T, _GAUSS_W) mapped onto every
+        panel, formed on first use and kept read-only: nodes x, weights,
+        v and v_x, each (npan, 6)."""
+        x, (v, v_x, _) = self.grid(_GAUSS_T, _gauss_vander(self.deg))
+        return _frozen(x, self.half[:, None] * _GAUSS_W, v, v_x)
+
+    def integral_below(self, x, f):
+        """The integral of a function from the first edge to each x of
+        the 1-D array x, by the record's rule: the whole panels below x,
+        summed in order, plus the part [edges[k], x] of the panel k
+        holding x.  f(x, w, v, v_x) gives the function's values at nodes
+        x times weights w, from v and v_x there: f(*gauss) on the whole
+        panels; on a part, f(nodes, 1.0, v, v_x) @ _GAUSS_W times the
+        part's half-length."""
+        whole = np.concatenate(([0.0], np.cumsum(f(*self.gauss).sum(1))))
+        k, t_x = self.locate(x)
+        frac = 0.5 * (t_x + 1.0)
+        tn = frac[:, None] * (_GAUSS_T + 1.0) - 1.0
+        nodes = self.mid[k][:, None] + self.half[k][:, None] * tn
+        part = f(nodes, 1.0, *self.at(k[:, None], tn)[:2]) @ _GAUSS_W
+        return whole[k] + self.half[k] * frac * part
 
 
 def _chebder_rows(c: np.ndarray) -> np.ndarray:
@@ -434,12 +456,18 @@ def _frozen(*arrays):
     return arrays
 
 
+# the one Gauss-Legendre rule of the panels, nodes and weights on
+# [-1, 1] (PanelPoly.gauss): 6 points integrate A, s A and g**2 A_s
+# exactly on a degree-10 panel in s, where the sphere reads A's moments
+# and its potential, and solve_dual_bvp compares the primary with its
+# reference on its nodes
+_GAUSS_T, _GAUSS_W = _frozen(*np.polynomial.legendre.leggauss(6))
+
+
 @lru_cache(maxsize=8)
-def _gauss_nodes(deg: int, n: int):
-    """The n-point Gauss-Legendre nodes t and weights w on [-1, 1], and
-    the degree-deg Chebyshev-Vandermonde at t."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    return _frozen(t, w, _cheb.chebvander(t, deg))
+def _gauss_vander(deg: int):
+    """The degree-deg Chebyshev-Vandermonde at _GAUSS_T."""
+    return _frozen(_cheb.chebvander(_GAUSS_T, deg))[0]
 
 
 @lru_cache(maxsize=8)
@@ -466,7 +494,10 @@ class RadialSolution:
     residual (a read-only mapping on a solve_dual_bvp profile).  s_form
     (None on a profile given in closed form) is the solved A as a
     PanelPoly in s = R**2, the panels on which integrals of A and its
-    derivatives are exact Gauss-Legendre sums.
+    derivatives are exact Gauss-Legendre sums: integrals read its rim
+    values (end), its Gauss record (gauss, formed once, by the solve's
+    dual check) and the running integral up to a given s by the same
+    rule (integral_below).
 
     eval may also be given to the constructor (dataclasses.replace
     passes it on): it then stands in for the method on that instance, as
@@ -752,8 +783,7 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
         "residual_scale": scale,
         "tol": tol,
     }
-    _frozen(poly.edges, poly.coefs, poly.half, poly.mid, poly._series,
-            meta["edges"])
+    _frozen(meta["edges"])
     return RadialSolution(terms=partial(_panel_terms, equation, poly),
                           meta=meta, s_form=poly)
 
@@ -768,15 +798,18 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
     takes them, with exact(s, False) giving the pair (P, H) alone; the
     reference is then P + C H, with C fixed by the rim row.  The alt
     discretization refines on its own residual.  Either reference is
-    sampled where the primary is, on the 6-point Gauss-Legendre nodes of
-    its panels in s (the rule that integrates A's moments exactly).
+    sampled where the primary is, on the nodes of its Gauss record
+    (PanelPoly.gauss, the rule that integrates A's moments exactly),
+    which this forms once for every later reader of the profile.
 
     Returns the primary solution, with meta["dual_sup_rel"] set to the
     sup-norm disagreement of A with the reference on those nodes,
     relative to the primary's sup|A| there (0 when both are identically
-    zero), meta["reference"] to "exact" or "alt", and for the alt
-    reference meta["alt_panels"], meta["alt_passes"] those of the alt
-    solve.  A disagreement above meta["dual_gate"] = min(1e-8, 100 tol)
+    zero), meta["reference"] to "exact" or "alt", for the exact
+    reference meta["C"] to the C it used (as closed_form_profile's meta
+    holds it), and for the alt reference meta["alt_panels"],
+    meta["alt_passes"] those of the alt solve.  A disagreement above
+    meta["dual_gate"] = min(1e-8, 100 tol)
     raises ToleranceNotMet; `where` names the problem in that message.
     The returned meta is a read-only mapping, and the panel arrays are
     read-only (see solve_linear_bvp), since a cached solution is shared
@@ -790,9 +823,8 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
     cannot see the first either.  The closed-form profiles, written
     apart from the code, are the oracles for those.
     """
-    primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
-                               method="primary")
-    s, _, (a_p, _, _) = primary.s_form.gauss(_DUAL_GAUSS)
+    primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh)
+    s, _, a_p, _ = primary.s_form.gauss
     if exact is None:
         alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
                                method="alt")
@@ -801,9 +833,10 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
                "alt_passes": alt.meta["passes"]}
         name = "independent discretizations"
     else:
+        c = _rim_constant(equation, right, float(mesh[-1]), exact)
         p, h = exact(s, False)
-        a_ref = p + _rim_constant(equation, right, float(mesh[-1]), exact) * h
-        ref, name = {"reference": "exact"}, "the panels and the exact profile"
+        a_ref, ref = p + c * h, {"reference": "exact", "C": c}
+        name = "the panels and the exact profile"
     diff = float(np.max(np.abs(a_p - a_ref)))
     scale = float(np.max(np.abs(a_p)))
     dual_rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)

@@ -240,16 +240,38 @@ def _w_series(x):
     return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
-def _edge(xi: float, chi: float) -> Optional[BesselRatioEval]:
+def _edge(xi: float, chi: float, name: str) -> Optional[BesselRatioEval]:
     """The Bessel record at the edge x = chi/xi, after checking xi and chi,
     or None where the incompressible family takes over: chi < 1e-10 and
     chi/xi < 1e-6.  There 1 - G ~ (chi/xi)^2/6 is below 2e-13; at
-    chi/xi >= 1e-6 the Bessel form is kept however small chi is."""
+    chi/xi >= 1e-6 the Bessel form is kept however small chi is.  Where
+    chi/xi itself leaves double range (xi below about 1e-308) it raises
+    NumericsError naming the function name and the cell."""
     check_xi(xi)
     check_chi(chi)
     if chi < CHI_INCOMPRESSIBLE and chi / xi < _KAPPA_INCOMPRESSIBLE:
         return None
+    if chi / xi == math.inf:
+        raise _past_range(name, "chi/xi", xi, chi)
     return bessel_ratio(chi / xi)
+
+
+def _past_range(name: str, what: str, xi: float, chi: float) -> NumericsError:
+    """The NumericsError of the function name where what leaves double
+    range at the cell (xi, chi)."""
+    return NumericsError(f"{name}: {what} is past double range "
+                         f"(xi = {xi}, chi = {chi})")
+
+
+def _inv_8xi2(xi: float, chi: float, name: str) -> float:
+    """The incompressible scale 1/(8 xi**2), or NumericsError naming the
+    function name and the cell where it leaves double range (xi below
+    about 1e-154; at xi**2 = 0 Python would raise ZeroDivisionError)."""
+    den = 8.0 * xi * xi
+    # 1/den is inf from den = 2**-1024 down, and raises at den = 0
+    if not den > 2.0 ** -1024:
+        raise _past_range(name, "1/(8 xi**2)", xi, chi)
+    return 1.0 / den
 
 
 def radial_profile(xi: float, chi: float) -> RadialSolution:
@@ -277,9 +299,9 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     R, and eval2(R) the first three, the same doubles, without the A'''
     pass (see RadialSolution).
     """
-    edge = _edge(xi, chi)
+    edge = _edge(xi, chi, "radial_profile")
     if edge is None:
-        inv = 1.0 / (8.0 * xi * xi)
+        inv = _inv_8xi2(xi, chi, "radial_profile")
 
         def terms(r, third):
             av = (1.0 - r * r) * inv
@@ -496,8 +518,7 @@ def _g(xi: float, chi: float, ev: BesselRatioEval, name: str) -> float:
     try:
         den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
     except OverflowError:
-        raise NumericsError(f"{name}: (chi/xi)**3 is past double range "
-                            f"(xi = {xi}, chi = {chi})") from None
+        raise _past_range(name, "(chi/xi)**3", xi, chi) from None
     return 8.0 * num / den
 
 
@@ -518,7 +539,7 @@ def force_factor(xi: float, chi: float) -> float:
     the whole parameter range.  Where chi < 1e-10 and x < 1e-6 the
     incompressible family's G = 1 is returned (_edge).
     """
-    edge = _edge(xi, chi)
+    edge = _edge(xi, chi, "force_factor")
     return 1.0 if edge is None else _g(xi, chi, edge, "force_factor")
 
 
@@ -531,9 +552,12 @@ def force(sol: PlateSolution) -> float:
     integral 2 pi a^2 integral_0^1 sigma_zz(R, 1) R dR of the field
     stresses (the two are the same closed form rearranged).  Raises
     NumericsError where the prefactor leaves double range (xi below
-    about 1e-103 at unit scales), rather than return inf or nan."""
+    about 1e-103 at unit scales, xi**3 underflowing to 0 among them),
+    rather than return inf or nan."""
     cfg = sol.cfg
-    pref = 3.0 * math.pi * cfg.mu * cfg.a * cfg.U / (8.0 * cfg.xi ** 3)
+    # where xi**3 underflows to 0, inf, as C divides, for the check below
+    pref = (3.0 * math.pi * cfg.mu * cfg.a * cfg.U / (8.0 * cfg.xi ** 3)
+            if cfg.xi ** 3 else math.inf)
     f = pref * force_factor(cfg.xi, sol.chi)
     if not math.isfinite(f):
         raise NumericsError(f"plate force {f} is past double range "
@@ -567,7 +591,9 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
 
     (x = chi/xi, t = I_1/I_0 (x), as in force_factor).  chi = 0 returns the
     incompressible limit with e_hat_c = +inf; chi = 3/2 is rejected
-    because E = 0 there makes every E-normalized modulus singular.
+    because E = 0 there makes every E-normalized modulus singular.  Where
+    1/(8 xi^2) leaves double range (xi below about 1e-154) it raises
+    NumericsError, naming the function and the cell (_inv_8xi2).
     """
     check_xi(xi)
     if not (0.0 <= chi < CHI_MAX):
@@ -575,8 +601,8 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
             f"chi must lie in [0, 3/2); the modulus normalization is "
             f"singular at chi = 3/2 (E = 0), got {chi}"
         )
-    e_i = 1.0 / (8.0 * xi * xi)
-    ev = _edge(xi, chi)
+    e_i = _inv_8xi2(xi, chi, "apparent_modulus")
+    ev = _edge(xi, chi, "apparent_modulus")
     if ev is None:
         return ApparentModuli(e_i, e_i, math.inf, e_i)
     c2 = chi * chi

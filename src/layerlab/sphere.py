@@ -89,11 +89,14 @@ parts in s, ``integral of g s A_s ds = g_e R_e**2 A(R_e) - M0 - M1``:
 
 So the force reads A and A_s at the rim and A's moments, and any profile
 whose rim values and moments are known has a force.  The moments, and
-the potential's ``A1 dR = -3 g**2 A_s ds``, use one fixed Gauss-Legendre
-rule on the solver's own panels, which live in s from the axis out: A is
-a polynomial of degree <= 10 in s on each panel, so 6 points per panel
-integrate ``A``, ``s A`` and ``g**2 A_s`` exactly, read straight off the
-panel polynomials.
+the potential's ``A1 dR = -3 g**2 A_s ds``, use the one Gauss-Legendre
+rule of the solver's own panels (kernels.PanelPoly.gauss), which live in
+s from the axis out: A is a polynomial of degree <= 10 in s on each
+panel, so 6 points per panel integrate ``A``, ``s A`` and ``g**2 A_s``
+exactly.  The panels form that record (nodes, weights, A and A_s) once,
+when the solve's dual check samples them, and the force and the
+potential read it; the potential's partial panel up to each radius
+takes the same rule (integral_below).
 
 Closed-form anchors used by the tests: for ``chi = 0`` the profile is
 ``A = 1/(2 sigma**2) - xi**2 / (2 (1 + 2 xi)**2)`` with
@@ -138,12 +141,13 @@ The Gamma products are exact through
 ``1 / (Gamma(a) Gamma(b)) = beta ab sinh(pi beta) / pi``, with
 ``beta = i r`` below ab = 1.  With ``Re psi(1 + i beta) = -gamma
 + beta**2 sum_k 1/(k (k**2 + beta**2))`` (A&S 6.3.17),
-``e_0 = 1/6 + 2 beta**2 sum_{k >= 2} 1/(k (k**2 + beta**2))``; where
-``|beta**2| <= 1/2`` it is summed as ``e_0 = 2/ab - 11/6
-+ 2 sum_j (-1)**j beta**(2j + 2) zeta(2j + 3)`` (the form Theta is
-built with), and d_n and e_n follow by their recurrences.  P's terms
-``p0 + p1 x`` cancel kappa Q's first two exactly, so its connection
-series leaves them out and P keeps its relative accuracy out to the rim.
+``e_0 = 1/6 + 2 beta**2 sum_{k >= 2} 1/(k (k**2 + beta**2))``, its tail
+past k = 9 summed by the Hurwitz zeta, ``sum_j (-beta**2)**j
+zeta(2j + 3, 10)``, for every ab, Theta's included (against 40-digit
+mpmath its largest error over ab in [0.5, 1.5] is 5.9e-17), and d_n and
+e_n follow by their recurrences.  P's terms ``p0 + p1 x`` cancel
+kappa Q's first two exactly, so its connection series leaves them out
+and P keeps its relative accuracy out to the rim.
 In x, P's constant and linear terms ``p0 + kappa`` and
 ``p1 + kappa ab`` cancel as 1/ab toward ab = 0 and as 1/(ab - 1) toward
 ab = 1; below ab = 3/2 they are read instead off P's connection series
@@ -196,11 +200,6 @@ XI_MAX_SPHERE = 0.1
 # from xi ~ 7e-78 down, ode_s's 12 / sigma**4 (the fields' A''') overflows
 # at the rim
 XI_MIN_SPHERE = 1e-76
-
-
-# exact for the force's moments of A and the potential's g**2 A_s in s
-_GL_N = 6
-_GL_S = np.polynomial.legendre.leggauss(_GL_N)
 
 
 @dataclass(frozen=True)
@@ -347,9 +346,9 @@ def _family_constants(ab):
     sinh(pi beta), in its sin form (beta = i r) below ab = 1, where
     sin(pi r) is taken as sin(pi min(r, 1 - r)); e_0 through A&S 6.3.17,
     e_0 = 1/6 + 2 b2 sum_{k >= 2} 1/(k (k**2 + b2)), b2 = ab - 1, its
-    tail past k = 9 summed as sum_j (-b2)**j zeta(2 j + 3, 10).  Where
-    |b2| <= 1/2 (Theta's ab = 3/2 among them) e_0 is the zeta series
-    Theta is built with instead, the same sum from k = 1."""
+    tail past k = 9 summed as sum_j (-b2)**j zeta(2 j + 3, 10) (the
+    Hurwitz zeta), for every ab in _EXACT_AB, Theta's ab = 3/2 among
+    them."""
     b2 = ab - 1.0
     # rho = |beta| and w = sinh(pi beta), or below ab = 1 (beta = i r) r
     # and sin(pi r), with 1 - r = ab/(1 + r) formed without cancellation
@@ -358,10 +357,6 @@ def _family_constants(ab):
          else math.sin(math.pi * min(rho, ab / (1.0 + rho))))
     q0, d0 = (2.0 * w / (math.pi * rho * ab),
               math.copysign(rho, b2) * ab * w / (6.0 * math.pi))
-    if abs(b2) <= 0.5:
-        j = np.arange(60.0)
-        return q0, d0, (2.0 / ab - 11.0 / 6.0 + 2.0 * float(np.sum(
-            (-b2) ** j * b2 * special.zeta(2.0 * j + 3.0))))
     k, j = np.arange(2.0, 10.0), np.arange(30.0)
     return q0, d0, 1.0 / 6.0 + 2.0 * b2 * (
         float(np.sum(1.0 / (k * (k * k + b2))))
@@ -683,24 +678,11 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     return _field_sample(Rr, Zb, fields)
 
 
-def _a1_antiderivative(sol: SphereSolution, radii: np.ndarray) -> np.ndarray:
-    """integral of A1 = -3 g**2 A' from 0 to each radius, taken as the
-    integral of -3 g**2 A_s over s from 0 to R**2: the cumulative sum of
-    the whole s-panels below it plus the partial panel up to it, each by
-    the exact 6-point rule."""
-    poly = sol.A.s_form
-    t, w = _GL_S
-    s, ws, (_, a_s, _) = poly.gauss(_GL_N)
+def _a1_weighted(s, w, a, a_s):
+    """w times -3 g**2 A_s at s: A1 = -3 g**2 A' integrated over R is
+    -3 g**2 A_s integrated over s = R**2 (PanelPoly.integral_below)."""
     g = 1.0 + 0.5 * s
-    cum = np.concatenate(([0.0], np.cumsum(np.sum(-3.0 * ws * g * g * a_s,
-                                                  axis=1))))
-    k, t_r = poly.locate(radii * radii)
-    # the partial panel runs over [-1, t_r] in its panel variable
-    frac = 0.5 * (t_r + 1.0)
-    tn = frac[:, None] * (t + 1.0) - 1.0
-    _, a_s, _ = poly.at(k[:, None], tn)
-    g = 1.0 + 0.5 * (poly.mid[k][:, None] + poly.half[k][:, None] * tn)
-    return cum[k] + poly.half[k] * frac * ((-3.0 * g * g * a_s) @ w)
+    return -3.0 * w * g * g * a_s
 
 
 def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
@@ -710,7 +692,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``, and it gives floats
     for scalar input, else R and Z as read-only broadcast views of the
     inputs.  The integral of A1 is exact on the solver's polynomial panels
-    in s = R**2 (6-point Gauss-Legendre per panel)."""
+    in s = R**2, by their Gauss-Legendre rule (PanelPoly.integral_below)."""
     cfg = sol.cfg
     Rr, Zb, radii, take = sol.geo.points(R, Z)
 
@@ -718,7 +700,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u
-    Iau = _a1_antiderivative(sol, radii)
+    Iau = sol.A.s_form.integral_below(radii * radii, _a1_weighted)
 
     a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
 
@@ -743,14 +725,14 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     surface Z = gap(R).  The two agree in the extreme regimes and differ
     by a few percent in between.  Each trace is its rim identity (module
     docstring): A and A_s at the rim, read as the last panel's series at
-    its end, and the moments M0 (and M1, for the surface) by the exact
-    6-point Gauss-Legendre rule on every solver panel in s = R**2.  No
-    A_ss is read, so the force holds down to XI_MIN_SPHERE, where A_ss
-    underflows on the tail's nodes.
+    its end, and the moments M0 (and M1, for the surface) on the panels'
+    Gauss record, which the solve formed (PanelPoly.gauss): a repeat
+    call evaluates no panel series.  No A_ss is read, so the force holds
+    down to XI_MIN_SPHERE, where A_ss underflows on the tail's nodes.
     """
     if trace not in ("midplane", "surface"):
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
-    s, w, (a0, _, _) = sol.A.s_form.gauss(_GL_N)
+    s, w, a0, _ = sol.A.s_form.gauss
     se, ae, ae_s, _ = sol.A.s_form.end()
     ge, m0 = 1.0 + 0.5 * se, float(np.sum(w * a0))
     # R_e g_e**2 A'(R_e), or g_e R_e**2 A(R_e) - M0 - M1, with A' = 2 R A_s

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .kernels import closed_form_profile, solve_linear_bvp
+from .kernels import solve_linear_bvp
 from .plate import field, force, solve_plate
 from .sphere import (_cell, psi_extremes, solve_sphere, sphere_field,
                      sphere_force)
@@ -114,17 +114,16 @@ def _sphere_dual_oracle(ssol) -> float:
     """The disagreement solve_sphere's check reports (its primary
     discretization against its reference), and on a cell it checks
     against the exact profile also the alt discretization's disagreement
-    with that profile, on the primary's 6-point Gauss-Legendre nodes in
-    s relative to the profile's sup there: the larger of the two."""
+    with that profile, with the C the check used (meta["C"]), on the
+    nodes of the primary's Gauss record in s relative to the profile's
+    sup there: the larger of the two."""
     meta = ssol.A.meta
     if meta["reference"] == "alt":
         return meta["dual_sup_rel"]
     equation, right, mesh, exact = _cell(ssol.geo, ssol.chi)
-    c = closed_form_profile(equation, right, ssol.geo.r_edge,
-                            exact).meta["C"]
-    s = ssol.A.s_form.gauss(6)[0]
+    s = ssol.A.s_form.gauss[0]
     p, f = exact(s, False)
-    a = p + c * f
+    a = p + meta["C"] * f
     alt = solve_linear_bvp(equation, right, mesh=mesh, method="alt")
     return max(meta["dual_sup_rel"], float(np.max(np.abs(
         alt.s_form.value(s) - a))) / float(np.max(np.abs(a))))
@@ -145,10 +144,11 @@ def cell_properties(xi: float, chi: float) -> dict:
     - plate force-from-fields: |F from the field's s_zz / plate.force - 1|;
     - sphere force-from-fields: |Psi from the field's midplane s_zz /
       sphere_force's psi - 1|, the field's s_zz summed by the exact
-      6-point rule on the panels in s (Psi = sum w s_zz / 6, s_zz in units
-      of mu U/(a xi)).  It checks sphere_force's midplane rim identity
-      against the field's own A'' on the nodes; both read the same
-      profile, so it does not check the rim row.
+      Gauss-Legendre rule of the panels in s, their Gauss record
+      (Psi = sum w s_zz / 6, s_zz in units of mu U/(a xi)).  It checks
+      sphere_force's midplane rim identity against the field's own A''
+      on the nodes; both read the same profile, so it does not check the
+      rim row.
     """
     sol = solve_plate(xi, chi=chi)
     ssol = solve_sphere(xi, chi)
@@ -172,7 +172,7 @@ def cell_properties(xi: float, chi: float) -> dict:
     walls += [(sphere_field(ssol, rs, sgn * ssol.geo.gap(rs)).u_z, sgn)
               for sgn in (1.0, -1.0)]
     worst_d = max(float(np.max(np.abs(uz - sgn))) for uz, sgn in walls)
-    s, w, _ = ssol.A.s_form.gauss(6)
+    s, w, *_ = ssol.A.s_form.gauss
     s_zz = sphere_field(ssol, np.sqrt(s.ravel()), 0.0).s_zz
     psi_f = xi * float(w.ravel() @ s_zz) / 6.0    # s_zz in mu U / (a xi)
 

@@ -402,12 +402,17 @@ _MORE = (
     ("sphere-force", "--xi", "9.9e-77", "--chi", "1"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-81", "--chi",
      "1"),
-    # errors: plate closed forms past double range (Python float errors,
-    # and NumericsError where the force's prefactor, (chi/xi)**3 or a
-    # field's stress overflows)
+    # errors: plate closed forms past double range (NumericsError where
+    # the force's prefactor, chi/xi, (chi/xi)**3, 1/(8 xi**2) or a field's
+    # stress leaves it)
     ("plate-force", "--xi", "1e-200", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
+    ("plate-modulus", "--xi", "1e-165", "--chi", "0"),
+    ("compare-plate", "--xi", "1e-170", "--chi", "1"),
     ("plate-force", "--xi", "5e-324", "--chi", "1"),
+    ("plate-force", "--xi", "1e-110", "--chi", "0"),
+    ("plate-field", "--xi", "1e-160", "--chi", "0", "--nr", "2", "--nz", "2",
+     "--csv"),
     ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),
     ("plate-force", "--xi", "1e-103", "--chi", "0.1"),
     ("plate-force", "--chi", "0.1", "--sweep-xi", "1e-104", "1e-2", "3"),

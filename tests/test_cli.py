@@ -155,19 +155,17 @@ def test_sphere_force_residual_floor_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("plate-force", "--xi", "1e-200", "--chi", "1"),     # (chi/xi)**3
-    ("plate-modulus", "--xi", "1e-170", "--chi", "1"),   # ZeroDivisionError
-    ("plate-force", "--xi", "5e-324", "--chi", "1"),     # ZeroDivisionError
     ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),  # force inf
     ("plate-force", "--xi", "1e-103", "--chi", "0.1"),          # force inf
     ("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
      "2", "--csv"),                                              # stress inf
 ], ids=" ".join)
 def test_float_errors_past_double_range_exit_3(capsys, argv):
-    # a plate closed form that leaves double range raises one of Python's
-    # float errors, or a NumericsError where the force's prefactor
-    # 3 pi mu a U / (8 xi^3), (chi/xi)**3 or a field's stress overflows;
-    # it is a numerical failure, reported in one line with no traceback
-    # and no data (and no numpy warning: a warning fails this suite)
+    # a plate closed form that leaves double range raises a NumericsError
+    # where the force's prefactor 3 pi mu a U / (8 xi^3), (chi/xi)**3 or a
+    # field's stress overflows; it is a numerical failure, reported in one
+    # line with no traceback and no data (and no numpy warning: a warning
+    # fails this suite)
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
@@ -183,11 +181,35 @@ def test_float_errors_past_double_range_exit_3(capsys, argv):
     (("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
       "2", "--csv"),
      "plate field is past double range (xi = 1e-103, chi = 0.0)"),
-], ids=["force_factor", "apparent_modulus", "field"])
+    (("plate-force", "--xi", "5e-324", "--chi", "1"),
+     "force_factor: chi/xi is past double range (xi = 5e-324, chi = 1.0)"),
+    (("plate-force", "--xi", "1e-110", "--chi", "0"),
+     "plate force inf is past double range (xi = 1e-110, chi = 0.0)"),
+    (("plate-modulus", "--xi", "1e-170", "--chi", "1"),
+     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-170, "
+     "chi = 1.0)"),
+    (("plate-modulus", "--xi", "1e-165", "--chi", "0"),
+     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-165, "
+     "chi = 0.0)"),
+    (("compare-plate", "--xi", "1e-170", "--chi", "1"),
+     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-170, "
+     "chi = 1.0)"),
+    (("plate-field", "--xi", "5e-324", "--chi", "1", "--nr", "2", "--nz",
+      "2"),
+     "radial_profile: chi/xi is past double range (xi = 5e-324, chi = 1.0)"),
+    (("plate-field", "--xi", "1e-160", "--chi", "0", "--nr", "2", "--nz",
+      "2", "--csv"),
+     "radial_profile: 1/(8 xi**2) is past double range (xi = 1e-160, "
+     "chi = 0.0)"),
+], ids=["force_factor", "apparent_modulus", "field", "force_factor-chi-xi",
+        "force-prefactor-chi0", "apparent_modulus-xi2",
+        "apparent_modulus-xi2-chi0", "compare-plate-xi2", "field-chi-xi",
+        "field-xi2-chi0"])
 def test_overflow_names_function_and_cell(capsys, argv, message):
     # past double range the plate's closed forms name the function and
     # the cell, not Python's bare "(34, 'Numerical result out of range')"
-    # or a field of inf with exit 0
+    # or "float division by zero" (where xi**2, xi**3 underflow to 0 or
+    # chi/xi overflows to inf), nor a field of inf or nan with exit 0
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == ""
     assert err == f"numerical failure: {message}\n"

@@ -24,6 +24,7 @@ from layerlab.kernels import (
     _p_cancel_free,
     _residual_check,
     bessel_ratio,
+    closed_form_profile,
     find_root,
     integrate,
     solve_dual_bvp,
@@ -371,7 +372,7 @@ def test_solve_dual_bvp_returns_cross_checked_primary():
     assert np.array_equal(sol.eval(rr)[0], ref.eval(rr)[0])
     # the disagreement it reports is the one between the two methods, on
     # the primary's 6-point Gauss-Legendre nodes in s
-    s, _, (a_ref, _, _) = ref.s_form.gauss(6)
+    s, _, a_ref, _ = ref.s_form.gauss
     dual_rel = (float(np.max(np.abs(a_ref - alt.s_form(s)[0])))
                 / float(np.max(np.abs(a_ref))))
     assert sol.meta["dual_sup_rel"] == dual_rel < 1e-9
@@ -400,7 +401,10 @@ def test_solve_dual_bvp_checks_against_an_exact_reference():
     meta = sol.meta
     assert meta["reference"] == "exact" and "alt_panels" not in meta
     assert "alt_passes" not in meta and meta["dual_gate"] == 1e-8
-    s, _, (a_p, _, _) = sol.s_form.gauss(6)
+    # the C the check used, as the closed form derives it from the rim row
+    assert meta["C"] == closed_form_profile(
+        equation, right, float(mesh[-1]), _chi0_solutions).meta["C"]
+    s, _, a_p, _ = sol.s_form.gauss
     # A = 1/(2 sigma**2) - xi**2/(2 (1 + 2 xi)**2) (sphere module docstring)
     want = 0.5 / (s + 2.0) ** 2 - 1e-6 / (2.0 * 1.002 ** 2)
     assert meta["dual_sup_rel"] == pytest.approx(
@@ -596,7 +600,7 @@ def test_panel_value_matches_full_evaluation_bit_for_bit(method):
     equation, right, mesh = _sphere_problem(1e-3, 0.5)
     poly = solve_linear_bvp(equation, right, mesh=mesh, method=method).s_form
     s_cmp = np.linspace(0.0, float(mesh[-1]), 1501) ** 2
-    nodes = solve_linear_bvp(equation, right, mesh=mesh).s_form.gauss(6)[0]
+    nodes = solve_linear_bvp(equation, right, mesh=mesh).s_form.gauss[0]
     for s in (np.array([0.0]), poly.edges, poly.edges[-1:], s_cmp,
               s_cmp[:1500].reshape(30, 50), nodes):
         assert np.array_equal(poly.value(s), poly(s)[0])
@@ -616,7 +620,7 @@ def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
                          mesh=mesh)
     ref, alt = (solve_linear_bvp(equation, right, tol=1e-10, mesh=mesh,
                                  method=method) for method in ("primary", "alt"))
-    s, _, (a_ref, _, _) = ref.s_form.gauss(6)
+    s, _, a_ref, _ = ref.s_form.gauss
     dual_rel = (float(np.max(np.abs(a_ref - alt.s_form(s)[0])))
                 / float(np.max(np.abs(a_ref))))
     assert sol.meta["dual_sup_rel"] == dual_rel <= 1e-8

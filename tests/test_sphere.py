@@ -15,8 +15,9 @@ from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
 from layerlab import plate, regimes, series
-from layerlab.kernels import (_MAX_REFINE, ToleranceNotMet, _split_panels,
-                              integrate, solve_dual_bvp)
+from layerlab.kernels import (_MAX_REFINE, PanelPoly, ToleranceNotMet,
+                              _split_panels, integrate, solve_dual_bvp)
+from layerlab.materials import nu_from_chi
 from layerlab.sphere import (
     _EXACT_AB,
     XI_MAX_SPHERE,
@@ -337,6 +338,69 @@ def test_cached_profile_is_read_only():
     assert again.A.meta["panels"] == meta["panels"]
 
 
+@pytest.mark.parametrize("xi, chi, midplane, surface", [
+    (1e-2, 1.0, 3.36983321096392, 4.313802484514438),       # alt reference
+    (1e-4, 1e-3, 2497.379807583656, 2518.4254126293267),   # exact reference
+])
+def test_force_and_potential_read_the_record_the_solve_formed(
+        monkeypatch, xi, chi, midplane, surface):
+    # the solve's dual check forms the panels' Gauss record (nodes,
+    # weights, A and A_s) once; afterwards the force on both traces and
+    # the potential read only that record, the rim values and the rule
+    # below each radius, so with PanelPoly.grid broken they still return
+    # the doubles they gave before the record existed.  The record is
+    # shared through the profile cache, so every array of it is read-only
+    sol = solve_sphere(xi, chi)
+
+    def grid(*args):
+        raise AssertionError("a panel series was evaluated after the solve")
+
+    monkeypatch.setattr(PanelPoly, "grid", grid)
+    assert sphere_force(sol).psi == midplane
+    assert sphere_force(sol, trace="surface").psi == surface
+    if xi == 1e-2:
+        pot = sphere_potential(sol, np.array([0.0, 0.5, 3.0, 10.0]), 0.5)
+        assert pot.phi.tolist() == [
+            6.1224490612734655e-06, 1.4980137518397146e-05,
+            0.0003421943281517335, 0.0026621263554548083]
+        assert pot.phi_z.tolist() == [
+            3.6734694367640796e-05, 5.1615610713276716e-05,
+            0.0006880655974837836, 0.005324419091867998]
+    record = sol.A.s_form.gauss
+    assert len(record) == 4 and record is sol.A.s_form.gauss
+    for arr in record:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
+
+
+@pytest.mark.parametrize("chi", [0.05, 0.3, 1.0, 1.4])
+def test_fields_meet_the_navier_equations(chi):
+    # sphere_field's (u_r, u_z) through the scaled 3-D Navier equations
+    # (series.navier_residual), at mu/lambda = (1 - 2 nu)/(2 nu), nu(chi).
+    # The r-equation holds to the 4th-order differencing floor: at most
+    # 2.1e-8 of the largest term over these cells, against 1e-7 here (a
+    # 0.1% error in u_r's chi**2 coefficient lifts it to 3e-4 at
+    # (1e-2, 1)).  The z-equation's defect is the reduced theory's own
+    # order: at chi = 1 it is 0.66, 0.10 and 0.010 at xi = 1e-2, 1e-4 and
+    # 1e-6, so it falls by at least 5 per factor 100 in xi, and by the
+    # sqrt(xi) ratio 10, within 20%, once xi <= 1e-4
+    nu = nu_from_chi(chi)
+    sup_z = []
+    for xi in (1e-2, 1e-4, 1e-6):
+        sol = solve_sphere(xi, chi)
+
+        def fields(R, Z, sol=sol):
+            f = sphere_field(sol, R, Z)
+            return f.u_r, f.u_z
+
+        res = series.navier_residual(fields, xi, (1.0 - 2.0 * nu) / (2.0 * nu))
+        assert res.sup_r <= 1e-7, (xi, res.sup_r)
+        sup_z.append(res.sup_z)
+    if chi == 1.0:
+        assert sup_z[0] / sup_z[1] >= 5.0, sup_z
+        assert 10.0 / 1.2 <= sup_z[1] / sup_z[2] <= 10.0 * 1.2, sup_z
+
+
 TABLE_CELLS = [(xi, chi) for xi in (1e-5, 1e-4, 1e-3, 1e-2)
                for chi in (1e-3, 1e-2, 0.1, 1.0)]
 
@@ -392,7 +456,7 @@ def test_moment_identity(xi, chi):
     # far more than xi/chi^2 (7e5 at (1e-3, 1e-3)).  Measured errors are
     # at most 2 eps kappa, at (1e-8, 1.5)
     sol = solve_sphere(xi, chi)
-    s, w, (a, _, _) = sol.A.s_form.gauss(6)
+    s, w, a, _ = sol.A.s_form.gauss
     se, _, ae_s, _ = sol.A.s_form.end()
     moments = 2.0 * float(np.sum(w * a)) + float(np.sum(w * s * a))
     rim = 2.0 * se * (se + 2.0) ** 3 * ae_s
