@@ -28,7 +28,10 @@ The domain checks live here and every module shares them: check_xi and
 check_chi for the two parameters that fix a solution, and check_positive
 and check_finite for the scales that only scale it (a, h, mu, U, ...).
 Each returns its value as a float, and its ValueError names the argument
-and the value.
+and the value.  XI_MIN = 1e-76 is the package's one floor on xi, for
+both layers: the plate's closed forms hold every double above it at unit
+scales (they first leave double range near xi = 1e-88), and the sphere
+layer's fields leave it just below (sphere.XI_MIN_SPHERE is XI_MIN).
 """
 
 from __future__ import annotations
@@ -52,13 +55,17 @@ __all__ = [
 ]
 
 CHI_MAX = 1.5
+XI_MIN = 1e-76
 
 
 def check_xi(xi) -> float:
     """xi as a float, after checking the thickness ratio's domain
-    0 < xi < 1 (NaN fails it)."""
+    0 < xi < 1 (NaN fails it), and then the floor xi >= XI_MIN, each
+    with its own message."""
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    if xi < XI_MIN:
+        raise ValueError(f"xi must be >= {XI_MIN}, the package's floor, got {xi}")
     return float(xi)
 
 
@@ -231,7 +238,8 @@ class LayerConfig:
 
     a is the radius of the rigid plates or spheres and h the layer's
     half-thickness (its minimum half-gap between spheres); xi = h/a lies
-    in (0, 1), and h = xi a is derived, not stored.  The geometry is the
+    in [XI_MIN, 1) = [1e-76, 1) (check_xi), and h = xi a is derived, not
+    stored.  The geometry is the
     solution's type (PlateSolution or SphereSolution), not a field.  U is
     the prescribed half-approach of the rigid bodies and mu the layer
     shear modulus; both only scale dimensional output.  a and mu must lie

@@ -43,6 +43,14 @@ floating point.  The resultant force on either plate and the apparent
 moduli are closed forms in the edge Bessel values; see force and
 apparent_modulus.  The solution omits the O(xi) boundary-layer corrector
 at the bonded edge corner (R, Z) = (1, +-1) and is not valid there.
+
+The layer's domain is 1e-76 <= xi < 1 (materials.check_xi; XI_MIN is
+the package's one floor, the sphere layer's too).  Down to it every
+closed form is a double at unit scales, so no guard inside them is
+needed; only the user's scales a, mu, U can take the dimensional force
+and fields out of it, and there they raise NumericsError naming the
+result and the cell (_range_error and _in_range, which the sphere layer
+shares).
 """
 
 from __future__ import annotations
@@ -240,38 +248,35 @@ def _w_series(x):
     return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
 
 
-def _edge(xi: float, chi: float, name: str) -> Optional[BesselRatioEval]:
-    """The Bessel record at the edge x = chi/xi, after checking xi and chi,
-    or None where the incompressible family takes over: chi < 1e-10 and
-    chi/xi < 1e-6.  There 1 - G ~ (chi/xi)^2/6 is below 2e-13; at
-    chi/xi >= 1e-6 the Bessel form is kept however small chi is.  Where
-    chi/xi itself leaves double range (xi below about 1e-308) it raises
-    NumericsError naming the function name and the cell."""
+def _edge(xi: float, chi: float) -> Optional[BesselRatioEval]:
+    """The Bessel record at the edge x = chi/xi, after checking xi (down
+    to the floor XI_MIN = 1e-76, so x <= 1.5e76) and chi, or None where
+    the incompressible family takes over: chi < 1e-10 and chi/xi < 1e-6.
+    There 1 - G ~ (chi/xi)^2/6 is below 2e-13; at chi/xi >= 1e-6 the
+    Bessel form is kept however small chi is."""
     check_xi(xi)
     check_chi(chi)
     if chi < CHI_INCOMPRESSIBLE and chi / xi < _KAPPA_INCOMPRESSIBLE:
         return None
-    if chi / xi == math.inf:
-        raise _past_range(name, "chi/xi", xi, chi)
     return bessel_ratio(chi / xi)
 
 
-def _past_range(name: str, what: str, xi: float, chi: float) -> NumericsError:
-    """The NumericsError of the function name where what leaves double
-    range at the cell (xi, chi)."""
-    return NumericsError(f"{name}: {what} is past double range "
+def _range_error(what: str, xi: float, chi: float) -> NumericsError:
+    """The NumericsError of a result, named by what, that leaves double
+    range at the cell (xi, chi): above the floor only the scales a, mu,
+    U take a force or field there, and a chi whose square underflows
+    the uniaxial state (compressible_superposition)."""
+    return NumericsError(f"{what} is past double range "
                          f"(xi = {xi}, chi = {chi})")
 
 
-def _inv_8xi2(xi: float, chi: float, name: str) -> float:
-    """The incompressible scale 1/(8 xi**2), or NumericsError naming the
-    function name and the cell where it leaves double range (xi below
-    about 1e-154; at xi**2 = 0 Python would raise ZeroDivisionError)."""
-    den = 8.0 * xi * xi
-    # 1/den is inf from den = 2**-1024 down, and raises at den = 0
-    if not den > 2.0 ** -1024:
-        raise _past_range(name, "1/(8 xi**2)", xi, chi)
-    return 1.0 / den
+def _in_range(what: str, xi: float, chi: float) -> np.errstate:
+    """An errstate in which a numpy overflow, invalid or divide result
+    (numpy scalars' included) raises _range_error(what, xi, chi), with
+    no warning first."""
+    def fail(err, flag):
+        raise _range_error(what, xi, chi)
+    return np.errstate(over="call", invalid="call", divide="call", call=fail)
 
 
 def radial_profile(xi: float, chi: float) -> RadialSolution:
@@ -292,16 +297,18 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     A = (1 - R^2)/(8 xi^2) takes over (_edge).  The factor (3 - chi^2) in
     c_b vanishes only at chi = sqrt(3) ~ 1.732, outside the admissible
     [0, 3/2] (the range check rejects it), so it is not special-cased.
-    A cheap residual self-check at R = 0.5 and R = 1 guards the assembled
-    profile; arithmetic that overflows there (a forcing 1/(2 xi^2) past
-    the float range) fails it with NumericsError alone, with no numpy
-    warning first.  eval(R) gives (A, A', A'', A''') for scalar or array
-    R, and eval2(R) the first three, the same doubles, without the A'''
-    pass (see RadialSolution).
+    Down to the floor xi = 1e-76 every term is a double at every R in
+    [0, 1], tiny and subnormal R included; A''' would overflow from xi
+    about 1e-88 down.  A cheap residual self-check at R = 0.5 and R = 1
+    guards the assembled profile; a non-finite residual or scale there,
+    which only a fault can give, fails it with NumericsError alone, with
+    no numpy warning first.  eval(R) gives (A, A', A'', A''') for scalar
+    or array R, and eval2(R) the first three, the same doubles, without
+    the A''' pass (see RadialSolution).
     """
-    edge = _edge(xi, chi, "radial_profile")
+    edge = _edge(xi, chi)
     if edge is None:
-        inv = _inv_8xi2(xi, chi, "radial_profile")
+        inv = 1.0 / (8.0 * xi * xi)
 
         def terms(r, third):
             av = (1.0 - r * r) * inv
@@ -334,9 +341,9 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         x = kappa * rr
         si0 = _sp_special.i0e(x)
         si1 = _sp_special.i1e(x)
-        pos = x > 0.0
-        sx = np.where(pos, x, 1.0)
-        si1x = np.where(pos, si1 / sx, 0.5)     # e^{-x} I_1(x)/x
+        # e^{-x} I_1(x)/x, which is 1/2 to double precision below x = 1e-16
+        # and which i1e's subnormal values would lose below x = 4e-308
+        si1x = np.where(x > 1e-300, si1 / np.where(x > 1e-300, x, 1.0), 0.5)
         base = np.exp(x - kappa) / edge.scaled_i0
         ratio0 = base * si0                     # I_0(kappa R)/I_0(kappa)
         ratio1 = base * si1
@@ -354,8 +361,11 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
         if not third:
             return av, a1, a2, None
-        w = si1 - si0 / sx + 2.0 * si1x / sx
+        # the direct form only at and above the switch, where it cannot
+        # overflow; the series below it
         small = x < _W_SWITCH
+        sx = np.where(small, 1.0, x)
+        w = si1 - si0 / sx + 2.0 * si1x / sx
         w[small] = _w_series(x[small])
         return av, a1, a2, ck * kappa ** 3 * base * w
 
@@ -364,8 +374,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     sol = RadialSolution(terms=terms, meta=meta)
 
     # residual self-check at an interior and the edge spot, in one call;
-    # a non-finite residual or scale fails it, so overflow is not warned
-    # about
+    # a non-finite residual or scale fails it, and is not warned about
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
     with np.errstate(invalid="ignore", over="ignore"):
@@ -433,8 +442,9 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     Not valid within O(xi) of the bonded-edge corner (R, Z) = (1, +-1),
     where the underlying expansion omits a boundary-layer corrector.
-    Raises NumericsError where a field leaves double range (the stresses
-    from xi about 1e-103 at unit scales), rather than return inf.
+    Above the floor xi = 1e-76 every field is a double at unit scales;
+    where the scales a, mu, U take one past double range it raises
+    NumericsError, rather than return inf or nan.
     """
     Rr = np.asarray(R, dtype=float)
     Zb = np.asarray(Z, dtype=float)
@@ -455,11 +465,12 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
-    xi, U, mu, a = cfg.xi, cfg.U, cfg.mu, cfg.a
+    # U as a numpy scalar, so that a scale past double range raises in the
+    # errstate below, as a field does
+    xi, U, mu, a = cfg.xi, np.float64(cfg.U), cfg.mu, cfg.a
 
     B = c2 * A - 0.5
     zm = Zb * Zb - 1.0
-    s_scale = mu * U / (a * xi)
     k_sh = 2.0 * (3.0 - c2) * xi * xi
     # In place, in the order of operations of
     #   u_r  = (3 - c2) xi U A1 (-zm)
@@ -472,34 +483,31 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     # that of the expression above.
     fields = _field_block(Rr, Zb)
     u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
-    # a stress past double range (the scale mu U/(a xi) times A, from xi
-    # about 1e-103 at unit scales) raises here, as the force does
-    try:
-        with np.errstate(over="raise"):
-            np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
-            np.multiply(B, Zb, out=u_z)
-            u_z *= zm
-            u_z += Zb
-            u_z *= U
-            np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
-            s_zz += 6.0 * A
-            s_zz *= s_scale
-            # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are
-            # formed, and s_rz serves as scratch for s_tt's last term
-            np.multiply(B, zm, out=s_tt)
-            s_tt += 2.0 * A
-            s_tt *= 3.0 - 2.0 * c2
-            np.multiply(k_sh * A2, zm, out=s_rr)
-            np.subtract(s_tt, s_rr, out=s_rr)
-            s_rr *= s_scale
-            np.multiply(k_sh * A1R, zm, out=s_rz)
-            s_tt -= s_rz
-            s_tt *= s_scale
-            np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
-            s_rz *= Zb
-    except FloatingPointError:
-        raise NumericsError(f"plate field is past double range (xi = {xi}, "
-                            f"chi = {sol.chi})") from None
+    # a field past double range (above the floor, by the scales alone)
+    # raises here, as the force does
+    with _in_range("plate field", xi, sol.chi):
+        s_scale = mu * U / (a * xi)
+        np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
+        np.multiply(B, Zb, out=u_z)
+        u_z *= zm
+        u_z += Zb
+        u_z *= U
+        np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
+        s_zz += 6.0 * A
+        s_zz *= s_scale
+        # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are
+        # formed, and s_rz serves as scratch for s_tt's last term
+        np.multiply(B, zm, out=s_tt)
+        s_tt += 2.0 * A
+        s_tt *= 3.0 - 2.0 * c2
+        np.multiply(k_sh * A2, zm, out=s_rr)
+        np.subtract(s_tt, s_rr, out=s_rr)
+        s_rr *= s_scale
+        np.multiply(k_sh * A1R, zm, out=s_rz)
+        s_tt -= s_rz
+        s_tt *= s_scale
+        np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
+        s_rz *= Zb
     return _field_sample(Rr, Zb, fields)
 
 
@@ -507,18 +515,13 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 # Force and apparent moduli
 # ---------------------------------------------------------------------------
 
-def _g(xi: float, chi: float, ev: BesselRatioEval, name: str) -> float:
-    """G from the edge evaluation ev at x = chi/xi, for the function
-    name, which NumericsError names where x**3 leaves double range (x
-    above about 5.6e102)."""
+def _g(xi: float, chi: float, ev: BesselRatioEval) -> float:
+    """G from the edge evaluation ev at x = chi/xi."""
     c2 = chi * chi
     three = 3.0 - c2
     t = ev.t
     num = 3.0 * three * ev.x_minus_2t + 2.0 * c2 * c2 * t
-    try:
-        den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
-    except OverflowError:
-        raise _past_range(name, "(chi/xi)**3", xi, chi) from None
+    den = ev.x ** 3 * three * (3.0 - 2.0 * xi * chi * t)
     return 8.0 * num / den
 
 
@@ -539,8 +542,8 @@ def force_factor(xi: float, chi: float) -> float:
     the whole parameter range.  Where chi < 1e-10 and x < 1e-6 the
     incompressible family's G = 1 is returned (_edge).
     """
-    edge = _edge(xi, chi, "force_factor")
-    return 1.0 if edge is None else _g(xi, chi, edge, "force_factor")
+    edge = _edge(xi, chi)
+    return 1.0 if edge is None else _g(xi, chi, edge)
 
 
 def force(sol: PlateSolution) -> float:
@@ -550,18 +553,15 @@ def force(sol: PlateSolution) -> float:
 
     positive for U > 0 (plates pulled apart).  Identical to the surface
     integral 2 pi a^2 integral_0^1 sigma_zz(R, 1) R dR of the field
-    stresses (the two are the same closed form rearranged).  Raises
-    NumericsError where the prefactor leaves double range (xi below
-    about 1e-103 at unit scales, xi**3 underflowing to 0 among them),
-    rather than return inf or nan."""
+    stresses (the two are the same closed form rearranged).  Above the
+    floor xi = 1e-76 it is a double at unit scales; where the scales a,
+    mu, U take it past double range it raises NumericsError, rather than
+    return inf or nan."""
     cfg = sol.cfg
-    # where xi**3 underflows to 0, inf, as C divides, for the check below
-    pref = (3.0 * math.pi * cfg.mu * cfg.a * cfg.U / (8.0 * cfg.xi ** 3)
-            if cfg.xi ** 3 else math.inf)
+    pref = 3.0 * math.pi * cfg.mu * cfg.a * cfg.U / (8.0 * cfg.xi ** 3)
     f = pref * force_factor(cfg.xi, sol.chi)
     if not math.isfinite(f):
-        raise NumericsError(f"plate force {f} is past double range "
-                            f"(xi = {cfg.xi}, chi = {sol.chi})")
+        raise _range_error(f"plate force {f}", cfg.xi, sol.chi)
     return f
 
 
@@ -591,9 +591,8 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
 
     (x = chi/xi, t = I_1/I_0 (x), as in force_factor).  chi = 0 returns the
     incompressible limit with e_hat_c = +inf; chi = 3/2 is rejected
-    because E = 0 there makes every E-normalized modulus singular.  Where
-    1/(8 xi^2) leaves double range (xi below about 1e-154) it raises
-    NumericsError, naming the function and the cell (_inv_8xi2).
+    because E = 0 there makes every E-normalized modulus singular.  Down
+    to the floor xi = 1e-76 every modulus is a double (e_hat_i < 1.3e151).
     """
     check_xi(xi)
     if not (0.0 <= chi < CHI_MAX):
@@ -601,16 +600,15 @@ def apparent_modulus(xi: float, chi: float) -> ApparentModuli:
             f"chi must lie in [0, 3/2); the modulus normalization is "
             f"singular at chi = 3/2 (E = 0), got {chi}"
         )
-    e_i = _inv_8xi2(xi, chi, "apparent_modulus")
-    ev = _edge(xi, chi, "apparent_modulus")
+    e_i = 1.0 / (8.0 * xi * xi)
+    ev = _edge(xi, chi)
     if ev is None:
         return ApparentModuli(e_i, e_i, math.inf, e_i)
     c2 = chi * chi
     three = 3.0 - c2
     nine4 = 9.0 - 4.0 * c2
     e_c = 3.0 * three / (c2 * nine4)
-    e_hat = (3.0 * three * _g(xi, chi, ev, "apparent_modulus")
-             / (8.0 * xi * xi * nine4))
+    e_hat = 3.0 * three * _g(xi, chi, ev) / (8.0 * xi * xi * nine4)
     num = 9.0 * ev.x_minus_2t + 2.0 * c2 * nine4 * ev.t
     den = ev.x ** 3 * nine4 * (3.0 - 2.0 * xi * chi * ev.t)
     e_l = three * num / (xi * xi * den)
@@ -649,14 +647,18 @@ def compressible_superposition(xi: float, chi: float, mu: float = 1.0,
     edge-zone corrector driven by the load -s_rr on the free edge R = 1,
     returned here for external consumption.  Requires chi > 0, mu and a
     positive and finite, and U finite (U = 0 and U < 0 are allowed).
+    Where the state leaves double range, as it does once chi**2
+    underflows (chi below about 1e-162) or by the scales, it raises
+    NumericsError, rather than return inf.
     """
     check_xi(xi)
     if not (0.0 < chi <= CHI_MAX):
         raise ValueError(f"chi must be positive (and <= 3/2), got {chi}")
     mu, a = check_positive("mu", mu), check_positive("a", a)
     U = check_finite("U", U)
-    base = mu * U / (a * xi * chi * chi)
-    s_rr = (3.0 - 2.0 * chi * chi) * base
-    s_zz = 3.0 * base
+    with _in_range("compressible superposition", xi, chi):
+        base = mu * np.float64(U) / (a * xi * chi * chi)
+        s_rr = float((3.0 - 2.0 * chi * chi) * base)
+        s_zz = float(3.0 * base)
     return UniaxialState(s_rr=s_rr, s_tt=s_rr, s_zz=s_zz, s_rz=0.0,
                          edge_load=-s_rr)

@@ -180,8 +180,9 @@ import numpy as np
 from scipy import special
 
 from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
-from .materials import LayerConfig, resolve_chi
-from .plate import FieldSample, _field_block, _field_sample
+from .materials import XI_MIN, LayerConfig, resolve_chi
+from .plate import (FieldSample, _field_block, _field_sample, _in_range,
+                    _range_error)
 
 __all__ = [
     "SphereGeometry",
@@ -197,9 +198,9 @@ __all__ = [
 ]
 
 XI_MAX_SPHERE = 0.1
-# from xi ~ 7e-78 down, ode_s's 12 / sigma**4 (the fields' A''') overflows
-# at the rim
-XI_MIN_SPHERE = 1e-76
+# the package's floor: from xi ~ 7e-78 down, ode_s's 12 / sigma**4 (the
+# fields' A''') overflows at the rim; the plate layer refuses below it too
+XI_MIN_SPHERE = XI_MIN
 
 
 @dataclass(frozen=True)
@@ -630,10 +631,15 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     u_r stays ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
     ``Z = +/- g``.  ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss``
     come from the s = R**2 panels: finite on the axis, and the second
-    keeps the 1/R**2 blow-up of rounding noise out of L'.
+    keeps the 1/R**2 blow-up of rounding noise out of L'.  Where the
+    scales a, mu, U take a field past double range it raises
+    NumericsError naming the cell, as plate.field does, rather than
+    return inf or nan.
     """
     cfg, c2 = sol.cfg, sol.chi * sol.chi
-    xi, U = cfg.xi, cfg.U
+    # U as a numpy scalar, so that a scale past double range raises in the
+    # errstate below, as a field does
+    xi, U = cfg.xi, np.float64(cfg.U)
     Rr, Zb, rr, take = sol.geo.points(R, Z)
 
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
@@ -644,37 +650,41 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     Vp = (-6.0 * ((rr * rr + g) * a1 + g * rr * a2)
           - 3.0 * (2.0 * g * rr * L + g * g * Lp))
 
-    s_scale = cfg.mu * U / (cfg.a * xi)
-    sh_scale = cfg.mu * U / (cfg.a * xi ** 1.5)
     edge_term = 2.0 * g * rr * a1
     k3, k6, k9 = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2), 9.0 - 2.0 * c2
     bracket0 = k3 * (2.0 * a0 / xi - edge_term)
-    gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = take(np.stack([
-        g * g,
-        -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
-        U * (V + 2.0 * c2 * a0 / xi), U * L,
-        s_scale * (bracket0 + k6 * edge_term), s_scale * (k3 * L - k6 * a2),
-        s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
-        s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
-        sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp), sh_scale * xi * Lp]))
-
-    # in place, as ur1 zm, c0 + c1 zm and Zb (c0 + c1 z2) with the operands
-    # of + and * swapped at most, so every double is that expression's;
-    # z2 = Zb**2 is held in u_z's slot and zm = z2 - g**2 in s_zz's until
-    # each is the last field formed from it
     fields = _field_block(Rr, Zb)
     u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
-    z2, zm = u_z, s_zz
-    np.multiply(Zb, Zb, out=z2)
-    np.subtract(z2, gg, out=zm)
-    for out, c0, c1 in ((s_rz, rz0, rz1), (u_z, uz0, uz1)):
-        np.multiply(c1, z2, out=out)
-        out += c0
-        out *= Zb
-    np.multiply(ur1, zm, out=u_r)
-    for out, c0, c1 in ((s_rr, rr0, rr1), (s_tt, tt0, tt1), (s_zz, zz0, zz1)):
-        np.multiply(c1, zm, out=out)
-        out += c0
+    with _in_range("sphere field", xi, sol.chi):
+        s_scale = cfg.mu * U / (cfg.a * xi)
+        sh_scale = cfg.mu * U / (cfg.a * xi ** 1.5)
+        gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = take(
+            np.stack([
+                g * g, -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
+                U * (V + 2.0 * c2 * a0 / xi), U * L,
+                s_scale * (bracket0 + k6 * edge_term),
+                s_scale * (k3 * L - k6 * a2),
+                s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
+                s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
+                sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp),
+                sh_scale * xi * Lp]))
+
+        # in place, as ur1 zm, c0 + c1 zm and Zb (c0 + c1 z2) with the
+        # operands of + and * swapped at most, so every double is that
+        # expression's; z2 = Zb**2 is held in u_z's slot and zm = z2 - g**2
+        # in s_zz's until each is the last field formed from it
+        z2, zm = u_z, s_zz
+        np.multiply(Zb, Zb, out=z2)
+        np.subtract(z2, gg, out=zm)
+        for out, c0, c1 in ((s_rz, rz0, rz1), (u_z, uz0, uz1)):
+            np.multiply(c1, z2, out=out)
+            out += c0
+            out *= Zb
+        np.multiply(ur1, zm, out=u_r)
+        for out, c0, c1 in ((s_rr, rr0, rr1), (s_tt, tt0, tt1),
+                            (s_zz, zz0, zz1)):
+            np.multiply(c1, zm, out=out)
+            out += c0
     return _field_sample(Rr, Zb, fields)
 
 
@@ -704,14 +714,16 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
 
     a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
 
-    s0 = cfg.xi * cfg.a ** 2 * cfg.U
     z2 = Zb * Zb
-    phi = s0 * (Ia * Zb + a0 * Zb * z2)
-    phi_r = s0 * (A1 * Zb + a1 * Zb * z2)
-    phi_z = s0 * (Ia + 3.0 * a0 * z2)
-    phi_rr = s0 * (A1p * Zb + a2 * Zb * z2)
-    phi_rz = s0 * (A1 + 3.0 * a1 * z2)
-    phi_zz = s0 * 6.0 * a0 * Zb
+    with _in_range("sphere potential", cfg.xi, sol.chi):
+        # a numpy scale, so that its leaving double range raises too
+        s0 = cfg.xi * np.float64(cfg.a) ** 2 * cfg.U
+        phi = s0 * (Ia * Zb + a0 * Zb * z2)
+        phi_r = s0 * (A1 * Zb + a1 * Zb * z2)
+        phi_z = s0 * (Ia + 3.0 * a0 * z2)
+        phi_rr = s0 * (A1p * Zb + a2 * Zb * z2)
+        phi_rz = s0 * (A1 + 3.0 * a1 * z2)
+        phi_zz = s0 * 6.0 * a0 * Zb
 
     return _field_sample(Rr, Zb, (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz),
                          PotentialSample)
@@ -740,8 +752,10 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
            else 2.0 * (se * ge * ae - m0 - float(np.sum(w * s * a0))))
     psi = m0 / sol.xi - (9.0 - 2.0 * sol.chi * sol.chi) * rim / 3.0
     cfg = sol.cfg
-    return SphereForce(F=6.0 * math.pi * cfg.a * cfg.mu * cfg.U * psi,
-                       psi=psi)
+    F = 6.0 * math.pi * cfg.a * cfg.mu * cfg.U * psi
+    if not math.isfinite(F):
+        raise _range_error(f"sphere force {F}", sol.xi, sol.chi)
+    return SphereForce(F=F, psi=psi)
 
 
 def psi_extremes(xi: float, chi: float) -> PsiExtremes:

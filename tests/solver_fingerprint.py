@@ -398,13 +398,13 @@ _MORE = (
      "nan"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "-1"),
     ("regime-classify", "--geometry", "sphere", "--chi", "0.5", "--xi", "2"),
-    # errors: below the sphere layer's floor xi = 1e-76
+    # errors: below the package's floor xi = 1e-76, either layer (the plate
+    # entries exited 3 past double range before the plate took the floor)
     ("sphere-force", "--xi", "9.9e-77", "--chi", "1"),
     ("regime-classify", "--geometry", "sphere", "--xi", "1e-81", "--chi",
      "1"),
-    # errors: plate closed forms past double range (NumericsError where
-    # the force's prefactor, chi/xi, (chi/xi)**3, 1/(8 xi**2) or a field's
-    # stress leaves it)
+    ("plate-force", "--xi", "9.9e-77", "--chi", "1"),
+    ("plate-force", "--xi", "1e-76", "--chi", "1", "--json"),  # the floor
     ("plate-force", "--xi", "1e-200", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
     ("plate-modulus", "--xi", "1e-165", "--chi", "0"),
@@ -419,6 +419,17 @@ _MORE = (
     ("plate-modulus", "--xi", "1e-104", "--chi", "1"),
     ("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz", "2",
      "--csv"),
+    # errors: past double range by the scales alone, above the floor
+    # (NumericsError naming the result and the cell, both layers)
+    ("plate-field", "--xi", "1e-3", "--chi", "1", "--mu", "1e306", "--nr",
+     "2", "--nz", "2", "--csv"),
+    ("plate-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e200", "--a",
+     "1e200"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e307"),
+    ("sphere-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e307",
+     "--json"),
+    ("sphere-field", "--xi", "1e-3", "--chi", "1", "--mu", "1e307", "--nr",
+     "2", "--nz", "2", "--csv"),
     # errors: the scales, nan and inf included
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--mu", "-1"),
     ("plate-force", "--xi", "1e-2", "--chi", "0.5", "--a", "0"),

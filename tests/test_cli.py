@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,76 +154,98 @@ def test_sphere_force_residual_floor_exits_3(capsys):
                         r"\[[0-9.e+-]+, [0-9.e+-]+\].*\n", err)
 
 
-@pytest.mark.parametrize("argv", [
-    ("plate-force", "--xi", "1e-200", "--chi", "1"),     # (chi/xi)**3
-    ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),  # force inf
-    ("plate-force", "--xi", "1e-103", "--chi", "0.1"),          # force inf
+# every plate command below the package's floor xi = 1e-76, where the
+# closed forms used to leave double range (from about 1e-88) and fail late
+BELOW_THE_FLOOR = [
+    ("plate-force", "--xi", "9.9e-77", "--chi", "1"),
+    ("plate-force", "--xi", "1e-88", "--chi", "1.4"),
+    ("plate-modulus", "--xi", "1e-88", "--chi", "1.4"),
+    ("plate-field", "--xi", "1e-88", "--chi", "1.4", "--nr", "2", "--nz",
+     "2"),
+    ("plate-force", "--xi", "1e-200", "--chi", "1"),
+    ("plate-force", "--xi", "1e-103", "--chi", "0", "--json"),
+    ("plate-force", "--xi", "1e-103", "--chi", "0.1"),
     ("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
-     "2", "--csv"),                                              # stress inf
-], ids=" ".join)
-def test_float_errors_past_double_range_exit_3(capsys, argv):
-    # a plate closed form that leaves double range raises a NumericsError
-    # where the force's prefactor 3 pi mu a U / (8 xi^3), (chi/xi)**3 or a
-    # field's stress overflows; it is a numerical failure, reported in one
-    # line with no traceback and no data (and no numpy warning: a warning
-    # fails this suite)
+     "2", "--csv"),
+    ("plate-force", "--chi", "0.1", "--sweep-xi", "1e-104", "1e-2", "3"),
+    ("plate-modulus", "--xi", "1e-104", "--chi", "1"),
+    ("plate-force", "--xi", "5e-324", "--chi", "1"),
+    ("plate-force", "--xi", "1e-110", "--chi", "0"),
+    ("plate-modulus", "--xi", "1e-170", "--chi", "1"),
+    ("plate-modulus", "--xi", "1e-165", "--chi", "0"),
+    ("compare-plate", "--xi", "1e-170", "--chi", "1"),
+    ("plate-field", "--xi", "5e-324", "--chi", "1", "--nr", "2", "--nz",
+     "2"),
+    ("plate-field", "--xi", "1e-160", "--chi", "0", "--nr", "2", "--nz",
+     "2", "--csv"),
+    ("regime-classify", "--xi", "9.9e-77", "--chi", "1"),
+    ("regime-transitions", "--xi", "9.9e-77"),
+]
+
+
+@pytest.mark.parametrize("argv", BELOW_THE_FLOOR, ids=" ".join)
+def test_plate_xi_below_the_floor_exits_2(capsys, argv):
+    # below the floor a plate command refuses xi at the door: one error
+    # line naming the floor and the value, and no data
     rc, out, err = run(capsys, *argv)
-    assert rc == 3 and out == ""
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    xi = argv[argv.index("--sweep-xi" if "--sweep-xi" in argv else "--xi")
+              + 1]
+    assert (rc, out) == (2, "")
+    assert err == (f"error: xi must be >= 1e-76, the package's floor, got "
+                   f"{float(xi)}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("plate-force", "--chi", "0.1", "--sweep-xi", "1e-104", "1e-2", "3"),
-     "force_factor: (chi/xi)**3 is past double range (xi = 1e-104, "
-     "chi = 0.1)"),
-    (("plate-modulus", "--xi", "1e-104", "--chi", "1"),
-     "apparent_modulus: (chi/xi)**3 is past double range (xi = 1e-104, "
-     "chi = 1.0)"),
-    (("plate-field", "--xi", "1e-103", "--chi", "0", "--nr", "2", "--nz",
-      "2", "--csv"),
-     "plate field is past double range (xi = 1e-103, chi = 0.0)"),
-    (("plate-force", "--xi", "5e-324", "--chi", "1"),
-     "force_factor: chi/xi is past double range (xi = 5e-324, chi = 1.0)"),
-    (("plate-force", "--xi", "1e-110", "--chi", "0"),
-     "plate force inf is past double range (xi = 1e-110, chi = 0.0)"),
-    (("plate-modulus", "--xi", "1e-170", "--chi", "1"),
-     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-170, "
-     "chi = 1.0)"),
-    (("plate-modulus", "--xi", "1e-165", "--chi", "0"),
-     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-165, "
-     "chi = 0.0)"),
-    (("compare-plate", "--xi", "1e-170", "--chi", "1"),
-     "apparent_modulus: 1/(8 xi**2) is past double range (xi = 1e-170, "
-     "chi = 1.0)"),
-    (("plate-field", "--xi", "5e-324", "--chi", "1", "--nr", "2", "--nz",
-      "2"),
-     "radial_profile: chi/xi is past double range (xi = 5e-324, chi = 1.0)"),
-    (("plate-field", "--xi", "1e-160", "--chi", "0", "--nr", "2", "--nz",
-      "2", "--csv"),
-     "radial_profile: 1/(8 xi**2) is past double range (xi = 1e-160, "
-     "chi = 0.0)"),
-], ids=["force_factor", "apparent_modulus", "field", "force_factor-chi-xi",
-        "force-prefactor-chi0", "apparent_modulus-xi2",
-        "apparent_modulus-xi2-chi0", "compare-plate-xi2", "field-chi-xi",
-        "field-xi2-chi0"])
+    (("plate-field", "--xi", "1e-3", "--chi", "1", "--mu", "1e306", "--nr",
+      "2", "--nz", "2", "--csv"),
+     "plate field is past double range (xi = 0.001, chi = 1.0)"),
+    (("plate-force", "--xi", "1e-3", "--chi", "0", "--mu", "1e200", "--a",
+      "1e200"),
+     "plate force inf is past double range (xi = 0.001, chi = 0.0)"),
+    (("plate-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e200", "--a",
+      "1e200"),
+     "plate force inf is past double range (xi = 0.001, chi = 1.0)"),
+    (("plate-field", "--xi", "1e-3", "--chi", "1.4", "--mu", "1e306", "--nr",
+      "2", "--nz", "2"),
+     "plate field is past double range (xi = 0.001, chi = 1.4)"),
+    (("plate-field", "--xi", "1e-3", "--chi", "0", "--U", "1e306", "--nr",
+      "2", "--nz", "2", "--csv"),
+     "plate field is past double range (xi = 0.001, chi = 0.0)"),
+    (("sphere-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e307"),
+     "sphere force inf is past double range (xi = 0.001, chi = 1.0)"),
+    (("sphere-force", "--xi", "1e-3", "--chi", "1", "--mu", "1e307",
+      "--json"),
+     "sphere force inf is past double range (xi = 0.001, chi = 1.0)"),
+    (("sphere-field", "--xi", "1e-3", "--chi", "1", "--mu", "1e307", "--nr",
+      "2", "--nz", "2", "--csv"),
+     "sphere field is past double range (xi = 0.001, chi = 1.0)"),
+], ids=["field", "force-prefactor-chi0", "force-prefactor", "field-chi-xi",
+        "field-xi2-chi0", "sphere-force", "sphere-force-json",
+        "sphere-field"])
 def test_overflow_names_function_and_cell(capsys, argv, message):
-    # past double range the plate's closed forms name the function and
-    # the cell, not Python's bare "(34, 'Numerical result out of range')"
-    # or "float division by zero" (where xi**2, xi**3 underflow to 0 or
-    # chi/xi overflows to inf), nor a field of inf or nan with exit 0
-    rc, out, err = run(capsys, *argv)
+    # above the floor only the scales take a result past double range:
+    # the force and the fields of both layers name it and the cell, with
+    # exit 3 and no data, not an inf, null or nan result with exit 0 (nor
+    # a numpy warning first, under -W error as in this suite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == ""
     assert err == f"numerical failure: {message}\n"
 
 
-def test_profile_self_check_failure_is_one_line(capsys):
-    # the self-check's overflowing arithmetic warns nothing (a warning is
-    # an error in this suite): the failure is its one line, with no data
-    rc, out, err = run(capsys, "plate-field", "--xi", "1e-156", "--chi", "1",
+def test_profile_self_check_failure_is_one_line(capsys, monkeypatch):
+    # the self-check's non-finite path, which only a fault reaches now (a
+    # Bessel value made nan here; the scalar edge record keeps the real
+    # one), warns nothing: the failure is its one line, with no data
+    i0e = plate._sp_special.i0e
+    monkeypatch.setattr(plate._sp_special, "i0e", lambda x: (
+        np.full_like(x, np.nan) if np.ndim(x) else i0e(x)))
+    rc, out, err = run(capsys, "plate-field", "--xi", "0.1", "--chi", "0.1",
                        "--nr", "3", "--nz", "2", "--csv")
     assert rc == 3 and out == ""
     assert err == ("numerical failure: radial profile residual nan exceeds "
-                   "1e-12*nan at R = 0.5 (xi = 1e-156, chi = 1.0)\n")
+                   "1e-12*nan at R = 0.5 (xi = 0.1, chi = 0.1)\n")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

@@ -1,13 +1,17 @@
 """Bonded layer between rigid plates: fields, force, apparent moduli."""
 
+import dataclasses
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from layerlab.kernels import NumericsError, integrate
+from layerlab import plate, regimes
+from layerlab.kernels import NumericsError, bessel_ratio, integrate
+from layerlab.materials import XI_MIN, zeta_family
 from layerlab.plate import (
     apparent_modulus,
     compressible_superposition,
@@ -29,23 +33,33 @@ CHI_GRID = [1e-3, 0.3, 0.7, 1.0, 1.4]
 # Radial profile A(R)
 # ---------------------------------------------------------------------------
 
-def test_radial_profile_self_check_fails_on_nan():
-    # at xi = 1e-156 the forcing 1/(2 xi^2) overflows and the residual at
-    # the self-check spots is NaN; the check fails on it instead of
-    # letting s_rr = nan through, and the overflowing arithmetic warns
-    # nothing first (a warning is an error in this suite)
-    sol = solve_plate(1e-156, 1.0)
+def _broken_i0e(monkeypatch, value):
+    """scipy.special.i0e with every array value set to value, a fault no
+    input reaches; the scalar edge record (kernels.bessel_ratio) keeps
+    the real one."""
+    i0e = plate._sp_special.i0e
+    monkeypatch.setattr(plate._sp_special, "i0e", lambda x: (
+        np.full_like(x, value) if np.ndim(x) else i0e(x)))
+
+
+def test_radial_profile_self_check_fails_on_nan(monkeypatch):
+    # a NaN Bessel value makes the residual at the self-check spots NaN;
+    # the check fails on it instead of letting s_rr = nan through, and
+    # warns nothing first (a warning is an error in this suite)
+    _broken_i0e(monkeypatch, math.nan)
+    sol = solve_plate(0.1, 0.1)
     with pytest.raises(NumericsError, match="radial profile residual nan"):
         field(sol, 0.5, 0.5)
 
 
-def test_radial_profile_self_check_fails_on_infinite_scale():
-    # at (1e-150, 1.5e-156) chi**2 is subnormal and 1/chi**2 overflows:
-    # A' and A'' are -inf at the spots, and so are the residual and its
-    # scale; an infinite scale fails the check as NaN does
+def test_radial_profile_self_check_fails_on_infinite_scale(monkeypatch):
+    # an infinite I_0(kappa R) makes A'' -inf at the spots (kappa = 1 takes
+    # A itself from its power series), and so the residual and its scale;
+    # an infinite scale fails the check as NaN does
+    _broken_i0e(monkeypatch, math.inf)
     with pytest.raises(NumericsError, match=re.escape(
             "radial profile residual -inf exceeds 1e-12*inf")):
-        radial_profile(1e-150, 1.5e-156)
+        radial_profile(0.1, 0.1)
 
 
 @pytest.mark.parametrize("xi, chi, branch", [
@@ -469,3 +483,134 @@ def test_compressible_superposition_takes_zero_and_negative_U():
     for U in (0.0, -1.0):
         st = compressible_superposition(0.1, 1.0, U=U)
         assert all(map(math.isfinite, (st.s_rr, st.s_zz, st.edge_load)))
+
+
+def test_compressible_superposition_past_double_range_names_the_cell():
+    # chi**2 underflows to 0 from chi about 1e-162 (Python's bare
+    # ZeroDivisionError before), and at chi = 1e-160 the state was inf;
+    # mu = 1e306 takes it there by the scale alone
+    for chi, mu in ((1e-170, 1.0), (1e-160, 1.0), (1.0, 1e306)):
+        with pytest.raises(NumericsError, match=re.escape(
+                f"compressible superposition is past double range "
+                f"(xi = 0.001, chi = {chi})")):
+            compressible_superposition(1e-3, chi, mu=mu)
+
+
+# ---------------------------------------------------------------------------
+# The domain: 1e-76 <= xi < 1
+# ---------------------------------------------------------------------------
+
+# every plate-layer entry point, each of which checks xi (check_xi)
+PLATE_CALLS = {
+    "solve_plate": lambda xi: solve_plate(xi, 1.0),
+    "radial_profile": lambda xi: radial_profile(xi, 1.0),
+    "force_factor": lambda xi: force_factor(xi, 1.0),
+    "apparent_modulus": lambda xi: apparent_modulus(xi, 1.0),
+    "compressible_superposition":
+        lambda xi: compressible_superposition(xi, 1.0),
+    "zeta_family": lambda xi: zeta_family(xi, 1.0),
+    "classify": lambda xi: regimes.classify("plate", xi, 1.0),
+    "nu_intermediate_window": lambda xi: regimes.nu_intermediate_window(xi),
+}
+
+
+@pytest.mark.parametrize("xi", [9.9e-77, 1e-88, 1e-103, 1e-160, 5e-324])
+def test_xi_below_the_floor_refused(xi):
+    # below XI_MIN every plate-layer function refuses xi at the door with
+    # the floor in its message, where its closed forms used to leave
+    # double range (A''' from about 1e-88, 1/(8 xi**2) near 1e-154)
+    assert XI_MIN == 1e-76
+    for name, call in PLATE_CALLS.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"xi must be >= 1e-76, the package's floor, got {xi}")):
+            call(xi)
+
+
+@pytest.mark.parametrize("xi", [0.0, -1e-3, 1.0, 2.0, math.nan, -math.inf])
+def test_xi_outside_the_unit_interval_keeps_its_message(xi):
+    for name, call in PLATE_CALLS.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"xi must lie in (0, 1), got {xi}")):
+            call(xi)
+
+
+# chi: 0, subnormal and tiny values, both sides of CHI_INCOMPRESSIBLE =
+# 1e-10, ordinary ones and the top of the range
+DOMAIN_CHIS = (0.0, 5e-324, 1e-300, 1e-160, 5e-11,
+               np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0),
+               1e-3, 0.7, 1.4, 1.5)
+# A''' on the axis, at tiny and subnormal radii, inside and at the rim
+DOMAIN_RADII = np.array([0.0, 5e-324, 1e-300, 1e-200, 0.5, 1.0])
+
+
+def test_closed_forms_finite_down_to_the_floor():
+    # at and above the floor every plate closed form is a finite double
+    # at unit scales, with no numpy warning: xi log-uniform in
+    # [1e-76, 1) (seeded), the floor itself and 1 - 1e-6, across
+    # DOMAIN_CHIS.  The force factor and the modulus e_hat are positive,
+    # and A'' is the same on the axis and at a subnormal radius
+    rng = np.random.default_rng(20261020)
+    xis = [XI_MIN, 1.0 - 1e-6, *10.0 ** rng.uniform(-76.0, 0.0, 30)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in xis:
+            lo, hi = regimes.nu_intermediate_window(xi)
+            assert -1.0 <= lo <= hi <= 0.5
+            for chi in map(float, DOMAIN_CHIS):
+                g = force_factor(xi, chi)
+                assert 0.0 < g < math.inf, (xi, chi, g)
+                if chi < 1.5:
+                    mod = apparent_modulus(xi, chi)
+                    assert all(map(math.isfinite, mod[:2] + mod[3:]))
+                    assert mod.e_hat > 0.0
+                sol = solve_plate(xi, chi)
+                assert math.isfinite(force(sol)), (xi, chi)
+                fs = field(sol, np.linspace(0.0, 1.0, 4)[:, None],
+                           np.linspace(-1.0, 1.0, 3))
+                for value in dataclasses.astuple(fs):
+                    assert np.all(np.isfinite(value)), (xi, chi)
+                derivs = sol.radial.eval(DOMAIN_RADII)
+                assert all(np.all(np.isfinite(d)) for d in derivs)
+                assert derivs[2][1] == derivs[2][0], (xi, chi)
+                regimes.classify("plate", xi, chi)
+
+
+@pytest.mark.parametrize("xi, chi", [(0.2, 1e-10), (0.1, 1.0), (1e-3, 1.4),
+                                     (0.05, 0.05)])
+def test_third_derivative_at_tiny_radii_warns_nothing(xi, chi):
+    # the direct form of A''' divides by x = kappa R, which overflowed (a
+    # RuntimeWarning) at tiny R before the series overwrote it; it is now
+    # formed only at x >= 1, and A''' at a tiny R is its axis value
+    profile = radial_profile(xi, chi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (5e-324, 1e-300, 1e-200):
+            a3 = profile.eval(np.array([0.0, r, 0.5]))[3]
+            assert np.all(np.isfinite(a3)) and abs(a3[1]) <= abs(a3[2])
+
+
+def _a3_as_before(xi, chi, rr):
+    """A''' by the formula it had before the direct form was restricted
+    to x >= 1: formed on every radius, then overwritten below x = 1."""
+    meta = radial_profile(xi, chi).meta
+    kappa, c_b = meta["kappa"], meta["c_b"]
+    ck = -0.5 * c_b / (chi * chi)
+    x = kappa * rr
+    si0, si1 = plate._sp_special.i0e(x), plate._sp_special.i1e(x)
+    pos = x > 0.0
+    sx = np.where(pos, x, 1.0)
+    si1x = np.where(pos, si1 / sx, 0.5)
+    base = np.exp(x - kappa) / bessel_ratio(kappa).scaled_i0
+    w = si1 - si0 / sx + 2.0 * si1x / sx
+    small = x < plate._W_SWITCH
+    w[small] = plate._w_series(x[small])
+    return ck * kappa ** 3 * base * w
+
+
+@pytest.mark.parametrize("xi, chi", [(0.05, 0.05), (0.01, 0.7), (1e-3, 1.4),
+                                     (1e-4, 1e-3)])
+def test_third_derivative_bit_for_bit_on_ordinary_radii(xi, chi):
+    rr = np.concatenate((np.linspace(0.0, 1.0, 101),
+                         np.geomspace(1e-6, 1.0, 50)))
+    got = radial_profile(xi, chi).eval(rr)[3]
+    assert np.array_equal(got, _a3_as_before(xi, chi, rr))

@@ -85,3 +85,33 @@ def test_readme_command_table_matches_the_parser():
     want = {name: {"grid" if g == "gap_grid" else g for g in spec.split()}
             for name, _, spec, _ in cli._COMMANDS}
     assert table == want
+
+
+# a quoted command and the one line it prints: "`<argv>` prints `<line>`"
+_PRINTS = re.compile(r"`([^`]+)` prints `([^`]+)`")
+# the exit status each kind of failure line carries
+_STATUS = {"error:": 2, "numerical failure:": 3, "i/o failure:": 3}
+
+
+def _printed_lines() -> list:
+    """The (argv, line) pairs the command-line section quotes, with the
+    prose's line breaks read as spaces."""
+    text = " ".join(_section("Command line").split())
+    return [(shlex.split(argv), line) for argv, line in _PRINTS.findall(text)]
+
+
+def test_readme_quoted_failures_print_their_lines(capsys):
+    # each quoted failure prints its line (a trailing "..." shows only its
+    # start) on stderr, and exits with its kind's status
+    pairs = _printed_lines()
+    assert len(pairs) >= 5, pairs
+    for argv, line in pairs:
+        status = next(code for prefix, code in _STATUS.items()
+                      if line.startswith(prefix))
+        assert cli.main(argv) == status, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, (argv, err)
+        if line.endswith("..."):
+            assert err.startswith(line[:-3]), (argv, err)
+        else:
+            assert err == line + "\n", (argv, err)

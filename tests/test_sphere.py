@@ -9,13 +9,15 @@ comparison, exercised in the acceptance suite.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
-from layerlab import plate, regimes, series
-from layerlab.kernels import (_MAX_REFINE, PanelPoly, ToleranceNotMet,
+from layerlab import materials, plate, regimes, series
+from layerlab.kernels import (_MAX_REFINE, NumericsError, PanelPoly,
+                              ToleranceNotMet,
                               _split_panels, integrate, solve_dual_bvp)
 from layerlab.materials import nu_from_chi
 from layerlab.sphere import (
@@ -862,3 +864,95 @@ def test_xi_below_the_floor_refused(xi):
         with pytest.raises(ValueError, match=r"xi must be >= 1e-76 for a "
                                              r"sphere layer .*, got "):
             call()
+    assert XI_MIN_SPHERE is materials.XI_MIN
+
+
+# chi for the domain sweep: 0, subnormal-squared and tiny values, and
+# ordinary ones up to the top of the range
+SWEEP_CHIS = (0.0, 1e-300, 1e-160, 1e-3, 0.3, 1.0, 1.2, 1.5)
+
+
+def test_psi_over_the_domain():
+    # xi at both ends of [1e-76, 0.1] and one log-uniform draw (seeded)
+    # between, across SWEEP_CHIS (24 solves).  Psi is finite and positive
+    # on both traces, and at each xi the midplane Psi never rises with chi
+    # and never exceeds Psi(xi, 0), to 1e-12 (over 12 xi x 8 chi, 96
+    # solves, both held).  Below the floor both layers refuse
+    rng = np.random.default_rng(43)
+    for xi in (XI_MIN_SPHERE, XI_MAX_SPHERE, 10.0 ** rng.uniform(-76.0, -1.0)):
+        mids = []
+        for chi in SWEEP_CHIS:
+            sol = solve_sphere(xi, chi)
+            psi = [sphere_force(sol, trace).psi
+                   for trace in ("midplane", "surface")]
+            assert all(0.0 < p < math.inf for p in psi), (xi, chi, psi)
+            mids.append(psi[0])
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(mids, mids[1:])), (
+            xi, mids)
+        assert max(mids) <= mids[0] * (1.0 + 1e-12), (xi, mids)
+    for call in (solve_sphere, plate.solve_plate):
+        with pytest.raises(ValueError, match="xi must be >= 1e-76"):
+            call(9.9e-77, 1.0)
+
+
+@pytest.mark.parametrize("chi", [0.3, 1.0, 1.4])
+def test_stresses_meet_hookes_law(chi):
+    # s_rr, s_tt, s_zz and s_rz against lambda tr(eps) + 2 mu eps_ii and
+    # 2 mu eps_rz, with the strains differenced from sphere_field's own
+    # (u_r, u_z) by navier_residual's 4th-order stencils on its window
+    # (r = a sqrt(xi) R, z = a xi Z; lambda/mu = (3 - 2 chi**2)/chi**2).
+    # Each defect, over its component's scale (mu U/(a xi) for the normal
+    # stresses, mu U/(a xi**1.5) for the shear), is differencing error
+    # alone: it falls 15-16 times when the step halves, and in proportion
+    # to xi, since u_r and u_z are polynomials in Z (differenced exactly)
+    # and the R-derivatives enter the stresses at relative order xi.
+    # Measured at xi = 1e-2 .. 1e-6: normal stresses at most 1.6e-5 xi
+    # (chi = 0.3; 6.5e-8 xi at chi = 1), the shear 8.6e-9 xi.  So all four
+    # meet Hooke's law at every order in xi.  In a scratch copy, a 0.1%
+    # error in the chi**2 coefficient of s_zz's k9 = 9 - 2 chi**2 lifted
+    # its defect to 2.1e-5 at xi = 1e-2 (bound 1e-6), one in s_rr's
+    # k6 = 2 (3 - chi**2) to 1.1e-5, and one in s_rz's 4 chi**2 - 6 to
+    # 8.4e-6 (bound 1e-9)
+    lam = (3.0 - 2.0 * chi * chi) / (chi * chi)
+    core = (slice(2, -2), slice(2, -2))
+    for xi in (1e-2, 1e-4):
+        sol = solve_sphere(xi, chi)
+        z_max = 0.9 * sol.geo.gap(series._R_WINDOW[0])
+        rr = np.linspace(*series._R_WINDOW, series._GRID_N)
+        zz = np.linspace(-z_max, z_max, series._GRID_N)
+        f = sphere_field(sol, *np.meshgrid(rr, zz, indexing="ij"))
+        hr, hz, sq = rr[1] - rr[0], zz[1] - zz[0], math.sqrt(xi)
+        e_rr = series._d1(f.u_r, hr, 0) / sq
+        e_tt = f.u_r / (sq * rr[:, None])
+        e_zz = series._d1(f.u_z, hz, 1) / xi
+        e_rz = 0.5 * (series._d1(f.u_r, hz, 1) / xi
+                      + series._d1(f.u_z, hr, 0) / sq)
+        tr = e_rr + e_tt + e_zz
+        for got, want, scale, bound in (
+                (f.s_rr, lam * tr + 2.0 * e_rr, 1.0 / xi, 1e-4),
+                (f.s_tt, lam * tr + 2.0 * e_tt, 1.0 / xi, 1e-4),
+                (f.s_zz, lam * tr + 2.0 * e_zz, 1.0 / xi, 1e-4),
+                (f.s_rz, 2.0 * e_rz, xi ** -1.5, 1e-7)):
+            defect = float(np.max(np.abs(got - want)[core])) / scale
+            assert defect <= bound * xi, (xi, chi, defect / xi)
+
+
+def test_dimensional_results_past_double_range_name_the_cell():
+    # the scales alone take a sphere result past double range above the
+    # floor: each raises NumericsError naming it and the cell, as the
+    # plate's force and field do, where the force read inf (null in
+    # JSON), the field nan with numpy warnings, and the potential raised
+    # Python's bare OverflowError (from a**2)
+    cell = "(xi = 0.001, chi = 1.0)"
+    big_mu = solve_sphere(1e-3, 1.0, mu=1e307)
+    with pytest.raises(NumericsError, match=re.escape(
+            f"sphere force inf is past double range {cell}")):
+        sphere_force(big_mu)
+    with pytest.raises(NumericsError, match=re.escape(
+            f"sphere field is past double range {cell}")):
+        sphere_field(big_mu, np.array([1.0, 3.0]), 0.5)
+    for a, U in ((1e200, 1e200), (1e160, 1.0)):
+        with pytest.raises(NumericsError, match=re.escape(
+                f"sphere potential is past double range {cell}")):
+            sphere_potential(solve_sphere(1e-3, 1.0, a=a, U=U),
+                             [0.0, 3.0], 0.5)
