@@ -343,9 +343,10 @@ class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
     coefficients on [edges[i], edges[i+1]] in the panel variable
     t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
-    but value returns the value and the first two x-derivatives.  Its
-    arrays are read-only, since a solved profile is shared by every
-    caller of a cache.
+    returns the value and the first two x-derivatives: a solved
+    profile's panels are its s-evaluator (see _ode_terms), and the dual
+    comparison reads the first of the three.  Its arrays are read-only,
+    since a solved profile is shared by every caller of a cache.
 
     Integrals read three things, and nothing else of the panels: the rim
     values (end), the 6-point Gauss-Legendre record of every panel
@@ -386,15 +387,6 @@ class PanelPoly:
 
     def __call__(self, x):
         return self.at(*self.locate(x))
-
-    def value(self, x):
-        """v alone at x: the same product as the first of __call__'s
-        three, on the same (strided) Vandermonde, so the same doubles at a
-        third of the work; a contiguous copy of it would round
-        differently."""
-        idx, t = self.locate(x)
-        return np.einsum("...k,...k->...", _cheb.chebvander(t, self.deg),
-                         self.coefs[idx])
 
     def end(self):
         """The last edge x and (v, v_x, v_xx) there: the last panel's
@@ -482,13 +474,18 @@ def _check_nodes(deg: int):
 class RadialSolution:
     """A radial profile A(R), evaluated from its one derivative function.
 
-    terms(r, third) gives (A, A', A'', A''') on a float array r of one
-    dimension or more, elementwise, with None for A''' unless third; a
-    profile solved by solve_linear_bvp appends A_s and A_ss, the
-    s = R**2 derivatives of its panels.  The plate's terms are its
-    closed forms; a solved profile's read its panels through the ODE
-    (see _panel_terms).  eval, eval2 and eval_quotients are the only
-    readers of terms.
+    terms(r, third) gives the six-slot tuple
+
+        (A, A', A'', A''' or None, A'/R, (A'' - A'/R)/R or None)
+
+    on a float array r of one dimension or more, elementwise, with None
+    for A''' unless third.  Every reader takes what it needs from it, so
+    none divides by R: each profile forms its own A'/R, finite on the
+    axis, where it is A''.  A profile in s = R**2 (one solved by
+    solve_linear_bvp, or closed_form_profile's) reads A and its
+    s-derivatives through the ODE (see _ode_terms) and gives the second
+    quotient where third.  The plate's terms are its closed forms and
+    leave the second quotient None: no plate field reads it.
 
     meta records method, mesh, refinement passes and the measured
     residual (a read-only mapping on a solve_dual_bvp profile).  s_form
@@ -548,28 +545,22 @@ class RadialSolution:
         """(A, A', A'', A''') at R: floats for a scalar R (0-d included),
         else arrays of R's shape, each formed on the radii of R (see
         radii), so a lone R gives the doubles it has inside a line.  The
-        private _a3=False leaves A''' out (see eval2)."""
+        private _a3=False gives A'/R in the place of A''' (see eval2)."""
         rr = np.asarray(r, dtype=float)
         radii, take = self.radii(rr)
-        values = tuple(map(take, self.terms(radii, _a3)[:4 if _a3 else 3]))
+        av, a1, a2, a3, a1r, _ = self.terms(radii, _a3)
+        values = tuple(map(take, (av, a1, a2, a3 if _a3 else a1r)))
         if rr.ndim == 0:
             return tuple(map(float, values))
         return values
 
     def eval2(self, r):
-        """(A, A', A'') at R: eval's first three, bit for bit, without
-        forming A''', for callers that discard it.  It calls the
-        instance's eval with the private flag _a3, so a wrapper put on
-        eval (bench/tracing.py's) sees these calls."""
+        """(A, A', A'', A'/R) at R: eval's first three, bit for bit, and
+        the profile's own A'/R, without forming A''', for callers that
+        need no A'''.  It calls the instance's eval with the private flag
+        _a3, so a wrapper put on eval (bench/tracing.py's) sees these
+        calls."""
         return self.eval(r, _a3=False)
-
-    def eval_quotients(self, r):
-        """(A, A', A'', A''', A'/R, (A'' - A'/R)/R) on the float array r,
-        for a profile whose terms give A_s and A_ss (one solved on
-        s-panels, or a closed form in s): the two quotients are read off
-        them as 2 A_s and 4 R A_ss, finite on the axis with no 0/0."""
-        av, a1, a2, a3, a_s, a_ss = self.terms(r, True)
-        return av, a1, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would
@@ -703,8 +694,8 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
         A' = 2 R_e A_s and A'' = f - 2 m A_s - q A the stored condition is
         (alpha - gamma*q)*A + 2 (R_e beta - gamma*m)*A_s = delta - gamma*f.
 
-    mesh: the R panel edges, from 0 out to the rim mesh[-1] > 0, or
-    ValueError; the solver squares them into s.
+    mesh: the R panel edges, increasing strictly from 0 out to a finite
+    rim mesh[-1] > 0, or ValueError; the solver squares them into s.
 
     method: "primary" (degree-10 Chebyshev panels collocated at the 9
     Gauss points) or "alt" (degree 8 at the 7 Chebyshev points, on the
@@ -727,10 +718,11 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     edges = np.asarray(mesh, dtype=float)
-    if len(edges) < 2 or edges[0] != 0.0 or not (edges[-1] > 0.0):
-        raise ValueError("a mesh must run from 0 to a positive rim, got "
-                         + np.array2string(edges, threshold=6))
-    r_e = float(edges[-1])
+    # comparisons alone, so that NaN fails it and nothing warns
+    if not (len(edges) > 1 and edges[0] == 0.0 < edges[-1] < math.inf
+            and np.all(edges[:-1] < edges[1:])):
+        raise ValueError("a mesh must increase strictly from 0 to a positive "
+                         "rim, got " + np.array2string(edges, threshold=6))
 
     if method == "primary":
         deg, kind = 10, "gauss"
@@ -744,7 +736,7 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
 
     m0, q0, f0 = map(float, equation[0](0.0))
     left_row = (q0, 2.0 + 2.0 * m0, f0)
-    right_row = _rim_row(equation, right, r_e)
+    right_row = _rim_row(equation, right, float(edges[-1]))
     if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
@@ -784,7 +776,7 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
         "tol": tol,
     }
     _frozen(meta["edges"])
-    return RadialSolution(terms=partial(_panel_terms, equation, poly),
+    return RadialSolution(terms=partial(_ode_terms, equation, poly),
                           meta=meta, s_form=poly)
 
 
@@ -797,10 +789,12 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
     exact: None, or the closed form's solutions as closed_form_profile
     takes them, with exact(s, False) giving the pair (P, H) alone; the
     reference is then P + C H, with C fixed by the rim row.  The alt
-    discretization refines on its own residual.  Either reference is
-    sampled where the primary is, on the nodes of its Gauss record
-    (PanelPoly.gauss, the rule that integrates A's moments exactly),
-    which this forms once for every later reader of the profile.
+    discretization refines on its own residual, and its A is read as the
+    first of its panels' three values (PanelPoly's one evaluation).
+    Either reference is sampled where the primary is, on the nodes of
+    its Gauss record (PanelPoly.gauss, the rule that integrates A's
+    moments exactly), which this forms once for every later reader of
+    the profile.
 
     Returns the primary solution, with meta["dual_sup_rel"] set to the
     sup-norm disagreement of A with the reference on those nodes,
@@ -828,7 +822,7 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
     if exact is None:
         alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
                                method="alt")
-        a_ref = alt.s_form.value(s)
+        a_ref = alt.s_form(s)[0]
         ref = {"reference": "alt", "alt_panels": alt.meta["panels"],
                "alt_passes": alt.meta["passes"]}
         name = "independent discretizations"
@@ -913,33 +907,29 @@ def _rim_row(equation, right, r_e: float):
             delta - gamma * f)
 
 
-def _ode_terms(equation, r, av, a_s, a_ss, third):
-    """RadialSolution.terms of a profile of the equation (ode, ode_s), from
-    its A, A_s and A_ss on the float array r: A, A', A'', A''' (None
-    unless third), A_s and A_ss.  A' comes from A_s; A'' and A''' are
-    read off the equation and its s-derivative:
+def _ode_terms(equation, s_form, r, third):
+    """RadialSolution.terms of a profile of the equation (ode, ode_s) on
+    the float array r, from its s-evaluator: s_form(s) gives A, A_s and
+    A_ss at s = R**2 (a solved profile's PanelPoly, or a closed form's
+    P + C H).  A' and the two quotients come from A_s and A_ss; A'' and
+    A''' are read off the equation and its s-derivative:
 
-        A'   = 2 R A_s,
-        A''  = f - 2 m A_s - q A,
+        A'   = 2 R A_s,                    A'/R           = 2 A_s,
+        A''  = f - 2 m A_s - q A,          (A'' - A'/R)/R = 4 R A_ss,
         A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
 
-    none of which divides by R, so the axis is an ordinary point."""
+    none of which divides by R, so the axis is an ordinary point.  A'''
+    and the second quotient are None unless third."""
     ode, ode_s = equation
     s = r * r
+    av, a_s, a_ss = s_form(s)
     m, q, f = ode(s)
     a2 = f - 2.0 * m * a_s - q * av
-    a3 = None
-    if third:
-        m_s, q_s, f_s = ode_s(s)
-        a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av
-                        - q * a_s)
-    return av, 2.0 * r * a_s, a2, a3, a_s, a_ss
-
-
-def _panel_terms(equation, poly: PanelPoly, r, third):
-    """RadialSolution.terms of the panels poly, solved in s = R**2 for
-    the equation (ode, ode_s) (see _ode_terms)."""
-    return _ode_terms(equation, r, *poly(r * r), third)
+    if not third:
+        return av, 2.0 * r * a_s, a2, None, 2.0 * a_s, None
+    m_s, q_s, f_s = ode_s(s)
+    a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av - q * a_s)
+    return av, 2.0 * r * a_s, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
 
 
 def _rim_constant(equation, right, r_e: float, solutions) -> float:
@@ -961,17 +951,19 @@ def closed_form_profile(equation, right, r_e: float, solutions, *,
     solutions(s) gives ((P, P_s, P_ss), (H, H_s, H_ss)) on the float
     array s = R**2, elementwise: a particular solution and the
     homogeneous solution regular on the axis.  C is fixed by the rim row
-    (_rim_row), and terms reads A'' and A''' off the equation as a solved
-    profile's do (_ode_terms), then multiplies all six arrays by scale.
+    (_rim_row).  terms reads the profile through its s-evaluator P + C H,
+    as a solved profile's reads its panels (_ode_terms), then multiplies
+    all six outputs by scale.
 
     meta holds method "closed form" and C (that of A, before scale),
     updated with the caller's meta; s_form is None: there are no panels."""
     c = _rim_constant(equation, right, r_e, solutions)
 
+    def s_form(s):
+        return tuple(p + c * h for p, h in zip(*solutions(s)))
+
     def terms(r, third):
-        (p0, p_s, p_ss), (h0, h_s, h_ss) = solutions(r * r)
-        out = _ode_terms(equation, r, p0 + c * h0, p_s + c * h_s,
-                         p_ss + c * h_ss, third)
+        out = _ode_terms(equation, s_form, r, third)
         return tuple(None if v is None else scale * v for v in out)
 
     return RadialSolution(terms=terms, meta={"method": "closed form",

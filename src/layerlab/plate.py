@@ -279,11 +279,23 @@ def _in_range(what: str, xi: float, chi: float) -> np.errstate:
     return np.errstate(over="call", invalid="call", divide="call", call=fail)
 
 
+# At and below this R, A'/R is taken as A'': there kappa R <= 1.5e-74
+# for every cell above the floor (kappa <= 1.5e76), so the two agree to
+# double precision, and no subnormal R divides a rounded A'
+_R_QUOTIENT = 1e-150
+
+
+def _over_r(r, a1, a2):
+    """A'/R on the radii r, from A' and A'' there: a1 / r above
+    _R_QUOTIENT, A'' at and below it."""
+    return np.divide(a1, r, out=a2.copy(), where=r > _R_QUOTIENT)
+
+
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
-    Its derivative function (RadialSolution.terms) gives A, A', A'' and,
-    on request, A''' in one array pass from scaled Bessel values
+    Its derivative function (RadialSolution.terms) gives A, A', A'', on
+    request A''', and A'/R in one array pass from scaled Bessel values
     (scipy.special.i0e/i1e) and ratios against I_0(chi/xi), so
     arbitrarily large chi/xi cannot overflow.  A is assembled as
 
@@ -302,9 +314,11 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     about 1e-88 down.  A cheap residual self-check at R = 0.5 and R = 1
     guards the assembled profile; a non-finite residual or scale there,
     which only a fault can give, fails it with NumericsError alone, with
-    no numpy warning first.  eval(R) gives (A, A', A'', A''') for scalar
-    or array R, and eval2(R) the first three, the same doubles, without
-    the A''' pass (see RadialSolution).
+    no numpy warning first.  A'/R is A' / R above R = 1e-150 and A'' at
+    and below it (_over_r), on both branches; the slot of
+    (A'' - A'/R)/R is None.  eval(R) gives (A, A', A'', A''') for scalar
+    or array R, and eval2(R) the first three, the same doubles, then
+    A'/R, without the A''' pass (see RadialSolution).
     """
     edge = _edge(xi, chi)
     if edge is None:
@@ -314,7 +328,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             av = (1.0 - r * r) * inv
             a1 = -2.0 * inv * r
             a2 = np.full_like(r, -2.0 * inv)
-            return av, a1, a2, (np.zeros_like(r) if third else None)
+            return (av, a1, a2, np.zeros_like(r) if third else None,
+                    _over_r(r, a1, a2), None)
 
         meta = {"method": "closed form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
@@ -359,15 +374,16 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
+        a1r = _over_r(rr, a1, a2)
         if not third:
-            return av, a1, a2, None
+            return av, a1, a2, None, a1r, None
         # the direct form only at and above the switch, where it cannot
         # overflow; the series below it
         small = x < _W_SWITCH
         sx = np.where(small, 1.0, x)
         w = si1 - si0 / sx + 2.0 * si1x / sx
         w[small] = _w_series(x[small])
-        return av, a1, a2, ck * kappa ** 3 * base * w
+        return av, a1, a2, ck * kappa ** 3 * base * w, a1r, None
 
     meta = {"method": "closed form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
@@ -378,8 +394,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
     with np.errstate(invalid="ignore", over="ignore"):
-        a0, a1s, a2s = sol.eval2(spots)
-        residuals = a2s + a1s / spots - kappa * kappa * a0 + forcing
+        a0, _, a2s, a1r = sol.eval2(spots)
+        residuals = a2s + a1r - kappa * kappa * a0 + forcing
         scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
                             np.abs(a2s))
     for r_spot, res, scale in zip(spots, residuals, scales):
@@ -429,11 +445,13 @@ def solve_plate(xi: float, chi: Optional[float] = None, *,
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:
     """Sample displacements and stresses at scaled (R, Z); R and Z
-    broadcast against each other.  The radial potential (A, A', A'',
-    never A''') is evaluated once per R of a line of radii (a column, a
-    row, 1-D or a scalar), on R itself, and once per distinct R of a full
-    R grid (see RadialSolution.radii), so dense (R, Z) product grids cost
-    only their R lines, and a lone R gives the doubles of a line.
+    broadcast against each other.  The radial potential (A, A', A'' and
+    the profile's own A'/R, never A''': RadialSolution.eval2) is
+    evaluated once per R of a line of radii (a column, a row, 1-D or a
+    scalar), on R itself, and once per distinct R of a full R grid (see
+    RadialSolution.radii), so dense (R, Z) product grids cost only their
+    R lines, and a lone R gives the doubles of a line.  No field divides
+    by R.
 
     Each field is written in place into one preallocated (6, *shape)
     block, with no other grid-sized array; a column R against a shorter
@@ -457,11 +475,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
     radii, take = RadialSolution.radii(Rr)
-    av, a1, a2 = sol.radial.eval2(radii)
-    # A'/R with its axis limit A''(0) (A' is odd, so A'/R -> A'' at R = 0)
-    safe_r = np.where(radii > 0.0, radii, 1.0)
-    a1r = np.where(radii > 0.0, a1 / safe_r, a2)
-    A, A1, A2, A1R = map(take, (av, a1, a2, a1r))
+    A, A1, A2, A1R = map(take, sol.radial.eval2(radii))
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi

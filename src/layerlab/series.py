@@ -175,7 +175,9 @@ class ThetaSolution:
     leading nearly-incompressible displacement pair on the layer geo.
     The profile is solve_theta's closed form: its meta holds method
     "closed form", the rim coefficient C, and the switch point and term
-    counts of its series.
+    counts of its series.  The fields read Theta, Theta', Theta'' and
+    Theta'/R from its terms (RadialSolution), with no A''' and no
+    division by R.
     """
 
     geo: SphereGeometry
@@ -189,9 +191,10 @@ class ThetaSolution:
     def _terms(self, R, Z):
         """R, Z and g(R) after the layer check, then Theta, Theta' and
         L = Theta'' + Theta'/R, formed on the radii of SphereGeometry.points
-        (Theta'/R finite on the axis) and taken to R's shape."""
+        (Theta'/R the profile's own 2 Theta_s, finite on the axis) and
+        taken to R's shape."""
         Rb, Zb, radii, take = self.geo.points(R, Z)
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval_quotients(radii)
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.terms(radii, False)
         return Rb, Zb, self.geo.gap(Rb), *map(take, (t0, t1, t2 + t1_over_r))
 
     def u_r0(self, R, Z):

@@ -629,9 +629,11 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     back as read-only broadcast views of the inputs; a column R against
     a shorter row Z gives F-ordered fields (see FieldSample).
     u_r stays ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
-    ``Z = +/- g``.  ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss``
-    come from the s = R**2 panels: finite on the axis, and the second
-    keeps the 1/R**2 blow-up of rounding noise out of L'.  Where the
+    ``Z = +/- g``.  The profile's terms give every R-only input,
+    ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss`` among them, from
+    the s = R**2 panels (RadialSolution): the field divides by no R, both
+    quotients are finite on the axis, and the second keeps the 1/R**2
+    blow-up of rounding noise out of L'.  Where the
     scales a, mu, U take a field past double range it raises
     NumericsError naming the cell, as plate.field does, rather than
     return inf or nan.
@@ -642,7 +644,7 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     xi, U = cfg.xi, np.float64(cfg.U)
     Rr, Zb, rr, take = sol.geo.points(R, Z)
 
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr, True)
     g = sol.geo.gap(rr)
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1
@@ -706,7 +708,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     cfg = sol.cfg
     Rr, Zb, radii, take = sol.geo.points(R, Z)
 
-    a0u, a1u, a2u = sol.A.eval2(radii)
+    a0u, a1u, a2u, _ = sol.A.eval2(radii)
     gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u

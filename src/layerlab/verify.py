@@ -126,7 +126,7 @@ def _sphere_dual_oracle(ssol) -> float:
     a = p + meta["C"] * f
     alt = solve_linear_bvp(equation, right, mesh=mesh, method="alt")
     return max(meta["dual_sup_rel"], float(np.max(np.abs(
-        alt.s_form.value(s) - a))) / float(np.max(np.abs(a))))
+        alt.s_form(s)[0] - a))) / float(np.max(np.abs(a))))
 
 
 def cell_properties(xi: float, chi: float) -> dict:

@@ -33,12 +33,14 @@ bare and in each format, sweeps, --nu, the scales, field grids up to
 101 x 41, the error paths and every --help.
 
 ``tests/test_solver_fingerprint.py`` recomputes every entry of both and
-names each one that differs.  A change that moves an answer on purpose
-rewrites both files with
+names each one that differs (_diffs).  A change that moves an answer on
+purpose rewrites both files with
 
     PYTHONPATH=src python tests/solver_fingerprint.py
 
-and states every changed entry, old -> new and why.  Both files record
+which prints, for each file, every entry that differs from the one it
+replaces, old -> new, before writing it; the change states each of
+those entries and why it moved.  Both files record
 the versions they were written with and the git commit, and whether the
 tree held changes against it (null for both outside a git checkout).
 """
@@ -575,14 +577,36 @@ def versions() -> dict:
             "clean": None if status is None else not status}
 
 
+def _diffs(path, got) -> list:
+    """One line per key of an entry of got that differs from the file
+    at path, old -> new, headed by their count and the versions the file
+    was written with beside those of the run; [] when none differs."""
+    want = json.loads(path.read_text())
+    diffs = []
+    for name in sorted(want["entries"].keys() | got.keys()):
+        old, new = want["entries"].get(name, {}), got.get(name, {})
+        diffs += [f"{name} {key}: {old.get(key)} -> {new.get(key)}"
+                  for key in sorted(old.keys() | new.keys())
+                  if old.get(key) != new.get(key)]
+    return [f"{len(diffs)} entries differ (written with {want['versions']}, "
+            f"run with {versions()}):"] + diffs if diffs else []
+
+
+def _write(path, entries) -> None:
+    """Print every entry that differs from the file at path (if there is
+    one), then write the entries there with the versions."""
+    if path.exists():
+        print("\n".join(_diffs(path, entries)
+                        or [f"no entry of {path.name} differs"]))
+    data = {"versions": versions(), "entries": entries}
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(entries)} entries to {path}")
+
+
 def main() -> int:
     PATH.parent.mkdir(exist_ok=True)
-    data = {"versions": versions(), "entries": compute()}
-    PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data['entries'])} entries to {PATH}")
-    corpus = {"versions": versions(), "entries": compute_argv()}
-    ARGV_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus['entries'])} entries to {ARGV_PATH}")
+    _write(PATH, compute())
+    _write(ARGV_PATH, compute_argv())
     return 0
 
 

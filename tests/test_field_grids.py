@@ -64,7 +64,7 @@ def _sphere_reference(sol, R, Z):
     def take(arr):
         return arr[:, inverse].reshape(arr.shape[:-1] + Rr.shape)
 
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval_quotients(rr)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr, True)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1

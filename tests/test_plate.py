@@ -249,7 +249,8 @@ def test_profile_array_eval_matches_scalar_calls(kind):
     # every profile honours RadialSolution's one contract: an array pass
     # keeps its input's shape and gives the doubles of point-by-point
     # calls, which give floats (a 0-d array counts as a scalar); eval2 is
-    # eval's first three, bit for bit
+    # eval's first three, bit for bit, then the profile's own A'/R (terms'
+    # fifth slot), the doubles of point-by-point calls too
     prof, rim, noted = PROFILE_KINDS[kind]()
     rng = np.random.default_rng(5)
     rr = np.concatenate(([0.0, rim], noted,
@@ -263,11 +264,52 @@ def test_profile_array_eval_matches_scalar_calls(kind):
         assert got[k].shape == rr.shape
         assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), k
     got2 = prof.eval2(rr)
-    assert len(got2) == 3
+    assert len(got2) == 4
     for k in range(3):
         assert np.array_equal(got2[k], got[k]), k
-    assert all(prof.eval2(float(r)) == vals[:3]
-               for r, vals in zip(rr.ravel(), scalar))
+    scalar2 = [prof.eval2(float(r)) for r in rr.ravel()]
+    assert all(vals2[:3] == vals[:3] for vals2, vals in zip(scalar2, scalar))
+    assert np.array_equal(got2[3].ravel(), [v[3] for v in scalar2])
+    assert np.array_equal(got2[3], prof.terms(rr.ravel(), False)[4]
+                          .reshape(rr.shape))
+
+
+# the Bessel branch on its power series (kappa = 1), the incompressible
+# family, and the Bessel branch at kappa = 1000
+QUOTIENT_CELLS = pytest.mark.parametrize("xi, chi", [
+    (0.1, 0.1), (0.1, 0.0), (1e-3, 1.0),
+], ids=["kappa-1", "incompressible", "kappa-1000"])
+
+
+@QUOTIENT_CELLS
+def test_plate_quotient_is_a1_over_r_at_ordinary_radii(xi, chi):
+    # above R = 1e-150 the profile's own A'/R is a1 / R, the doubles the
+    # field formed when it divided by R itself
+    prof = radial_profile(xi, chi)
+    r = np.concatenate((np.geomspace(1.01e-150, 1.0, 61),
+                        np.linspace(0.0125, 1.0, 80)))
+    _, a1, _, a1r = prof.eval2(r)
+    assert np.array_equal(a1r, a1 / r)
+
+
+@QUOTIENT_CELLS
+def test_plate_field_at_tiny_radii_is_the_axis_field(xi, chi):
+    # at and below R = 1e-150 A'/R is A'' (kappa R <= 1.5e-74 above the
+    # floor), so a subnormal R no longer divides a rounded A': at
+    # (0.1, 0.1) and R = 5e-324, s_tt read 613.5203735403263 against
+    # 627.0924729823012 on the axis.  Every field that reads A, A'' or
+    # A'/R (not A' itself) is the axis field's, bit for bit
+    sol = solve_plate(xi, chi=chi)
+    z = np.linspace(-1.0, 1.0, 9)
+    axis = field(sol, 0.0, z)
+    for r in (5e-324, 1e-310, 1e-200):
+        for got in (field(sol, r, z),
+                    field(sol, np.array([[0.0], [r]]), z[None, :])):
+            for name in ("u_z", "s_rr", "s_tt", "s_zz"):
+                assert np.array_equal(np.atleast_2d(getattr(got, name))[-1],
+                                      getattr(axis, name)), (r, name)
+    if (xi, chi) == (0.1, 0.1):
+        assert field(sol, 5e-324, 0.5).s_tt == 627.0924729823012
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +590,8 @@ def test_closed_forms_finite_down_to_the_floor():
     # at unit scales, with no numpy warning: xi log-uniform in
     # [1e-76, 1) (seeded), the floor itself and 1 - 1e-6, across
     # DOMAIN_CHIS.  The force factor and the modulus e_hat are positive,
-    # and A'' is the same on the axis and at a subnormal radius
+    # and A'' and the profile's A'/R are the same on the axis and at a
+    # subnormal radius
     rng = np.random.default_rng(20261020)
     xis = [XI_MIN, 1.0 - 1e-6, *10.0 ** rng.uniform(-76.0, 0.0, 30)]
     with warnings.catch_warnings():
@@ -572,6 +615,8 @@ def test_closed_forms_finite_down_to_the_floor():
                 derivs = sol.radial.eval(DOMAIN_RADII)
                 assert all(np.all(np.isfinite(d)) for d in derivs)
                 assert derivs[2][1] == derivs[2][0], (xi, chi)
+                a1r = sol.radial.eval2(DOMAIN_RADII)[3]
+                assert a1r[1] == a1r[0] == derivs[2][0], (xi, chi)
                 regimes.classify("plate", xi, chi)
 
 
