@@ -22,9 +22,11 @@ for identical inputs: no timestamps ever appear in them, and the human
 report gains one only with --timestamp.  A --config FILE of `key = value`
 lines (# comments allowed) supplies defaults that explicit flags
 override.  Exit status: 0 success, 2 usage or validation error or a
-verification mismatch, 3 numerical failure or an i/o failure (an
---output or --config path that cannot be opened, say), each reported on
-stderr as "error: ...", "numerical failure: ..." or "i/o failure: ...".
+verification mismatch, 3 numerical failure, an i/o failure (an --output
+or --config path that cannot be opened, say) or a memory failure (a
+grid too large to allocate), each reported on stderr as one line,
+"error: ...", "numerical failure: ...", "i/o failure: ..." or
+"memory failure: ...".
 
 Each option is declared once, in one of the option groups built by
 _build_parser; _COMMANDS names the groups every command takes.  A config
@@ -305,40 +307,50 @@ def _field_csv(fs) -> str:
     return _FIELD_HEADER + "\n" + csv17(table.reshape(-1, len(names)))
 
 
-def _check_grid(args) -> None:
-    if args.xi is None:
-        raise ValueError("--xi is required")
-    if args.nr < 2 or args.nz < 2:
-        raise ValueError("--nr and --nz must be >= 2")
+def _grid(sample):
+    """The command writing the field CSV of sample(args, chi), the fields
+    on the --nr by --nz grid, with the material resolved and --xi, then
+    --nr and --nz, checked first."""
+    def command(args) -> int:
+        chi = resolve_chi(chi=args.chi, nu=args.nu)
+        if args.xi is None:
+            raise ValueError("--xi is required")
+        if args.nr < 2 or args.nz < 2:
+            raise ValueError("--nr and --nz must be >= 2")
+        _write_out(_field_csv(sample(args, chi)), args.output)
+        return 0
+    return command
 
 
-def _cmd_plate_field(args) -> int:
-    chi = resolve_chi(chi=args.chi, nu=args.nu)
-    _check_grid(args)
+def _plate_grid(args, chi):
     sol = solve_plate(args.xi, chi=chi, mu=args.mu, a=args.a, U=args.U)
-    r_col = np.linspace(0.0, 1.0, args.nr)[:, None]
-    z_row = np.linspace(-1.0, 1.0, args.nz)[None, :]
-    _write_out(_field_csv(field(sol, r_col, z_row)), args.output)
-    return 0
+    return field(sol, np.linspace(0.0, 1.0, args.nr)[:, None],
+                 np.linspace(-1.0, 1.0, args.nz)[None, :])
 
 
-def _cmd_sphere_field(args) -> int:
-    chi = resolve_chi(chi=args.chi, nu=args.nu)
-    _check_grid(args)
+def _sphere_grid(args, chi):
     sol = solve_sphere(args.xi, chi, tol=args.tol, mu=args.mu, a=args.a,
                        U=args.U)
     r_vals = np.linspace(0.0, sol.geo.r_edge, args.nr)
     # Z spans the local gap g(R) on every R line
     g = sol.geo.gap(r_vals)
-    z_grid = np.linspace(-g, g, args.nz, axis=1)
-    _write_out(_field_csv(sphere_field(sol, r_vals[:, None], z_grid)),
-               args.output)
-    return 0
+    return sphere_field(sol, r_vals[:, None],
+                        np.linspace(-g, g, args.nz, axis=1))
 
 
 # ---------------------------------------------------------------------------
 # verification commands
 # ---------------------------------------------------------------------------
+
+def _verdict(args, path, checks, tally) -> None:
+    """The human verdict, to path (stdout if None): the --timestamp stamp,
+    a PASS/FAIL line per check (passed, text), the tally and the
+    result: line, FAIL if any check failed."""
+    lines = [f"{'PASS' if ok else 'FAIL'} {text}" for ok, text in checks]
+    result = "PASS" if all(ok for ok, _ in checks) else "FAIL"
+    _write_out("\n".join(_stamp(args) + lines + [tally, "result: " + result])
+               + "\n", path)
+
 
 def _cmd_verify_table4(args) -> int:
     """Human: the checks as a report on stdout (the rows as CSV only to
@@ -346,17 +358,12 @@ def _cmd_verify_table4(args) -> int:
     checks, rows = verify.table4()
     failures = [c for c in checks if not c["rel"] <= c["tol"]]
     if args.format == "human":
-        lines = _stamp(args)
-        for c in checks:
-            tag = "PASS" if c["rel"] <= c["tol"] else "FAIL"
-            lines.append(f"{tag} {c['quantity']:<14} xi={c['xi']:<6g} "
-                         f"chi={c['chi']:<6g} computed {c['computed']:.6g} "
-                         f"golden {c['golden']:.6g} rel {c['rel']:.2e} "
-                         f"tol {c['tol']:.0e}")
-        lines.append(f"cells checked: {len(checks)}; "
-                     f"mismatches: {len(failures)}")
-        lines.append("result: " + ("FAIL" if failures else "PASS"))
-        _write_out("\n".join(lines) + "\n", None)
+        _verdict(args, None, [
+            (c["rel"] <= c["tol"],
+             f"{c['quantity']:<14} xi={c['xi']:<6g} chi={c['chi']:<6g} "
+             f"computed {c['computed']:.6g} golden {c['golden']:.6g} "
+             f"rel {c['rel']:.2e} tol {c['tol']:.0e}") for c in checks],
+            f"cells checked: {len(checks)}; mismatches: {len(failures)}")
     if args.format == "json":
         _emit([{"pass": not failures, "failures": failures, "rows": rows}],
               args)
@@ -377,12 +384,10 @@ def _cmd_verify_suite(args) -> int:
     elif args.format == "csv":
         _emit(checks, args)
     else:
-        lines = _stamp(args) + [
-            f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: "
-            f"worst {c['worst']:.3e} (tol {c['tol']:.0e})" for c in checks]
-        lines.append(f"properties checked: 5x5 grid; failures: {n_fail}")
-        lines.append("result: " + ("PASS" if n_fail == 0 else "FAIL"))
-        _write_out("\n".join(lines) + "\n", args.output)
+        _verdict(args, args.output, [
+            (c["pass"], f"{c['name']}: worst {c['worst']:.3e} "
+                        f"(tol {c['tol']:.0e})") for c in checks],
+            f"properties checked: 5x5 grid; failures: {n_fail}")
     return 0 if n_fail == 0 else 2
 
 
@@ -397,12 +402,12 @@ _COMMANDS = (
      "xi material scale sweep output", "force between bonded plates"),
     ("plate-modulus", _sweep(_plate_modulus_row),
      "xi material sweep output", "apparent compression modulus and limits"),
-    ("plate-field", _cmd_plate_field,
+    ("plate-field", _grid(_plate_grid),
      "xi material scale output grid", "plate field samples as CSV"),
     ("sphere-force", _sweep(_sphere_force_row),
      "xi material scale sweep output tol",
      "squeezing force between bonded spheres"),
-    ("sphere-field", _cmd_sphere_field,
+    ("sphere-field", _grid(_sphere_grid),
      "xi material scale output tol gap_grid", "sphere field samples as CSV"),
     ("regime-classify", _cmd_regime_classify,
      "xi material output regime",
@@ -519,6 +524,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"memory failure: {exc}", file=sys.stderr)
         return 3
 
 

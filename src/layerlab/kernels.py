@@ -264,17 +264,6 @@ def _checked(x, fx) -> float:
     return fx
 
 
-def _div(a: float, b: float) -> float:
-    """a / b as C divides doubles: where Python raises at b = 0, IEEE 754
-    gives NaN for 0/0 and NaN/0, and otherwise an infinity signed by both
-    operands (a zero divisor keeps its sign)."""
-    if b != 0.0:
-        return a / b
-    if a != a or a == 0.0:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
     """scipy's brentq.c, step for step, from the end values fa = g(xa)
     and fb = g(xb), nonzero and of opposite sign.
@@ -301,20 +290,24 @@ def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
 
+        stry = math.inf                      # bisect, unless a short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
-                            dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry      # good short step
-            else:
-                spre = scur = sbis           # bisect
+            # a divisor is zero here only by underflow: brentq.c's step is
+            # then inf or NaN, which the test below rejects as it does inf
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry          # good short step
         else:
             spre = scur = sbis               # bisect
 
@@ -571,16 +564,16 @@ _gbsv, = get_lapack_funcs(("gbsv",), dtype=np.float64)
 @lru_cache(maxsize=32)
 def _design_matrices(deg: int, kind: str):
     """Value/derivative Chebyshev-Vandermonde blocks at the collocation
-    points for one panel degree.  kind selects the node family so the two
-    methods discretize independently."""
+    points for one panel degree, and the value and derivative rows at the
+    panel ends t = -1, +1 (each (2, deg + 1), row 0 the left end).  kind,
+    "gauss" or "chebyshev", selects the node family so the two methods
+    discretize independently."""
     m = deg - 1
     if kind == "gauss":
         tpts = np.polynomial.legendre.leggauss(m)[0]
-    elif kind == "chebyshev":
+    else:  # "chebyshev"
         i = np.arange(m)
         tpts = np.cos(math.pi * (2 * i + 1) / (2 * m))[::-1]
-    else:  # pragma: no cover
-        raise ValueError(kind)
     # T_j, T_j' and T_j'' at the nodes, then at t = -1, +1 for the
     # continuity and boundary rows (integer arithmetic there, so exact):
     # derivative series by chebder, then a Vandermonde product
@@ -588,7 +581,7 @@ def _design_matrices(deg: int, kind: str):
     eye = np.eye(deg + 1)
     v0, v1, v2 = (_cheb.chebvander(t, deg - m) @ _cheb.chebder(eye, m)
                   for m in range(3))
-    return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2], v0[-1], v1[-2], v1[-1])
+    return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2:], v1[-2:])
 
 
 def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
@@ -611,8 +604,7 @@ def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
     """
     npan = len(edges) - 1
     ncoef = bw = deg + 1
-    tpts, v0, v1, v2, (e_val_l, e_val_r, e_der_l, e_der_r) = \
-        _design_matrices(deg, kind)
+    tpts, v0, v1, v2, (e_val, e_der) = _design_matrices(deg, kind)
     mcol = len(tpts)
     halves = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -641,26 +633,23 @@ def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
     j = np.arange(ncoef)
     own = bw + 1 - j
     band[own + np.arange(mcol)[:, None], :, j] = block.transpose(1, 2, 0)
-    band[own + deg - 1, :-1, j] = e_val_r[:, None]
-    band[own + deg, :-1, j] = e_der_r[:, None] / halves[:-1]
-    band[own - 2, 1:, j] = -e_val_l[:, None]
-    band[own - 1, 1:, j] = -e_der_l[:, None] / halves[1:]
+    band[own + deg - 1, :-1, j] = e_val[-1][:, None]
+    band[own + deg, :-1, j] = e_der[-1][:, None] / halves[:-1]
+    band[own - 2, 1:, j] = -e_val[0][:, None]
+    band[own - 1, 1:, j] = -e_der[0][:, None] / halves[1:]
     # the right-hand side in the same slots, one row down (the left row
     # is row 0); the last panel's unused k = deg slot falls off the end
     rhs = np.zeros(npan * ncoef + 1)
     rhs[1:].reshape(npan, ncoef)[:, :mcol] = f / scale
 
-    # boundary rows: row 0 (panel 0's k = -1) and the last row
-    ca, cb, b = left_row
-    row = ca * e_val_l + cb * e_der_l / halves[0]
-    sc = max(np.max(np.abs(row)), 1e-300)
-    band[own - 1, 0, j] = row / sc
-    rhs[0] = b / sc
-    ca, cb, b = right_row
-    row = ca * e_val_r + cb * e_der_r / halves[-1]
-    sc = max(np.max(np.abs(row)), 1e-300)
-    band[own + deg - 1, -1, j] = row / sc
-    rhs[-2] = b / sc
+    # the boundary rows, each scaled by its max, at the end p of the
+    # mesh, which is panel p's own end p: row 0 (panel 0's k = -1, rhs
+    # slot 0) and the last row (the last panel's k = deg - 1, rhs slot -2)
+    for (ca, cb, b), p, k, i in ((left_row, 0, -1, 0),
+                                 (right_row, -1, deg - 1, -2)):
+        row = ca * e_val[p] + cb * e_der[p] / halves[p]
+        sc = max(np.max(np.abs(row)), 1e-300)
+        band[own + k, p, j], rhs[i] = row / sc, b / sc
 
     *_, sol, info = _gbsv(bw, bw, ab, rhs[:-1], overwrite_ab=True,
                           overwrite_b=True)

@@ -474,8 +474,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
-    radii, take = RadialSolution.radii(Rr)
-    A, A1, A2, A1R = map(take, sol.radial.eval2(radii))
+    A, A1, A2, A1R = sol.radial.eval2(Rr)
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi

@@ -248,6 +248,26 @@ def test_profile_self_check_failure_is_one_line(capsys, monkeypatch):
                    "1e-12*nan at R = 0.5 (xi = 0.1, chi = 0.1)\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("plate-field", "--xi", "1e-2", "--chi", "1", "--nr", "3", "--nz", "2",
+      "--csv"), "field"),
+    (("plate-force", "--chi", "1", "--sweep-xi", "1e-3", "1e-2", "3"),
+     "force_factor"),
+], ids=["field", "sweep"])
+def test_memory_failure_is_one_line(capsys, monkeypatch, argv, name):
+    # a result too large to allocate (plate-field --nr 100000000000 asks
+    # numpy for 745 GiB) exits 3 with one line and no data, not a
+    # traceback.  The failure is raised in place of the command's own
+    # call: a real allocation of that size would page, not fail, on a
+    # host that overcommits memory
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setattr(cli, name, fail)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err == "memory failure: Unable to allocate 745. GiB for an array\n"
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_sphere_force_invalid_tolerance_exits_2(capsys, tol):
     # a tolerance no residual can meet is a usage error, raised before

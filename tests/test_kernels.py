@@ -630,7 +630,7 @@ def _loop_solve(equation, edges, deg, kind, left_row, right_row):
     each panel's collocation rows, then its continuity pair with the next
     panel; right row) and writing each entry on its own into band
     storage."""
-    tpts, v0, v1, v2, (el, er, dl, dr) = _design_matrices(deg, kind)
+    tpts, v0, v1, v2, ((el, er), (dl, dr)) = _design_matrices(deg, kind)
     npan, nc = len(edges) - 1, deg + 1
     n, bw = npan * nc, nc
     halves = 0.5 * np.diff(edges)

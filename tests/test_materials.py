@@ -114,8 +114,12 @@ def test_material_params_consistency():
 
 
 def test_material_params_limits():
-    assert MaterialParams.from_nu(0.5).lam == math.inf
-    assert MaterialParams.from_nu(0.5).incompressible
+    # the incompressible limit by either route: nu = 1/2 is chi = 0
+    for mp in (MaterialParams.from_nu(0.5, 2.0),
+               MaterialParams.from_chi(0.0, 2.0)):
+        assert (mp.nu, mp.chi, mp.lam, mp.youngs) == (0.5, 0.0, math.inf,
+                                                      6.0)
+        assert mp.incompressible
     near = MaterialParams.from_chi(1.5)
     assert near.youngs_singular
     assert abs(near.youngs) < 1e-14

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import special
 
 from layerlab.series import (
     ResidualNorms,
@@ -261,6 +262,7 @@ def test_theta_is_a_closed_form_with_no_solve(monkeypatch):
 
 def test_theta_field_wall_conditions():
     th = solve_theta(1e-3)
+    assert th.xi == 1e-3
     rr = np.linspace(0.0, 1.0 / math.sqrt(1e-3), 101)
     gg = _gap(rr)
     uz = th.u_z0(rr, gg)
@@ -387,6 +389,34 @@ def test_residual_noise_guard_at_negative_ratios(m):
     # magnitude, so the uniform strain still reports exact zeros
     res = navier_residual(_uniform_strain, 1e-2, m)
     assert res[:4] == (0.0, 0.0, 0.0, 0.0), res
+
+
+def _harmonic_gradient(xi, k_root_xi):
+    """The gradient of the harmonic potential e^{k z} J0(k r), with
+    r = R sqrt(xi), z = Z xi and k sqrt(xi) = k_root_xi: an exact
+    solution of the Navier system for every mu/lambda, which oscillates
+    on the scale 1/k_root_xi in R."""
+    k = k_root_xi / math.sqrt(xi)
+
+    def fields(R, Z):
+        e = np.exp(k * xi * Z)
+        return (-k * e * special.j1(k_root_xi * R),
+                k * e * special.j0(k_root_xi * R))
+    return fields
+
+
+def test_residual_refuses_a_grid_too_coarse_for_the_field():
+    # an exact solution that the halved grid does not resolve: at
+    # k sqrt(xi) = 40 the normalized sups of the two grids (9.5e-4 and
+    # 1.3e-2) lie far apart, so the meter raises rather than report
+    # either; at 5 both grids resolve it, and the residual is the
+    # differencing noise of an exact solution (about 1e-7)
+    with pytest.raises(kernels.NumericsError,
+                       match="residual grid too coarse: normalized sup "
+                             r"9\.503e-04 vs 1\.298e-02"):
+        navier_residual(_harmonic_gradient(1e-2, 40.0), 1e-2, 1.0)
+    res = navier_residual(_harmonic_gradient(1e-2, 5.0), 1e-2, 1.0)
+    assert 0.0 < max(res.sup_r, res.sup_z) < 1e-6, res
 
 
 @pytest.mark.parametrize("mode", ["full", "dominant"])
