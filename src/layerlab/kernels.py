@@ -231,18 +231,19 @@ def find_root(g: Callable[[float], float], bracket: tuple[float, float],
     100 iterations) from g(lo) and g(hi) as evaluated here: the root is
     brentq's bit for bit, and the ends are not evaluated twice.
 
-    An exact root at either endpoint is returned as that endpoint; a
-    bracket without a sign change raises NoSignChange.  As in brentq, a
-    NaN value of g raises ValueError and a search that does not converge
+    As in brentq, both ends are evaluated first, and a NaN value of g
+    there or at any later iterate raises ValueError; then an exact root
+    at either endpoint is returned as that endpoint, a bracket without a
+    sign change raises NoSignChange, and a search that does not converge
     raises NumericsError.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise ValueError(f"invalid bracket {bracket}")
-    glo = g(lo)
+    glo = _checked(lo, g(lo))
+    ghi = _checked(hi, g(hi))
     if glo == 0.0:
         return lo
-    ghi = g(hi)
     if ghi == 0.0:
         return hi
     if (glo > 0.0) == (ghi > 0.0):
@@ -266,15 +267,15 @@ def _checked(x, fx) -> float:
 
 def _brent(g, xa, xb, fa, fb, xtol, rtol) -> float:
     """scipy's brentq.c, step for step, from the end values fa = g(xa)
-    and fb = g(xb), nonzero and of opposite sign.
+    and fb = g(xb), floats passed by _checked, nonzero and of opposite
+    sign.
 
     The iteration keeps the current iterate xcur, the previous one xpre
     and the contrapoint xblk (g changes sign between xcur and xblk), and
     takes an inverse-quadratic (or secant) step where that is safely
     short, a bisection step otherwise.
     """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = _checked(xpre, fa), _checked(xcur, fb)
+    xpre, xcur, fpre, fcur = float(xa), float(xb), fa, fb
     xtol, rtol = float(xtol), float(rtol)
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
@@ -472,10 +473,11 @@ class RadialSolution:
         (A, A', A'', A''' or None, A'/R, (A'' - A'/R)/R or None)
 
     on a float array r of one dimension or more, elementwise, with None
-    for A''' unless third.  Every reader takes what it needs from it, so
-    none divides by R: each profile forms its own A'/R, finite on the
-    axis, where it is A''.  A profile in s = R**2 (one solved by
-    solve_linear_bvp, or closed_form_profile's) reads A and its
+    for A''' unless third.  eval(R, third) gives the same six slots at R
+    of any shape, and every reader reads through it, taking what it needs
+    by position, so none divides by R: each profile forms its own A'/R,
+    finite on the axis, where it is A''.  A profile in s = R**2 (one
+    solved by solve_linear_bvp, or closed_form_profile's) reads A and its
     s-derivatives through the ODE (see _ode_terms) and gives the second
     quotient where third.  The plate's terms are its closed forms and
     leave the second quotient None: no plate field reads it.
@@ -534,26 +536,20 @@ class RadialSolution:
         return radii, (lambda arr: arr.T[index].T
                        .reshape(arr.shape[:-1] + r.shape))
 
-    def eval(self, r, _a3=True):
-        """(A, A', A'', A''') at R: floats for a scalar R (0-d included),
-        else arrays of R's shape, each formed on the radii of R (see
-        radii), so a lone R gives the doubles it has inside a line.  The
-        private _a3=False gives A'/R in the place of A''' (see eval2)."""
+    def eval(self, r, third=True):
+        """terms(radii, third) at R of any shape: the six slots, each
+        taken to R's shape (floats for a scalar R, 0-d included), with
+        None where terms gives None.  They are formed on the radii of R
+        (see radii), so a lone R gives the doubles it has inside a line,
+        and a full grid costs its distinct R.  This is the one read of a
+        profile at the user's R: every field and potential calls the
+        instance's eval, so a wrapper put on it (bench/tracing.py's) sees
+        every read."""
         rr = np.asarray(r, dtype=float)
         radii, take = self.radii(rr)
-        av, a1, a2, a3, a1r, _ = self.terms(radii, _a3)
-        values = tuple(map(take, (av, a1, a2, a3 if _a3 else a1r)))
-        if rr.ndim == 0:
-            return tuple(map(float, values))
-        return values
-
-    def eval2(self, r):
-        """(A, A', A'', A'/R) at R: eval's first three, bit for bit, and
-        the profile's own A'/R, without forming A''', for callers that
-        need no A'''.  It calls the instance's eval with the private flag
-        _a3, so a wrapper put on eval (bench/tracing.py's) sees these
-        calls."""
-        return self.eval(r, _a3=False)
+        form = float if rr.ndim == 0 else np.asarray
+        return tuple(None if v is None else form(take(v))
+                     for v in self.terms(radii, third))
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would

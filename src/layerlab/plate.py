@@ -316,9 +316,9 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     which only a fault can give, fails it with NumericsError alone, with
     no numpy warning first.  A'/R is A' / R above R = 1e-150 and A'' at
     and below it (_over_r), on both branches; the slot of
-    (A'' - A'/R)/R is None.  eval(R) gives (A, A', A'', A''') for scalar
-    or array R, and eval2(R) the first three, the same doubles, then
-    A'/R, without the A''' pass (see RadialSolution).
+    (A'' - A'/R)/R is None.  eval(R, third) gives the six slots at
+    scalar or array R (see RadialSolution), A''' None where not third,
+    with the same doubles in the other slots.
     """
     edge = _edge(xi, chi)
     if edge is None:
@@ -394,7 +394,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
     with np.errstate(invalid="ignore", over="ignore"):
-        a0, _, a2s, a1r = sol.eval2(spots)
+        a0, _, a2s, _, a1r, _ = sol.eval(spots, False)
         residuals = a2s + a1r - kappa * kappa * a0 + forcing
         scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
                             np.abs(a2s))
@@ -446,12 +446,11 @@ def solve_plate(xi: float, chi: Optional[float] = None, *,
 def field(sol: PlateSolution, R, Z) -> FieldSample:
     """Sample displacements and stresses at scaled (R, Z); R and Z
     broadcast against each other.  The radial potential (A, A', A'' and
-    the profile's own A'/R, never A''': RadialSolution.eval2) is
-    evaluated once per R of a line of radii (a column, a row, 1-D or a
-    scalar), on R itself, and once per distinct R of a full R grid (see
-    RadialSolution.radii), so dense (R, Z) product grids cost only their
-    R lines, and a lone R gives the doubles of a line.  No field divides
-    by R.
+    the profile's own A'/R, never A''') is read by RadialSolution.eval,
+    once per R of a line of radii (a column, a row, 1-D or a scalar), on
+    R itself, and once per distinct R of a full R grid, so dense (R, Z)
+    product grids cost only their R lines, and a lone R gives the
+    doubles of a line.  No field divides by R.
 
     Each field is written in place into one preallocated (6, *shape)
     block, with no other grid-sized array; a column R against a shorter
@@ -474,7 +473,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
 
     # R-only factors on R's own shape, Z-only ones on Z's; the products
     # broadcast into the field block
-    A, A1, A2, A1R = sol.radial.eval2(Rr)
+    A, A1, A2, _, A1R, _ = sol.radial.eval(Rr, False)
 
     cfg = sol.cfg
     c2 = sol.chi * sol.chi

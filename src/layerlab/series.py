@@ -176,7 +176,7 @@ class ThetaSolution:
     The profile is solve_theta's closed form: its meta holds method
     "closed form", the rim coefficient C, and the switch point and term
     counts of its series.  The fields read Theta, Theta', Theta'' and
-    Theta'/R from its terms (RadialSolution), with no A''' and no
+    Theta'/R through its eval (RadialSolution), with no A''' and no
     division by R.
     """
 
@@ -190,12 +190,11 @@ class ThetaSolution:
 
     def _terms(self, R, Z):
         """R, Z and g(R) after the layer check, then Theta, Theta' and
-        L = Theta'' + Theta'/R, formed on the radii of SphereGeometry.points
-        (Theta'/R the profile's own 2 Theta_s, finite on the axis) and
-        taken to R's shape."""
-        Rb, Zb, radii, take = self.geo.points(R, Z)
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.terms(radii, False)
-        return Rb, Zb, self.geo.gap(Rb), *map(take, (t0, t1, t2 + t1_over_r))
+        L = Theta'' + Theta'/R on R's shape, read by RadialSolution.eval
+        (Theta'/R the profile's own 2 Theta_s, finite on the axis)."""
+        Rb, Zb = self.geo.check(R, Z)
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval(Rb, False)
+        return Rb, Zb, self.geo.gap(Rb), t0, t1, t2 + t1_over_r
 
     def u_r0(self, R, Z):
         _, Zb, g, _, t1, _ = self._terms(R, Z)
@@ -305,7 +304,9 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     """Measure how well a displacement pair satisfies the scaled system.
 
     ``fields(R, Z)`` returns the pair (u_r, u_z) on broadcast (R, Z)
-    arrays, as the two direct series do; mu_over_lambda must be finite.
+    arrays, as the two direct series do, or anything that broadcasts to
+    them (a constant, a rigid translation, is an exact solution);
+    mu_over_lambda must be finite.
     ``fields`` is called once, on the meshgrid of a fixed 201-by-201
     rectangle [0.25, 2.5] x [-0.9 g(0.25), 0.9 g(0.25)], inside the layer
     (the gap grows with R) and inside the rim 1/sqrt(xi) >= 3.16 of every
@@ -335,7 +336,7 @@ def navier_residual(fields, xi: float, mu_over_lambda: float, *,
     z_max = 0.9 * geo.gap(_R_WINDOW[0])
     rr = np.linspace(*_R_WINDOW, _GRID_N)
     zz = np.linspace(-z_max, z_max, _GRID_N)
-    ur, uz = (np.asarray(u, dtype=float)
+    ur, uz = (np.broadcast_to(np.asarray(u, dtype=float), (_GRID_N,) * 2)
               for u in fields(*np.meshgrid(rr, zz, indexing="ij")))
     N, sup_r, sup_z, l2_r, l2_z = _norms_from_terms(
         *_residual_terms(ur, uz, rr, zz, weights))

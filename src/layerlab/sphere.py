@@ -208,7 +208,7 @@ class SphereGeometry:
     """Scaled geometry of the sphere-sphere gap, and the one owner of the
     sphere layer's domain: every sphere-layer function (the profile, its
     fields and potential, the Theta problem and the direct series) takes
-    xi through ``of`` and its points through ``check`` or ``points``.
+    xi through ``of`` and its points through ``check``.
 
     ``gap(R) = 1 + R**2/2`` is the half-thickness in units of h; the
     domain is truncated at ``r_edge = 1/sqrt(xi)``.
@@ -248,17 +248,6 @@ class SphereGeometry:
         if not np.all(np.abs(Zb) <= self.gap(Rr) * (1.0 + 1e-12) + 1e-9):
             raise ValueError("Z outside the layer |Z| <= gap(R)")
         return Rr, Zb
-
-    def points(self, R, Z):
-        """check's R and Z, then the radii to evaluate on, 1-D, and a map
-        taking arrays over those (along their last axis) back to R's own
-        shape, for fields whose coefficients depend on R alone
-        (RadialSolution.radii): a line of radii (a column, a row, 1-D or
-        a scalar) is evaluated in place, a full R grid once per distinct
-        R, and a lone R as it would be inside a line."""
-        Rr, Zb = self.check(R, Z)
-        return (Rr, Zb, *RadialSolution.radii(Rr))
-
 
 class SphereForce(NamedTuple):
     """Squeezing force ``F = 6 pi a mu U psi`` and its scale factor."""
@@ -600,9 +589,10 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     ``"alt_panels"`` and ``"alt_passes"`` are there only where it is the
     reference.  The exact check cannot see a fault in the equation or
     the rim row, which it shares with the panels (solve_dual_bvp).
-    Repeated calls with identical parameters reuse a cached profile.  The radial mesh depends on xi alone and
-    grades its tail toward the rim by one ratio (19-119 panels; see
-    _sphere_edges); it is refined only where the residual asks for it.
+    Repeated calls with identical parameters reuse a cached profile.
+    The radial mesh depends on xi alone and grades its tail toward the
+    rim by one ratio (19-119 panels; see _sphere_edges); it is refined
+    only where the residual asks for it.
     """
     chi = resolve_chi(chi, nu)
     geo = SphereGeometry.of(xi)
@@ -619,10 +609,11 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
 
     Each field is a polynomial in Z with coefficients in R alone: the even
     ones are ``c0 + c1 (Z**2 - g**2)``, the odd ones ``Z (c0 + c1 Z**2)``.
-    The 11 coefficients are formed once per R of a line of radii (a
-    column, a row, 1-D or a scalar), on R itself, or once per distinct R
-    of a full R grid, and taken to R's shape together (see
-    SphereGeometry.points).  Each field is then written in place into one
+    The profile is read by RadialSolution.eval on R's shape: once per R
+    of a line of radii (a column, a row, 1-D or a scalar), on R itself,
+    or once per distinct R of a full R grid.  The 11 coefficients and
+    g**2 are formed from it on R's shape, elementwise, so every double is
+    that of its own radius.  Each field is then written in place into one
     preallocated (6, *shape) block: a product, a sum and, per odd field,
     one more product by Z.  Z**2 and Z**2 - g**2 are formed in the slots
     of u_z and s_zz, so no other grid-sized array is made.  R and Z come
@@ -642,17 +633,17 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     # U as a numpy scalar, so that a scale past double range raises in the
     # errstate below, as a field does
     xi, U = cfg.xi, np.float64(cfg.U)
-    Rr, Zb, rr, take = sol.geo.points(R, Z)
+    Rr, Zb = sol.geo.check(R, Z)
 
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr, True)
-    g = sol.geo.gap(rr)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval(Rr, True)
+    g = sol.geo.gap(Rr)
     L = a2 + a1_over_r
-    V = -3.0 * g * g * L - 6.0 * g * rr * a1
+    V = -3.0 * g * g * L - 6.0 * g * Rr * a1
     Lp = a3 + lp_core
-    Vp = (-6.0 * ((rr * rr + g) * a1 + g * rr * a2)
-          - 3.0 * (2.0 * g * rr * L + g * g * Lp))
+    Vp = (-6.0 * ((Rr * Rr + g) * a1 + g * Rr * a2)
+          - 3.0 * (2.0 * g * Rr * L + g * g * Lp))
 
-    edge_term = 2.0 * g * rr * a1
+    edge_term = 2.0 * g * Rr * a1
     k3, k6, k9 = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2), 9.0 - 2.0 * c2
     bracket0 = k3 * (2.0 * a0 / xi - edge_term)
     fields = _field_block(Rr, Zb)
@@ -660,16 +651,15 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     with _in_range("sphere field", xi, sol.chi):
         s_scale = cfg.mu * U / (cfg.a * xi)
         sh_scale = cfg.mu * U / (cfg.a * xi ** 1.5)
-        gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = take(
-            np.stack([
-                g * g, -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
-                U * (V + 2.0 * c2 * a0 / xi), U * L,
-                s_scale * (bracket0 + k6 * edge_term),
-                s_scale * (k3 * L - k6 * a2),
-                s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
-                s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
-                sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp),
-                sh_scale * xi * Lp]))
+        gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = (
+            g * g, -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
+            U * (V + 2.0 * c2 * a0 / xi), U * L,
+            s_scale * (bracket0 + k6 * edge_term),
+            s_scale * (k3 * L - k6 * a2),
+            s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
+            s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
+            sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp),
+            sh_scale * xi * Lp)
 
         # in place, as ur1 zm, c0 + c1 zm and Zb (c0 + c1 z2) with the
         # operands of + and * swapped at most, so every double is that
@@ -706,9 +696,12 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     inputs.  The integral of A1 is exact on the solver's polynomial panels
     in s = R**2, by their Gauss-Legendre rule (PanelPoly.integral_below)."""
     cfg = sol.cfg
-    Rr, Zb, radii, take = sol.geo.points(R, Z)
+    Rr, Zb = sol.geo.check(R, Z)
+    # the radii level, for integral_below's partial panels (a lone R as
+    # the pair (R, R), see RadialSolution.radii)
+    radii, take = RadialSolution.radii(Rr)
 
-    a0u, a1u, a2u, _ = sol.A.eval2(radii)
+    a0u, a1u, a2u, *_ = sol.A.eval(radii, False)
     gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u

@@ -13,7 +13,9 @@ has run, and a statement of its body that never ran is still named.
 Docstrings run no code and are skipped (``code_lines.docstring_lines``).
 Code run in a child process (the fresh-process CLI test, say) is not
 seen.  It is a measurement, not a test: it exits 0 whatever it finds,
-and pytest does not collect it.
+and pytest does not collect it.  On a full Tier-1 run it names only
+``__main__.py`` (never imported: the fresh-process CLI test runs it in
+a child) and ``cli.py``'s ``sys.exit(main())``.
 
     python tests/line_reach.py              # the whole Tier-1 run
     python tests/line_reach.py -k cli       # extra arguments go to pytest

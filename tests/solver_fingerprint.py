@@ -157,7 +157,7 @@ def sphere_entries() -> dict:
     for xi in THETA_XIS:
         theta = solve_theta(xi).Theta
         r = np.array([0.0, 1.0, SphereGeometry.of(xi).r_edge])
-        t0, t1, _, _ = theta.eval(r)
+        t0, t1, *_ = theta.eval(r)
         meta = theta.meta
         out[f"theta xi={xi!r}"] = {
             "theta": _hexes(t0), "theta_r": _hexes(t1),
@@ -190,7 +190,7 @@ def plate_entries() -> dict:
                                                BESSEL_FIELDS)
     r = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0])
     for xi, chi in PLATE_CASES:
-        values = plate.radial_profile(xi, chi).eval(r)
+        values = plate.radial_profile(xi, chi).eval(r)[:4]
         out[f"plate radial_profile xi={xi!r} chi={chi!r}"] = {
             f"A{k}": _hexes(v) for k, v in enumerate(values)}
     return out

@@ -3,6 +3,7 @@ expressions, a line of radii bit for bit against the same points as a
 full grid, no grid-sized temporaries beyond the block, and blocks
 recycled only once no array views them."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ def _plate_reference(sol, R, Z):
     Rr = np.asarray(R, dtype=float)
     Zb = np.asarray(Z, dtype=float)
     r_unique, inverse = np.unique(Rr.ravel(), return_inverse=True)
-    av, a1, a2, _ = sol.radial.eval(r_unique)
+    av, a1, a2, *_ = sol.radial.eval(r_unique)
     safe_r = np.where(r_unique > 0.0, r_unique, 1.0)
     a1r = np.where(r_unique > 0.0, a1 / safe_r, a2)
     A = av[inverse].reshape(Rr.shape)
@@ -370,6 +371,53 @@ def test_plate_field_and_profile_never_form_a3(monkeypatch):
     # the patch is live: eval still forms A'''
     with pytest.raises(AssertionError, match="A''' formed"):
         prof.eval(r)
+
+
+def _counted(profile, calls):
+    """A copy of profile whose instance eval records the shape of each
+    R it is given, then reads as the method does; the cached profile is
+    left as it is."""
+    def eval(r, *args):
+        calls.append(np.shape(r))
+        return profile.eval(r, *args)
+    return dataclasses.replace(profile, eval=eval)
+
+
+def test_every_reader_reads_through_the_instance_eval(monkeypatch):
+    # each field, potential and Theta field reads its profile once,
+    # through the instance's eval, at R's own shape (the potential at its
+    # radii): the route a wrapper put on eval (bench/tracing.py's
+    # counters) relies on to see every read.  The plate's profile is
+    # built on first use, so it is wrapped where it is built
+    calls = []
+    built = plate.radial_profile
+    monkeypatch.setattr(plate, "radial_profile",
+                        lambda xi, chi: _counted(built(xi, chi), calls))
+    plate_sol = solve_plate(1e-2, chi=0.5)
+    sphere_sol = solve_sphere(1e-2, 1.0)
+    sphere_sol = dataclasses.replace(sphere_sol,
+                                     A=_counted(sphere_sol.A, calls))
+    theta = solve_theta(1e-2)
+    theta = dataclasses.replace(theta, Theta=_counted(theta.Theta, calls))
+    r, z = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 1.0, 5)
+    grid = np.meshgrid(r, z, indexing="ij")
+    reads = [
+        (lambda: field(plate_sol, r[:, None], z[None, :]), (7, 1)),
+        (lambda: sphere_field(sphere_sol, r[:, None], z[None, :]), (7, 1)),
+        (lambda: sphere_field(sphere_sol, *grid), (7, 5)),
+        (lambda: sphere_field(sphere_sol, 0.5, 0.25), ()),
+        (lambda: sphere_potential(sphere_sol, r, 0.0), (7,)),
+        (lambda: sphere_potential(sphere_sol, 0.5, 0.25), (2,)),
+        (lambda: theta.u_r0(r[:, None], z[None, :]), (7, 1)),
+        (lambda: theta.u_z0(*grid), (7, 5)),
+    ]
+    for read, shape in reads:
+        calls.clear()
+        read()
+        assert calls == [shape]
+    # the cached profiles are left as they were
+    for profile in (solve_sphere(1e-2, 1.0).A, solve_theta(1e-2).Theta):
+        assert "eval" not in vars(profile)
 
 
 # ---------------------------------------------------------------------------

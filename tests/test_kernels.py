@@ -1,5 +1,6 @@
 """Numeric kernels: Bessel ratio, quadrature, root finding, radial BVP."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from layerlab.kernels import (
     NumericsError,
     PanelPoly,
     QuadratureLimit,
+    RadialSolution,
     SingularSystem,
     ToleranceNotMet,
     _assemble_and_solve,
@@ -234,12 +236,18 @@ def test_find_root_nan_value_raises():
     with pytest.raises(ValueError, match="NaN"):
         find_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,
                   (0.0, 1.0))
-    # a NaN end fails the sign test against a negative other end, and
-    # reaches the search (so raises ValueError) against a positive one
-    with pytest.raises(NoSignChange):
-        find_root(lambda x: math.nan if x > 0.9 else -1.0, (0.0, 1.0))
-    with pytest.raises(ValueError, match="NaN"):
-        find_root(lambda x: math.nan if x < 0.1 else 1.0, (0.0, 1.0))
+    # a NaN at either end raises brentq's ValueError and message before
+    # the zero and sign tests, against a negative, a positive or a zero
+    # other end alike
+    for g in (lambda x: math.nan if x == 0.0 else -1.0,
+              lambda x: math.nan if x == 1.0 else -1.0,
+              lambda x: math.nan if x == 0.0 else 1.0,
+              lambda x: 0.0 if x == 0.0 else math.nan):
+        with pytest.raises(ValueError) as want:
+            _brentq_root(g, (0.0, 1.0), 1e-12)
+        with pytest.raises(ValueError, match="NaN") as got:
+            find_root(g, (0.0, 1.0))
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,7 @@ def test_bvp_regular_axis_values():
     mpmath.mp.dps = 30
     sol = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
     i05 = mpmath.besseli(0, 5)
-    a, da, d2a, d3a = sol.eval(0.0)
+    a, da, d2a, d3a, *_ = sol.eval(0.0)
     assert abs(a - float(1 - 1 / i05)) < 1e-10
     assert da == 0.0 and d3a == 0.0
     assert abs(d2a - float(-1 / (2 * i05))) < 1e-10
@@ -314,6 +322,32 @@ def test_bvp_plain_float_coefficients():
     rr = np.linspace(0.0, 5.0, 101)
     for got, want in zip(sol.eval(rr), ref.eval(rr)):
         assert float(np.max(np.abs(got - want))) <= 1e-15
+
+
+def test_eval_given_to_the_constructor_overrides_one_instance():
+    # an eval given to the constructor (dataclasses.replace passes it on)
+    # stands in for the method on that instance alone; the method itself,
+    # bound to this or another instance or not bound, is no override; an
+    # eval assigned to an instance stands in as well
+    def terms(r, third):
+        return r, 2.0 * r, r * r, r if third else None, r, None
+
+    def read(r, third=True):
+        return "read", np.shape(r), third
+
+    p = RadialSolution(terms)
+    want = (0.5, 1.0, 0.25, 0.5, 0.5, None)
+    q = dataclasses.replace(p, eval=read)
+    assert q.eval is read and q.eval(0.5, False) == ("read", (), False)
+    assert p.eval(0.5) == want and "eval" not in vars(p)
+    assert dataclasses.replace(q, meta={"m": 1}).eval is read
+    other = RadialSolution(lambda r, third: (r,) * 6)
+    for method in (p.eval, other.eval, RadialSolution.eval):
+        plain = RadialSolution(terms, eval=method)
+        assert "eval" not in vars(plain) and plain.eval(0.5) == want
+        assert dataclasses.replace(plain, meta={}).eval(0.5) == want
+    plain.eval = read
+    assert plain.eval(0.5) == ("read", (), True) and p.eval(0.5) == want
 
 
 def test_bvp_robin_right_condition():
@@ -335,7 +369,7 @@ def test_bvp_derivatives_from_ode():
     mpmath.mp.dps = 30
     sol = solve_linear_bvp(_bessel(), _ZERO_RIM, tol=1e-11, mesh=_MESH)
     rr = np.linspace(0.5, 4.5, 41)
-    a, da, d2a, _ = sol.eval(rr)
+    a, da, d2a, *_ = sol.eval(rr)
     res = d2a + da / rr - a + 1.0
     assert float(np.max(np.abs(res))) < 1e-12
     i05 = mpmath.besseli(0, 5)

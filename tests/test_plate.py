@@ -82,11 +82,12 @@ def test_profile_incompressible_closed_form():
         got = prof.eval(rr)[0]
         sup = np.max(np.abs(want))
         assert float(np.max(np.abs(got - want))) < 1e-12 * sup
-    # a scalar R gives four floats, the array evaluation's doubles
+    # a scalar R gives five floats, the array evaluation's doubles, and
+    # the plate's None in the sixth slot
     point = radial_profile(1e-2, 0.0).eval(0.5)
-    assert all(type(v) is float for v in point)
-    assert point == tuple(v[0] for v in radial_profile(1e-2, 0.0).eval(
-        np.array([0.5])))
+    assert all(type(v) is float for v in point[:5]) and point[5] is None
+    assert point[:5] == tuple(v[0] for v in radial_profile(1e-2, 0.0).eval(
+        np.array([0.5]))[:5])
 
 
 def test_profile_against_mpmath_bessel():
@@ -246,32 +247,39 @@ PROFILE_KINDS = {
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_array_eval_matches_scalar_calls(kind):
-    # every profile honours RadialSolution's one contract: an array pass
-    # keeps its input's shape and gives the doubles of point-by-point
-    # calls, which give floats (a 0-d array counts as a scalar); eval2 is
-    # eval's first three, bit for bit, then the profile's own A'/R (terms'
-    # fifth slot), the doubles of point-by-point calls too
+    # every profile honours RadialSolution's one contract: eval gives the
+    # six slots of terms, each of its input's shape and the doubles of
+    # point-by-point calls, which give floats (a 0-d array counts as a
+    # scalar), and None where terms does (the plate's sixth slot);
+    # eval(R, False) leaves A''' and the second quotient None (a profile
+    # in s forms the quotient only with A''') and gives the other four bit
+    # for bit
     prof, rim, noted = PROFILE_KINDS[kind]()
     rng = np.random.default_rng(5)
     rr = np.concatenate(([0.0, rim], noted,
                          rng.uniform(0.0, rim, 198 - len(noted))))
     rr = rr.reshape(20, 10)
     got = prof.eval(rr)
+    want = prof.terms(rr.ravel(), True)
+    assert len(got) == 6 and (want[5] is None) == kind.startswith("plate")
     scalar = [prof.eval(float(r)) for r in rr.ravel()]
-    assert all(isinstance(v, float) for vals in scalar for v in vals)
     assert prof.eval(np.array(rr[3, 3])) == scalar[33]
-    for k in range(4):
+    for k in range(6):
+        if want[k] is None:
+            assert got[k] is None and all(v[k] is None for v in scalar), k
+            continue
         assert got[k].shape == rr.shape
+        assert all(type(v[k]) is float for v in scalar), k
         assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), k
-    got2 = prof.eval2(rr)
-    assert len(got2) == 4
-    for k in range(3):
-        assert np.array_equal(got2[k], got[k]), k
-    scalar2 = [prof.eval2(float(r)) for r in rr.ravel()]
-    assert all(vals2[:3] == vals[:3] for vals2, vals in zip(scalar2, scalar))
-    assert np.array_equal(got2[3].ravel(), [v[3] for v in scalar2])
-    assert np.array_equal(got2[3], prof.terms(rr.ravel(), False)[4]
-                          .reshape(rr.shape))
+        assert np.array_equal(got[k], want[k].reshape(rr.shape)), k
+    low = prof.eval(rr, False)
+    assert low[3] is None and low[5] is None
+    for k in (0, 1, 2, 4):
+        assert np.array_equal(low[k], got[k]), k
+    scalar_low = [prof.eval(float(r), False) for r in rr.ravel()]
+    assert all(lo[3] is None and lo[5] is None
+               and lo[:3] + lo[4:5] == hi[:3] + hi[4:5]
+               for lo, hi in zip(scalar_low, scalar))
 
 
 # the Bessel branch on its power series (kappa = 1), the incompressible
@@ -288,7 +296,7 @@ def test_plate_quotient_is_a1_over_r_at_ordinary_radii(xi, chi):
     prof = radial_profile(xi, chi)
     r = np.concatenate((np.geomspace(1.01e-150, 1.0, 61),
                         np.linspace(0.0125, 1.0, 80)))
-    _, a1, _, a1r = prof.eval2(r)
+    _, a1, _, _, a1r, _ = prof.eval(r, False)
     assert np.array_equal(a1r, a1 / r)
 
 
@@ -612,10 +620,11 @@ def test_closed_forms_finite_down_to_the_floor():
                            np.linspace(-1.0, 1.0, 3))
                 for value in dataclasses.astuple(fs):
                     assert np.all(np.isfinite(value)), (xi, chi)
-                derivs = sol.radial.eval(DOMAIN_RADII)
+                *derivs, quotient2 = sol.radial.eval(DOMAIN_RADII)
+                assert quotient2 is None
                 assert all(np.all(np.isfinite(d)) for d in derivs)
                 assert derivs[2][1] == derivs[2][0], (xi, chi)
-                a1r = sol.radial.eval2(DOMAIN_RADII)[3]
+                a1r = sol.radial.eval(DOMAIN_RADII, False)[4]
                 assert a1r[1] == a1r[0] == derivs[2][0], (xi, chi)
                 regimes.classify("plate", xi, chi)
 

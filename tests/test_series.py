@@ -380,6 +380,10 @@ def test_residual_noise_guard():
     res = navier_residual(_uniform_strain, 1e-2, 1.0)
     assert res.sup_r == 0.0 and res.sup_z == 0.0
     assert res.l2_r == 0.0 and res.l2_z == 0.0
+    # a rigid translation, returned as two constants, is broadcast to the
+    # grid (it raised numpy's AxisError in the differencing)
+    res = navier_residual(lambda R, Z: (0.0, 1.0), 1e-3, 1.0)
+    assert tuple(res) == (0.0,) * 5, res
 
 
 @pytest.mark.parametrize("m", [-0.5, -1.0, -40.0])

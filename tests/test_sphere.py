@@ -413,7 +413,7 @@ def _force_integrand(sol, trace):
     c9 = 9.0 - 2.0 * sol.chi ** 2
 
     def fn(r):
-        a0, a1, a2, _ = sol.A.eval(r)
+        a0, a1, a2, *_ = sol.A.eval(r)
         g = 1.0 + 0.5 * r * r
         if trace == "midplane":
             core = -c9 * ((a2 + a1 / r) * g * g + 2.0 * g * r * a1)
@@ -703,7 +703,7 @@ def test_field_matches_docstring_formulas(xi, chi):
     R = np.linspace(0.5, sol.geo.r_edge, 73)[:, None]
     g = _gap(R)
     Z = g * np.linspace(-1.0, 1.0, 11)
-    A, A1, A2, A3 = sol.A.eval(R)
+    A, A1, A2, A3, *_ = sol.A.eval(R)
     zm = Z ** 2 - g ** 2
     L = A2 + A1 / R
     V = -3.0 * g ** 2 * L - 6.0 * g * R * A1
