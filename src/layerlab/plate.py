@@ -104,10 +104,11 @@ class FieldSample:
     normal-stress scale mu*U/(a*xi).  Fields are floats for scalar input,
     arrays (of the broadcast shape) for array input.  For array input R
     and Z are read-only broadcast views of the inputs, not copies, and
-    the six fields are views into one (6, *shape) block; each field is
-    F-ordered when a column R meets a shorter row Z (see _field_block).
-    The values are the same in either memory order.  A block of 128 KiB
-    to 4 MiB is reused by a later call once no array views it.
+    the six fields are views into one (6, *shape) block, as the sphere's
+    PotentialSample values are; each field is F-ordered when a column R
+    meets a shorter row Z (see _field_block).  The values are the same in
+    either memory order.  A block of 128 KiB to 4 MiB is reused by a
+    later call once no array views it.
     """
 
     R: object
@@ -182,10 +183,35 @@ def _field_block(Rr: np.ndarray, Zb: np.ndarray) -> list:
     return [block[i, ...] for i in range(6)]
 
 
-def _field_sample(Rr: np.ndarray, Zb: np.ndarray, fields, kind=FieldSample):
-    """The sample (a FieldSample, or `kind`) of the filled fields: floats
-    for scalar input, else R and Z as read-only broadcast views of the
-    inputs."""
+def _z_polynomials(Rr: np.ndarray, Zb: np.ndarray, gg, coefs,
+                   kind=FieldSample):
+    """The sample (a FieldSample, or `kind`) of six fields that are each a
+    polynomial in Z with coefficients in R alone: c0 + c1 (Z**2 - gg),
+    times Z where the field is odd.  coefs is an iterator of (c0, c1, odd)
+    for each field in order, so that one field's pair is formed only as
+    that field is written, and let go before the next is formed.  A c0
+    of None is no constant term, and spares the sum; a c1 of -0.0 is no
+    Z**2 term, since -0.0 * Z**2 + c0 is c0 exactly, signed zeros
+    included.
+
+    The fields are written in place into the block of _field_block.
+    gg is a scalar or an array of R's shape, and zm = Z**2 - gg is formed
+    once, on the broadcast shape of Z and gg: in the last field's slot
+    when that is the block's shape, so no other grid-sized array is
+    made, else on its own (Z's shape).  Floats for scalar input, else R
+    and Z as read-only broadcast views of the inputs."""
+    fields = _field_block(Rr, Zb)
+    slot = (fields[-1] if np.ndim(gg) or Zb.shape == fields[-1].shape
+            else None)
+    zm = np.subtract(np.multiply(Zb, Zb, out=slot), gg, out=slot)
+    for out in fields:
+        c0, c1, odd = next(coefs)
+        np.multiply(c1, zm, out=out)
+        if c0 is not None:
+            out += c0
+        if odd:
+            out *= Zb
+        del c0, c1
     shape = fields[0].shape
     if not shape:
         return kind(float(Rr), float(Zb), *map(float, fields))
@@ -452,10 +478,14 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     product grids cost only their R lines, and a lone R gives the
     doubles of a line.  No field divides by R.
 
-    Each field is written in place into one preallocated (6, *shape)
-    block, with no other grid-sized array; a column R against a shorter
-    row Z gives F-ordered fields (see FieldSample).  R and Z come back as
-    read-only broadcast views of the inputs.
+    Each field is the module docstring's polynomial in Z written as
+    c0 + c1 (Z**2 - 1), times Z where it is odd, in place into one
+    preallocated (6, *shape) block by _z_polynomials, the one writer of
+    every field sample of either layer, with no other grid-sized array; a
+    column R against a shorter row Z gives F-ordered fields (see
+    FieldSample).  Z**2 - 1 is exactly 0 on Z = +-1, and u_z's c0 is U
+    itself, so the wall data u_z = +-U, u_r = 0 hold exactly.  R and Z
+    come back as read-only broadcast views of the inputs.
 
     Not valid within O(xi) of the bonded-edge corner (R, Z) = (1, +-1),
     where the underlying expansion omits a boundary-layer corrector.
@@ -471,56 +501,35 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     if not np.all(np.abs(Zb) <= 1.0):
         raise ValueError("|Z| out of range [0, 1]")
 
-    # R-only factors on R's own shape, Z-only ones on Z's; the products
-    # broadcast into the field block
     A, A1, A2, _, A1R, _ = sol.radial.eval(Rr, False)
-
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
     # U as a numpy scalar, so that a scale past double range raises in the
     # errstate below, as a field does
     xi, U, mu, a = cfg.xi, np.float64(cfg.U), cfg.mu, cfg.a
 
-    B = c2 * A - 0.5
-    zm = Zb * Zb - 1.0
-    k_sh = 2.0 * (3.0 - c2) * xi * xi
-    # In place, in the order of operations of
-    #   u_r  = (3 - c2) xi U A1 (-zm)
-    #   u_z  = U (Zb + B Zb zm)
-    #   s_zz = s_scale ((9 - 2 c2) B zm + 6 A)
-    #   s_rr = s_scale ((3 - 2 c2) (B zm + 2 A) - k_sh A2 zm)
-    #   s_tt = the same with A1R for A2
-    #   s_rz = (mu U / a) A1 (c2 Zb Zb + c2 - 6) Zb
-    # with at most the operands of a + or * swapped, so every double is
-    # that of the expression above.
-    fields = _field_block(Rr, Zb)
-    u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
+    def coefs():
+        # the module docstring's fields in zm = Z**2 - 1, in FieldSample
+        # order.  On the walls Z = +-1 zm is 0, so each field is c0 (times
+        # Z where odd), grouped as the docstring's expression reduces
+        # there: u_z = +-U exactly, and each wall value has that
+        # expression's double, up to the sign of a zero
+        B = c2 * A - 0.5
+        s_scale = mu * U / (a * xi)
+        k3, k_sh = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2) * xi * xi
+        yield None, -(3.0 - c2) * xi * U * A1, False
+        yield U, U * B, True
+        for ar in (A2, A1R):                    # s_rr, then s_tt
+            yield (s_scale * (k3 * (2.0 * A)), s_scale * (k3 * B - k_sh * ar),
+                   False)
+        yield s_scale * (6.0 * A), s_scale * ((9.0 - 2.0 * c2) * B), False
+        rz = mu * U / a * A1
+        yield rz * (2.0 * c2 - 6.0), rz * c2, True
+
     # a field past double range (above the floor, by the scales alone)
     # raises here, as the force does
     with _in_range("plate field", xi, sol.chi):
-        s_scale = mu * U / (a * xi)
-        np.multiply((3.0 - c2) * xi * U * A1, -zm, out=u_r)
-        np.multiply(B, Zb, out=u_z)
-        u_z *= zm
-        u_z += Zb
-        u_z *= U
-        np.multiply((9.0 - 2.0 * c2) * B, zm, out=s_zz)
-        s_zz += 6.0 * A
-        s_zz *= s_scale
-        # s_tt holds the shared (3 - 2 c2)(B zm + 2 A) until both are
-        # formed, and s_rz serves as scratch for s_tt's last term
-        np.multiply(B, zm, out=s_tt)
-        s_tt += 2.0 * A
-        s_tt *= 3.0 - 2.0 * c2
-        np.multiply(k_sh * A2, zm, out=s_rr)
-        np.subtract(s_tt, s_rr, out=s_rr)
-        s_rr *= s_scale
-        np.multiply(k_sh * A1R, zm, out=s_rz)
-        s_tt -= s_rz
-        s_tt *= s_scale
-        np.multiply((mu * U / a) * A1, c2 * Zb * Zb + c2 - 6.0, out=s_rz)
-        s_rz *= Zb
-    return _field_sample(Rr, Zb, fields)
+        return _z_polynomials(Rr, Zb, 1.0, coefs())
 
 
 # ---------------------------------------------------------------------------

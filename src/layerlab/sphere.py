@@ -181,8 +181,7 @@ from scipy import special
 
 from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
 from .materials import XI_MIN, LayerConfig, resolve_chi
-from .plate import (FieldSample, _field_block, _field_sample, _in_range,
-                    _range_error)
+from .plate import FieldSample, _in_range, _range_error, _z_polynomials
 
 __all__ = [
     "SphereGeometry",
@@ -268,7 +267,8 @@ class PotentialSample:
     """Potential ``Phi`` and its scaled-coordinate derivatives at (R, Z).
 
     Floats for scalar input, arrays of the broadcast shape otherwise, with
-    R and Z read-only broadcast views of the inputs (as in FieldSample).
+    R and Z read-only broadcast views of the inputs and the six values
+    views into one recycled (6, *shape) block, as in FieldSample.
     """
 
     R: object
@@ -607,19 +607,22 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     ``|Z| <= gap(R)``.  Stresses scale with ``mu U / (a xi)`` except the
     shear, which carries ``mu U / (a xi**1.5)``.
 
-    Each field is a polynomial in Z with coefficients in R alone: the even
-    ones are ``c0 + c1 (Z**2 - g**2)``, the odd ones ``Z (c0 + c1 Z**2)``.
-    The profile is read by RadialSolution.eval on R's shape: once per R
-    of a line of radii (a column, a row, 1-D or a scalar), on R itself,
-    or once per distinct R of a full R grid.  The 11 coefficients and
-    g**2 are formed from it on R's shape, elementwise, so every double is
-    that of its own radius.  Each field is then written in place into one
-    preallocated (6, *shape) block: a product, a sum and, per odd field,
-    one more product by Z.  Z**2 and Z**2 - g**2 are formed in the slots
-    of u_z and s_zz, so no other grid-sized array is made.  R and Z come
+    Each field is a polynomial in Z with coefficients in R alone, written
+    as ``c0 + c1 (Z**2 - g**2)``, times Z where the field is odd: the odd
+    ones' ``Z (c0 + c1 Z**2)`` of the module docstring take
+    ``c0 + c1 g**2`` as their c0.  The profile is read by
+    RadialSolution.eval on R's shape: once per R of a line of radii (a
+    column, a row, 1-D or a scalar), on R itself, or once per distinct R
+    of a full R grid.  g**2 and each field's two coefficients are formed
+    from it on R's shape, elementwise, one field at a time, so every
+    double is that of its own radius.  plate._z_polynomials, the one
+    writer of every field sample, then writes each field in place into
+    one preallocated (6, *shape) block: a product, a sum and, per odd
+    field, one more product by Z, with Z**2 - g**2 formed in the last
+    field's slot, so no other grid-sized array is made.  R and Z come
     back as read-only broadcast views of the inputs; a column R against
     a shorter row Z gives F-ordered fields (see FieldSample).
-    u_r stays ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
+    u_r is ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
     ``Z = +/- g``.  The profile's terms give every R-only input,
     ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss`` among them, from
     the s = R**2 panels (RadialSolution): the field divides by no R, both
@@ -637,47 +640,36 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
 
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval(Rr, True)
     g = sol.geo.gap(Rr)
-    L = a2 + a1_over_r
-    V = -3.0 * g * g * L - 6.0 * g * Rr * a1
-    Lp = a3 + lp_core
-    Vp = (-6.0 * ((Rr * Rr + g) * a1 + g * Rr * a2)
-          - 3.0 * (2.0 * g * Rr * L + g * g * Lp))
+    gg = g * g
 
-    edge_term = 2.0 * g * Rr * a1
-    k3, k6, k9 = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2), 9.0 - 2.0 * c2
-    bracket0 = k3 * (2.0 * a0 / xi - edge_term)
-    fields = _field_block(Rr, Zb)
-    u_r, u_z, s_rr, s_tt, s_zz, s_rz = fields
-    with _in_range("sphere field", xi, sol.chi):
+    def coefs():
+        # the module docstring's fields in FieldSample order, the even
+        # ones as they stand in zm = Z**2 - g**2, the odd ones'
+        # Z (c0 + c1 Z**2) as Z ((c0 + c1 g**2) + c1 zm)
         s_scale = cfg.mu * U / (cfg.a * xi)
         sh_scale = cfg.mu * U / (cfg.a * xi ** 1.5)
-        gg, ur1, uz0, uz1, rr0, rr1, tt0, tt1, zz0, zz1, rz0, rz1 = (
-            g * g, -(3.0 - c2) * (U / math.sqrt(xi)) * a1,
-            U * (V + 2.0 * c2 * a0 / xi), U * L,
-            s_scale * (bracket0 + k6 * edge_term),
-            s_scale * (k3 * L - k6 * a2),
-            s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
-            s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
-            sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp),
-            sh_scale * xi * Lp)
+        L = a2 + a1_over_r
+        edge_term = 2.0 * g * Rr * a1
+        yield None, -(3.0 - c2) * (U / math.sqrt(xi)) * a1, False
+        V = -3.0 * g * g * L - 6.0 * g * Rr * a1
+        uz1 = U * L
+        yield U * (V + 2.0 * c2 * a0 / xi) + uz1 * gg, uz1, True
+        k3, k6, k9 = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2), 9.0 - 2.0 * c2
+        bracket0 = k3 * (2.0 * a0 / xi - edge_term)
+        yield (s_scale * (bracket0 + k6 * edge_term),
+               s_scale * (k3 * L - k6 * a2), False)
+        yield s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r), False
+        yield (s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
+               False)
+        Lp = a3 + lp_core
+        Vp = (-6.0 * ((Rr * Rr + g) * a1 + g * Rr * a2)
+              - 3.0 * (2.0 * g * Rr * L + g * g * Lp))
+        rz1 = sh_scale * xi * Lp
+        yield (sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp) + rz1 * gg, rz1,
+               True)
 
-        # in place, as ur1 zm, c0 + c1 zm and Zb (c0 + c1 z2) with the
-        # operands of + and * swapped at most, so every double is that
-        # expression's; z2 = Zb**2 is held in u_z's slot and zm = z2 - g**2
-        # in s_zz's until each is the last field formed from it
-        z2, zm = u_z, s_zz
-        np.multiply(Zb, Zb, out=z2)
-        np.subtract(z2, gg, out=zm)
-        for out, c0, c1 in ((s_rz, rz0, rz1), (u_z, uz0, uz1)):
-            np.multiply(c1, z2, out=out)
-            out += c0
-            out *= Zb
-        np.multiply(ur1, zm, out=u_r)
-        for out, c0, c1 in ((s_rr, rr0, rr1), (s_tt, tt0, tt1),
-                            (s_zz, zz0, zz1)):
-            np.multiply(c1, zm, out=out)
-            out += c0
-    return _field_sample(Rr, Zb, fields)
+    with _in_range("sphere field", xi, sol.chi):
+        return _z_polynomials(Rr, Zb, gg, coefs())
 
 
 def _a1_weighted(s, w, a, a_s):
@@ -694,7 +686,11 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``, and it gives floats
     for scalar input, else R and Z as read-only broadcast views of the
     inputs.  The integral of A1 is exact on the solver's polynomial panels
-    in s = R**2, by their Gauss-Legendre rule (PanelPoly.integral_below)."""
+    in s = R**2, by their Gauss-Legendre rule (PanelPoly.integral_below).
+    Each value is c0 + c1 Z**2, times Z where it is odd in Z, written by
+    the fields' one writer (plate._z_polynomials) with Z**2 - 0 for
+    Z**2 - g**2: for array input the six are views into one (6, *shape)
+    block, recycled as the fields' are (see FieldSample)."""
     cfg = sol.cfg
     Rr, Zb = sol.geo.check(R, Z)
     # the radii level, for integral_below's partial panels (a lone R as
@@ -709,19 +705,19 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
 
     a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
 
-    z2 = Zb * Zb
-    with _in_range("sphere potential", cfg.xi, sol.chi):
-        # a numpy scale, so that its leaving double range raises too
+    def coefs():
+        # (c0, c1, odd) in zm = Z**2, in PotentialSample order; s0 is a
+        # numpy scale, so that its leaving double range raises too
         s0 = cfg.xi * np.float64(cfg.a) ** 2 * cfg.U
-        phi = s0 * (Ia * Zb + a0 * Zb * z2)
-        phi_r = s0 * (A1 * Zb + a1 * Zb * z2)
-        phi_z = s0 * (Ia + 3.0 * a0 * z2)
-        phi_rr = s0 * (A1p * Zb + a2 * Zb * z2)
-        phi_rz = s0 * (A1 + 3.0 * a1 * z2)
-        phi_zz = s0 * 6.0 * a0 * Zb
+        yield s0 * Ia, s0 * a0, True
+        yield s0 * A1, s0 * a1, True
+        yield s0 * Ia, 3.0 * s0 * a0, False
+        yield s0 * A1p, s0 * a2, True
+        yield s0 * A1, 3.0 * s0 * a1, False
+        yield s0 * 6.0 * a0, -0.0, True
 
-    return _field_sample(Rr, Zb, (phi, phi_r, phi_z, phi_rr, phi_rz, phi_zz),
-                         PotentialSample)
+    with _in_range("sphere potential", cfg.xi, sol.chi):
+        return _z_polynomials(Rr, Zb, 0.0, coefs(), PotentialSample)
 
 
 def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:

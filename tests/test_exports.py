@@ -16,15 +16,15 @@ MODULES = ("layerlab", "layerlab.kernels", "layerlab.materials",
            "layerlab.csv17")
 
 # (importing module, defining module) -> the underscore names it may use:
-# sphere fields share plate's field blocks and its one check for results
+# sphere fields and the potential share plate's one writer of field
+# samples (_z_polynomials) and its one check for results
 # past double range (_in_range, _range_error), the Theta profile is the
 # sphere profile at chi**2 = 3 xi, built in closed form beside the
 # sphere's own equation and rim row, and verify-suite checks the alt
 # discretization against the exact profile on the cells whose solves
 # check against it
 PRIVATE_IMPORTS = {
-    ("sphere", "plate"): {"_field_block", "_field_sample", "_in_range",
-                          "_range_error"},
+    ("sphere", "plate"): {"_z_polynomials", "_in_range", "_range_error"},
     ("series", "sphere"): {"_theta_profile"},
     ("verify", "sphere"): {"_cell"},
 }

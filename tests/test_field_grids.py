@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from layerlab import plate
+from layerlab import plate, sphere
 from layerlab.plate import FieldSample, field, radial_profile, solve_plate
 from layerlab.series import solve_theta
-from layerlab.sphere import solve_sphere, sphere_field, sphere_potential
+from layerlab.sphere import (PotentialSample, solve_sphere, sphere_field,
+                             sphere_potential)
 
 NAMES = ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
 
@@ -22,6 +23,22 @@ NAMES = ("R", "Z", "u_r", "u_z", "s_rr", "s_tt", "s_zz", "s_rz")
 # Reference: each field as one plain numpy expression with full temporaries
 # ---------------------------------------------------------------------------
 
+def _z_sample(Rr, Zb, gg, coefs, kind=FieldSample):
+    """The step every reference shares: each field c0 + c1 zm (c1 zm
+    where c0 is None), times Z where odd, with zm = Z**2 - gg, from full
+    temporaries."""
+    zm = Zb * Zb - gg
+    vals = []
+    for c0, c1, odd in coefs:
+        v = c1 * zm if c0 is None else c0 + c1 * zm
+        vals.append(v * Zb if odd else v)
+    shape = vals[0].shape
+    if not shape:
+        return kind(float(Rr), float(Zb), *map(float, vals))
+    return kind(np.broadcast_to(Rr, shape).copy(),
+                np.broadcast_to(Zb, shape).copy(), *vals)
+
+
 def _plate_reference(sol, R, Z):
     Rr = np.asarray(R, dtype=float)
     Zb = np.asarray(Z, dtype=float)
@@ -29,42 +46,38 @@ def _plate_reference(sol, R, Z):
     av, a1, a2, *_ = sol.radial.eval(r_unique)
     safe_r = np.where(r_unique > 0.0, r_unique, 1.0)
     a1r = np.where(r_unique > 0.0, a1 / safe_r, a2)
-    A = av[inverse].reshape(Rr.shape)
-    A1 = a1[inverse].reshape(Rr.shape)
-    A2 = a2[inverse].reshape(Rr.shape)
-    A1R = a1r[inverse].reshape(Rr.shape)
+    A, A1, A2, A1R = (v[inverse].reshape(Rr.shape) for v in (av, a1, a2, a1r))
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
     xi, U, mu, a = cfg.xi, cfg.U, cfg.mu, cfg.a
     B = c2 * A - 0.5
-    zm = Zb * Zb - 1.0
-    u_r = (3.0 - c2) * xi * U * A1 * (-zm)
-    u_z = U * (Zb + B * Zb * zm)
     s_scale = mu * U / (a * xi)
-    s_zz = s_scale * ((9.0 - 2.0 * c2) * B * zm + 6.0 * A)
-    s_rr = s_scale * ((3.0 - 2.0 * c2) * (B * zm + 2.0 * A)
-                      - 2.0 * (3.0 - c2) * xi * xi * A2 * zm)
-    s_tt = s_scale * ((3.0 - 2.0 * c2) * (B * zm + 2.0 * A)
-                      - 2.0 * (3.0 - c2) * xi * xi * A1R * zm)
-    s_rz = (mu * U / a) * A1 * (c2 * Zb * Zb + c2 - 6.0) * Zb
-    vals = (u_r, u_z, s_rr, s_tt, s_zz, s_rz)
-    if np.ndim(u_r) == 0:
-        return FieldSample(float(Rr), float(Zb), *map(float, vals))
-    return FieldSample(*np.broadcast_arrays(Rr, Zb), *vals)
+    k3, k_sh = 3.0 - 2.0 * c2, 2.0 * (3.0 - c2) * xi * xi
+    rz = mu * U / a * A1
+    return _z_sample(Rr, Zb, 1.0, [
+        (None, -(3.0 - c2) * xi * U * A1, False),
+        (U, U * B, True),
+        (s_scale * (k3 * (2.0 * A)), s_scale * (k3 * B - k_sh * A2), False),
+        (s_scale * (k3 * (2.0 * A)), s_scale * (k3 * B - k_sh * A1R), False),
+        (s_scale * (6.0 * A), s_scale * ((9.0 - 2.0 * c2) * B), False),
+        (rz * (2.0 * c2 - 6.0), rz * c2, True)])
+
+
+def _sphere_radii(sol, R, Z):
+    """R and Z checked against the layer, the distinct radii (a lone one
+    as the pair (R, R), as inside a line) and the map back to R's shape."""
+    Rr, Zb = sol.geo.check(R, Z)
+    rr, inverse = np.unique(Rr.ravel(), return_inverse=True)
+    if rr.size == 1:
+        rr = np.repeat(rr, 2)
+    return Rr, Zb, rr, lambda arr: arr[:, inverse].reshape(
+        arr.shape[:-1] + Rr.shape)
 
 
 def _sphere_reference(sol, R, Z):
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
-    Rr, Zb = sol.geo.check(R, Z)
-    rr, inverse = np.unique(Rr.ravel(), return_inverse=True)
-    if rr.size == 1:
-        # a lone radius is evaluated as the pair (R, R), as inside a line
-        rr = np.repeat(rr, 2)
-
-    def take(arr):
-        return arr[:, inverse].reshape(arr.shape[:-1] + Rr.shape)
-
+    Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
     a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr, True)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
@@ -85,21 +98,33 @@ def _sphere_reference(sol, R, Z):
         s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r),
         s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
         sh_scale * ((4.0 * c2 - 6.0) * a1 + xi * Vp), sh_scale * xi * Lp]))
-    z2 = Zb * Zb
-    zm = z2 - gg
-    vals = (ur1 * zm, Zb * (uz0 + uz1 * z2), rr0 + rr1 * zm, tt0 + tt1 * zm,
-            zz0 + zz1 * zm, Zb * (rz0 + rz1 * z2))
-    shape = vals[0].shape
-    if not shape:
-        return FieldSample(float(Rr), float(Zb), *map(float, vals))
-    return FieldSample(np.broadcast_to(Rr, shape).copy(),
-                       np.broadcast_to(Zb, shape).copy(), *vals)
+    # the odd fields Z (c0 + c1 Z**2) as Z ((c0 + c1 g**2) + c1 zm)
+    return _z_sample(Rr, Zb, gg, [
+        (None, ur1, False), (uz0 + uz1 * gg, uz1, True), (rr0, rr1, False),
+        (tt0, tt1, False), (zz0, zz1, False), (rz0 + rz1 * gg, rz1, True)])
+
+
+def _potential_reference(sol, R, Z):
+    cfg = sol.cfg
+    Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
+    a0, a1, a2, *_ = sol.A.terms(rr, False)
+    g = 1.0 + 0.5 * rr * rr
+    A1 = -3.0 * g * g * a1
+    A1p = -3.0 * g * g * a2 - 6.0 * g * rr * a1
+    Ia = sol.A.s_form.integral_below(rr * rr, sphere._a1_weighted)
+    s0 = cfg.xi * cfg.a ** 2 * cfg.U
+    a0, a1, a2, A1, A1p, Ia = take(np.stack([a0, a1, a2, A1, A1p, Ia]))
+    return _z_sample(Rr, Zb, 0.0, [
+        (s0 * Ia, s0 * a0, True), (s0 * A1, s0 * a1, True),
+        (s0 * Ia, 3.0 * s0 * a0, False), (s0 * A1p, s0 * a2, True),
+        (s0 * A1, 3.0 * s0 * a1, False), (s0 * 6.0 * a0, -0.0, True)],
+        PotentialSample)
 
 
 def _assert_same_bits(got, want):
     """Every one of the eight arrays equal bit for bit (signed zeros
     included), with the same shape; floats stay floats."""
-    for name in NAMES:
+    for name in vars(want):
         g, w = getattr(got, name), getattr(want, name)
         if isinstance(w, float):
             assert isinstance(g, float), name
@@ -188,20 +213,28 @@ def _sphere_inputs(r_edge):
     }
 
 
-@pytest.mark.parametrize("xi, chi", SPHERE_CASES)
-def test_sphere_field_bit_for_bit(xi, chi):
+def _sphere_bit_for_bit(fn, reference, xi, chi):
     sol = solve_sphere(xi, chi)
     for label, (R, Z) in _sphere_inputs(sol.geo.r_edge).items():
         try:
-            _assert_same_bits(sphere_field(sol, R, Z),
-                              _sphere_reference(sol, R, Z))
+            _assert_same_bits(fn(sol, R, Z), reference(sol, R, Z))
         except AssertionError as exc:
             raise AssertionError(f"{label}: {exc}") from None
 
 
+@pytest.mark.parametrize("xi, chi", SPHERE_CASES)
+def test_sphere_field_bit_for_bit(xi, chi):
+    _sphere_bit_for_bit(sphere_field, _sphere_reference, xi, chi)
+
+
+@pytest.mark.parametrize("xi, chi", SPHERE_CASES)
+def test_sphere_potential_bit_for_bit(xi, chi):
+    _sphere_bit_for_bit(sphere_potential, _potential_reference, xi, chi)
+
+
 def test_sphere_field_holds_few_grid_sized_arrays():
-    # the six fields in one block, with Z**2 and Z**2 - g**2 formed in two
-    # of its slots, and the layer check's |Z| peak at 6.9 grids; separate
+    # the six fields in one block, with Z**2 - g**2 formed in the last of
+    # its slots, and the layer check's |Z| peak at 6.7 grids; separate
     # Z**2 and Z**2 - g**2 arrays read 8.9, full temporaries 10.7
     sol = solve_sphere(1e-3, 1.0)
     r = np.linspace(0.0, sol.geo.r_edge, 1001)

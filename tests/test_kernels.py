@@ -33,6 +33,7 @@ from layerlab.kernels import (
     solve_linear_bvp,
 )
 from layerlab.materials import ZetaFamily, zeta_family
+from layerlab.plate import radial_profile
 from layerlab.regimes import plate_ratio_compressible, plate_ratio_incompressible
 from layerlab.sphere import (SphereGeometry, _edge_closure, _ode_coefficients,
                              _sphere_edges)
@@ -651,6 +652,54 @@ def test_sphere_dual_disagreement_is_the_evaluators(xi, chi):
                 / float(np.max(np.abs(a_ref))))
     assert sol.meta["dual_sup_rel"] == dual_rel <= 1e-8
     assert sol.meta["alt_panels"] == alt.meta["panels"]
+
+
+def _rim_graded_mesh(xi, chi):
+    """R edges from the axis to the rim R_e = 1/sqrt(xi), each panel
+    taking half the distance left to the rim, down to a last panel of at
+    most a quarter of the rim layer's decay length sqrt(xi)/chi."""
+    r_e, width = 1.0 / math.sqrt(xi), math.sqrt(xi) / (4.0 * chi)
+    edges, left = [0.0], r_e
+    while left > width:
+        left /= 2.0
+        edges.append(r_e - left)
+    return edges + [r_e]
+
+
+@pytest.mark.parametrize("xi, chi", [
+    (0.1, 0.5), (1e-3, 1e-3), (1e-2, 0.1), (1e-2, 1.0), (1e-3, 1.0),
+    (1e-4, 1.0), (1e-6, 1.5)])
+def test_unit_gap_problem_meets_the_plate_closed_form(xi, chi):
+    # the sphere's radial problem at gap g = 1 (m = R p = 1,
+    # q = -chi**2/xi, f = -1/2, and the rim row
+    # 3 A'' - (k/R_e) A' + (3 k/xi) A = 0 with k = 3 - 2 chi**2) is the
+    # plate's in R_s = R/sqrt(xi): A(R_s) = xi A_plate(R_s sqrt(xi)), so
+    # A_s = dA/ds = (xi**2/2) (A'/R)_plate with s = R_s**2.  It is the one
+    # exact reference the panels, their refinement and the dual check have
+    # in a thin rim layer, at kappa = chi/xi up to 1.5e6 here, and it
+    # shares no code with them.  On 4-34 panels, sampled at 41 points a
+    # panel, A and A_s met it to 4.7e-16 .. 7.5e-14 and 8.7e-16 .. 2.8e-13
+    # of their sups up to kappa = 1e4, and to 3.4e-11 and 5.2e-11 at
+    # kappa = 1.5e6, where the rounding of R alone moves exp(kappa R) by
+    # about kappa ulps: bound 3e-13 + 1e-16 kappa.  A 0.1% error in the
+    # rim row's 3 k/xi or in m, which the dual check cannot see, lifted
+    # every cell's larger error past its bound: to 1.7e-10 or more, and
+    # 1.7e-9 or more.  At (1e-8, 1) the dual check refuses (1.2e-9 against
+    # 1e-10)
+    k, r_e = 3.0 - 2.0 * chi * chi, 1.0 / math.sqrt(xi)
+    equation = (lambda s: (1.0, -chi * chi / xi, -0.5),
+                lambda s: (0.0, 0.0, 0.0))
+    sol = solve_dual_bvp(equation, (3.0 * k / xi, -k / r_e, 3.0, 0.0), 1e-12,
+                         "on the unit gap", mesh=_rim_graded_mesh(xi, chi))
+    edges = np.concatenate(([0.0], sol.meta["edges"]))
+    r = np.concatenate([np.linspace(lo, hi, 41)
+                        for lo, hi in zip(edges[:-1], edges[1:])])
+    a, a_s = sol.s_form(r * r)[:2]
+    plate = radial_profile(xi, chi).eval(r * math.sqrt(xi), False)
+    bound = 3e-13 + 1e-16 * chi / xi
+    for got, want in ((a, xi * plate[0]), (a_s, 0.5 * xi * xi * plate[4])):
+        err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert err <= bound, (xi, chi, err)
 
 
 # ---------------------------------------------------------------------------

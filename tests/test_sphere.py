@@ -363,11 +363,11 @@ def test_force_and_potential_read_the_record_the_solve_formed(
     if xi == 1e-2:
         pot = sphere_potential(sol, np.array([0.0, 0.5, 3.0, 10.0]), 0.5)
         assert pot.phi.tolist() == [
-            6.1224490612734655e-06, 1.4980137518397146e-05,
+            6.1224490612734655e-06, 1.4980137518397147e-05,
             0.0003421943281517335, 0.0026621263554548083]
         assert pot.phi_z.tolist() == [
-            3.6734694367640796e-05, 5.1615610713276716e-05,
-            0.0006880655974837836, 0.005324419091867998]
+            3.673469436764079e-05, 5.1615610713276716e-05,
+            0.0006880655974837834, 0.005324419091867999]
     record = sol.A.s_form.gauss
     assert len(record) == 4 and record is sol.A.s_form.gauss
     for arr in record:
