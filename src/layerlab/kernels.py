@@ -468,19 +468,19 @@ def _check_nodes(deg: int):
 class RadialSolution:
     """A radial profile A(R), evaluated from its one derivative function.
 
-    terms(r, third) gives the six-slot tuple
+    terms(r) gives the six-slot tuple
 
         (A, A', A'', A''' or None, A'/R, (A'' - A'/R)/R or None)
 
-    on a float array r of one dimension or more, elementwise, with None
-    for A''' unless third.  eval(R, third) gives the same six slots at R
-    of any shape, and every reader reads through it, taking what it needs
-    by position, so none divides by R: each profile forms its own A'/R,
-    finite on the axis, where it is A''.  A profile in s = R**2 (one
-    solved by solve_linear_bvp, or closed_form_profile's) reads A and its
-    s-derivatives through the ODE (see _ode_terms) and gives the second
-    quotient where third.  The plate's terms are its closed forms and
-    leave the second quotient None: no plate field reads it.
+    on a float array r of one dimension or more, elementwise.  eval(R)
+    gives the same six slots at R of any shape, and every reader reads
+    through it, taking what it needs by position, so none divides by R:
+    each profile forms its own A'/R, finite on the axis, where it is A''.
+    A profile in s = R**2 (one solved by solve_linear_bvp, or
+    closed_form_profile's) reads A and its s-derivatives through the ODE
+    (see _ode_terms) and fills all six slots.  The plate's terms are its
+    closed forms and leave A''' and the second quotient None: no plate
+    field reads them.
 
     meta records method, mesh, refinement passes and the measured
     residual (a read-only mapping on a solve_dual_bvp profile).  s_form
@@ -536,20 +536,20 @@ class RadialSolution:
         return radii, (lambda arr: arr.T[index].T
                        .reshape(arr.shape[:-1] + r.shape))
 
-    def eval(self, r, third=True):
-        """terms(radii, third) at R of any shape: the six slots, each
-        taken to R's shape (floats for a scalar R, 0-d included), with
-        None where terms gives None.  They are formed on the radii of R
-        (see radii), so a lone R gives the doubles it has inside a line,
-        and a full grid costs its distinct R.  This is the one read of a
-        profile at the user's R: every field and potential calls the
-        instance's eval, so a wrapper put on it (bench/tracing.py's) sees
-        every read."""
+    def eval(self, r):
+        """terms(radii) at R of any shape: the six slots, each taken to
+        R's shape (floats for a scalar R, 0-d included), with None where
+        terms gives None.  They are formed on the radii of R (see radii),
+        so a lone R gives the doubles it has inside a line, and a full
+        grid costs its distinct R.  This is the one read of a profile at
+        the user's R: every field and potential calls the instance's
+        eval, so a wrapper put on it (bench/tracing.py's) sees every
+        read."""
         rr = np.asarray(r, dtype=float)
         radii, take = self.radii(rr)
         form = float if rr.ndim == 0 else np.asarray
         return tuple(None if v is None else form(take(v))
-                     for v in self.terms(radii, third))
+                     for v in self.terms(radii))
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would
@@ -892,7 +892,7 @@ def _rim_row(equation, right, r_e: float):
             delta - gamma * f)
 
 
-def _ode_terms(equation, s_form, r, third):
+def _ode_terms(equation, s_form, r):
     """RadialSolution.terms of a profile of the equation (ode, ode_s) on
     the float array r, from its s-evaluator: s_form(s) gives A, A_s and
     A_ss at s = R**2 (a solved profile's PanelPoly, or a closed form's
@@ -903,15 +903,12 @@ def _ode_terms(equation, s_form, r, third):
         A''  = f - 2 m A_s - q A,          (A'' - A'/R)/R = 4 R A_ss,
         A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
 
-    none of which divides by R, so the axis is an ordinary point.  A'''
-    and the second quotient are None unless third."""
+    none of which divides by R, so the axis is an ordinary point."""
     ode, ode_s = equation
     s = r * r
     av, a_s, a_ss = s_form(s)
     m, q, f = ode(s)
     a2 = f - 2.0 * m * a_s - q * av
-    if not third:
-        return av, 2.0 * r * a_s, a2, None, 2.0 * a_s, None
     m_s, q_s, f_s = ode_s(s)
     a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av - q * a_s)
     return av, 2.0 * r * a_s, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
@@ -947,9 +944,8 @@ def closed_form_profile(equation, right, r_e: float, solutions, *,
     def s_form(s):
         return tuple(p + c * h for p, h in zip(*solutions(s)))
 
-    def terms(r, third):
-        out = _ode_terms(equation, s_form, r, third)
-        return tuple(None if v is None else scale * v for v in out)
+    def terms(r):
+        return tuple(scale * v for v in _ode_terms(equation, s_form, r))
 
     return RadialSolution(terms=terms, meta={"method": "closed form",
                                              "C": c, **(meta or {})})

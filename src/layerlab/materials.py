@@ -30,7 +30,8 @@ and check_finite for the scales that only scale it (a, h, mu, U, ...).
 Each returns its value as a float, and its ValueError names the argument
 and the value.  XI_MIN = 1e-76 is the package's one floor on xi, for
 both layers: the plate's closed forms hold every double above it at unit
-scales (they first leave double range near xi = 1e-88), and the sphere
+scales (the first to leave double range is the force factor's
+(chi/xi)**3 at chi = 3/2, from xi = 2.6e-103), and the sphere
 layer's fields leave it just below (sphere.XI_MIN_SPHERE is XI_MIN).
 """
 

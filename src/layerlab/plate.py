@@ -259,21 +259,6 @@ def stefan_fluid_fields(r, z, a, h, mu, V):
 # Radial potential
 # ---------------------------------------------------------------------------
 
-# Below x = _W_SWITCH the direct e^{-x} (I_1 - I_0/x + 2 I_1/x^2) cancels
-# like 1/x^2; its series there is e^{-x} sum_k c_k x^(2k+1), with
-# c_k = (2k+3)(k+1) / ((k+2) 4^(k+1) ((k+1)!)^2) = 3/8, 5/96, 7/3072, ...
-# and eleven terms reach 1e-17 relative
-_W_SWITCH = 1.0
-_W_COEFS = [(2 * k + 3) * (k + 1)
-            / ((k + 2) * 4.0 ** (k + 1) * math.factorial(k + 1) ** 2)
-            for k in range(11)]
-
-
-def _w_series(x):
-    """e^{-x} (I_1 - I_0/x + 2 I_1/x^2) for x < _W_SWITCH."""
-    return np.exp(-x) * x * np.polynomial.polynomial.polyval(x * x, _W_COEFS)
-
-
 def _edge(xi: float, chi: float) -> Optional[BesselRatioEval]:
     """The Bessel record at the edge x = chi/xi, after checking xi (down
     to the floor XI_MIN = 1e-76, so x <= 1.5e76) and chi, or None where
@@ -320,10 +305,11 @@ def _over_r(r, a1, a2):
 def radial_profile(xi: float, chi: float) -> RadialSolution:
     """Closed-form radial potential A(R) on [0, 1].
 
-    Its derivative function (RadialSolution.terms) gives A, A', A'', on
-    request A''', and A'/R in one array pass from scaled Bessel values
-    (scipy.special.i0e/i1e) and ratios against I_0(chi/xi), so
-    arbitrarily large chi/xi cannot overflow.  A is assembled as
+    Its derivative function (RadialSolution.terms) gives A, A', A'' and
+    A'/R, all that the plate's fields read, in one array pass from scaled
+    Bessel values (scipy.special.i0e/i1e) and ratios against
+    I_0(chi/xi), so arbitrarily large chi/xi cannot overflow.  A is
+    assembled as
 
         2 chi^2 A = (1 - c_b) + c_b (1 - I_0(kappa R)/I_0(kappa)),
 
@@ -336,26 +322,23 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     c_b vanishes only at chi = sqrt(3) ~ 1.732, outside the admissible
     [0, 3/2] (the range check rejects it), so it is not special-cased.
     Down to the floor xi = 1e-76 every term is a double at every R in
-    [0, 1], tiny and subnormal R included; A''' would overflow from xi
-    about 1e-88 down.  A cheap residual self-check at R = 0.5 and R = 1
-    guards the assembled profile; a non-finite residual or scale there,
-    which only a fault can give, fails it with NumericsError alone, with
-    no numpy warning first.  A'/R is A' / R above R = 1e-150 and A'' at
-    and below it (_over_r), on both branches; the slot of
-    (A'' - A'/R)/R is None.  eval(R, third) gives the six slots at
-    scalar or array R (see RadialSolution), A''' None where not third,
-    with the same doubles in the other slots.
+    [0, 1], tiny and subnormal R included.  A cheap residual self-check
+    at R = 0.5 and R = 1 guards the assembled profile; a non-finite
+    residual or scale there, which only a fault can give, fails it with
+    NumericsError alone, with no numpy warning first.  A'/R is A' / R
+    above R = 1e-150 and A'' at and below it (_over_r), on both
+    branches; the slots of A''' and (A'' - A'/R)/R are None.  eval(R)
+    gives the six slots at scalar or array R (see RadialSolution).
     """
     edge = _edge(xi, chi)
     if edge is None:
         inv = 1.0 / (8.0 * xi * xi)
 
-        def terms(r, third):
+        def terms(r):
             av = (1.0 - r * r) * inv
             a1 = -2.0 * inv * r
             a2 = np.full_like(r, -2.0 * inv)
-            return (av, a1, a2, np.zeros_like(r) if third else None,
-                    _over_r(r, a1, a2), None)
+            return av, a1, a2, None, _over_r(r, a1, a2), None
 
         meta = {"method": "closed form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
@@ -378,7 +361,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             coefs.append(coefs[-1] * 0.25 * kappa * kappa / (len(coefs) + 1) ** 2)
         series_den = 8.0 * xi * xi * math.exp(kappa) * edge.scaled_i0
 
-    def terms(rr, third):
+    def terms(rr):
         x = kappa * rr
         si0 = _sp_special.i0e(x)
         si1 = _sp_special.i1e(x)
@@ -400,16 +383,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
-        a1r = _over_r(rr, a1, a2)
-        if not third:
-            return av, a1, a2, None, a1r, None
-        # the direct form only at and above the switch, where it cannot
-        # overflow; the series below it
-        small = x < _W_SWITCH
-        sx = np.where(small, 1.0, x)
-        w = si1 - si0 / sx + 2.0 * si1x / sx
-        w[small] = _w_series(x[small])
-        return av, a1, a2, ck * kappa ** 3 * base * w, a1r, None
+        return av, a1, a2, None, _over_r(rr, a1, a2), None
 
     meta = {"method": "closed form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
@@ -420,7 +394,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
     with np.errstate(invalid="ignore", over="ignore"):
-        a0, _, a2s, _, a1r, _ = sol.eval(spots, False)
+        a0, _, a2s, _, a1r, _ = sol.eval(spots)
         residuals = a2s + a1r - kappa * kappa * a0 + forcing
         scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
                             np.abs(a2s))
@@ -472,11 +446,11 @@ def solve_plate(xi: float, chi: Optional[float] = None, *,
 def field(sol: PlateSolution, R, Z) -> FieldSample:
     """Sample displacements and stresses at scaled (R, Z); R and Z
     broadcast against each other.  The radial potential (A, A', A'' and
-    the profile's own A'/R, never A''') is read by RadialSolution.eval,
-    once per R of a line of radii (a column, a row, 1-D or a scalar), on
-    R itself, and once per distinct R of a full R grid, so dense (R, Z)
-    product grids cost only their R lines, and a lone R gives the
-    doubles of a line.  No field divides by R.
+    the profile's own A'/R, all its closed forms give) is read by
+    RadialSolution.eval, once per R of a line of radii (a column, a row,
+    1-D or a scalar), on R itself, and once per distinct R of a full R
+    grid, so dense (R, Z) product grids cost only their R lines, and a
+    lone R gives the doubles of a line.  No field divides by R.
 
     Each field is the module docstring's polynomial in Z written as
     c0 + c1 (Z**2 - 1), times Z where it is odd, in place into one
@@ -501,7 +475,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     if not np.all(np.abs(Zb) <= 1.0):
         raise ValueError("|Z| out of range [0, 1]")
 
-    A, A1, A2, _, A1R, _ = sol.radial.eval(Rr, False)
+    A, A1, A2, _, A1R, _ = sol.radial.eval(Rr)
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
     # U as a numpy scalar, so that a scale past double range raises in the

@@ -176,8 +176,9 @@ class ThetaSolution:
     The profile is solve_theta's closed form: its meta holds method
     "closed form", the rim coefficient C, and the switch point and term
     counts of its series.  The fields read Theta, Theta', Theta'' and
-    Theta'/R through its eval (RadialSolution), with no A''' and no
-    division by R.
+    Theta'/R through its eval (RadialSolution), with no division by R;
+    the eval also forms Theta''' and the second quotient, which they
+    leave unread.
     """
 
     geo: SphereGeometry
@@ -193,7 +194,7 @@ class ThetaSolution:
         L = Theta'' + Theta'/R on R's shape, read by RadialSolution.eval
         (Theta'/R the profile's own 2 Theta_s, finite on the axis)."""
         Rb, Zb = self.geo.check(R, Z)
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval(Rb, False)
+        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval(Rb)
         return Rb, Zb, self.geo.gap(Rb), t0, t1, t2 + t1_over_r
 
     def u_r0(self, R, Z):

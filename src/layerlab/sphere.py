@@ -638,7 +638,7 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     xi, U = cfg.xi, np.float64(cfg.U)
     Rr, Zb = sol.geo.check(R, Z)
 
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval(Rr, True)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval(Rr)
     g = sol.geo.gap(Rr)
     gg = g * g
 
@@ -697,7 +697,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     # the pair (R, R), see RadialSolution.radii)
     radii, take = RadialSolution.radii(Rr)
 
-    a0u, a1u, a2u, *_ = sol.A.eval(radii, False)
+    a0u, a1u, a2u, *_ = sol.A.eval(radii)
     gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u

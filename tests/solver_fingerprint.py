@@ -10,8 +10,8 @@ Covered:
   Bessel branches (x = chi/xi below and above 2) and below
   chi = 1e-10, with zeta_family and classify("plate", ...) on the same
   cells, plate_transitions at three tolerances, nu_intermediate_window
-  at two (xi, tolerance), and the radial profile with all four
-  derivatives on a few radii;
+  at two (xi, tolerance), and the radial profile's A, A' and A'' on a
+  few radii;
 - the Bessel record bessel_ratio (t, e^{-x} I_0 and x - 2t) on both
   sides of its series switch at x = 2;
 - the sha256 of every field array from plate.field, sphere_field,
@@ -80,8 +80,8 @@ TOLS = (1e-10, 1e-12)
 THETA_XIS = (1e-4, 1e-3, 1e-2)
 
 # (xi, chi): the chi < 1e-10 family, the Bessel branch with x = kappa R
-# below 1 near the axis (the series form of A''' there), the power
-# series below kappa = 2, and kappa = 140
+# below 1 near the axis, the power series below kappa = 2, and
+# kappa = 140
 PLATE_CASES = ((0.01, 1e-12), (0.01, 0.7), (0.05, 0.05), (0.01, 1.4))
 # (xi, chi): chi = 0 and chi < 1e-10, then x = chi/xi at 1 and 2 (the
 # branch point of x - 2t), 10 and 1000, and chi at the top of the range
@@ -190,7 +190,7 @@ def plate_entries() -> dict:
                                                BESSEL_FIELDS)
     r = np.array([0.0, 1e-3, 0.01, 0.1, 0.5, 1.0])
     for xi, chi in PLATE_CASES:
-        values = plate.radial_profile(xi, chi).eval(r)[:4]
+        values = plate.radial_profile(xi, chi).eval(r)[:3]
         out[f"plate radial_profile xi={xi!r} chi={chi!r}"] = {
             f"A{k}": _hexes(v) for k, v in enumerate(values)}
     return out

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from layerlab import plate, sphere
-from layerlab.plate import FieldSample, field, radial_profile, solve_plate
+from layerlab.plate import FieldSample, field, solve_plate
 from layerlab.series import solve_theta
 from layerlab.sphere import (PotentialSample, solve_sphere, sphere_field,
                              sphere_potential)
@@ -78,7 +78,7 @@ def _sphere_reference(sol, R, Z):
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
     Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr, True)
+    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1
@@ -107,7 +107,7 @@ def _sphere_reference(sol, R, Z):
 def _potential_reference(sol, R, Z):
     cfg = sol.cfg
     Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
-    a0, a1, a2, *_ = sol.A.terms(rr, False)
+    a0, a1, a2, *_ = sol.A.terms(rr)
     g = 1.0 + 0.5 * rr * rr
     A1 = -3.0 * g * g * a1
     A1p = -3.0 * g * g * a2 - 6.0 * g * rr * a1
@@ -384,35 +384,13 @@ def test_empty_column_of_radii(case):
         assert v.shape == (0, 5) and v.dtype == float, name
 
 
-def test_plate_field_and_profile_never_form_a3(monkeypatch):
-    # near the axis, x = kappa R < _W_SWITCH, A''' takes _w_series; the
-    # fields and the profile's self-check read A, A' and A'' alone
-    xi, chi = 0.01, 0.7
-    r = np.linspace(0.0, 2.0 * xi / chi, 9)
-    assert np.any(chi / xi * r < plate._W_SWITCH)
-
-    def forbidden(x):
-        raise AssertionError("A''' formed")
-
-    monkeypatch.setattr(plate, "_w_series", forbidden)
-    prof = radial_profile(xi, chi)
-    sol = solve_plate(xi, chi=chi)
-    z = np.linspace(-1.0, 1.0, 5)
-    field(sol, r[:, None], z[None, :])
-    field(sol, *np.meshgrid(r, z, indexing="ij"))
-    field(sol, r[3], z[1])
-    # the patch is live: eval still forms A'''
-    with pytest.raises(AssertionError, match="A''' formed"):
-        prof.eval(r)
-
-
 def _counted(profile, calls):
     """A copy of profile whose instance eval records the shape of each
     R it is given, then reads as the method does; the cached profile is
     left as it is."""
-    def eval(r, *args):
+    def eval(r):
         calls.append(np.shape(r))
-        return profile.eval(r, *args)
+        return profile.eval(r)
     return dataclasses.replace(profile, eval=eval)
 
 

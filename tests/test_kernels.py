@@ -330,25 +330,25 @@ def test_eval_given_to_the_constructor_overrides_one_instance():
     # stands in for the method on that instance alone; the method itself,
     # bound to this or another instance or not bound, is no override; an
     # eval assigned to an instance stands in as well
-    def terms(r, third):
-        return r, 2.0 * r, r * r, r if third else None, r, None
+    def terms(r):
+        return r, 2.0 * r, r * r, None, r, None
 
-    def read(r, third=True):
-        return "read", np.shape(r), third
+    def read(r):
+        return "read", np.shape(r)
 
     p = RadialSolution(terms)
-    want = (0.5, 1.0, 0.25, 0.5, 0.5, None)
+    want = (0.5, 1.0, 0.25, None, 0.5, None)
     q = dataclasses.replace(p, eval=read)
-    assert q.eval is read and q.eval(0.5, False) == ("read", (), False)
+    assert q.eval is read and q.eval(0.5) == ("read", ())
     assert p.eval(0.5) == want and "eval" not in vars(p)
     assert dataclasses.replace(q, meta={"m": 1}).eval is read
-    other = RadialSolution(lambda r, third: (r,) * 6)
+    other = RadialSolution(lambda r: (r,) * 6)
     for method in (p.eval, other.eval, RadialSolution.eval):
         plain = RadialSolution(terms, eval=method)
         assert "eval" not in vars(plain) and plain.eval(0.5) == want
         assert dataclasses.replace(plain, meta={}).eval(0.5) == want
     plain.eval = read
-    assert plain.eval(0.5) == ("read", (), True) and p.eval(0.5) == want
+    assert plain.eval(0.5) == ("read", ()) and p.eval(0.5) == want
 
 
 def test_bvp_robin_right_condition():
@@ -695,7 +695,7 @@ def test_unit_gap_problem_meets_the_plate_closed_form(xi, chi):
     r = np.concatenate([np.linspace(lo, hi, 41)
                         for lo, hi in zip(edges[:-1], edges[1:])])
     a, a_s = sol.s_form(r * r)[:2]
-    plate = radial_profile(xi, chi).eval(r * math.sqrt(xi), False)
+    plate = radial_profile(xi, chi).eval(r * math.sqrt(xi))
     bound = 3e-13 + 1e-16 * chi / xi
     for got, want in ((a, xi * plate[0]), (a_s, 0.5 * xi * xi * plate[4])):
         err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from layerlab import plate, regimes, series
-from layerlab.kernels import NumericsError, bessel_ratio, integrate
+from layerlab.kernels import NumericsError, integrate
 from layerlab.materials import XI_MIN, zeta_family
 from layerlab.plate import (
     apparent_modulus,
@@ -82,12 +82,13 @@ def test_profile_incompressible_closed_form():
         got = prof.eval(rr)[0]
         sup = np.max(np.abs(want))
         assert float(np.max(np.abs(got - want))) < 1e-12 * sup
-    # a scalar R gives five floats, the array evaluation's doubles, and
-    # the plate's None in the sixth slot
+    # a scalar R gives four floats, the array evaluation's doubles, and
+    # the plate's None in the slots of A''' and the second quotient
     point = radial_profile(1e-2, 0.0).eval(0.5)
-    assert all(type(v) is float for v in point[:5]) and point[5] is None
-    assert point[:5] == tuple(v[0] for v in radial_profile(1e-2, 0.0).eval(
-        np.array([0.5]))[:5])
+    line = radial_profile(1e-2, 0.0).eval(np.array([0.5]))
+    assert point[3] is None and point[5] is None
+    for k in (0, 1, 2, 4):
+        assert type(point[k]) is float and point[k] == line[k][0], k
 
 
 def test_profile_against_mpmath_bessel():
@@ -130,8 +131,8 @@ def test_profile_continuity_at_small_chi():
 
 
 def _profile_mp(xi, chi, rr):
-    """(A, A', A'', A''') of the Bessel closed form at the radii rr from
-    50-digit mpmath, as a (4, len(rr)) float array."""
+    """(A, A', A'') of the Bessel closed form at the radii rr from
+    50-digit mpmath, as a (3, len(rr)) float array."""
     mpmath.mp.dps = 50
     xi, chi = mpmath.mpf(xi), mpmath.mpf(chi)
     kappa = chi / xi
@@ -144,9 +145,8 @@ def _profile_mp(xi, chi, rr):
         x = kappa * mpmath.mpf(r)
         i0, i1 = mpmath.besseli(0, x), mpmath.besseli(1, x)
         i1x = i1 / x if x else mpmath.mpf(0.5)
-        w = i1 - i0 / x + 2 * i1 / x**2 if x else mpmath.mpf(0)
         out.append([(1 - c_b * i0 / i0k) / (2 * chi**2), ck * kappa * i1,
-                    ck * kappa**2 * (i0 - i1x), ck * kappa**3 * w])
+                    ck * kappa**2 * (i0 - i1x)])
     return np.array(out, dtype=float).T
 
 
@@ -162,7 +162,7 @@ def test_family_switch_needs_small_chi_over_xi():
     rr = np.concatenate((np.linspace(0.0, 1.0, 41), [0.98, 0.99, 0.995]))
     want = _profile_mp(xi, 5e-11, rr)
     got = radial_profile(xi, 5e-11).eval(rr)
-    for k in range(4):
+    for k in range(3):
         sup = float(np.max(np.abs(want[k])))
         assert float(np.max(np.abs(got[k] - want[k]))) < 1e-12 * sup, k
 
@@ -191,9 +191,9 @@ def test_profile_small_chi_over_xi_against_mpmath():
 
 
 def test_profile_derivatives_against_mpmath():
-    # (A, A', A'', A''') across the kappa R = 1 switch of the A'''
-    # series (and the former one at kappa R = 0.02), the kappa = 2 switch
-    # of the A series, and in a thin compressible edge layer
+    # (A, A', A'') across kappa R = 0.02 and 1 (where a former A''' had
+    # switched to its series), the kappa = 2 switch of the A series, and
+    # in a thin compressible edge layer
     for xi, chi in [(0.1, 0.19), (0.1, 0.21), (1e-2, 0.7), (1e-3, 1.4)]:
         kappa = chi / xi
         rr = np.concatenate((np.linspace(0.0, 1.0, 21),
@@ -202,31 +202,16 @@ def test_profile_derivatives_against_mpmath():
                               1.0 - 1.0 / kappa]))
         want = _profile_mp(xi, chi, rr)
         got = radial_profile(xi, chi).eval(rr)
-        for k in range(4):
+        for k in range(3):
             sup = float(np.max(np.abs(want[k])))
             err = float(np.max(np.abs(got[k] - want[k])))
             assert err < 1e-12 * sup, (xi, chi, k, err / sup)
 
 
-def test_profile_third_derivative_full_accuracy():
-    # the direct e^{-x}(I1 - I0/x + 2 I1/x^2) cancels like 1/x^2, so A'''
-    # takes the series up to x = kappa R = 1; dense radii over
-    # x = 0.005-1, where the direct form lost up to 4.3e-14 of sup|A'''|
-    for xi, chi in [(0.05, 0.05), (0.1, 0.15)]:
-        kappa = chi / xi
-        rr = np.concatenate((np.linspace(0.0, 1.0, 201),
-                             np.geomspace(0.005, 1.0, 60) / kappa))
-        rr = rr[rr <= 1.0]
-        want = _profile_mp(xi, chi, rr)[3]
-        got = radial_profile(xi, chi).eval(rr)[3]
-        sup = float(np.max(np.abs(want)))
-        assert float(np.max(np.abs(got - want))) <= 1e-14 * sup, (xi, chi)
-
-
 # (profile, rim, radii of note) of every kind of RadialSolution: the
 # plate's Bessel branch at kappa = chi/xi below 2 (its power series) and
-# above it (where x = kappa R crosses 0.02 and 1, and A''' switches to
-# its series form below 1), the plate's chi < 1e-10 family, a sphere
+# above it (where x = kappa R crosses 0.02 and 1), the plate's
+# chi < 1e-10 family, a sphere
 # profile and Theta's closed form (whose series switch from x to 1 - x at
 # x = R**2/(R**2 + 2) = 0.55)
 PROFILE_KINDS = {
@@ -250,18 +235,17 @@ def test_profile_array_eval_matches_scalar_calls(kind):
     # every profile honours RadialSolution's one contract: eval gives the
     # six slots of terms, each of its input's shape and the doubles of
     # point-by-point calls, which give floats (a 0-d array counts as a
-    # scalar), and None where terms does (the plate's sixth slot);
-    # eval(R, False) leaves A''' and the second quotient None (a profile
-    # in s forms the quotient only with A''') and gives the other four bit
-    # for bit
+    # scalar), and None where terms does: the plate's A''' and second
+    # quotient, two slots that a profile in s always fills
     prof, rim, noted = PROFILE_KINDS[kind]()
     rng = np.random.default_rng(5)
     rr = np.concatenate(([0.0, rim], noted,
                          rng.uniform(0.0, rim, 198 - len(noted))))
     rr = rr.reshape(20, 10)
     got = prof.eval(rr)
-    want = prof.terms(rr.ravel(), True)
-    assert len(got) == 6 and (want[5] is None) == kind.startswith("plate")
+    want = prof.terms(rr.ravel())
+    assert len(got) == 6
+    assert (want[3] is None) == (want[5] is None) == kind.startswith("plate")
     scalar = [prof.eval(float(r)) for r in rr.ravel()]
     assert prof.eval(np.array(rr[3, 3])) == scalar[33]
     for k in range(6):
@@ -272,14 +256,6 @@ def test_profile_array_eval_matches_scalar_calls(kind):
         assert all(type(v[k]) is float for v in scalar), k
         assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), k
         assert np.array_equal(got[k], want[k].reshape(rr.shape)), k
-    low = prof.eval(rr, False)
-    assert low[3] is None and low[5] is None
-    for k in (0, 1, 2, 4):
-        assert np.array_equal(low[k], got[k]), k
-    scalar_low = [prof.eval(float(r), False) for r in rr.ravel()]
-    assert all(lo[3] is None and lo[5] is None
-               and lo[:3] + lo[4:5] == hi[:3] + hi[4:5]
-               for lo, hi in zip(scalar_low, scalar))
 
 
 # the Bessel branch on its power series (kappa = 1), the incompressible
@@ -296,7 +272,7 @@ def test_plate_quotient_is_a1_over_r_at_ordinary_radii(xi, chi):
     prof = radial_profile(xi, chi)
     r = np.concatenate((np.geomspace(1.01e-150, 1.0, 61),
                         np.linspace(0.0125, 1.0, 80)))
-    _, a1, _, _, a1r, _ = prof.eval(r, False)
+    _, a1, _, _, a1r, _ = prof.eval(r)
     assert np.array_equal(a1r, a1 / r)
 
 
@@ -611,8 +587,9 @@ PLATE_CALLS = {
 @pytest.mark.parametrize("xi", [9.9e-77, 1e-88, 1e-103, 1e-160, 5e-324])
 def test_xi_below_the_floor_refused(xi):
     # below XI_MIN every plate-layer function refuses xi at the door with
-    # the floor in its message, where its closed forms used to leave
-    # double range (A''' from about 1e-88, 1/(8 xi**2) near 1e-154)
+    # the floor in its message, where its closed forms would leave double
+    # range (the force factor's (chi/xi)**3 at chi = 3/2 from about
+    # 2.6e-103, 1/(8 xi**2) near 1e-154)
     assert XI_MIN == 1e-76
     for name, call in PLATE_CALLS.items():
         with pytest.raises(ValueError, match=re.escape(
@@ -633,7 +610,7 @@ def test_xi_outside_the_unit_interval_keeps_its_message(xi):
 DOMAIN_CHIS = (0.0, 5e-324, 1e-300, 1e-160, 5e-11,
                np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0),
                1e-3, 0.7, 1.4, 1.5)
-# A''' on the axis, at tiny and subnormal radii, inside and at the rim
+# the axis, tiny and subnormal radii, inside and at the rim
 DOMAIN_RADII = np.array([0.0, 5e-324, 1e-300, 1e-200, 0.5, 1.0])
 
 
@@ -664,51 +641,9 @@ def test_closed_forms_finite_down_to_the_floor():
                            np.linspace(-1.0, 1.0, 3))
                 for value in dataclasses.astuple(fs):
                     assert np.all(np.isfinite(value)), (xi, chi)
-                *derivs, quotient2 = sol.radial.eval(DOMAIN_RADII)
-                assert quotient2 is None
-                assert all(np.all(np.isfinite(d)) for d in derivs)
+                *derivs, a3, a1r, quotient2 = sol.radial.eval(DOMAIN_RADII)
+                assert a3 is None and quotient2 is None
+                assert all(np.all(np.isfinite(d)) for d in (*derivs, a1r))
                 assert derivs[2][1] == derivs[2][0], (xi, chi)
-                a1r = sol.radial.eval(DOMAIN_RADII, False)[4]
                 assert a1r[1] == a1r[0] == derivs[2][0], (xi, chi)
                 regimes.classify("plate", xi, chi)
-
-
-@pytest.mark.parametrize("xi, chi", [(0.2, 1e-10), (0.1, 1.0), (1e-3, 1.4),
-                                     (0.05, 0.05)])
-def test_third_derivative_at_tiny_radii_warns_nothing(xi, chi):
-    # the direct form of A''' divides by x = kappa R, which overflowed (a
-    # RuntimeWarning) at tiny R before the series overwrote it; it is now
-    # formed only at x >= 1, and A''' at a tiny R is its axis value
-    profile = radial_profile(xi, chi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for r in (5e-324, 1e-300, 1e-200):
-            a3 = profile.eval(np.array([0.0, r, 0.5]))[3]
-            assert np.all(np.isfinite(a3)) and abs(a3[1]) <= abs(a3[2])
-
-
-def _a3_as_before(xi, chi, rr):
-    """A''' by the formula it had before the direct form was restricted
-    to x >= 1: formed on every radius, then overwritten below x = 1."""
-    meta = radial_profile(xi, chi).meta
-    kappa, c_b = meta["kappa"], meta["c_b"]
-    ck = -0.5 * c_b / (chi * chi)
-    x = kappa * rr
-    si0, si1 = plate._sp_special.i0e(x), plate._sp_special.i1e(x)
-    pos = x > 0.0
-    sx = np.where(pos, x, 1.0)
-    si1x = np.where(pos, si1 / sx, 0.5)
-    base = np.exp(x - kappa) / bessel_ratio(kappa).scaled_i0
-    w = si1 - si0 / sx + 2.0 * si1x / sx
-    small = x < plate._W_SWITCH
-    w[small] = plate._w_series(x[small])
-    return ck * kappa ** 3 * base * w
-
-
-@pytest.mark.parametrize("xi, chi", [(0.05, 0.05), (0.01, 0.7), (1e-3, 1.4),
-                                     (1e-4, 1e-3)])
-def test_third_derivative_bit_for_bit_on_ordinary_radii(xi, chi):
-    rr = np.concatenate((np.linspace(0.0, 1.0, 101),
-                         np.geomspace(1e-6, 1.0, 50)))
-    got = radial_profile(xi, chi).eval(rr)[3]
-    assert np.array_equal(got, _a3_as_before(xi, chi, rr))
