@@ -368,10 +368,12 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         # e^{-x} I_1(x)/x, which is 1/2 to double precision below x = 1e-16
         # and which i1e's subnormal values would lose below x = 4e-308
         si1x = np.where(x > 1e-300, si1 / np.where(x > 1e-300, x, 1.0), 0.5)
-        base = np.exp(x - kappa) / edge.scaled_i0
-        ratio0 = base * si0                     # I_0(kappa R)/I_0(kappa)
-        ratio1 = base * si1
-        ratio1x = base * si1x                   # I_1(kappa R)/(kappa R I_0(kappa))
+        # each ratio against I_0(kappa) as e^{x - kappa} times a ratio of
+        # scaled values, so that R = 1 gives exactly 1 and t
+        grow = np.exp(x - kappa)
+        ratio0 = grow * (si0 / edge.scaled_i0)  # I_0(kappa R)/I_0(kappa)
+        ratio1 = grow * (si1 / edge.scaled_i0)
+        ratio1x = grow * (si1x / edge.scaled_i0)  # I_1(kappa R)/(kappa R I_0(kappa))
         if kappa < 2.0:
             r2, r2m, s = rr * rr, 1.0, 0.0
             for c in coefs:

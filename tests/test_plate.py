@@ -130,6 +130,26 @@ def test_profile_continuity_at_small_chi():
     assert abs(force_factor(xi, 1e-9) - force_factor(xi, 0.0)) < 1e-10
 
 
+def test_profile_meets_the_edge_condition_to_rounding():
+    # A(1) - (2 xi^2/3) A'(1) = 1/(2 (3 - chi^2)) on verify.suite's 5 x 5
+    # grid, at R = 1 alone and as the end of a line.  Each ratio against
+    # I_0(kappa) is exactly 1 (or t) at R = 1; formed as
+    # (e^{x - kappa}/i0e(kappa)) i0e(x) it read 1 - 1.1e-16 there, which
+    # the 1/(2 chi^2) of A's second bracket lifted to a miss of 53452 ulps
+    # at (1e-4, 0.0061)
+    for xi in np.geomspace(1e-4, 1e-1, 5):
+        for chi in np.geomspace(1e-3, 1.4, 5):
+            xi, chi = float(xi), float(chi)
+            prof = radial_profile(xi, chi)
+            rhs = 1.0 / (2.0 * (3.0 - chi * chi))
+            alone = prof.eval(1.0)
+            line = prof.eval(np.linspace(0.0, 1.0, 41))
+            for a, a1 in ((alone[0], alone[1]), (line[0][-1], line[1][-1])):
+                miss = abs(a - (2.0 * xi * xi / 3.0) * a1 - rhs)
+                assert miss <= 16.0 * math.ulp(rhs), (
+                    xi, chi, miss / math.ulp(rhs))
+
+
 def _profile_mp(xi, chi, rr):
     """(A, A', A'') of the Bessel closed form at the radii rr from
     50-digit mpmath, as a (3, len(rr)) float array."""
