@@ -211,9 +211,8 @@ def test_profile_small_chi_over_xi_against_mpmath():
 
 
 def test_profile_derivatives_against_mpmath():
-    # (A, A', A'') across kappa R = 0.02 and 1 (where a former A''' had
-    # switched to its series), the kappa = 2 switch of the A series, and
-    # in a thin compressible edge layer
+    # (A, A', A'') across kappa R = 0.02 and 1, the kappa = 2 switch of
+    # the A series, and in a thin compressible edge layer
     for xi, chi in [(0.1, 0.19), (0.1, 0.21), (1e-2, 0.7), (1e-3, 1.4)]:
         kappa = chi / xi
         rr = np.concatenate((np.linspace(0.0, 1.0, 21),
