@@ -25,13 +25,12 @@ s-form operator, in s = R**2,
 
     4 s A_ss + 2 (1 + m) A_s + q A = f,        m = R p,
 
-given by the caller as one pair (ode, ode_s) of functions of s: ode(s)
-returns (m, q, f) and ode_s(s) their s-derivatives, each evaluated once
-per node array.  The axis row is the equation itself at s = 0,
-(2 + 2 m(0)) A_s + q(0) A = f(0): a polynomial meets it only on the
-regular solution, so there is no truncation of the axis and no grading
-toward it.  A'' and A''' are read off the same equation, with no 1/R
-and so no axis special case.  The rows are ordered panel by panel (left
+given by the caller as one function ode of s, returning (m, q, f),
+evaluated once per node array.  The axis row is the equation itself at
+s = 0, (2 + 2 m(0)) A_s + q(0) A = f(0): a polynomial meets it only on
+the regular solution, so there is no truncation of the axis and no
+grading toward it.  A'' is read off the same equation, with no 1/R and
+so no axis special case.  The rows are ordered panel by panel (left
 row, each panel's collocation rows and C0/C1 pair with the next, right
 row), so the system is banded with half-bandwidth deg + 1; it is solved
 by LAPACK's band LU (dgbsv, called directly on storage built in its
@@ -337,9 +336,10 @@ class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
     coefficients on [edges[i], edges[i+1]] in the panel variable
     t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
-    returns the value and the first two x-derivatives: a solved
-    profile's panels are its s-evaluator (see _ode_terms), and the dual
-    comparison reads the first of the three.  Its arrays are read-only,
+    returns the value and the first two x-derivatives: the residual
+    check reads all three, a solved profile's panels are its s-evaluator
+    (see _ode_terms), which reads the first two, and the dual comparison
+    reads the first.  Its arrays are read-only,
     since a solved profile is shared by every caller of a cache.
 
     Integrals read three things, and nothing else of the panels: the rim
@@ -468,19 +468,19 @@ def _check_nodes(deg: int):
 class RadialSolution:
     """A radial profile A(R), evaluated from its one derivative function.
 
-    terms(r) gives the six-slot tuple
+    terms(r) gives the four-slot tuple
 
-        (A, A', A'', A''' or None, A'/R, (A'' - A'/R)/R or None)
+        (A, A', A'', A'/R)
 
     on a float array r of one dimension or more, elementwise.  eval(R)
-    gives the same six slots at R of any shape, and every reader reads
+    gives the same four slots at R of any shape, and every reader reads
     through it, taking what it needs by position, so none divides by R:
     each profile forms its own A'/R, finite on the axis, where it is A''.
     A profile in s = R**2 (one solved by solve_linear_bvp, or
-    closed_form_profile's) reads A and its s-derivatives through the ODE
-    (see _ode_terms) and fills all six slots.  The plate's terms are its
-    closed forms and leave A''' and the second quotient None: no plate
-    field reads them.
+    closed_form_profile's) reads A and A_s and takes A'' off the ODE
+    (see _ode_terms); the plate's terms are its closed forms.  A reader
+    that needs a higher derivative (the sphere's shear stress, through
+    L' = (A'' + A'/R)') forms it from its own equation.
 
     meta records method, mesh, refinement passes and the measured
     residual (a read-only mapping on a solve_dual_bvp profile).  s_form
@@ -537,9 +537,9 @@ class RadialSolution:
                        .reshape(arr.shape[:-1] + r.shape))
 
     def eval(self, r):
-        """terms(radii) at R of any shape: the six slots, each taken to
-        R's shape (floats for a scalar R, 0-d included), with None where
-        terms gives None.  They are formed on the radii of R (see radii),
+        """terms(radii) at R of any shape: the four slots, each taken to
+        R's shape (floats for a scalar R, 0-d included).  They are formed
+        on the radii of R (see radii),
         so a lone R gives the doubles it has inside a line, and a full
         grid costs its distinct R.  This is the one read of a profile at
         the user's R: every field and potential calls the instance's
@@ -548,8 +548,7 @@ class RadialSolution:
         rr = np.asarray(r, dtype=float)
         radii, take = self.radii(rr)
         form = float if rr.ndim == 0 else np.asarray
-        return tuple(None if v is None else form(take(v))
-                     for v in self.terms(radii))
+        return tuple(form(take(v)) for v in self.terms(radii))
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would
@@ -580,10 +579,10 @@ def _design_matrices(deg: int, kind: str):
     return tpts, v0[:-2], v1[:-2], v2[:-2], (v0[-2:], v1[-2:])
 
 
-def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
+def _assemble_and_solve(ode, edges, deg, kind, left_row, right_row):
     """Build and solve the banded collocation system of
-    4 s v'' + 2 (1 + m) v' + q v = f, the equation (ode, ode_s), on the s
-    panels edges: the (npan, deg + 1) panel coefficients, or LinAlgError
+    4 s v'' + 2 (1 + m) v' + q v = f, the equation ode, on the s panels
+    edges: the (npan, deg + 1) panel coefficients, or LinAlgError
     on a singular or non-finite solve.
 
     left_row/right_row: (coef_on_v, coef_on_v', rhs) at the first/last
@@ -609,7 +608,7 @@ def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
     h = halves[:, None, None]
     ss = mids[:, None] + halves[:, None] * tpts
     # a coefficient given as a constant is broadcast to the nodes
-    m, q, f = np.broadcast_arrays(ss, *equation[0](ss))[1:]
+    m, q, f = np.broadcast_arrays(ss, *ode(ss))[1:]
     block = (4.0 * ss[:, :, None] * v2 / (h * h)
              + 2.0 * (1.0 + m)[:, :, None] * v1 / h
              + q[:, :, None] * v0)
@@ -656,18 +655,17 @@ def _assemble_and_solve(equation, edges, deg, kind, left_row, right_row):
     return sol.reshape(npan, ncoef)
 
 
-def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
+def solve_linear_bvp(ode, right, tol: float = 1e-10, *, mesh,
                      method: str = "primary") -> RadialSolution:
     """Solve 4 s A_ss + 2 (1 + m) A_s + q A = f in s = R**2 on
     [0, mesh[-1]**2] for the A that is regular on the axis.  In R it
     reads A'' + p A' + q A = f, with m = R p.
 
-    equation: the pair (ode, ode_s) of functions of s, evaluated
-    elementwise on float arrays of any shape (the solver passes 2-D node
-    arrays, one row per panel) and on scalars at the interval ends:
-    ode(s) returns (m, q, f), and ode_s(s) their s-derivatives
-    (m_s, q_s, f_s).  Any of them may be a plain constant; it is
-    broadcast to the shape of the argument.
+    ode: a function of s, evaluated elementwise on float arrays of any
+    shape (the solver passes 2-D node arrays, one row per panel) and on
+    scalars at the interval ends, returning (m, q, f).  Any of the three
+    may be a plain constant; it is broadcast to the shape of the
+    argument.
 
     The axis row is the equation itself at s = 0,
     (2 + 2 m(0)) A_s + q(0) A = f(0), which a polynomial meets only on
@@ -719,9 +717,9 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    m0, q0, f0 = map(float, equation[0](0.0))
+    m0, q0, f0 = map(float, ode(0.0))
     left_row = (q0, 2.0 + 2.0 * m0, f0)
-    right_row = _rim_row(equation, right, float(edges[-1]))
+    right_row = _rim_row(ode, right, float(edges[-1]))
     if max(abs(right_row[0]), abs(right_row[1])) == 0.0:
         raise SingularSystem("right boundary functional vanishes identically")
 
@@ -731,14 +729,14 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
         # the panels are refined in R and solved on their squares
         s_edges = edges * edges
         try:
-            coefs = _assemble_and_solve(equation, s_edges, deg, kind,
+            coefs = _assemble_and_solve(ode, s_edges, deg, kind,
                                         left_row, right_row)
         except LinAlgError as err:
             raise SingularSystem(
                 f"singular system in BVP collocation solve ({err}): method "
                 f"{method!r}, degree {deg}, {len(edges) - 1} panels") from err
         poly = PanelPoly(s_edges, coefs)
-        res_sup, scale, panel_sups = _residual_check(equation, poly, deg)
+        res_sup, scale, panel_sups = _residual_check(ode, poly, deg)
         over = panel_sups > tol * scale
         if not over.any():
             break
@@ -761,11 +759,11 @@ def solve_linear_bvp(equation, right, tol: float = 1e-10, *, mesh,
         "tol": tol,
     }
     _frozen(meta["edges"])
-    return RadialSolution(terms=partial(_ode_terms, equation, poly),
+    return RadialSolution(terms=partial(_ode_terms, ode, poly),
                           meta=meta, s_form=poly)
 
 
-def solve_dual_bvp(equation, right, tol, where, *, mesh,
+def solve_dual_bvp(ode, right, tol, where, *, mesh,
                    exact=None) -> RadialSolution:
     """Solve one regular-axis BVP (see solve_linear_bvp) with the primary
     discretization and cross-check it against a reference: the exact
@@ -802,17 +800,17 @@ def solve_dual_bvp(equation, right, tol, where, *, mesh,
     cannot see the first either.  The closed-form profiles, written
     apart from the code, are the oracles for those.
     """
-    primary = solve_linear_bvp(equation, right, tol=tol, mesh=mesh)
+    primary = solve_linear_bvp(ode, right, tol=tol, mesh=mesh)
     s, _, a_p, _ = primary.s_form.gauss
     if exact is None:
-        alt = solve_linear_bvp(equation, right, tol=tol, mesh=mesh,
+        alt = solve_linear_bvp(ode, right, tol=tol, mesh=mesh,
                                method="alt")
         a_ref = alt.s_form(s)[0]
         ref = {"reference": "alt", "alt_panels": alt.meta["panels"],
                "alt_passes": alt.meta["passes"]}
         name = "independent discretizations"
     else:
-        c = _rim_constant(equation, right, float(mesh[-1]), exact)
+        c = _rim_constant(ode, right, float(mesh[-1]), exact)
         p, h = exact(s, False)
         a_ref, ref = p + c * h, {"reference": "exact", "C": c}
         name = "the panels and the exact profile"
@@ -861,14 +859,14 @@ def _tolerance_not_met(tol, passes, stalled, res_sup, scale, edges, over):
         passes=passes)
 
 
-def _residual_check(equation, poly: PanelPoly, deg):
+def _residual_check(ode, poly: PanelPoly, deg):
     """Sup residual of 4 s v'' + 2 (1 + m) v' + q v - f, the equation
-    (ode, ode_s), for the solved panels poly, on a grid ~10x finer than
+    ode, for the solved panels poly, on a grid ~10x finer than
     the collocation spacing, the residual scale max(sup|f|, sup|q*v|),
     and the sup residual of every panel on the same grid.  All panels are
     evaluated at once, on the degree's cached nodes and Vandermonde."""
     ss, (av, a1, a2) = poly.grid(*_check_nodes(deg))
-    m, qv, fv = np.broadcast_arrays(ss, *equation[0](ss))[1:]
+    m, qv, fv = np.broadcast_arrays(ss, *ode(ss))[1:]
     res = 4.0 * ss * a2 + 2.0 * (1.0 + m) * a1 + qv * av - fv
     panel_sups = np.max(np.abs(res), axis=1)
     scale = max(float(np.max(np.abs(fv))), float(np.max(np.abs(qv * av))))
@@ -877,7 +875,7 @@ def _residual_check(equation, poly: PanelPoly, deg):
     return float(np.max(panel_sups)), scale, panel_sups
 
 
-def _rim_row(equation, right, r_e: float):
+def _rim_row(ode, right, r_e: float):
     """The rim condition right = (alpha, beta, gamma, delta), meaning
     alpha A + beta A' + gamma A'' = delta at R = r_e, as the row
     (on A, on A_s, rhs) in the s-form unknowns: with A' = 2 r_e A_s and
@@ -885,67 +883,60 @@ def _rim_row(equation, right, r_e: float):
 
         (alpha - gamma q) A + 2 (r_e beta - gamma m) A_s = delta - gamma f,
 
-    with m, q and f of the equation (ode, ode_s) taken at s = r_e**2."""
+    with m, q and f of the equation ode taken at s = r_e**2."""
     alpha, beta, gamma, delta = right
-    m, q, f = map(float, equation[0](r_e * r_e))
+    m, q, f = map(float, ode(r_e * r_e))
     return (alpha - gamma * q, 2.0 * (r_e * beta - gamma * m),
             delta - gamma * f)
 
 
-def _ode_terms(equation, s_form, r):
-    """RadialSolution.terms of a profile of the equation (ode, ode_s) on
-    the float array r, from its s-evaluator: s_form(s) gives A, A_s and
-    A_ss at s = R**2 (a solved profile's PanelPoly, or a closed form's
-    P + C H).  A' and the two quotients come from A_s and A_ss; A'' and
-    A''' are read off the equation and its s-derivative:
+def _ode_terms(ode, s_form, r):
+    """RadialSolution.terms of a profile of the equation ode on the float
+    array r, from its s-evaluator: s_form(s) gives A and A_s at s = R**2
+    first (a solved profile's PanelPoly, or a closed form's P + C H).  A'
+    and A'/R come from A_s, and A'' is read off the equation:
 
-        A'   = 2 R A_s,                    A'/R           = 2 A_s,
-        A''  = f - 2 m A_s - q A,          (A'' - A'/R)/R = 4 R A_ss,
-        A''' = 2 R (f_s - 2 m_s A_s - 2 m A_ss - q_s A - q A_s),
+        A' = 2 R A_s,      A'' = f - 2 m A_s - q A,      A'/R = 2 A_s,
 
     none of which divides by R, so the axis is an ordinary point."""
-    ode, ode_s = equation
     s = r * r
-    av, a_s, a_ss = s_form(s)
+    av, a_s = s_form(s)[:2]
     m, q, f = ode(s)
-    a2 = f - 2.0 * m * a_s - q * av
-    m_s, q_s, f_s = ode_s(s)
-    a3 = 2.0 * r * (f_s - 2.0 * (m_s * a_s + m * a_ss) - q_s * av - q * a_s)
-    return av, 2.0 * r * a_s, a2, a3, 2.0 * a_s, 4.0 * r * a_ss
+    return av, 2.0 * r * a_s, f - 2.0 * m * a_s - q * av, 2.0 * a_s
 
 
-def _rim_constant(equation, right, r_e: float, solutions) -> float:
+def _rim_constant(ode, right, r_e: float, solutions) -> float:
     """The C of A = P + C H that meets the rim condition right at r_e
     (_rim_row), from the closed form's solutions at s = r_e**2 (see
     closed_form_profile)."""
-    c_a, c_s, rhs = _rim_row(equation, right, r_e)
-    (p0, p_s, _), (h0, h_s, _) = solutions(np.array([r_e * r_e]))
+    c_a, c_s, rhs = _rim_row(ode, right, r_e)
+    (p0, p_s), (h0, h_s) = solutions(np.array([r_e * r_e]))
     return float((rhs - c_a * p0[0] - c_s * p_s[0])
                  / (c_a * h0[0] + c_s * h_s[0]))
 
 
-def closed_form_profile(equation, right, r_e: float, solutions, *,
+def closed_form_profile(ode, right, r_e: float, solutions, *,
                         scale: float = 1.0,
                         meta: Optional[dict] = None) -> RadialSolution:
-    """scale times the profile A of the equation (ode, ode_s), regular on
-    the axis and meeting the rim condition right at r_e (both as
+    """scale times the profile A of the equation ode, regular on the
+    axis and meeting the rim condition right at r_e (both as
     solve_linear_bvp takes them), from its closed form A = P + C H.
-    solutions(s) gives ((P, P_s, P_ss), (H, H_s, H_ss)) on the float
-    array s = R**2, elementwise: a particular solution and the
-    homogeneous solution regular on the axis.  C is fixed by the rim row
-    (_rim_row).  terms reads the profile through its s-evaluator P + C H,
-    as a solved profile's reads its panels (_ode_terms), then multiplies
-    all six outputs by scale.
+    solutions(s) gives ((P, P_s), (H, H_s)) on the float array s = R**2,
+    elementwise: a particular solution and the homogeneous solution
+    regular on the axis.  C is fixed by the rim row (_rim_row).  terms
+    reads the profile through its s-evaluator P + C H, as a solved
+    profile's reads its panels (_ode_terms), then multiplies all four
+    outputs by scale.
 
     meta holds method "closed form" and C (that of A, before scale),
     updated with the caller's meta; s_form is None: there are no panels."""
-    c = _rim_constant(equation, right, r_e, solutions)
+    c = _rim_constant(ode, right, r_e, solutions)
 
     def s_form(s):
         return tuple(p + c * h for p, h in zip(*solutions(s)))
 
     def terms(r):
-        return tuple(scale * v for v in _ode_terms(equation, s_form, r))
+        return tuple(scale * v for v in _ode_terms(ode, s_form, r))
 
     return RadialSolution(terms=terms, meta={"method": "closed form",
                                              "C": c, **(meta or {})})

@@ -31,8 +31,9 @@ Each returns its value as a float, and its ValueError names the argument
 and the value.  XI_MIN = 1e-76 is the package's one floor on xi, for
 both layers: the plate's closed forms hold every double above it at unit
 scales (the first to leave double range is the force factor's
-(chi/xi)**3 at chi = 3/2, from xi = 2.6e-103), and the sphere
-layer's fields leave it just below (sphere.XI_MIN_SPHERE is XI_MIN).
+(chi/xi)**3 at chi = 3/2, from xi = 2.6e-103), and so does the sphere
+layer, whose first value to leave it is its solver's f = -4/sigma**3,
+from xi ~ 1.8e-103 (sphere.XI_MIN_SPHERE is XI_MIN).
 """
 
 from __future__ import annotations

@@ -327,8 +327,8 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     residual or scale there, which only a fault can give, fails it with
     NumericsError alone, with no numpy warning first.  A'/R is A' / R
     above R = 1e-150 and A'' at and below it (_over_r), on both
-    branches; the slots of A''' and (A'' - A'/R)/R are None.  eval(R)
-    gives the six slots at scalar or array R (see RadialSolution).
+    branches.  eval(R) gives the four slots at scalar or array R (see
+    RadialSolution).
     """
     edge = _edge(xi, chi)
     if edge is None:
@@ -338,7 +338,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
             av = (1.0 - r * r) * inv
             a1 = -2.0 * inv * r
             a2 = np.full_like(r, -2.0 * inv)
-            return av, a1, a2, None, _over_r(r, a1, a2), None
+            return av, a1, a2, _over_r(r, a1, a2)
 
         meta = {"method": "closed form", "branch": "incompressible",
                 "xi": xi, "chi": chi}
@@ -385,7 +385,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
         av = a_edge + c_b * one_minus
         a1 = ck * kappa * ratio1
         a2 = ck * kappa * kappa * (ratio0 - ratio1x)
-        return av, a1, a2, None, _over_r(rr, a1, a2), None
+        return av, a1, a2, _over_r(rr, a1, a2)
 
     meta = {"method": "closed form", "branch": "bessel", "xi": xi,
             "chi": chi, "kappa": kappa, "t_edge": edge.t, "c_b": c_b}
@@ -396,7 +396,7 @@ def radial_profile(xi: float, chi: float) -> RadialSolution:
     forcing = 1.0 / (2.0 * xi * xi)
     spots = np.array([0.5, 1.0])
     with np.errstate(invalid="ignore", over="ignore"):
-        a0, _, a2s, _, a1r, _ = sol.eval(spots)
+        a0, _, a2s, a1r = sol.eval(spots)
         residuals = a2s + a1r - kappa * kappa * a0 + forcing
         scales = np.maximum(np.maximum(forcing, kappa * kappa * np.abs(a0)),
                             np.abs(a2s))
@@ -477,7 +477,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     if not np.all(np.abs(Zb) <= 1.0):
         raise ValueError("|Z| out of range [0, 1]")
 
-    A, A1, A2, _, A1R, _ = sol.radial.eval(Rr)
+    A, A1, A2, A1R = sol.radial.eval(Rr)
     cfg = sol.cfg
     c2 = sol.chi * sol.chi
     # U as a numpy scalar, so that a scale past double range raises in the

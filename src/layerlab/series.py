@@ -175,10 +175,9 @@ class ThetaSolution:
     leading nearly-incompressible displacement pair on the layer geo.
     The profile is solve_theta's closed form: its meta holds method
     "closed form", the rim coefficient C, and the switch point and term
-    counts of its series.  The fields read Theta, Theta', Theta'' and
-    Theta'/R through its eval (RadialSolution), with no division by R;
-    the eval also forms Theta''' and the second quotient, which they
-    leave unread.
+    counts of its series.  The fields read the four slots of its eval
+    (RadialSolution): Theta, Theta', Theta'' and Theta'/R, with no
+    division by R.
     """
 
     geo: SphereGeometry
@@ -194,7 +193,7 @@ class ThetaSolution:
         L = Theta'' + Theta'/R on R's shape, read by RadialSolution.eval
         (Theta'/R the profile's own 2 Theta_s, finite on the axis)."""
         Rb, Zb = self.geo.check(R, Z)
-        t0, t1, t2, _, t1_over_r, _ = self.Theta.eval(Rb)
+        t0, t1, t2, t1_over_r = self.Theta.eval(Rb)
         return Rb, Zb, self.geo.gap(Rb), t0, t1, t2 + t1_over_r
 
     def u_r0(self, R, Z):

@@ -31,14 +31,13 @@ so it is checked, never imposed.
 
 The solver takes the equation in ``s = R**2``, where it reads
 ``4 s A_ss + 2 (1 + m) A_s + q A = f`` with ``m = R p``; with
-``sigma = s + 2`` its coefficients and their s-derivatives are
+``sigma = s + 2`` its coefficients are
 
-    m = (7 s + 2) / sigma,       m_s = 12 / sigma**2,
-    q = -4 chi**2 / (xi sigma**2),   q_s = 8 chi**2 / (xi sigma**3),
-    f = -4 / sigma**3,           f_s = 12 / sigma**4,
+    m = (7 s + 2) / sigma,   q = -4 chi**2 / (xi sigma**2),
+    f = -4 / sigma**3,
 
-all smooth through the axis, so ``A''`` and ``A'''`` are read off the
-equation with no ``1/R``.
+all smooth through the axis, so ``A''`` is read off the equation with
+no ``1/R``.
 
 Writing ``L = A'' + A'/R`` and ``V = -3 g**2 L - 6 g R A'``, the fields
 are assembled as
@@ -55,8 +54,15 @@ are assembled as
     s_rz = (mu U / (a xi**1.5)) [ (4 chi**2 - 6) A' Z
                                   + xi (V' Z + L' Z**3) ]
 
-with ``V' = -6 ((R**2 + g) A' + g R A'') - 3 (2 g R L + g**2 L')`` and
-``L' = A''' + A''/R - A'/R**2``.  The kinematic condition
+with ``V' = -6 ((R**2 + g) A' + g R A'') - 3 (2 g R L + g**2 L')``.
+L' is read off the radial equation too: ``p - 1/R = 6 R / sigma``, so
+``L = f - q A - (6 R / sigma) A'`` and, differentiated once,
+
+    L' = f' - q' A - q A' - 6 (2 - R**2) / sigma**2 A' - (6 R / sigma) A'',
+    f' = 24 R / sigma**4,     q' = 16 chi**2 R / (xi sigma**3),
+
+with ``sigma = R**2 + 2 = 2 g``: no term divides by R, and L' is 0 on
+the axis.  The kinematic condition
 ``u_z(R, +/-g) = +/- U`` is equivalent to the radial equation itself
 (``-2 g**3 L - 6 g**2 R A' + 2 chi**2 g A / xi = 1``), so it holds to
 solver accuracy, not by construction.
@@ -153,13 +159,13 @@ In x, P's constant and linear terms ``p0 + kappa`` and
 ab = 1; below ab = 3/2 they are read instead off P's connection series
 at the switch, less the higher Taylor terms there, so that nothing
 cancels and the two series meet at the switch.  Every series is summed
-from its smallest term up; A'' and A''' are read off the equation, as on
-the panels.
+from its smallest term up; A'' is read off the equation, as on the
+panels.
 
 Two profiles use it.  At ``chi**2 = 3 xi`` (``ab = 3/2``) it is the
 Theta problem of ``series``, built with no collocation solve
-(_theta_profile): F, P and their first two x-derivatives agree with
-mpmath at 40 digits to 20 units of roundoff or better, over x from 0 to
+(_theta_profile): F, P and their x-derivatives agree with mpmath at
+40 digits to 20 units of roundoff or better, over x from 0 to
 1 - 2e-8.  And wherever ``1e-300 <= ab <= 20`` and ab is not 1 (_cell), a
 cold solve checks its panels against it in place of the alt
 discretization: A and A_s agree with mpmath to 32 units of roundoff of
@@ -197,8 +203,10 @@ __all__ = [
 ]
 
 XI_MAX_SPHERE = 0.1
-# the package's floor: from xi ~ 7e-78 down, ode_s's 12 / sigma**4 (the
-# fields' A''') overflows at the rim; the plate layer refuses below it too
+# the package's floor, which the plate layer shares.  Below it the first
+# value to leave double range is the solver's f = -4/sigma**3, whose
+# sigma**3 overflows at the rim from xi ~ 1.8e-103; the fields, the
+# potential and the Theta fields form nothing larger
 XI_MIN_SPHERE = XI_MIN
 
 
@@ -220,15 +228,15 @@ class SphereGeometry:
     def of(cls, xi) -> "SphereGeometry":
         """The geometry at xi, after checking 0 < xi <= XI_MAX_SPHERE,
         where the parabolic gap holds (NaN fails it), and then
-        xi >= XI_MIN_SPHERE, below which the fields' coefficients leave
-        double range, each with its own message."""
+        xi >= XI_MIN_SPHERE, the package's floor, each with its own
+        message."""
         xi = float(xi)
         if not (0.0 < xi <= XI_MAX_SPHERE):
             raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} "
                              f"for a sphere layer, got {xi}")
         if xi < XI_MIN_SPHERE:
             raise ValueError(f"xi must be >= {XI_MIN_SPHERE} for a sphere "
-                             f"layer (below it the fields overflow), got {xi}")
+                             f"layer (the package's floor), got {xi}")
         return cls(xi=xi, r_edge=1.0 / math.sqrt(xi))
 
     def gap(self, R):
@@ -282,9 +290,8 @@ class PotentialSample:
 
 
 def _ode_coefficients(xi: float, chi: float):
-    """The s-form equation of A as the pair (ode, ode_s), functions of
-    s = R**2: ode(s) gives (m, q, f) and ode_s(s) their s-derivatives
-    (m_s, q_s, f_s), each forming sigma = s + 2 once."""
+    """The s-form equation of A as the function ode of s = R**2: ode(s)
+    gives (m, q, f), forming sigma = s + 2 once."""
     c2 = chi * chi
 
     def ode(s):
@@ -292,12 +299,7 @@ def _ode_coefficients(xi: float, chi: float):
         return ((7.0 * s + 2.0) / sg, -4.0 * c2 / (xi * sg * sg),
                 -4.0 / (sg * sg * sg))
 
-    def ode_s(s):
-        sg = s + 2.0
-        return (12.0 / (sg * sg), 8.0 * c2 / (xi * sg * sg * sg),
-                12.0 / (sg * sg * sg * sg))
-
-    return ode, ode_s
+    return ode
 
 
 def _edge_closure(geo: SphereGeometry, chi: float):
@@ -313,9 +315,10 @@ def _edge_closure(geo: SphereGeometry, chi: float):
 
 # x = R**2/(R**2 + 2) up to which the family's series are summed in x
 # (Taylor), and past which in y = 1 - x (the connection formula), and the
-# terms of each: at x = 0.55 the tail of either side, for F, F_x and
-# F_xx, is below 2**-56 of the value it sums to at ab = 3/2, with the
-# fewest terms
+# terms of each.  At x = 0.55 and ab = 3/2 the tail of either side is
+# below 2**-56 of the value it sums to from 50 terms on for P, P_x, F
+# and F_x; 55 is the count F_xx needed when the series summed it too,
+# kept so that every double of the closed form stays as it was
 _HYP_SWITCH = 0.55
 _HYP_TERMS = 55
 
@@ -356,20 +359,17 @@ def _family_constants(ab):
 def _family_rows(ab):
     """The coefficient rows, highest power first (see _power_sums), that
     sum F = 2F1(a, b; 1; x) with a + b = -2 and ab given, the particular
-    solution P = p0 + p1 x + kappa F, and the first two x-derivatives of
-    each (module docstring): the Taylor rows in x of P, P_x, P_xx, F, F_x
-    and F_xx, as a (6, _HYP_TERMS) array, and the connection rows in
-    y = 1 - x, a pair (plain, log) for each of the six, which is the
-    plain series plus ln(y) times the log series, as a (12, _HYP_TERMS + 3)
-    array."""
+    solution P = p0 + p1 x + kappa F, and the x-derivative of each
+    (module docstring): the Taylor rows in x of P, P_x, F and F_x, as a
+    (4, _HYP_TERMS) array, and the connection rows in y = 1 - x, a pair
+    (plain, log) for each of the four, which is the plain series plus
+    ln(y) times the log series, as an (8, _HYP_TERMS + 3) array."""
     b2, n = ab - 1.0, np.arange(float(_HYP_TERMS))
-    m = np.arange(_HYP_TERMS + 1.0)
     # t_{n+1} = t_n (n + a)(n + b)/(n + 1)**2, (n + a)(n + b) = n**2 - 2 n + ab
-    t = np.cumprod(np.concatenate(([1.0], (m * m - 2.0 * m + ab)
-                                   / ((m + 1.0) * (m + 1.0)))))
-    taylor = np.empty((6, _HYP_TERMS))
-    taylor[3], taylor[4] = t[:-2], (n + 1.0) * t[1:-1]
-    taylor[5] = (n + 1.0) * (n + 2.0) * t[2:]
+    t = np.cumprod(np.concatenate(([1.0], (n * n - 2.0 * n + ab)
+                                   / ((n + 1.0) * (n + 1.0)))))
+    taylor = np.empty((4, _HYP_TERMS))
+    taylor[2], taylor[3] = t[:-1], (n + 1.0) * t[1:]
     # the connection formula's terms q of Q, and d_n and e_n by their
     # recurrences from d_0 and e_0; (n + a + 3)(n + b + 3) = (n + 2)**2 + b2
     q0, d0, e0 = _family_constants(ab)
@@ -381,24 +381,21 @@ def _family_rows(ab):
         2.0 * (j + 2.0) / ((j + 2.0) ** 2 + b2)
         - 1.0 / (j + 1.0) - 1.0 / (j + 4.0))))
     # F = Q(y) + y**3 sum d_n y**n (ln y + e_n), differentiated termwise
-    # (d/dx = -d/dy): (plain, log) for F, F_x and F_xx, in rows 6 to 11
-    de, d3 = d * e, (n + 3.0) * d
-    conn = np.zeros((12, _HYP_TERMS + 3))
-    conn[6, :3], conn[6, 3:], conn[7, 3:] = (q0, q1, q2), de, d
-    conn[8, :2], conn[8, 2:-1] = (-q1, -2.0 * q2), -(d + (n + 3.0) * de)
-    conn[9, 2:-1] = -d3
-    conn[10, 0] = 2.0 * q2
-    conn[10, 1:-2] = (2.0 * n + 5.0) * d + (n + 2.0) * (n + 3.0) * de
-    conn[11, 1:-2] = (n + 2.0) * d3
+    # (d/dx = -d/dy): (plain, log) for F and F_x, in rows 4 to 7
+    de = d * e
+    conn = np.zeros((8, _HYP_TERMS + 3))
+    conn[4, :3], conn[4, 3:], conn[5, 3:] = (q0, q1, q2), de, d
+    conn[6, :2], conn[6, 2:-1] = (-q1, -2.0 * q2), -(d + (n + 3.0) * de)
+    conn[7, 2:-1] = -(n + 3.0) * d
     # P = p0 + p1 x + kappa F in x, and kappa (F - Q's first two terms)
     # in y: F's connection rows without the terms that cancel
     k = 2.0 * ab
     p1 = 1.0 / (4.0 - 2.0 * k)
     kappa = -2.0 / (k * (2.0 - k) * q0)
-    np.multiply(kappa, taylor[3:], out=taylor[:3])
+    np.multiply(kappa, taylor[2:], out=taylor[:2])
     taylor[0, :2] += ((2.0 * p1 + 0.5) / k, p1)
     taylor[1, 0] += p1
-    np.multiply(kappa, conn[6:], out=conn[:6])
+    np.multiply(kappa, conn[4:], out=conn[:4])
     conn[0, :2] = conn[2, 0] = 0.0
     if ab < 1.5:
         # p0 + kappa and p1 + kappa ab cancel as 1/ab toward ab = 0 and
@@ -430,13 +427,14 @@ def _power_sums(rows, v):
     return np.einsum("nk,rk->rn", p, rows)
 
 
-def _family_basis(rows, x, y, d=3):
-    """P and F (_family_rows) with their first d - 1 x-derivatives on the
-    float arrays x and y = 1 - x, given apart so that neither is formed
-    by cancellation, as one (2 d, *x.shape) array, P's d rows first: from
-    the Taylor rows at x <= _HYP_SWITCH and the connection rows above
-    it, where P keeps its relative accuracy as it falls toward x = 1."""
-    taylor, conn = (r.reshape(2, 3, -1)[:, :d].reshape(-1, r.shape[1])
+def _family_basis(rows, x, y, d=2):
+    """P and F (_family_rows), with their x-derivatives when d = 2, on
+    the float arrays x and y = 1 - x, given apart so that neither is
+    formed by cancellation, as one (2 d, *x.shape) array, P's d rows
+    first: from the Taylor rows at x <= _HYP_SWITCH and the connection
+    rows above it, where P keeps its relative accuracy as it falls
+    toward x = 1."""
+    taylor, conn = (r.reshape(2, 2, -1)[:, :d].reshape(-1, r.shape[1])
                     for r in rows)
     out = np.empty((2 * d,) + x.shape)
     below = x <= _HYP_SWITCH
@@ -452,18 +450,16 @@ def _family_basis(rows, x, y, d=3):
 def _family_solutions(rows, s, derivatives=True):
     """The particular solution P and the regular homogeneous solution F
     of the family rows (_family_rows) on the float array s, at
-    x = s/(s + 2), y = 2/(s + 2): each with its first two s-derivatives,
-    as closed_form_profile takes them, or the pair (P, F) alone when not
+    x = s/(s + 2), y = 2/(s + 2): each with its s-derivative, as
+    closed_form_profile takes them, or the pair (P, F) alone when not
     derivatives."""
     sg = s + 2.0
     if not derivatives:
         return tuple(_family_basis(rows, s / sg, 2.0 / sg, 1))
     v = _family_basis(rows, s / sg, 2.0 / sg)
-    # x_s = 2/sg**2, x_ss = -4/sg**3
-    x_s = 2.0 / (sg * sg)
-    v_s = v[1::3] * x_s
-    v_ss = v[2::3] * x_s * x_s - 2.0 * v_s / sg
-    return (v[0], v_s[0], v_ss[0]), (v[3], v_s[1], v_ss[1])
+    # x_s = 2/sg**2
+    v_s = v[1::2] * (2.0 / (sg * sg))
+    return (v[0], v_s[0]), (v[2], v_s[1])
 
 
 def _theta_profile(geo: SphereGeometry, load: float) -> RadialSolution:
@@ -518,8 +514,8 @@ def _sphere_edges(geo: SphereGeometry) -> np.ndarray:
 
 
 def _cell(geo: SphereGeometry, chi: float):
-    """The sphere profile's problem at (xi, chi): the equation
-    (ode, ode_s), the rim row, the R mesh (_sphere_edges) and the exact
+    """The sphere profile's problem at (xi, chi): the equation ode, the
+    rim row, the R mesh (_sphere_edges) and the exact
     reference, the family's solutions at ab = chi**2/(2 xi) where ab lies
     in _EXACT_AB and is not 1, else None (at ab = 1, p1 and kappa have
     their pole; at ab = 0, chi = 0, p0 and kappa)."""
@@ -578,8 +574,8 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     """Solve for the radial profile A(R) of the sphere-sphere layer.
 
     Requires ``1e-76 <= xi <= 0.1`` (the parabolic-gap approximation
-    above; below the floor XI_MIN_SPHERE the fields leave double range)
-    and ``0 <= chi <= 3/2``.  Every cold solve checks its panels against
+    above, the package's floor XI_MIN_SPHERE below) and
+    ``0 <= chi <= 3/2``.  Every cold solve checks its panels against
     a reference and requires them to agree in sup norm, relative to
     sup|A|, to ``min(1e-8, 100 tol)``: the exact profile (module
     docstring) where ``ab = chi**2/(2 xi)`` has ``1e-300 <= ab <= 20``
@@ -623,11 +619,10 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     back as read-only broadcast views of the inputs; a column R against
     a shorter row Z gives F-ordered fields (see FieldSample).
     u_r is ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
-    ``Z = +/- g``.  The profile's terms give every R-only input,
-    ``A'/R = 2 A_s`` and ``(A'' - A'/R)/R = 4 R A_ss`` among them, from
-    the s = R**2 panels (RadialSolution): the field divides by no R, both
-    quotients are finite on the axis, and the second keeps the 1/R**2
-    blow-up of rounding noise out of L'.  Where the
+    ``Z = +/- g``.  The profile's four terms (RadialSolution) give A, A',
+    A'' and ``A'/R = 2 A_s``, finite on the axis, from the s = R**2
+    panels, and L' is read off the radial equation from A, A' and A''
+    (module docstring), so the field divides by no R.  Where the
     scales a, mu, U take a field past double range it raises
     NumericsError naming the cell, as plate.field does, rather than
     return inf or nan.
@@ -638,7 +633,7 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     xi, U = cfg.xi, np.float64(cfg.U)
     Rr, Zb = sol.geo.check(R, Z)
 
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.eval(Rr)
+    a0, a1, a2, a1_over_r = sol.A.eval(Rr)
     g = sol.geo.gap(Rr)
     gg = g * g
 
@@ -661,7 +656,11 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
         yield s_scale * bracket0, s_scale * (k3 * L - k6 * a1_over_r), False
         yield (s_scale * (6.0 * a0 / xi - k9 * edge_term), s_scale * k9 * L,
                False)
-        Lp = a3 + lp_core
+        # L' off the equation, in g = sigma/2 and k = chi**2/xi:
+        # (R (3/(2 g**3) - 2 k A/g**2 - 3 A'') + (k + 3 (g - 2)) A'/g)/g
+        gi, k = 1.0 / g, c2 / xi
+        Lp = gi * (Rr * (gi * gi * (1.5 * gi - 2.0 * k * a0) - 3.0 * a2)
+                   + gi * (k + 3.0 * (g - 2.0)) * a1)
         Vp = (-6.0 * ((Rr * Rr + g) * a1 + g * Rr * a2)
               - 3.0 * (2.0 * g * Rr * L + g * g * Lp))
         rz1 = sh_scale * xi * Lp
@@ -697,7 +696,7 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     # the pair (R, R), see RadialSolution.radii)
     radii, take = RadialSolution.radii(Rr)
 
-    a0u, a1u, a2u, *_ = sol.A.eval(radii)
+    a0u, a1u, a2u, _ = sol.A.eval(radii)
     gu = sol.geo.gap(radii)
     A1u = -3.0 * gu * gu * a1u
     A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u

@@ -91,12 +91,12 @@ def cell(request):
     s[-1] = geo.r_edge * geo.r_edge       # the rim row's own s
     c = _rim_constant(equation, right, geo.r_edge, exact)
     p, f = exact(s, False)
-    (_, p_s, _), (_, f_s, _) = exact(s)
+    (_, p_s), (_, f_s) = exact(s)
     a2 = closed_form_profile(equation, right, geo.r_edge, exact).eval(r)[2]
     got = (p + c * f, p_s + c * f_s, a2)
     parts = np.array([_mp_parts(ab, v) for v in s]).T
     # the equation's coefficients, in doubles, as both sides read them
-    mqf = np.broadcast_arrays(s, *equation[0](s))[1:]
+    mqf = np.broadcast_arrays(s, *equation(s))[1:]
     c_a, c_s, rhs = _rim_row(equation, right, geo.r_edge)
     with mpmath.workdps(40):
         P, P_s, F, F_s = parts[:, -1]

@@ -78,11 +78,13 @@ def _sphere_reference(sol, R, Z):
     cfg, c2 = sol.cfg, sol.chi * sol.chi
     xi, U = cfg.xi, cfg.U
     Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
-    a0, a1, a2, a3, a1_over_r, lp_core = sol.A.terms(rr)
+    a0, a1, a2, a1_over_r = sol.A.terms(rr)
     g = 1.0 + 0.5 * rr * rr
     L = a2 + a1_over_r
     V = -3.0 * g * g * L - 6.0 * g * rr * a1
-    Lp = a3 + lp_core
+    gi, k = 1.0 / g, c2 / xi
+    Lp = gi * (rr * (gi * gi * (1.5 * gi - 2.0 * k * a0) - 3.0 * a2)
+               + gi * (k + 3.0 * (g - 2.0)) * a1)
     Vp = (-6.0 * ((rr * rr + g) * a1 + g * rr * a2)
           - 3.0 * (2.0 * g * rr * L + g * g * Lp))
     s_scale = cfg.mu * U / (cfg.a * xi)
@@ -107,7 +109,7 @@ def _sphere_reference(sol, R, Z):
 def _potential_reference(sol, R, Z):
     cfg = sol.cfg
     Rr, Zb, rr, take = _sphere_radii(sol, R, Z)
-    a0, a1, a2, *_ = sol.A.terms(rr)
+    a0, a1, a2, _ = sol.A.terms(rr)
     g = 1.0 + 0.5 * rr * rr
     A1 = -3.0 * g * g * a1
     A1p = -3.0 * g * g * a2 - 6.0 * g * rr * a1

@@ -82,12 +82,11 @@ def test_profile_incompressible_closed_form():
         got = prof.eval(rr)[0]
         sup = np.max(np.abs(want))
         assert float(np.max(np.abs(got - want))) < 1e-12 * sup
-    # a scalar R gives four floats, the array evaluation's doubles, and
-    # the plate's None in the slots of A''' and the second quotient
+    # a scalar R gives four floats, the array evaluation's doubles
     point = radial_profile(1e-2, 0.0).eval(0.5)
     line = radial_profile(1e-2, 0.0).eval(np.array([0.5]))
-    assert point[3] is None and point[5] is None
-    for k in (0, 1, 2, 4):
+    assert len(point) == 4
+    for k in range(4):
         assert type(point[k]) is float and point[k] == line[k][0], k
 
 
@@ -252,10 +251,9 @@ PROFILE_KINDS = {
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_array_eval_matches_scalar_calls(kind):
     # every profile honours RadialSolution's one contract: eval gives the
-    # six slots of terms, each of its input's shape and the doubles of
-    # point-by-point calls, which give floats (a 0-d array counts as a
-    # scalar), and None where terms does: the plate's A''' and second
-    # quotient, two slots that a profile in s always fills
+    # four slots of terms, (A, A', A'', A'/R), each of its input's shape
+    # and the doubles of point-by-point calls, which give floats (a 0-d
+    # array counts as a scalar)
     prof, rim, noted = PROFILE_KINDS[kind]()
     rng = np.random.default_rng(5)
     rr = np.concatenate(([0.0, rim], noted,
@@ -263,14 +261,10 @@ def test_profile_array_eval_matches_scalar_calls(kind):
     rr = rr.reshape(20, 10)
     got = prof.eval(rr)
     want = prof.terms(rr.ravel())
-    assert len(got) == 6
-    assert (want[3] is None) == (want[5] is None) == kind.startswith("plate")
+    assert len(got) == len(want) == 4
     scalar = [prof.eval(float(r)) for r in rr.ravel()]
     assert prof.eval(np.array(rr[3, 3])) == scalar[33]
-    for k in range(6):
-        if want[k] is None:
-            assert got[k] is None and all(v[k] is None for v in scalar), k
-            continue
+    for k in range(4):
         assert got[k].shape == rr.shape
         assert all(type(v[k]) is float for v in scalar), k
         assert np.array_equal(got[k].ravel(), [v[k] for v in scalar]), k
@@ -291,7 +285,7 @@ def test_plate_quotient_is_a1_over_r_at_ordinary_radii(xi, chi):
     prof = radial_profile(xi, chi)
     r = np.concatenate((np.geomspace(1.01e-150, 1.0, 61),
                         np.linspace(0.0125, 1.0, 80)))
-    _, a1, _, _, a1r, _ = prof.eval(r)
+    _, a1, _, a1r = prof.eval(r)
     assert np.array_equal(a1r, a1 / r)
 
 
@@ -660,8 +654,7 @@ def test_closed_forms_finite_down_to_the_floor():
                            np.linspace(-1.0, 1.0, 3))
                 for value in dataclasses.astuple(fs):
                     assert np.all(np.isfinite(value)), (xi, chi)
-                *derivs, a3, a1r, quotient2 = sol.radial.eval(DOMAIN_RADII)
-                assert a3 is None and quotient2 is None
+                *derivs, a1r = sol.radial.eval(DOMAIN_RADII)
                 assert all(np.all(np.isfinite(d)) for d in (*derivs, a1r))
                 assert derivs[2][1] == derivs[2][0], (xi, chi)
                 assert a1r[1] == a1r[0] == derivs[2][0], (xi, chi)

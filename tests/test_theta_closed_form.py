@@ -1,6 +1,6 @@
 """Theta's closed form against two independent references: the series
 that sum F = 2F1(-1 + i/sqrt(2), -1 - i/sqrt(2); 1; x), its particular
-solution P = -1/6 - x/2 + kappa F and their x-derivatives, against
+solution P = -1/6 - x/2 + kappa F and their first x-derivatives, against
 mpmath.hyp2f1 at 40 digits; and Theta itself against the collocation
 solver's profile of the same equation at chi**2 = 3 xi.
 
@@ -28,7 +28,7 @@ X = np.unique(np.concatenate((
 
 
 def _reference(x: float) -> list:
-    """P, P_x, P_xx, F, F_x and F_xx at x, at 40 digits, by
+    """P, P_x, F and F_x at x, at 40 digits, by
     d/dx 2F1(a, b; c; x) = (a b / c) 2F1(a + 1, b + 1; c + 1; x) and
     kappa = 2/(3 F(1)), F(1) = Gamma(3)/(Gamma(a + 3) Gamma(b + 3))."""
     with mpmath.workdps(40):
@@ -39,32 +39,30 @@ def _reference(x: float) -> list:
         x = mpmath.mpf(x)
         f = [mpmath.re(v) for v in (
             mpmath.hyp2f1(a, b, 1, x),
-            a * b * mpmath.hyp2f1(a + 1, b + 1, 2, x),
-            a * (a + 1) * b * (b + 1) / 2 * mpmath.hyp2f1(a + 2, b + 2, 3, x))]
+            a * b * mpmath.hyp2f1(a + 1, b + 1, 2, x))]
         p = [-mpmath.mpf(1) / 6 - x / 2 + kappa * f[0],
-             -mpmath.mpf(1) / 2 + kappa * f[1], kappa * f[2]]
+             -mpmath.mpf(1) / 2 + kappa * f[1]]
         return [float(v) for v in p + f]
 
 
 @pytest.fixture(scope="module")
 def basis():
-    """The closed form's (P, P_x, P_xx, F, F_x, F_xx) on X, and the
-    40-digit reference."""
+    """The closed form's (P, P_x, F, F_x) on X, and the 40-digit
+    reference."""
     # 1 - x is exact for x >= 1/2, where the connection rows read it
     return (_family_basis(_family_rows(1.5), X, 1.0 - X),
             np.array([_reference(x) for x in X]).T)
 
 
 # (row of _family_basis, bound in units of 2**-53): the power of two at or
-# above twice the worst measured, which was 2.1, 2.0, 9.5, 18.5, 3.6 and
-# 9.7 units, in this order
-BASIS_BOUNDS = {"F": (3, 8), "F_x": (4, 8), "F_xx": (5, 32), "P": (0, 64),
-                "P_x": (1, 8), "P_xx": (2, 32)}
+# above twice the worst measured, which was 2.1, 2.0, 18.5 and 3.6
+# units, in this order
+BASIS_BOUNDS = {"F": (2, 8), "F_x": (3, 8), "P": (0, 64), "P_x": (1, 8)}
 
 
 @pytest.mark.parametrize("name", BASIS_BOUNDS)
 def test_basis_matches_mpmath(basis, name):
-    # each of the six keeps one sign on [0, 1), so each is held to its
+    # each of the four keeps one sign on [0, 1), so each is held to its
     # own value point by point: P too, as it falls as (1 - x)**2/8 toward
     # x = 1, where its series drops the terms that cancel.  P's worst is
     # just below the switch, where its Taylor terms cancel to a third
