@@ -38,9 +38,11 @@ layout).
 
 Chebyshev panels are evaluated one way, PanelPoly's: derivative series by
 chebder's recurrence, then a Vandermonde product (the collocation blocks,
-the residual check, the dual comparison and the solved profile).  The
-Vandermondes on fixed nodes (the residual check's, the Gauss rule's) are
-built once per degree, and a solved profile's Gauss record once per
+the residual check, the dual comparison and the solved profile).  A read
+at points gives the value and its first derivative, all that a profile's
+readers take; only the residual check's fixed grid also forms the second.
+The Vandermondes on fixed nodes (the residual check's, the Gauss rule's)
+are built once per degree, and a solved profile's Gauss record once per
 profile (PanelPoly.gauss).
 """
 
@@ -335,12 +337,13 @@ _MAX_REFINE = 3
 class PanelPoly:
     """A piecewise polynomial in x: row i of coefs holds the Chebyshev
     coefficients on [edges[i], edges[i+1]] in the panel variable
-    t = (x - mid_i) / half_i, which runs over [-1, 1].  Every evaluation
-    returns the value and the first two x-derivatives: the residual
-    check reads all three, a solved profile's panels are its s-evaluator
-    (see _ode_terms), which reads the first two, and the dual comparison
-    reads the first.  Its arrays are read-only,
-    since a solved profile is shared by every caller of a cache.
+    t = (x - mid_i) / half_i, which runs over [-1, 1].  A point read
+    (at, a call, end) returns the value and the first x-derivative,
+    (v, v_x): a solved profile's panels are its s-evaluator (see
+    _ode_terms), and the dual comparison reads v.  Only grid, on fixed
+    panel variables, also gives v_xx, which the residual check reads.
+    Its arrays are read-only, since a solved profile is shared by every
+    caller of a cache.
 
     Integrals read three things, and nothing else of the panels: the rim
     values (end), the 6-point Gauss-Legendre record of every panel
@@ -374,18 +377,21 @@ class PanelPoly:
         return idx, (x - self.mid[idx]) / self.half[idx]
 
     def at(self, idx, t):
-        """(v, v_x, v_xx) at the panel variables t of the panels idx
-        (idx and t broadcast together)."""
+        """(v, v_x) at the panel variables t of the panels idx (idx and t
+        broadcast together)."""
         vander = _cheb.chebvander(t, self.deg)
-        return tuple(np.einsum("...k,...jk->j...", vander, self._series[idx]))
+        return tuple(np.einsum("...k,...jk->j...", vander,
+                               self._series[idx, :2]))
 
     def __call__(self, x):
+        """(v, v_x) at every x."""
         return self.at(*self.locate(x))
 
     def end(self):
-        """The last edge x and (v, v_x, v_xx) there: the last panel's
-        series summed at t = 1, where every T_k is 1."""
-        return (float(self.edges[-1]), *self._series[-1].sum(axis=1).tolist())
+        """The last edge x and (v, v_x) there: the last panel's series
+        summed at t = 1, where every T_k is 1."""
+        return (float(self.edges[-1]),
+                *self._series[-1, :2].sum(axis=1).tolist())
 
     def grid(self, t, vander):
         """The fixed panel variables t on every panel, given with their
@@ -415,7 +421,7 @@ class PanelPoly:
         frac = 0.5 * (t_x + 1.0)
         tn = frac[:, None] * (_GAUSS_T + 1.0) - 1.0
         nodes = self.mid[k][:, None] + self.half[k][:, None] * tn
-        part = f(nodes, 1.0, *self.at(k[:, None], tn)[:2]) @ _GAUSS_W
+        part = f(nodes, 1.0, *self.at(k[:, None], tn)) @ _GAUSS_W
         return whole[k] + self.half[k] * frac * part
 
 
@@ -477,19 +483,20 @@ class RadialSolution:
     through it, taking what it needs by position, so none divides by R:
     each profile forms its own A'/R, finite on the axis, where it is A''.
     A profile in s = R**2 (one solved by solve_linear_bvp, or
-    closed_form_profile's) reads A and A_s and takes A'' off the ODE
-    (see _ode_terms); the plate's terms are its closed forms.  A reader
-    that needs a higher derivative (the sphere's shear stress, through
-    L' = (A'' + A'/R)') forms it from its own equation.
+    closed_form_profile's) reads the pair (A, A_s) from its s-evaluator
+    and takes A'' off the ODE (see _ode_terms); the plate's terms are
+    its closed forms.  A reader that needs a higher derivative (the
+    sphere's shear stress, through L' = (A'' + A'/R)') forms it from its
+    own equation.
 
     meta records method, mesh, refinement passes and the measured
     residual (a read-only mapping on a solve_dual_bvp profile).  s_form
     (None on a profile given in closed form) is the solved A as a
     PanelPoly in s = R**2, the panels on which integrals of A and its
     derivatives are exact Gauss-Legendre sums: integrals read its rim
-    values (end), its Gauss record (gauss, formed once, by the solve's
-    dual check) and the running integral up to a given s by the same
-    rule (integral_below).
+    values (end: s_e, A and A_s), its Gauss record (gauss, formed once,
+    by the solve's dual check) and the running integral up to a given s
+    by the same rule (integral_below).
 
     eval may also be given to the constructor (dataclasses.replace
     passes it on): it then stands in for the method on that instance, as
@@ -773,7 +780,7 @@ def solve_dual_bvp(ode, right, tol, where, *, mesh,
     takes them, with exact(s, False) giving the pair (P, H) alone; the
     reference is then P + C H, with C fixed by the rim row.  The alt
     discretization refines on its own residual, and its A is read as the
-    first of its panels' three values (PanelPoly's one evaluation).
+    first of its panels' point read (A, A_s).
     Either reference is sampled where the primary is, on the nodes of
     its Gauss record (PanelPoly.gauss, the rule that integrates A's
     moments exactly), which this forms once for every later reader of
@@ -892,15 +899,15 @@ def _rim_row(ode, right, r_e: float):
 
 def _ode_terms(ode, s_form, r):
     """RadialSolution.terms of a profile of the equation ode on the float
-    array r, from its s-evaluator: s_form(s) gives A and A_s at s = R**2
-    first (a solved profile's PanelPoly, or a closed form's P + C H).  A'
+    array r, from its s-evaluator: s_form(s) gives the pair (A, A_s) at
+    s = R**2 (a solved profile's PanelPoly, or a closed form's P + C H).  A'
     and A'/R come from A_s, and A'' is read off the equation:
 
         A' = 2 R A_s,      A'' = f - 2 m A_s - q A,      A'/R = 2 A_s,
 
     none of which divides by R, so the axis is an ordinary point."""
     s = r * r
-    av, a_s = s_form(s)[:2]
+    av, a_s = s_form(s)
     m, q, f = ode(s)
     return av, 2.0 * r * a_s, f - 2.0 * m * a_s - q * av, 2.0 * a_s
 

@@ -33,7 +33,7 @@ both layers: the plate's closed forms hold every double above it at unit
 scales (the first to leave double range is the force factor's
 (chi/xi)**3 at chi = 3/2, from xi = 2.6e-103), and so does the sphere
 layer, whose first value to leave it is its solver's f = -4/sigma**3,
-from xi ~ 1.8e-103 (sphere.XI_MIN_SPHERE is XI_MIN).
+from xi ~ 1.8e-103.
 """
 
 from __future__ import annotations

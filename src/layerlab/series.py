@@ -211,10 +211,11 @@ def solve_theta(xi: float, U: float = 1.0) -> ThetaSolution:
     """The Theta profile on [0, 1/sqrt(xi)], in closed form.
 
     Theta is 6 U times the sphere profile at chi**2 = 3 xi (where
-    beta = i/sqrt(2)): regular on the axis, zero normal-stress resultant
-    at the rim.  At that chi the profile equation in x = R**2/(R**2 + 2)
-    is Gauss's hypergeometric equation with a, b = -1 +/- i/sqrt(2) and
-    c = 1 for every xi, so, with F = 2F1(a, b; 1; x),
+    ab = chi**2/(2 xi) = 3/2): regular on the axis, zero normal-stress
+    resultant at the rim.  At that chi the profile equation in
+    x = R**2/(R**2 + 2) is Gauss's hypergeometric equation with
+    a, b = -1 +/- i/sqrt(2) and c = 1 for every xi, so, with
+    F = 2F1(a, b; 1; x),
 
         Theta = 6 U (P + C F),     P = -1/6 - x/2 + kappa F,
 

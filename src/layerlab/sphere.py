@@ -186,7 +186,7 @@ import numpy as np
 from scipy import special
 
 from .kernels import RadialSolution, closed_form_profile, solve_dual_bvp
-from .materials import XI_MIN, LayerConfig, resolve_chi
+from .materials import LayerConfig, check_xi, resolve_chi
 from .plate import FieldSample, _in_range, _range_error, _z_polynomials
 
 __all__ = [
@@ -203,11 +203,6 @@ __all__ = [
 ]
 
 XI_MAX_SPHERE = 0.1
-# the package's floor, which the plate layer shares.  Below it the first
-# value to leave double range is the solver's f = -4/sigma**3, whose
-# sigma**3 overflows at the rim from xi ~ 1.8e-103; the fields, the
-# potential and the Theta fields form nothing larger
-XI_MIN_SPHERE = XI_MIN
 
 
 @dataclass(frozen=True)
@@ -227,16 +222,13 @@ class SphereGeometry:
     @classmethod
     def of(cls, xi) -> "SphereGeometry":
         """The geometry at xi, after checking 0 < xi <= XI_MAX_SPHERE,
-        where the parabolic gap holds (NaN fails it), and then
-        xi >= XI_MIN_SPHERE, the package's floor, each with its own
-        message."""
+        where the parabolic gap holds (NaN fails it), with its own
+        message, and then the package's floor by materials.check_xi."""
         xi = float(xi)
         if not (0.0 < xi <= XI_MAX_SPHERE):
             raise ValueError(f"xi must be positive and <= {XI_MAX_SPHERE} "
                              f"for a sphere layer, got {xi}")
-        if xi < XI_MIN_SPHERE:
-            raise ValueError(f"xi must be >= {XI_MIN_SPHERE} for a sphere "
-                             f"layer (the package's floor), got {xi}")
+        check_xi(xi)
         return cls(xi=xi, r_edge=1.0 / math.sqrt(xi))
 
     def gap(self, R):
@@ -315,10 +307,14 @@ def _edge_closure(geo: SphereGeometry, chi: float):
 
 # x = R**2/(R**2 + 2) up to which the family's series are summed in x
 # (Taylor), and past which in y = 1 - x (the connection formula), and the
-# terms of each.  At x = 0.55 and ab = 3/2 the tail of either side is
-# below 2**-56 of the value it sums to from 50 terms on for P, P_x, F
-# and F_x; 55 is the count F_xx needed when the series summed it too,
-# kept so that every double of the closed form stays as it was
+# terms of each.  The top of _EXACT_AB sets the count: summed by
+# _power_sums at the switch and set against 200 terms, the Taylor side
+# moves by at most 8e-16 of its value from 55 terms on, for every ab up
+# to 20, but with 50 by 1.6e-14 at ab = 20 (5e-15 at ab = 15, 1.2e-15
+# up to ab = 10).  Past the switch the connection side is at its
+# rounding by then, which its cancellation sets (up to 2e-12 of its value
+# at ab = 20, the same with 60 terms).  Theta's ab = 3/2 alone needs 49:
+# from there both sides' tails are below half an ulp
 _HYP_SWITCH = 0.55
 _HYP_TERMS = 55
 
@@ -557,15 +553,6 @@ class SphereSolution:
     def xi(self) -> float:
         return self.cfg.xi
 
-    @property
-    def beta(self) -> tuple[float, float]:
-        """``sqrt(1 - chi**2/(2 xi))`` as (real, imag), imaginary once
-        chi**2 > 2 xi.  It is reported only: the solver never reads it,
-        and the profile does not oscillate on either side (q < 0 for all
-        chi)."""
-        val = 1.0 - self.chi * self.chi / (2.0 * self.xi)
-        return (math.sqrt(val), 0.0) if val >= 0.0 else (0.0, math.sqrt(-val))
-
 
 def solve_sphere(xi: float, chi: Optional[float] = None,
                  tol: float = 1e-10, *, nu: Optional[float] = None,
@@ -574,7 +561,7 @@ def solve_sphere(xi: float, chi: Optional[float] = None,
     """Solve for the radial profile A(R) of the sphere-sphere layer.
 
     Requires ``1e-76 <= xi <= 0.1`` (the parabolic-gap approximation
-    above, the package's floor XI_MIN_SPHERE below) and
+    above, the package's floor materials.XI_MIN below) and
     ``0 <= chi <= 3/2``.  Every cold solve checks its panels against
     a reference and requires them to agree in sup norm, relative to
     sup|A|, to ``min(1e-8, 100 tol)``: the exact profile (module
@@ -729,13 +716,14 @@ def sphere_force(sol: SphereSolution, trace: str = "midplane") -> SphereForce:
     docstring): A and A_s at the rim, read as the last panel's series at
     its end, and the moments M0 (and M1, for the surface) on the panels'
     Gauss record, which the solve formed (PanelPoly.gauss): a repeat
-    call evaluates no panel series.  No A_ss is read, so the force holds
-    down to XI_MIN_SPHERE, where A_ss underflows on the tail's nodes.
+    call evaluates no panel series.  No A_ss is read (a read of the
+    panels gives A and A_s alone), so the force holds down to the
+    package's floor, where A_ss underflows on the tail's nodes.
     """
     if trace not in ("midplane", "surface"):
         raise ValueError(f"trace must be 'midplane' or 'surface', got {trace!r}")
     s, w, a0, _ = sol.A.s_form.gauss
-    se, ae, ae_s, _ = sol.A.s_form.end()
+    se, ae, ae_s = sol.A.s_form.end()
     ge, m0 = 1.0 + 0.5 * se, float(np.sum(w * a0))
     # R_e g_e**2 A'(R_e), or g_e R_e**2 A(R_e) - M0 - M1, with A' = 2 R A_s
     rim = (2.0 * se * ge * ge * ae_s if trace == "midplane"

@@ -620,6 +620,35 @@ def test_chebder_rows_is_chebder_bit_for_bit(deg):
     assert np.array_equal(_chebder_rows(d1), chebder(d1, axis=1))
 
 
+@pytest.mark.parametrize("xi, chi", [(1e-2, 1.0), (1e-8, 1.5), (1e-3, 0.0)])
+def test_point_reads_give_the_pair(xi, chi):
+    # a solved profile's point reads, poly(s) and poly.at, give exactly
+    # (A, A_s), each bit for bit the first two rows of poly.grid at the
+    # same panel variables; end() gives (s_e, A, A_s), the last panel's
+    # value and s-derivative series summed at t = 1, where every T_k is 1.
+    # That sum is in np.sum's order, not the grid's Vandermonde product,
+    # so against grid at t = 1 it agrees to rounding (at most one ulp of
+    # the terms' sum of magnitudes, seen at (1e-2, 1) and (1e-3, 0))
+    equation, right, mesh = _sphere_problem(xi, chi)
+    poly = solve_linear_bvp(equation, right, mesh=mesh).s_form
+    for p in range(len(poly.coefs)):
+        s = np.linspace(poly.edges[p], poly.edges[p + 1], 13)[1:-1]
+        idx, t = poly.locate(s)
+        assert np.all(idx == p)
+        _, rows = poly.grid(t, chebvander(t, poly.deg))
+        for got in (poly(s), poly.at(idx, t)):
+            assert len(got) == 2
+            for v, row in zip(got, rows[:2]):
+                assert np.array_equal(v, row[p])
+    end = poly.end()
+    assert len(end) == 3 and end[0] == poly.edges[-1]
+    series = (poly.coefs[-1], chebder(poly.coefs[-1]) / poly.half[-1])
+    _, rows = poly.grid(np.ones(1), chebvander(np.ones(1), poly.deg))
+    for v, c, row in zip(end[1:], series, rows):
+        assert v == np.sum(c)
+        assert abs(v - row[-1, 0]) <= np.finfo(float).eps * np.sum(np.abs(c))
+
+
 def _sphere_problem(xi, chi):
     """The sphere profile's (equation, right, mesh) at (xi, chi)."""
     geo = SphereGeometry.of(xi)
@@ -687,7 +716,7 @@ def test_unit_gap_problem_meets_the_plate_closed_form(xi, chi):
     edges = np.concatenate(([0.0], sol.meta["edges"]))
     r = np.concatenate([np.linspace(lo, hi, 41)
                         for lo, hi in zip(edges[:-1], edges[1:])])
-    a, a_s = sol.s_form(r * r)[:2]
+    a, a_s = sol.s_form(r * r)
     plate = radial_profile(xi, chi).eval(r * math.sqrt(xi))
     bound = 3e-13 + 1e-16 * chi / xi
     for got, want in ((a, xi * plate[0]), (a_s, 0.5 * xi * xi * plate[3])):

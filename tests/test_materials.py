@@ -125,14 +125,6 @@ def test_material_params_limits():
     assert abs(near.youngs) < 1e-14
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
-def test_material_params_reject_nonpositive_mu(mu):
-    for make, value in ((MaterialParams.from_chi, 1.0),
-                        (MaterialParams.from_nu, 0.3)):
-        with pytest.raises(ValueError, match="mu must be positive"):
-            make(value, mu=mu)
-
-
 def test_layer_config_construction_and_validation():
     cfg = LayerConfig(1e-3, a=2.0, U=0.5, mu=3.0)
     assert cfg.h == 2e-3 and cfg.xi == 1e-3

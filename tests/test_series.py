@@ -116,15 +116,15 @@ def test_compressible_fields_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["lam", "mu", "U"])
+@pytest.mark.parametrize("name", ["lam", "mu"])
 def test_compressible_series_rejects_nonfinite_scales(name, value):
-    # lam and mu lie in (0, inf) and U is finite; NaN fails each check
-    scales = {"lam": 1.0, "mu": 1.0, "U": 1.0, name: value}
-    msg = (f"U must be finite, got {value}" if name == "U" else
-           f"{name} must be positive and finite, got {value}")
+    # lam and mu lie in (0, inf); NaN fails each check (U's check is
+    # test_materials.py's "compressible series U" case)
+    scales = {"lam": 1.0, "mu": 1.0, name: value}
+    msg = f"{name} must be positive and finite, got {value}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         compressible_series_fields(1e-3, scales["lam"], scales["mu"], 1.0,
-                                   0.5, U=scales["U"])
+                                   0.5)
 
 
 def test_series_keep_zero_and_negative_approach():
@@ -212,15 +212,6 @@ def test_theta_matches_scaled_sphere_profile():
         sup = float(np.max(np.abs(a6)))
         rel = float(np.max(np.abs(theta - a6))) / sup
         assert rel <= 1e-6, (xi, rel)
-
-
-def test_theta_oscillatory_parameter():
-    # the chi^2 = 3 xi mapping lands at beta = i/sqrt(2) for every xi
-    for xi in (1e-2, 1e-3):
-        sol = solve_sphere(xi, math.sqrt(3.0 * xi))
-        re, im = sol.beta
-        assert re == 0.0
-        assert abs(im - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
 def test_theta_is_a_closed_form_with_no_solve(monkeypatch):

@@ -15,15 +15,14 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebvander
 import pytest
 
-from layerlab import materials, plate, regimes, series
+from layerlab import plate, regimes, series
 from layerlab.kernels import (_MAX_REFINE, NumericsError, PanelPoly,
                               ToleranceNotMet,
                               _split_panels, integrate, solve_dual_bvp)
-from layerlab.materials import nu_from_chi
+from layerlab.materials import XI_MIN, nu_from_chi
 from layerlab.sphere import (
     _EXACT_AB,
     XI_MAX_SPHERE,
-    XI_MIN_SPHERE,
     PsiExtremes,
     SphereGeometry,
     _edge_closure,
@@ -95,17 +94,6 @@ def test_dual_integrator_oracle_recorded():
         assert sol.A.meta["dual_sup_rel"] <= 1e-8, (xi, chi)
 
 
-def test_oscillatory_branch_flagged():
-    # beta = sqrt(1 - chi^2/(2 xi)) is stored as (re, im) and turns
-    # imaginary once chi^2 > 2 xi; A itself never oscillates (q < 0)
-    osc = solve_sphere(1e-3, 1.0)
-    re, im = osc.beta
-    assert re == 0.0 and abs(im - math.sqrt(1.0 / (2e-3) - 1.0)) < 1e-10
-    damped = solve_sphere(1e-1, 0.1)
-    re2, im2 = damped.beta
-    assert im2 == 0.0 and abs(re2 - math.sqrt(1.0 - 0.01 / 0.2)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Incompressible closed-form oracle
 # ---------------------------------------------------------------------------
@@ -171,9 +159,14 @@ def test_third_derivative_matches_the_panels(xi, chi):
     R = np.linspace(0.0, sol.geo.r_edge, 2001)
     s = R * R
     k, t = poly.locate(s)
-    d3 = chebder(poly.coefs, 3, axis=1) / poly.half[:, None] ** 3
-    a_sss = np.einsum("ij,ij->i", chebvander(t, d3.shape[1] - 1), d3[k])
-    _, a_s, a_ss = poly(s)
+
+    def derivative(d):
+        # the d-th s-derivative of the panels at s, from chebder's series
+        c = chebder(poly.coefs, d, axis=1) / poly.half[:, None] ** d
+        return np.einsum("ij,ij->i", chebvander(t, c.shape[1] - 1), c[k])
+
+    a_ss, a_sss = derivative(2), derivative(3)
+    _, a_s = poly(s)
     _, A1, A2, _ = sol.A.eval(R)
     R, A1, A2 = R[:, None], A1[:, None], A2[:, None]
     Z = _gap(R) * np.linspace(-1.0, 1.0, 21)
@@ -486,7 +479,7 @@ def test_moment_identity(xi, chi):
     # at most 2 eps kappa, at (1e-8, 1.5)
     sol = solve_sphere(xi, chi)
     s, w, a, _ = sol.A.s_form.gauss
-    se, _, ae_s, _ = sol.A.s_form.end()
+    se, _, ae_s = sol.A.s_form.end()
     moments = 2.0 * float(np.sum(w * a)) + float(np.sum(w * s * a))
     rim = 2.0 * se * (se + 2.0) ** 3 * ae_s
     kappa = (abs(rim) + 2.0 * se) / abs(rim + 2.0 * se)
@@ -855,14 +848,14 @@ def test_psi_approaches_incompressible_plateau():
 
 def test_small_xi_force_keeps_its_plateau():
     # Psi - Psi_c settles by xi = 1e-20 and holds on both traces down to
-    # the floor XI_MIN_SPHERE (drift measured at most 2.7e-12; at chi = 1
+    # the floor XI_MIN (drift measured at most 2.7e-12; at chi = 1
     # the plateau is -0.631068 midplane, +0.472786 surface), and at
     # chi = 0, Psi = Psi_i = 1/(4 xi) on both.  A midplane trace that
     # reads A_ss on the Gauss nodes goes wrong from xi ~ 1e-81, where
     # A_ss underflows there
     for chi in (0.1, 1.0, 1.5):
         plateau = None
-        for xi in (1e-20, 1e-50, XI_MIN_SPHERE):
+        for xi in (1e-20, 1e-50, XI_MIN):
             sol = solve_sphere(xi, chi)
             psi_c = psi_extremes(xi, chi).psi_c
             got = np.array([sphere_force(sol, trace).psi - psi_c
@@ -871,7 +864,7 @@ def test_small_xi_force_keeps_its_plateau():
             assert np.all(np.abs(got - plateau) <= 1e-9), (xi, chi, got)
         if chi == 1.0:
             assert np.all(np.abs(plateau - (-0.631068, 0.472786)) < 1e-6)
-    for xi in (1e-50, XI_MIN_SPHERE):
+    for xi in (1e-50, XI_MIN):
         sol = solve_sphere(xi, 0.0)
         for trace in ("midplane", "surface"):
             assert abs(4.0 * xi * sphere_force(sol, trace).psi - 1.0) <= 1e-14
@@ -882,31 +875,31 @@ def test_fields_at_the_xi_floor_raise_no_warning():
     # fields, the potential and the Theta fields stay in double range out
     # to the rim.  Below it nothing of theirs leaves it before the
     # solver's f = -4/sigma**3 overflows at the rim, from xi ~ 1.8e-103
-    sol = solve_sphere(XI_MIN_SPHERE, 1.0)
+    sol = solve_sphere(XI_MIN, 1.0)
     R = np.linspace(0.0, sol.geo.r_edge, 201)[:, None]
     Z = np.linspace(-1.0, 1.0, 5) * sol.geo.gap(R)
     for sample in (sphere_field(sol, R, Z), sphere_potential(sol, R, Z)):
         for value in dataclasses.astuple(sample):
             assert np.all(np.isfinite(value))
-    theta = series.solve_theta(XI_MIN_SPHERE)
+    theta = series.solve_theta(XI_MIN)
     for value in (theta.u_r0(R, Z), theta.u_z0(R, Z)):
         assert np.all(np.isfinite(value))
 
 
 @pytest.mark.parametrize("xi", [9.9e-77, 1e-81, 1e-103, 5e-324])
 def test_xi_below_the_floor_refused(xi):
-    # below XI_MIN_SPHERE every sphere-layer function refuses, with the
-    # floor in its message, where it used to answer wrong (the profile
-    # from xi ~ 1e-103) or fail late ("singular system" at 1e-160)
-    assert XI_MIN_SPHERE == 1e-76
+    # below the package's floor every sphere-layer function refuses with
+    # materials.check_xi's own message, as the plate layer does, where it
+    # used to answer wrong (the profile from xi ~ 1e-103) or fail late
+    # ("singular system" at 1e-160)
+    assert XI_MIN == 1e-76
+    want = f"xi must be >= {XI_MIN}, the package's floor, got {xi}"
     for call in (lambda: solve_sphere(xi, 1.0),
                  lambda: psi_extremes(xi, 1.0),
                  lambda: regimes.classify("sphere", xi, 1.0),
                  lambda: series.solve_theta(xi)):
-        with pytest.raises(ValueError, match=r"xi must be >= 1e-76 for a "
-                                             r"sphere layer .*, got "):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             call()
-    assert XI_MIN_SPHERE is materials.XI_MIN
 
 
 # chi for the domain sweep: 0, subnormal-squared and tiny values, and
@@ -921,7 +914,7 @@ def test_psi_over_the_domain():
     # and never exceeds Psi(xi, 0), to 1e-12 (over 12 xi x 8 chi, 96
     # solves, both held).  Below the floor both layers refuse
     rng = np.random.default_rng(43)
-    for xi in (XI_MIN_SPHERE, XI_MAX_SPHERE, 10.0 ** rng.uniform(-76.0, -1.0)):
+    for xi in (XI_MIN, XI_MAX_SPHERE, 10.0 ** rng.uniform(-76.0, -1.0)):
         mids = []
         for chi in SWEEP_CHIS:
             sol = solve_sphere(xi, chi)
