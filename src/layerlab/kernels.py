@@ -410,18 +410,21 @@ class PanelPoly:
 
     def integral_below(self, x, f):
         """The integral of a function from the first edge to each x of
-        the 1-D array x, by the record's rule: the whole panels below x,
-        summed in order, plus the part [edges[k], x] of the panel k
-        holding x.  f(x, w, v, v_x) gives the function's values at nodes
-        x times weights w, from v and v_x there: f(*gauss) on the whole
-        panels; on a part, f(nodes, 1.0, v, v_x) @ _GAUSS_W times the
-        part's half-length."""
+        the float array x, on x's shape, by the record's rule: the whole
+        panels below x, summed in order, plus the part [edges[k], x] of
+        the panel k holding x.  f(x, w, v, v_x) gives the function's
+        values at nodes x times weights w, from v and v_x there:
+        f(*gauss) on the whole panels; on a part, the sum of
+        f(nodes, 1.0, v, v_x) * _GAUSS_W over its six nodes times the
+        part's half-length, a sum over the last axis that gives each x
+        the doubles it has inside any other x (a product with _GAUSS_W
+        would round a lone x apart)."""
         whole = np.concatenate(([0.0], np.cumsum(f(*self.gauss).sum(1))))
         k, t_x = self.locate(x)
         frac = 0.5 * (t_x + 1.0)
-        tn = frac[:, None] * (_GAUSS_T + 1.0) - 1.0
-        nodes = self.mid[k][:, None] + self.half[k][:, None] * tn
-        part = f(nodes, 1.0, *self.at(k[:, None], tn)) @ _GAUSS_W
+        tn = frac[..., None] * (_GAUSS_T + 1.0) - 1.0
+        nodes = self.mid[k][..., None] + self.half[k][..., None] * tn
+        part = (f(nodes, 1.0, *self.at(k[..., None], tn)) * _GAUSS_W).sum(-1)
         return whole[k] + self.half[k] * frac * part
 
 
@@ -479,9 +482,11 @@ class RadialSolution:
         (A, A', A'', A'/R)
 
     on a float array r of one dimension or more, elementwise.  eval(R)
-    gives the same four slots at R of any shape, and every reader reads
-    through it, taking what it needs by position, so none divides by R:
-    each profile forms its own A'/R, finite on the axis, where it is A''.
+    gives the same four slots at R of any shape, formed once per radius
+    of R's line (cut), and every reader reads through it, on the line
+    its layer check cut, taking what it needs by position, so none
+    divides by R: each profile forms its own A'/R, finite on the axis,
+    where it is A''.
     A profile in s = R**2 (one solved by solve_linear_bvp, or
     closed_form_profile's) reads the pair (A, A_s) from its s-evaluator
     and takes A'' off the ODE (see _ode_terms); the plate's terms are
@@ -515,47 +520,57 @@ class RadialSolution:
             self.eval = eval
 
     @staticmethod
-    def radii(r: np.ndarray):
-        """The radii to evaluate an R-only quantity of the float array r
-        on, as a 1-D array, and a map taking arrays over them (along their
-        last axis) back to r's own shape.
-
-        A line of radii, an r with at most one axis longer than 1 (a
-        column, a row, 1-D or a scalar), is evaluated in place: its own
-        elements, in its own order, and the map is a reshape.  A full grid
-        is evaluated once per distinct R: the sorted distinct values, and
-        the map gathers them back.  A lone radius (a scalar, a one-element
-        line or a grid of one R) is evaluated as the pair (R, R): einsum
-        sums the panel series of a one-point batch, and matmul forms a
-        one-row product, in another order, so R alone would round
-        differently from the same R inside a line.  Every R-only quantity
-        here is elementwise in its radius, so each form gives the doubles
-        of a line."""
-        if sum(n > 1 for n in r.shape) <= 1:
-            radii, index = r.ravel(), slice(r.size)
-        else:
-            radii, index = np.unique(r.ravel(), return_inverse=True)
-        if radii.size == 1:
-            radii = np.repeat(radii, 2)
-        # arr.T[index] is numpy's fast gather along a first axis (a view for
-        # the slice); arr[..., index] gives the same array in the same
-        # memory layout but takes 2.5 times as long on a 1-D arr
-        return radii, (lambda arr: arr.T[index].T
-                       .reshape(arr.shape[:-1] + r.shape))
+    def cut(R, Z):
+        """R and Z as float arrays, for a reader of a radial profile: R cut
+        to length 1 along every axis on which it is constant (a meshgrid R
+        becomes its column), and Z broadcast to the shape of (R, Z) where
+        that cut would shrink it, so that the two still broadcast to the
+        shape asked for.  The reader then forms each R-only quantity once
+        per radius of R's line; an R constant along no axis (a np.hypot
+        grid) is its own line, read point by point.  Both layer checks
+        take their points through it."""
+        r, z = np.asarray(R, dtype=float), np.asarray(Z, dtype=float)
+        line, shape = _cut(r), np.broadcast(r, z).shape
+        if np.broadcast(line, z).shape != shape:
+            z = np.broadcast_to(z, shape)
+        return line, z
 
     def eval(self, r):
-        """terms(radii) at R of any shape: the four slots, each taken to
-        R's shape (floats for a scalar R, 0-d included).  They are formed
-        on the radii of R (see radii),
-        so a lone R gives the doubles it has inside a line, and a full
-        grid costs its distinct R.  This is the one read of a profile at
-        the user's R: every field and potential calls the instance's
-        eval, so a wrapper put on it (bench/tracing.py's) sees every
-        read."""
+        """terms at R of any shape: the four slots, each of R's shape
+        (floats for a scalar R, 0-d included).  They are formed once per
+        radius of R's line (R cut as cut cuts it, so a meshgrid R is read
+        on its column), in that line's own order, and on a grid R come
+        back as read-only broadcast views of the line's values.  A lone
+        radius is read as the pair (R, R): einsum sums the panel series
+        of a one-point batch in another order, so R alone would round
+        differently from the same R inside a line.  Every R-only quantity
+        is elementwise in its radius, so each form gives the doubles of a
+        line.  This is the one read of a profile at the user's R: every
+        field and potential calls the instance's eval, so a wrapper put
+        on it (bench/tracing.py's) sees every read."""
         rr = np.asarray(r, dtype=float)
-        radii, take = self.radii(rr)
-        form = float if rr.ndim == 0 else np.asarray
-        return tuple(form(take(v)) for v in self.terms(radii))
+        line = _cut(rr)
+        radii = line.ravel() if line.size != 1 else line.repeat(2)
+        form = (float if rr.ndim == 0 else np.asarray if line is rr
+                else partial(np.broadcast_to, shape=rr.shape))
+        return tuple(form(v[:line.size].reshape(line.shape))
+                     for v in self.terms(radii))
+
+
+def _cut(r: np.ndarray) -> np.ndarray:
+    """The float array r cut to length 1 along every axis on which it is
+    constant: a view of r, or r itself where no axis is (an empty r
+    included).  A NaN is equal to nothing, so an axis holding one is
+    kept.  The second element along an axis (its flat index is the
+    product of the later axes' lengths) is compared with the first
+    before the whole array is, so an axis that varies there costs no
+    array operation."""
+    for axis, n in enumerate(r.shape if r.size else ()):
+        if n > 1 and r.flat[math.prod(r.shape[axis + 1:])] == r.flat[0]:
+            first = r[(slice(None),) * axis + (slice(1),)]
+            if (r == first).all():
+                r = first
+    return r
 
 
 # LAPACK's band LU solve, called directly: solve_banded's wrapper would

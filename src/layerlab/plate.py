@@ -103,12 +103,13 @@ class FieldSample:
     u_r, u_z carry length units through U; the stresses carry the dominant
     normal-stress scale mu*U/(a*xi).  Fields are floats for scalar input,
     arrays (of the broadcast shape) for array input.  For array input R
-    and Z are read-only broadcast views of the inputs, not copies, and
-    the six fields are views into one (6, *shape) block, as the sphere's
-    PotentialSample values are; each field is F-ordered when a column R
-    meets a shorter row Z (see _field_block).  The values are the same in
-    either memory order.  A block of 128 KiB to 4 MiB is reused by a
-    later call once no array views it.
+    and Z are read-only broadcast views of the inputs, not copies (R of
+    its line: a meshgrid R's column, RadialSolution.cut), and the six
+    fields are views into one (6, *shape) block, as the sphere's
+    PotentialSample values are; each field is F-ordered when a column R,
+    a meshgrid R's included, meets a shorter row Z (see _field_block).
+    The values are the same in either memory order.  A block of 128 KiB
+    to 4 MiB is reused by a later call once no array views it.
     """
 
     R: object
@@ -447,12 +448,14 @@ def solve_plate(xi: float, chi: Optional[float] = None, *,
 
 def field(sol: PlateSolution, R, Z) -> FieldSample:
     """Sample displacements and stresses at scaled (R, Z); R and Z
-    broadcast against each other.  The radial potential (A, A', A'' and
-    the profile's own A'/R, all its closed forms give) is read by
-    RadialSolution.eval, once per R of a line of radii (a column, a row,
-    1-D or a scalar), on R itself, and once per distinct R of a full R
-    grid, so dense (R, Z) product grids cost only their R lines, and a
-    lone R gives the doubles of a line.  No field divides by R.
+    broadcast against each other.  The range check takes R cut to its
+    line (RadialSolution.cut: a meshgrid R becomes its column, and Z is
+    broadcast where that would shrink the shape), and the radial
+    potential (A, A', A'' and the profile's own A'/R, all its closed
+    forms give) is read there by RadialSolution.eval, once per radius,
+    so dense (R, Z) product grids cost only their R lines, and a lone R
+    gives the doubles of a line.  An R constant along no axis is read
+    point by point.  No field divides by R.
 
     Each field is the module docstring's polynomial in Z written as
     c0 + c1 (Z**2 - 1), times Z where it is odd, in place into one
@@ -469,8 +472,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
     where the scales a, mu, U take one past double range it raises
     NumericsError, rather than return inf or nan.
     """
-    Rr = np.asarray(R, dtype=float)
-    Zb = np.asarray(Z, dtype=float)
+    Rr, Zb = RadialSolution.cut(R, Z)
     # written so that NaN fails each check
     if not (np.all(Rr >= 0.0) and np.all(Rr <= 1.0)):
         raise ValueError("R out of range [0, 1]")
@@ -478,8 +480,7 @@ def field(sol: PlateSolution, R, Z) -> FieldSample:
         raise ValueError("|Z| out of range [0, 1]")
 
     A, A1, A2, A1R = sol.radial.eval(Rr)
-    cfg = sol.cfg
-    c2 = sol.chi * sol.chi
+    cfg, c2 = sol.cfg, sol.chi * sol.chi
     # U as a numpy scalar, so that a scale past double range raises in the
     # errstate below, as a field does
     xi, U, mu, a = cfg.xi, np.float64(cfg.U), cfg.mu, cfg.a

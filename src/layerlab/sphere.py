@@ -237,13 +237,14 @@ class SphereGeometry:
         return float(g) if g.ndim == 0 else g
 
     def check(self, R, Z):
-        """R and Z as float arrays, after checking them against the layer:
-        ``0 <= R <= r_edge`` and ``|Z| <= gap(R)``."""
+        """R and Z as float arrays, R cut to its line and Z broadcast
+        where that cut would shrink the shape (RadialSolution.cut), after
+        checking them against the layer: ``0 <= R <= r_edge`` and
+        ``|Z| <= gap(R)``."""
         # written so that NaN fails each check; one |Z| array, one boolean grid
-        Rr = np.asarray(R, dtype=float)
+        Rr, Zb = RadialSolution.cut(R, Z)
         if not (np.all(Rr >= 0.0) and np.all(Rr <= self.r_edge * (1.0 + 1e-12))):
             raise ValueError("R outside [0, 1/sqrt(xi)]")
-        Zb = np.asarray(Z, dtype=float)
         if not np.all(np.abs(Zb) <= self.gap(Rr) * (1.0 + 1e-12) + 1e-9):
             raise ValueError("Z outside the layer |Z| <= gap(R)")
         return Rr, Zb
@@ -593,18 +594,20 @@ def sphere_field(sol: SphereSolution, R, Z) -> FieldSample:
     Each field is a polynomial in Z with coefficients in R alone, written
     as ``c0 + c1 (Z**2 - g**2)``, times Z where the field is odd: the odd
     ones' ``Z (c0 + c1 Z**2)`` of the module docstring take
-    ``c0 + c1 g**2`` as their c0.  The profile is read by
-    RadialSolution.eval on R's shape: once per R of a line of radii (a
-    column, a row, 1-D or a scalar), on R itself, or once per distinct R
-    of a full R grid.  g**2 and each field's two coefficients are formed
-    from it on R's shape, elementwise, one field at a time, so every
-    double is that of its own radius.  plate._z_polynomials, the one
-    writer of every field sample, then writes each field in place into
-    one preallocated (6, *shape) block: a product, a sum and, per odd
-    field, one more product by Z, with Z**2 - g**2 formed in the last
-    field's slot, so no other grid-sized array is made.  R and Z come
-    back as read-only broadcast views of the inputs; a column R against
-    a shorter row Z gives F-ordered fields (see FieldSample).
+    ``c0 + c1 g**2`` as their c0.  The layer check cuts R to its line
+    (RadialSolution.cut: a meshgrid R becomes its column, and Z is
+    broadcast where that would shrink the shape), and the profile is
+    read there by RadialSolution.eval, once per radius; an R constant
+    along no axis is read point by point.  g**2 and each field's two
+    coefficients are formed from it on the line's shape, elementwise,
+    one field at a time, so every double is that of its own radius.
+    plate._z_polynomials, the one writer of every field sample, then
+    writes each field in place into one preallocated (6, *shape) block:
+    a product, a sum and, per odd field, one more product by Z, with
+    Z**2 - g**2 formed in the last field's slot, so no other grid-sized
+    array is made.  R and Z come back as read-only broadcast views of
+    the inputs; a column R, a meshgrid R's included, against a shorter
+    row Z gives F-ordered fields (see FieldSample).
     u_r is ``c1 (Z**2 - g**2)``, which is exactly 0 on the walls
     ``Z = +/- g``.  The profile's four terms (RadialSolution) give A, A',
     A'' and ``A'/R = 2 A_s``, finite on the axis, from the s = R**2
@@ -671,38 +674,33 @@ def sphere_potential(sol: SphereSolution, R, Z) -> PotentialSample:
     Z broadcast together; like sphere_field it requires
     ``0 <= R <= 1/sqrt(xi)`` and ``|Z| <= gap(R)``, and it gives floats
     for scalar input, else R and Z as read-only broadcast views of the
-    inputs.  The integral of A1 is exact on the solver's polynomial panels
-    in s = R**2, by their Gauss-Legendre rule (PanelPoly.integral_below).
-    Each value is c0 + c1 Z**2, times Z where it is odd in Z, written by
-    the fields' one writer (plate._z_polynomials) with Z**2 - 0 for
-    Z**2 - g**2: for array input the six are views into one (6, *shape)
-    block, recycled as the fields' are (see FieldSample)."""
-    cfg = sol.cfg
+    inputs.  It reads the profile as the fields do, on R's line after
+    the layer check (RadialSolution.cut), through RadialSolution.eval
+    and PanelPoly.integral_below at s = R**2, once per radius.  The
+    integral of A1 is exact on the solver's polynomial panels in s, by
+    their Gauss-Legendre rule.  Each value is c0 + c1 Z**2, times Z
+    where it is odd in Z, written by the fields' one writer
+    (plate._z_polynomials) with Z**2 - 0 for Z**2 - g**2: for array
+    input the six are views into one (6, *shape) block, recycled as the
+    fields' are (see FieldSample)."""
     Rr, Zb = sol.geo.check(R, Z)
-    # the radii level, for integral_below's partial panels (a lone R as
-    # the pair (R, R), see RadialSolution.radii)
-    radii, take = RadialSolution.radii(Rr)
-
-    a0u, a1u, a2u, _ = sol.A.eval(radii)
-    gu = sol.geo.gap(radii)
-    A1u = -3.0 * gu * gu * a1u
-    A1pu = -3.0 * gu * gu * a2u - 6.0 * gu * radii * a1u
-    Iau = sol.A.s_form.integral_below(radii * radii, _a1_weighted)
-
-    a0, a1, a2, A1, A1p, Ia = map(take, (a0u, a1u, a2u, A1u, A1pu, Iau))
+    a0, a1, a2, _ = sol.A.eval(Rr)
+    g = sol.geo.gap(Rr)
+    A1 = -3.0 * g * g * a1
+    Ia = sol.A.s_form.integral_below(Rr * Rr, _a1_weighted)
 
     def coefs():
         # (c0, c1, odd) in zm = Z**2, in PotentialSample order; s0 is a
         # numpy scale, so that its leaving double range raises too
-        s0 = cfg.xi * np.float64(cfg.a) ** 2 * cfg.U
+        s0 = sol.xi * np.float64(sol.cfg.a) ** 2 * sol.cfg.U
         yield s0 * Ia, s0 * a0, True
         yield s0 * A1, s0 * a1, True
         yield s0 * Ia, 3.0 * s0 * a0, False
-        yield s0 * A1p, s0 * a2, True
+        yield s0 * (-3.0 * g * g * a2 - 6.0 * g * Rr * a1), s0 * a2, True
         yield s0 * A1, 3.0 * s0 * a1, False
         yield s0 * 6.0 * a0, -0.0, True
 
-    with _in_range("sphere potential", cfg.xi, sol.chi):
+    with _in_range("sphere potential", sol.xi, sol.chi):
         return _z_polynomials(Rr, Zb, 0.0, coefs(), PotentialSample)
 
 

@@ -1,7 +1,8 @@
 """Field grids assembled in place: bit for bit against the full-temporary
 expressions, a line of radii bit for bit against the same points as a
-full grid, no grid-sized temporaries beyond the block, and blocks
-recycled only once no array views them."""
+full grid, a grid R (a meshgrid or a np.hypot grid) bit for bit against
+its points read as a line, no grid-sized temporaries beyond the block,
+and blocks recycled only once no array views them."""
 
 import dataclasses
 import math
@@ -12,7 +13,8 @@ import pytest
 
 from layerlab import plate, sphere
 from layerlab.plate import FieldSample, field, solve_plate
-from layerlab.series import solve_theta
+from layerlab.series import (compressible_series_fields,
+                             nearly_compressible_series_fields, solve_theta)
 from layerlab.sphere import (PotentialSample, solve_sphere, sphere_field,
                              sphere_potential)
 
@@ -378,12 +380,94 @@ def test_lone_radius_matches_its_line_bit_for_bit(xi, chi):
                         quantity, form, i, name)
 
 
+# ---------------------------------------------------------------------------
+# Grid R: read on its line, the same doubles as its points in a line
+# ---------------------------------------------------------------------------
+
+def _series_line(fields, xi):
+    r_edge = sphere.SphereGeometry.of(xi).r_edge
+    return r_edge, lambda R, Z: dict(zip(("u_r", "u_z"), fields(xi, R, Z)))
+
+
+# every reader of LINE_CASES, and both direct series
+READ_CASES = {
+    **LINE_CASES,
+    "compressible series": lambda: _series_line(
+        lambda xi, R, Z: compressible_series_fields(xi, 2.0, 1.0, R, Z),
+        1e-2),
+    "nearly compressible series": lambda: _series_line(
+        nearly_compressible_series_fields, 1e-2),
+}
+
+
+def _grid_inputs(r_edge):
+    """(R, Z) with R a grid, not a line: a meshgrid R (constant along its
+    second axis) against a scalar, a row and a full Z, and a np.hypot R
+    (constant along no axis); |Z| <= 1 lies in either layer."""
+    rng = np.random.default_rng(55)
+    zf = np.linspace(-1.0, 1.0, 6)
+    mesh = np.meshgrid(np.linspace(0.0, r_edge, 13), zf, indexing="ij")[0]
+    x = np.linspace(0.0, 0.7 * r_edge, 9)
+    hypot = np.hypot(*np.meshgrid(x, x, indexing="ij"))
+    return {
+        "meshgrid R, scalar Z": (mesh, 0.4),
+        "meshgrid R, row Z": (mesh, zf),
+        "meshgrid R, full Z": (mesh, rng.uniform(-1.0, 1.0, mesh.shape)),
+        "hypot R, scalar Z": (hypot, -0.3),
+        "hypot R, full Z": (hypot, rng.uniform(-1.0, 1.0, hypot.shape)),
+    }
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_grid_reads_as_its_points_in_a_line(case):
+    # the broadcast shape of (R, Z) comes back, with the doubles of the
+    # same points read as one 1-D line: a meshgrid R is read on its
+    # column, and a Z that would not fill the shape is broadcast to it
+    r_edge, fn = READ_CASES[case]()
+    for label, (R, Z) in _grid_inputs(r_edge).items():
+        shape = np.broadcast_shapes(R.shape, np.shape(Z))
+        got = fn(R, Z)
+        want = fn(*(np.broadcast_to(a, shape).ravel() for a in (R, Z)))
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            g = np.asarray(got[name])
+            assert g.shape == shape, (label, name)
+            assert g.tobytes() == w.reshape(shape).tobytes(), (label, name)
+
+
+@pytest.mark.parametrize("profile", [
+    "sphere (1e-2, 1)", "Theta 1e-2", "plate (0.01, 0)", "plate (0.01, 0.7)",
+    "plate (0.05, 0.05)"])
+def test_eval_on_a_grid_reads_as_its_line(profile):
+    radial = {
+        "sphere (1e-2, 1)": lambda: solve_sphere(1e-2, 1.0).A,
+        "Theta 1e-2": lambda: solve_theta(1e-2).Theta,
+        "plate (0.01, 0)": lambda: solve_plate(0.01, chi=0.0).radial,
+        "plate (0.01, 0.7)": lambda: solve_plate(0.01, chi=0.7).radial,
+        "plate (0.05, 0.05)": lambda: solve_plate(0.05, chi=0.05).radial,
+    }[profile]()
+    r_edge = 1.0 if profile.startswith("plate") else 10.0
+    grids = {label.split(",")[0]: R
+             for label, (R, _) in _grid_inputs(r_edge).items()}
+    for label, R in grids.items():
+        line = radial.eval(R.ravel())
+        for slot, (g, w) in enumerate(zip(radial.eval(R), line)):
+            assert g.shape == R.shape, (label, slot)
+            assert g.tobytes() == w.reshape(R.shape).tobytes(), (label, slot)
+            # a meshgrid R is read on its column and broadcast back, a
+            # read-only view; a hypot R is its own line
+            assert g.flags.writeable == (label == "hypot R"), (label, slot)
+
+
 @pytest.mark.parametrize("case", LINE_CASES)
 def test_empty_column_of_radii(case):
+    # an empty column, and an empty grid, which has an axis longer than 1
+    # for the cut to test
     r_edge, fn = LINE_CASES[case]()
-    out = fn(np.empty((0, 1)), np.linspace(-1.0, 1.0, 5)[None, :])
-    for name, v in out.items():
-        assert v.shape == (0, 5) and v.dtype == float, name
+    for R in (np.empty((0, 1)), np.empty((0, 5))):
+        out = fn(R, np.linspace(-1.0, 1.0, 5)[None, :])
+        for name, v in out.items():
+            assert v.shape == (0, 5) and v.dtype == float, (R.shape, name)
 
 
 def _counted(profile, calls):
@@ -398,8 +482,8 @@ def _counted(profile, calls):
 
 def test_every_reader_reads_through_the_instance_eval(monkeypatch):
     # each field, potential and Theta field reads its profile once,
-    # through the instance's eval, at R's own shape (the potential at its
-    # radii): the route a wrapper put on eval (bench/tracing.py's
+    # through the instance's eval, at R's line (a meshgrid R as its
+    # column): the route a wrapper put on eval (bench/tracing.py's
     # counters) relies on to see every read.  The plate's profile is
     # built on first use, so it is wrapped where it is built
     calls = []
@@ -417,12 +501,12 @@ def test_every_reader_reads_through_the_instance_eval(monkeypatch):
     reads = [
         (lambda: field(plate_sol, r[:, None], z[None, :]), (7, 1)),
         (lambda: sphere_field(sphere_sol, r[:, None], z[None, :]), (7, 1)),
-        (lambda: sphere_field(sphere_sol, *grid), (7, 5)),
+        (lambda: sphere_field(sphere_sol, *grid), (7, 1)),
         (lambda: sphere_field(sphere_sol, 0.5, 0.25), ()),
         (lambda: sphere_potential(sphere_sol, r, 0.0), (7,)),
-        (lambda: sphere_potential(sphere_sol, 0.5, 0.25), (2,)),
+        (lambda: sphere_potential(sphere_sol, 0.5, 0.25), ()),
         (lambda: theta.u_r0(r[:, None], z[None, :]), (7, 1)),
-        (lambda: theta.u_z0(*grid), (7, 5)),
+        (lambda: theta.u_z0(*grid), (7, 1)),
     ]
     for read, shape in reads:
         calls.clear()
